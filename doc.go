@@ -282,8 +282,8 @@
 // its shards record per-(round, shard, phase) wall-clock spans into
 // lock-free per-shard arenas that the coordinator merges at the round
 // barrier, and the coordinator samples per-round gauges — messages routed
-// and dropped, clamped delays, calendar-queue depth, scratch bytes, budget
-// tokens in flight. Run aggregates everything into Report.Metrics; the
+// and dropped, clamped delays, peers stepped, calendar-queue depth, scratch
+// bytes, budget tokens in flight. Run aggregates everything into Report.Metrics; the
 // observer also writes the full timeline as Chrome trace_event JSON
 // (about:tracing / ui.perfetto.dev) and renders plain-text summary tables.
 // The CLIs expose all of it as -trace, -metrics and -pprof flags.

@@ -210,15 +210,25 @@ type ConsensusResult struct {
 // stamp (RuleLatest only) holds the logical timestamp of the held variant.
 // heard (RuleMajority / RuleWeighted only) holds K accumulated weights per
 // peer, the peer's lifetime tally of what it has been told.
+//
+// shares, on the sharded runtime, holds one row of K variant counts per
+// shard (row o at shares[o*stride:]), kept current by the shard that owns
+// the changing peer, so the coordinator sums K cells per shard between
+// rounds instead of scanning n. Rows are a cache line or more apart. It is
+// nil on the goroutine engine, whose concurrent mode steps the peers of its
+// single block from many goroutines: there counts recounts — which is also
+// the reference the shares are tested against.
 type consState struct {
 	part    exch.Partition
 	k       int
 	variant [][]uint8
 	stamp   [][]int32
 	heard   [][]float64
+	shares  []int64
+	stride  int
 }
 
-func newConsState(n, parts, k int, rule MergeRule) *consState {
+func newConsState(n, parts, k int, rule MergeRule, tallied bool) *consState {
 	st := &consState{part: exch.Partition{N: n, Parts: parts}, k: k}
 	st.variant = make([][]uint8, parts)
 	if rule == RuleLatest {
@@ -236,39 +246,62 @@ func newConsState(n, parts, k int, rule MergeRule) *consState {
 			st.heard[o] = make([]float64, (hi-lo)*k)
 		}
 	}
+	if tallied {
+		// K cells rounded up to whole cache lines, plus one line so the gap
+		// holds whatever the slice's alignment.
+		st.stride = (k+7)/8*8 + 8
+		st.shares = make([]int64, parts*st.stride)
+	}
 	return st
 }
 
-func (st *consState) getVariant(i int) uint8 {
-	o := st.part.Owner(i)
-	return st.variant[o][i-st.part.Start(o)]
+// locate returns peer i's owning shard and its index within that shard's
+// blocks.
+func (st *consState) locate(i int) (o, li int) {
+	o = st.part.Owner(i)
+	return o, i - st.part.Start(o)
 }
 
-func (st *consState) setVariant(i int, v uint8) {
-	o := st.part.Owner(i)
-	st.variant[o][i-st.part.Start(o)] = v
+// adopt moves the peer at (o, li) to variant v (0 = undecided), keeping o's
+// share row current; while the runtime is stepping only shard o itself may
+// call it.
+func (st *consState) adopt(o, li int, v uint8) {
+	if st.shares != nil {
+		row := st.shares[o*st.stride:]
+		if old := st.variant[o][li]; old != 0 {
+			row[old-1]--
+		}
+		if v != 0 {
+			row[v-1]++
+		}
+	}
+	st.variant[o][li] = v
 }
 
-func (st *consState) getStamp(i int) int32 {
-	o := st.part.Owner(i)
-	return st.stamp[o][i-st.part.Start(o)]
+// heardRow returns the K-cell tally slice of the peer at (o, li).
+func (st *consState) heardRow(o, li int) []float64 {
+	return st.heard[o][li*st.k : (li+1)*st.k]
 }
 
-func (st *consState) setStamp(i int, v int32) {
-	o := st.part.Owner(i)
-	st.stamp[o][i-st.part.Start(o)] = v
-}
-
-// heardRow returns peer i's K-cell tally slice.
-func (st *consState) heardRow(i int) []float64 {
-	o := st.part.Owner(i)
-	base := (i - st.part.Start(o)) * st.k
-	return st.heard[o][base : base+st.k]
-}
-
-// counts tallies decided peers and the per-variant shares; called by the
-// coordinator between rounds, when the shards are quiescent.
+// counts fills shares with the per-variant totals and returns the number of
+// decided peers; called by the coordinator between rounds, when the shards
+// are quiescent.
 func (st *consState) counts(shares []int) (decided int) {
+	if st.shares == nil {
+		return st.recount(shares)
+	}
+	for v := range shares {
+		shares[v] = 0
+		for o := 0; o < st.part.Parts; o++ {
+			shares[v] += int(st.shares[o*st.stride+v])
+		}
+		decided += shares[v]
+	}
+	return decided
+}
+
+// recount is counts by scanning every peer's variant.
+func (st *consState) recount(shares []int) (decided int) {
 	for i := range shares {
 		shares[i] = 0
 	}
@@ -303,12 +336,19 @@ func argmaxVariant(heard []float64) int {
 // weight is nil except under RuleWeighted, where weight[sender] scales each
 // heard message; tallies accumulate in inbox order (float addition is not
 // associative, so the canonical order is load-bearing for bit identity).
-func consStep(sampler graph.Sampler, st *consState, weight []float64) live.StepFunc {
-	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
-		v := st.getVariant(node)
+//
+// A peer is awake exactly while it is decided: an undecided peer with an
+// empty inbox revises nothing, stays undecided and skips the contact draw,
+// which is what the runtime's sleep contract asks of a peer that reports
+// false.
+func consStep(sampler graph.Sampler, st *consState, weight []float64) live.ActiveStepFunc {
+	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
+		o, li := st.locate(node)
+		held := st.variant[o][li]
+		v := held
 		var stamp int32
 		if st.stamp != nil {
-			stamp = st.getStamp(node)
+			stamp = st.stamp[o][li]
 			for _, m := range inbox {
 				if m.Kind != kindConsVariant {
 					continue
@@ -321,9 +361,9 @@ func consStep(sampler graph.Sampler, st *consState, weight []float64) live.StepF
 					v, stamp = mv, ms
 				}
 			}
-			st.setStamp(node, stamp)
+			st.stamp[o][li] = stamp
 		} else {
-			heard := st.heardRow(node)
+			heard := st.heardRow(o, li)
 			revised := false
 			for _, m := range inbox {
 				if m.Kind != kindConsVariant {
@@ -340,12 +380,16 @@ func consStep(sampler graph.Sampler, st *consState, weight []float64) live.StepF
 				v = uint8(argmaxVariant(heard))
 			}
 		}
-		st.setVariant(node, v)
-		if v != 0 {
-			if nb := sampler.Pick(node, s); nb >= 0 {
-				emit(simnet.Message{To: nb, Kind: kindConsVariant, A: int64(v), B: int64(stamp)})
-			}
+		if v != held {
+			st.adopt(o, li, v)
 		}
+		if v == 0 {
+			return false
+		}
+		if nb := sampler.Pick(node, s); nb >= 0 {
+			emit(simnet.Message{To: nb, Kind: kindConsVariant, A: int64(v), B: int64(stamp)})
+		}
+		return true
 	}
 }
 
@@ -468,18 +512,19 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 	spv := len(seeds) / cfg.Variants
 
 	// State blocks match the runtime's shard partition, so each block has
-	// exactly one writing worker; the goroutine engine steps sequentially
-	// per peer and uses a single block.
+	// exactly one writing worker, who also keeps the block's share row; the
+	// goroutine engine uses a single block and recounts.
 	parts := 1
 	if o.Engine == LiveSharded {
 		parts = live.EffectiveShards(n, o.Shards)
 	}
-	st := newConsState(n, parts, cfg.Variants, cfg.Rule)
+	st := newConsState(n, parts, cfg.Variants, cfg.Rule, o.Engine == LiveSharded)
 	for j, p := range seeds {
 		v := uint8(j/spv + 1)
-		st.setVariant(p, v)
+		po, pli := st.locate(p)
+		st.adopt(po, pli, v)
 		if st.stamp != nil {
-			st.setStamp(p, int32(j+1))
+			st.stamp[po][pli] = int32(j + 1)
 		} else {
 			// The seed credits its own variant once (at its own influence
 			// weight under RuleWeighted), so a freshly contacted seed does
@@ -488,7 +533,7 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 			if weight != nil {
 				w = weight[p]
 			}
-			st.heardRow(p)[v-1] += w
+			st.heardRow(po, pli)[v-1] += w
 		}
 	}
 
@@ -500,7 +545,7 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 		for i := range streams {
 			streams[i] = rng.New(live.PeerSeed(o.Seed, i))
 		}
-		eng, err := simnet.NewLiveWithStreams(streams, adaptStep(step))
+		eng, err := simnet.NewLiveWithStreams(streams, adaptActiveStep(step))
 		if err != nil {
 			return ConsensusResult{}, err
 		}
@@ -511,12 +556,12 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 		}
 	case LiveSharded:
 		rt, err := live.New(live.Config{
-			N:      n,
-			Seed:   o.Seed,
-			Step:   step,
-			Shards: o.Shards,
-			Net:    o.Net,
-			Obs:    o.Obs,
+			N:          n,
+			Seed:       o.Seed,
+			ActiveStep: step,
+			Shards:     o.Shards,
+			Net:        o.Net,
+			Obs:        o.Obs,
 		})
 		if err != nil {
 			return ConsensusResult{}, err

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/graph"
+	"repro/internal/live"
 	"repro/internal/rng"
 	"repro/internal/run"
 )
@@ -331,5 +332,55 @@ func TestConsensusSpec(t *testing.T) {
 	}
 	if fmt.Sprint(repG.Trajectory) != fmt.Sprint(rep1.Trajectory) {
 		t.Errorf("goroutine engine diverged through spec: %v vs %v", repG.Trajectory, rep1.Trajectory)
+	}
+}
+
+// TestConsensusTalliesMatchRecount pins the per-shard variant share rows
+// against the full recount they replace, after every round, at several
+// shard counts, on both schedules and under both state layouts (stamps and
+// heard tallies); under -race it also pins that each row has one writer.
+// The runtime is driven round by round, as RunConsensus does.
+func TestConsensusTalliesMatchRecount(t *testing.T) {
+	const k = 3
+	g := mustBA(t, 3000, 3, 7)
+	sampler, err := graph.NewUniformNeighbors(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range []MergeRule{RuleMajority, RuleLatest} {
+		for _, shards := range []int{1, 2, 4, 8} {
+			st := newConsState(g.N(), live.EffectiveShards(g.N(), shards), k, rule, true)
+			for j, p := range []int{5, 1400, 2999} {
+				o, li := st.locate(p)
+				st.adopt(o, li, uint8(j+1))
+				if rule == RuleLatest {
+					st.stamp[o][li] = int32(j + 1)
+				} else {
+					st.heardRow(o, li)[j]++
+				}
+			}
+			rt, err := live.New(live.Config{N: g.N(), Seed: 42, Shards: shards,
+				ActiveStep: consStep(sampler, st, nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := make([]int, k), make([]int, k)
+			decided := 0
+			for round := 0; round < 30; round++ {
+				if round%2 == 0 {
+					rt.Run(1)
+				} else {
+					rt.RunPipelined(1)
+				}
+				decided = st.counts(got)
+				if wantDecided := st.recount(want); decided != wantDecided || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("rule=%v shards=%d round %d: tallies say %d decided %v; recount %d %v",
+						rule, shards, round, decided, got, wantDecided, want)
+				}
+			}
+			if decided < g.N()/2 {
+				t.Errorf("rule=%v shards=%d: only %d of %d peers decided", rule, shards, decided, g.N())
+			}
+		}
 	}
 }

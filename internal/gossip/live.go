@@ -317,3 +317,13 @@ func adaptStep(step live.StepFunc) simnet.StepFunc {
 		return out
 	}
 }
+
+// adaptActiveStep is adaptStep for a step that reports whether its peer
+// stays awake. The goroutine engine steps every peer every round whatever
+// the answer, which is what makes it the check on the sharded runtime's
+// sleep contract: a step that wrongly reports false diverges here.
+func adaptActiveStep(step live.ActiveStepFunc) simnet.StepFunc {
+	return adaptStep(func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
+		step(node, round, inbox, s, emit)
+	})
+}

@@ -117,34 +117,73 @@ type TopologyResult struct {
 // per shard — the owning shard is the only writer of its block, so blocks of
 // different shards never share a slice (the -race suite pins this layout).
 // The partition mirrors the runtime's exactly via live.EffectiveShards.
+//
+// tally, on the sharded runtime, is one state histogram per shard, kept
+// current by the shard that owns the changing peer, so the coordinator sums
+// a few cells between rounds instead of scanning n. It is nil on the
+// goroutine engine, whose concurrent mode steps the peers of its single
+// block from many goroutines: there counts recounts — which is also the
+// reference the tallies are tested against.
 type topoState struct {
 	part  exch.Partition
 	cells [][]uint8
+	tally []topoTally
 }
 
-func newTopoState(n, parts int) *topoState {
+// topoTally counts one shard's peers by SIR state, padded to a cache line
+// so that neighbouring shards' updates do not contend.
+type topoTally struct {
+	n [3]int64
+	_ [40]byte
+}
+
+func newTopoState(n, parts int, tallied bool) *topoState {
 	st := &topoState{part: exch.Partition{N: n, Parts: parts}}
 	st.cells = make([][]uint8, parts)
 	for o := range st.cells {
 		lo, hi := st.part.Range(o)
 		st.cells[o] = make([]uint8, hi-lo)
 	}
+	if tallied {
+		st.tally = make([]topoTally, parts)
+		for o := range st.tally {
+			st.tally[o].n[topoIgnorant] = int64(len(st.cells[o]))
+		}
+	}
 	return st
 }
 
-func (st *topoState) get(i int) uint8 {
-	o := st.part.Owner(i)
-	return st.cells[o][i-st.part.Start(o)]
+// cell locates peer i: its owning shard and its state cell.
+func (st *topoState) cell(i int) (o int, c *uint8) {
+	o = st.part.Owner(i)
+	return o, &st.cells[o][i-st.part.Start(o)]
 }
 
-func (st *topoState) set(i int, v uint8) {
-	o := st.part.Owner(i)
-	st.cells[o][i-st.part.Start(o)] = v
+// move changes a cell of shard o to state v, keeping o's tally current;
+// while the runtime is stepping only shard o itself may call it.
+func (st *topoState) move(o int, c *uint8, v uint8) {
+	if st.tally != nil {
+		st.tally[o].n[*c]--
+		st.tally[o].n[v]++
+	}
+	*c = v
 }
 
-// counts tallies the states; called by the coordinator between rounds, when
-// the shards are quiescent.
+// counts returns the spreader and stifler totals; called by the coordinator
+// between rounds, when the shards are quiescent.
 func (st *topoState) counts() (spreaders, stiflers int) {
+	if st.tally == nil {
+		return st.recount()
+	}
+	for o := range st.tally {
+		spreaders += int(st.tally[o].n[topoSpreader])
+		stiflers += int(st.tally[o].n[topoStifler])
+	}
+	return
+}
+
+// recount tallies the states by scanning every cell.
+func (st *topoState) recount() (spreaders, stiflers int) {
 	for _, cell := range st.cells {
 		for _, v := range cell {
 			switch v {
@@ -166,9 +205,15 @@ func (st *topoState) counts() (spreaders, stiflers int) {
 // draw, then the contact draw — and Bernoulli consumes no randomness at its
 // degenerate probabilities, so Alpha = 0 and Lambda = 1 runs stay aligned
 // with runs that never consult those knobs.
-func topoStep(sampler graph.Sampler, st *topoState, alpha, lambda, delta float64) live.StepFunc {
-	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
-		state := st.get(node)
+//
+// A peer is awake exactly while it is a spreader: an ignorant or a stifler
+// with an empty inbox falls through both blocks below without a draw, an
+// emission or a state change, which is what the runtime's sleep contract
+// asks of a peer that reports false.
+func topoStep(sampler graph.Sampler, st *topoState, alpha, lambda, delta float64) live.ActiveStepFunc {
+	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
+		o, cell := st.cell(node)
+		state := *cell
 		for _, m := range inbox {
 			switch m.Kind {
 			case kindTopoContact:
@@ -193,7 +238,10 @@ func topoStep(sampler graph.Sampler, st *topoState, alpha, lambda, delta float64
 				emit(simnet.Message{To: nb, Kind: kindTopoContact, A: 1})
 			}
 		}
-		st.set(node, state)
+		if state != *cell {
+			st.move(o, cell, state)
+		}
+		return state == topoSpreader
 	}
 }
 
@@ -247,14 +295,15 @@ func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) 
 	}
 
 	// State blocks match the runtime's shard partition, so each block has
-	// exactly one writing worker; the goroutine engine steps sequentially
-	// per peer and uses a single block.
+	// exactly one writing worker, who also keeps the block's tally; the
+	// goroutine engine uses a single block and recounts.
 	parts := 1
 	if o.Engine == LiveSharded {
 		parts = live.EffectiveShards(n, o.Shards)
 	}
-	st := newTopoState(n, parts)
-	st.set(cfg.Source, topoSpreader)
+	st := newTopoState(n, parts, o.Engine == LiveSharded)
+	so, sc := st.cell(cfg.Source)
+	st.move(so, sc, topoSpreader)
 
 	step := topoStep(sampler, st, cfg.Alpha, lambda, cfg.Delta)
 	var runRounds func(rounds int) simnet.Stats
@@ -265,7 +314,7 @@ func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) 
 		for i := range streams {
 			streams[i] = rng.New(live.PeerSeed(o.Seed, i))
 		}
-		eng, err := simnet.NewLiveWithStreams(streams, adaptStep(step))
+		eng, err := simnet.NewLiveWithStreams(streams, adaptActiveStep(step))
 		if err != nil {
 			return TopologyResult{}, err
 		}
@@ -276,12 +325,12 @@ func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) 
 		}
 	case LiveSharded:
 		rt, err := live.New(live.Config{
-			N:      n,
-			Seed:   o.Seed,
-			Step:   step,
-			Shards: o.Shards,
-			Net:    o.Net,
-			Obs:    o.Obs,
+			N:          n,
+			Seed:       o.Seed,
+			ActiveStep: step,
+			Shards:     o.Shards,
+			Net:        o.Net,
+			Obs:        o.Obs,
 		})
 		if err != nil {
 			return TopologyResult{}, err

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/graph"
+	"repro/internal/live"
 	"repro/internal/rng"
 	"repro/internal/run"
 )
@@ -207,5 +208,45 @@ func TestTopologySpec(t *testing.T) {
 	}
 	if fmt.Sprint(repG.Trajectory) != fmt.Sprint(rep1.Trajectory) {
 		t.Errorf("goroutine engine diverged through spec: %v vs %v", repG.Trajectory, rep1.Trajectory)
+	}
+}
+
+// TestTopologyTalliesMatchRecount pins the per-shard state tallies against
+// the full recount they replace, after every round, at several shard counts
+// and on both schedules; under -race it also pins that each tally cell has
+// one writer. The runtime is driven round by round, as RunTopology does.
+func TestTopologyTalliesMatchRecount(t *testing.T) {
+	g := mustBA(t, 3000, 3, 7)
+	sampler, err := graph.NewUniformNeighbors(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 4, 8} {
+		st := newTopoState(g.N(), live.EffectiveShards(g.N(), shards), true)
+		o, c := st.cell(0)
+		st.move(o, c, topoSpreader)
+		rt, err := live.New(live.Config{N: g.N(), Seed: 42, Shards: shards,
+			ActiveStep: topoStep(sampler, st, 0.4, 1, 0.02)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stiflers := 0
+		for round := 0; round < 60; round++ {
+			if round%2 == 0 {
+				rt.Run(1)
+			} else {
+				rt.RunPipelined(1)
+			}
+			sp, sf := st.counts()
+			wantSp, wantSf := st.recount()
+			if sp != wantSp || sf != wantSf {
+				t.Fatalf("shards=%d round %d: tallies say %d spreaders, %d stiflers; recount %d, %d",
+					shards, round, sp, sf, wantSp, wantSf)
+			}
+			stiflers = sf
+		}
+		if stiflers == 0 {
+			t.Errorf("shards=%d: the spread never stifled anyone", shards)
+		}
 	}
 }

@@ -1,0 +1,202 @@
+package live
+
+import (
+	"fmt"
+	"testing"
+	"unsafe"
+
+	"repro/internal/obs"
+	"repro/internal/rng"
+	"repro/internal/simnet"
+)
+
+// napper is a synthetic protocol whose peers sleep: mail folds into an
+// order-sensitive digest and recharges the peer with one to three rounds of
+// energy drawn from its stream; a peer with energy spends one unit per round
+// on a message to a random destination. It honours the sleep contract — at
+// zero energy with an empty inbox a step draws nothing, emits nothing and
+// changes nothing — and reports awake exactly while it has energy left.
+type napper struct {
+	n      int
+	digest []uint64
+	energy []int
+	// stepped[r][i] records that peer i was stepped in round r: what the
+	// runtime skipped, kept out of the compared state.
+	stepped [][]bool
+}
+
+func newNapper(n, rounds int) *napper {
+	p := &napper{n: n, digest: make([]uint64, n), energy: make([]int, n), stepped: make([][]bool, rounds)}
+	for r := range p.stepped {
+		p.stepped[r] = make([]bool, n)
+	}
+	for i := 0; i < n; i += 17 {
+		p.energy[i] = 2
+	}
+	return p
+}
+
+func (p *napper) step(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
+	p.stepped[round][node] = true
+	for _, m := range inbox {
+		h := p.digest[node]
+		h = h*1099511628211 + uint64(m.From)
+		h = h*1099511628211 + uint64(m.A)
+		p.digest[node] = h
+	}
+	if len(inbox) > 0 {
+		p.energy[node] = 1 + s.Intn(3)
+	}
+	if p.energy[node] > 0 {
+		p.energy[node]--
+		emit(simnet.Message{To: s.Intn(p.n), Kind: uint8(1 + round%2), A: int64(round)})
+	}
+	return p.energy[node] > 0
+}
+
+// napperRun is everything a run leaves behind that the shard count, the
+// schedule and the skipping of sleeping peers must not change.
+type napperRun struct {
+	stats   simnet.Stats
+	sent    []int64
+	digest  []uint64
+	energy  []int
+	streams []rng.Xoshiro256
+}
+
+func runNapper(t *testing.T, n, rounds, shards int, net NetModel, pipelined, dense bool, o *obs.Observer) (napperRun, *napper) {
+	t.Helper()
+	p := newNapper(n, rounds)
+	cfg := Config{N: n, Seed: 42, Shards: shards, Net: net, Obs: o}
+	if dense {
+		cfg.Step = func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
+			p.step(node, round, inbox, s, emit)
+		}
+	} else {
+		cfg.ActiveStep = p.step
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := rt.Run
+	if pipelined {
+		run = rt.RunPipelined
+	}
+	var sent []int64
+	var prev int64
+	for r := 0; r < rounds; r++ {
+		st := run(1)
+		sent = append(sent, st.Sent-prev)
+		prev = st.Sent
+	}
+	return napperRun{stats: rt.Stats(), sent: sent, digest: p.digest, energy: p.energy, streams: rt.states}, p
+}
+
+// TestActiveStepMatchesDense is the sleep contract's differential: the same
+// awake-reporting step run through ActiveStep, where sleeping peers are
+// skipped, and through dense Step, where its answer is ignored and everyone
+// is stepped, must leave identical traffic, per-round sent counts, per-peer
+// state and per-peer stream positions — at every shard count, on both
+// schedules, under every kind of network model.
+func TestActiveStepMatchesDense(t *testing.T) {
+	const n, rounds = 600, 40
+	nets := map[string]NetModel{
+		"sync":  nil,
+		"fixed": FixedLatency{Rounds: 3},
+		"geom":  GeomLatency{P: 0.6, Cap: 5},
+		"loss":  Loss{P: 0.2},
+	}
+	for name, net := range nets {
+		t.Run(name, func(t *testing.T) {
+			want, _ := runNapper(t, n, rounds, 1, net, false, true, nil)
+			if want.stats.Sent == 0 || want.stats.ByKind[1] == 0 || want.stats.ByKind[2] == 0 {
+				t.Fatalf("degenerate reference run: %+v", want.stats)
+			}
+			for _, shards := range []int{1, 2, 4} {
+				for _, pipelined := range []bool{false, true} {
+					got, p := runNapper(t, n, rounds, shards, net, pipelined, false, nil)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("shards=%d pipelined=%v: ActiveStep diverged from dense Step; sent per round\n got %v\nwant %v",
+							shards, pipelined, got.sent, want.sent)
+					}
+					if !p.sleptWokeSlept() {
+						t.Errorf("shards=%d pipelined=%v: no peer slept, was woken by mail and slept again", shards, pipelined)
+					}
+				}
+			}
+		})
+	}
+}
+
+// sleptWokeSlept reports whether some peer was skipped, later stepped, and
+// later skipped again.
+func (p *napper) sleptWokeSlept() bool {
+	for i := 0; i < p.n; i++ {
+		phase := 0 // 1 asleep, 2 woken, 3 asleep again
+		for r := range p.stepped {
+			if p.stepped[r][i] == (phase%2 == 1) {
+				phase++
+			}
+		}
+		if phase >= 3 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSteppedGauge pins the live track's "stepped" gauge: under ActiveStep
+// it is the number of peers the shards actually stepped each round, under
+// Step it is n, and attaching the observer changes nothing.
+func TestSteppedGauge(t *testing.T) {
+	const n, rounds = 600, 40
+	gauge := func(o *obs.Observer) obs.GaugeMetric {
+		for _, g := range o.Metrics().Gauges {
+			if g.Track == "live" && g.Name == "stepped" {
+				return g
+			}
+		}
+		t.Fatal("no stepped gauge on the live track")
+		return obs.GaugeMetric{}
+	}
+	plain, _ := runNapper(t, n, rounds, 4, FixedLatency{Rounds: 3}, false, false, nil)
+	o := obs.NewObserver()
+	traced, p := runNapper(t, n, rounds, 4, FixedLatency{Rounds: 3}, false, false, o)
+	if fmt.Sprint(traced) != fmt.Sprint(plain) {
+		t.Fatal("attaching an observer changed the run")
+	}
+	lo, hi, last := n, 0, 0
+	for _, row := range p.stepped {
+		last = 0
+		for _, s := range row {
+			if s {
+				last++
+			}
+		}
+		lo, hi = min(lo, last), max(hi, last)
+	}
+	if g := gauge(o); g.Samples != rounds || g.Min != int64(lo) || g.Max != int64(hi) || g.Last != int64(last) {
+		t.Errorf("stepped gauge %+v, want %d samples in [%d, %d] ending at %d", g, rounds, lo, hi, last)
+	}
+	if lo == n {
+		t.Error("no round skipped a peer")
+	}
+
+	o = obs.NewObserver()
+	runNapper(t, n, rounds, 4, nil, true, true, o)
+	if g := gauge(o); g.Min != n || g.Max != n {
+		t.Errorf("dense Step stepped gauge %+v, want %d every round", g, n)
+	}
+}
+
+// TestShardPadding pins that dense shards never share a cache line: a field
+// appended to shardState must not land on the neighbour's hot head.
+func TestShardPadding(t *testing.T) {
+	if sz := unsafe.Sizeof(shard{}); sz%cacheLine != 0 {
+		t.Errorf("shard is %d bytes, not a multiple of the %d-byte cache line", sz, cacheLine)
+	}
+	if pad := unsafe.Sizeof(shard{}) - unsafe.Sizeof(shardState{}); pad < cacheLine {
+		t.Errorf("shard pads its state by %d bytes, less than a cache line", pad)
+	}
+}

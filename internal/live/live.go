@@ -19,7 +19,8 @@
 //	         contiguous slice flat[off[i]:off[i+1]], and delivery scratch is
 //	         O(n + messages) instead of one length-n count array per shard;
 //	step     each shard worker walks its peer range in order, invoking the
-//	         StepFunc with the peer's inbox and private stream; emitted
+//	         step function with the inbox and private stream of every peer
+//	         that is awake or has mail (see "Sleeping peers"); emitted
 //	         messages are planned by the NetModel and recorded in the
 //	         per-(shard, delay) chunks of a second, concat-form exchange;
 //	route    per-(shard, delay) chunk lengths are known after the step
@@ -35,7 +36,23 @@
 // returns the owner's end offset precisely so the last peer's inbox can be
 // bounded without reading the offset a neighbouring owner is still
 // writing). Emission already overlaps stepping by construction, so a
-// pipelined round runs record → fill+step → route flush.
+// pipelined round runs record → fill+step → route flush. Both schedules
+// step through the same loop (stepRange).
+//
+// # Sleeping peers
+//
+// A protocol whose peers are mostly idle hands the runtime an
+// ActiveStepFunc instead of a StepFunc: the step reports whether its peer
+// stays awake. Every peer starts awake; a peer that last reported false and
+// has no mail this round is not stepped at all. A peer that is not stepped
+// draws nothing, emits nothing and keeps its state — so returning false is
+// a promise that a step with an empty inbox would have been exactly that,
+// until mail arrives (mail always wakes the peer for that round, whatever
+// it reported). Under that promise skipping is invisible: trajectories,
+// stream positions and Stats are those of stepping everyone. The promise is
+// checked rather than trusted — the goroutine engine ignores the bit and
+// steps everyone, and the suites run the same protocols on both. A plain
+// StepFunc is an ActiveStepFunc that always reports true.
 //
 // # Determinism
 //
@@ -109,14 +126,24 @@ func Adapt(step simnet.StepFunc) StepFunc {
 	}
 }
 
+// ActiveStepFunc is a StepFunc that reports whether its peer stays awake.
+// A peer that reported false is not stepped again until it has mail, so
+// false promises that a step with an empty inbox would draw no randomness,
+// emit nothing and leave the peer's state alone (see "Sleeping peers" in
+// the package comment).
+type ActiveStepFunc func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) (awake bool)
+
 // Config parameterizes a runtime.
 type Config struct {
 	// N is the peer count.
 	N int
 	// Seed roots every stream of the run.
 	Seed uint64
-	// Step is the per-peer protocol.
+	// Step is the per-peer protocol, run for every peer every round.
 	Step StepFunc
+	// ActiveStep is the per-peer protocol of a run whose peers can sleep;
+	// exactly one of Step and ActiveStep is set.
+	ActiveStep ActiveStepFunc
 	// Shards is the worker count; any value produces bit-identical results.
 	// 0 selects GOMAXPROCS.
 	Shards int
@@ -139,10 +166,10 @@ type cursorSource struct {
 func (c *cursorSource) Uint64() uint64   { return c.states[c.node].Uint64() }
 func (c *cursorSource) Seed(seed uint64) { c.states[c.node].Seed(seed) }
 
-// shard is one worker's private state. Shards only ever touch their own
-// fields plus disjoint regions of the runtime's flat arrays and their own
-// rows/ranges of the two exchanges.
-type shard struct {
+// shardState is one worker's private state. Shards only ever touch their
+// own fields plus disjoint regions of the runtime's flat arrays and their
+// own rows/ranges of the two exchanges.
+type shardState struct {
 	w         int
 	src       cursorSource
 	stream    *rng.Stream
@@ -157,7 +184,22 @@ type shard struct {
 	dropped int64
 	clamped int64
 	byKind  [256]int64
+	stepped int64
 }
+
+// shard pads shardState so that no two shards share a cache line: rt.sh is
+// a dense array, and without the pad the tail of sh[w] sits on the line
+// holding the head of sh[w+1], whose src.node, sender and netSeeded are
+// written on every peer-step — a counter bumped at the tail of one shard
+// would then contend with every step of its neighbour. The pad is a full
+// line (so the guarantee does not depend on the array's alignment) rounded
+// up to keep the size a multiple of the line.
+type shard struct {
+	shardState
+	_ [2*cacheLine - unsafe.Sizeof(shardState{})%cacheLine]byte
+}
+
+const cacheLine = 64
 
 // Runtime executes a protocol over n peers with shard workers. Construct
 // with New; a Runtime runs one round at a time (Run must not be called
@@ -165,7 +207,8 @@ type shard struct {
 type Runtime struct {
 	n        int
 	shards   int
-	step     StepFunc
+	step     StepFunc       // dense protocol: every peer is stepped
+	active   ActiveStepFunc // sleeping-peer protocol; exactly one is set
 	net      NetModel
 	netRand  bool
 	maxDelay int
@@ -173,6 +216,9 @@ type Runtime struct {
 	round    int
 
 	states []rng.Xoshiro256
+	// asleep[i] records that peer i last reported "not awake"; written only
+	// by the shard owning i. Nil under Step, where nobody sleeps.
+	asleep []bool
 	part   exch.Partition // peer/destination ranges, one per shard
 	sh     []shard
 
@@ -204,7 +250,7 @@ type Runtime struct {
 	arenas              []*obs.Arena
 	gSent, gDropped     *obs.Gauge
 	gClamped, gInFlight *obs.Gauge
-	gScratch            *obs.Gauge
+	gScratch, gStepped  *obs.Gauge
 }
 
 // New builds a runtime. Peer streams are seeded in parallel across the
@@ -213,8 +259,8 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("live: runtime needs n > 0, got %d", cfg.N)
 	}
-	if cfg.Step == nil {
-		return nil, fmt.Errorf("live: runtime needs a step function")
+	if (cfg.Step == nil) == (cfg.ActiveStep == nil) {
+		return nil, fmt.Errorf("live: runtime needs exactly one of Step and ActiveStep")
 	}
 	net := cfg.Net
 	if net == nil {
@@ -235,6 +281,7 @@ func New(cfg Config) (*Runtime, error) {
 		n:        cfg.N,
 		shards:   shards,
 		step:     cfg.Step,
+		active:   cfg.ActiveStep,
 		net:      net,
 		netRand:  net.Random(),
 		maxDelay: net.MaxDelay(),
@@ -244,6 +291,9 @@ func New(cfg Config) (*Runtime, error) {
 		sh:       make([]shard, shards),
 		slots:    make([][]simnet.Message, net.MaxDelay()+1),
 		inOff:    make([]int32, cfg.N+1),
+	}
+	if rt.active != nil {
+		rt.asleep = make([]bool, cfg.N) // every peer starts awake
 	}
 	rt.inbox.Reset(shards, rt.part)
 	ring := rt.maxDelay + 1
@@ -267,6 +317,7 @@ func New(cfg Config) (*Runtime, error) {
 		rt.gClamped = rt.tr.Gauge("clamped")
 		rt.gInFlight = rt.tr.Gauge("queue_depth")
 		rt.gScratch = rt.tr.Gauge("scratch_bytes")
+		rt.gStepped = rt.tr.Gauge("stepped")
 	}
 	rt.fanOut(func(w int) {
 		lo, hi := rt.part.Range(w)
@@ -368,11 +419,13 @@ func (rt *Runtime) fanOutSpan(p obs.Phase, f func(w int)) {
 
 // roundSample feeds the per-round gauges and merges the shard arenas into
 // the track; called by the coordinator at the end of route, where the
-// shards are quiescent. No-op without an observer.
-func (rt *Runtime) roundSample() {
+// shards are quiescent, with the number of peers the shards stepped this
+// round. No-op without an observer.
+func (rt *Runtime) roundSample(stepped int64) {
 	if rt.tr == nil {
 		return
 	}
+	rt.gStepped.Sample(rt.round, stepped)
 	rt.gSent.Sample(rt.round, rt.stats.Sent)
 	rt.gDropped.Sample(rt.round, rt.stats.Dropped)
 	rt.gClamped.Sample(rt.round, rt.stats.Clamped)
@@ -425,19 +478,7 @@ func (rt *Runtime) RunPipelined(rounds int) simnet.Stats {
 			// The fused fill+step is recorded as a step span: the pipelined
 			// schedule has no separate deliver phase to time.
 			rt.fanOutSpan(obs.PhaseStep, func(o int) {
-				end := rt.fillOwner(o)
-				sh := &rt.sh[o]
-				lo, hi := rt.part.Range(o)
-				for i := lo; i < hi; i++ {
-					stop := end
-					if i+1 < hi {
-						stop = rt.inOff[i+1]
-					}
-					sh.sender = i
-					sh.netSeeded = false
-					sh.src.node = i
-					rt.step(i, rt.round, rt.sorted[rt.inOff[i]:stop], sh.stream, sh.emit)
-				}
+				rt.stepRange(o, rt.fillOwner(o))
 			})
 			rt.deliverEpilogue()
 		}
@@ -481,8 +522,14 @@ func (rt *Runtime) deliverRecord() bool {
 	rt.inbox.Prefix()
 
 	if cap(rt.sorted) < len(buf) {
-		rt.sorted = make([]simnet.Message, len(buf))
-		rt.sortedIdx = make([]int32, len(buf))
+		// Grow with a quarter of headroom: near its peak a spread delivers
+		// a few percent more every round, and growing to exactly len(buf)
+		// reallocated the whole view on each of those rounds. Doubling, as
+		// growMessages does for the ring, saves no more allocation than
+		// this and can leave the view twice its peak size.
+		c := max(len(buf), cap(rt.sorted)+cap(rt.sorted)/4)
+		rt.sorted = make([]simnet.Message, len(buf), c)
+		rt.sortedIdx = make([]int32, len(buf), c)
 	}
 	rt.sorted = rt.sorted[:len(buf)]
 	rt.sortedIdx = rt.sortedIdx[:len(buf)]
@@ -523,19 +570,50 @@ func (rt *Runtime) deliver() {
 	rt.deliverEpilogue()
 }
 
-// stepAll advances every peer one round: shard w walks its peer range in
-// ascending order, pointing the shared cursor stream at each peer.
+// stepAll advances the peers one round after a full deliver barrier, when
+// every owner's offsets (and the closing inOff[n]) are in place.
 func (rt *Runtime) stepAll() {
 	rt.fanOutSpan(obs.PhaseStep, func(w int) {
-		sh := &rt.sh[w]
-		lo, hi := rt.part.Range(w)
-		for i := lo; i < hi; i++ {
+		rt.stepRange(w, rt.inOff[rt.part.End(w)])
+	})
+}
+
+// stepRange is the runtime's one step loop: shard w walks its peer range in
+// ascending order, pointing the shared cursor stream at each peer it steps,
+// and skips the peers that are asleep and have no mail. end is the end
+// offset of the range's last inbox: the fused schedule passes Fill's return
+// value, because inOff[hi] belongs to the next owner, who may still be
+// writing it. Everything the loop reads per peer is hoisted into locals,
+// and the skipped peers are counted rather than the stepped ones, so a
+// dense protocol pays for one test of a local per peer and nothing else.
+func (rt *Runtime) stepRange(w int, end int32) {
+	sh := &rt.sh[w]
+	lo, hi := rt.part.Range(w)
+	inOff, sorted, asleep := rt.inOff, rt.sorted, rt.asleep
+	step, active, round := rt.step, rt.active, rt.round
+	stream, emit := sh.stream, sh.emit
+	skipped := 0
+	start := inOff[lo]
+	for i := lo; i < hi; i++ {
+		stop := end
+		if i+1 < hi {
+			stop = inOff[i+1]
+		}
+		if active != nil && start == stop && asleep[i] {
+			skipped++
+		} else {
 			sh.sender = i
 			sh.netSeeded = false
 			sh.src.node = i
-			rt.step(i, rt.round, rt.sorted[rt.inOff[i]:rt.inOff[i+1]], sh.stream, sh.emit)
+			if active != nil {
+				asleep[i] = !active(i, round, sorted[start:stop], stream, emit)
+			} else {
+				step(i, round, sorted[start:stop], stream, emit)
+			}
 		}
-	})
+		start = stop
+	}
+	sh.stepped = int64(hi - lo - skipped)
 }
 
 // route copies the shards' per-delay chunks into the delivery ring's
@@ -567,8 +645,10 @@ func (rt *Runtime) route() {
 			}
 		})
 	}
+	var stepped int64
 	for w := range rt.sh {
 		sh := &rt.sh[w]
+		stepped += sh.stepped
 		rt.stats.Sent += sh.sent
 		rt.stats.Dropped += sh.dropped
 		rt.stats.Clamped += sh.clamped
@@ -582,7 +662,7 @@ func (rt *Runtime) route() {
 			}
 		}
 	}
-	rt.roundSample()
+	rt.roundSample(stepped)
 }
 
 // growMessages returns s resliced to length size, preserving its contents

@@ -55,6 +55,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{N: 4}); err == nil {
 		t.Error("accepted nil step")
 	}
+	active := func(int, int, []simnet.Message, *rng.Stream, func(simnet.Message)) bool { return false }
+	if _, err := New(Config{N: 4, Step: step, ActiveStep: active}); err == nil {
+		t.Error("accepted both Step and ActiveStep")
+	}
+	if _, err := New(Config{N: 4, ActiveStep: active}); err != nil {
+		t.Errorf("rejected ActiveStep alone: %v", err)
+	}
 	if _, err := New(Config{N: 4, Step: step, Shards: -1}); err == nil {
 		t.Error("accepted negative shards")
 	}

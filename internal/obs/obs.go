@@ -14,9 +14,9 @@
 //     round executes; the runtime's coordinator merges the arenas into the
 //     track at the round barrier (Track.Barrier), where the runtime already
 //     synchronizes to fold traffic counters.
-//   - gauges are per-round sampled values (messages sent, queue depth,
-//     scratch bytes, budget tokens in flight, ...), recorded by the
-//     coordinator once per round.
+//   - gauges are per-round sampled values (messages sent, peers stepped,
+//     queue depth, scratch bytes, budget tokens in flight, ...), recorded
+//     by the coordinator once per round.
 //
 // Exporters — the Chrome trace_event writer (WriteTrace), the Metrics
 // aggregate and the plain-text Summary table — read only barrier-merged
