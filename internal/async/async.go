@@ -38,6 +38,40 @@
 // barriers — the bucket boundary is the only synchronization point, where
 // the round-synchronous runtime pays three barriers per round.
 //
+// # Two sets of ranges
+//
+// Deliver and step cut [0, n) differently. Delivery ranges are the uniform
+// id cuts of exch.Partition: arrivals are spread over the ids by the
+// protocol's selector, and the kernel wants O(1) Owner and one count array
+// per range. Step ranges are cut once, in New, by cumulative clock rate
+// (exch.BalancedCuts over Rates): a peer of rate 8 replays eight times the
+// firings of a peer of rate 1, so on a profile with the fast peers in front
+// equal-width ranges left one shard with most of the bucket's work and the
+// others waiting at the barrier. A step range may be empty (one peer
+// carrying most of the rate). The two cuts need not agree because per-peer
+// state — clocks, generator states, the protocol's own arrays — is touched
+// by the step phase alone; deliver and route move message buffers only, and
+// step reads the delivered view strictly after the deliver barrier. Nor do
+// the step cuts show in any result: ranges are contiguous and ascending,
+// the outbox has one row per step shard, and SetBase concatenates the rows
+// in shard order, which is peer order wherever the cuts fall.
+//
+// # Calendar buffers
+//
+// A calendar slot owns a buffer only while it holds messages. Once deliver
+// has gathered a slot into the delivered view, the slot's buffer goes on a
+// free list, and route draws from that list before it allocates; the ring
+// of Latency/BucketWidth+3 slots therefore shares as many buffers as are
+// non-empty at once — one when every message spans a single bucket —
+// instead of owning one each. The delivered view is a buffer of its own
+// that never joins the list, so what Inbox returns stays valid until the
+// next RunBuckets even though the slot it came from has been refilled. A
+// non-empty slot that must grow (several Δbuckets landing in it) copies its
+// contents into the larger buffer. Fresh buffers, and the delivered view,
+// are allocated with a quarter of headroom: traffic that creeps up bucket
+// by bucket, as pull replies make it do, then reallocates every few buckets
+// instead of on each.
+//
 // # Determinism
 //
 // A run is a pure function of (n, seed, rates, widths, handlers) — the
@@ -167,8 +201,13 @@ type Runtime struct {
 	nextFire []float64
 	fireIdx  []uint64
 
-	part exch.Partition
-	sh   []shard
+	// part is the delivery partition: uniform id ranges, whose owners sort
+	// the bucket's arrivals. stepCut holds the shards+1 boundaries of the
+	// step ranges: contiguous like part's, but cut by cumulative clock rate,
+	// so that every shard replays about the same number of firings.
+	part    exch.Partition
+	stepCut []int
+	sh      []shard
 
 	// inbox is the delivery exchange: per-(shard, owner) chunks of
 	// (destination, slot index) records, Fill-sorted by each owner.
@@ -178,10 +217,14 @@ type Runtime struct {
 	outbox exch.Exchange[simnet.Message]
 
 	// slots is the calendar: messages arriving in bucket b sit in
-	// slots[b % (maxDelta+1)], in canonical (sender, firing) order.
+	// slots[b % (maxDelta+1)], in canonical (sender, firing) order. A slot
+	// owns a buffer only while it holds messages; free holds the buffers of
+	// gathered slots until route reuses them (package comment, "Calendar
+	// buffers"), never more than the ring has slots.
 	slots [][]simnet.Message
+	free  [][]simnet.Message
 	// sorted/inOff are the delivered view of the current bucket: peer i's
-	// arrivals are sorted[inOff[i]:inOff[i+1]].
+	// arrivals are sorted[inOff[i]:inOff[i+1]]. sorted never joins free.
 	sorted    []simnet.Message
 	sortedIdx []int32
 	inOff     []int32
@@ -264,11 +307,13 @@ func New(cfg Config) (*Runtime, error) {
 		nextFire: make([]float64, cfg.N),
 		fireIdx:  make([]uint64, cfg.N),
 		part:     exch.Partition{N: cfg.N, Parts: shards},
+		stepCut:  exch.BalancedCuts(nil, cfg.N, shards, func(i int) float64 { return rates[i] }),
 		sh:       make([]shard, shards),
 		inOff:    make([]int32, cfg.N+1),
 	}
 	ring := rt.maxDelta + 1
 	rt.slots = make([][]simnet.Message, ring)
+	rt.free = make([][]simnet.Message, 0, ring)
 	rt.inbox.Reset(shards, rt.part)
 	rt.outbox.Reset(shards, exch.Partition{N: ring, Parts: ring})
 	for w := range rt.sh {
@@ -392,11 +437,14 @@ func (rt *Runtime) bucketSample() {
 }
 
 // scratchBytes estimates the runtime's reusable buffer footprint: the
-// calendar ring, the delivered view and the offset table.
+// calendar ring with its free list, the delivered view and the offset table.
 func (rt *Runtime) scratchBytes() int64 {
 	const msgBytes = int64(unsafe.Sizeof(simnet.Message{}))
 	b := int64(cap(rt.sorted))*msgBytes + int64(cap(rt.sortedIdx))*4 + int64(cap(rt.inOff))*4
 	for _, s := range rt.slots {
+		b += int64(cap(s)) * msgBytes
+	}
+	for _, s := range rt.free {
 		b += int64(cap(s)) * msgBytes
 	}
 	return b
@@ -448,8 +496,11 @@ func (rt *Runtime) deliver() {
 	rt.inbox.Prefix()
 
 	if cap(rt.sorted) < len(buf) {
-		rt.sorted = make([]simnet.Message, len(buf))
-		rt.sortedIdx = make([]int32, len(buf))
+		// Pull replies make each bucket of a spread a few percent larger than
+		// the last; growing to exactly len(buf) reallocated the whole view on
+		// every one of them.
+		rt.sorted = make([]simnet.Message, len(buf), withHeadroom(len(buf)))
+		rt.sortedIdx = make([]int32, len(buf), withHeadroom(len(buf)))
 	}
 	rt.sorted = rt.sorted[:len(buf)]
 	rt.sortedIdx = rt.sortedIdx[:len(buf)]
@@ -460,7 +511,10 @@ func (rt *Runtime) deliver() {
 		}
 	})
 	rt.inOff[rt.n] = int32(len(buf))
-	rt.slots[slot] = buf[:0]
+	// The gather has copied every message out: the slot's buffer is free
+	// for whichever slot route fills next.
+	rt.slots[slot] = nil
+	rt.free = append(rt.free, buf[:0])
 }
 
 // stepAll advances every peer through the current bucket: shard w walks its
@@ -476,7 +530,7 @@ func (rt *Runtime) stepAll() {
 	bEnd := bStart + rt.width
 	rt.fanOutSpan(obs.PhaseStep, func(w int) {
 		sh := &rt.sh[w]
-		lo, hi := rt.part.Range(w)
+		lo, hi := rt.stepCut[w], rt.stepCut[w+1]
 		for i := lo; i < hi; i++ {
 			sh.sender = i
 			if rt.recv != nil {
@@ -515,7 +569,7 @@ func (rt *Runtime) route() {
 			continue
 		}
 		work = true
-		rt.slots[slot] = growMessages(rt.slots[slot], acc)
+		rt.slots[slot] = rt.growSlot(rt.slots[slot], acc)
 	}
 	if work {
 		rt.fanOutSpan(obs.PhaseRoute, func(w int) {
@@ -542,13 +596,41 @@ func (rt *Runtime) route() {
 	rt.bucketSample()
 }
 
-// growMessages returns s resliced to length size, preserving its contents
-// and reallocating (with append-style headroom) only when needed.
-func growMessages(s []simnet.Message, size int) []simnet.Message {
+// growSlot returns the calendar slot buffer s resliced to length size,
+// contents kept. A buffer that is too small is traded for the largest one on
+// the free list; when that is too small as well it is left to the collector
+// (the traffic has outgrown it) and a fresh buffer with headroom takes its
+// place. Either way the old buffer joins the free list, so every allocation
+// leaves the ring and the list together holding at most ring buffers.
+func (rt *Runtime) growSlot(s []simnet.Message, size int) []simnet.Message {
 	if cap(s) >= size {
 		return s[:size]
 	}
-	ns := make([]simnet.Message, size, max(size, 2*cap(s)))
-	copy(ns, s)
+	var ns []simnet.Message
+	if len(rt.free) > 0 {
+		k := 0
+		for j := range rt.free {
+			if cap(rt.free[j]) > cap(rt.free[k]) {
+				k = j
+			}
+		}
+		last := len(rt.free) - 1
+		ns, rt.free[k], rt.free[last] = rt.free[k], rt.free[last], nil
+		rt.free = rt.free[:last]
+	}
+	if cap(ns) < size {
+		ns = make([]simnet.Message, size, withHeadroom(size))
+	}
+	ns = ns[:size]
+	if cap(s) > 0 {
+		copy(ns, s)
+		rt.free = append(rt.free, s[:0])
+	}
 	return ns
 }
+
+// withHeadroom is the capacity a message buffer of length size is allocated
+// with: a quarter more, so that traffic creeping up bucket by bucket does
+// not reallocate on every bucket, without leaving the buffer at twice its
+// peak as doubling can.
+func withHeadroom(size int) int { return size + size/4 }

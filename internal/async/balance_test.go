@@ -1,0 +1,309 @@
+package async
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"repro/internal/rng"
+	"repro/internal/simnet"
+)
+
+// skewedRates are the rate vectors the step cuts must be invisible on. The
+// i%7 pattern of hetRates has the same cumulative rate at every uniform cut,
+// so rate cuts and id cuts coincide on it; on these they do not.
+var skewedRates = []struct {
+	name  string
+	rates func(n int) []float64
+}{
+	{"front-loaded bimodal", func(n int) []float64 {
+		r := constRates(n, 1)
+		for i := 0; i < n/10; i++ {
+			r[i] = 8
+		}
+		return r
+	}},
+	{"one hot peer", func(n int) []float64 {
+		r := constRates(n, 1)
+		r[n/3] = float64(20 * n) // > 90 % of the total rate
+		return r
+	}},
+	{"hot tail", func(n int) []float64 {
+		r := constRates(n, 1)
+		for i := n - n/10; i < n; i++ {
+			r[i] = 8
+		}
+		return r
+	}},
+	{"all equal", func(n int) []float64 { return constRates(n, 1) }},
+}
+
+func constRates(n int, rate float64) []float64 {
+	r := make([]float64, n)
+	for i := range r {
+		r[i] = rate
+	}
+	return r
+}
+
+func TestAsyncSkewedRatesShardIdentity(t *testing.T) {
+	// Step ranges are cut by cumulative clock rate, delivery ranges by id:
+	// neither cut may show in any result, for any skew — including shards
+	// whose step range is empty because one peer carries most of the rate,
+	// and messages that span several Δbuckets (Latency 2.5 widths).
+	const n, buckets = 240, 10
+	type outcome struct {
+		digest uint64
+		stats  simnet.Stats
+		fired  int64
+	}
+	for _, rv := range skewedRates {
+		for _, latency := range []float64{0, 2.5} {
+			var ref outcome
+			emptyRange := false
+			for _, shards := range []int{1, 2, 3, 4, 8, n/2 + 50} {
+				st := newAping(n, 2)
+				rt, err := New(Config{
+					N: n, Seed: 77, Fire: st.fire, Recv: st.recvFn,
+					Rates: rv.rates(n), Latency: latency, Shards: shards,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w := 0; w < rt.Shards(); w++ {
+					emptyRange = emptyRange || rt.stepCut[w] == rt.stepCut[w+1]
+				}
+				stats := rt.RunBuckets(buckets)
+				got := outcome{digest: st.combined(), stats: stats, fired: rt.Fired()}
+				if shards == 1 {
+					ref = got
+					continue
+				}
+				if got != ref {
+					t.Fatalf("%s, latency %v: shards=%d diverged from shards=1:\n  %+v\nvs %+v",
+						rv.name, latency, shards, got, ref)
+				}
+			}
+			if ref.stats.Sent == 0 || ref.stats.ByKind[2] == 0 || ref.fired == 0 {
+				t.Fatalf("%s, latency %v: no traffic to compare: %+v", rv.name, latency, ref)
+			}
+			if rv.name == "one hot peer" && !emptyRange {
+				t.Fatalf("%s: no shard count produced an empty step range", rv.name)
+			}
+		}
+	}
+}
+
+func TestAsyncStepCutInvariants(t *testing.T) {
+	// The step cuts tile [0, n) in ascending order, and no shard's share of
+	// the clock rate exceeds the even share by more than one peer's rate —
+	// the best a contiguous cut can promise.
+	const n = 1000
+	fire := func(int, int, float64, *rng.Stream, func(simnet.Message)) {}
+	for _, rv := range skewedRates {
+		rates := rv.rates(n)
+		total, largest := 0.0, 0.0
+		for _, r := range rates {
+			total += r
+			largest = max(largest, r)
+		}
+		for _, shards := range []int{1, 2, 3, 4, 8, 64, n/2 + 1} {
+			rt, err := New(Config{N: n, Seed: 1, Fire: fire, Rates: rates, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts := rt.stepCut
+			if len(cuts) != shards+1 || cuts[0] != 0 || cuts[shards] != n {
+				t.Fatalf("%s, shards=%d: cuts %v do not span [0, %d)", rv.name, shards, cuts, n)
+			}
+			for w := 0; w < shards; w++ {
+				if cuts[w] > cuts[w+1] {
+					t.Fatalf("%s, shards=%d: cuts %v decrease at %d", rv.name, shards, cuts, w)
+				}
+				share := 0.0
+				for _, r := range rates[cuts[w]:cuts[w+1]] {
+					share += r
+				}
+				if limit := total/float64(shards) + largest; share > limit*(1+1e-9) {
+					t.Fatalf("%s, shards=%d: shard %d carries rate %v, limit %v", rv.name, shards, w, share, limit)
+				}
+			}
+		}
+	}
+	// Not vacuous: with the rich tenth in front, two equal-rate shards split
+	// far below the id midpoint, where the uniform delivery cut stays.
+	rt, err := New(Config{N: n, Seed: 1, Fire: fire, Rates: skewedRates[0].rates(n), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.stepCut[1] >= n/4 || rt.part.End(0) != n/2 {
+		t.Fatalf("front-loaded rates: step cut %d, delivery cut %d", rt.stepCut[1], rt.part.End(0))
+	}
+}
+
+// allocated returns the bytes the heap handed out while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestAsyncAllocationGrowingTraffic(t *testing.T) {
+	// Traffic that creeps up by under one percent a bucket, as pull replies
+	// make it do near a spread's peak, must make the calendar and the
+	// delivered view grow in a few steps with headroom, not once per bucket,
+	// and must leave them a small multiple of one bucket's messages. Both
+	// bounds are against the largest bucket's message bytes: growing the view
+	// to exactly each bucket's size and every ring slot on its own allocated
+	// 39x that and kept 6.7x; recycled, headroom-grown buffers allocate 15x
+	// (two thirds of it the exchange chunks' own append growth) and keep 3x.
+	const n, buckets = 500, 120
+	fire := func(peer, k int, t float64, s *rng.Stream, emit func(simnet.Message)) {
+		for j := 0; j < 60+int(t)/2; j++ {
+			emit(simnet.Message{To: s.Intn(n), Kind: 1})
+		}
+	}
+	rt, err := New(Config{N: n, Seed: 3, Fire: fire, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, last int64
+	total := allocated(func() {
+		first = rt.RunBuckets(1).Sent
+		before := rt.RunBuckets(buckets - 2).Sent
+		last = rt.RunBuckets(1).Sent - before
+	})
+	if last < first*3/2 {
+		t.Fatalf("traffic grew from %d to %d messages a bucket: too little growth to test", first, last)
+	}
+	peak := uint64(last) * uint64(unsafe.Sizeof(simnet.Message{}))
+	if total > 24*peak {
+		t.Errorf("allocated %d bytes over %d buckets, more than 24x the largest bucket's %d", total, buckets, peak)
+	}
+	if scratch := uint64(rt.scratchBytes()); scratch > 4*peak {
+		t.Errorf("scratch is %d bytes after %d buckets, more than 4x the largest bucket's %d", scratch, buckets, peak)
+	}
+}
+
+func TestAsyncAllocationConstantTraffic(t *testing.T) {
+	// A fixed population of tokens forwarded on every arrival is steady
+	// traffic: once the ring has turned, no phase may allocate a buffer
+	// proportional to the messages — only the fan-out's goroutines and
+	// closures, a few hundred bytes a phase. At the default latency one slot
+	// buffer circulates; at 2.5 widths the tokens split into two cohorts
+	// that arrive on alternate buckets, and two do.
+	const n, tokens = 4000, 8
+	for _, latency := range []float64{0, 2.5} {
+		fire := func(peer, k int, t float64, s *rng.Stream, emit func(simnet.Message)) {
+			if k == 0 {
+				for j := 0; j < tokens; j++ {
+					emit(simnet.Message{To: (peer + 1 + j) % n, Kind: 1})
+				}
+			}
+		}
+		recv := func(peer int, m simnet.Message, emit func(simnet.Message)) {
+			emit(simnet.Message{To: (peer + 7) % n, Kind: 1})
+		}
+		// Rate 40: every peer's first firing falls in bucket 0.
+		rt, err := New(Config{N: n, Seed: 5, Fire: fire, Recv: recv, Rates: constRates(n, 40), Latency: latency, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := rt.maxDelta + 1
+		sent := make([]int64, 0, 4*ring+2)
+		for b := 0; b < cap(sent); b++ {
+			before := rt.Stats().Sent
+			got := allocated(func() { rt.RunBuckets(1) })
+			sent = append(sent, rt.Stats().Sent-before)
+			if b < ring+2 {
+				continue
+			}
+			if sent[b] != sent[b-2] || sent[b]+sent[b-1] < n*tokens {
+				t.Fatalf("latency %v: traffic is not steady: sent per bucket %v", latency, sent)
+			}
+			// The smallest per-message buffer is a chunk of int32 keys: at 2
+			// workers x 2 owners a quarter of a cohort of at least half the
+			// tokens, 4 bytes each. Half of that is the limit.
+			if limit := uint64(n * tokens / 4); got > limit {
+				t.Fatalf("latency %v: bucket %d allocated %d bytes after %d warm-up buckets (limit %d)",
+					latency, b, got, ring+2, limit)
+			}
+			if len(rt.free) > ring {
+				t.Fatalf("latency %v: free list holds %d buffers, ring is %d", latency, len(rt.free), ring)
+			}
+		}
+	}
+}
+
+func TestAsyncInboxSurvivesRecycling(t *testing.T) {
+	// Inbox(i) promises the delivered view until the next RunBuckets, but
+	// the slot it was gathered from is back in use by the time RunBuckets
+	// returns: route has flushed the bucket's emissions into recycled
+	// buffers. What Inbox shows must still be exactly what Recv saw, with
+	// messages spanning two and three Δbuckets so that slots also grow
+	// while non-empty.
+	const n, buckets = 300, 30
+	seen := make([][]simnet.Message, n)
+	st := newAping(n, 3)
+	recv := func(peer int, m simnet.Message, emit func(simnet.Message)) {
+		seen[peer] = append(seen[peer], m)
+		st.recvFn(peer, m, emit)
+	}
+	rt, err := New(Config{N: n, Seed: 13, Fire: st.fire, Recv: recv, Rates: skewedRates[0].rates(n), Latency: 2.5, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := map[*simnet.Message]int{} // backing array -> the slot first seen holding it
+	recycled, delivered := false, 0
+	for b := 0; b < buckets; b++ {
+		for i := range seen {
+			seen[i] = seen[i][:0]
+		}
+		rt.RunBuckets(1)
+		for i := 0; i < n; i++ {
+			got := rt.Inbox(i)
+			delivered += len(got)
+			if len(got) != len(seen[i]) || (len(got) > 0 && !reflect.DeepEqual(got, seen[i])) {
+				t.Fatalf("bucket %d peer %d: Inbox %v, Recv saw %v", b, i, got, seen[i])
+			}
+		}
+		for slot, buf := range rt.slots {
+			if cap(buf) == 0 {
+				continue
+			}
+			if unsafe.SliceData(buf) == unsafe.SliceData(rt.sorted) {
+				t.Fatalf("bucket %d: slot %d shares the delivered view's buffer", b, slot)
+			}
+			if first, ok := home[unsafe.SliceData(buf)]; !ok {
+				home[unsafe.SliceData(buf)] = slot
+			} else if first != slot {
+				recycled = true
+			}
+		}
+		if len(rt.free) > len(rt.slots) {
+			t.Fatalf("bucket %d: free list holds %d buffers, ring is %d", b, len(rt.free), len(rt.slots))
+		}
+	}
+	if delivered == 0 || !recycled {
+		t.Fatalf("delivered %d messages, recycled=%v: nothing tested", delivered, recycled)
+	}
+}
+
+func TestAsyncScratchBytesCountsFreeList(t *testing.T) {
+	// A buffer parked on the free list is memory the runtime holds: the
+	// scratch_bytes gauge must not lose sight of it.
+	st := newAping(400, 2)
+	rt, err := New(Config{N: 400, Seed: 2, Fire: st.fire, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.RunBuckets(5)
+	before := rt.scratchBytes()
+	rt.free = append(rt.free, make([]simnet.Message, 0, 1000))
+	if got, want := rt.scratchBytes()-before, 1000*int64(unsafe.Sizeof(simnet.Message{})); got != want {
+		t.Fatalf("scratchBytes() rose by %d for a parked buffer of %d bytes", got, want)
+	}
+}

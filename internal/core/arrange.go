@@ -122,7 +122,7 @@ func (a *Arranger) Arrange(out, in []int, seed uint64, workers int) ([]Date, err
 	// destination's owner. Shards are balanced by the round's request
 	// weight; the cuts only affect which worker does the work, never the
 	// draws.
-	a.senderCut = balancedCuts(a.senderCut, n, workers, func(i int) int { return out[i] + in[i] })
+	a.senderCut = exch.BalancedCuts(a.senderCut, n, workers, func(i int) int { return out[i] + in[i] })
 	runPhase(workers, func(w int) {
 		ws := &a.ws[w]
 		ws.reset()
@@ -153,7 +153,7 @@ func (a *Arranger) Arrange(out, in []int, seed uint64, workers int) ([]Date, err
 	// Match: shard rendezvous nodes by bucket size, one derived stream per
 	// bucket. Buckets where either side is empty arrange nothing and consume
 	// no randomness, so they are skipped outright.
-	a.rdvCut = balancedCuts(a.rdvCut, n, workers, func(v int) int {
+	a.rdvCut = exch.BalancedCuts(a.rdvCut, n, workers, func(v int) int {
 		return int(a.offerOff[v+1]-a.offerOff[v]) + int(a.reqOff[v+1]-a.reqOff[v])
 	})
 	runPhase(workers, func(w int) {

@@ -233,7 +233,7 @@ func (sv *Service) runEngine(streams []*rng.Stream, workers int, alive func(i in
 
 	// Match: shard rendezvous nodes across workers, balanced by bucket
 	// size (the shuffle cost of MatchRendezvous is linear in it).
-	eng.rdvCut = balancedCuts(eng.rdvCut, n, workers, func(v int) int {
+	eng.rdvCut = exch.BalancedCuts(eng.rdvCut, n, workers, func(v int) int {
 		return int(eng.offerOff[v+1]-eng.offerOff[v]) + int(eng.reqOff[v+1]-eng.reqOff[v])
 	})
 	runPhase(workers, func(w int) {
@@ -308,7 +308,7 @@ func (eng *engineScratch) ensure(n, workers int) {
 	if eng.cutWorkers != workers {
 		// The profile is fixed for the Service's lifetime, so the cuts only
 		// depend on the worker count; eng.weight is set by NewService.
-		eng.senderCut = balancedCuts(eng.senderCut, n, workers, eng.weight)
+		eng.senderCut = exch.BalancedCuts(eng.senderCut, n, workers, eng.weight)
 		eng.cutWorkers = workers
 	}
 }
@@ -319,28 +319,4 @@ func grow(s []int32, size int) []int32 {
 		return s[:size]
 	}
 	return make([]int32, size)
-}
-
-// balancedCuts splits [0, n) into parts contiguous ranges of roughly equal
-// total weight, returning the parts+1 boundaries (reusing cuts). Empty
-// ranges are possible when parts > n or the weight is concentrated; they
-// are valid (the worker simply does nothing). The result is a pure
-// function of its inputs, keeping shard assignment deterministic.
-func balancedCuts(cuts []int, n, parts int, weight func(i int) int) []int {
-	cuts = append(cuts[:0], 0)
-	var total int64
-	for i := 0; i < n; i++ {
-		total += int64(weight(i))
-	}
-	var acc int64
-	i := 0
-	for p := 1; p < parts; p++ {
-		target := total * int64(p) / int64(parts)
-		for i < n && acc < target {
-			acc += int64(weight(i))
-			i++
-		}
-		cuts = append(cuts, i)
-	}
-	return append(cuts, n)
 }

@@ -237,37 +237,3 @@ func TestServiceManyRoundsAccounting(t *testing.T) {
 		}
 	}
 }
-
-func TestBalancedCuts(t *testing.T) {
-	cases := []struct {
-		n, parts int
-		weight   func(i int) int
-	}{
-		{10, 3, func(i int) int { return 1 }},
-		{1, 4, func(i int) int { return 2 }},
-		{0, 2, func(i int) int { return 1 }},
-		{100, 7, func(i int) int { return i }},
-		{5, 5, func(i int) int { return 0 }},
-	}
-	for _, c := range cases {
-		cuts := balancedCuts(nil, c.n, c.parts, c.weight)
-		if len(cuts) != c.parts+1 {
-			t.Fatalf("n=%d parts=%d: %d boundaries", c.n, c.parts, len(cuts))
-		}
-		if cuts[0] != 0 || cuts[c.parts] != c.n {
-			t.Fatalf("n=%d parts=%d: cuts %v do not cover [0,n)", c.n, c.parts, cuts)
-		}
-		for p := 0; p < c.parts; p++ {
-			if cuts[p] > cuts[p+1] {
-				t.Fatalf("n=%d parts=%d: cuts %v not monotone", c.n, c.parts, cuts)
-			}
-		}
-	}
-	// Uniform weights split evenly.
-	cuts := balancedCuts(nil, 1000, 4, func(i int) int { return 1 })
-	for p := 0; p < 4; p++ {
-		if size := cuts[p+1] - cuts[p]; size < 240 || size > 260 {
-			t.Fatalf("uniform cuts %v badly unbalanced", cuts)
-		}
-	}
-}

@@ -28,7 +28,11 @@ package core
 // emitted before round r's deaths are known — exactly the round barrier
 // the paper's synchronous model imposes. Filtered rounds stay sequential.
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/exch"
+)
 
 // RunRoundsSeeded executes len(seeds) seeded rounds pipelined: round r is
 // matched while round r+1's requests are already being recorded into a
@@ -77,7 +81,7 @@ func (sv *Service) RunRoundsSeeded(seeds []uint64, workers int) ([]RoundResult, 
 		}
 
 		eng.sortRound(n, workers)
-		eng.rdvCut = balancedCuts(eng.rdvCut, n, workers, func(v int) int {
+		eng.rdvCut = exch.BalancedCuts(eng.rdvCut, n, workers, func(v int) int {
 			return int(eng.offerOff[v+1]-eng.offerOff[v]) + int(eng.reqOff[v+1]-eng.reqOff[v])
 		})
 

@@ -26,6 +26,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/exch"
 	"repro/internal/par"
 	"repro/internal/rng"
 )
@@ -98,7 +99,7 @@ func (sv *Service) RunRoundSeededFiltered(seed uint64, workers int, alive func(i
 	// Match: one derived stream per rendezvous bucket. Buckets with either
 	// side empty arrange nothing and consume no randomness, so they are
 	// skipped without reseeding — exactly as in Arranger.Arrange.
-	eng.rdvCut = balancedCuts(eng.rdvCut, n, workers, func(v int) int {
+	eng.rdvCut = exch.BalancedCuts(eng.rdvCut, n, workers, func(v int) int {
 		return int(eng.offerOff[v+1]-eng.offerOff[v]) + int(eng.reqOff[v+1]-eng.reqOff[v])
 	})
 	runPhase(workers, func(w int) {
@@ -171,7 +172,7 @@ func (eng *engineScratch) senderShards(n, workers int, alive func(i int) bool) [
 	if alive == nil {
 		return eng.senderCut
 	}
-	eng.liveCut = balancedCuts(eng.liveCut, n, workers, func(i int) int {
+	eng.liveCut = exch.BalancedCuts(eng.liveCut, n, workers, func(i int) int {
 		if !alive(i) {
 			return 0
 		}

@@ -169,7 +169,7 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 
 	// The live cuts were rebuilt for this round: no shard may hold more
 	// than its fair share of the surviving nodes (plus one boundary node).
-	// Copy: the slice is reused by later rounds' balancedCuts calls.
+	// Copy: the slice is reused by later rounds' BalancedCuts calls.
 	cut := append([]int(nil), svc.eng.liveCut...)
 	if len(cut) != workers+1 {
 		t.Fatalf("live cuts not computed: %v", cut)

@@ -11,7 +11,9 @@
 //   - Partition is the destination split: owner o owns the contiguous id
 //     range [Start(o), End(o)), and Owner(d) finds d's owner in O(1). The
 //     cuts are a pure function of (n, parts) and never affect results —
-//     only which worker builds which buckets.
+//     only which worker builds which buckets. BalancedCuts is its weighted
+//     counterpart for the record side: which units a worker scans, when
+//     their cost is known and skewed.
 //   - Exchange[T] is the chunked scatter: during a fanout each worker w
 //     appends (key, value) records into its private chunk row — one small
 //     buffer per (worker, owner) pair, filled in scan order. A serial
@@ -34,7 +36,16 @@
 // and RecordTo may run concurrently for distinct w; Fill and SetBase/Flush
 // may run concurrently for distinct owners, strictly after Prefix (or an
 // external base assignment) and the barrier that ends the record phase.
+//
+// Row isolation: every Record writes the length words of a chunk header, so
+// two workers' headers on one cache line make the record phase ping-pong
+// that line between cores. The chunk matrix therefore keeps rowPad spare
+// chunks — at least a full cache line — between consecutive workers' rows:
+// no header of one worker shares a line with a header of another, whatever
+// alignment the allocator gives the matrix.
 package exch
+
+import "unsafe"
 
 // Partition splits the destination space [0, n) into parts contiguous
 // uniform id ranges, one per owner.
@@ -56,6 +67,34 @@ func (p Partition) Range(o int) (lo, hi int) { return p.Start(o), p.End(o) }
 // Start(o) <= d. Owners with empty ranges are never returned.
 func (p Partition) Owner(d int) int { return ((d+1)*p.Parts - 1) / p.N }
 
+// BalancedCuts splits [0, n) into parts contiguous ranges of roughly equal
+// total weight, returning the parts+1 boundaries (reusing cuts) — the
+// weighted counterpart of Partition for phases whose cost per id is known
+// and skewed (request counts per node, bucket sizes, clock rates). No range
+// outweighs total/parts by more than the largest single weight (plus one
+// for integer weights' rounded targets). Empty ranges are possible when
+// parts > n or the weight is concentrated; they are valid (the worker simply
+// does nothing). The result is a pure function of its inputs, keeping shard
+// assignment deterministic.
+func BalancedCuts[W int | float64](cuts []int, n, parts int, weight func(i int) W) []int {
+	cuts = append(cuts[:0], 0)
+	var total W
+	for i := 0; i < n; i++ {
+		total += weight(i)
+	}
+	var acc W
+	i := 0
+	for p := 1; p < parts; p++ {
+		target := total * W(p) / W(parts)
+		for i < n && acc < target {
+			acc += weight(i)
+			i++
+		}
+		cuts = append(cuts, i)
+	}
+	return append(cuts, n)
+}
+
 // chunk holds the records one worker addressed to one owner, in scan order.
 // keys drive Fill's counting sort; RecordTo-style concat exchanges leave
 // them empty and len(vals) is the authoritative length.
@@ -67,12 +106,21 @@ type chunk[T any] struct {
 	off int
 }
 
+const cacheLine = 64
+
+// rowPad is the number of unused chunks after each worker's row: the fewest
+// whose bytes put the last header of one row and the first of the next at
+// least a cache line apart (the package comment's row-isolation rule). A
+// chunk header is two slice headers and an int for every T.
+const rowPad = int((cacheLine-1)/unsafe.Sizeof(chunk[struct{}]{}) + 1)
+
 // Exchange is a reusable per-(worker, owner) chunk exchange over a value
 // type T. The zero value is ready; Reset sizes it for a round.
 type Exchange[T any] struct {
 	part    Partition
 	workers int
-	ch      []chunk[T] // ch[w*part.Parts+o], rows beyond workers never read
+	stride  int        // part.Parts + rowPad: chunks from one row to the next
+	ch      []chunk[T] // ch[w*stride+o], rows beyond workers never read
 	base    []int32    // per-owner base offsets, set by Prefix
 	counts  [][]int32  // per-owner count scratch over that owner's range
 }
@@ -90,18 +138,19 @@ func (ex *Exchange[T]) Owner(d int) int { return ex.part.Owner(d) }
 // clearing off the serial path.
 func (ex *Exchange[T]) Reset(workers int, part Partition) {
 	ex.workers = workers
-	if ex.part == part && len(ex.ch) >= workers*part.Parts {
+	stride := part.Parts + rowPad
+	need := workers * stride
+	if ex.part == part && len(ex.ch) >= need {
 		return
 	}
-	need := workers * part.Parts
-	if ex.part.Parts != part.Parts || cap(ex.ch) < need {
+	if ex.stride != stride || cap(ex.ch) < need {
 		// The row stride changed (or the matrix grew): old chunk buffers
 		// would land on the wrong (w, o) cells, so start clean.
 		ex.ch = make([]chunk[T], need)
 	} else {
 		ex.ch = ex.ch[:need]
 	}
-	ex.part = part
+	ex.part, ex.stride = part, stride
 	if len(ex.base) < part.Parts {
 		ex.base = make([]int32, part.Parts)
 	}
@@ -113,7 +162,7 @@ func (ex *Exchange[T]) Reset(workers int, part Partition) {
 // ClearWorker empties worker w's chunk row, keeping capacity. Safe to call
 // concurrently for distinct w.
 func (ex *Exchange[T]) ClearWorker(w int) {
-	row := ex.ch[w*ex.part.Parts : (w+1)*ex.part.Parts]
+	row := ex.ch[w*ex.stride : w*ex.stride+ex.part.Parts]
 	for o := range row {
 		row[o].keys = row[o].keys[:0]
 		row[o].vals = row[o].vals[:0]
@@ -123,7 +172,7 @@ func (ex *Exchange[T]) ClearWorker(w int) {
 // Record appends one (key, value) record from worker w, addressed to the
 // owner of key's destination range. Safe to call concurrently for distinct w.
 func (ex *Exchange[T]) Record(w int, key int32, v T) {
-	c := &ex.ch[w*ex.part.Parts+ex.part.Owner(int(key))]
+	c := &ex.ch[w*ex.stride+ex.part.Owner(int(key))]
 	c.keys = append(c.keys, key)
 	c.vals = append(c.vals, v)
 }
@@ -133,13 +182,13 @@ func (ex *Exchange[T]) Record(w int, key int32, v T) {
 // destination ids (e.g. the live route's per-delay buffers). Chunks written
 // with RecordTo must be drained with SetBase/Flush, not Fill.
 func (ex *Exchange[T]) RecordTo(w, o int, v T) {
-	c := &ex.ch[w*ex.part.Parts+o]
+	c := &ex.ch[w*ex.stride+o]
 	c.vals = append(c.vals, v)
 }
 
 // ChunkLen returns the number of records worker w addressed to owner o.
 func (ex *Exchange[T]) ChunkLen(w, o int) int {
-	return len(ex.ch[w*ex.part.Parts+o].vals)
+	return len(ex.ch[w*ex.stride+o].vals)
 }
 
 // Total returns owner o's incoming record total. Valid only between the
@@ -147,7 +196,7 @@ func (ex *Exchange[T]) ChunkLen(w, o int) int {
 func (ex *Exchange[T]) Total(o int) int {
 	t := 0
 	for w := 0; w < ex.workers; w++ {
-		t += len(ex.ch[w*ex.part.Parts+o].vals)
+		t += len(ex.ch[w*ex.stride+o].vals)
 	}
 	return t
 }
@@ -160,7 +209,7 @@ func (ex *Exchange[T]) Prefix() int32 {
 	for o := 0; o < ex.part.Parts; o++ {
 		var t int32
 		for w := 0; w < ex.workers; w++ {
-			t += int32(len(ex.ch[w*ex.part.Parts+o].vals))
+			t += int32(len(ex.ch[w*ex.stride+o].vals))
 		}
 		ex.base[o], total = total, total+t
 	}
@@ -193,7 +242,7 @@ func (ex *Exchange[T]) Fill(o int, off []int32, out []T) int32 {
 		}
 	}
 	for w := 0; w < ex.workers; w++ {
-		for _, k := range ex.ch[w*ex.part.Parts+o].keys {
+		for _, k := range ex.ch[w*ex.stride+o].keys {
 			counts[int(k)-lo]++
 		}
 	}
@@ -205,7 +254,7 @@ func (ex *Exchange[T]) Fill(o int, off []int32, out []T) int32 {
 		acc += c
 	}
 	for w := 0; w < ex.workers; w++ {
-		c := &ex.ch[w*ex.part.Parts+o]
+		c := &ex.ch[w*ex.stride+o]
 		for i, k := range c.keys {
 			out[counts[int(k)-lo]] = c.vals[i]
 			counts[int(k)-lo]++
@@ -220,7 +269,7 @@ func (ex *Exchange[T]) Fill(o int, off []int32, out []T) int32 {
 // to call concurrently for distinct owners.
 func (ex *Exchange[T]) SetBase(o, base int) int {
 	for w := 0; w < ex.workers; w++ {
-		c := &ex.ch[w*ex.part.Parts+o]
+		c := &ex.ch[w*ex.stride+o]
 		c.off = base
 		base += len(c.vals)
 	}
@@ -230,7 +279,7 @@ func (ex *Exchange[T]) SetBase(o, base int) int {
 // Flush copies chunk (w, o) into dst at the offset SetBase assigned and
 // empties it. Safe to call concurrently for distinct w.
 func (ex *Exchange[T]) Flush(w, o int, dst []T) {
-	c := &ex.ch[w*ex.part.Parts+o]
+	c := &ex.ch[w*ex.stride+o]
 	if len(c.vals) == 0 {
 		return
 	}

@@ -3,6 +3,7 @@ package exch
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -31,6 +32,40 @@ func TestPartitionCovers(t *testing.T) {
 			if lo, hi := p.Range(o); d < lo || d >= hi {
 				t.Fatalf("n=%d parts=%d: owner(%d) = %d but range is [%d, %d)", tc.n, tc.parts, d, o, lo, hi)
 			}
+		}
+	}
+}
+
+func TestBalancedCuts(t *testing.T) {
+	cases := []struct {
+		n, parts int
+		weight   func(i int) int
+	}{
+		{10, 3, func(i int) int { return 1 }},
+		{1, 4, func(i int) int { return 2 }},
+		{0, 2, func(i int) int { return 1 }},
+		{100, 7, func(i int) int { return i }},
+		{5, 5, func(i int) int { return 0 }},
+	}
+	for _, c := range cases {
+		cuts := BalancedCuts(nil, c.n, c.parts, c.weight)
+		if len(cuts) != c.parts+1 {
+			t.Fatalf("n=%d parts=%d: %d boundaries", c.n, c.parts, len(cuts))
+		}
+		if cuts[0] != 0 || cuts[c.parts] != c.n {
+			t.Fatalf("n=%d parts=%d: cuts %v do not cover [0,n)", c.n, c.parts, cuts)
+		}
+		for p := 0; p < c.parts; p++ {
+			if cuts[p] > cuts[p+1] {
+				t.Fatalf("n=%d parts=%d: cuts %v not monotone", c.n, c.parts, cuts)
+			}
+		}
+	}
+	// Uniform weights split evenly.
+	cuts := BalancedCuts(nil, 1000, 4, func(i int) int { return 1 })
+	for p := 0; p < 4; p++ {
+		if size := cuts[p+1] - cuts[p]; size < 240 || size > 260 {
+			t.Fatalf("uniform cuts %v badly unbalanced", cuts)
 		}
 	}
 }
@@ -176,6 +211,44 @@ func TestSwap(t *testing.T) {
 		got := out[off[v]:off[v+1]]
 		if len(got) != len(wantNext[v]) || (len(got) > 0 && !reflect.DeepEqual(got, wantNext[v])) {
 			t.Fatalf("bucket %d after swap = %v, want %v", v, got, wantNext[v])
+		}
+	}
+}
+
+// TestRowIsolation pins the row-isolation rule by address arithmetic: the
+// last byte of any header in worker w's row and the first byte of any header
+// in another worker's row are at least a cache line apart, so they cannot
+// share a line wherever the allocator places the matrix — 64-byte-aligned or
+// not. Record writes a header's length words on every call; two workers on
+// one line is the false sharing that made two-shard dating rounds bimodal.
+func TestRowIsolation(t *testing.T) {
+	for _, workers := range []int{2, 3, 4, 8} {
+		for _, owners := range []int{2, 3, 4, 8} {
+			var ex Exchange[int32]
+			ex.Reset(workers, Partition{N: 1000, Parts: owners})
+			// Touch every cell through the exported API first: the addresses
+			// below are the ones Record and RecordTo really write.
+			for w := 0; w < workers; w++ {
+				for o := 0; o < owners; o++ {
+					ex.RecordTo(w, o, 1)
+				}
+			}
+			header := func(w, o int) (first, last uintptr) {
+				if ex.ChunkLen(w, o) != 1 {
+					t.Fatalf("workers=%d owners=%d: cell (%d, %d) not where RecordTo wrote", workers, owners, w, o)
+				}
+				c := &ex.ch[w*ex.stride+o]
+				first = uintptr(unsafe.Pointer(c))
+				return first, first + unsafe.Sizeof(*c) - 1
+			}
+			for w := 0; w+1 < workers; w++ {
+				_, rowEnd := header(w, owners-1)
+				nextStart, _ := header(w+1, 0)
+				if nextStart < rowEnd+cacheLine {
+					t.Errorf("workers=%d owners=%d: row %d ends at %#x, row %d starts at %#x: less than a %d-byte line apart",
+						workers, owners, w, rowEnd, w+1, nextStart, cacheLine)
+				}
+			}
 		}
 	}
 }

@@ -90,6 +90,36 @@ func TestAsyncShardBitIdentity(t *testing.T) {
 	}
 }
 
+func TestAsyncBimodalShardIdentity(t *testing.T) {
+	// Bimodal puts the rich tenth — and so most of the clock rate — in
+	// front: the runtime's rate-cut step ranges then differ from its uniform
+	// delivery ranges at every shard count, which the Zipf profile above
+	// (rates scattered evenly over the ids) never makes them do. Trajectory
+	// and per-bucket traffic must not notice.
+	const n = 3000
+	prof, err := bandwidth.Bimodal(n, n/10, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref AsyncResult
+	for _, shards := range []int{1, 2, 4, 8} {
+		res, err := RunAsync(AsyncConfig{Profile: prof}, AsyncOptions{Seed: 17, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatalf("shards=%d: incomplete after %d buckets", shards, res.Buckets)
+		}
+		if shards == 1 {
+			ref = res
+			continue
+		}
+		if !reflect.DeepEqual(res, ref) { // History and SentHistory included
+			t.Fatalf("shards=%d diverged from shards=1:\n  %+v\nvs %+v", shards, res, ref)
+		}
+	}
+}
+
 func TestAsyncRejectsWithNet(t *testing.T) {
 	// The async runtime carries its own latency model (AsyncConfig.Latency);
 	// a WithNet option would be silently dead, so Execute rejects it.
