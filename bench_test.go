@@ -294,40 +294,6 @@ func BenchmarkDatingRoundUniform100k(b *testing.B) {
 	benchDatingRound(b, 100000, sel)
 }
 
-// BenchmarkParallelRound times one dating round on the flat engine at
-// rumor-scale node counts, serial (workers=1) versus the parallel path.
-// The n=1M cases are the ISSUE's million-node profile benchmark:
-//
-//	go test -bench 'ParallelRound/n=1000000' -benchtime 3x
-func BenchmarkParallelRound(b *testing.B) {
-	for _, n := range []int{100_000, 1_000_000} {
-		sel, err := core.NewUniformSelector(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc, err := core.NewService(bandwidth.Homogeneous(n, 1), sel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				streams := rng.NewStreams(21, workers)
-				dates := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := svc.RunRoundParallel(streams, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					dates += len(res.Dates)
-				}
-				b.ReportMetric(float64(dates)/float64(b.N)/float64(n), "frac")
-				b.ReportMetric(float64(2*n)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
-			})
-		}
-	}
-}
-
 func BenchmarkDatingRoundDHT1k(b *testing.B) {
 	ring, err := overlay.NewRing(1000, rng.New(2))
 	if err != nil {

@@ -1,12 +1,11 @@
 // Command datebench regenerates Figure 1 of the paper — the fraction of the
 // centralized optimum the dating service arranges per round — and profiles
-// the round engine and the live message runtime.
+// the message runtimes.
 //
 // Usage:
 //
-//	datebench [-mode figure1|engine|live|async|topology|consensus] [-scale quick|paper] [-seed N]
-//	          [-par N] [-workers N] [-n N] [-rounds N] [-shards N]
-//	          [-baseline] [-csv] [-json] [-digest]
+//	datebench [-mode figure1|live|async|topology|consensus] [-scale quick|paper] [-seed N]
+//	          [-par N] [-n N] [-shards N] [-baseline] [-csv] [-json] [-digest]
 //	          [-trace FILE] [-metrics] [-pprof ADDR]
 //
 // figure1 mode (the default) reproduces the paper's Figure 1. The paper
@@ -16,31 +15,19 @@
 // across N goroutines (default GOMAXPROCS); overlay seeds are derived from
 // (seed, n, overlay), so the table is byte-identical for every -par value.
 //
-// engine mode times one dating round at a fixed large n (default one
-// million nodes) on the serial path and on the parallel engine at 2, 4,
-// ..., -workers workers, reporting seconds per round, request throughput
-// and speedup. It then times the seeded engine (worker-count-independent
-// rounds) against the pipelined schedule (RunRoundsSeeded — round r+1's
-// scatter overlapping round r's matching) at the same worker counts,
-// verifying the two produce bit-identical dates; the pipelined row's
-// speedup column is its gain over the same-worker seeded row. -json emits
-// the result as machine-readable JSON — including the generic
-// Report-derived "points" records shared by every BENCH_*.json writer — so
-// perf trajectory points can be recorded across versions:
-//
-//	datebench -mode engine -n 1000000 -rounds 5 -workers 8 -json > BENCH_engine.json
-//
 // live mode runs full message-level rumor spreading (every offer, answer
 // and payload an actual routed message) to completion through the unified
 // repro.Run entrypoint, on the sharded internal/live runtime at 1 and
-// -shards workers, the pipelined sharded schedule (WithPipeline, fusing
-// delivery into the step phase), plus — with -baseline, the default — the
-// legacy goroutine-per-peer engine. All runs derive per-peer randomness
+// -shards workers, plus — with -baseline, the default — the legacy
+// goroutine-per-peer engine. All runs derive per-peer randomness
 // identically, so their informed-count trajectories must agree bit for
 // bit; datebench exits non-zero if they do not, which makes every
 // benchmark run a cross-engine correctness check (CI runs it at n=100k).
-// -n defaults to 100000 in this mode; disable -baseline before raising n
-// far beyond that, goroutine-per-peer does not scale.
+// -n defaults to 100000 in every mode that takes it; disable -baseline
+// before raising n far beyond that, goroutine-per-peer does not scale. -json
+// emits the result as machine-readable JSON — including the generic
+// Report-derived "points" records shared by every BENCH_*.json writer — so
+// perf trajectory points can be recorded across versions:
 //
 //	datebench -mode live -n 100000 -shards 2 -json > BENCH_live.json
 //
@@ -49,7 +36,6 @@
 // internal/async runtime at 1 and -shards workers. Randomness derives per
 // (peer, firing-index), so the informed-count trajectories of every shard
 // count must agree bit for bit; datebench exits non-zero if they do not.
-// -n defaults to 100000 in this mode.
 //
 //	datebench -mode async -n 100000 -shards 2 -json > BENCH_async.json
 //
@@ -58,7 +44,7 @@
 // runtime at 1 and -shards workers. Transition randomness derives from
 // per-peer streams consumed in canonical inbox order, so the trajectories of
 // every shard count must agree bit for bit; datebench exits non-zero if they
-// do not. -n defaults to 100000 in this mode.
+// do not.
 //
 //	datebench -mode topology -n 100000 -shards 2 -json > BENCH_topology.json
 //
@@ -67,7 +53,7 @@
 // latest-timestamp rule until 90% agreement — on the sharded runtime at 1
 // and -shards workers. The identity check compares the full per-round
 // variant-share history of every shard count; datebench exits non-zero on
-// disagreement. -n defaults to 100000 in this mode.
+// disagreement.
 //
 //	datebench -mode consensus -n 100000 -shards 2 -json > BENCH_consensus.json
 //
@@ -104,14 +90,12 @@ func main() {
 }
 
 func realMain() int {
-	mode := flag.String("mode", "figure1", "what to run: figure1, engine, live, async, topology or consensus")
+	mode := flag.String("mode", "figure1", "what to run: figure1, live, async, topology or consensus")
 	scaleName := flag.String("scale", "quick", "experiment sizing: quick or paper (figure1 mode)")
 	seed := flag.Uint64("seed", 42, "root random seed")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "harness workers (figure1 mode; results identical for any value)")
-	workers := flag.Int("workers", 4, "max parallel workers (engine mode)")
-	n := flag.Int("n", 1_000_000, "node count (engine mode; live mode defaults to 100000)")
-	rounds := flag.Int("rounds", 5, "timed rounds per worker count (engine mode)")
-	shards := flag.Int("shards", 4, "sharded runtime workers (live and async modes; any value is bit-identical)")
+	n := flag.Int("n", 100_000, "peer count (every mode but figure1)")
+	shards := flag.Int("shards", 4, "sharded runtime workers (every mode but figure1; any value is bit-identical)")
 	baseline := flag.Bool("baseline", true, "include the goroutine-per-peer engine (live mode)")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of a table")
@@ -178,34 +162,8 @@ func realMain() int {
 			fmt.Println("down to about 0.55*n at n=10^4.")
 		}
 
-	case "engine":
-		var counts []int
-		for w := 2; w <= *workers; w *= 2 {
-			counts = append(counts, w)
-		}
-		if len(counts) == 0 || counts[len(counts)-1] != *workers {
-			counts = append(counts, *workers)
-		}
-		res, err := sim.RunEngineBench(*n, *rounds, counts, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datebench:", err)
-			return 1
-		}
-		switch {
-		case *jsonOut:
-			emitJSON("engine", *seed, res)
-		case *csv:
-			fmt.Print(res.Table().CSV())
-		default:
-			fmt.Print(res.Table().Render())
-		}
-
 	case "async":
-		asyncN := *n
-		if !nFlagSet() {
-			asyncN = 100_000
-		}
-		res, err := sim.RunAsyncBench(asyncN, *shards, *seed)
+		res, err := sim.RunAsyncBench(*n, *shards, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "datebench:", err)
 			return 1
@@ -226,11 +184,7 @@ func realMain() int {
 		}
 
 	case "topology":
-		topoN := *n
-		if !nFlagSet() {
-			topoN = 100_000
-		}
-		res, err := sim.RunTopologyBench(topoN, *shards, *seed)
+		res, err := sim.RunTopologyBench(*n, *shards, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "datebench:", err)
 			return 1
@@ -251,11 +205,7 @@ func realMain() int {
 		}
 
 	case "consensus":
-		consN := *n
-		if !nFlagSet() {
-			consN = 100_000
-		}
-		res, err := sim.RunConsensusBench(consN, *shards, *seed)
+		res, err := sim.RunConsensusBench(*n, *shards, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "datebench:", err)
 			return 1
@@ -276,11 +226,7 @@ func realMain() int {
 		}
 
 	case "live":
-		liveN := *n
-		if !nFlagSet() {
-			liveN = 100_000
-		}
-		res, err := sim.RunLiveBench(liveN, *shards, *baseline, *seed)
+		res, err := sim.RunLiveBench(*n, *shards, *baseline, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "datebench:", err)
 			return 1
@@ -301,22 +247,10 @@ func realMain() int {
 		}
 
 	default:
-		fmt.Fprintf(os.Stderr, "datebench: unknown mode %q (want figure1, engine, live, async, topology or consensus)\n", *mode)
+		fmt.Fprintf(os.Stderr, "datebench: unknown mode %q (want figure1, live, async, topology or consensus)\n", *mode)
 		return 2
 	}
 	return 0
-}
-
-// nFlagSet reports whether -n was given explicitly; the live and async
-// modes default to a smaller n than engine mode when it was not.
-func nFlagSet() bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "n" {
-			set = true
-		}
-	})
-	return set
 }
 
 // emitJSON wraps a result in a stable envelope so collected BENCH_*.json

@@ -36,13 +36,6 @@
 //     every budget-fed engine derives randomness per unit of work rather
 //     than per worker, the budget is a pure speed knob: bit-identical
 //     reports at every value.
-//   - WithPipeline batches k rounds at a time through the double-buffered
-//     engine: dating-based rumor runs feed k round seeds to
-//     DatingService.RunRoundsSeeded (round r+1's scatter overlapping round
-//     r's matching; sequential under churn, which needs a per-round alive
-//     barrier), and sharded live runs take the fused delivery+step loop.
-//     Like the worker budget it is a pure speed knob — bit-identical
-//     reports at every depth.
 //   - WithEngine picks the execution substrate for live runs (sharded by
 //     default, goroutine-per-peer on request); under the perfect-sync
 //     network both substrates produce the identical report.
@@ -111,35 +104,26 @@
 // regardless of the worker count — the owners' count arrays partition
 // [0, n) rather than every worker holding a length-n array — and the
 // layout is a pure function of the round's inputs, so results never depend
-// on scheduling. Golden tests pin the engine's output bit-for-bit at
-// workers {1, 2, 4, 8}, and an allocation regression test asserts that
-// first-round bytes do not scale with the worker count.
-//
-// The Exchange double-buffers: Swap flips a front/back pair of chunk
-// buffers, which is what lets consecutive rounds overlap.
-// DatingService.RunRoundsSeeded(seeds, workers) scatters round r+1 into
-// the back buffers while the owners still match round r from the front,
-// and the live runtime's pipelined loop fuses delivery into the step phase
-// (an owner's destination range is its peer range). Both schedules are
-// bit-identical to their sequential counterparts; WithPipeline selects
-// them under Run.
+// on scheduling. A reference implementation pins the engine's output
+// bit-for-bit at workers {1, 2, 4, 7, 8}, and an allocation regression test
+// asserts that first-round bytes do not scale with the worker count.
 //
 // # Worker-count-independent engines
 //
 // The engines underneath Run all share one property: their randomness is
-// derived per *unit of work*, not per worker. An Arranger (NewArranger)
-// seeds one stream per requesting node in the scatter pass
+// derived per *unit of work*, not per worker. The dating round seeds one
+// stream per requesting node in the scatter pass
 // (SplitMix64(seed, scatterDomain, node)) and one per rendezvous bucket in
 // the match pass (SplitMix64(seed, matchDomain, rendezvous)), so whichever
 // worker processes a node or bucket draws exactly the same values:
-// Arrange(out, in, seed, workers) is bit-for-bit identical for every
-// workers count. The same scheme is ported to the profile round path as
-// DatingService.RunRoundSeeded(seed, workers), and ArrangeShared /
+// Arranger.Arrange(out, in, seed, workers) and
+// DatingService.RunRoundSeeded(seed, workers) — one round body under both —
+// are bit-for-bit identical for every workers count. ArrangeShared /
 // RunRoundShared draw the worker count from a shared par.Budget instead of
 // a fixed knob — which is how a Run's rounds, and the experiment harness's
 // tail jobs, soak up idle cores without being able to change a number.
-// (The older DatingService.RunRoundParallel, whose output depends on
-// (seed, workers), remains for engine benchmarking.)
+// DatingService.RunRound(stream), the paper's serial reference, is the same
+// body with one worker drawing everything from the caller's stream.
 //
 // # The sharded live-message runtime
 //

@@ -37,22 +37,6 @@ func ExampleRun() {
 	// true
 }
 
-// Pipelining batches dating rounds through the double-buffered engine —
-// round r+1's scatter overlaps round r's matching — without moving a single
-// number: the report is bit-identical to the sequential schedule.
-func ExampleWithPipeline() {
-	spec := repro.RumorConfig{N: 1024, Algorithm: repro.Dating}
-
-	sequential, _ := repro.Run(spec, repro.WithSeed(7))
-	pipelined, _ := repro.Run(spec, repro.WithSeed(7), repro.WithPipeline(4), repro.WithWorkers(4))
-
-	fmt.Println(sequential.Completed)
-	fmt.Println(sequential.Rounds == pipelined.Rounds && sequential.Messages == pipelined.Messages)
-	// Output:
-	// true
-	// true
-}
-
 // The seeded engine shards a round across worker goroutines, and the worker
 // count never changes the arranged dates — it is a pure speed knob.
 func ExampleDatingService_RunRoundSeeded() {

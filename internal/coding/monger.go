@@ -134,12 +134,7 @@ func runMongerBudgeted(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerRe
 		// One draw per round whatever the worker count, so the run stream
 		// evolves identically for every budget size.
 		seed := s.Uint64()
-		var rres core.RoundResult
-		if b != nil {
-			rres, err = svc.RunRoundShared(seed, b)
-		} else {
-			rres, err = svc.RunRoundSeeded(seed, 1)
-		}
+		rres, err := svc.RunRoundShared(seed, b, nil)
 		if err != nil {
 			return MongerResult{}, err
 		}

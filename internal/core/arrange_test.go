@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,12 +10,15 @@ import (
 	"repro/internal/rng"
 )
 
-// referenceArrange is the seed algorithm ArrangeDates replaced: a per-node
-// append scatter into one heap slice per rendezvous, followed by a bucket
-// walk in rendezvous order. It is kept here — fed the same per-node and
-// per-bucket derived streams as the Arranger — as the executable
-// specification the flat counting-sort layout must reproduce exactly.
-func referenceArrange(t *testing.T, out, in []int, sel Selector, seed uint64) []Date {
+// referenceArrange is the seed algorithm the flat engine replaced: a
+// per-node append scatter into one heap slice per rendezvous, followed by a
+// bucket walk in rendezvous order. It is kept here — fed the same per-node
+// and per-bucket derived streams as a seeded round — as the executable
+// specification the flat counting-sort layout must reproduce exactly. Under
+// alive (nil: everyone) a dead node draws nothing, and a request to a dead
+// rendezvous is drawn and lost. It returns the dates and the numbers of
+// offers and requests that reached a rendezvous.
+func referenceArrange(t *testing.T, out, in []int, sel Selector, seed uint64, alive func(i int) bool) (dates []Date, offers, requests int) {
 	t.Helper()
 	n := sel.N()
 	offersAt := make([][]int32, n)
@@ -22,20 +26,23 @@ func referenceArrange(t *testing.T, out, in []int, sel Selector, seed uint64) []
 	gen := rng.NewXoshiro256(0)
 	s := rng.NewWithSource(gen)
 	for i := 0; i < n; i++ {
-		if out[i] == 0 && in[i] == 0 {
+		if (out[i] == 0 && in[i] == 0) || (alive != nil && !alive(i)) {
 			continue
 		}
 		gen.Seed(rng.Derive(seed, domainScatter, uint64(i)))
 		for k := 0; k < out[i]; k++ {
-			dest := sel.Pick(s)
-			offersAt[dest] = append(offersAt[dest], int32(i))
+			if dest := sel.Pick(s); alive == nil || alive(dest) {
+				offersAt[dest] = append(offersAt[dest], int32(i))
+				offers++
+			}
 		}
 		for k := 0; k < in[i]; k++ {
-			dest := sel.Pick(s)
-			requestsAt[dest] = append(requestsAt[dest], int32(i))
+			if dest := sel.Pick(s); alive == nil || alive(dest) {
+				requestsAt[dest] = append(requestsAt[dest], int32(i))
+				requests++
+			}
 		}
 	}
-	var dates []Date
 	for v := 0; v < n; v++ {
 		if len(offersAt[v]) == 0 || len(requestsAt[v]) == 0 {
 			continue
@@ -45,7 +52,7 @@ func referenceArrange(t *testing.T, out, in []int, sel Selector, seed uint64) []
 			dates = append(dates, Date{Sender: int(sender), Receiver: int(receiver)})
 		})
 	}
-	return dates
+	return dates, offers, requests
 }
 
 // emptySelector is the degenerate n = 0 distribution (no node ever requests
@@ -103,31 +110,108 @@ func validateArrangement(t *testing.T, dates []Date, out, in []int) {
 }
 
 func TestArrangeMatchesReference(t *testing.T) {
-	// The equivalence property: on randomized (requests, selector, capacity)
-	// inputs the flat-engine Arranger produces the exact date sequence of
-	// the seed's append-scatter algorithm (a fortiori the same multiset),
-	// serially and at every worker count, and both pass the capacity check.
+	// The equivalence property of the one round body: it produces the exact
+	// date sequence of the seed's append-scatter algorithm (a fortiori the
+	// same multiset), serially and at every worker count, through both of
+	// its callers. Randomized (supply, demand, selector) inputs — zeros
+	// included — go through the Arranger; the two profiles go through the
+	// Arranger and the Service, the Service also under churn, where the
+	// control-message counters must match too and no date may touch a dead
+	// node. Every result passes the capacity check.
+	type roundCase struct {
+		name    string
+		out, in []int
+		sel     Selector
+		profile bool // out/in are a valid profile: run the Service as well
+	}
+	var cases []roundCase
 	caseRng := rng.New(17)
 	for _, n := range []int{0, 1, 17, 1000} {
 		for trial := 0; trial < 6; trial++ {
 			out, in, sel := arrangeCase(t, n, 4, caseRng)
-			seed := caseRng.Uint64()
-			want := referenceArrange(t, out, in, sel, seed)
-			validateArrangement(t, want, out, in)
+			cases = append(cases, roundCase{fmt.Sprintf("random n=%d trial=%d", n, trial), out, in, sel, false})
+		}
+	}
+	uni, err := NewUniformSelector(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hom := bandwidth.Homogeneous(1000, 2)
+	cases = append(cases, roundCase{"uniform b=2", hom.Out, hom.In, uni, true})
+	// A Zipf profile under a weighted selector: skewed sender shards and
+	// non-uniform destination load exercise the exchange's unbalanced chunks.
+	zipf, err := bandwidth.Zipf(700, 1.1, 8, 2, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := make([]float64, zipf.N())
+	for i := range weights {
+		weights[i] = float64(i%5 + 1)
+	}
+	skew, err := NewWeightedSelector(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, roundCase{"zipf weighted", zipf.Out, zipf.In, skew, true})
+
+	churn := []struct {
+		name  string
+		alive func(i int) bool
+	}{
+		{"everyone alive", nil},
+		{"every fifth dead", func(i int) bool { return i%5 != 0 }},
+		{"all dead", func(int) bool { return false }},
+	}
+	for _, c := range cases {
+		seed := caseRng.Uint64()
+		for _, ch := range churn {
+			if ch.alive != nil && !c.profile {
+				continue // the Arranger has no liveness predicate
+			}
+			want, wantOffers, wantRequests := referenceArrange(t, c.out, c.in, c.sel, seed, ch.alive)
+			validateArrangement(t, want, c.out, c.in)
+			if ch.name == "all dead" && (len(want) != 0 || wantOffers != 0) {
+				t.Fatalf("%s: dead network arranged %d dates", c.name, len(want))
+			}
 			for _, workers := range []int{1, 2, 4, 7, 8} {
-				a, err := NewArranger(sel)
+				if ch.alive == nil {
+					a, err := NewArranger(c.sel)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := a.Arrange(c.out, c.in, seed, workers)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+					}
+					if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("%s workers=%d: %d arranged dates diverge from the reference (%d)",
+							c.name, workers, len(got), len(want))
+					}
+				}
+				if !c.profile {
+					continue
+				}
+				p := bandwidth.Profile{Out: c.out, In: c.in}
+				res, err := mustService(t, p, c.sel).RunRoundSeededFiltered(seed, workers, ch.alive)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s workers=%d: %v", c.name, workers, err)
 				}
-				got, err := a.Arrange(out, in, seed, workers)
-				if err != nil {
-					t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+				if len(res.Dates) != len(want) || (len(want) > 0 && !reflect.DeepEqual(res.Dates, want)) {
+					t.Fatalf("%s, %s, workers=%d: %d service dates diverge from the reference (%d)",
+						c.name, ch.name, workers, len(res.Dates), len(want))
 				}
-				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Fatalf("n=%d trial=%d workers=%d: %d dates diverge from the reference (%d)",
-						n, trial, workers, len(got), len(want))
+				if res.OffersSent != wantOffers || res.RequestsSent != wantRequests {
+					t.Fatalf("%s, %s, workers=%d: counters %d/%d, reference %d/%d",
+						c.name, ch.name, workers, res.OffersSent, res.RequestsSent, wantOffers, wantRequests)
 				}
-				validateArrangement(t, got, out, in)
+				if err := ValidateCapacities(res, p); err != nil {
+					t.Fatalf("%s, %s, workers=%d: %v", c.name, ch.name, workers, err)
+				}
+				for _, d := range res.Dates {
+					if ch.alive != nil && (!ch.alive(d.Sender) || !ch.alive(d.Receiver)) {
+						t.Fatalf("%s, %s: date %v involves a dead node", c.name, ch.name, d)
+					}
+				}
 			}
 		}
 	}

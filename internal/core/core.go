@@ -21,7 +21,9 @@ import (
 	"fmt"
 
 	"repro/internal/bandwidth"
+	"repro/internal/exch"
 	"repro/internal/overlay"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -125,14 +127,13 @@ func (r RoundResult) Fraction(m int) float64 {
 // Service runs dating-service rounds for a fixed bandwidth profile and
 // selection distribution. A Service reuses internal scratch buffers between
 // rounds and therefore runs one round at a time: do not call its methods
-// concurrently. RunRoundParallel parallelizes *inside* a round with worker
+// concurrently. The seeded rounds parallelize *inside* a round with worker
 // goroutines the Service manages itself.
 type Service struct {
 	profile bandwidth.Profile
 	sel     Selector
-
-	// round scratch, reused across rounds (see engine.go)
-	eng engineScratch
+	eng     engine // round scratch, reused across rounds (see engine.go)
+	cut     []int  // sender shards of an unfiltered round, see senderCuts
 }
 
 // NewService validates the configuration and returns a Service. The profile
@@ -147,9 +148,7 @@ func NewService(p bandwidth.Profile, sel Selector) (*Service, error) {
 	if p.N() != sel.N() {
 		return nil, fmt.Errorf("core: profile has %d nodes but selector addresses %d", p.N(), sel.N())
 	}
-	sv := &Service{profile: p, sel: sel}
-	sv.eng.weight = func(i int) int { return p.Out[i] + p.In[i] }
-	return sv, nil
+	return &Service{profile: p, sel: sel}, nil
 }
 
 // Profile returns the service's bandwidth profile.
@@ -161,25 +160,83 @@ func (sv *Service) N() int { return sv.profile.N() }
 // M returns m = min(Bin, Bout), the centralized optimum per round.
 func (sv *Service) M() int { return sv.profile.M() }
 
-// RunRound executes Algorithm 1 once and returns the arranged dates.
-// Participate(i) == false nodes are skipped entirely (crashed peers);
-// pass nil to include everyone.
+// RunRound executes Algorithm 1 once, serially, drawing every choice from
+// s in node order and then rendezvous order — the paper's reference round,
+// the one Figures 1 and 2 are computed with.
 func (sv *Service) RunRound(s *rng.Stream) RoundResult {
-	return sv.RunRoundFiltered(s, nil)
+	return sv.result(sv.eng.round(sv.sel, sv.profile.Out, sv.profile.In, nil, sv.senderCuts(1, nil), 0, s, 1))
 }
 
-// RunRoundFiltered is RunRound with an optional liveness predicate. Crashed
-// nodes neither emit requests nor act as rendezvous points, and requests
-// addressed to them are lost — matching the behavior of a real overlay
-// where a dead rendezvous simply never answers.
-//
-// The round runs on the flat engine of engine.go with a single worker: the
-// scatter pass records (rendezvous, sender) pairs and counting-sorts them
-// into one contiguous buffer per request kind, and the match pass walks the
-// buckets in rendezvous order.
-func (sv *Service) RunRoundFiltered(s *rng.Stream, alive func(i int) bool) RoundResult {
-	sv.eng.one[0] = s
-	return sv.runEngine(sv.eng.one[:], 1, alive)
+// RunRoundSeeded executes Algorithm 1 once with per-node/per-rendezvous
+// derived randomness: the result is bit-for-bit identical for every
+// workers >= 1, so parallelism never changes published numbers — and it
+// arranges exactly the dates of Arranger.Arrange(profile.Out, profile.In,
+// seed, ·). seed alone selects the round's randomness (use a fresh seed per
+// round, e.g. drawn off a run stream).
+func (sv *Service) RunRoundSeeded(seed uint64, workers int) (RoundResult, error) {
+	return sv.RunRoundSeededFiltered(seed, workers, nil)
+}
+
+// RunRoundSeededFiltered is RunRoundSeeded with an optional liveness
+// predicate. Crashed nodes neither emit requests nor act as rendezvous
+// points, and requests addressed to them are lost — matching the behavior
+// of a real overlay where a dead rendezvous simply never answers. alive is
+// called concurrently from all workers and must be safe for concurrent use
+// (in practice: a pure read of state that does not change during the
+// round). Because every node draws from its own derived stream, the
+// surviving nodes' randomness is unaffected by who crashed — and still
+// independent of the worker count.
+func (sv *Service) RunRoundSeededFiltered(seed uint64, workers int, alive func(i int) bool) (RoundResult, error) {
+	if err := prepare(sv.sel, workers); err != nil {
+		return RoundResult{}, err
+	}
+	return sv.result(sv.eng.round(sv.sel, sv.profile.Out, sv.profile.In, alive, sv.senderCuts(workers, alive), seed, nil, workers)), nil
+}
+
+// RunRoundShared is RunRoundSeededFiltered drawing its worker count from a
+// shared budget: the round runs with the caller's worker plus whatever
+// spare tokens b has at this moment, released when the round is done.
+// Since a seeded round is worker-count independent, whatever the pool hands
+// out is a pure speed knob. A nil budget runs serially.
+func (sv *Service) RunRoundShared(seed uint64, b *par.Budget, alive func(i int) bool) (res RoundResult, err error) {
+	b.Use(0, func(workers int) {
+		res, err = sv.RunRoundSeededFiltered(seed, workers, alive)
+	})
+	return res, err
+}
+
+// senderCuts returns the sender shards to scatter a round by. With everyone
+// alive they are cuts by profile weight, which is fixed, so they are kept
+// until the worker count changes; under churn it is nil, and the engine
+// balances by the round's live weight.
+func (sv *Service) senderCuts(workers int, alive func(i int) bool) []int {
+	if alive != nil {
+		return nil
+	}
+	if len(sv.cut) != workers+1 {
+		p := sv.profile
+		sv.cut = exch.BalancedCuts(sv.cut, p.N(), workers, func(i int) int { return p.Out[i] + p.In[i] })
+	}
+	return sv.cut
+}
+
+// result wraps the dates of the round the engine just ran: the control
+// message counters are the requests that reached a rendezvous, and the
+// per-node counters are rebuilt from the dates.
+func (sv *Service) result(dates []Date) RoundResult {
+	n := sv.profile.N()
+	res := RoundResult{
+		Dates:        dates,
+		OffersSent:   int(sv.eng.offerOff[n]),
+		RequestsSent: int(sv.eng.reqOff[n]),
+		PerNodeOut:   make([]int, n),
+		PerNodeIn:    make([]int, n),
+	}
+	for _, d := range dates {
+		res.PerNodeOut[d.Sender]++
+		res.PerNodeIn[d.Receiver]++
+	}
+	return res
 }
 
 // MatchRendezvous implements the rendezvous step of Algorithm 1 for one

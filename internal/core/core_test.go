@@ -277,33 +277,6 @@ func TestFractionGrowsWithLoad(t *testing.T) {
 	}
 }
 
-func TestRunRoundFilteredExcludesDead(t *testing.T) {
-	const n = 60
-	sv := uniformService(t, n, 2)
-	s := rng.New(12)
-	dead := map[int]bool{3: true, 7: true, 20: true}
-	alive := func(i int) bool { return !dead[i] }
-	for round := 0; round < 10; round++ {
-		res := sv.RunRoundFiltered(s, alive)
-		for _, d := range res.Dates {
-			if dead[d.Sender] || dead[d.Receiver] {
-				t.Fatalf("date %v involves a dead node", d)
-			}
-		}
-		if err := ValidateCapacities(res, sv.Profile()); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestRunRoundFilteredAllDead(t *testing.T) {
-	sv := uniformService(t, 10, 1)
-	res := sv.RunRoundFiltered(rng.New(13), func(int) bool { return false })
-	if len(res.Dates) != 0 || res.OffersSent != 0 {
-		t.Fatalf("dead network arranged %d dates", len(res.Dates))
-	}
-}
-
 func TestMatchRendezvousSizes(t *testing.T) {
 	s := rng.New(14)
 	cases := []struct{ offers, requests, want int }{

@@ -38,7 +38,7 @@ func (ds DynamicRingSelector) Pick(s *rng.Stream) int {
 func (ds DynamicRingSelector) N() int { return ds.ring.N() }
 
 // Prepare implements Preparer: it forces the lazy ring rebuild that Pick
-// would otherwise trigger, so that the parallel engine's workers only ever
+// would otherwise trigger, so that the round engine's workers only ever
 // read the snapshot concurrently. Membership must not change during a
 // round, which the round-synchronous simulations guarantee.
 func (ds DynamicRingSelector) Prepare() error {

@@ -1,7 +1,7 @@
 package core
 
-// This file implements the flat round engine shared by the serial and
-// parallel execution paths of Algorithm 1.
+// This file implements the flat round engine: the one body of Algorithm 1
+// that every entry point of the package — Service and Arranger alike — runs.
 //
 // Instead of appending each request to a per-rendezvous slice (one heap
 // object per node, pointer-chasing in the match pass), the engine lays the
@@ -24,16 +24,27 @@ package core
 //	          replaying the chunks in worker order;
 //	match     each worker runs MatchRendezvous over a contiguous shard of
 //	          rendezvous buckets, appending to a private date buffer;
-//	merge     date buffers are concatenated in worker order and the
-//	          per-node counters are rebuilt from the merged dates.
+//	merge     date buffers are concatenated in worker order.
 //
 // Because chunks are recorded in scan order within a worker, worker sender
 // shards are contiguous ascending ranges, and each owner replays chunks in
 // worker order, bucket v always holds its requests in global sender order —
-// exactly the layout of the pre-radix engine. The layout — and therefore
-// the whole round — is a pure function of (profile, selector, worker
-// streams, workers, alive): results are exactly reproducible for a fixed
-// (seed, workers) pair, on any GOMAXPROCS, under any goroutine schedule.
+// exactly the layout of the pre-radix engine, whatever the worker count.
+//
+// The body's only mode is where a unit of work's stream comes from. Every
+// production path is *seeded*: a worker reseeds its generator with
+// rng.Derive(seed, domainScatter, node) before a node's draws and with
+// rng.Derive(seed, domainMatch, rendezvous) before a bucket's shuffle, so
+// whichever worker processes a node or bucket draws the same values and the
+// round is a pure function of (out, in, selector, seed, alive) — workers is
+// a pure speed knob, on any GOMAXPROCS, under any goroutine schedule. The
+// price is a two-step Derive chain plus a four-step SplitMix64 state
+// expansion per participating node and per non-empty bucket, about 25% on a
+// unit-bandwidth uniform round at n=100k (BenchmarkSeededRound tracks it).
+// The other mode is the paper's serial reference, RunRound: one worker
+// drawing everything from the caller's single stream, in node order and
+// then rendezvous order. The two differ in those two reseeds and nothing
+// else.
 //
 // Memory is O(n + requests) regardless of the worker count: the owners'
 // count arrays partition [0, n) (one length-(n/workers) array each, not one
@@ -54,263 +65,204 @@ import (
 
 // Preparer is an optional Selector extension: selectors whose Pick would
 // lazily mutate shared state (e.g. DynamicRingSelector rebuilding its ring
-// snapshot) implement Prepare so the parallel engine can force that work to
-// happen once, before workers fan out. Selectors without Prepare must be
-// read-only under Pick.
+// snapshot) implement Prepare so the engine can force that work to happen
+// once, before workers fan out. Selectors without Prepare must be read-only
+// under Pick.
 type Preparer interface {
 	// Prepare brings the selector to a state where concurrent Pick calls
 	// with distinct streams are safe.
 	Prepare() error
 }
 
-// exchInt32 shortens the request-exchange type: keys are rendezvous ids,
-// values sender ids.
-type exchInt32 = exch.Exchange[int32]
+// Derivation domains keep the scatter and match randomness of one seeded
+// round disjoint even when a node id equals a rendezvous id.
+const (
+	domainScatter uint64 = 1
+	domainMatch   uint64 = 2
+)
 
-// workerScratch is the per-worker slice of the engine state that is not
-// part of the request exchange: the private date buffer of the match pass
-// and the control-message counters of the scatter pass.
-type workerScratch struct {
-	dates        []Date
-	offersSent   int
-	requestsSent int
+// engineWorker is one worker's private state: the date buffer of the match
+// pass and the generator (with the stream reading it) that a seeded round
+// reseeds for every node (scatter) or bucket (match) the worker processes —
+// four SplitMix64 steps, far cheaper than allocating a stream per unit of
+// work.
+type engineWorker struct {
+	dates  []Date
+	gen    *rng.Xoshiro256
+	stream *rng.Stream
 }
 
-// reset readies the scratch for a round.
-func (ws *workerScratch) reset() {
-	ws.dates = ws.dates[:0]
-	ws.offersSent = 0
-	ws.requestsSent = 0
-}
-
-// engineScratch is the round state a Service reuses across rounds. It grows
-// to the largest (n, workers) seen and is never shared between Services.
-type engineScratch struct {
-	ws []workerScratch
+// engine is the round scratch a Service or an Arranger reuses across
+// rounds. It grows to the largest (n, workers) seen, is never shared, and
+// runs one round at a time.
+type engine struct {
+	ws []engineWorker
 
 	// offers/reqs are the owner-range exchanges of the round's two request
 	// kinds: keys are rendezvous ids, values sender ids.
 	offers exch.Exchange[int32]
 	reqs   exch.Exchange[int32]
-	// offersBack/reqsBack are the ping-pong twins used by the pipelined
-	// multi-round path (rounds.go): while offers/reqs hold round r being
-	// matched, workers record round r+1 into the back pair, then Swap.
-	offersBack exch.Exchange[int32]
-	reqsBack   exch.Exchange[int32]
 
 	offerOff   []int32 // len n+1: offers bucket v is offersFlat[offerOff[v]:offerOff[v+1]]
 	reqOff     []int32
 	offersFlat []int32
 	reqFlat    []int32
-	senderCut  []int // len workers+1: worker w scatters senders [cut[w], cut[w+1])
-	liveCut    []int // churn-rebalanced sender cuts of the filtered seeded path
+	senderCut  []int // len workers+1: the scatter shards of a round given no cuts
 	rdvCut     []int // len workers+1: worker w matches rendezvous [cut[w], cut[w+1])
-	one        [1]*rng.Stream
-
-	// Reseedable per-worker generators for the per-node/per-bucket derived
-	// streams of the seeded round path (see seeded.go); sized lazily.
-	seedGens    []*rng.Xoshiro256
-	seedStreams []*rng.Stream
-
-	// weight is the sender-shard balance weight bout(i)+bin(i); set by
-	// NewService (engineScratch does not hold the profile).
-	weight     func(i int) int
-	cutWorkers int // workers count senderCut was computed for, 0 if stale
 }
 
-// RunRoundParallel executes Algorithm 1 once across workers goroutines,
-// using streams[w] as worker w's private randomness for both the scatter
-// and the match pass. len(streams) must be at least workers; derive the
-// streams once with rng.NewStreams(seed, workers) and reuse them across
-// rounds — their evolution stays deterministic.
-//
-// The result is exactly reproducible for a fixed (stream seeds, workers)
-// pair and satisfies the same capacity invariants as RunRound; different
-// worker counts give different (equally distributed) rounds. The Service's
-// scratch is reused, so a Service still runs one round at a time.
-func (sv *Service) RunRoundParallel(streams []*rng.Stream, workers int) (RoundResult, error) {
-	return sv.RunRoundParallelFiltered(streams, workers, nil)
-}
-
-// RunRoundParallelFiltered is RunRoundParallel with the liveness predicate
-// of RunRoundFiltered. alive is called concurrently from all workers and
-// must be safe for concurrent use (in practice: a pure read of state that
-// does not change during the round).
-func (sv *Service) RunRoundParallelFiltered(streams []*rng.Stream, workers int, alive func(i int) bool) (RoundResult, error) {
+// prepare is the entry check of a seeded round: a valid worker count, and
+// lazily-built selector state (e.g. a churned ring snapshot) forced into
+// place before any fanout, so Pick is a pure read on every worker.
+func prepare(sel Selector, workers int) error {
 	if workers < 1 {
-		return RoundResult{}, fmt.Errorf("core: parallel round needs workers >= 1, got %d", workers)
+		return fmt.Errorf("core: round needs workers >= 1, got %d", workers)
 	}
-	if len(streams) < workers {
-		return RoundResult{}, fmt.Errorf("core: parallel round needs one stream per worker: %d streams < %d workers", len(streams), workers)
-	}
-	for w, s := range streams[:workers] {
-		if s == nil {
-			return RoundResult{}, fmt.Errorf("core: worker %d has a nil stream", w)
-		}
-	}
-	if p, ok := sv.sel.(Preparer); ok {
+	if p, ok := sel.(Preparer); ok {
 		if err := p.Prepare(); err != nil {
-			return RoundResult{}, fmt.Errorf("core: selector prepare failed: %w", err)
+			return fmt.Errorf("core: selector prepare failed: %w", err)
 		}
 	}
-	return sv.runEngine(streams[:workers], workers, alive), nil
+	return nil
 }
 
-// runPhase fans one phase of a round out across workers goroutines;
-// phases are separated by barriers. Shared by the Service round engine and
-// the Arranger (and, via par.Do, the live message runtime).
-func runPhase(workers int, f func(w int)) {
-	par.Do(workers, f)
-}
-
-// sortPairs is the exchange + sort pass shared by the Service round paths
-// and the Arranger: Prefix both exchanges serially, grow the flat arrays,
-// then fan the owners out to Fill their destination ranges (see
-// internal/exch for the kernel's layout guarantees). The flat arrays are
-// grown as needed and returned; offerOff and reqOff must have length n+1.
-func sortPairs(n, workers int, offers, reqs *exch.Exchange[int32], offerOff, reqOff []int32, offersFlat, reqFlat []int32) ([]int32, []int32) {
-	offTotal := offers.Prefix()
-	reqTotal := reqs.Prefix()
-	offersFlat = grow(offersFlat, int(offTotal))
-	reqFlat = grow(reqFlat, int(reqTotal))
-	runPhase(workers, func(o int) {
-		offers.Fill(o, offerOff, offersFlat)
-		reqs.Fill(o, reqOff, reqFlat)
-	})
-	offerOff[n] = offTotal
-	reqOff[n] = reqTotal
-	return offersFlat, reqFlat
-}
-
-// sortRound runs sortPairs on the engine's front exchanges.
-func (eng *engineScratch) sortRound(n, workers int) {
-	eng.offersFlat, eng.reqFlat = sortPairs(n, workers, &eng.offers, &eng.reqs,
-		eng.offerOff, eng.reqOff, eng.offersFlat, eng.reqFlat)
-}
-
-// runEngine is the shared round body.
-func (sv *Service) runEngine(streams []*rng.Stream, workers int, alive func(i int) bool) RoundResult {
-	n := sv.profile.N()
-	eng := &sv.eng
-	eng.ensure(n, workers)
-	scratch := func(w int) *workerScratch { return &eng.ws[w] }
+// round runs Algorithm 1 once and returns the dates in rendezvous order:
+// node i sends out[i] offers and in[i] requests to rendezvous drawn from
+// sel. A node that alive (nil: everyone) reports dead neither emits nor
+// matches, and a request addressed to it is drawn and lost — a dead
+// rendezvous simply never answers. alive is called concurrently from all
+// workers.
+//
+// cut, when non-nil, is the workers+1 sender shard boundaries to scatter by;
+// nil balances the shards by this round's request weight. The cuts only
+// decide which worker does the work, never the draws.
+//
+// serial selects the stream mode (see the file comment): nil reseeds per
+// node and per rendezvous from seed, so the result is the same for every
+// workers >= 1; non-nil draws everything from that one stream, ignores
+// seed, and needs workers == 1.
+func (e *engine) round(sel Selector, out, in []int, alive func(i int) bool, cut []int, seed uint64, serial *rng.Stream, workers int) []Date {
+	n := sel.N()
+	e.ensure(n, workers)
 
 	// Scatter: worker w draws destinations for its sender shard, recording
-	// each pair into the chunk of the destination's owner.
-	out, in := sv.profile.Out, sv.profile.In
-	runPhase(workers, func(w int) {
-		ws := &eng.ws[w]
-		ws.reset()
-		eng.offers.ClearWorker(w)
-		eng.reqs.ClearWorker(w)
-		s := streams[w]
-		for i := eng.senderCut[w]; i < eng.senderCut[w+1]; i++ {
+	// each pair into the chunk of the destination's owner. A node that is
+	// dead or has nothing to send draws nothing, is skipped before the
+	// reseed, and weighs nothing in the cuts (under churn concentrated in
+	// one id region cuts by profile weight would idle its workers).
+	if cut == nil {
+		e.senderCut = exch.BalancedCuts(e.senderCut, n, workers, func(i int) int {
 			if alive != nil && !alive(i) {
+				return 0
+			}
+			return out[i] + in[i]
+		})
+		cut = e.senderCut
+	}
+	par.Do(workers, func(w int) {
+		ws := &e.ws[w]
+		e.offers.ClearWorker(w)
+		e.reqs.ClearWorker(w)
+		s := serial
+		if s == nil {
+			s = ws.stream
+		}
+		for i := cut[w]; i < cut[w+1]; i++ {
+			if out[i]+in[i] == 0 || (alive != nil && !alive(i)) {
 				continue
 			}
+			if serial == nil {
+				ws.gen.Seed(rng.Derive(seed, domainScatter, uint64(i)))
+			}
 			for k := 0; k < out[i]; k++ {
-				dest := sv.sel.Pick(s)
+				dest := sel.Pick(s)
 				if alive != nil && !alive(dest) {
 					continue // lost: rendezvous is down
 				}
-				eng.offers.Record(w, int32(dest), int32(i))
-				ws.offersSent++
+				e.offers.Record(w, int32(dest), int32(i))
 			}
 			for k := 0; k < in[i]; k++ {
-				dest := sv.sel.Pick(s)
+				dest := sel.Pick(s)
 				if alive != nil && !alive(dest) {
 					continue
 				}
-				eng.reqs.Record(w, int32(dest), int32(i))
-				ws.requestsSent++
+				e.reqs.Record(w, int32(dest), int32(i))
 			}
 		}
 	})
 
-	// Exchange + sort: counting-sort the recorded requests into one
-	// contiguous buffer per kind (see sortPairs for the layout).
-	eng.sortRound(n, workers)
+	// Exchange + sort: Prefix both exchanges serially, then each owner
+	// counting-sorts its destination range, leaving one contiguous buffer
+	// per kind with every bucket in global sender order. offerOff[n] and
+	// reqOff[n] are the numbers of requests that reached a rendezvous.
+	e.offerOff[n] = e.offers.Prefix()
+	e.reqOff[n] = e.reqs.Prefix()
+	e.offersFlat = grow(e.offersFlat, int(e.offerOff[n]))
+	e.reqFlat = grow(e.reqFlat, int(e.reqOff[n]))
+	par.Do(workers, func(o int) {
+		e.offers.Fill(o, e.offerOff, e.offersFlat)
+		e.reqs.Fill(o, e.reqOff, e.reqFlat)
+	})
 
 	// Match: shard rendezvous nodes across workers, balanced by bucket
-	// size (the shuffle cost of MatchRendezvous is linear in it).
-	eng.rdvCut = exch.BalancedCuts(eng.rdvCut, n, workers, func(v int) int {
-		return int(eng.offerOff[v+1]-eng.offerOff[v]) + int(eng.reqOff[v+1]-eng.reqOff[v])
+	// size (the shuffle cost of MatchRendezvous is linear in it). A bucket
+	// with either side empty arranges nothing and draws nothing, so it is
+	// skipped before the reseed.
+	e.rdvCut = exch.BalancedCuts(e.rdvCut, n, workers, func(v int) int {
+		return int(e.offerOff[v+1]-e.offerOff[v]) + int(e.reqOff[v+1]-e.reqOff[v])
 	})
-	runPhase(workers, func(w int) {
-		ws := &eng.ws[w]
-		s := streams[w]
+	par.Do(workers, func(w int) {
+		ws := &e.ws[w]
+		ws.dates = ws.dates[:0]
+		s := serial
+		if s == nil {
+			s = ws.stream
+		}
 		emit := func(sender, receiver int32) {
 			ws.dates = append(ws.dates, Date{Sender: int(sender), Receiver: int(receiver)})
 		}
-		for v := eng.rdvCut[w]; v < eng.rdvCut[w+1]; v++ {
-			offers := eng.offersFlat[eng.offerOff[v]:eng.offerOff[v+1]]
-			requests := eng.reqFlat[eng.reqOff[v]:eng.reqOff[v+1]]
+		for v := e.rdvCut[w]; v < e.rdvCut[w+1]; v++ {
+			offers := e.offersFlat[e.offerOff[v]:e.offerOff[v+1]]
+			requests := e.reqFlat[e.reqOff[v]:e.reqOff[v+1]]
+			if len(offers) == 0 || len(requests) == 0 {
+				continue
+			}
+			if serial == nil {
+				ws.gen.Seed(rng.Derive(seed, domainMatch, uint64(v)))
+			}
 			MatchRendezvous(offers, requests, s, emit)
 		}
 	})
 
-	return mergeRound(n, workers, scratch)
-}
-
-// mergeDates concatenates per-worker dates in worker order and rebuilds the
-// per-node counters from the merged list, leaving the control-message
-// counters to the caller (the pipelined path captures them a fanout
-// earlier, before the fused scatter of the next round overwrites them).
-func mergeDates(n, workers int, scratch func(w int) *workerScratch) RoundResult {
-	res := RoundResult{
-		PerNodeOut: make([]int, n),
-		PerNodeIn:  make([]int, n),
-	}
+	// Merge: per-worker buffers hold contiguous ascending rendezvous ranges,
+	// so concatenating in worker order yields rendezvous order — the same
+	// sequence for every worker count.
 	total := 0
 	for w := 0; w < workers; w++ {
-		total += len(scratch(w).dates)
+		total += len(e.ws[w].dates)
 	}
-	res.Dates = make([]Date, 0, total)
+	dates := make([]Date, 0, total)
 	for w := 0; w < workers; w++ {
-		res.Dates = append(res.Dates, scratch(w).dates...)
+		dates = append(dates, e.ws[w].dates...)
 	}
-	for _, d := range res.Dates {
-		res.PerNodeOut[d.Sender]++
-		res.PerNodeIn[d.Receiver]++
-	}
-	return res
+	return dates
 }
 
-// mergeRound is mergeDates plus the control-message counters, for the
-// single-round paths where the scratch still holds this round's counts.
-func mergeRound(n, workers int, scratch func(w int) *workerScratch) RoundResult {
-	res := mergeDates(n, workers, scratch)
-	for w := 0; w < workers; w++ {
-		ws := scratch(w)
-		res.OffersSent += ws.offersSent
-		res.RequestsSent += ws.requestsSent
+// ensure sizes the scratch for an (n, workers) round. The request
+// exchanges are re-partitioned every round (a no-op while (n, workers) is
+// stable).
+func (e *engine) ensure(n, workers int) {
+	for len(e.ws) < workers {
+		gen := rng.NewXoshiro256(0)
+		e.ws = append(e.ws, engineWorker{gen: gen, stream: rng.NewWithSource(gen)})
 	}
-	return res
-}
-
-// ensure sizes the scratch for an (n, workers) round and recomputes the
-// sender shard boundaries when the worker count changes. Sender shards are
-// balanced by per-node request weight bout(i)+bin(i), so skewed profiles
-// still split evenly. The request exchanges are re-partitioned every round
-// (a no-op while (n, workers) is stable).
-func (eng *engineScratch) ensure(n, workers int) {
-	if len(eng.ws) < workers {
-		eng.ws = append(eng.ws, make([]workerScratch, workers-len(eng.ws))...)
-	}
-	if len(eng.offerOff) != n+1 {
-		eng.offerOff = make([]int32, n+1)
-		eng.reqOff = make([]int32, n+1)
-		eng.cutWorkers = 0
+	if len(e.offerOff) != n+1 {
+		e.offerOff = make([]int32, n+1)
+		e.reqOff = make([]int32, n+1)
 	}
 	part := exch.Partition{N: n, Parts: workers}
-	eng.offers.Reset(workers, part)
-	eng.reqs.Reset(workers, part)
-	if eng.cutWorkers != workers {
-		// The profile is fixed for the Service's lifetime, so the cuts only
-		// depend on the worker count; eng.weight is set by NewService.
-		eng.senderCut = exch.BalancedCuts(eng.senderCut, n, workers, eng.weight)
-		eng.cutWorkers = workers
-	}
+	e.offers.Reset(workers, part)
+	e.reqs.Reset(workers, part)
 }
 
 // grow returns s resliced to length size, reallocating only when needed.

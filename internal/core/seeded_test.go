@@ -49,8 +49,8 @@ func TestSeededRoundWorkerIndependence(t *testing.T) {
 }
 
 func TestSeededRoundScratchReuse(t *testing.T) {
-	// Reusing one Service across seeded, worker-stream and serial rounds
-	// must not leak state between the paths.
+	// Reusing one Service across seeded and serial rounds must not leak
+	// state between the two stream modes.
 	profile := bandwidth.Homogeneous(800, 2)
 	sel, _ := NewUniformSelector(800)
 	svc, err := NewService(profile, sel)
@@ -62,7 +62,7 @@ func TestSeededRoundScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.RunRound(rng.New(99))
-	if _, err := svc.RunRoundParallel(rng.NewStreams(5, 3), 3); err != nil {
+	if _, err := svc.RunRoundSeeded(5, 3); err != nil {
 		t.Fatal(err)
 	}
 	again, err := svc.RunRoundSeeded(7, 2)
@@ -147,12 +147,12 @@ func TestSeededRoundValidation(t *testing.T) {
 }
 
 func TestSeededFilteredChurnRebalance(t *testing.T) {
-	// Under skewed churn — every crash concentrated in the low id half — the
-	// static profile-weight cuts would leave the low-half workers idle. The
-	// filtered seeded path rebalances sender shards by live weight; the
-	// rebalanced cuts must split the surviving weight evenly, and (because
-	// seeded randomness derives per node, not per worker) the round's output
-	// must stay bit-identical to the static-cut workers=1 round.
+	// Under skewed churn — every crash concentrated in the low id half —
+	// cuts by profile weight would leave the low-half workers idle. The
+	// engine cuts sender shards by live weight; the cuts must split the
+	// surviving weight evenly, and (because seeded randomness derives per
+	// node, not per worker) the round's output must stay bit-identical to
+	// the workers=1 round.
 	const n = 4000
 	profile := bandwidth.Homogeneous(n, 2)
 	sel, _ := NewUniformSelector(n)
@@ -167,10 +167,10 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The live cuts were rebuilt for this round: no shard may hold more
+	// The cuts were built for this round's live set: no shard may hold more
 	// than its fair share of the surviving nodes (plus one boundary node).
 	// Copy: the slice is reused by later rounds' BalancedCuts calls.
-	cut := append([]int(nil), svc.eng.liveCut...)
+	cut := append([]int(nil), svc.eng.senderCut...)
 	if len(cut) != workers+1 {
 		t.Fatalf("live cuts not computed: %v", cut)
 	}
@@ -187,8 +187,8 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 				w, cut[w], cut[w+1], live, fair)
 		}
 	}
-	// The static cuts would give workers 0 and 1 zero live nodes; the
-	// rebalanced ones must not.
+	// Profile-weight cuts would give workers 0 and 1 zero live nodes; these
+	// must not.
 	for w := 0; w < workers; w++ {
 		live := 0
 		for i := cut[w]; i < cut[w+1]; i++ {
@@ -212,8 +212,8 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 }
 
 // BenchmarkSeededRound quantifies the derivation overhead of the
-// worker-count-independent round against the worker-stream and serial
-// paths at n=100k (the cost quoted in doc.go).
+// worker-count-independent round against the serial-stream round at n=100k
+// (the cost quoted in engine.go).
 func BenchmarkSeededRound(b *testing.B) {
 	const n = 100_000
 	profile := bandwidth.Homogeneous(n, 1)
@@ -223,15 +223,6 @@ func BenchmarkSeededRound(b *testing.B) {
 		s := rng.New(1)
 		for i := 0; i < b.N; i++ {
 			svc.RunRound(s)
-		}
-	})
-	b.Run("worker-stream-1", func(b *testing.B) {
-		svc, _ := NewService(profile, sel)
-		streams := rng.NewStreams(1, 1)
-		for i := 0; i < b.N; i++ {
-			if _, err := svc.RunRoundParallel(streams, 1); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 	b.Run("seeded-1", func(b *testing.B) {

@@ -196,25 +196,6 @@ func TestConcatSetBaseFlush(t *testing.T) {
 	}
 }
 
-func TestSwap(t *testing.T) {
-	// Swap must exchange the chunk storage of two Exchanges: records made
-	// into the back buffer drain from the front after a swap, byte for byte.
-	var front, back Exchange[int32]
-	const n, workers, count = 200, 3, 25
-	record(&front, workers, n, count, 1)
-	wantNext := record(&back, workers, n, count, 2)
-	// Drain the front (round r), then swap and drain round r+1.
-	drain(&front, n, workers)
-	front.Swap(&back)
-	off, out := drain(&front, n, workers)
-	for v := 0; v < n; v++ {
-		got := out[off[v]:off[v+1]]
-		if len(got) != len(wantNext[v]) || (len(got) > 0 && !reflect.DeepEqual(got, wantNext[v])) {
-			t.Fatalf("bucket %d after swap = %v, want %v", v, got, wantNext[v])
-		}
-	}
-}
-
 // TestRowIsolation pins the row-isolation rule by address arithmetic: the
 // last byte of any header in worker w's row and the first byte of any header
 // in another worker's row are at least a cache line apart, so they cannot

@@ -205,8 +205,7 @@ func (c AsyncConfig) Protocol() string { return "async" }
 // under DomainAsync and WithWorkers sets the shard count (a pure speed
 // knob — every count is bit-identical). The async runtime carries its own
 // latency model in AsyncConfig.Latency, so WithNet is rejected rather than
-// silently ignored; WithEngine and WithPipeline do not apply and are
-// ignored. Trajectory is the informed-peer count per bucket; Detail the
+// silently ignored; WithEngine does not apply and is ignored. Trajectory is the informed-peer count per bucket; Detail the
 // full AsyncResult.
 func (c AsyncConfig) Execute(o *run.Options) (run.Report, error) {
 	if o.Net != nil {

@@ -167,9 +167,6 @@ type ConsensusOptions struct {
 	// Net plugs a network model into the sharded engine; nil is perfect
 	// sync. The goroutine engine rejects non-nil models.
 	Net live.NetModel
-	// Pipeline > 1 runs the sharded engine's fused round loop;
-	// bit-identical to the sequential schedule.
-	Pipeline int
 	// Obs, when non-nil, receives the runtime's phase spans plus the
 	// protocol's per-round variant-share gauges on a "consensus" track.
 	Obs *obs.Observer
@@ -566,11 +563,7 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 		if err != nil {
 			return ConsensusResult{}, err
 		}
-		if o.Pipeline > 1 {
-			runRounds = rt.RunPipelined
-		} else {
-			runRounds = rt.Run
-		}
+		runRounds = rt.Run
 	default:
 		return ConsensusResult{}, fmt.Errorf("gossip: unknown live engine %d", o.Engine)
 	}
@@ -617,16 +610,14 @@ func (c ConsensusConfig) Protocol() string { return "consensus" }
 
 // Execute implements run.Spec: the runtime seed derives from the root seed
 // under DomainConsensus, WithEngine picks the substrate (default: the
-// sharded runtime), WithWorkers sets the shard count, WithNet the network
-// model and WithPipeline the fused round loop — all pure speed knobs under
-// perfect sync. Trajectory is the decided-peer history; Detail the full
+// sharded runtime), WithWorkers sets the shard count and WithNet the
+// network model — all pure speed knobs under perfect sync. Trajectory is the decided-peer history; Detail the full
 // ConsensusResult (per-round variant shares, winner, agreement).
 func (c ConsensusConfig) Execute(o *run.Options) (run.Report, error) {
 	copts := ConsensusOptions{
-		Seed:     run.SeedFor(o.Seed, run.DomainConsensus),
-		Net:      o.Net,
-		Pipeline: o.Pipeline,
-		Obs:      o.Obs,
+		Seed: run.SeedFor(o.Seed, run.DomainConsensus),
+		Net:  o.Net,
+		Obs:  o.Obs,
 	}
 	switch o.Engine {
 	case run.EngineGoroutine:

@@ -21,8 +21,8 @@ func consRun(t *testing.T, cfg ConsensusConfig, o ConsensusOptions) ConsensusRes
 }
 
 // TestConsensusShardIdentity pins the headline determinism claim for the
-// consensus spec: shard count and pipelining are pure speed knobs — the full
-// result (share histories, winner, traffic) is bit-identical at every count.
+// consensus spec: the shard count is a pure speed knob — the full result
+// (share histories, winner, traffic) is bit-identical at every count.
 func TestConsensusShardIdentity(t *testing.T) {
 	g := mustBA(t, 2000, 3, 7)
 	cfg := ConsensusConfig{Variants: 3, Graph: g, Seeding: SeedDistinct, Rule: RuleMajority, MaxRounds: 150}
@@ -35,10 +35,6 @@ func TestConsensusShardIdentity(t *testing.T) {
 		if fmt.Sprint(res) != fmt.Sprint(base) {
 			t.Errorf("shards=%d diverged:\n got %+v\nwant %+v", shards, res, base)
 		}
-	}
-	pl := consRun(t, cfg, ConsensusOptions{Seed: 42, Engine: LiveSharded, Shards: 4, Pipeline: 4})
-	if fmt.Sprint(pl) != fmt.Sprint(base) {
-		t.Errorf("pipelined run diverged:\n got %+v\nwant %+v", pl, base)
 	}
 }
 
@@ -337,7 +333,7 @@ func TestConsensusSpec(t *testing.T) {
 
 // TestConsensusTalliesMatchRecount pins the per-shard variant share rows
 // against the full recount they replace, after every round, at several
-// shard counts, on both schedules and under both state layouts (stamps and
+// shard counts and under both state layouts (stamps and
 // heard tallies); under -race it also pins that each row has one writer.
 // The runtime is driven round by round, as RunConsensus does.
 func TestConsensusTalliesMatchRecount(t *testing.T) {
@@ -367,11 +363,7 @@ func TestConsensusTalliesMatchRecount(t *testing.T) {
 			got, want := make([]int, k), make([]int, k)
 			decided := 0
 			for round := 0; round < 30; round++ {
-				if round%2 == 0 {
-					rt.Run(1)
-				} else {
-					rt.RunPipelined(1)
-				}
+				rt.Run(1)
 				decided = st.counts(got)
 				if wantDecided := st.recount(want); decided != wantDecided || fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("rule=%v shards=%d round %d: tallies say %d decided %v; recount %d %v",

@@ -35,13 +35,7 @@ func datingStep(svc *core.Service, b *par.Budget) stepFunc {
 		// One draw per round whatever the worker count, so the run stream
 		// evolves identically for every budget size.
 		seed := s.Uint64()
-		var res core.RoundResult
-		var err error
-		if b != nil {
-			res, err = svc.RunRoundSharedFiltered(seed, b, alive)
-		} else {
-			res, err = svc.RunRoundSeededFiltered(seed, 1, alive)
-		}
+		res, err := svc.RunRoundShared(seed, b, alive)
 		if err != nil {
 			// Run validated the configuration; a failure here is a
 			// programming error, not a runtime condition.

@@ -143,7 +143,7 @@ type stepFunc func(st *state, s *rng.Stream)
 // by exactly one value per dating round regardless of how the round is
 // parallelized.
 func Run(cfg Config, s *rng.Stream) (Result, error) {
-	return runBudgeted(cfg, s, nil, 0, nil)
+	return runBudgeted(cfg, s, nil, nil)
 }
 
 // roundObs is the dating loop's instrumentation: a whole-round span per
@@ -190,18 +190,13 @@ func (ro *roundObs) sample(round, sent int, b *par.Budget) {
 	ro.tr.Barrier()
 }
 
-// runBudgeted is Run with an optional shared worker budget and pipelining
-// depth. When b is non-nil every dating round runs with the caller's worker
-// plus whatever spare tokens the pool has that round; the seeded path is
-// worker-count independent, so the fluctuating counts are a pure speed
-// knob. pipeline > 1 batches that many dating rounds through the
-// double-buffered engine (core.RunRoundsSeeded) when the algorithm allows
-// it — Dating without crashes; crashing runs need round r's deaths before
-// round r+1's scatter, exactly the barrier pipelining removes — and is
-// bit-identical to the sequential schedule either way. tr, when non-nil,
-// receives a whole-round span and the per-round gauges of every dating
+// runBudgeted is Run with an optional shared worker budget. When b is
+// non-nil every dating round runs with the caller's worker plus whatever
+// spare tokens the pool has that round; a seeded round is worker-count
+// independent, so the fluctuating counts are a pure speed knob. tr, when
+// non-nil, receives a whole-round span and the per-round gauges of every
 // round; observation is read-only and never touches the run stream.
-func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, pipeline int, tr *obs.Track) (Result, error) {
+func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, error) {
 	n := cfg.n()
 	if n <= 0 {
 		return Result{}, fmt.Errorf("gossip: config needs N or a Profile")
@@ -209,10 +204,8 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, pipeline int, tr *obs
 	if cfg.Source < 0 || cfg.Source >= n {
 		return Result{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	if cfg.CrashProb < 0 || cfg.CrashProb >= 1 {
-		if cfg.CrashProb != 0 {
-			return Result{}, fmt.Errorf("gossip: crash probability %v out of [0,1)", cfg.CrashProb)
-		}
+	if !(cfg.CrashProb >= 0 && cfg.CrashProb < 1) { // NaN fails both
+		return Result{}, fmt.Errorf("gossip: crash probability %v out of [0,1)", cfg.CrashProb)
 	}
 	profile := cfg.Profile
 	if profile.N() == 0 {
@@ -220,7 +213,6 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, pipeline int, tr *obs
 	}
 
 	var step stepFunc
-	var svc *core.Service
 	switch cfg.Algorithm {
 	case Push:
 		step = stepPush
@@ -241,8 +233,7 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, pipeline int, tr *obs
 			}
 			sel = u
 		}
-		var err error
-		svc, err = core.NewService(profile, sel)
+		svc, err := core.NewService(profile, sel)
 		if err != nil {
 			return Result{}, err
 		}
@@ -273,10 +264,6 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, pipeline int, tr *obs
 	}
 
 	ro := newRoundObs(tr)
-	if svc != nil && pipeline > 1 && cfg.CrashProb == 0 {
-		return runDatingPipelined(cfg, svc, s, b, pipeline, maxRounds, st, ro)
-	}
-
 	var res Result
 	for round := 1; round <= maxRounds; round++ {
 		if cfg.CrashProb > 0 {
@@ -300,64 +287,9 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, pipeline int, tr *obs
 	return res, nil
 }
 
-// runDatingPipelined is the Dating round loop on the pipelined engine: the
-// per-round seeds of a batch are drawn off the run stream up front — the
-// same values, in the same order, as the sequential loop's one draw per
-// round — and the batch runs through core.RunRoundsSeeded, which overlaps
-// round r+1's scatter with round r's matching. Completion mid-batch simply
-// discards the remaining results; nothing after the loop reads the stream,
-// so the histories are bit-identical to the sequential schedule.
-func runDatingPipelined(cfg Config, svc *core.Service, s *rng.Stream, b *par.Budget, depth, maxRounds int, st *state, ro *roundObs) (Result, error) {
-	var res Result
-	seeds := make([]uint64, 0, depth)
-	round := 1
-	for round <= maxRounds {
-		k := depth
-		if rem := maxRounds - round + 1; k > rem {
-			k = rem
-		}
-		seeds = seeds[:0]
-		for j := 0; j < k; j++ {
-			seeds = append(seeds, s.Uint64())
-		}
-		var batch []core.RoundResult
-		runBatch := func(workers int) {
-			var err error
-			batch, err = svc.RunRoundsSeeded(seeds, workers)
-			if err != nil {
-				panic(fmt.Sprintf("gossip: pipelined dating rounds failed: %v", err))
-			}
-		}
-		// The batch span covers all k pipelined rounds; it is attributed to
-		// the batch's first round so trace viewers line it up with the gauge
-		// samples of the rounds it produced.
-		ro.span(round, func() {
-			if b != nil {
-				b.Use(0, runBatch)
-			} else {
-				runBatch(1)
-			}
-		})
-		for _, rr := range batch {
-			st.reset()
-			applyDates(st, rr.Dates)
-			st.informed, st.next = st.next, st.informed
-			done := roundEpilogue(&cfg, st, &res, round)
-			ro.sample(round, res.SentHistory[len(res.SentHistory)-1], b)
-			if done {
-				res.Completed = true
-				return res, nil
-			}
-			round++
-		}
-	}
-	return res, nil
-}
-
 // roundEpilogue folds one completed round into the result — informed and
 // I_t histories, per-node load maxima, the OnRound hook — and reports
-// whether every live node is informed. Shared by the sequential and the
-// pipelined loops so both account rounds identically.
+// whether every live node is informed.
 func roundEpilogue(cfg *Config, st *state, res *Result, round int) bool {
 	count, it, done := tally(st)
 	res.Rounds = round

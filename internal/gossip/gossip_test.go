@@ -36,8 +36,10 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Algorithm: Push, N: 5, Source: 5}, s); err == nil {
 		t.Error("accepted out-of-range source")
 	}
-	if _, err := Run(Config{Algorithm: Push, N: 5, CrashProb: 1.5}, s); err == nil {
-		t.Error("accepted crash probability > 1")
+	for _, p := range []float64{1.5, 1, -0.1, math.NaN()} {
+		if _, err := Run(Config{Algorithm: Dating, N: 64, CrashProb: p}, s); err == nil {
+			t.Errorf("accepted crash probability %v", p)
+		}
 	}
 	if _, err := Run(Config{Algorithm: Algorithm(42), N: 5}, s); err == nil {
 		t.Error("accepted unknown algorithm")

@@ -143,13 +143,7 @@ func runMultiRumorBudgeted(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (
 		// One draw per round whatever the worker count, so the run stream
 		// evolves identically for every budget size.
 		seed := s.Uint64()
-		var pres core.RoundResult
-		var err error
-		if b != nil {
-			pres, err = svc.RunRoundShared(seed, b)
-		} else {
-			pres, err = svc.RunRoundSeeded(seed, 1)
-		}
+		pres, err := svc.RunRoundShared(seed, b, nil)
 		if err != nil {
 			return MultiRumorResult{}, err
 		}

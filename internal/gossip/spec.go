@@ -4,8 +4,8 @@ package gossip
 // gossip protocols: single-rumor spreading, multi-rumor spreading, and the
 // fully message-level live run. The configs carry only the protocol; the
 // orthogonal axes — seed, worker budget, execution substrate, network
-// model, pipelining depth — come exclusively from the run options, which
-// is what keeps the axes orthogonal to the protocol choice.
+// model — come exclusively from the run options, which is what keeps the
+// axes orthogonal to the protocol choice.
 
 import (
 	"repro/internal/run"
@@ -15,13 +15,11 @@ import (
 func (c Config) Protocol() string { return "rumor" }
 
 // Execute implements run.Spec: the run stream derives from the root seed
-// under DomainRumor, every dating round draws its workers from the shared
-// budget, and WithPipeline batches crash-free dating rounds through the
-// double-buffered engine. Trajectory is the informed-node history; Detail
-// the full Result.
+// under DomainRumor and every dating round draws its workers from the
+// shared budget. Trajectory is the informed-node history; Detail the full
+// Result.
 func (c Config) Execute(o *run.Options) (run.Report, error) {
-	res, err := runBudgeted(c, run.StreamFor(o.Seed, run.DomainRumor), o.Budget, o.Pipeline,
-		o.Obs.Track("rumor", 1))
+	res, err := runBudgeted(c, run.StreamFor(o.Seed, run.DomainRumor), o.Budget, o.Obs.Track("rumor", 1))
 	if err != nil {
 		return run.Report{}, err
 	}
@@ -64,17 +62,15 @@ func (c LiveConfig) Protocol() string { return "live" }
 
 // Execute implements run.Spec: the runtime seed derives from the root seed
 // under DomainLive, WithEngine picks the substrate (default: the sharded
-// runtime), WithWorkers sets the shard count, WithNet the network model
-// and WithPipeline the fused round loop. Under the perfect-sync model
-// every engine, every worker count and every pipelining depth yields the
-// identical report. Trajectory is the informed-peer history; Detail the
-// full LiveResult.
+// runtime), WithWorkers sets the shard count and WithNet the network
+// model. Under the perfect-sync model every engine and every worker count
+// yields the identical report. Trajectory is the informed-peer history;
+// Detail the full LiveResult.
 func (c LiveConfig) Execute(o *run.Options) (run.Report, error) {
 	lo := LiveOptions{
-		Seed:     run.SeedFor(o.Seed, run.DomainLive),
-		Net:      o.Net,
-		Pipeline: o.Pipeline,
-		Obs:      o.Obs,
+		Seed: run.SeedFor(o.Seed, run.DomainLive),
+		Net:  o.Net,
+		Obs:  o.Obs,
 	}
 	switch o.Engine {
 	case run.EngineGoroutine:

@@ -45,11 +45,6 @@ func TestTopologyShardIdentity(t *testing.T) {
 			t.Errorf("shards=%d diverged:\n got %+v\nwant %+v", shards, res, base)
 		}
 	}
-	// Pipelining is a pure scheduling change too.
-	pl := topoTrajectory(t, cfg, TopologyOptions{Seed: 42, Engine: LiveSharded, Shards: 4, Pipeline: 4})
-	if fmt.Sprint(pl) != fmt.Sprint(base) {
-		t.Errorf("pipelined run diverged:\n got %+v\nwant %+v", pl, base)
-	}
 }
 
 // TestTopologyEngineIdentity pins that the goroutine engine (sequential and
@@ -212,8 +207,8 @@ func TestTopologySpec(t *testing.T) {
 }
 
 // TestTopologyTalliesMatchRecount pins the per-shard state tallies against
-// the full recount they replace, after every round, at several shard counts
-// and on both schedules; under -race it also pins that each tally cell has
+// the full recount they replace, after every round, at several shard
+// counts; under -race it also pins that each tally cell has
 // one writer. The runtime is driven round by round, as RunTopology does.
 func TestTopologyTalliesMatchRecount(t *testing.T) {
 	g := mustBA(t, 3000, 3, 7)
@@ -232,11 +227,7 @@ func TestTopologyTalliesMatchRecount(t *testing.T) {
 		}
 		stiflers := 0
 		for round := 0; round < 60; round++ {
-			if round%2 == 0 {
-				rt.Run(1)
-			} else {
-				rt.RunPipelined(1)
-			}
+			rt.Run(1)
 			sp, sf := st.counts()
 			wantSp, wantSf := st.recount()
 			if sp != wantSp || sf != wantSf {

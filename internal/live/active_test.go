@@ -64,7 +64,7 @@ type napperRun struct {
 	streams []rng.Xoshiro256
 }
 
-func runNapper(t *testing.T, n, rounds, shards int, net NetModel, pipelined, dense bool, o *obs.Observer) (napperRun, *napper) {
+func runNapper(t *testing.T, n, rounds, shards int, net NetModel, dense bool, o *obs.Observer) (napperRun, *napper) {
 	t.Helper()
 	p := newNapper(n, rounds)
 	cfg := Config{N: n, Seed: 42, Shards: shards, Net: net, Obs: o}
@@ -79,14 +79,10 @@ func runNapper(t *testing.T, n, rounds, shards int, net NetModel, pipelined, den
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := rt.Run
-	if pipelined {
-		run = rt.RunPipelined
-	}
 	var sent []int64
 	var prev int64
 	for r := 0; r < rounds; r++ {
-		st := run(1)
+		st := rt.Run(1)
 		sent = append(sent, st.Sent-prev)
 		prev = st.Sent
 	}
@@ -97,8 +93,8 @@ func runNapper(t *testing.T, n, rounds, shards int, net NetModel, pipelined, den
 // awake-reporting step run through ActiveStep, where sleeping peers are
 // skipped, and through dense Step, where its answer is ignored and everyone
 // is stepped, must leave identical traffic, per-round sent counts, per-peer
-// state and per-peer stream positions — at every shard count, on both
-// schedules, under every kind of network model.
+// state and per-peer stream positions — at every shard count, under every
+// kind of network model.
 func TestActiveStepMatchesDense(t *testing.T) {
 	const n, rounds = 600, 40
 	nets := map[string]NetModel{
@@ -109,20 +105,18 @@ func TestActiveStepMatchesDense(t *testing.T) {
 	}
 	for name, net := range nets {
 		t.Run(name, func(t *testing.T) {
-			want, _ := runNapper(t, n, rounds, 1, net, false, true, nil)
+			want, _ := runNapper(t, n, rounds, 1, net, true, nil)
 			if want.stats.Sent == 0 || want.stats.ByKind[1] == 0 || want.stats.ByKind[2] == 0 {
 				t.Fatalf("degenerate reference run: %+v", want.stats)
 			}
 			for _, shards := range []int{1, 2, 4} {
-				for _, pipelined := range []bool{false, true} {
-					got, p := runNapper(t, n, rounds, shards, net, pipelined, false, nil)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("shards=%d pipelined=%v: ActiveStep diverged from dense Step; sent per round\n got %v\nwant %v",
-							shards, pipelined, got.sent, want.sent)
-					}
-					if !p.sleptWokeSlept() {
-						t.Errorf("shards=%d pipelined=%v: no peer slept, was woken by mail and slept again", shards, pipelined)
-					}
+				got, p := runNapper(t, n, rounds, shards, net, false, nil)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("shards=%d: ActiveStep diverged from dense Step; sent per round\n got %v\nwant %v",
+						shards, got.sent, want.sent)
+				}
+				if !p.sleptWokeSlept() {
+					t.Errorf("shards=%d: no peer slept, was woken by mail and slept again", shards)
 				}
 			}
 		})
@@ -160,9 +154,9 @@ func TestSteppedGauge(t *testing.T) {
 		t.Fatal("no stepped gauge on the live track")
 		return obs.GaugeMetric{}
 	}
-	plain, _ := runNapper(t, n, rounds, 4, FixedLatency{Rounds: 3}, false, false, nil)
+	plain, _ := runNapper(t, n, rounds, 4, FixedLatency{Rounds: 3}, false, nil)
 	o := obs.NewObserver()
-	traced, p := runNapper(t, n, rounds, 4, FixedLatency{Rounds: 3}, false, false, o)
+	traced, p := runNapper(t, n, rounds, 4, FixedLatency{Rounds: 3}, false, o)
 	if fmt.Sprint(traced) != fmt.Sprint(plain) {
 		t.Fatal("attaching an observer changed the run")
 	}
@@ -184,7 +178,7 @@ func TestSteppedGauge(t *testing.T) {
 	}
 
 	o = obs.NewObserver()
-	runNapper(t, n, rounds, 4, nil, true, true, o)
+	runNapper(t, n, rounds, 4, nil, true, o)
 	if g := gauge(o); g.Min != n || g.Max != n {
 		t.Errorf("dense Step stepped gauge %+v, want %d every round", g, n)
 	}

@@ -29,16 +29,6 @@
 //	         chunks in parallel (same shard-order concatenation as the old
 //	         serial append pass); traffic counters are merged.
 //
-// RunPipelined removes one of the three barriers: because each owner's
-// destination range is exactly its own peer range, owner o can step its
-// peers the moment its Fill returns, without waiting for the other owners'
-// sorts — deliver's fill and the step phase fuse into one fanout (Fill
-// returns the owner's end offset precisely so the last peer's inbox can be
-// bounded without reading the offset a neighbouring owner is still
-// writing). Emission already overlaps stepping by construction, so a
-// pipelined round runs record → fill+step → route flush. Both schedules
-// step through the same loop (stepRange).
-//
 // # Sleeping peers
 //
 // A protocol whose peers are mostly idle hands the runtime an
@@ -57,7 +47,7 @@
 // # Determinism
 //
 // A run is a pure function of (n, seed, step, net model) — the shard count
-// and the pipelined flag are invisible. Three properties make that hold:
+// is invisible. Three properties make that hold:
 //
 //   - Peer randomness: peer i draws from a stream seeded
 //     rng.Derive(seed, peerDomain, i), stored as a flat xoshiro state array;
@@ -74,8 +64,7 @@
 //
 // The runtime is therefore bit-identical to a sequential run for any shard
 // count, and — under the Sync model, with identical per-peer streams — to
-// simnet.Live itself. The test suite pins both properties, and pins
-// RunPipelined against Run.
+// simnet.Live itself. The test suite pins both properties.
 package live
 
 import (
@@ -463,44 +452,23 @@ func (rt *Runtime) Run(rounds int) simnet.Stats {
 	return rt.stats
 }
 
-// RunPipelined is Run with the deliver sort and the step phase fused: each
-// owner steps its peers the moment its own range is sorted, instead of
-// waiting at a global barrier for every owner's sort — one fanout fewer
-// per round (see the package comment). Results are bit-for-bit identical
-// to Run; only the schedule changes. Run and RunPipelined may be freely
-// interleaved on one Runtime.
-func (rt *Runtime) RunPipelined(rounds int) simnet.Stats {
-	for r := 0; r < rounds; r++ {
-		if !rt.deliverRecord() {
-			// Empty round: nothing to sort, step from the zeroed offsets.
-			rt.stepAll()
-		} else {
-			// The fused fill+step is recorded as a step span: the pipelined
-			// schedule has no separate deliver phase to time.
-			rt.fanOutSpan(obs.PhaseStep, func(o int) {
-				rt.stepRange(o, rt.fillOwner(o))
-			})
-			rt.deliverEpilogue()
-		}
-		rt.route()
-		rt.round++
-		rt.stats.Rounds++
-	}
-	return rt.stats
-}
-
 // Inbox returns the messages delivered to peer i in the round Run executed
 // last, for post-run inspection. Valid until the next Run call.
 func (rt *Runtime) Inbox(i int) []simnet.Message {
 	return rt.sorted[rt.inOff[i]:rt.inOff[i+1]]
 }
 
-// deliverRecord runs the record half of the delivery sort: shard w splits
-// its contiguous chunk of the due slot into per-owner (destination, index)
-// chunks, and the serial Prefix assigns owner base offsets. It reports
-// whether there is anything to sort; an empty slot zeroes the delivered
-// view so inboxes read empty.
-func (rt *Runtime) deliverRecord() bool {
+// deliver counting-sorts the slot due this round by destination on the
+// owner-range exchange: shard w splits its contiguous chunk of the slot
+// into per-owner (destination, index) chunks, the serial Prefix assigns
+// owner base offsets, and each owner Fills its own peer range — the slot
+// indices of its incoming messages in canonical order plus the per-peer
+// offsets — and gathers the messages themselves. Within a bucket Fill's
+// order is ascending slot position: the canonical (send round, sender,
+// emission index) order. Delivery scratch is O(n + messages) — the owners'
+// count arrays partition [0, n) instead of every shard holding a length-n
+// array. An empty slot zeroes the delivered view so inboxes read empty.
+func (rt *Runtime) deliver() {
 	slot := rt.round % (rt.maxDelay + 1)
 	buf := rt.slots[slot]
 	if len(buf) == 0 {
@@ -508,7 +476,7 @@ func (rt *Runtime) deliverRecord() bool {
 		for i := range rt.inOff {
 			rt.inOff[i] = 0
 		}
-		return false
+		return
 	}
 
 	bufPart := exch.Partition{N: len(buf), Parts: rt.shards}
@@ -533,60 +501,30 @@ func (rt *Runtime) deliverRecord() bool {
 	}
 	rt.sorted = rt.sorted[:len(buf)]
 	rt.sortedIdx = rt.sortedIdx[:len(buf)]
-	return true
-}
 
-// fillOwner sorts owner o's peer range: Fill places the slot indices of
-// o's incoming messages in canonical order and writes the per-peer offsets,
-// then the gather copies the messages themselves. Returns o's end offset.
-// Within a bucket Fill's order is ascending slot position — the canonical
-// (send round, sender, emission index) order, exactly as the pre-kernel
-// per-shard-counts sort produced.
-func (rt *Runtime) fillOwner(o int) int32 {
-	buf := rt.slots[rt.round%(rt.maxDelay+1)]
-	end := rt.inbox.Fill(o, rt.inOff, rt.sortedIdx)
-	for j := rt.inbox.Base(o); j < end; j++ {
-		rt.sorted[j] = buf[rt.sortedIdx[j]]
-	}
-	return end
-}
-
-// deliverEpilogue closes the offset table and recycles the drained slot.
-func (rt *Runtime) deliverEpilogue() {
-	slot := rt.round % (rt.maxDelay + 1)
-	rt.inOff[rt.n] = int32(len(rt.slots[slot]))
-	rt.slots[slot] = rt.slots[slot][:0]
-}
-
-// deliver counting-sorts the slot due this round by destination on the
-// owner-range exchange: record per-owner chunks, serial prefix, per-owner
-// Fill + gather. Delivery scratch is O(n + messages) — the owners' count
-// arrays partition [0, n) instead of every shard holding a length-n array.
-func (rt *Runtime) deliver() {
-	if !rt.deliverRecord() {
-		return
-	}
-	rt.fanOutSpan(obs.PhaseDeliver, func(o int) { rt.fillOwner(o) })
-	rt.deliverEpilogue()
-}
-
-// stepAll advances the peers one round after a full deliver barrier, when
-// every owner's offsets (and the closing inOff[n]) are in place.
-func (rt *Runtime) stepAll() {
-	rt.fanOutSpan(obs.PhaseStep, func(w int) {
-		rt.stepRange(w, rt.inOff[rt.part.End(w)])
+	rt.fanOutSpan(obs.PhaseDeliver, func(o int) {
+		end := rt.inbox.Fill(o, rt.inOff, rt.sortedIdx)
+		for j := rt.inbox.Base(o); j < end; j++ {
+			rt.sorted[j] = buf[rt.sortedIdx[j]]
+		}
 	})
+	rt.inOff[rt.n] = int32(len(buf))
+	rt.slots[slot] = buf[:0]
+}
+
+// stepAll advances the peers one round after the deliver barrier, when
+// every offset (and the closing inOff[n]) is in place.
+func (rt *Runtime) stepAll() {
+	rt.fanOutSpan(obs.PhaseStep, rt.stepRange)
 }
 
 // stepRange is the runtime's one step loop: shard w walks its peer range in
 // ascending order, pointing the shared cursor stream at each peer it steps,
-// and skips the peers that are asleep and have no mail. end is the end
-// offset of the range's last inbox: the fused schedule passes Fill's return
-// value, because inOff[hi] belongs to the next owner, who may still be
-// writing it. Everything the loop reads per peer is hoisted into locals,
-// and the skipped peers are counted rather than the stepped ones, so a
-// dense protocol pays for one test of a local per peer and nothing else.
-func (rt *Runtime) stepRange(w int, end int32) {
+// and skips the peers that are asleep and have no mail. Everything the loop
+// reads per peer is hoisted into locals, and the skipped peers are counted
+// rather than the stepped ones, so a dense protocol pays for one test of a
+// local per peer and nothing else.
+func (rt *Runtime) stepRange(w int) {
 	sh := &rt.sh[w]
 	lo, hi := rt.part.Range(w)
 	inOff, sorted, asleep := rt.inOff, rt.sorted, rt.asleep
@@ -595,10 +533,7 @@ func (rt *Runtime) stepRange(w int, end int32) {
 	skipped := 0
 	start := inOff[lo]
 	for i := lo; i < hi; i++ {
-		stop := end
-		if i+1 < hi {
-			stop = inOff[i+1]
-		}
+		stop := inOff[i+1]
 		if active != nil && start == stop && asleep[i] {
 			skipped++
 		} else {

@@ -45,10 +45,9 @@ import (
 type Phase uint8
 
 // The instrumented phases. Deliver/Step/Route are the three phases of the
-// sharded runtimes' round loop (in the live runtime's pipelined schedule
-// the delivery fill is fused into Step); Round is the whole-round span of
-// the core engine's dating rounds, which parallelize inside the engine
-// rather than across long-lived shards.
+// sharded runtimes' round loop; Round is the whole-round span of the core
+// engine's dating rounds, which parallelize inside the engine rather than
+// across long-lived shards.
 const (
 	PhaseDeliver Phase = iota
 	PhaseStep

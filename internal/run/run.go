@@ -109,12 +109,6 @@ type Options struct {
 	// Net plugs a network model into message-level substrates; nil is the
 	// paper's perfect-sync network.
 	Net live.NetModel
-	// Pipeline is the round-pipelining depth: protocols whose rounds can be
-	// fused run batches of up to Pipeline rounds with the scatter of round
-	// r+1 overlapping the match of round r (core.RunRoundsSeeded) or with
-	// the delivery sort fused into the step phase (live's RunPipelined).
-	// 0 or 1 means sequential rounds; results are bit-identical either way.
-	Pipeline int
 	// Trace receives the run's per-round progress, one call per protocol
 	// round in round order with the trajectory value of that round. Calls
 	// are a replay of the recorded trajectory after the protocol finishes
@@ -147,16 +141,6 @@ func WithEngine(e Engine) Option { return func(o *Options) { o.Engine = e } }
 // WithNet plugs a network model — latency, loss, churn — into the run.
 // Only message-level protocols (live spreading) consult it.
 func WithNet(m live.NetModel) Option { return func(o *Options) { o.Net = m } }
-
-// WithPipeline sets the round-pipelining depth (default 1, sequential):
-// protocols with fusable rounds execute batches of up to k rounds with the
-// next round's request scatter overlapping the current round's matching
-// (and, on the live runtime, the delivery sort fused into the step phase).
-// Pipelining is a pure scheduling change — every depth produces the same
-// report bit for bit; protocols whose rounds cannot be fused (e.g. crashing
-// nodes, where round r+1 may not start before round r's deaths are known)
-// ignore it.
-func WithPipeline(k int) Option { return func(o *Options) { o.Pipeline = k } }
 
 // WithTrace registers a per-round observer: fn is called once per protocol
 // round, in round order, with the round number (1-based) and that round's
@@ -264,9 +248,6 @@ func Run(spec Spec, opts ...Option) (Report, error) {
 	}
 	if o.Workers < 1 {
 		return Report{}, fmt.Errorf("run: workers %d must be at least 1", o.Workers)
-	}
-	if o.Pipeline < 0 {
-		return Report{}, fmt.Errorf("run: pipeline depth %d must be non-negative", o.Pipeline)
 	}
 	if o.Budget == nil {
 		b, err := par.NewBudget(o.Workers)

@@ -12,10 +12,9 @@ type Experiment struct {
 	// repetitions across workers goroutines where the experiment supports
 	// harness parallelism (see parallel.go); results are byte-identical
 	// for every worker count. Experiments without repetition parallelism
-	// accept the knob and run serially. The two benchmarks are special:
-	// engine sweeps its own internal worker counts (the knob is ignored),
-	// live feeds the knob to its runtime as the shard count — either way
-	// only their timing columns vary run to run.
+	// accept the knob and run serially. The live benchmark is special: it
+	// feeds the knob to its runtime as the shard count, and only its timing
+	// columns vary run to run.
 	Run func(scale Scale, seed uint64, workers int) (*stats.Table, error)
 }
 
@@ -37,8 +36,8 @@ func tabler[T interface{ Table() *stats.Table }](f func(Scale, uint64) (T, error
 }
 
 // Registry lists every experiment in DESIGN.md's per-experiment index, in
-// presentation order, plus the round-engine throughput benchmark (not part
-// of the paper's evaluation, but sharing the same driver interface).
+// presentation order, plus the runtime sweeps that are not part of the
+// paper's evaluation but share the same driver interface.
 func Registry() []Experiment {
 	return []Experiment{
 		{"figure1", "fraction of dates arranged (uniform vs DHT)", parTabler(RunFigure1Par)},
@@ -54,7 +53,6 @@ func Registry() []Experiment {
 		{"multirumor", "E11: concurrent rumors share the dates", parTabler(RunMultiRumorExperimentPar)},
 		{"loads", "E12: worst per-node loads (bandwidth honesty)", parTabler(RunLoadViolationPar)},
 		{"dynamicdht", "E13: spreading over a churning DHT", parTabler(RunDynamicDHTPar)},
-		{"engine", "round-engine throughput, serial vs parallel workers", tabler(RunEngineScaled)},
 		{"live", "sharded message runtime: scale sweep + latency/loss sensitivity", parTabler(RunLiveScaled)},
 		{"async", "sync-vs-async spread curves on exponential peer clocks", parTabler(RunAsyncCompare)},
 		{"topology", "graph-constrained spreader/stifler spreading: final size vs alpha", parTabler(RunTopologySpread)},

@@ -159,13 +159,7 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
 		}
 		// One draw from s seeds the whole round, so the run consumes the
 		// same stream positions at every worker count.
-		var dates []core.Date
-		var err error
-		if b != nil {
-			dates, err = arr.ArrangeShared(out, in, s.Uint64(), b)
-		} else {
-			dates, err = arr.Arrange(out, in, s.Uint64(), 1)
-		}
+		dates, err := arr.ArrangeShared(out, in, s.Uint64(), b)
 		if err != nil {
 			return Result{}, err
 		}

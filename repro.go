@@ -263,9 +263,8 @@ const (
 // per protocol, so protocols sharing a seed draw from disjoint stream
 // families and a report is a pure function of (spec, seed). The worker
 // budget (WithWorkers), the execution substrate (WithEngine, under the
-// perfect-sync network), the pipelining depth (WithPipeline) and shared
-// budgets are pure speed knobs — the seed-compatibility tests pin Run's
-// output bit-for-bit across all of them.
+// perfect-sync network) and shared budgets are pure speed knobs — the
+// seed-compatibility tests pin Run's output bit-for-bit across all of them.
 func Run(spec Spec, opts ...RunOption) (Report, error) { return run.Run(spec, opts...) }
 
 // WithSeed sets the run's root seed (default 0); two runs of one spec and
@@ -290,14 +289,6 @@ func WithEngine(e LiveEngine) RunOption {
 // WithNet plugs a network model — latency, loss, churn, ring-distance
 // asymmetry — into a live run; nil is the paper's perfect-sync model.
 func WithNet(m NetModel) RunOption { return run.WithNet(m) }
-
-// WithPipeline sets the round-pipelining depth (default 1, sequential).
-// Protocols with fusable rounds execute batches of up to k rounds with the
-// next round's request scatter overlapping the current round's matching
-// (rumor spreading on the dating service) or with the delivery sort fused
-// into the step phase (the sharded live runtime). Pipelining is a pure
-// scheduling change: every depth produces the same report bit for bit.
-func WithPipeline(k int) RunOption { return run.WithPipeline(k) }
 
 // WithTrace registers a per-round observer: fn is called once per protocol
 // round, in round order, with the 1-based round number and that round's

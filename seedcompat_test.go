@@ -2,9 +2,8 @@ package repro
 
 // Seed-compatibility golden tests for the unified runner: for every
 // protocol, Run(spec, WithSeed(s)) is pinned bit-for-bit by an FNV-1a hash
-// over the unified report, and must be bit-identical across worker budgets,
-// pipelining depths and (for live runs) execution substrates — the whole
-// point of the seed-first API is that *no* option other than the seed can
+// over the unified report, and must be bit-identical across worker budgets
+// and (for live runs) execution substrates — the whole point of the seed-first API is that *no* option other than the seed can
 // move a number. The hashes were captured from the pre-exch-kernel
 // implementation, so they also pin the refactored engine, the Arranger and
 // the live runtime against their historical output. The tests run each
@@ -123,30 +122,27 @@ func intsEqual(a, b []int) bool {
 
 func TestSeedCompatGoldens(t *testing.T) {
 	// The golden table itself, plus the option-invariance sweep: worker
-	// budgets 1/2/8 and pipelining depths 0/3 must all hash to the pinned
-	// value — they are pure speed knobs.
+	// budgets 1/2/8 must all hash to the pinned value — they are pure speed
+	// knobs.
 	for _, tc := range compatCases {
 		t.Run(tc.name, func(t *testing.T) {
 			for n, want := range tc.want {
 				var ref Report
 				first := true
 				for _, w := range []int{1, 2, 8} {
-					for _, depth := range []int{0, 3} {
-						rep, err := Run(tc.spec(n), WithSeed(compatSeed), WithWorkers(w), WithPipeline(depth))
-						if err != nil {
-							t.Fatalf("n=%d workers=%d pipeline=%d: %v", n, w, depth, err)
-						}
-						if got := hashReport(rep); got != want {
-							t.Fatalf("n=%d workers=%d pipeline=%d: report hash %#016x, pinned %#016x",
-								n, w, depth, got, want)
-						}
-						if first {
-							ref, first = rep, false
-							continue
-						}
-						if !reflect.DeepEqual(stripTiming(rep), stripTiming(ref)) {
-							t.Fatalf("n=%d workers=%d pipeline=%d: report differs beyond the hashed fields", n, w, depth)
-						}
+					rep, err := Run(tc.spec(n), WithSeed(compatSeed), WithWorkers(w))
+					if err != nil {
+						t.Fatalf("n=%d workers=%d: %v", n, w, err)
+					}
+					if got := hashReport(rep); got != want {
+						t.Fatalf("n=%d workers=%d: report hash %#016x, pinned %#016x", n, w, got, want)
+					}
+					if first {
+						ref, first = rep, false
+						continue
+					}
+					if !reflect.DeepEqual(stripTiming(rep), stripTiming(ref)) {
+						t.Fatalf("n=%d workers=%d: report differs beyond the hashed fields", n, w)
 					}
 				}
 			}
@@ -180,9 +176,6 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(RumorConfig{N: 64, Algorithm: Dating}, WithWorkers(0)); err == nil {
 		t.Error("accepted a zero worker budget")
-	}
-	if _, err := Run(RumorConfig{N: 64, Algorithm: Dating}, WithPipeline(-1)); err == nil {
-		t.Error("accepted a negative pipeline depth")
 	}
 	if _, err := Run(RumorConfig{}); err == nil {
 		t.Error("accepted an empty rumor config")
