@@ -134,15 +134,14 @@
 // demonstrational one — one goroutine per peer, barrier-synchronized
 // rounds. The sharded runtime (internal/live, the default under Run) is
 // the production-scale one: a fixed pool of shard workers owning
-// contiguous peer ranges, messages counting-sorted between rounds with the
-// internal/exch kernel (shards exchange per-owner index chunks and each
-// owner sorts its own peer range — delivery scratch is O(n + messages)),
-// outgoing buffers prefix-summed into disjoint delivery-ring ranges so the
-// route phase copies in parallel, per-peer streams seeded SplitMix64(seed,
-// peerDomain, peer). Runs are bit-identical for every shard count and
-// across engines. A 10^6-peer spread completes in tens of seconds
-// (examples/livescale); at n=100k the sharded runtime is ~25x faster than
-// goroutine-per-peer (BENCH_live.json).
+// contiguous peer ranges on the shard-runtime core shared with the
+// asynchronous runtime (internal/shardrt: counting-sort delivery with the
+// internal/exch kernel, parallel route into a ring of recycled buffers —
+// its package comment has the mechanism), per-peer streams seeded
+// SplitMix64(seed, peerDomain, peer). Runs are bit-identical for every
+// shard count and across engines. A 10^6-peer spread completes in tens of
+// seconds (examples/livescale); at n=100k the sharded runtime is ~25x
+// faster than goroutine-per-peer (BENCH_live.json).
 //
 // WithNet plugs a network model into the sharded runtime: NetFixedLatency
 // and NetGeomLatency keep messages in flight for several rounds, NetLoss
@@ -168,11 +167,11 @@
 // spread curves share a time axis; the hetsim "async" experiment tables
 // the comparison on homogeneous and Zipf profiles.
 //
-// The runtime underneath (internal/async) is a sharded calendar queue on
-// the same internal/exch kernel as the live runtime. Continuous time is
-// cut into buckets of width AsyncConfig.BucketWidth; a bucket executes as
-// deliver (counting-sort the bucket's arrivals by destination), step (each
-// shard replays its peers' arrivals, then their firings in time order) and
+// The runtime underneath (internal/async) is a calendar queue on the same
+// internal/shardrt core as the live runtime. Continuous time is cut into
+// buckets of width AsyncConfig.BucketWidth; a bucket is one tick of the
+// core: deliver the bucket's arrivals, step (each shard replays its peers'
+// arrivals, then their firings in time order) and
 // route (hand emissions to future calendar slots) — and because peers
 // interact only through messages that land in later buckets, the bucket
 // boundary is the runtime's sole synchronization point. It is also the

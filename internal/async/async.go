@@ -1,9 +1,9 @@
-// Package async is the clockless event-driven runtime: the same sharded,
-// flat-buffer execution style as internal/live, but with no global round
-// barrier. Each peer fires on its own exponential clock — the rate drawn
-// from its heterogeneity profile — and the runtime drains a sharded,
-// timestamp-ordered calendar queue whose time axis is cut into buckets.
-// Shards only synchronize at bucket boundaries.
+// Package async is the clockless event-driven runtime: the shard-runtime
+// core of internal/shardrt — the same deliver, route, buffers and lanes as
+// internal/live — with no global round. Each peer fires on its own
+// exponential clock, the rate drawn from its heterogeneity profile, and the
+// core's ring is a calendar queue whose time axis is cut into buckets: a
+// tick is a bucket, and shards only synchronize at bucket boundaries.
 //
 // # Clock model
 //
@@ -16,89 +16,48 @@
 //
 // # The calendar queue
 //
-// Continuous time is partitioned into buckets of width BucketWidth; the
-// runtime executes bucket b = [b·W, (b+1)·W) as one parallel step:
-//
-//	deliver  messages whose arrival falls in this bucket are counting-sorted
-//	         by destination on the owner-range exchange kernel of
-//	         internal/exch — the per-(shard, owner) record/Prefix/Fill idiom
-//	         shared with the live runtime — so peer i's arrivals are one
-//	         contiguous slice;
-//	step     each shard walks its own peer range: a peer first absorbs its
-//	         arrivals (in canonical order), then replays its firings with
-//	         timestamps inside the bucket, in time order; emitted messages
-//	         are stamped with arrival time = emission time + Latency and
-//	         recorded in the per-(shard, Δbucket) chunks of a concat-form
-//	         exchange;
-//	route    exch.SetBase/Flush hand the chunks off to the future calendar
-//	         slots in parallel, preserving shard-order concatenation.
-//
-// Within a bucket, peers interact only through messages that land in later
-// buckets, so shards never read each other's state between the boundary
-// barriers — the bucket boundary is the only synchronization point, where
-// the round-synchronous runtime pays three barriers per round.
+// Continuous time is partitioned into buckets of width BucketWidth. In
+// bucket b = [b·W, (b+1)·W), after the core has delivered the arrivals that
+// fall in it, each shard walks its own peer range: a peer first absorbs its
+// arrivals (in canonical order), then replays its firings with timestamps
+// inside the bucket, in time order; emitted messages are stamped with
+// arrival time = emission time + Latency, and the core's ring holds the
+// Latency/BucketWidth + 3 buckets that can be pending at once. Peers
+// interact only through messages that land in later buckets, so shards
+// never read each other's state between the boundary barriers.
 //
 // # Two sets of ranges
 //
-// Deliver and step cut [0, n) differently. Delivery ranges are the uniform
-// id cuts of exch.Partition: arrivals are spread over the ids by the
-// protocol's selector, and the kernel wants O(1) Owner and one count array
-// per range. Step ranges are cut once, in New, by cumulative clock rate
-// (exch.BalancedCuts over Rates): a peer of rate 8 replays eight times the
-// firings of a peer of rate 1, so on a profile with the fast peers in front
-// equal-width ranges left one shard with most of the bucket's work and the
-// others waiting at the barrier. A step range may be empty (one peer
-// carrying most of the rate). The two cuts need not agree because per-peer
-// state — clocks, generator states, the protocol's own arrays — is touched
-// by the step phase alone; deliver and route move message buffers only, and
-// step reads the delivered view strictly after the deliver barrier. Nor do
-// the step cuts show in any result: ranges are contiguous and ascending,
-// the outbox has one row per step shard, and SetBase concatenates the rows
-// in shard order, which is peer order wherever the cuts fall.
-//
-// # Calendar buffers
-//
-// A calendar slot owns a buffer only while it holds messages. Once deliver
-// has gathered a slot into the delivered view, the slot's buffer goes on a
-// free list, and route draws from that list before it allocates; the ring
-// of Latency/BucketWidth+3 slots therefore shares as many buffers as are
-// non-empty at once — one when every message spans a single bucket —
-// instead of owning one each. The delivered view is a buffer of its own
-// that never joins the list, so what Inbox returns stays valid until the
-// next RunBuckets even though the slot it came from has been refilled. A
-// non-empty slot that must grow (several Δbuckets landing in it) copies its
-// contents into the larger buffer. Fresh buffers, and the delivered view,
-// are allocated with a quarter of headroom: traffic that creeps up bucket
-// by bucket, as pull replies make it do, then reallocates every few buckets
-// instead of on each.
+// Step ranges are cut once, in New, by cumulative clock rate (the core's
+// Weights are Rates): a peer of rate 8 replays eight times the firings of a
+// peer of rate 1, so on a profile with the fast peers in front equal-width
+// ranges left one shard with most of the bucket's work and the others
+// waiting at the barrier. Delivery keeps the uniform id cuts. The core's
+// package comment says why the two may differ and why neither shows in any
+// result; per-peer state here — clocks, generator states, the protocol's
+// own arrays — is touched by the step phase alone.
 //
 // # Determinism
 //
-// A run is a pure function of (n, seed, rates, widths, handlers) — the
-// shard count is invisible. Peer i's k-th firing draws its inter-firing gap
-// and its protocol randomness from a private stream seeded
-// rng.Derive(seed, rng.DomainAsyncFire, i, k); since only the shard owning
-// peer i ever advances that state, and since the exchange kernel reassembles
-// messages in global (peer, firing-index) scan order regardless of which
-// shard recorded them, every shard count replays the identical event
-// history bit for bit. Arrival times are quantized to bucket boundaries
-// (an arrival inside bucket b is absorbed when bucket b opens, before any
-// firing of bucket b), so the effective latency of a message is
-// max(Latency, time to the next boundary) — the bucket width is the
-// latency quantum of the model.
+// A run is a pure function of (n, seed, rates, widths, handlers). Peer i's
+// k-th firing draws its inter-firing gap and its protocol randomness from a
+// private stream seeded rng.Derive(seed, rng.DomainAsyncFire, i, k), so
+// with the core's canonical (peer, firing) emission order every shard count
+// replays the identical event history bit for bit. Arrival times are
+// quantized to bucket boundaries (an arrival inside bucket b is absorbed
+// when bucket b opens, before any firing of bucket b), so the effective
+// latency of a message is max(Latency, time to the next boundary) — the
+// bucket width is the latency quantum of the model.
 package async
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 	"unsafe"
 
-	"repro/internal/exch"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/shardrt"
 	"repro/internal/simnet"
 )
 
@@ -149,33 +108,19 @@ type Config struct {
 	Obs *obs.Observer
 }
 
-// cursorSource adapts the flat per-peer xoshiro state array as an
-// rng.Source, exactly as the live runtime does: the owning shard points
-// node at the peer being fired, so one Stream per shard serves every peer
-// of the shard without allocation.
-type cursorSource struct {
-	states []rng.Xoshiro256
-	node   int
+// shardState is what a worker keeps beside its core lane: the time of the
+// event it is replaying, which emit turns into an arrival bucket.
+type shardState struct {
+	lane *shardrt.Lane
+	now  float64
+	emit func(simnet.Message)
 }
 
-func (c *cursorSource) Uint64() uint64   { return c.states[c.node].Uint64() }
-func (c *cursorSource) Seed(seed uint64) { c.states[c.node].Seed(seed) }
-
-// shard is one worker's private state.
+// shard pads shardState the way the core pads its lanes: now is written on
+// every firing, so neighbours must not share its line.
 type shard struct {
-	w      int
-	src    cursorSource
-	stream *rng.Stream
-
-	sender int
-	now    float64
-	emit   func(simnet.Message)
-
-	sent    int64
-	dropped int64
-	clamped int64
-	fired   int64
-	byKind  [256]int64
+	shardState
+	_ [2*shardrt.CacheLine - unsafe.Sizeof(shardState{})%shardrt.CacheLine]byte
 }
 
 // Runtime executes an asynchronous protocol over n peers with shard
@@ -183,78 +128,28 @@ type shard struct {
 // at a time and must not be called concurrently — parallelism happens
 // inside the bucket.
 type Runtime struct {
-	n        int
-	shards   int
-	fire     FireFunc
-	recv     RecvFunc
-	rates    []float64
-	width    float64
-	latency  float64
-	maxDelta int // largest Δbucket a message can span; ring size - 1
-	seed     uint64
-	bucket   int
+	core    *shardrt.Core
+	fire    FireFunc
+	recv    RecvFunc
+	rates   []float64
+	width   float64
+	latency float64
+	seed    uint64
+	bucket  int
 
-	// Per-peer clock state: the xoshiro state of the pending firing (gap
-	// already drawn from it; the firing's protocol draws continue it), the
-	// pending firing's absolute time, and its index.
-	states   []rng.Xoshiro256
+	// Per-peer clock state beside the core's generator states (the state of
+	// the pending firing: gap already drawn from it, the firing's protocol
+	// draws continue it): the pending firing's absolute time and its index.
 	nextFire []float64
 	fireIdx  []uint64
-
-	// part is the delivery partition: uniform id ranges, whose owners sort
-	// the bucket's arrivals. stepCut holds the shards+1 boundaries of the
-	// step ranges: contiguous like part's, but cut by cumulative clock rate,
-	// so that every shard replays about the same number of firings.
-	part    exch.Partition
-	stepCut []int
-	sh      []shard
-
-	// inbox is the delivery exchange: per-(shard, owner) chunks of
-	// (destination, slot index) records, Fill-sorted by each owner.
-	inbox exch.Exchange[int32]
-	// outbox is the calendar handoff: per-(shard, Δbucket) concat chunks of
-	// emitted messages, flushed into the calendar slots with SetBase/Flush.
-	outbox exch.Exchange[simnet.Message]
-
-	// slots is the calendar: messages arriving in bucket b sit in
-	// slots[b % (maxDelta+1)], in canonical (sender, firing) order. A slot
-	// owns a buffer only while it holds messages; free holds the buffers of
-	// gathered slots until route reuses them (package comment, "Calendar
-	// buffers"), never more than the ring has slots.
-	slots [][]simnet.Message
-	free  [][]simnet.Message
-	// sorted/inOff are the delivered view of the current bucket: peer i's
-	// arrivals are sorted[inOff[i]:inOff[i+1]]. sorted never joins free.
-	sorted    []simnet.Message
-	sortedIdx []int32
-	inOff     []int32
-
-	stats simnet.Stats
-	fired int64
-
-	// Instrumentation (nil when no observer is attached; the hot path then
-	// pays a nil check and nothing else). arenas[w] is shard w's span sink,
-	// merged into tr at the bucket barrier; the gauges sample the calendar
-	// once per bucket from the coordinator.
-	tr              *obs.Track
-	arenas          []*obs.Arena
-	gSent, gDropped *obs.Gauge
-	gClamped        *obs.Gauge
-	gFired, gQueue  *obs.Gauge
-	gScratch        *obs.Gauge
+	sh       []shard
 }
 
 // New builds a runtime. Peer clocks are seeded (and their first gaps drawn)
 // in parallel across the shard workers.
 func New(cfg Config) (*Runtime, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("async: runtime needs n > 0, got %d", cfg.N)
-	}
 	if cfg.Fire == nil {
 		return nil, fmt.Errorf("async: runtime needs a fire function")
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("async: shards %d must be non-negative (0 selects GOMAXPROCS)", cfg.Shards)
 	}
 	width := cfg.BucketWidth
 	if width == 0 {
@@ -270,89 +165,73 @@ func New(cfg Config) (*Runtime, error) {
 	if latency < 0 || math.IsNaN(latency) || math.IsInf(latency, 0) {
 		return nil, fmt.Errorf("async: latency %v must be positive and finite", cfg.Latency)
 	}
+	// Compared in float: the ratio of two finite floats can be beyond int.
+	if latency/width >= shardrt.MaxRing {
+		return nil, fmt.Errorf("async: latency %v is %v bucket widths, beyond the calendar's %d slots",
+			cfg.Latency, latency/width, shardrt.MaxRing)
+	}
 	rates := cfg.Rates
+	if rates != nil {
+		if len(rates) < cfg.N {
+			return nil, fmt.Errorf("async: %d rates for %d peers", len(rates), cfg.N)
+		}
+		for i := 0; i < cfg.N; i++ {
+			if !(rates[i] > 0) || math.IsInf(rates[i], 0) {
+				return nil, fmt.Errorf("async: peer %d clock rate %v must be positive and finite", i, rates[i])
+			}
+		}
+	}
+	// An emission spans at most Latency/BucketWidth + 2 buckets (the upper
+	// clamp in Send only guards float boundary noise), and the ring holds
+	// the bucket being delivered as well.
+	core, err := shardrt.New(shardrt.Config{
+		N: cfg.N, Shards: cfg.Shards, Ring: int(latency/width) + 3, Weights: rates,
+		Obs: cfg.Obs, Track: "async", WorkGauge: "fired", DepthGauge: "calendar_depth",
+	})
+	if err != nil {
+		return nil, err
+	}
 	if rates == nil {
 		rates = make([]float64, cfg.N)
 		for i := range rates {
 			rates[i] = 1
 		}
 	}
-	if len(rates) < cfg.N {
-		return nil, fmt.Errorf("async: %d rates for %d peers", len(rates), cfg.N)
-	}
-	for i := 0; i < cfg.N; i++ {
-		if !(rates[i] > 0) || math.IsInf(rates[i], 0) {
-			return nil, fmt.Errorf("async: peer %d clock rate %v must be positive and finite", i, rates[i])
-		}
-	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > cfg.N {
-		shards = cfg.N
-	}
-
 	rt := &Runtime{
-		n:        cfg.N,
-		shards:   shards,
+		core:     core,
 		fire:     cfg.Fire,
 		recv:     cfg.Recv,
 		rates:    rates,
 		width:    width,
 		latency:  latency,
-		maxDelta: int(latency/width) + 2,
 		seed:     cfg.Seed,
-		states:   make([]rng.Xoshiro256, cfg.N),
 		nextFire: make([]float64, cfg.N),
 		fireIdx:  make([]uint64, cfg.N),
-		part:     exch.Partition{N: cfg.N, Parts: shards},
-		stepCut:  exch.BalancedCuts(nil, cfg.N, shards, func(i int) float64 { return rates[i] }),
-		sh:       make([]shard, shards),
-		inOff:    make([]int32, cfg.N+1),
+		sh:       make([]shard, core.Shards()),
 	}
-	ring := rt.maxDelta + 1
-	rt.slots = make([][]simnet.Message, ring)
-	rt.free = make([][]simnet.Message, 0, ring)
-	rt.inbox.Reset(shards, rt.part)
-	rt.outbox.Reset(shards, exch.Partition{N: ring, Parts: ring})
 	for w := range rt.sh {
 		sh := &rt.sh[w]
-		sh.w = w
-		sh.src.states = rt.states
-		sh.stream = rng.NewWithSource(&sh.src)
+		sh.lane = core.Lane(w)
 		sh.emit = rt.makeEmit(sh)
 	}
-	if cfg.Obs != nil {
-		rt.tr = cfg.Obs.Track("async", shards)
-		rt.arenas = make([]*obs.Arena, shards)
-		for w := range rt.arenas {
-			rt.arenas[w] = rt.tr.Arena(w)
-		}
-		rt.gSent = rt.tr.Gauge("sent")
-		rt.gDropped = rt.tr.Gauge("dropped")
-		rt.gClamped = rt.tr.Gauge("clamped")
-		rt.gFired = rt.tr.Gauge("fired")
-		rt.gQueue = rt.tr.Gauge("calendar_depth")
-		rt.gScratch = rt.tr.Gauge("scratch_bytes")
-	}
-	rt.fanOut(func(w int) {
-		sh := &rt.sh[w]
-		lo, hi := rt.part.Range(w)
+	states := core.States()
+	core.FanOut(func(w int) {
+		ln := core.Lane(w)
+		lo, hi := core.Part().Range(w)
 		for i := lo; i < hi; i++ {
-			rt.states[i].Seed(rng.Derive(cfg.Seed, rng.DomainAsyncFire, uint64(i), 0))
-			sh.src.node = i
-			rt.nextFire[i] = sh.stream.ExpFloat64() / rt.rates[i]
+			states[i].Seed(rng.Derive(cfg.Seed, rng.DomainAsyncFire, uint64(i), 0))
+			ln.Seat(i)
+			rt.nextFire[i] = ln.Stream.ExpFloat64() / rates[i]
 		}
 	})
 	return rt, nil
 }
 
 // N returns the peer count.
-func (rt *Runtime) N() int { return rt.n }
+func (rt *Runtime) N() int { return rt.core.N() }
 
 // Shards returns the effective worker count.
-func (rt *Runtime) Shards() int { return rt.shards }
+func (rt *Runtime) Shards() int { return rt.core.Shards() }
 
 // Bucket returns the next bucket index RunBuckets will execute.
 func (rt *Runtime) Bucket() int { return rt.bucket }
@@ -362,92 +241,23 @@ func (rt *Runtime) Bucket() int { return rt.bucket }
 func (rt *Runtime) Time() float64 { return float64(rt.bucket) * rt.width }
 
 // Fired returns the total number of clock firings executed so far.
-func (rt *Runtime) Fired() int64 { return rt.fired }
+func (rt *Runtime) Fired() int64 { return rt.core.Work() }
 
 // Stats returns a copy of the traffic counters; Rounds counts buckets.
-func (rt *Runtime) Stats() simnet.Stats { return rt.stats }
+func (rt *Runtime) Stats() simnet.Stats { return rt.core.Stats() }
 
-// makeEmit builds shard sh's emission callback: stamp the sender, compute
-// the arrival bucket from the current event time plus the flight latency,
-// and record the message in the matching per-(shard, Δbucket) chunk.
-// Arrivals always land at least one bucket ahead (the bucket boundary is
-// the latency quantum); the upper clamp only guards float boundary noise
-// and is counted in Stats.Clamped.
+// makeEmit builds shard sh's emission callback: address the message,
+// compute the arrival bucket from the current event time plus the flight
+// latency, and hand it to the lane. Arrivals always land at least one
+// bucket ahead (the bucket boundary is the latency quantum).
 func (rt *Runtime) makeEmit(sh *shard) func(simnet.Message) {
+	ln := sh.lane
 	return func(m simnet.Message) {
-		m.From = sh.sender
-		if m.To < 0 || m.To >= rt.n {
-			sh.dropped++
+		if !ln.Address(&m) {
 			return
 		}
-		db := int((sh.now+rt.latency)/rt.width) - rt.bucket
-		if db < 1 {
-			db = 1
-		}
-		if db > rt.maxDelta {
-			db = rt.maxDelta
-			sh.clamped++
-		}
-		sh.sent++
-		sh.byKind[m.Kind]++
-		rt.outbox.RecordTo(sh.w, db, m)
+		ln.Send(max(1, int((sh.now+rt.latency)/rt.width)-rt.bucket), m)
 	}
-}
-
-// fanOut runs f(w) for every shard; the barriers on both sides are the only
-// synchronization in the runtime.
-func (rt *Runtime) fanOut(f func(w int)) {
-	par.Do(rt.shards, f)
-}
-
-// fanOutSpan is fanOut with each shard's work recorded as a phase span in
-// the shard's private arena. With no observer it is exactly fanOut — the
-// disabled path costs one nil check per phase.
-func (rt *Runtime) fanOutSpan(p obs.Phase, f func(w int)) {
-	if rt.arenas == nil {
-		rt.fanOut(f)
-		return
-	}
-	bucket := rt.bucket
-	rt.fanOut(func(w int) {
-		t0 := time.Now()
-		f(w)
-		rt.arenas[w].Record(bucket, p, t0)
-	})
-}
-
-// bucketSample feeds the per-bucket gauges and merges the shard arenas into
-// the track; called by the coordinator at the end of route, where the
-// shards are quiescent. No-op without an observer.
-func (rt *Runtime) bucketSample() {
-	if rt.tr == nil {
-		return
-	}
-	rt.gSent.Sample(rt.bucket, rt.stats.Sent)
-	rt.gDropped.Sample(rt.bucket, rt.stats.Dropped)
-	rt.gClamped.Sample(rt.bucket, rt.stats.Clamped)
-	rt.gFired.Sample(rt.bucket, rt.fired)
-	depth := 0
-	for _, s := range rt.slots {
-		depth += len(s)
-	}
-	rt.gQueue.Sample(rt.bucket, int64(depth))
-	rt.gScratch.Sample(rt.bucket, rt.scratchBytes())
-	rt.tr.Barrier()
-}
-
-// scratchBytes estimates the runtime's reusable buffer footprint: the
-// calendar ring with its free list, the delivered view and the offset table.
-func (rt *Runtime) scratchBytes() int64 {
-	const msgBytes = int64(unsafe.Sizeof(simnet.Message{}))
-	b := int64(cap(rt.sorted))*msgBytes + int64(cap(rt.sortedIdx))*4 + int64(cap(rt.inOff))*4
-	for _, s := range rt.slots {
-		b += int64(cap(s)) * msgBytes
-	}
-	for _, s := range rt.free {
-		b += int64(cap(s)) * msgBytes
-	}
-	return b
 }
 
 // RunBuckets executes the given number of calendar buckets and returns the
@@ -455,70 +265,20 @@ func (rt *Runtime) scratchBytes() int64 {
 // messages and pending firings carry over between calls.
 func (rt *Runtime) RunBuckets(buckets int) simnet.Stats {
 	for b := 0; b < buckets; b++ {
-		rt.deliver()
+		rt.core.Deliver(rt.bucket)
 		rt.stepAll()
-		rt.route()
+		rt.core.Route(rt.bucket)
 		rt.bucket++
-		rt.stats.Rounds++
 	}
-	return rt.stats
+	return rt.core.Stats()
 }
 
 // Inbox returns the messages delivered to peer i in the bucket RunBuckets
 // executed last, for post-run inspection. Valid until the next RunBuckets.
-func (rt *Runtime) Inbox(i int) []simnet.Message {
-	return rt.sorted[rt.inOff[i]:rt.inOff[i+1]]
-}
-
-// deliver counting-sorts the calendar slot opening this bucket by
-// destination on the owner-range exchange: record per-owner chunks, serial
-// prefix, per-owner Fill + gather — the exact delivery kernel of the live
-// runtime, with buckets in place of rounds.
-func (rt *Runtime) deliver() {
-	slot := rt.bucket % (rt.maxDelta + 1)
-	buf := rt.slots[slot]
-	if len(buf) == 0 {
-		rt.sorted = rt.sorted[:0]
-		for i := range rt.inOff {
-			rt.inOff[i] = 0
-		}
-		return
-	}
-
-	bufPart := exch.Partition{N: len(buf), Parts: rt.shards}
-	rt.fanOutSpan(obs.PhaseDeliver, func(w int) {
-		rt.inbox.ClearWorker(w)
-		lo, hi := bufPart.Range(w)
-		for k := lo; k < hi; k++ {
-			rt.inbox.Record(w, int32(buf[k].To), int32(k))
-		}
-	})
-	rt.inbox.Prefix()
-
-	if cap(rt.sorted) < len(buf) {
-		// Pull replies make each bucket of a spread a few percent larger than
-		// the last; growing to exactly len(buf) reallocated the whole view on
-		// every one of them.
-		rt.sorted = make([]simnet.Message, len(buf), withHeadroom(len(buf)))
-		rt.sortedIdx = make([]int32, len(buf), withHeadroom(len(buf)))
-	}
-	rt.sorted = rt.sorted[:len(buf)]
-	rt.sortedIdx = rt.sortedIdx[:len(buf)]
-	rt.fanOutSpan(obs.PhaseDeliver, func(o int) {
-		end := rt.inbox.Fill(o, rt.inOff, rt.sortedIdx)
-		for j := rt.inbox.Base(o); j < end; j++ {
-			rt.sorted[j] = buf[rt.sortedIdx[j]]
-		}
-	})
-	rt.inOff[rt.n] = int32(len(buf))
-	// The gather has copied every message out: the slot's buffer is free
-	// for whichever slot route fills next.
-	rt.slots[slot] = nil
-	rt.free = append(rt.free, buf[:0])
-}
+func (rt *Runtime) Inbox(i int) []simnet.Message { return rt.core.Inbox(i) }
 
 // stepAll advances every peer through the current bucket: shard w walks its
-// peer range in ascending order; each peer absorbs its arrivals (canonical
+// step range in ascending order; each peer absorbs its arrivals (canonical
 // order, timed from the bucket boundary), then replays its clock firings
 // that fall inside the bucket in time order, drawing each firing's
 // randomness — and the gap to the next firing — from the firing's private
@@ -528,14 +288,17 @@ func (rt *Runtime) deliver() {
 func (rt *Runtime) stepAll() {
 	bStart := float64(rt.bucket) * rt.width
 	bEnd := bStart + rt.width
-	rt.fanOutSpan(obs.PhaseStep, func(w int) {
+	sorted, inOff := rt.core.View()
+	states, cuts := rt.core.States(), rt.core.Cuts()
+	rt.core.FanOutSpan(rt.bucket, obs.PhaseStep, func(w int) {
 		sh := &rt.sh[w]
-		lo, hi := rt.stepCut[w], rt.stepCut[w+1]
-		for i := lo; i < hi; i++ {
-			sh.sender = i
+		ln := sh.lane
+		fired := 0
+		for i := cuts[w]; i < cuts[w+1]; i++ {
+			ln.Seat(i)
 			if rt.recv != nil {
 				sh.now = bStart
-				for _, m := range rt.sorted[rt.inOff[i]:rt.inOff[i+1]] {
+				for _, m := range sorted[inOff[i]:inOff[i+1]] {
 					rt.recv(i, m, sh.emit)
 				}
 			}
@@ -543,94 +306,13 @@ func (rt *Runtime) stepAll() {
 				t := rt.nextFire[i]
 				k := rt.fireIdx[i]
 				sh.now = t
-				sh.src.node = i
-				rt.fire(i, int(k), t, sh.stream, sh.emit)
-				sh.fired++
+				rt.fire(i, int(k), t, ln.Stream, sh.emit)
+				fired++
 				rt.fireIdx[i] = k + 1
-				rt.states[i].Seed(rng.Derive(rt.seed, rng.DomainAsyncFire, uint64(i), k+1))
-				rt.nextFire[i] = t + sh.stream.ExpFloat64()/rt.rates[i]
+				states[i].Seed(rng.Derive(rt.seed, rng.DomainAsyncFire, uint64(i), k+1))
+				rt.nextFire[i] = t + ln.Stream.ExpFloat64()/rt.rates[i]
 			}
 		}
+		ln.AddWork(fired)
 	})
 }
-
-// route hands the shards' per-Δbucket chunks off to the future calendar
-// slots in parallel: SetBase assigns every shard a disjoint range of each
-// slot, Flush copies concurrently, preserving the shard-order concatenation
-// the determinism contract rests on; then the traffic counters merge.
-func (rt *Runtime) route() {
-	ring := rt.maxDelta + 1
-	work := false
-	for d := 1; d <= rt.maxDelta; d++ {
-		slot := (rt.bucket + d) % ring
-		base := len(rt.slots[slot])
-		acc := rt.outbox.SetBase(d, base)
-		if acc == base {
-			continue
-		}
-		work = true
-		rt.slots[slot] = rt.growSlot(rt.slots[slot], acc)
-	}
-	if work {
-		rt.fanOutSpan(obs.PhaseRoute, func(w int) {
-			for d := 1; d <= rt.maxDelta; d++ {
-				slot := (rt.bucket + d) % ring
-				rt.outbox.Flush(w, d, rt.slots[slot])
-			}
-		})
-	}
-	for w := range rt.sh {
-		sh := &rt.sh[w]
-		rt.stats.Sent += sh.sent
-		rt.stats.Dropped += sh.dropped
-		rt.stats.Clamped += sh.clamped
-		rt.fired += sh.fired
-		sh.sent, sh.dropped, sh.clamped, sh.fired = 0, 0, 0, 0
-		for k, c := range sh.byKind {
-			if c != 0 {
-				rt.stats.ByKind[k] += c
-				sh.byKind[k] = 0
-			}
-		}
-	}
-	rt.bucketSample()
-}
-
-// growSlot returns the calendar slot buffer s resliced to length size,
-// contents kept. A buffer that is too small is traded for the largest one on
-// the free list; when that is too small as well it is left to the collector
-// (the traffic has outgrown it) and a fresh buffer with headroom takes its
-// place. Either way the old buffer joins the free list, so every allocation
-// leaves the ring and the list together holding at most ring buffers.
-func (rt *Runtime) growSlot(s []simnet.Message, size int) []simnet.Message {
-	if cap(s) >= size {
-		return s[:size]
-	}
-	var ns []simnet.Message
-	if len(rt.free) > 0 {
-		k := 0
-		for j := range rt.free {
-			if cap(rt.free[j]) > cap(rt.free[k]) {
-				k = j
-			}
-		}
-		last := len(rt.free) - 1
-		ns, rt.free[k], rt.free[last] = rt.free[k], rt.free[last], nil
-		rt.free = rt.free[:last]
-	}
-	if cap(ns) < size {
-		ns = make([]simnet.Message, size, withHeadroom(size))
-	}
-	ns = ns[:size]
-	if cap(s) > 0 {
-		copy(ns, s)
-		rt.free = append(rt.free, s[:0])
-	}
-	return ns
-}
-
-// withHeadroom is the capacity a message buffer of length size is allocated
-// with: a quarter more, so that traffic creeping up bucket by bucket does
-// not reallocate on every bucket, without leaving the buffer at twice its
-// peak as doubling can.
-func withHeadroom(size int) int { return size + size/4 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/shardrt"
 	"repro/internal/simnet"
 )
 
@@ -80,6 +81,12 @@ func TestAsyncNewValidation(t *testing.T) {
 		{N: 4, Fire: fire, Rates: []float64{1, -2, 1, 1}}, // negative rate
 		{N: 4, Fire: fire, Rates: []float64{1, math.NaN(), 1, 1}},
 		{N: 4, Fire: fire, Rates: []float64{1, math.Inf(1), 1, 1}},
+		{N: -3, Fire: fire}, // with nil Rates: no make([]float64, -3)
+		// A calendar the runtime cannot hold: int(latency/width) wraps for the
+		// first, the other two convert but ask for more than shardrt.MaxRing.
+		{N: 4, Fire: fire, Latency: 1e300},
+		{N: 4, Fire: fire, Latency: 1, BucketWidth: 1e-9},
+		{N: 4, Fire: fire, Latency: shardrt.MaxRing - 2},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -88,6 +95,9 @@ func TestAsyncNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{N: 4, Fire: fire}); err != nil {
 		t.Errorf("rejected minimal valid config: %v", err)
+	}
+	if _, err := New(Config{N: 4, Fire: fire, Latency: shardrt.MaxRing - 3}); err != nil {
+		t.Errorf("rejected the largest calendar: %v", err)
 	}
 }
 

@@ -72,7 +72,7 @@ func TestAsyncSkewedRatesShardIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for w := 0; w < rt.Shards(); w++ {
-					emptyRange = emptyRange || rt.stepCut[w] == rt.stepCut[w+1]
+					emptyRange = emptyRange || rt.core.Cuts()[w] == rt.core.Cuts()[w+1]
 				}
 				stats := rt.RunBuckets(buckets)
 				got := outcome{digest: st.combined(), stats: stats, fired: rt.Fired()}
@@ -113,7 +113,7 @@ func TestAsyncStepCutInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cuts := rt.stepCut
+			cuts := rt.core.Cuts()
 			if len(cuts) != shards+1 || cuts[0] != 0 || cuts[shards] != n {
 				t.Fatalf("%s, shards=%d: cuts %v do not span [0, %d)", rv.name, shards, cuts, n)
 			}
@@ -137,8 +137,8 @@ func TestAsyncStepCutInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.stepCut[1] >= n/4 || rt.part.End(0) != n/2 {
-		t.Fatalf("front-loaded rates: step cut %d, delivery cut %d", rt.stepCut[1], rt.part.End(0))
+	if cut, part := rt.core.Cuts()[1], rt.core.Part(); cut >= n/4 || part.End(0) != n/2 {
+		t.Fatalf("front-loaded rates: step cut %d, delivery cut %d", cut, part.End(0))
 	}
 }
 
@@ -183,7 +183,7 @@ func TestAsyncAllocationGrowingTraffic(t *testing.T) {
 	if total > 24*peak {
 		t.Errorf("allocated %d bytes over %d buckets, more than 24x the largest bucket's %d", total, buckets, peak)
 	}
-	if scratch := uint64(rt.scratchBytes()); scratch > 4*peak {
+	if scratch := uint64(rt.core.ScratchBytes()); scratch > 4*peak {
 		t.Errorf("scratch is %d bytes after %d buckets, more than 4x the largest bucket's %d", scratch, buckets, peak)
 	}
 }
@@ -212,7 +212,8 @@ func TestAsyncAllocationConstantTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring := rt.maxDelta + 1
+		slots, _ := rt.core.Buffers()
+		ring := len(slots)
 		sent := make([]int64, 0, 4*ring+2)
 		for b := 0; b < cap(sent); b++ {
 			before := rt.Stats().Sent
@@ -231,8 +232,8 @@ func TestAsyncAllocationConstantTraffic(t *testing.T) {
 				t.Fatalf("latency %v: bucket %d allocated %d bytes after %d warm-up buckets (limit %d)",
 					latency, b, got, ring+2, limit)
 			}
-			if len(rt.free) > ring {
-				t.Fatalf("latency %v: free list holds %d buffers, ring is %d", latency, len(rt.free), ring)
+			if _, free := rt.core.Buffers(); len(free) > ring {
+				t.Fatalf("latency %v: free list holds %d buffers, ring is %d", latency, len(free), ring)
 			}
 		}
 	}
@@ -270,11 +271,13 @@ func TestAsyncInboxSurvivesRecycling(t *testing.T) {
 				t.Fatalf("bucket %d peer %d: Inbox %v, Recv saw %v", b, i, got, seen[i])
 			}
 		}
-		for slot, buf := range rt.slots {
+		slots, free := rt.core.Buffers()
+		sorted, _ := rt.core.View()
+		for slot, buf := range slots {
 			if cap(buf) == 0 {
 				continue
 			}
-			if unsafe.SliceData(buf) == unsafe.SliceData(rt.sorted) {
+			if unsafe.SliceData(buf) == unsafe.SliceData(sorted) {
 				t.Fatalf("bucket %d: slot %d shares the delivered view's buffer", b, slot)
 			}
 			if first, ok := home[unsafe.SliceData(buf)]; !ok {
@@ -283,8 +286,8 @@ func TestAsyncInboxSurvivesRecycling(t *testing.T) {
 				recycled = true
 			}
 		}
-		if len(rt.free) > len(rt.slots) {
-			t.Fatalf("bucket %d: free list holds %d buffers, ring is %d", b, len(rt.free), len(rt.slots))
+		if len(free) > len(slots) {
+			t.Fatalf("bucket %d: free list holds %d buffers, ring is %d", b, len(free), len(slots))
 		}
 	}
 	if delivered == 0 || !recycled {
@@ -294,16 +297,31 @@ func TestAsyncInboxSurvivesRecycling(t *testing.T) {
 
 func TestAsyncScratchBytesCountsFreeList(t *testing.T) {
 	// A buffer parked on the free list is memory the runtime holds: the
-	// scratch_bytes gauge must not lose sight of it.
-	st := newAping(400, 2)
-	rt, err := New(Config{N: 400, Seed: 2, Fire: st.fire, Shards: 2})
+	// scratch_bytes gauge must not lose sight of it. Every peer emits at its
+	// first firing only (rate 40: in bucket 0), so once bucket 1 has gathered
+	// those messages their buffer stays parked.
+	const n = 400
+	const msgBytes = int64(unsafe.Sizeof(simnet.Message{}))
+	fire := func(peer, k int, t float64, s *rng.Stream, emit func(simnet.Message)) {
+		if k == 0 {
+			emit(simnet.Message{To: (peer + 1) % n, Kind: 1})
+		}
+	}
+	rt, err := New(Config{N: n, Seed: 2, Fire: fire, Rates: constRates(n, 40), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.RunBuckets(5)
-	before := rt.scratchBytes()
-	rt.free = append(rt.free, make([]simnet.Message, 0, 1000))
-	if got, want := rt.scratchBytes()-before, 1000*int64(unsafe.Sizeof(simnet.Message{})); got != want {
-		t.Fatalf("scratchBytes() rose by %d for a parked buffer of %d bytes", got, want)
+	rt.RunBuckets(3)
+	slots, free := rt.core.Buffers()
+	sorted, inOff := rt.core.View()
+	held := int64(cap(sorted))*(msgBytes+4) + int64(cap(inOff))*4 // the view, its index column, the offsets
+	for _, s := range slots {
+		held += int64(cap(s)) * msgBytes
+	}
+	if len(free) != 1 || int64(cap(free[0])) < n {
+		t.Fatalf("free list %d buffers, want the one of bucket 1's %d messages", len(free), n)
+	}
+	if got, want := rt.core.ScratchBytes()-held, int64(cap(free[0]))*msgBytes; got != want {
+		t.Fatalf("ScratchBytes() counts %d bytes beyond the ring and the view, the parked buffer has %d", got, want)
 	}
 }

@@ -86,17 +86,6 @@ type AsyncOptions struct {
 	Obs *obs.Observer
 }
 
-// asyncRates maps a heterogeneity profile to per-peer clock rates: peer i
-// fires at rate (bin(i)+bout(i))/2, so bandwidth heterogeneity becomes
-// firing-frequency heterogeneity.
-func asyncRates(p bandwidth.Profile) []float64 {
-	rates := make([]float64, p.N())
-	for i := range rates {
-		rates[i] = float64(p.In[i]+p.Out[i]) / 2
-	}
-	return rates
-}
-
 // RunAsync executes asynchronous push&pull rumor spreading on the clockless
 // runtime.
 func RunAsync(cfg AsyncConfig, o AsyncOptions) (AsyncResult, error) {
@@ -127,10 +116,7 @@ func RunAsync(cfg AsyncConfig, o AsyncOptions) (AsyncResult, error) {
 	}
 	maxTime := cfg.MaxTime
 	if maxTime <= 0 {
-		maxTime = 64
-		for v := 1; v < n; v <<= 1 {
-			maxTime += 64
-		}
+		maxTime = float64(defaultRoundCap(n))
 	}
 	maxBuckets := int(math.Ceil(maxTime / width))
 
@@ -143,7 +129,7 @@ func RunAsync(cfg AsyncConfig, o AsyncOptions) (AsyncResult, error) {
 	rt, err := async.New(async.Config{
 		N:           n,
 		Seed:        o.Seed,
-		Rates:       asyncRates(cfg.Profile),
+		Rates:       meanBandwidth(cfg.Profile), // bandwidth heterogeneity becomes firing-frequency heterogeneity
 		BucketWidth: width,
 		Latency:     cfg.Latency,
 		Shards:      o.Shards,

@@ -150,28 +150,6 @@ type ConsensusConfig struct {
 	MaxRounds int
 }
 
-// ConsensusOptions carries the axes of a consensus run that are orthogonal
-// to the protocol; under repro.Run they come from the run options.
-type ConsensusOptions struct {
-	Seed uint64
-	// Engine picks the substrate; the zero value is the goroutine engine.
-	// All engines share the sharded runtime's per-peer stream derivation,
-	// so the engine choice never changes trajectories.
-	Engine LiveEngine
-	// Concurrent selects the goroutine engine's concurrent mode; ignored
-	// by the sharded engine.
-	Concurrent bool
-	// Shards is the sharded engine's worker count (0 = GOMAXPROCS); every
-	// value is bit-identical.
-	Shards int
-	// Net plugs a network model into the sharded engine; nil is perfect
-	// sync. The goroutine engine rejects non-nil models.
-	Net live.NetModel
-	// Obs, when non-nil, receives the runtime's phase spans plus the
-	// protocol's per-round variant-share gauges on a "consensus" track.
-	Obs *obs.Observer
-}
-
 // ConsensusResult reports a conflicting-rumor consensus run.
 type ConsensusResult struct {
 	Rounds int
@@ -459,7 +437,7 @@ func consensusSeeds(cfg ConsensusConfig, seed uint64) ([]int, error) {
 
 // RunConsensus executes conflicting-rumor consensus on a live message
 // engine.
-func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, error) {
+func RunConsensus(cfg ConsensusConfig, o LiveOptions) (ConsensusResult, error) {
 	if cfg.Graph == nil || cfg.Graph.N() == 0 {
 		return ConsensusResult{}, fmt.Errorf("gossip: consensus run needs a graph")
 	}
@@ -478,13 +456,7 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 		if cfg.Profile.N() != n {
 			return ConsensusResult{}, fmt.Errorf("gossip: weighted merge needs a profile over %d nodes, got %d", n, cfg.Profile.N())
 		}
-		weight = make([]float64, n)
-		for i := range weight {
-			weight[i] = float64(cfg.Profile.In[i]+cfg.Profile.Out[i]) / 2
-		}
-	}
-	if o.Engine == LiveGoroutine && o.Net != nil {
-		return ConsensusResult{}, fmt.Errorf("gossip: network models require the sharded engine")
+		weight = meanBandwidth(cfg.Profile)
 	}
 	threshold := cfg.Threshold
 	if threshold == 0 {
@@ -497,10 +469,7 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = 64
-		for v := 1; v < n; v <<= 1 {
-			maxRounds += 64
-		}
+		maxRounds = defaultRoundCap(n)
 	}
 	seeds, err := consensusSeeds(cfg, o.Seed)
 	if err != nil {
@@ -508,14 +477,7 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 	}
 	spv := len(seeds) / cfg.Variants
 
-	// State blocks match the runtime's shard partition, so each block has
-	// exactly one writing worker, who also keeps the block's share row; the
-	// goroutine engine uses a single block and recounts.
-	parts := 1
-	if o.Engine == LiveSharded {
-		parts = live.EffectiveShards(n, o.Shards)
-	}
-	st := newConsState(n, parts, cfg.Variants, cfg.Rule, o.Engine == LiveSharded)
+	st := newConsState(n, o.blocks(n), cfg.Variants, cfg.Rule, o.Engine == LiveSharded)
 	for j, p := range seeds {
 		v := uint8(j/spv + 1)
 		po, pli := st.locate(p)
@@ -534,38 +496,9 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 		}
 	}
 
-	step := consStep(sampler, st, weight)
-	var runRounds func(rounds int) simnet.Stats
-	switch o.Engine {
-	case LiveGoroutine:
-		streams := make([]*rng.Stream, n)
-		for i := range streams {
-			streams[i] = rng.New(live.PeerSeed(o.Seed, i))
-		}
-		eng, err := simnet.NewLiveWithStreams(streams, adaptActiveStep(step))
-		if err != nil {
-			return ConsensusResult{}, err
-		}
-		if o.Concurrent {
-			runRounds = eng.Run
-		} else {
-			runRounds = eng.RunSequential
-		}
-	case LiveSharded:
-		rt, err := live.New(live.Config{
-			N:          n,
-			Seed:       o.Seed,
-			ActiveStep: step,
-			Shards:     o.Shards,
-			Net:        o.Net,
-			Obs:        o.Obs,
-		})
-		if err != nil {
-			return ConsensusResult{}, err
-		}
-		runRounds = rt.Run
-	default:
-		return ConsensusResult{}, fmt.Errorf("gossip: unknown live engine %d", o.Engine)
+	runRounds, err := o.runner(n, nil, consStep(sampler, st, weight))
+	if err != nil {
+		return ConsensusResult{}, err
 	}
 
 	tr := o.Obs.Track("consensus", 1)
@@ -608,26 +541,11 @@ func RunConsensus(cfg ConsensusConfig, o ConsensusOptions) (ConsensusResult, err
 // Protocol implements run.Spec.
 func (c ConsensusConfig) Protocol() string { return "consensus" }
 
-// Execute implements run.Spec: the runtime seed derives from the root seed
-// under DomainConsensus, WithEngine picks the substrate (default: the
-// sharded runtime), WithWorkers sets the shard count and WithNet the
-// network model — all pure speed knobs under perfect sync. Trajectory is the decided-peer history; Detail the full
-// ConsensusResult (per-round variant shares, winner, agreement).
+// Execute implements run.Spec under liveOptionsFor(o, DomainConsensus).
+// Trajectory is the decided-peer history; Detail the full ConsensusResult
+// (per-round variant shares, winner, agreement).
 func (c ConsensusConfig) Execute(o *run.Options) (run.Report, error) {
-	copts := ConsensusOptions{
-		Seed: run.SeedFor(o.Seed, run.DomainConsensus),
-		Net:  o.Net,
-		Obs:  o.Obs,
-	}
-	switch o.Engine {
-	case run.EngineGoroutine:
-		copts.Engine = LiveGoroutine
-		copts.Concurrent = true
-	default: // EngineDefault, EngineSharded
-		copts.Engine = LiveSharded
-		copts.Shards = o.Workers
-	}
-	res, err := RunConsensus(c, copts)
+	res, err := RunConsensus(c, liveOptionsFor(o, run.DomainConsensus))
 	if err != nil {
 		return run.Report{}, err
 	}

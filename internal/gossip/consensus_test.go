@@ -11,7 +11,7 @@ import (
 	"repro/internal/run"
 )
 
-func consRun(t *testing.T, cfg ConsensusConfig, o ConsensusOptions) ConsensusResult {
+func consRun(t *testing.T, cfg ConsensusConfig, o LiveOptions) ConsensusResult {
 	t.Helper()
 	res, err := RunConsensus(cfg, o)
 	if err != nil {
@@ -26,12 +26,12 @@ func consRun(t *testing.T, cfg ConsensusConfig, o ConsensusOptions) ConsensusRes
 func TestConsensusShardIdentity(t *testing.T) {
 	g := mustBA(t, 2000, 3, 7)
 	cfg := ConsensusConfig{Variants: 3, Graph: g, Seeding: SeedDistinct, Rule: RuleMajority, MaxRounds: 150}
-	base := consRun(t, cfg, ConsensusOptions{Seed: 42, Engine: LiveSharded, Shards: 1})
+	base := consRun(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: 1})
 	if base.Rounds == 0 || len(base.ShareHist) != base.Rounds {
 		t.Fatalf("degenerate base run: %+v", base)
 	}
 	for _, shards := range []int{2, 4, 8} {
-		res := consRun(t, cfg, ConsensusOptions{Seed: 42, Engine: LiveSharded, Shards: shards})
+		res := consRun(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: shards})
 		if fmt.Sprint(res) != fmt.Sprint(base) {
 			t.Errorf("shards=%d diverged:\n got %+v\nwant %+v", shards, res, base)
 		}
@@ -53,9 +53,9 @@ func TestConsensusEngineIdentity(t *testing.T) {
 			}
 			cfg.Profile = p
 		}
-		sharded := consRun(t, cfg, ConsensusOptions{Seed: 9, Engine: LiveSharded, Shards: 3})
-		seq := consRun(t, cfg, ConsensusOptions{Seed: 9, Engine: LiveGoroutine})
-		conc := consRun(t, cfg, ConsensusOptions{Seed: 9, Engine: LiveGoroutine, Concurrent: true})
+		sharded := consRun(t, cfg, LiveOptions{Seed: 9, Engine: LiveSharded, Shards: 3})
+		seq := consRun(t, cfg, LiveOptions{Seed: 9, Engine: LiveGoroutine})
+		conc := consRun(t, cfg, LiveOptions{Seed: 9, Engine: LiveGoroutine, Concurrent: true})
 		if fmt.Sprint(seq) != fmt.Sprint(sharded) {
 			t.Errorf("%v: sequential engine diverged:\n got %+v\nwant %+v", rule, seq, sharded)
 		}
@@ -76,7 +76,7 @@ func TestConsensusShardLocalState(t *testing.T) {
 	for _, rule := range []MergeRule{RuleMajority, RuleLatest} {
 		for _, shards := range []int{1, 4} {
 			res := consRun(t, ConsensusConfig{Variants: 3, Graph: g, Rule: rule, MaxRounds: 200},
-				ConsensusOptions{Seed: 4, Engine: LiveSharded, Shards: shards})
+				LiveOptions{Seed: 4, Engine: LiveSharded, Shards: shards})
 			if rule == RuleLatest && !res.Completed {
 				t.Errorf("rule=%v shards=%d: run did not complete", rule, shards)
 			}
@@ -99,7 +99,7 @@ func TestConsensusSingleVariantMatchesPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := consRun(t, ConsensusConfig{Variants: 1, Graph: g, Rule: RuleMajority, Threshold: 1},
-		ConsensusOptions{Seed: 21, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 21, Engine: LiveSharded, Shards: 2})
 	if !res.Completed {
 		t.Fatal("K=1 complete-graph run did not complete")
 	}
@@ -147,8 +147,8 @@ func TestConsensusTieResolution(t *testing.T) {
 	// A run built entirely from tie-prone integer tallies replays exactly.
 	g := mustBA(t, 600, 2, 29)
 	cfg := ConsensusConfig{Variants: 5, Graph: g, Seeding: SeedClustered, Rule: RuleMajority, MaxRounds: 150}
-	a := consRun(t, cfg, ConsensusOptions{Seed: 3, Engine: LiveSharded, Shards: 4})
-	b := consRun(t, cfg, ConsensusOptions{Seed: 3, Engine: LiveSharded, Shards: 4})
+	a := consRun(t, cfg, LiveOptions{Seed: 3, Engine: LiveSharded, Shards: 4})
+	b := consRun(t, cfg, LiveOptions{Seed: 3, Engine: LiveSharded, Shards: 4})
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Errorf("identical majority runs diverged:\n got %+v\nwant %+v", b, a)
 	}
@@ -167,8 +167,8 @@ func TestConsensusWeightedUniformEqualsMajority(t *testing.T) {
 	wtd := base
 	wtd.Rule = RuleWeighted
 	wtd.Profile = bandwidth.Homogeneous(1000, 4)
-	mres := consRun(t, maj, ConsensusOptions{Seed: 13, Engine: LiveSharded, Shards: 2})
-	wres := consRun(t, wtd, ConsensusOptions{Seed: 13, Engine: LiveSharded, Shards: 2})
+	mres := consRun(t, maj, LiveOptions{Seed: 13, Engine: LiveSharded, Shards: 2})
+	wres := consRun(t, wtd, LiveOptions{Seed: 13, Engine: LiveSharded, Shards: 2})
 	if fmt.Sprint(mres.ShareHist) != fmt.Sprint(wres.ShareHist) ||
 		mres.Winner != wres.Winner || mres.Rounds != wres.Rounds {
 		t.Errorf("uniform weighted diverged from majority:\n got %+v\nwant %+v", wres, mres)
@@ -181,7 +181,7 @@ func TestConsensusWeightedUniformEqualsMajority(t *testing.T) {
 func TestConsensusLatestRuleFloods(t *testing.T) {
 	g := mustBA(t, 1500, 3, 23)
 	res := consRun(t, ConsensusConfig{Variants: 4, Graph: g, Seeding: SeedDistinct, Rule: RuleLatest},
-		ConsensusOptions{Seed: 11, Engine: LiveSharded, Shards: 4})
+		LiveOptions{Seed: 11, Engine: LiveSharded, Shards: 4})
 	if !res.Completed {
 		t.Fatal("latest-rule run did not converge")
 	}
@@ -205,7 +205,7 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 
 	// Distinct: all seeds distinct, count = K * SeedsPerVariant.
 	dres := consRun(t, ConsensusConfig{Variants: 3, Graph: g, Seeding: SeedDistinct, SeedsPerVariant: 2, Rule: RuleMajority},
-		ConsensusOptions{Seed: 7, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 7, Engine: LiveSharded, Shards: 2})
 	if len(dres.Seeds) != 6 {
 		t.Fatalf("distinct seeding placed %d seeds, want 6", len(dres.Seeds))
 	}
@@ -219,7 +219,7 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 
 	// Hub/leaf: variant 1 takes the top hub, variant 2 the bottom leaf.
 	hres := consRun(t, ConsensusConfig{Variants: 2, Graph: g, Seeding: SeedHubLeaf, Rule: RuleMajority},
-		ConsensusOptions{Seed: 7, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 7, Engine: LiveSharded, Shards: 2})
 	hub := g.Hub()
 	if hres.Seeds[0] != hub {
 		t.Errorf("hub seeding placed variant 1 at %d (degree %d), want hub %d (degree %d)",
@@ -236,7 +236,7 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 
 	// Clustered: variant v starts its ring range at (v-1)*n/K.
 	cres := consRun(t, ConsensusConfig{Variants: 4, Graph: g, Seeding: SeedClustered, SeedsPerVariant: 2, Rule: RuleMajority},
-		ConsensusOptions{Seed: 7, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 7, Engine: LiveSharded, Shards: 2})
 	want := []int{0, 1, 100, 101, 200, 201, 300, 301}
 	if fmt.Sprint(cres.Seeds) != fmt.Sprint(want) {
 		t.Errorf("clustered seeds %v, want %v", cres.Seeds, want)
@@ -268,28 +268,28 @@ func TestConsensusNameParsing(t *testing.T) {
 // TestConsensusValidation pins the config error paths.
 func TestConsensusValidation(t *testing.T) {
 	g := mustBA(t, 50, 2, 1)
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2}, ConsensusOptions{}); err == nil {
+	if _, err := RunConsensus(ConsensusConfig{Variants: 2}, LiveOptions{}); err == nil {
 		t.Error("nil graph should be rejected")
 	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 0, Graph: g}, ConsensusOptions{}); err == nil {
+	if _, err := RunConsensus(ConsensusConfig{Variants: 0, Graph: g}, LiveOptions{}); err == nil {
 		t.Error("zero variants should be rejected")
 	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 256, Graph: g}, ConsensusOptions{}); err == nil {
+	if _, err := RunConsensus(ConsensusConfig{Variants: 256, Graph: g}, LiveOptions{}); err == nil {
 		t.Error("variant count > 255 should be rejected")
 	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Threshold: 1.5}, ConsensusOptions{}); err == nil {
+	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Threshold: 1.5}, LiveOptions{}); err == nil {
 		t.Error("threshold > 1 should be rejected")
 	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Rule: RuleWeighted}, ConsensusOptions{}); err == nil {
+	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Rule: RuleWeighted}, LiveOptions{}); err == nil {
 		t.Error("weighted rule without a matching profile should be rejected")
 	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, SeedsPerVariant: 30}, ConsensusOptions{}); err == nil {
+	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, SeedsPerVariant: 30}, LiveOptions{}); err == nil {
 		t.Error("seeds exceeding the population should be rejected")
 	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Seeding: ConsensusSeeding(9)}, ConsensusOptions{}); err == nil {
+	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Seeding: ConsensusSeeding(9)}, LiveOptions{}); err == nil {
 		t.Error("unknown seeding should be rejected")
 	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Rule: MergeRule(9)}, ConsensusOptions{}); err == nil {
+	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Rule: MergeRule(9)}, LiveOptions{}); err == nil {
 		t.Error("unknown merge rule should be rejected")
 	}
 }

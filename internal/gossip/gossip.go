@@ -244,10 +244,7 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Resul
 
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = 64
-		for v := 1; v < n; v <<= 1 {
-			maxRounds += 64
-		}
+		maxRounds = defaultRoundCap(n)
 	}
 
 	st := &state{
@@ -328,4 +325,26 @@ func tally(st *state) (count, it int, done bool) {
 		}
 	}
 	return count, it, done
+}
+
+// defaultRoundCap is the generous cap every protocol of this package runs
+// under when its config sets none: 64 + 64·⌈log2 n⌉ rounds (or time units),
+// far beyond any plausible completion of an O(log n) spread.
+func defaultRoundCap(n int) int {
+	rounds := 64
+	for v := 1; v < n; v <<= 1 {
+		rounds += 64
+	}
+	return rounds
+}
+
+// meanBandwidth returns each node's mean profile bandwidth (bin+bout)/2: the
+// clock rate of the async protocol, the neighbor weight of weighted topology
+// runs and the influence weight of RuleWeighted.
+func meanBandwidth(p bandwidth.Profile) []float64 {
+	w := make([]float64, p.N())
+	for i := range w {
+		w[i] = float64(p.In[i]+p.Out[i]) / 2
+	}
+	return w
 }

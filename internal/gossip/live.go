@@ -8,6 +8,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/run"
 	"repro/internal/simnet"
 )
 
@@ -38,10 +39,12 @@ type LiveConfig struct {
 	MaxDatingRounds int
 }
 
-// LiveOptions carries the axes of a live run that are orthogonal to the
-// protocol: the seed, the execution substrate, its worker count and the
-// network model. Under repro.Run these come from the run options; RunLive
-// takes them explicitly so direct callers state the same separation.
+// LiveOptions carries the axes of a stepped message-level run — live,
+// topology or consensus — that are orthogonal to the protocol: the seed, the
+// execution substrate, its worker count and the network model. Under
+// repro.Run these come from the run options (liveOptionsFor); the Run*
+// functions take them explicitly so direct callers state the same
+// separation.
 type LiveOptions struct {
 	Seed uint64
 	// Engine picks the substrate; the zero value is the goroutine engine.
@@ -62,9 +65,80 @@ type LiveOptions struct {
 	// rejects non-nil models.
 	Net live.NetModel
 	// Obs, when non-nil, receives phase spans and per-round gauges from the
-	// sharded engine. Observers are read-only: attaching one never changes
-	// results. Ignored by the goroutine engine.
+	// sharded engine, plus the protocol's own gauges where it has any.
+	// Observers are read-only: attaching one never changes results.
 	Obs *obs.Observer
+}
+
+// liveOptionsFor maps the unified run options onto LiveOptions: the runtime
+// seed derives from the root seed under the protocol's domain, WithEngine
+// picks the substrate (default: the sharded runtime), WithWorkers sets the
+// shard count and WithNet the network model.
+func liveOptionsFor(o *run.Options, domain uint64) LiveOptions {
+	lo := LiveOptions{Seed: run.SeedFor(o.Seed, domain), Net: o.Net, Obs: o.Obs}
+	switch o.Engine {
+	case run.EngineGoroutine:
+		lo.Engine = LiveGoroutine
+		lo.Concurrent = true
+	default: // EngineDefault, EngineSharded
+		lo.Engine = LiveSharded
+		lo.Shards = o.Workers
+	}
+	return lo
+}
+
+// blocks returns how many shard-owned state blocks a protocol keeps over n
+// peers: the sharded runtime's worker count, so that each block has exactly
+// one writing worker (who can also keep the block's tally), and a single
+// block on the goroutine engine.
+func (o LiveOptions) blocks(n int) int {
+	if o.Engine == LiveSharded {
+		return live.EffectiveShards(n, o.Shards)
+	}
+	return 1
+}
+
+// runner builds the engine o selects over n peers and returns its round
+// function; exactly one of step and active is set. The goroutine engine
+// derives the per-peer streams exactly as the sharded runtime does and
+// steps every peer whatever an active step answers — which is what makes it
+// the differential oracle: goroutine, sequential and sharded runs of one
+// seed are bit-identical under perfect sync, and a step that wrongly
+// reports "asleep" diverges.
+func (o LiveOptions) runner(n int, step live.StepFunc, active live.ActiveStepFunc) (func(rounds int) simnet.Stats, error) {
+	switch o.Engine {
+	case LiveGoroutine:
+		if o.Net != nil {
+			return nil, fmt.Errorf("gossip: network models require the sharded engine")
+		}
+		if active != nil {
+			step = func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
+				active(node, round, inbox, s, emit)
+			}
+		}
+		streams := make([]*rng.Stream, n)
+		for i := range streams {
+			streams[i] = rng.New(live.PeerSeed(o.Seed, i))
+		}
+		eng, err := simnet.NewLiveWithStreams(streams, adaptStep(step))
+		if err != nil {
+			return nil, err
+		}
+		if o.Concurrent {
+			return eng.Run, nil
+		}
+		return eng.RunSequential, nil
+	case LiveSharded:
+		rt, err := live.New(live.Config{
+			N: n, Seed: o.Seed, Step: step, ActiveStep: active,
+			Shards: o.Shards, Net: o.Net, Obs: o.Obs,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return rt.Run, nil
+	}
+	return nil, fmt.Errorf("gossip: unknown live engine %d", o.Engine)
 }
 
 // LiveResult reports a message-level spreading run.
@@ -110,9 +184,6 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 	if cfg.Source < 0 || cfg.Source >= n {
 		return LiveResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	if o.Engine == LiveGoroutine && o.Net != nil {
-		return LiveResult{}, fmt.Errorf("gossip: network models require the sharded engine")
-	}
 	sel := cfg.Selector
 	if sel == nil {
 		u, err := core.NewUniformSelector(n)
@@ -126,10 +197,7 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 	}
 	maxDating := cfg.MaxDatingRounds
 	if maxDating <= 0 {
-		maxDating = 64
-		for v := 1; v < n; v <<= 1 {
-			maxDating += 64
-		}
+		maxDating = defaultRoundCap(n)
 	}
 
 	st := &livePeerState{
@@ -144,41 +212,9 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 	}
 	st.informed[cfg.Source] = true
 
-	step := liveEmitStep(cfg.Profile, sel, st)
-	var run func(steps int) simnet.Stats
-	switch o.Engine {
-	case LiveGoroutine:
-		// Derive the per-peer streams exactly as the sharded runtime does,
-		// so the engine choice never changes results: goroutine, sequential
-		// and sharded runs of one seed are bit-identical under perfect sync.
-		streams := make([]*rng.Stream, n)
-		for i := range streams {
-			streams[i] = rng.New(live.PeerSeed(o.Seed, i))
-		}
-		eng, err := simnet.NewLiveWithStreams(streams, adaptStep(step))
-		if err != nil {
-			return LiveResult{}, err
-		}
-		if o.Concurrent {
-			run = eng.Run
-		} else {
-			run = eng.RunSequential
-		}
-	case LiveSharded:
-		rt, err := live.New(live.Config{
-			N:      n,
-			Seed:   o.Seed,
-			Step:   step,
-			Shards: o.Shards,
-			Net:    o.Net,
-			Obs:    o.Obs,
-		})
-		if err != nil {
-			return LiveResult{}, err
-		}
-		run = rt.Run
-	default:
-		return LiveResult{}, fmt.Errorf("gossip: unknown live engine %d", o.Engine)
+	run, err := o.runner(n, liveEmitStep(cfg.Profile, sel, st), nil)
+	if err != nil {
+		return LiveResult{}, err
 	}
 
 	var res LiveResult
@@ -306,14 +342,4 @@ func adaptStep(step live.StepFunc) simnet.StepFunc {
 		step(node, round, inbox, s, func(m simnet.Message) { out = append(out, m) })
 		return out
 	}
-}
-
-// adaptActiveStep is adaptStep for a step that reports whether its peer
-// stays awake. The goroutine engine steps every peer every round whatever
-// the answer, which is what makes it the check on the sharded runtime's
-// sleep contract: a step that wrongly reports false diverges here.
-func adaptActiveStep(step live.ActiveStepFunc) simnet.StepFunc {
-	return adaptStep(func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
-		step(node, round, inbox, s, emit)
-	})
 }

@@ -103,10 +103,7 @@ func runMultiRumorBudgeted(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (
 	nRumors := len(cfg.Injections)
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = 64 * (nRumors + 1)
-		for v := 1; v < n; v <<= 1 {
-			maxRounds += 64
-		}
+		maxRounds = 64*nRumors + defaultRoundCap(n)
 	}
 
 	// knows[i] is a slice of rumor ids node i knows, in learning order

@@ -60,27 +60,12 @@ func (c MultiRumorConfig) Execute(o *run.Options) (run.Report, error) {
 // Protocol implements run.Spec.
 func (c LiveConfig) Protocol() string { return "live" }
 
-// Execute implements run.Spec: the runtime seed derives from the root seed
-// under DomainLive, WithEngine picks the substrate (default: the sharded
-// runtime), WithWorkers sets the shard count and WithNet the network
-// model. Under the perfect-sync model every engine and every worker count
-// yields the identical report. Trajectory is the informed-peer history;
-// Detail the full LiveResult.
+// Execute implements run.Spec under liveOptionsFor(o, DomainLive). Under
+// the perfect-sync model every engine and every worker count yields the
+// identical report. Trajectory is the informed-peer history; Detail the full
+// LiveResult.
 func (c LiveConfig) Execute(o *run.Options) (run.Report, error) {
-	lo := LiveOptions{
-		Seed: run.SeedFor(o.Seed, run.DomainLive),
-		Net:  o.Net,
-		Obs:  o.Obs,
-	}
-	switch o.Engine {
-	case run.EngineGoroutine:
-		lo.Engine = LiveGoroutine
-		lo.Concurrent = true
-	default: // EngineDefault, EngineSharded
-		lo.Engine = LiveSharded
-		lo.Shards = o.Workers
-	}
-	res, err := RunLive(c, lo)
+	res, err := RunLive(c, liveOptionsFor(o, run.DomainLive))
 	if err != nil {
 		return run.Report{}, err
 	}

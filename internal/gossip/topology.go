@@ -16,7 +16,6 @@ import (
 	"repro/internal/exch"
 	"repro/internal/graph"
 	"repro/internal/live"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/run"
 	"repro/internal/simnet"
@@ -68,28 +67,6 @@ type TopologyConfig struct {
 	Delta float64
 	// MaxRounds caps the run (0 = generous log-based default).
 	MaxRounds int
-}
-
-// TopologyOptions carries the axes of a topology run that are orthogonal to
-// the protocol; under repro.Run they come from the run options.
-type TopologyOptions struct {
-	Seed uint64
-	// Engine picks the substrate; the zero value is the goroutine engine.
-	// All engines share the sharded runtime's per-peer stream derivation, so
-	// the engine choice never changes trajectories.
-	Engine LiveEngine
-	// Concurrent selects the goroutine engine's concurrent mode; ignored by
-	// the sharded engine.
-	Concurrent bool
-	// Shards is the sharded engine's worker count (0 = GOMAXPROCS); every
-	// value is bit-identical.
-	Shards int
-	// Net plugs a network model into the sharded engine; nil is perfect
-	// sync. The goroutine engine rejects non-nil models.
-	Net live.NetModel
-	// Obs, when non-nil, receives the runtime's phase spans plus the
-	// protocol's per-round spreader/stifler gauges on a "topology" track.
-	Obs *obs.Observer
 }
 
 // TopologyResult reports a graph-constrained spreading run.
@@ -251,16 +228,12 @@ func topoSampler(cfg TopologyConfig) (graph.Sampler, error) {
 	if cfg.Profile.N() != n {
 		return nil, fmt.Errorf("gossip: weighted topology needs a profile over %d nodes, got %d", n, cfg.Profile.N())
 	}
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = float64(cfg.Profile.In[i]+cfg.Profile.Out[i]) / 2
-	}
-	return graph.NewWeightedNeighbors(cfg.Graph, w)
+	return graph.NewWeightedNeighbors(cfg.Graph, meanBandwidth(cfg.Profile))
 }
 
 // RunTopology executes graph-constrained spreader/stifler spreading on a
 // live message engine.
-func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) {
+func RunTopology(cfg TopologyConfig, o LiveOptions) (TopologyResult, error) {
 	if cfg.Graph == nil || cfg.Graph.N() == 0 {
 		return TopologyResult{}, fmt.Errorf("gossip: topology run needs a graph")
 	}
@@ -272,9 +245,6 @@ func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) 
 		return TopologyResult{}, fmt.Errorf("gossip: topology rates must lie in [0,1], got alpha=%v lambda=%v delta=%v",
 			cfg.Alpha, cfg.Lambda, cfg.Delta)
 	}
-	if o.Engine == LiveGoroutine && o.Net != nil {
-		return TopologyResult{}, fmt.Errorf("gossip: network models require the sharded engine")
-	}
 	lambda := cfg.Lambda
 	if lambda == 0 {
 		lambda = 1
@@ -285,59 +255,20 @@ func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) 
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
-		maxRounds = 64
-		for v := 1; v < n; v <<= 1 {
-			maxRounds += 64
-		}
+		maxRounds = defaultRoundCap(n)
 	}
 
-	// State blocks match the runtime's shard partition, so each block has
-	// exactly one writing worker, who also keeps the block's tally; the
-	// goroutine engine uses a single block and recounts.
-	parts := 1
-	if o.Engine == LiveSharded {
-		parts = live.EffectiveShards(n, o.Shards)
-	}
-	st := newTopoState(n, parts, o.Engine == LiveSharded)
+	st := newTopoState(n, o.blocks(n), o.Engine == LiveSharded)
 	so, sc := st.cell(cfg.Source)
 	st.move(so, sc, topoSpreader)
 
-	step := topoStep(sampler, st, cfg.Alpha, lambda, cfg.Delta)
-	var runRounds func(rounds int) simnet.Stats
+	runRounds, err := o.runner(n, nil, topoStep(sampler, st, cfg.Alpha, lambda, cfg.Delta))
+	if err != nil {
+		return TopologyResult{}, err
+	}
 	maxDelay := 1
-	switch o.Engine {
-	case LiveGoroutine:
-		streams := make([]*rng.Stream, n)
-		for i := range streams {
-			streams[i] = rng.New(live.PeerSeed(o.Seed, i))
-		}
-		eng, err := simnet.NewLiveWithStreams(streams, adaptActiveStep(step))
-		if err != nil {
-			return TopologyResult{}, err
-		}
-		if o.Concurrent {
-			runRounds = eng.Run
-		} else {
-			runRounds = eng.RunSequential
-		}
-	case LiveSharded:
-		rt, err := live.New(live.Config{
-			N:          n,
-			Seed:       o.Seed,
-			ActiveStep: step,
-			Shards:     o.Shards,
-			Net:        o.Net,
-			Obs:        o.Obs,
-		})
-		if err != nil {
-			return TopologyResult{}, err
-		}
-		runRounds = rt.Run
-		if o.Net != nil {
-			maxDelay = o.Net.MaxDelay()
-		}
-	default:
-		return TopologyResult{}, fmt.Errorf("gossip: unknown live engine %d", o.Engine)
+	if o.Net != nil {
+		maxDelay = o.Net.MaxDelay()
 	}
 
 	tr := o.Obs.Track("topology", 1)
@@ -387,26 +318,11 @@ func RunTopology(cfg TopologyConfig, o TopologyOptions) (TopologyResult, error) 
 // Protocol implements run.Spec.
 func (c TopologyConfig) Protocol() string { return "topology" }
 
-// Execute implements run.Spec: the runtime seed derives from the root seed
-// under DomainTopology, WithEngine picks the substrate (default: the sharded
-// runtime), WithWorkers sets the shard count and WithNet the network model
-// — all pure speed knobs under perfect sync. Trajectory is the informed-peer history; Detail the full
-// TopologyResult (spreader/stifler split, final spread fraction).
+// Execute implements run.Spec under liveOptionsFor(o, DomainTopology).
+// Trajectory is the informed-peer history; Detail the full TopologyResult
+// (spreader/stifler split, final spread fraction).
 func (c TopologyConfig) Execute(o *run.Options) (run.Report, error) {
-	topts := TopologyOptions{
-		Seed: run.SeedFor(o.Seed, run.DomainTopology),
-		Net:  o.Net,
-		Obs:  o.Obs,
-	}
-	switch o.Engine {
-	case run.EngineGoroutine:
-		topts.Engine = LiveGoroutine
-		topts.Concurrent = true
-	default: // EngineDefault, EngineSharded
-		topts.Engine = LiveSharded
-		topts.Shards = o.Workers
-	}
-	res, err := RunTopology(c, topts)
+	res, err := RunTopology(c, liveOptionsFor(o, run.DomainTopology))
 	if err != nil {
 		return run.Report{}, err
 	}

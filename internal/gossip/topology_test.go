@@ -20,7 +20,7 @@ func mustBA(t *testing.T, n, m int, seed uint64) *graph.CSR {
 	return g
 }
 
-func topoTrajectory(t *testing.T, cfg TopologyConfig, o TopologyOptions) TopologyResult {
+func topoTrajectory(t *testing.T, cfg TopologyConfig, o LiveOptions) TopologyResult {
 	t.Helper()
 	res, err := RunTopology(cfg, o)
 	if err != nil {
@@ -35,12 +35,12 @@ func topoTrajectory(t *testing.T, cfg TopologyConfig, o TopologyOptions) Topolog
 func TestTopologyShardIdentity(t *testing.T) {
 	g := mustBA(t, 3000, 3, 7)
 	cfg := TopologyConfig{Graph: g, Source: 0, Alpha: 0.4, Delta: 0.02}
-	base := topoTrajectory(t, cfg, TopologyOptions{Seed: 42, Engine: LiveSharded, Shards: 1})
+	base := topoTrajectory(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: 1})
 	if base.Rounds == 0 || base.History[0] == 0 {
 		t.Fatalf("degenerate base run: %+v", base)
 	}
 	for _, shards := range []int{2, 4, 8} {
-		res := topoTrajectory(t, cfg, TopologyOptions{Seed: 42, Engine: LiveSharded, Shards: shards})
+		res := topoTrajectory(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: shards})
 		if fmt.Sprint(res) != fmt.Sprint(base) {
 			t.Errorf("shards=%d diverged:\n got %+v\nwant %+v", shards, res, base)
 		}
@@ -53,9 +53,9 @@ func TestTopologyShardIdentity(t *testing.T) {
 func TestTopologyEngineIdentity(t *testing.T) {
 	g := mustBA(t, 800, 2, 3)
 	cfg := TopologyConfig{Graph: g, Source: 5, Alpha: 0.3, Delta: 0.01}
-	sharded := topoTrajectory(t, cfg, TopologyOptions{Seed: 9, Engine: LiveSharded, Shards: 3})
-	seq := topoTrajectory(t, cfg, TopologyOptions{Seed: 9, Engine: LiveGoroutine})
-	conc := topoTrajectory(t, cfg, TopologyOptions{Seed: 9, Engine: LiveGoroutine, Concurrent: true})
+	sharded := topoTrajectory(t, cfg, LiveOptions{Seed: 9, Engine: LiveSharded, Shards: 3})
+	seq := topoTrajectory(t, cfg, LiveOptions{Seed: 9, Engine: LiveGoroutine})
+	conc := topoTrajectory(t, cfg, LiveOptions{Seed: 9, Engine: LiveGoroutine, Concurrent: true})
 	if fmt.Sprint(seq) != fmt.Sprint(sharded) {
 		t.Errorf("sequential engine diverged:\n got %+v\nwant %+v", seq, sharded)
 	}
@@ -71,7 +71,7 @@ func TestTopologyShardLocalState(t *testing.T) {
 	g := mustBA(t, 1200, 3, 11)
 	for _, shards := range []int{1, 4} {
 		res := topoTrajectory(t, TopologyConfig{Graph: g, Source: 0, Alpha: 0.2},
-			TopologyOptions{Seed: 4, Engine: LiveSharded, Shards: shards})
+			LiveOptions{Seed: 4, Engine: LiveSharded, Shards: shards})
 		if !res.Completed {
 			t.Errorf("shards=%d: run did not complete", shards)
 		}
@@ -89,7 +89,7 @@ func TestTopologyCompleteGraphMatchesPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := topoTrajectory(t, TopologyConfig{Graph: g, Source: 0},
-		TopologyOptions{Seed: 21, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 21, Engine: LiveSharded, Shards: 2})
 	if !res.Completed {
 		t.Fatal("complete-graph run did not complete")
 	}
@@ -112,7 +112,7 @@ func TestTopologyCompleteGraphMatchesPush(t *testing.T) {
 func TestTopologyStiflingLimitsSpread(t *testing.T) {
 	g := mustBA(t, 5000, 3, 13)
 	res := topoTrajectory(t, TopologyConfig{Graph: g, Source: 0, Alpha: 0.9, Delta: 0.1},
-		TopologyOptions{Seed: 17, Engine: LiveSharded, Shards: 4})
+		LiveOptions{Seed: 17, Engine: LiveSharded, Shards: 4})
 	if !res.Completed {
 		t.Fatal("stifled run did not terminate")
 	}
@@ -142,11 +142,11 @@ func TestTopologyWeightedSampler(t *testing.T) {
 	g := mustBA(t, 500, 2, 5)
 	p := bandwidth.Homogeneous(500, 2)
 	res := topoTrajectory(t, TopologyConfig{Graph: g, Profile: p, Weighted: true, Source: 0, Alpha: 0.5},
-		TopologyOptions{Seed: 2, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 2, Engine: LiveSharded, Shards: 2})
 	if !res.Completed {
 		t.Error("weighted run did not complete")
 	}
-	if _, err := RunTopology(TopologyConfig{Graph: g, Weighted: true, Source: 0}, TopologyOptions{}); err == nil {
+	if _, err := RunTopology(TopologyConfig{Graph: g, Weighted: true, Source: 0}, LiveOptions{}); err == nil {
 		t.Error("weighted run without a matching profile should be rejected")
 	}
 }
@@ -154,16 +154,16 @@ func TestTopologyWeightedSampler(t *testing.T) {
 // TestTopologyValidation pins the config error paths.
 func TestTopologyValidation(t *testing.T) {
 	g := mustBA(t, 50, 2, 1)
-	if _, err := RunTopology(TopologyConfig{}, TopologyOptions{}); err == nil {
+	if _, err := RunTopology(TopologyConfig{}, LiveOptions{}); err == nil {
 		t.Error("nil graph should be rejected")
 	}
-	if _, err := RunTopology(TopologyConfig{Graph: g, Source: 50}, TopologyOptions{}); err == nil {
+	if _, err := RunTopology(TopologyConfig{Graph: g, Source: 50}, LiveOptions{}); err == nil {
 		t.Error("out-of-range source should be rejected")
 	}
-	if _, err := RunTopology(TopologyConfig{Graph: g, Alpha: 1.5}, TopologyOptions{}); err == nil {
+	if _, err := RunTopology(TopologyConfig{Graph: g, Alpha: 1.5}, LiveOptions{}); err == nil {
 		t.Error("alpha > 1 should be rejected")
 	}
-	if _, err := RunTopology(TopologyConfig{Graph: g, Delta: -0.1}, TopologyOptions{}); err == nil {
+	if _, err := RunTopology(TopologyConfig{Graph: g, Delta: -0.1}, LiveOptions{}); err == nil {
 		t.Error("negative delta should be rejected")
 	}
 }

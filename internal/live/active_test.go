@@ -86,7 +86,7 @@ func runNapper(t *testing.T, n, rounds, shards int, net NetModel, dense bool, o 
 		sent = append(sent, st.Sent-prev)
 		prev = st.Sent
 	}
-	return napperRun{stats: rt.Stats(), sent: sent, digest: p.digest, energy: p.energy, streams: rt.states}, p
+	return napperRun{stats: rt.Stats(), sent: sent, digest: p.digest, energy: p.energy, streams: rt.core.States()}, p
 }
 
 // TestActiveStepMatchesDense is the sleep contract's differential: the same

@@ -2,12 +2,14 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/shardrt"
 	"repro/internal/simnet"
 )
 
@@ -65,6 +67,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{N: 4, Step: step, Shards: -1}); err == nil {
 		t.Error("accepted negative shards")
 	}
+	nan := math.NaN()
 	for _, net := range []NetModel{
 		FixedLatency{Rounds: 0},
 		GeomLatency{P: 0, Cap: 4},
@@ -77,6 +80,20 @@ func TestNewValidation(t *testing.T) {
 		RingLatency{Pos: UniformRing(4, 1), Scale: 2, Max: 0},
 		RingLatency{Pos: UniformRing(4, 1), Scale: -1, Max: 3},
 		RingLatency{Pos: UniformRing(2, 1), Scale: 2, Max: 3}, // embedding smaller than n
+		// NaN fails every comparison, so only an accepting-form check sees it.
+		Loss{P: nan},
+		GeomLatency{P: nan, Cap: 4},
+		EpochChurn{Epoch: 2, DownFrac: nan},
+		Loss{P: 0.1, Under: GeomLatency{P: nan, Cap: 4}},
+		EpochChurn{Epoch: 2, DownFrac: 0.1, Under: Loss{P: nan}},
+		// A non-finite scale makes int(arc*Scale) not a number: d < 1, every
+		// message silently dropped.
+		RingLatency{Pos: UniformRing(4, 1), Scale: nan, Max: 3},
+		RingLatency{Pos: UniformRing(4, 1), Scale: math.Inf(1), Max: 3},
+		// A ring the runtime cannot hold is an error, not a 2^40-slot make.
+		FixedLatency{Rounds: 1 << 40},
+		FixedLatency{Rounds: math.MaxInt},
+		GeomLatency{P: 0.5, Cap: shardrt.MaxRing},
 	} {
 		if _, err := New(Config{N: 4, Step: step, Net: net}); err == nil {
 			t.Errorf("accepted invalid net model %#v", net)
@@ -339,15 +356,15 @@ func TestDeliveryScratchPartitionsPeerRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		total := 0
-		for w := 0; w < rt.shards; w++ {
-			lo, hi := rt.part.Range(w)
+		for w := 0; w < rt.Shards(); w++ {
+			lo, hi := rt.core.Part().Range(w)
 			if lo != total {
 				t.Fatalf("shards=%d: owner %d range starts at %d, want %d", shards, w, lo, total)
 			}
 			total = hi
 		}
-		if total != rt.n {
-			t.Fatalf("shards=%d: owner ranges cover %d ids, want exactly n=%d", shards, total, rt.n)
+		if total != rt.N() {
+			t.Fatalf("shards=%d: owner ranges cover %d ids, want exactly n=%d", shards, total, rt.N())
 		}
 	}
 }

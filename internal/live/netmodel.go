@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/simnet"
@@ -229,7 +230,9 @@ func UniformRing(n int, seed uint64) []float64 {
 }
 
 // validateNet rejects models the runtime cannot schedule; n is the peer
-// count, for models whose parameters are per-peer.
+// count, for models whose parameters are per-peer. Range checks are written
+// in the accepting form, so that NaN — for which every comparison is false —
+// is rejected.
 func validateNet(net NetModel, n int) error {
 	if net.MaxDelay() < 1 {
 		return fmt.Errorf("live: net model MaxDelay %d < 1", net.MaxDelay())
@@ -240,14 +243,14 @@ func validateNet(net NetModel, n int) error {
 			return fmt.Errorf("live: FixedLatency.Rounds %d < 1", m.Rounds)
 		}
 	case GeomLatency:
-		if m.P <= 0 || m.P > 1 {
+		if !(m.P > 0 && m.P <= 1) {
 			return fmt.Errorf("live: GeomLatency.P %v outside (0, 1]", m.P)
 		}
 		if m.Cap < 1 {
 			return fmt.Errorf("live: GeomLatency.Cap %d < 1", m.Cap)
 		}
 	case Loss:
-		if m.P < 0 || m.P >= 1 {
+		if !(m.P >= 0 && m.P < 1) {
 			return fmt.Errorf("live: Loss.P %v outside [0, 1)", m.P)
 		}
 		if m.Under != nil {
@@ -257,7 +260,7 @@ func validateNet(net NetModel, n int) error {
 		if m.Epoch < 1 {
 			return fmt.Errorf("live: EpochChurn.Epoch %d < 1", m.Epoch)
 		}
-		if m.DownFrac < 0 || m.DownFrac >= 1 {
+		if !(m.DownFrac >= 0 && m.DownFrac < 1) {
 			return fmt.Errorf("live: EpochChurn.DownFrac %v outside [0, 1)", m.DownFrac)
 		}
 		if m.Under != nil {
@@ -267,8 +270,8 @@ func validateNet(net NetModel, n int) error {
 		if m.Max < 1 {
 			return fmt.Errorf("live: RingLatency.Max %d < 1", m.Max)
 		}
-		if m.Scale < 0 {
-			return fmt.Errorf("live: RingLatency.Scale %v negative", m.Scale)
+		if !(m.Scale >= 0) || math.IsInf(m.Scale, 0) {
+			return fmt.Errorf("live: RingLatency.Scale %v must be non-negative and finite", m.Scale)
 		}
 		if len(m.Pos) < n {
 			return fmt.Errorf("live: RingLatency embeds %d peers, runtime has %d", len(m.Pos), n)

@@ -268,6 +268,19 @@ func TestReportSurfacesDrops(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnholdableRing pins that a latency the delivery ring cannot
+// hold comes back from Run as an error: 1e300 bucket widths used to wrap the
+// ring size negative and panic in make, 2^40 rounds to allocate the ring.
+func TestRunRejectsUnholdableRing(t *testing.T) {
+	p := repro.UnitBandwidth(16)
+	if _, err := repro.Run(repro.AsyncConfig{Profile: p, Latency: 1e300}); err == nil {
+		t.Error("async run with Latency 1e300 returned no error")
+	}
+	if _, err := repro.Run(repro.LiveConfig{Profile: p}, repro.WithNet(repro.NetFixedLatency{Rounds: 1 << 40})); err == nil {
+		t.Error("live run with a 2^40-round latency returned no error")
+	}
+}
+
 // TestTopologyFacade drives graph-constrained spreading end to end through
 // the public surface: a generated scale-free graph, repro.Run on the
 // TopologyConfig spec, the per-round spreader/stifler gauges riding
