@@ -95,18 +95,19 @@
 // Exchange[T]. Workers own two kinds of contiguous ranges — a sender shard
 // (balanced by request weight) and a destination range (uniform id cuts).
 // During the scatter each worker records every emitted (destination,
-// sender) pair into the chunk buffer of the destination's owner; a tiny
-// serial exchange (O(workers²), no length-n scan) prefixes the owners'
-// incoming totals into base offsets; then each owner counting-sorts its
-// own destination range with a count array covering only that range,
+// sender) pair into the chunk buffer of the destination's owner; a serial
+// O(workers²) exchange prefixes the owners' incoming totals into base
+// offsets; then each owner counting-sorts its own destination range,
 // replaying the chunks in worker order so every rendezvous bucket holds
 // its requests in global sender order. Round scratch is O(n + requests)
-// regardless of the worker count — the owners' count arrays partition
-// [0, n) rather than every worker holding a length-n array — and the
-// layout is a pure function of the round's inputs, so results never depend
-// on scheduling. A reference implementation pins the engine's output
-// bit-for-bit at workers {1, 2, 4, 7, 8}, and an allocation regression test
-// asserts that first-round bytes do not scale with the worker count.
+// regardless of the worker count, and the layout is a pure function of the
+// round's inputs, so results never depend on scheduling. Each worker's
+// generator and date buffer sit in its own padded array element: on the
+// recorded 2-core box the benchmark's dating spread (n = 150k) runs 1.6x
+// faster at P = 2 than on one shard. A reference implementation pins the
+// engine's output bit-for-bit at workers {1, 2, 4, 7, 8}; allocation tests
+// pin that first-round bytes do not scale with the worker count and that a
+// warm spreading round allocates nothing per node.
 //
 // # Worker-count-independent engines
 //
@@ -121,9 +122,11 @@
 // are bit-for-bit identical for every workers count. ArrangeShared /
 // RunRoundShared draw the worker count from a shared par.Budget instead of
 // a fixed knob — which is how a Run's rounds, and the experiment harness's
-// tail jobs, soak up idle cores without being able to change a number.
-// DatingService.RunRound(stream), the paper's serial reference, is the same
-// body with one worker drawing everything from the caller's stream.
+// tail jobs, soak up idle cores without being able to change a number. Both
+// return ([]Date, error); RunRoundShared's dates live in a buffer the
+// service reuses, valid until its next round. DatingService.RunRound(stream),
+// the paper's serial reference, is the same body with one worker drawing
+// everything from the caller's stream.
 //
 // # The sharded live-message runtime
 //

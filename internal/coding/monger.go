@@ -134,11 +134,10 @@ func runMongerBudgeted(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerRe
 		// One draw per round whatever the worker count, so the run stream
 		// evolves identically for every budget size.
 		seed := s.Uint64()
-		rres, err := svc.RunRoundShared(seed, b, nil)
+		dates, err := svc.RunRoundShared(seed, b, nil)
 		if err != nil {
 			return MongerResult{}, err
 		}
-		dates := rres.Dates
 		// Transmissions use the start-of-round spans: emit all packets
 		// first, then deliver, so a packet relayed within the same round
 		// cannot leapfrog (synchronous model).

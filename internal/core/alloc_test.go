@@ -13,10 +13,12 @@ package core
 // phase workers make off the calling goroutine.
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/bandwidth"
+	"repro/internal/par"
 )
 
 // allocFirstRound returns the bytes allocated by constructing a Service at
@@ -65,9 +67,10 @@ func TestRoundAllocBytesIndependentOfWorkers(t *testing.T) {
 
 func TestSteadyStateRoundAllocsFlat(t *testing.T) {
 	// After the first round the scratch is warm: subsequent rounds must not
-	// re-allocate worker-count-scaled buffers either. (Per-round result
-	// slices — Dates, PerNode counters — are O(n) and identical for every
-	// worker count, since the seeded path is worker-count independent.)
+	// re-allocate worker-count-scaled buffers either. (The one per-round
+	// allocation left on this entry point is the fresh Dates slice, 16 bytes
+	// a date and identical for every worker count; RunRoundShared has none,
+	// see TestSharedRoundAllocatesNothingPerNode.)
 	const n, rounds = 20_000, 4
 	measure := func(workers int) uint64 {
 		sel, err := NewUniformSelector(n)
@@ -101,5 +104,82 @@ func TestSteadyStateRoundAllocsFlat(t *testing.T) {
 	if limit := serial + serial/2; wide > limit {
 		t.Fatalf("8-worker steady-state rounds allocated %d bytes vs %d serial (limit %d)",
 			wide, serial, limit)
+	}
+}
+
+func TestSharedRoundAllocatesNothingPerNode(t *testing.T) {
+	// The spreading protocols' round: once the scratch and the Service's
+	// date buffer are warm, a round allocates closures and fan-out
+	// bookkeeping only — under n bytes over all the rounds here, where one
+	// length-n []int alone is 8n. The rounds replay the warm-up's seed, so
+	// every chunk and date buffer is asked for exactly the room it already
+	// has: what append's amortised growth costs while request counts still
+	// drift is gossip's TestDatingSpreadAllocBound, not this test.
+	const n, rounds, seed = 40_000, 6, 1
+	for _, workers := range []int{1, 2, 8} {
+		sv := parallelService(t, n, 2)
+		b, err := par.NewBudget(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(k int) {
+			for ; k > 0; k-- {
+				dates, err := sv.RunRoundShared(seed, b, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(dates) < n/2 {
+					t.Fatalf("workers=%d: a b=2 round arranged %d dates over %d nodes", workers, len(dates), n)
+				}
+			}
+		}
+		run(1)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(rounds)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= n {
+			t.Errorf("workers=%d: %d warm rounds allocated %d bytes, want fewer than n = %d", workers, rounds, got, n)
+		}
+	}
+}
+
+func TestRoundBufferContract(t *testing.T) {
+	// RunRoundShared's dates live in the Service's buffer: intact until the
+	// next RunRoundShared, whatever else runs in between. A RunRoundSeeded
+	// result owns its slice: no later round of either kind writes to it.
+	const n = 2_000
+	sv := parallelService(t, n, 2)
+	shared, err := sv.RunRoundShared(11, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharedCopy := append([]Date(nil), shared...)
+	owned, err := sv.RunRoundSeeded(12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownedCopy := append([]Date(nil), owned.Dates...)
+	if !reflect.DeepEqual(shared, sharedCopy) {
+		t.Fatal("a RunRoundSeeded round overwrote the dates of the last RunRoundShared")
+	}
+	again, err := sv.RunRoundSeeded(11, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Dates, sharedCopy) {
+		t.Fatal("RunRoundShared and RunRoundSeeded arrange different dates from one seed")
+	}
+	for seed := uint64(13); seed < 17; seed++ {
+		if _, err := sv.RunRoundShared(seed, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sv.RunRoundSeeded(seed, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(owned.Dates, ownedCopy) {
+		t.Fatal("a later round wrote into the slice an earlier RunRoundSeeded returned")
 	}
 }

@@ -54,24 +54,23 @@ func (a *Arranger) ArrangeShared(out, in []int, seed uint64, b *par.Budget) (dat
 // The paper's abstract description covers this directly: the service
 // "randomly joins demands and supplies of some resource into couples".
 //
-// Entries must be non-negative and both slices must have the selector's
-// length. Dates never exceed out[i]/in[i] for any node, and are returned in
-// rendezvous order. The result is bit-for-bit identical for every workers
-// count >= 1; seed alone selects the round's randomness.
+// Entries must be non-negative, sum to at most math.MaxInt32 each way, and
+// both slices must have the selector's length. Dates never exceed
+// out[i]/in[i] for any node, and are returned in rendezvous order. The
+// result is bit-for-bit identical for every workers count >= 1; seed alone
+// selects the round's randomness.
 func (a *Arranger) Arrange(out, in []int, seed uint64, workers int) ([]Date, error) {
 	n := a.sel.N()
 	if len(out) != n || len(in) != n {
 		return nil, fmt.Errorf("core: supply/demand vectors (%d/%d) must match selector size %d", len(out), len(in), n)
 	}
-	for i := 0; i < n; i++ {
-		if out[i] < 0 || in[i] < 0 {
-			return nil, fmt.Errorf("core: negative supply/demand at node %d", i)
-		}
+	if err := indexable(n, out, in); err != nil {
+		return nil, err
 	}
 	if err := prepare(a.sel, workers); err != nil {
 		return nil, err
 	}
-	return a.eng.round(a.sel, out, in, nil, nil, seed, nil, workers), nil
+	return a.eng.round(nil, a.sel, out, in, nil, nil, seed, nil, workers), nil
 }
 
 // ArrangeDates is the one-shot convenience form of Arranger.Arrange: it

@@ -96,15 +96,7 @@ func arrangeCase(t *testing.T, n int, maxB int, s *rng.Stream) (out, in []int, s
 // ArrangeDates result: no node exceeds its declared supply or demand.
 func validateArrangement(t *testing.T, dates []Date, out, in []int) {
 	t.Helper()
-	res := RoundResult{Dates: dates, PerNodeOut: make([]int, len(out)), PerNodeIn: make([]int, len(in))}
-	for _, d := range dates {
-		if d.Sender < 0 || d.Sender >= len(out) || d.Receiver < 0 || d.Receiver >= len(in) {
-			t.Fatalf("date %v references invalid node", d)
-		}
-		res.PerNodeOut[d.Sender]++
-		res.PerNodeIn[d.Receiver]++
-	}
-	if err := ValidateCapacities(res, bandwidth.Profile{Out: out, In: in}); err != nil {
+	if err := ValidateCapacities(RoundResult{Dates: dates}, bandwidth.Profile{Out: out, In: in}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -109,11 +109,18 @@ type RoundResult struct {
 	// (Bout and Bin respectively when all nodes participate).
 	OffersSent   int
 	RequestsSent int
-	// PerNodeOut[i] and PerNodeIn[i] count node i's matched outgoing and
-	// incoming units; the capacity invariant is PerNodeOut[i] <= bout(i)
-	// and PerNodeIn[i] <= bin(i), always.
-	PerNodeOut []int
-	PerNodeIn  []int
+}
+
+// PerNode counts, over n nodes, the matched outgoing and incoming units of
+// each: the capacity invariant is out[i] <= bout(i) and in[i] <= bin(i),
+// always. It is counted from Dates on demand — no round pays for it.
+func (r RoundResult) PerNode(n int) (out, in []int) {
+	out, in = make([]int, n), make([]int, n)
+	for _, d := range r.Dates {
+		out[d.Sender]++
+		in[d.Receiver]++
+	}
+	return out, in
 }
 
 // Fraction returns len(Dates)/m, the figure-of-merit of Figure 1.
@@ -134,10 +141,12 @@ type Service struct {
 	sel     Selector
 	eng     engine // round scratch, reused across rounds (see engine.go)
 	cut     []int  // sender shards of an unfiltered round, see senderCuts
+	shared  []Date // RunRoundShared's date buffer, overwritten by its next round
 }
 
 // NewService validates the configuration and returns a Service. The profile
-// must have positive bandwidths and match the selector's node count.
+// must have positive bandwidths, match the selector's node count and total
+// at most math.MaxInt32 units each way (the engine's offsets are int32).
 func NewService(p bandwidth.Profile, sel Selector) (*Service, error) {
 	if sel == nil {
 		return nil, fmt.Errorf("core: service needs a selector")
@@ -148,7 +157,11 @@ func NewService(p bandwidth.Profile, sel Selector) (*Service, error) {
 	if p.N() != sel.N() {
 		return nil, fmt.Errorf("core: profile has %d nodes but selector addresses %d", p.N(), sel.N())
 	}
-	return &Service{profile: p, sel: sel}, nil
+	if err := indexable(p.N(), p.Out, p.In); err != nil {
+		return nil, err
+	}
+	// shared starts empty, not nil: nil asks the engine for a fresh slice.
+	return &Service{profile: p, sel: sel, shared: []Date{}}, nil
 }
 
 // Profile returns the service's bandwidth profile.
@@ -164,7 +177,7 @@ func (sv *Service) M() int { return sv.profile.M() }
 // s in node order and then rendezvous order — the paper's reference round,
 // the one Figures 1 and 2 are computed with.
 func (sv *Service) RunRound(s *rng.Stream) RoundResult {
-	return sv.result(sv.eng.round(sv.sel, sv.profile.Out, sv.profile.In, nil, sv.senderCuts(1, nil), 0, s, 1))
+	return sv.result(sv.eng.round(nil, sv.sel, sv.profile.Out, sv.profile.In, nil, sv.senderCuts(1, nil), 0, s, 1))
 }
 
 // RunRoundSeeded executes Algorithm 1 once with per-node/per-rendezvous
@@ -187,22 +200,38 @@ func (sv *Service) RunRoundSeeded(seed uint64, workers int) (RoundResult, error)
 // surviving nodes' randomness is unaffected by who crashed — and still
 // independent of the worker count.
 func (sv *Service) RunRoundSeededFiltered(seed uint64, workers int, alive func(i int) bool) (RoundResult, error) {
-	if err := prepare(sv.sel, workers); err != nil {
+	dates, err := sv.seeded(nil, seed, workers, alive)
+	if err != nil {
 		return RoundResult{}, err
 	}
-	return sv.result(sv.eng.round(sv.sel, sv.profile.Out, sv.profile.In, alive, sv.senderCuts(workers, alive), seed, nil, workers)), nil
+	return sv.result(dates), nil
 }
 
-// RunRoundShared is RunRoundSeededFiltered drawing its worker count from a
-// shared budget: the round runs with the caller's worker plus whatever
-// spare tokens b has at this moment, released when the round is done.
-// Since a seeded round is worker-count independent, whatever the pool hands
-// out is a pure speed knob. A nil budget runs serially.
-func (sv *Service) RunRoundShared(seed uint64, b *par.Budget, alive func(i int) bool) (res RoundResult, err error) {
+// seeded runs one seeded round, appending its dates to dst (the engine's
+// buffer contract: nil is a fresh slice).
+func (sv *Service) seeded(dst []Date, seed uint64, workers int, alive func(i int) bool) ([]Date, error) {
+	if err := prepare(sv.sel, workers); err != nil {
+		return nil, err
+	}
+	return sv.eng.round(dst, sv.sel, sv.profile.Out, sv.profile.In, alive, sv.senderCuts(workers, alive), seed, nil, workers), nil
+}
+
+// RunRoundShared arranges the dates of RunRoundSeededFiltered drawing its
+// worker count from a shared budget: the round runs with the caller's
+// worker plus whatever spare tokens b has at this moment, released when the
+// round is done. Since a seeded round is worker-count independent, whatever
+// the pool hands out is a pure speed knob. A nil budget runs serially.
+//
+// This is the spreading protocols' round, so it allocates nothing
+// proportional to n: the dates live in a buffer the Service keeps and are
+// valid until its next RunRoundShared.
+func (sv *Service) RunRoundShared(seed uint64, b *par.Budget, alive func(i int) bool) (dates []Date, err error) {
 	b.Use(0, func(workers int) {
-		res, err = sv.RunRoundSeededFiltered(seed, workers, alive)
+		if dates, err = sv.seeded(sv.shared[:0], seed, workers, alive); err == nil {
+			sv.shared = dates
+		}
 	})
-	return res, err
+	return dates, err
 }
 
 // senderCuts returns the sender shards to scatter a round by. With everyone
@@ -221,22 +250,14 @@ func (sv *Service) senderCuts(workers int, alive func(i int) bool) []int {
 }
 
 // result wraps the dates of the round the engine just ran: the control
-// message counters are the requests that reached a rendezvous, and the
-// per-node counters are rebuilt from the dates.
+// message counters are the requests that reached a rendezvous.
 func (sv *Service) result(dates []Date) RoundResult {
 	n := sv.profile.N()
-	res := RoundResult{
+	return RoundResult{
 		Dates:        dates,
 		OffersSent:   int(sv.eng.offerOff[n]),
 		RequestsSent: int(sv.eng.reqOff[n]),
-		PerNodeOut:   make([]int, n),
-		PerNodeIn:    make([]int, n),
 	}
-	for _, d := range dates {
-		res.PerNodeOut[d.Sender]++
-		res.PerNodeIn[d.Receiver]++
-	}
-	return res
 }
 
 // MatchRendezvous implements the rendezvous step of Algorithm 1 for one
@@ -275,24 +296,18 @@ func shuffleInt32(p []int32, s *rng.Stream) {
 // date endpoint is a valid node.
 func ValidateCapacities(res RoundResult, p bandwidth.Profile) error {
 	n := p.N()
-	out := make([]int, n)
-	in := make([]int, n)
 	for _, d := range res.Dates {
 		if d.Sender < 0 || d.Sender >= n || d.Receiver < 0 || d.Receiver >= n {
 			return fmt.Errorf("core: date %v references invalid node", d)
 		}
-		out[d.Sender]++
-		in[d.Receiver]++
 	}
+	out, in := res.PerNode(n)
 	for i := 0; i < n; i++ {
 		if out[i] > p.Out[i] {
 			return fmt.Errorf("core: node %d sends %d > bout %d", i, out[i], p.Out[i])
 		}
 		if in[i] > p.In[i] {
 			return fmt.Errorf("core: node %d receives %d > bin %d", i, in[i], p.In[i])
-		}
-		if out[i] != res.PerNodeOut[i] || in[i] != res.PerNodeIn[i] {
-			return fmt.Errorf("core: per-node counters disagree with dates at node %d", i)
 		}
 	}
 	return nil

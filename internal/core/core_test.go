@@ -387,17 +387,13 @@ func TestSubsetSelectionUniform(t *testing.T) {
 func TestValidateCapacitiesDetectsViolations(t *testing.T) {
 	p := bandwidth.Homogeneous(3, 1)
 	res := RoundResult{
-		Dates:      []Date{{Sender: 0, Receiver: 1}, {Sender: 0, Receiver: 2}},
-		PerNodeOut: []int{2, 0, 0},
-		PerNodeIn:  []int{0, 1, 1},
+		Dates: []Date{{Sender: 0, Receiver: 1}, {Sender: 0, Receiver: 2}},
 	}
 	if err := ValidateCapacities(res, p); err == nil {
 		t.Fatal("over-capacity sender accepted")
 	}
 	res2 := RoundResult{
-		Dates:      []Date{{Sender: 5, Receiver: 0}},
-		PerNodeOut: []int{0, 0, 0},
-		PerNodeIn:  []int{1, 0, 0},
+		Dates: []Date{{Sender: 5, Receiver: 0}},
 	}
 	if err := ValidateCapacities(res2, p); err == nil {
 		t.Fatal("invalid node accepted")
@@ -433,8 +429,9 @@ func TestPerNodeHypergeometricShape(t *testing.T) {
 	total := 0
 	for r := 0; r < rounds; r++ {
 		res := sv.RunRound(s)
+		out, _ := res.PerNode(n)
 		for i := 0; i < n; i++ {
-			matched[i] += res.PerNodeOut[i]
+			matched[i] += out[i]
 		}
 		total += len(res.Dates)
 	}

@@ -38,8 +38,9 @@ package core
 // whichever worker processes a node or bucket draws the same values and the
 // round is a pure function of (out, in, selector, seed, alive) — workers is
 // a pure speed knob, on any GOMAXPROCS, under any goroutine schedule. The
-// price is a two-step Derive chain plus a four-step SplitMix64 state
-// expansion per participating node and per non-empty bucket, about 25% on a
+// (seed, domain) prefix of either chain is derived once per round, so the
+// price per participating node and per non-empty bucket is one rng.Absorb
+// step plus the four-step SplitMix64 state expansion: about a fifth on a
 // unit-bandwidth uniform round at n=100k (BenchmarkSeededRound tracks it).
 // The other mode is the paper's serial reference, RunRound: one worker
 // drawing everything from the caller's single stream, in node order and
@@ -51,12 +52,30 @@ package core
 // length-n array per worker), and the chunk buffers together hold exactly
 // the round's recorded requests.
 //
-// The engine assumes fewer than 2^31 requests of each kind per round
-// (offsets are int32); each recorded request already costs 8 bytes of
-// scratch, so this bound is far beyond any round that fits in memory.
+// Worker isolation: everything a worker writes once per draw or per date —
+// its generator state, the header of its date buffer — lives by value in its
+// own engineWorker, and the elements of that array are tail-padded so that
+// no two workers' state shares a cache line whatever the array's alignment.
+// Two generators on one line cost the two-worker round more than the second
+// core gave it.
+//
+// Buffer contract: round appends its dates to the buffer the caller hands it.
+// nil gets a fresh slice of exactly the round's size that the engine never
+// touches again (RunRound, RunRoundSeeded*, Arrange*); Service.RunRoundShared
+// hands in the buffer it keeps (non-nil from the start, and grown with a
+// quarter of headroom), so a spreading round allocates nothing proportional
+// to n and its dates are valid until that Service's next RunRoundShared.
+//
+// Offsets and ids are int32, so a round holds fewer than 2^31 nodes and
+// fewer than 2^31 requests of each kind; indexable rejects anything larger
+// before a round starts. Each recorded request already costs 8 bytes of
+// scratch, so the bound is far beyond any round that fits in memory.
 
 import (
 	"fmt"
+	"math"
+	"sort"
+	"unsafe"
 
 	"repro/internal/exch"
 	"repro/internal/par"
@@ -81,15 +100,25 @@ const (
 	domainMatch   uint64 = 2
 )
 
-// engineWorker is one worker's private state: the date buffer of the match
+// workerState is one worker's private state: the date buffer of the match
 // pass and the generator (with the stream reading it) that a seeded round
 // reseeds for every node (scatter) or bucket (match) the worker processes —
 // four SplitMix64 steps, far cheaper than allocating a stream per unit of
-// work.
-type engineWorker struct {
+// work. stream draws from &gen, so a workerState is never copied.
+type workerState struct {
 	dates  []Date
-	gen    *rng.Xoshiro256
+	gen    rng.Xoshiro256
 	stream *rng.Stream
+}
+
+const cacheLine = 64
+
+// engineWorker pads workerState per the file comment's isolation rule: a
+// full spare line (so the guarantee does not depend on the array's
+// alignment) rounded up to keep the size a multiple of the line.
+type engineWorker struct {
+	workerState
+	_ [2*cacheLine - unsafe.Sizeof(workerState{})%cacheLine]byte
 }
 
 // engine is the round scratch a Service or an Arranger reuses across
@@ -126,12 +155,13 @@ func prepare(sel Selector, workers int) error {
 	return nil
 }
 
-// round runs Algorithm 1 once and returns the dates in rendezvous order:
-// node i sends out[i] offers and in[i] requests to rendezvous drawn from
-// sel. A node that alive (nil: everyone) reports dead neither emits nor
-// matches, and a request addressed to it is drawn and lost — a dead
-// rendezvous simply never answers. alive is called concurrently from all
-// workers.
+// round runs Algorithm 1 once and returns the dates in rendezvous order,
+// appended to dst (nil: a fresh slice of exactly the round's size; see the
+// file comment's buffer contract): node i sends out[i] offers and in[i]
+// requests to rendezvous drawn from sel. A node that alive (nil: everyone)
+// reports dead neither emits nor matches, and a request addressed to it is
+// drawn and lost — a dead rendezvous simply never answers. alive is called
+// concurrently from all workers.
 //
 // cut, when non-nil, is the workers+1 sender shard boundaries to scatter by;
 // nil balances the shards by this round's request weight. The cuts only
@@ -141,9 +171,13 @@ func prepare(sel Selector, workers int) error {
 // node and per rendezvous from seed, so the result is the same for every
 // workers >= 1; non-nil draws everything from that one stream, ignores
 // seed, and needs workers == 1.
-func (e *engine) round(sel Selector, out, in []int, alive func(i int) bool, cut []int, seed uint64, serial *rng.Stream, workers int) []Date {
+func (e *engine) round(dst []Date, sel Selector, out, in []int, alive func(i int) bool, cut []int, seed uint64, serial *rng.Stream, workers int) []Date {
 	n := sel.N()
 	e.ensure(n, workers)
+	// The two-step prefix of either Derive chain is the same for every node
+	// and every bucket of the round: each then absorbs its own index.
+	scatterKey := rng.Derive(seed, domainScatter)
+	matchKey := rng.Derive(seed, domainMatch)
 
 	// Scatter: worker w draws destinations for its sender shard, recording
 	// each pair into the chunk of the destination's owner. A node that is
@@ -172,7 +206,7 @@ func (e *engine) round(sel Selector, out, in []int, alive func(i int) bool, cut 
 				continue
 			}
 			if serial == nil {
-				ws.gen.Seed(rng.Derive(seed, domainScatter, uint64(i)))
+				ws.gen.Seed(rng.Absorb(scatterKey, uint64(i)))
 			}
 			for k := 0; k < out[i]; k++ {
 				dest := sel.Pick(s)
@@ -208,9 +242,7 @@ func (e *engine) round(sel Selector, out, in []int, alive func(i int) bool, cut 
 	// size (the shuffle cost of MatchRendezvous is linear in it). A bucket
 	// with either side empty arranges nothing and draws nothing, so it is
 	// skipped before the reseed.
-	e.rdvCut = exch.BalancedCuts(e.rdvCut, n, workers, func(v int) int {
-		return int(e.offerOff[v+1]-e.offerOff[v]) + int(e.reqOff[v+1]-e.reqOff[v])
-	})
+	e.rdvCut = prefixCuts(e.rdvCut, workers, e.offerOff, e.reqOff)
 	par.Do(workers, func(w int) {
 		ws := &e.ws[w]
 		ws.dates = ws.dates[:0]
@@ -228,7 +260,7 @@ func (e *engine) round(sel Selector, out, in []int, alive func(i int) bool, cut 
 				continue
 			}
 			if serial == nil {
-				ws.gen.Seed(rng.Derive(seed, domainMatch, uint64(v)))
+				ws.gen.Seed(rng.Absorb(matchKey, uint64(v)))
 			}
 			MatchRendezvous(offers, requests, s, emit)
 		}
@@ -241,20 +273,78 @@ func (e *engine) round(sel Selector, out, in []int, alive func(i int) bool, cut 
 	for w := 0; w < workers; w++ {
 		total += len(e.ws[w].dates)
 	}
-	dates := make([]Date, 0, total)
-	for w := 0; w < workers; w++ {
-		dates = append(dates, e.ws[w].dates...)
+	if cap(dst) < total {
+		size := total
+		if dst != nil {
+			// A kept buffer: date counts move by a percent or so from round
+			// to round, so the quarter of headroom makes this the last growth.
+			size += total / 4
+		}
+		dst = make([]Date, 0, size)
 	}
-	return dates
+	for w := 0; w < workers; w++ {
+		dst = append(dst, e.ws[w].dates...)
+	}
+	return dst
+}
+
+// prefixCuts returns the workers+1 boundaries that split the rendezvous
+// buckets into contiguous ranges of roughly equal request count: cut p is the
+// smallest v with offerOff[v]+reqOff[v] >= total*p/workers. That is
+// exch.BalancedCuts over the bucket sizes, read off the prefix sums Fill has
+// just written — O(workers · log n) on the serial path instead of two walks
+// over all n buckets.
+func prefixCuts(cuts []int, workers int, offerOff, reqOff []int32) []int {
+	n := len(offerOff) - 1
+	total := int(offerOff[n]) + int(reqOff[n])
+	cuts = append(cuts[:0], 0)
+	for p := 1; p < workers; p++ {
+		target := total * p / workers
+		cuts = append(cuts, sort.Search(n, func(v int) bool {
+			return int(offerOff[v])+int(reqOff[v]) >= target
+		}))
+	}
+	return append(cuts, n)
+}
+
+// indexable is the entry check of the engine's int32 offsets and ids: n
+// nodes and the out and in totals must each fit. It also rejects a negative
+// entry, which no caller means and which would hide an overflowing sum.
+func indexable(n int, out, in []int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("core: %d nodes exceed the engine's %d", n, math.MaxInt32)
+	}
+	sumOut, sumIn := 0, 0
+	for i := range out {
+		if out[i] < 0 || in[i] < 0 {
+			return fmt.Errorf("core: negative supply/demand at node %d", i)
+		}
+		// Compared before adding, so neither sum can overflow int.
+		if out[i] > math.MaxInt32-sumOut || in[i] > math.MaxInt32-sumIn {
+			return fmt.Errorf("core: more than %d requests of one kind in a round (reached at node %d)", math.MaxInt32, i)
+		}
+		sumOut += out[i]
+		sumIn += in[i]
+	}
+	return nil
 }
 
 // ensure sizes the scratch for an (n, workers) round. The request
 // exchanges are re-partitioned every round (a no-op while (n, workers) is
 // stable).
 func (e *engine) ensure(n, workers int) {
-	for len(e.ws) < workers {
-		gen := rng.NewXoshiro256(0)
-		e.ws = append(e.ws, engineWorker{gen: gen, stream: rng.NewWithSource(gen)})
+	if len(e.ws) < workers {
+		// Built in place, once per worker count: every stream points into
+		// its own element. Generators carry nothing between rounds; the date
+		// buffers move over.
+		ws := make([]engineWorker, workers)
+		for w := range ws {
+			if w < len(e.ws) {
+				ws[w].dates = e.ws[w].dates
+			}
+			ws[w].stream = rng.NewWithSource(&ws[w].gen)
+		}
+		e.ws = ws
 	}
 	if len(e.offerOff) != n+1 {
 		e.offerOff = make([]int32, n+1)

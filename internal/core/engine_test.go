@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bandwidth"
 	"repro/internal/rng"
@@ -153,5 +155,92 @@ func TestServiceManyRoundsAccounting(t *testing.T) {
 		if err := ValidateCapacities(res, sv.Profile()); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+	}
+}
+
+// TestWorkerIsolation pins the engine's isolation rule, like
+// exch.TestRowIsolation and shardrt.TestLaneIsolation do theirs: elements
+// are whole cache lines, a spare line separates one worker's state from the
+// next worker's, and the generator a worker's stream draws from is the one
+// inside its own element — not a heap object that may share a line with a
+// neighbour's.
+func TestWorkerIsolation(t *testing.T) {
+	if sz := unsafe.Sizeof(engineWorker{}); sz%cacheLine != 0 {
+		t.Errorf("engineWorker is %d bytes, not a multiple of the %d-byte cache line", sz, cacheLine)
+	}
+	sv := parallelService(t, 64, 1)
+	for _, workers := range []int{2, 8, 3} { // grows the array once, then reuses it
+		if _, err := sv.RunRoundSeeded(1, workers); err != nil {
+			t.Fatal(err)
+		}
+		ws := sv.eng.ws
+		if len(ws) < workers {
+			t.Fatalf("%d workers ran on %d worker states", workers, len(ws))
+		}
+		for w := range ws {
+			lo := uintptr(unsafe.Pointer(&ws[w]))
+			stateEnd := lo + unsafe.Sizeof(workerState{})
+			if w+1 < len(ws) {
+				if next := uintptr(unsafe.Pointer(&ws[w+1])); next < stateEnd+cacheLine {
+					t.Errorf("worker %d's state ends at %#x, worker %d starts at %#x: less than a %d-byte line apart", w, stateEnd, w+1, next, cacheLine)
+				}
+			}
+			if g := uintptr(unsafe.Pointer(&ws[w].gen)); g < lo || g+unsafe.Sizeof(ws[w].gen) > stateEnd {
+				t.Errorf("worker %d's generator at %#x lies outside its state [%#x, %#x)", w, g, lo, stateEnd)
+			}
+			// The stream reads that generator: a draw through the stream is
+			// the draw of a twin seeded alike, and leaves gen in the twin's
+			// state.
+			seed := uint64(1000 + w)
+			twin := rng.NewXoshiro256(seed)
+			ws[w].gen.Seed(seed)
+			if got, want := ws[w].stream.Uint64(), twin.Uint64(); got != want {
+				t.Errorf("worker %d's stream drew %#x, its own generator would have drawn %#x", w, got, want)
+			}
+			if ws[w].gen != *twin {
+				t.Errorf("worker %d's stream did not advance the generator in its own element", w)
+			}
+		}
+	}
+}
+
+// TestUnindexableRoundsRejected pins the int32 guard: a profile or a
+// supply/demand pair whose totals (or node count) the engine's offsets
+// cannot hold is an error from NewService and Arrange, not a Prefix that
+// wraps negative inside a round.
+func TestUnindexableRoundsRejected(t *testing.T) {
+	sel, err := NewUniformSelector(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := 1 << 30
+	bad := map[string]bandwidth.Profile{
+		"both sums 2^32":    bandwidth.Homogeneous(2, 1<<31),
+		"out sum 2^31":      {Out: []int{half, half}, In: []int{1, 1}},
+		"in sum 2^31":       {Out: []int{1, 1}, In: []int{half, half}},
+		"sum overflows int": {Out: []int{math.MaxInt, math.MaxInt}, In: []int{1, 1}},
+	}
+	a, err := NewArranger(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range bad {
+		if _, err := NewService(p, sel); err == nil {
+			t.Errorf("%s: NewService accepted a profile the engine cannot index", name)
+		}
+		if _, err := a.Arrange(p.Out, p.In, 1, 1); err == nil {
+			t.Errorf("%s: Arrange accepted vectors the engine cannot index", name)
+		}
+	}
+	// The bound itself is fine (no round is run on it here).
+	edge := bandwidth.Profile{Out: []int{half, half - 1}, In: []int{half - 1, half}}
+	if _, err := NewService(edge, sel); err != nil {
+		t.Errorf("sums of exactly MaxInt32 rejected: %v", err)
+	}
+	if err := indexable(math.MaxInt32+1, nil, nil); err == nil {
+		t.Error("2^31 nodes accepted")
+	}
+	if _, err := a.Arrange([]int{1, -1}, []int{1, 1}, 1, 1); err == nil {
+		t.Error("negative supply accepted")
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 // hashRound folds a RoundResult — counters, the full date sequence, and the
 // per-node load vectors — into one order-sensitive hash.
-func hashRound(res RoundResult) uint64 {
+func hashRound(res RoundResult, n int) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	wr := func(v int) {
@@ -34,10 +34,11 @@ func hashRound(res RoundResult) uint64 {
 		wr(d.Sender)
 		wr(d.Receiver)
 	}
-	for _, c := range res.PerNodeOut {
+	out, in := res.PerNode(n)
+	for _, c := range out {
 		wr(c)
 	}
-	for _, c := range res.PerNodeIn {
+	for _, c := range in {
 		wr(c)
 	}
 	return h.Sum64()
@@ -54,7 +55,7 @@ func TestEngineGoldenSerial(t *testing.T) {
 	svc := mustService(t, bandwidth.Homogeneous(n, 2), sel)
 	s := rng.New(seed)
 	for r, w := range want {
-		if got := hashRound(svc.RunRound(s)); got != w {
+		if got := hashRound(svc.RunRound(s), n); got != w {
 			t.Fatalf("serial round %d: hash %#x, want %#x (pre-radix engine output changed)", r, got, w)
 		}
 	}

@@ -71,9 +71,9 @@ func TestLemma3UnitExchangeability(t *testing.T) {
 	var big, small stats.Accumulator
 	const rounds = 30000
 	for r := 0; r < rounds; r++ {
-		res := sv.RunRound(s)
-		big.Add(float64(res.PerNodeOut[0]))
-		small.Add(float64(res.PerNodeOut[1]))
+		out, _ := sv.RunRound(s).PerNode(n)
+		big.Add(float64(out[0]))
+		small.Add(float64(out[1]))
 	}
 	ratio := big.Mean() / small.Mean()
 	if math.Abs(ratio-3) > 0.15 {
@@ -105,7 +105,8 @@ func TestLemma3HypergeometricVariance(t *testing.T) {
 			acc = &stats.Accumulator{}
 			perK[k] = acc
 		}
-		acc.Add(float64(res.PerNodeOut[7])) // an arbitrary fixed node
+		out, _ := res.PerNode(n)
+		acc.Add(float64(out[7])) // an arbitrary fixed node
 	}
 	checked := 0
 	for k, acc := range perK {

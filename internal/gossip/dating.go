@@ -27,7 +27,7 @@ import (
 func datingStep(svc *core.Service, b *par.Budget) stepFunc {
 	return func(st *state, s *rng.Stream) {
 		var alive func(i int) bool
-		if anyDead(st.alive) {
+		if st.crashed > 0 {
 			// st.alive is fixed for the duration of the round, so the
 			// closure is safe for the engine's concurrent workers.
 			alive = func(i int) bool { return st.alive[i] }
@@ -35,13 +35,13 @@ func datingStep(svc *core.Service, b *par.Budget) stepFunc {
 		// One draw per round whatever the worker count, so the run stream
 		// evolves identically for every budget size.
 		seed := s.Uint64()
-		res, err := svc.RunRoundShared(seed, b, alive)
+		dates, err := svc.RunRoundShared(seed, b, alive)
 		if err != nil {
 			// Run validated the configuration; a failure here is a
 			// programming error, not a runtime condition.
 			panic(fmt.Sprintf("gossip: seeded dating round failed: %v", err))
 		}
-		applyDates(st, res.Dates)
+		applyDates(st, dates)
 	}
 }
 
@@ -58,15 +58,6 @@ func applyDates(st *state, dates []core.Date) {
 			st.next[d.Receiver] = true
 		}
 	}
-}
-
-func anyDead(alive []bool) bool {
-	for _, a := range alive {
-		if !a {
-			return true
-		}
-	}
-	return false
 }
 
 // PhaseBoundaries analyzes an I_t history against the three-phase structure

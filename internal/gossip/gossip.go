@@ -120,6 +120,7 @@ type state struct {
 	informed []bool
 	next     []bool
 	alive    []bool
+	crashed  int   // entries of alive that are false
 	out      []int // per-round rumor messages served, reset every round
 	in       []int // per-round rumor messages received, reset every round
 	profile  bandwidth.Profile
@@ -267,7 +268,7 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Resul
 			for i := 0; i < n; i++ {
 				if i != cfg.Source && st.alive[i] && s.Bernoulli(cfg.CrashProb) {
 					st.alive[i] = false
-					res.Crashed++
+					st.crashed++
 				}
 			}
 		}
@@ -281,6 +282,7 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Resul
 			break
 		}
 	}
+	res.Crashed = st.crashed
 	return res, nil
 }
 

@@ -140,11 +140,10 @@ func runMultiRumorBudgeted(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (
 		// One draw per round whatever the worker count, so the run stream
 		// evolves identically for every budget size.
 		seed := s.Uint64()
-		pres, err := svc.RunRoundShared(seed, b, nil)
+		dates, err := svc.RunRoundShared(seed, b, nil)
 		if err != nil {
 			return MultiRumorResult{}, err
 		}
-		dates := pres.Dates
 		res.SentHistory = append(res.SentHistory, len(dates))
 		// Synchronous semantics: forwarding decisions use start-of-round
 		// knowledge, so collect transfers first and apply afterwards.

@@ -49,3 +49,29 @@ func TestDeriveSeedsPassRoughUniformity(t *testing.T) {
 		}
 	}
 }
+
+func TestAbsorbExtendsDerive(t *testing.T) {
+	// Absorb is Derive's own step: a chain of any length can be cut anywhere.
+	idx := []uint64{3, 0, 1 << 63, 17, 17}
+	for cut := 0; cut <= len(idx); cut++ {
+		got := Derive(42, idx[:cut]...)
+		for _, v := range idx[cut:] {
+			got = Absorb(got, v)
+		}
+		if want := Derive(42, idx...); got != want {
+			t.Fatalf("prefix of %d indices then Absorb = %#x, Derive of the whole chain = %#x", cut, got, want)
+		}
+	}
+}
+
+// FuzzDeriveChain pins the hoisted form the round engine uses: a two-step
+// prefix computed once, then one Absorb per unit of work.
+func FuzzDeriveChain(f *testing.F) {
+	f.Add(uint64(42), uint64(1), uint64(7))
+	f.Add(uint64(0), uint64(2), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed, a, b uint64) {
+		if got, want := Absorb(Derive(seed, a), b), Derive(seed, a, b); got != want {
+			t.Fatalf("Absorb(Derive(%d, %d), %d) = %#x, Derive(%d, %d, %d) = %#x", seed, a, b, got, seed, a, b, want)
+		}
+	})
+}

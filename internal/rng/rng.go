@@ -44,6 +44,15 @@ func Derive(seed uint64, idx ...uint64) uint64 {
 	return out
 }
 
+// Absorb extends a Derive chain by one index:
+// Absorb(Derive(seed, a...), b) == Derive(seed, a..., b). A loop that derives
+// one seed per unit of work under a fixed prefix computes the prefix once
+// and pays a single SplitMix64 step per unit.
+func Absorb(prefix, idx uint64) uint64 {
+	state := prefix ^ idx
+	return splitMix64(&state)
+}
+
 // Source is a deterministic stream of 64-bit values. Implementations are not
 // safe for concurrent use; derive one Source per goroutine.
 type Source interface {

@@ -281,6 +281,16 @@ func TestRunRejectsUnholdableRing(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnindexableProfile pins that a profile whose totals the round
+// engine's int32 offsets cannot hold comes back from Run as an error before a
+// round starts: 2 x 2^31 units used to be accepted and wrap the offsets.
+func TestRunRejectsUnindexableProfile(t *testing.T) {
+	p := repro.Homogeneous(2, 1<<31)
+	if _, err := repro.Run(repro.RumorConfig{Algorithm: repro.Dating, Profile: p}); err == nil {
+		t.Error("dating run over 2^32 units a round returned no error")
+	}
+}
+
 // TestTopologyFacade drives graph-constrained spreading end to end through
 // the public surface: a generated scale-free graph, repro.Run on the
 // TopologyConfig spec, the per-round spreader/stifler gauges riding
