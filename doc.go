@@ -139,8 +139,8 @@
 // the production-scale one: a fixed pool of shard workers owning
 // contiguous peer ranges on the shard-runtime core shared with the
 // asynchronous runtime (internal/shardrt: counting-sort delivery with the
-// internal/exch kernel, parallel route into a ring of recycled buffers —
-// its package comment has the mechanism), per-peer streams seeded
+// internal/exch kernel, ring slots that are lists of pooled pages — its
+// package comment has the mechanism), per-peer streams seeded
 // SplitMix64(seed, peerDomain, peer). Runs are bit-identical for every
 // shard count and across engines. A 10^6-peer spread completes in tens of
 // seconds (examples/livescale); at n=100k the sharded runtime is ~25x

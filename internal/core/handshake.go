@@ -76,7 +76,8 @@ func (h *Handshake) RunRound(nw *simnet.Network) ([]Date, error) {
 		if !nw.Alive(v) {
 			continue
 		}
-		var offers, requests []int32
+		var offerBuf, requestBuf [8]int32 // on the stack: the heap only past a handful
+		offers, requests := offerBuf[:0], requestBuf[:0]
 		for _, m := range nw.Inbox(v) {
 			switch m.Kind {
 			case KindOffer:

@@ -1,9 +1,9 @@
 // Package exch is the owner-range exchange kernel shared by every flat
-// engine of the repository: the core round engine and the deliver and route
-// phases of the live and async message runtimes all scatter records into
-// per-(worker, owner) chunks, prefix the owners' incoming totals into base
-// offsets with a tiny serial pass, and let each owner counting-sort (or
-// concatenate) its own contiguous destination range in parallel.
+// engine of the repository: the core round engine and the deliver phase of
+// the shard runtime under the live and async message runtimes scatter
+// records into per-(worker, owner) chunks, prefix the owners' incoming
+// totals into base offsets with a tiny serial pass, and let each owner
+// counting-sort its own contiguous destination range in parallel.
 //
 // The kernel packages that idiom once:
 //
@@ -27,6 +27,12 @@
 // Scratch is O(n + records) regardless of the worker count: the owners'
 // count arrays partition [0, n) and the chunks together hold exactly the
 // round's records.
+//
+// The concat form (RecordTo, ChunkLen, SetBase, Flush and chunk.off) has no
+// caller left in the program: the runtimes' route phase links pages instead
+// of flushing an outbox (internal/shardrt). It stays because bench/, which a
+// PR that claims a gain may not edit, still times it as exch.flush_ns; the
+// form and the metric go together in the next benchmark PR.
 //
 // Concurrency contract: Reset and Prefix are serial; ClearWorker, Record
 // and RecordTo may run concurrently for distinct w; Fill and SetBase/Flush
@@ -172,8 +178,8 @@ func (ex *Exchange[T]) Record(w int, key int32, v T) {
 
 // RecordTo appends a value from worker w directly to owner o's chunk,
 // without a key — the concat form used by exchanges whose owners are not
-// destination ids (e.g. the live route's per-delay buffers). Chunks written
-// with RecordTo must be drained with SetBase/Flush, not Fill.
+// destination ids (per-delay buffers, say). Chunks written with RecordTo
+// must be drained with SetBase/Flush, not Fill.
 func (ex *Exchange[T]) RecordTo(w, o int, v T) {
 	c := &ex.ch[w*ex.stride+o]
 	c.vals = append(c.vals, v)
@@ -259,8 +265,8 @@ func (ex *Exchange[T]) Fill(o int, off []int32, out []T) int32 {
 
 // SetBase assigns owner o's chunks consecutive write offsets starting at
 // base, in worker order, and returns the end offset — the serial placement
-// pass of a concat exchange (no counting sort, e.g. the live route). Safe
-// to call concurrently for distinct owners.
+// pass of a concat exchange (no counting sort). Safe to call concurrently
+// for distinct owners.
 func (ex *Exchange[T]) SetBase(o, base int) int {
 	for w := 0; w < ex.workers; w++ {
 		c := &ex.ch[w*ex.stride+o]

@@ -267,7 +267,10 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 // its natural phase, so this reduces bit-for-bit to the legacy behavior.
 func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *livePeerState) live.StepFunc {
 	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
-		var offers, requests []int32
+		// A rendezvous seldom has more than a handful of either kind: both
+		// lists start on the stack and reach the heap only past that.
+		var offerBuf, requestBuf [8]int32
+		offers, requests := offerBuf[:0], requestBuf[:0]
 		for _, m := range inbox {
 			switch m.Kind {
 			case core.KindPayload:

@@ -1,34 +1,36 @@
 // Package shardrt is the shard-runtime core under the two message runtimes,
 // round-synchronous internal/live and exponential-clock internal/async: a
-// fixed set of shard workers over flat, reusable message buffers, advancing
-// one tick (a round, a calendar bucket) at a time. A runtime instantiates
-// the core and keeps only what is its own: what one peer does in a tick and
-// how many ticks a message flies. Differences arrive as data (ring size,
-// step weights, track and gauge names); the core never asks who called it.
+// fixed set of shard workers over pooled message pages, advancing one tick
+// (a round, a calendar bucket) at a time. A runtime instantiates the core
+// and keeps only what is its own: what one peer does in a tick and how many
+// ticks a message flies. Differences arrive as data (ring size, step
+// weights, track and gauge names); the core never asks who called it.
 //
 // # A tick
 //
 // The core splits the peer ids into Shards contiguous ranges. The caller
 // runs three phases per tick, with a barrier (FanOut) between them:
 //
-//	Deliver  the ring slot due this tick is counting-sorted by destination
-//	         on the owner-range exchange of internal/exch: each worker
-//	         splits its contiguous chunk of the slot into per-owner
-//	         (destination, index) chunks, a tiny serial Prefix assigns owner
-//	         base offsets, and each owner Fill-sorts its own peer range and
-//	         gathers the messages — so peer i's inbox is the contiguous
-//	         slice sorted[inOff[i]:inOff[i+1]] (View, Inbox) and delivery
-//	         scratch is O(n + messages);
+//	Deliver  the ring slot due this tick, an ordered list of pages, is
+//	         counting-sorted by destination on the owner-range exchange of
+//	         internal/exch: each worker splits a contiguous run of the list
+//	         into per-owner (destination, index) chunks, a tiny serial
+//	         Prefix assigns owner base offsets, and each owner Fill-sorts
+//	         its own peer range and gathers the messages — so peer i's inbox
+//	         is the contiguous slice sorted[inOff[i]:inOff[i+1]] (View,
+//	         Inbox) and delivery scratch is O(n + messages); the gathered
+//	         pages go back to the pool;
 //	step     the caller's own loop, one FanOutSpan over the step ranges:
 //	         worker w seats its Lane at each peer of [cuts[w], cuts[w+1]) in
-//	         ascending order and emits through it; Lane.Send records the
-//	         message in the per-(worker, delay) chunk of a second,
-//	         concat-form exchange;
-//	Route    chunk lengths are known after the step barrier, so SetBase
-//	         gives every worker a disjoint range of each future slot and the
-//	         workers Flush in parallel, preserving worker-order
-//	         concatenation; the lanes' counters merge into Stats and the
-//	         gauges are sampled.
+//	         ascending order and emits through it; Lane.Send appends the
+//	         message to the lane's open page for its delay and takes a fresh
+//	         page from the pool when that one is full;
+//	Route    a serial pass links every lane's pages for delay d onto slot
+//	         (tick+d) % ring in worker order, copying no message; the lanes'
+//	         counters merge into Stats and the gauges are sampled.
+//
+// A message is therefore copied twice per hop: into its page by Send and out
+// of it by Deliver's gather.
 //
 // # Two sets of ranges
 //
@@ -37,37 +39,54 @@
 // uniform cuts by default, exch.BalancedCuts over Config.Weights when a
 // peer's step cost is known and skewed; a step range may then be empty. The
 // two need not agree, because per-peer state is touched by the step phase
-// alone while Deliver and Route move message buffers only, and no result can
-// tell where a step cut falls: ranges are contiguous and ascending, the
-// outbox has one row per worker, and SetBase concatenates the rows in worker
+// alone while Deliver and Route move message pages only, and no result can
+// tell where a step cut falls: ranges are contiguous and ascending, a lane
+// fills its pages in walk order, and Route links the lanes' pages in worker
 // order, which is peer order wherever the cuts are.
 //
 // # Buffers
 //
-// A ring slot owns a buffer only while it holds messages. Once Deliver has
-// gathered a slot, its buffer goes on a free list that Route draws from
-// before it allocates, so the ring shares as many buffers as are non-empty
-// at once. The delivered view is a buffer of its own that never joins the
-// list: Inbox stays valid until the next Deliver although the slot it came
-// from has been refilled. A non-empty slot that must grow copies into the
-// larger buffer. Fresh buffers and the view get a quarter of headroom, so
-// traffic that creeps up tick by tick reallocates every few ticks, not on
-// each, without the double-peak footprint of doubling.
+// A page holds up to pageLen messages and is in exactly one place: open or
+// parked on a lane (being filled this tick), linked on a ring slot (in
+// flight), or in the pool. Deliver's serial epilogue returns a gathered
+// slot's pages to the pool and the step takes them from there, one lock per
+// page, so the pool makes a page only when every page made is on a lane or a
+// slot: pages made never exceed the peak in flight, where a tick leaves at
+// most one partly filled page per (worker, delay), and steady traffic makes
+// none. The delivered view is a buffer of its own and never a page: Inbox
+// stays valid until the next Deliver although the pages it was gathered
+// from are being refilled. The view gets a quarter of headroom when it
+// grows, so traffic that creeps up tick by tick reallocates it every few
+// ticks, not on each.
+//
+// # Limits
+//
+// Peers and delivery indices are int32: New rejects more than MaxInt32
+// peers and more than MaxRing ring slots, and Route panics, naming the
+// limit, before a slot would hold more than maxSlotPages pages — just under
+// 2^31 messages due in one tick, over 80 GB of pages, so a bug and not an
+// input.
 //
 // # Determinism
 //
 // Nothing depends on the shard count. Peer i's generator state is advanced
-// only by the worker whose step range holds i; workers walk ascending
-// ranges, so concatenation in worker order is global emission order; the
-// delivery sort is stable, so every inbox is in (tick sent, sender,
-// emission) order. Lanes are padded so that no two workers' hot fields share
-// a cache line.
+// only by the worker whose step range holds i. A slot's page list is
+// appended to tick by tick, within a tick in worker order, within a worker
+// in fill order, and workers walk ascending ranges, so the list read front
+// to back is global emission order. Deliver's record pass hands worker w a
+// contiguous run of the list and Fill replays the workers' chunks in worker
+// order, so the delivery sort is stable and every inbox is in (tick sent,
+// sender, emission) order for any ring size and any step cuts. Which
+// physical page the pool handed a worker depends on scheduling; nothing but
+// the scratch_bytes gauge can tell. Lanes are padded so that no two workers'
+// hot fields share a cache line.
 package shardrt
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -84,9 +103,74 @@ const (
 	// MaxRing is the largest ring New accepts: messages fly at most
 	// MaxRing-1 ticks. The largest ring in the repository has 9 slots; a
 	// larger request is a unit mistake, and the ring and the shards x ring
-	// outbox chunk headers are allocated up front.
+	// open-page headers are allocated up front.
 	MaxRing = 1 << 16
+
+	// PageLen is the number of messages a page holds. One constant, no
+	// knob: at 64 both message workloads ran 4-10 % slower, 1024 was not
+	// distinguishable from 256 (CHANGES.md PR 22).
+	PageLen   = 1 << pageShift
+	pageShift = 8
+	// maxSlotPages is the most pages one ring slot may hold: every
+	// slotIndex of such a slot, and its message total, fit in int32.
+	maxSlotPages = math.MaxInt32 >> pageShift
+	// openPad is the number of unused page headers between two lanes' rows
+	// of open pages: the fewest that fill a cache line. Send writes its
+	// lane's header on every message; at ring 2 two rows allocated apart
+	// shared a line on some runs and a two-shard spread then ran no faster
+	// than one shard.
+	openPad = int((CacheLine-1)/unsafe.Sizeof(page{}) + 1)
 )
+
+// page is a run of messages in emission order: length is the fill, capacity
+// always PageLen.
+type page []simnet.Message
+
+// slotIndex is the delivery index of message k of page p of a slot: what
+// Deliver sorts in place of the 40-byte message. It fits for p <
+// maxSlotPages, which checkSlot holds every slot to.
+func slotIndex(p, k int) int32 { return int32(p<<pageShift | k) }
+
+// checkSlot stops the run when a slot of that many pages could not be
+// delivered (package comment, "Limits"). Route calls it once per slot it
+// linked to, not per message.
+func checkSlot(track string, pages int) {
+	if pages > maxSlotPages {
+		panic(fmt.Sprintf("%s: %d message pages are due in one tick, beyond the runtime's limit of %d pages of %d (delivery indices are int32)",
+			track, pages, maxSlotPages, PageLen))
+	}
+}
+
+// pagePool holds the pages that are neither on a lane nor on a slot. Its
+// lock is the runtime's only synchronization besides the fan-out barriers:
+// the step's workers take pages concurrently.
+type pagePool struct {
+	mu   sync.Mutex
+	free []page
+	made int
+}
+
+// take returns an empty page, a released one before a new one.
+func (pl *pagePool) take() page {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if k := len(pl.free) - 1; k >= 0 {
+		p := pl.free[k]
+		pl.free = pl.free[:k]
+		return p
+	}
+	pl.made++
+	return make(page, 0, PageLen)
+}
+
+// release returns gathered pages to the pool.
+func (pl *pagePool) release(pages []page) {
+	pl.mu.Lock()
+	for _, p := range pages {
+		pl.free = append(pl.free, p[:0])
+	}
+	pl.mu.Unlock()
+}
 
 // Config sizes a core.
 type Config struct {
@@ -115,17 +199,30 @@ type cursorSource struct {
 func (c *cursorSource) Uint64() uint64   { return c.states[c.node].Uint64() }
 func (c *cursorSource) Seed(seed uint64) { c.states[c.node].Seed(seed) }
 
+// parkedPage is a page a lane filled to the brim this tick, with its delay.
+type parkedPage struct {
+	d int
+	p page
+}
+
 // laneState is one worker's private state: its cursor stream, the peer it
-// is seated at (the sender of whatever it emits) and the tick's counters.
+// is seated at (the sender of whatever it emits), the pages it is filling
+// and the tick's counters.
 type laneState struct {
 	// Stream draws from the generator state of the seated peer.
 	Stream *rng.Stream
 	src    cursorSource
 
-	// w, n, ring and out are the core's, copied so that an emission reads
+	// n, ring and pool are the core's, copied so that an emission reads
 	// nothing but its own lane.
-	w, n, ring             int
-	out                    *exch.Exchange[simnet.Message]
+	n, ring int
+	pool    *pagePool
+	// open[d] is the page the tick's emissions of delay d are appended to
+	// (nil before the first), a row of the core's one header array with
+	// openPad spare headers after it; full holds the pages that filled up,
+	// in fill order. Route links both onto the slots and empties them.
+	open                   []page
+	full                   []parkedPage
 	sent, dropped, clamped int64
 	work                   int64
 	byKind                 [256]int64
@@ -169,18 +266,39 @@ func (l *Lane) Send(d int, m simnet.Message) {
 	}
 	l.sent++
 	l.byKind[m.Kind]++
-	l.out.RecordTo(l.w, d, m)
+	p := l.open[d]
+	if len(p) == cap(p) {
+		p = l.turn(d)
+	}
+	l.open[d] = append(p, m) // within capacity: never reallocates
+}
+
+// turn parks the full open page of delay d, if there is one, and returns an
+// empty page from the pool.
+func (l *Lane) turn(d int) page {
+	if p := l.open[d]; p != nil {
+		l.full = append(l.full, parkedPage{d, p})
+	}
+	return l.pool.take()
 }
 
 // AddWork adds k units to the tick's work count (peers stepped, clocks
 // fired): the WorkGauge sample, and Work's running total.
 func (l *Lane) AddWork(k int) { l.work += int64(k) }
 
+// slot is the mail due at one tick: pages in canonical order (package
+// comment, "Determinism") and the messages they hold.
+type slot struct {
+	pages []page
+	msgs  int
+}
+
 // Core is the shared machine. Construct with New; Deliver, the caller's
 // step fan-out and Route run in that order once per tick, from one
 // goroutine — parallelism happens inside the phases.
 type Core struct {
 	n, shards, ring int
+	track           string
 
 	states []rng.Xoshiro256
 	part   exch.Partition // delivery owners: uniform id ranges
@@ -188,14 +306,13 @@ type Core struct {
 	lanes  []Lane
 
 	// inbox is the delivery exchange: per-(worker, owner) chunks of
-	// (destination, slot index) records, Fill-sorted by each owner. outbox
-	// is the route exchange: per-(worker, delay) concat chunks of emissions.
-	inbox  exch.Exchange[int32]
-	outbox exch.Exchange[simnet.Message]
+	// (destination, slot index) records, Fill-sorted by each owner.
+	inbox exch.Exchange[int32]
 
-	// slots[t % ring] holds the messages due at tick t in canonical order;
-	// free holds the buffers of gathered slots (package comment, "Buffers").
-	slots, free [][]simnet.Message
+	// slots[t % ring] holds the messages due at tick t; pool holds every
+	// page that is on no slot and no lane (package comment, "Buffers").
+	slots []slot
+	pool  pagePool
 	// sorted/inOff are the delivered view; sortedIdx is the Fill output
 	// feeding the gather (4-byte slot indices in the exchange chunks instead
 	// of 40-byte messages).
@@ -241,12 +358,11 @@ func New(cfg Config) (*Core, error) {
 	}
 	shards := EffectiveShards(cfg.N, cfg.Shards)
 	c := &Core{
-		n: cfg.N, shards: shards, ring: cfg.Ring,
+		n: cfg.N, shards: shards, ring: cfg.Ring, track: cfg.Track,
 		states: make([]rng.Xoshiro256, cfg.N),
 		part:   exch.Partition{N: cfg.N, Parts: shards},
 		lanes:  make([]Lane, shards),
-		slots:  make([][]simnet.Message, cfg.Ring),
-		free:   make([][]simnet.Message, 0, cfg.Ring),
+		slots:  make([]slot, cfg.Ring),
 		inOff:  make([]int32, cfg.N+1),
 	}
 	if cfg.Weights != nil {
@@ -258,10 +374,12 @@ func New(cfg Config) (*Core, error) {
 		}
 	}
 	c.inbox.Reset(shards, c.part)
-	c.outbox.Reset(shards, exch.Partition{N: cfg.Ring, Parts: cfg.Ring})
+	stride := c.ring + openPad
+	open := make([]page, shards*stride)
 	for w := range c.lanes {
 		l := &c.lanes[w]
-		l.w, l.n, l.ring, l.out = w, c.n, c.ring, &c.outbox
+		l.n, l.ring, l.pool = c.n, c.ring, &c.pool
+		l.open = open[w*stride : w*stride+c.ring : w*stride+c.ring]
 		l.src.states = c.states
 		l.Stream = rng.NewWithSource(&l.src)
 	}
@@ -314,9 +432,14 @@ func (c *Core) View() (sorted []simnet.Message, inOff []int32) { return c.sorted
 // Inbox returns the messages delivered to peer i by the last Deliver.
 func (c *Core) Inbox(i int) []simnet.Message { return c.sorted[c.inOff[i]:c.inOff[i+1]] }
 
-// Buffers exposes the ring and the free list to the lifetime tests of the
-// packages above; read-only.
-func (c *Core) Buffers() (slots, free [][]simnet.Message) { return c.slots, c.free }
+// Pages reports the page pool's state to the lifetime tests of the packages
+// above: pages made since New and how many of them lie in the pool now (the
+// rest are on a slot or a lane).
+func (c *Core) Pages() (made, pooled int) {
+	c.pool.mu.Lock()
+	defer c.pool.mu.Unlock()
+	return c.pool.made, len(c.pool.free)
+}
 
 // FanOut runs f(w) for every worker; w == 0 runs on the calling goroutine.
 // The barriers on both sides are the only synchronization in the runtime.
@@ -337,70 +460,81 @@ func (c *Core) FanOutSpan(tick int, p obs.Phase, f func(w int)) {
 }
 
 // Deliver sorts the slot due at tick into the delivered view. Within a
-// peer's bucket Fill's order is ascending slot position: the canonical
-// (tick sent, sender, emission) order. An empty slot leaves every inbox
-// empty.
+// peer's bucket Fill's order is ascending slot index, which is page-list
+// order: the canonical (tick sent, sender, emission) order. An empty slot
+// leaves every inbox empty.
 func (c *Core) Deliver(tick int) {
-	slot := tick % c.ring
-	buf := c.slots[slot]
-	if len(buf) == 0 {
+	sl := &c.slots[tick%c.ring]
+	if sl.msgs == 0 {
 		c.sorted = c.sorted[:0]
 		clear(c.inOff)
 		return
 	}
 
-	bufPart := exch.Partition{N: len(buf), Parts: c.shards}
+	pages := sl.pages
+	runs := exch.Partition{N: len(pages), Parts: c.shards}
 	c.FanOutSpan(tick, obs.PhaseDeliver, func(w int) {
 		c.inbox.ClearWorker(w)
-		lo, hi := bufPart.Range(w)
-		for k := lo; k < hi; k++ {
-			c.inbox.Record(w, int32(buf[k].To), int32(k))
+		lo, hi := runs.Range(w)
+		for p, pg := range pages[lo:hi] {
+			base := slotIndex(lo+p, 0)
+			for k := range pg {
+				c.inbox.Record(w, int32(pg[k].To), base+int32(k))
+			}
 		}
 	})
 	c.inbox.Prefix()
 
-	if cap(c.sorted) < len(buf) {
-		c.sorted = make([]simnet.Message, len(buf), withHeadroom(len(buf)))
-		c.sortedIdx = make([]int32, len(buf), withHeadroom(len(buf)))
+	if cap(c.sorted) < sl.msgs {
+		c.sorted = make([]simnet.Message, sl.msgs, withHeadroom(sl.msgs))
+		c.sortedIdx = make([]int32, sl.msgs, withHeadroom(sl.msgs))
 	}
-	c.sorted = c.sorted[:len(buf)]
-	c.sortedIdx = c.sortedIdx[:len(buf)]
+	c.sorted = c.sorted[:sl.msgs]
+	c.sortedIdx = c.sortedIdx[:sl.msgs]
 	c.FanOutSpan(tick, obs.PhaseDeliver, func(o int) {
 		end := c.inbox.Fill(o, c.inOff, c.sortedIdx)
 		for j := c.inbox.Base(o); j < end; j++ {
-			c.sorted[j] = buf[c.sortedIdx[j]]
+			idx := c.sortedIdx[j]
+			c.sorted[j] = pages[idx>>pageShift][idx&(PageLen-1)]
 		}
 	})
-	c.inOff[c.n] = int32(len(buf))
-	// The gather has copied every message out: the slot's buffer is free for
-	// whichever slot Route fills next.
-	c.slots[slot] = nil
-	c.free = append(c.free, buf[:0])
+	c.inOff[c.n] = int32(sl.msgs)
+	// The gather has copied every message out: the pages are free for
+	// whichever lane asks next.
+	c.pool.release(pages)
+	sl.pages, sl.msgs = pages[:0], 0
 }
 
-// Route hands the tick's emissions to the future slots and closes the tick:
-// the lanes' counters merge into Stats and the gauges are sampled. Slot
-// (tick + d) is never the slot delivered this tick since 1 <= d < ring.
+// Route links the tick's pages onto the future slots and closes the tick:
+// the lanes' counters merge into Stats and the gauges are sampled. Workers
+// are visited in order and a worker's full pages precede its open ones, so
+// every slot's list grows in canonical order; slot (tick + d) is never the
+// slot delivered this tick since 1 <= d < ring.
 func (c *Core) Route(tick int) {
-	filled := false
-	for d := 1; d < c.ring; d++ {
-		slot := (tick + d) % c.ring
-		base := len(c.slots[slot])
-		if end := c.outbox.SetBase(d, base); end != base {
-			filled = true
-			c.slots[slot] = c.growSlot(c.slots[slot], end)
-		}
+	var t0 time.Time
+	if c.arenas != nil {
+		t0 = time.Now()
 	}
-	if filled {
-		c.FanOutSpan(tick, obs.PhaseRoute, func(w int) {
-			for d := 1; d < c.ring; d++ {
-				c.outbox.Flush(w, d, c.slots[(tick+d)%c.ring])
-			}
-		})
+	linked := false
+	link := func(d int, p page) {
+		sl := &c.slots[(tick+d)%c.ring]
+		sl.pages = append(sl.pages, p)
+		sl.msgs += len(p)
+		linked = true
 	}
 	var work int64
 	for w := range c.lanes {
 		l := &c.lanes[w]
+		for _, f := range l.full {
+			link(f.d, f.p)
+		}
+		l.full = l.full[:0]
+		for d := 1; d < c.ring; d++ {
+			if p := l.open[d]; p != nil {
+				link(d, p)
+				l.open[d] = nil
+			}
+		}
 		c.stats.Sent += l.sent
 		c.stats.Dropped += l.dropped
 		c.stats.Clamped += l.clamped
@@ -413,6 +547,14 @@ func (c *Core) Route(tick int) {
 			}
 		}
 	}
+	if linked {
+		for d := 1; d < c.ring; d++ {
+			checkSlot(c.track, len(c.slots[(tick+d)%c.ring].pages))
+		}
+		if c.arenas != nil {
+			c.arenas[0].Record(tick, obs.PhaseRoute, t0)
+		}
+	}
 	c.work += work
 	c.stats.Rounds++
 	if c.tr == nil {
@@ -423,61 +565,23 @@ func (c *Core) Route(tick int) {
 	c.gClamped.Sample(tick, c.stats.Clamped)
 	c.gWork.Sample(tick, work)
 	depth := 0
-	for _, s := range c.slots {
-		depth += len(s)
+	for i := range c.slots {
+		depth += c.slots[i].msgs
 	}
 	c.gDepth.Sample(tick, int64(depth))
 	c.gScratch.Sample(tick, c.ScratchBytes())
 	c.tr.Barrier()
 }
 
-// growSlot returns the slot buffer s resliced to length size, contents
-// kept. A buffer that is too small is traded for the largest one on the
-// free list; when that is too small as well it is left to the collector
-// (the traffic has outgrown it) and a fresh buffer with headroom takes its
-// place. Either way the old buffer joins the free list, so every allocation
-// leaves the ring and the list together holding at most ring buffers.
-func (c *Core) growSlot(s []simnet.Message, size int) []simnet.Message {
-	if cap(s) >= size {
-		return s[:size]
-	}
-	var ns []simnet.Message
-	if len(c.free) > 0 {
-		k := 0
-		for j := range c.free {
-			if cap(c.free[j]) > cap(c.free[k]) {
-				k = j
-			}
-		}
-		last := len(c.free) - 1
-		ns, c.free[k], c.free[last] = c.free[k], c.free[last], nil
-		c.free = c.free[:last]
-	}
-	if cap(ns) < size {
-		ns = make([]simnet.Message, size, withHeadroom(size))
-	}
-	ns = ns[:size]
-	if cap(s) > 0 {
-		copy(ns, s)
-		c.free = append(c.free, s[:0])
-	}
-	return ns
-}
-
-// withHeadroom is the capacity a message buffer of length size is allocated
-// with (package comment, "Buffers").
+// withHeadroom is the capacity the delivered view is allocated with for
+// size messages (package comment, "Buffers").
 func withHeadroom(size int) int { return size + size/4 }
 
-// ScratchBytes estimates the reusable buffer footprint: the ring with its
-// free list, the delivered view and the offset table.
+// ScratchBytes estimates the reusable buffer footprint: every page made,
+// wherever it is now, the delivered view and the offset table.
 func (c *Core) ScratchBytes() int64 {
 	const msgBytes = int64(unsafe.Sizeof(simnet.Message{}))
-	b := int64(cap(c.sorted))*msgBytes + int64(cap(c.sortedIdx))*4 + int64(cap(c.inOff))*4
-	for _, s := range c.slots {
-		b += int64(cap(s)) * msgBytes
-	}
-	for _, s := range c.free {
-		b += int64(cap(s)) * msgBytes
-	}
-	return b
+	made, _ := c.Pages()
+	return int64(made)*PageLen*msgBytes +
+		int64(cap(c.sorted))*msgBytes + int64(cap(c.sortedIdx))*4 + int64(cap(c.inOff))*4
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -41,10 +42,101 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// checkAgainstReference runs plan for ticks ticks on a core built from cfg
+// and checks every delivered inbox against the definition: the messages due
+// this tick, in (tick sent, sender, emission) order, stably sorted by
+// destination. Stats and Work are checked against the same replay; the core
+// and the stats it should have are returned.
+func checkAgainstReference(t testing.TB, name string, cfg Config, ticks int, plan func(tk, i int) []emission) (*Core, simnet.Stats) {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, ring := cfg.N, cfg.Ring
+	due := make([][]simnet.Message, ticks+ring)
+	var want simnet.Stats
+	for tk := 0; tk < ticks; tk++ {
+		c.Deliver(tk)
+		_, inOff := c.View()
+		if inOff[0] != 0 || int(inOff[n]) != len(due[tk]) {
+			t.Fatalf("%s tick %d: offsets run %d..%d over a slot of %d", name, tk, inOff[0], inOff[n], len(due[tk]))
+		}
+		ref := make([][]simnet.Message, n)
+		for _, m := range due[tk] {
+			ref[m.To] = append(ref[m.To], m)
+		}
+		for i := 0; i < n; i++ {
+			if inOff[i] > inOff[i+1] {
+				t.Fatalf("%s tick %d: inOff not monotone at peer %d", name, tk, i)
+			}
+			if got := c.Inbox(i); !slices.Equal(got, ref[i]) {
+				k := 0 // a burst fills pages: report the first difference, not both inboxes
+				for k < len(got) && k < len(ref[i]) && got[k] == ref[i][k] {
+					k++
+				}
+				t.Fatalf("%s tick %d peer %d: inbox of %d messages, want %d, first difference at %d: %v, want %v",
+					name, tk, i, len(got), len(ref[i]), k, got[k:min(k+1, len(got))], ref[i][k:min(k+1, len(ref[i]))])
+			}
+		}
+		// The reference emits in peer order; the core in step-range
+		// order, which must be the same thing.
+		for i := 0; i < n; i++ {
+			for _, e := range plan(tk, i) {
+				m := e.m
+				m.From = i
+				if m.To < 0 || m.To >= n {
+					want.Dropped++
+					continue
+				}
+				d := e.d
+				if d >= ring {
+					d = ring - 1
+					want.Clamped++
+				}
+				want.Sent++
+				want.ByKind[m.Kind]++
+				due[tk+d] = append(due[tk+d], m)
+			}
+		}
+		cuts := c.Cuts()
+		c.FanOut(func(w int) {
+			ln := c.Lane(w)
+			for i := cuts[w]; i < cuts[w+1]; i++ {
+				ln.Seat(i)
+				for _, e := range plan(tk, i) {
+					if m := e.m; ln.Address(&m) {
+						ln.Send(e.d, m)
+					}
+				}
+				ln.AddWork(1)
+			}
+		})
+		c.Route(tk)
+		want.Rounds++
+	}
+	if got := c.Stats(); got != want {
+		t.Errorf("%s: stats %+v, want %+v", name, got, want)
+	}
+	if c.Work() != int64(n*ticks) {
+		t.Errorf("%s: work %d, want %d", name, c.Work(), n*ticks)
+	}
+	return c, want
+}
+
+// frontLoaded returns weights that put the step cuts well before the
+// delivery cuts; nothing delivered may notice.
+func frontLoaded(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(1 + 8*(n-i))
+	}
+	return w
+}
+
 // TestDeliverMatchesReference drives random traffic — empty ticks, delays
-// past the horizon and destinations out of range included — and checks every
-// delivered inbox against the definition: the messages due this tick, in
-// (tick sent, sender, emission) order, stably sorted by destination.
+// past the horizon and destinations out of range included — against the
+// reference.
 func TestDeliverMatchesReference(t *testing.T) {
 	const ticks = 24
 	for _, n := range []int{1, 7, 40} {
@@ -68,83 +160,11 @@ func TestDeliverMatchesReference(t *testing.T) {
 					}
 					cfg := Config{N: n, Shards: shards, Ring: ring}
 					if weighted {
-						// Front-loaded weights: step cuts differ from the delivery
-						// cuts, and nothing below may notice.
-						cfg.Weights = make([]float64, n)
-						for i := range cfg.Weights {
-							cfg.Weights[i] = float64(1 + 8*(n-i))
-						}
+						cfg.Weights = frontLoaded(n)
 					}
-					c, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					due := make([][]simnet.Message, ticks+ring)
-					var want simnet.Stats
-					for tk := 0; tk < ticks; tk++ {
-						c.Deliver(tk)
-						_, inOff := c.View()
-						if inOff[0] != 0 || int(inOff[n]) != len(due[tk]) {
-							t.Fatalf("%s tick %d: offsets run %d..%d over a slot of %d", name, tk, inOff[0], inOff[n], len(due[tk]))
-						}
-						for i := 0; i < n; i++ {
-							if inOff[i] > inOff[i+1] {
-								t.Fatalf("%s tick %d: inOff not monotone at peer %d", name, tk, i)
-							}
-							var ref []simnet.Message
-							for _, m := range due[tk] {
-								if m.To == i {
-									ref = append(ref, m)
-								}
-							}
-							if got := c.Inbox(i); !slices.Equal(got, ref) {
-								t.Fatalf("%s tick %d peer %d: inbox %v, want %v", name, tk, i, got, ref)
-							}
-						}
-						// The reference emits in peer order; the core in step-range
-						// order, which must be the same thing.
-						for i := 0; i < n; i++ {
-							for _, e := range plan(tk, i) {
-								m := e.m
-								m.From = i
-								if m.To < 0 || m.To >= n {
-									want.Dropped++
-									continue
-								}
-								d := e.d
-								if d >= ring {
-									d = ring - 1
-									want.Clamped++
-								}
-								want.Sent++
-								want.ByKind[m.Kind]++
-								due[tk+d] = append(due[tk+d], m)
-							}
-						}
-						cuts := c.Cuts()
-						c.FanOut(func(w int) {
-							ln := c.Lane(w)
-							for i := cuts[w]; i < cuts[w+1]; i++ {
-								ln.Seat(i)
-								for _, e := range plan(tk, i) {
-									if m := e.m; ln.Address(&m) {
-										ln.Send(e.d, m)
-									}
-								}
-								ln.AddWork(1)
-							}
-						})
-						c.Route(tk)
-						want.Rounds++
-					}
-					if got := c.Stats(); got != want {
-						t.Errorf("%s: stats %+v, want %+v", name, got, want)
-					}
+					_, want := checkAgainstReference(t, name, cfg, ticks, plan)
 					if want.Sent == 0 || want.Dropped == 0 || (ring < 9 && want.Clamped == 0) {
 						t.Fatalf("%s: sent %d dropped %d clamped %d: nothing tested", name, want.Sent, want.Dropped, want.Clamped)
-					}
-					if c.Work() != int64(n*ticks) {
-						t.Errorf("%s: work %d, want %d", name, c.Work(), n*ticks)
 					}
 				}
 			}
@@ -152,11 +172,124 @@ func TestDeliverMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBufferLifetime pins the buffer policy on both ring shapes in the
-// repository, live's two-slot Sync ring and a calendar: the ring and the
-// free list never hold more buffers than the ring has slots, the delivered
-// view is nobody's slot, a tick's inboxes survive the tick's Route, a parked
-// buffer shows in ScratchBytes, and steady traffic allocates no buffer.
+// TestDeliverPageBoundaries holds the reference to the page seams: the first
+// peer of every step range emits, per tick and for each of two delays, a
+// count that leaves its last page empty, one short, exactly full, one over,
+// or several pages long, so slots are lists of full, partial and single
+// pages from different workers, and every slot collects several delays from
+// different ticks. One weighting leaves a step range empty.
+func TestDeliverPageBoundaries(t *testing.T) {
+	const n = 11
+	counts := []int{0, 1, PageLen - 1, PageLen, PageLen + 1, 3*PageLen + 7}
+	heavyHead := make([]float64, n) // all weight on peer 0: every cut but the last is 1
+	heavyHead[0] = 1
+	for _, shards := range []int{1, 2, 3, 5} {
+		for _, ring := range []int{2, 5, 9} {
+			for wi, weights := range [][]float64{nil, frontLoaded(n), heavyHead} {
+				name := fmt.Sprintf("shards=%d/ring=%d/weights=%d", shards, ring, wi)
+				cfg := Config{N: n, Shards: shards, Ring: ring, Weights: weights}
+				probe, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cuts := probe.Cuts()
+				if wi == 2 && shards >= 3 && cuts[1] != cuts[2] {
+					t.Fatalf("%s: cuts %v leave no step range empty", name, cuts)
+				}
+				plan := func(tk, i int) []emission {
+					w, ok := slices.BinarySearch(cuts, i)
+					if !ok {
+						return nil // not the first peer of a range
+					}
+					for w+1 < len(cuts) && cuts[w+1] == i {
+						w++ // the last of the ranges starting here is the non-empty one
+					}
+					var out []emission
+					for half, d := range []int{1 + tk%(ring-1), 1 + (tk+2)%(ring-1)} {
+						for k := 0; k < counts[(tk+w+3*half)%len(counts)]; k++ {
+							out = append(out, emission{d: d, m: simnet.Message{To: (k*7 + tk + half) % n, Kind: uint8(half), A: int64(tk), B: int64(k)}})
+						}
+					}
+					return out
+				}
+				c, want := checkAgainstReference(t, name, cfg, 2*len(counts)+ring, plan)
+				if made, _ := c.Pages(); want.Sent < int64(len(counts)*PageLen) || made < 4 {
+					t.Fatalf("%s: %d messages over %d pages: nothing tested", name, want.Sent, made)
+				}
+			}
+		}
+	}
+}
+
+// FuzzDeliver drives fuzzed (sender, destination, delay, burst) emissions
+// for a few ticks against the reference: data is cut into ticks, and each
+// three bytes of a tick are one burst of identical emissions, long enough to
+// cross page seams.
+func FuzzDeliver(f *testing.F) {
+	f.Add(uint8(6), uint8(1), uint8(0), false, []byte{0, 1, 0x01, 2, 3, 0x12})
+	f.Add(uint8(12), uint8(2), uint8(3), true, []byte{0, 5, 0x70, 11, 5, 0x71, 3, 200, 0x00, 4, 4, 0xf3, 0, 0, 0x6f, 9, 1, 0x62})
+	f.Add(uint8(1), uint8(4), uint8(7), false, []byte{0, 0, 0xff, 0, 0, 0xfe, 0, 0, 0xf0})
+	f.Fuzz(func(t *testing.T, nb, sb, rb uint8, weighted bool, data []byte) {
+		const ticks = 4
+		n, shards, ring := 1+int(nb)%40, 1+int(sb)%6, 2+int(rb)%8
+		plans := make([][][]emission, ticks+ring) // the tail drains the ring
+		for tk := range plans {
+			plans[tk] = make([][]emission, n)
+		}
+		per := (len(data)/3 + ticks - 1) / ticks
+		for b := 0; b+3 <= len(data); b += 3 {
+			tk, i, x := b/3/max(per, 1), int(data[b])%n, int(data[b+2])
+			for k := 0; k < 1+(x>>4)*37; k++ {
+				plans[tk][i] = append(plans[tk][i], emission{
+					d: 1 + x%16, // past the horizon of most rings
+					m: simnet.Message{To: int(data[b+1])%(n+2) - 1, Kind: uint8(x), A: int64(b), B: int64(k)},
+				})
+			}
+		}
+		cfg := Config{N: n, Shards: shards, Ring: ring}
+		if weighted {
+			cfg.Weights = frontLoaded(n)
+		}
+		checkAgainstReference(t, fmt.Sprintf("n=%d/shards=%d/ring=%d/weighted=%v", n, shards, ring, weighted),
+			cfg, len(plans), func(tk, i int) []emission { return plans[tk][i] })
+	})
+}
+
+// TestSlotIndexLimit pins the int32 boundary of the delivery index: the last
+// page checkSlot admits still indexes (and totals) inside int32, the first
+// one it refuses would not, and the refusal names the limit.
+func TestSlotIndexLimit(t *testing.T) {
+	last := maxSlotPages - 1 // the last valid page of the longest slot
+	if got := slotIndex(last, PageLen-1); got <= 0 || int(got) != maxSlotPages*PageLen-1 {
+		t.Errorf("slotIndex(%d, %d) = %d, want %d", last, PageLen-1, got, maxSlotPages*PageLen-1)
+	}
+	if total := int64(maxSlotPages) * PageLen; total > math.MaxInt32 {
+		t.Errorf("%d full pages hold %d messages, beyond int32", maxSlotPages, total)
+	}
+	if total := int64(maxSlotPages+1) * PageLen; total <= math.MaxInt32 {
+		t.Errorf("a slot of %d pages would still fit: the limit is not tight", maxSlotPages+1)
+	}
+	if got := slotIndex(maxSlotPages+1, 0); got >= 0 {
+		t.Errorf("slotIndex(%d, 0) = %d: expected the wrap the limit exists for", maxSlotPages+1, got)
+	}
+	checkSlot("test", maxSlotPages) // the longest slot passes
+	defer func() {
+		msg, _ := recover().(string)
+		if want := fmt.Sprint(maxSlotPages); !strings.Contains(msg, want) || !strings.Contains(msg, "test:") {
+			t.Errorf("checkSlot(%d) stopped with %q, want a message naming the track and the limit %s", maxSlotPages+1, msg, want)
+		}
+	}()
+	checkSlot("test", maxSlotPages+1)
+	t.Error("checkSlot admitted a slot past the limit")
+}
+
+// TestBufferLifetime pins the page policy on both ring shapes in the
+// repository, live's two-slot Sync ring and a calendar: a page is on a lane,
+// on a slot or in the pool and nowhere twice, the pool makes no more pages
+// than were ever in flight, a released page is taken again, the delivered
+// view is nobody's page, a tick's inboxes survive the tick's Route and the
+// reuse of their pages, every page made shows in ScratchBytes, and steady
+// traffic allocates no page.
 func TestBufferLifetime(t *testing.T) {
 	const n, fan = 600, 6
 	const msgBytes = int64(unsafe.Sizeof(simnet.Message{}))
@@ -167,8 +300,8 @@ func TestBufferLifetime(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Every peer sends fan messages a tick over every delay the ring
-			// has: each slot is filled by ring-1 different ticks, so slots
-			// also grow while non-empty. The step allocates nothing itself.
+			// has: each slot is linked to by ring-1 different ticks. The step
+			// allocates nothing itself.
 			tk := 0
 			cuts := c.Cuts()
 			step := func(w int) {
@@ -183,60 +316,74 @@ func TestBufferLifetime(t *testing.T) {
 				}
 			}
 			var snapshot []simnet.Message
-			parked := false
+			delivered := map[*simnet.Message]bool{} // pages of slots Deliver has gathered
+			reused, peakLinked := false, 0
 			oneTick := func() {
-				c.Deliver(tk)
-				sorted, inOff := c.View()
-				snapshot = append(snapshot[:0], sorted...)
-				if slots, free := c.Buffers(); len(free) > 0 {
-					// The gathered slot's buffer is parked until Route: held
-					// memory that ScratchBytes must not lose sight of.
-					parked = true
-					held := int64(cap(sorted))*(msgBytes+4) + int64(cap(inOff))*4 // the view, its index column, the offsets
-					for _, s := range slots {
-						held += int64(cap(s)) * msgBytes
-					}
-					var parkedBytes int64
-					for _, s := range free {
-						parkedBytes += int64(cap(s)) * msgBytes
-					}
-					if got := c.ScratchBytes() - held; got != parkedBytes || parkedBytes == 0 {
-						t.Fatalf("ring %d tick %d: ScratchBytes counts %d bytes beyond the ring and the view, the free list holds %d", ring, tk, got, parkedBytes)
-					}
+				for _, p := range c.slots[tk%ring].pages {
+					delivered[unsafe.SliceData(p)] = true
 				}
+				c.Deliver(tk)
+				sorted, _ := c.View()
+				snapshot = append(snapshot[:0], sorted...)
 				c.FanOut(step)
 				c.Route(tk)
 				tk++
 			}
 			for tk < 4*ring {
 				oneTick()
-				sorted, _ := c.View()
+				sorted, inOff := c.View()
 				if !slices.Equal(sorted, snapshot) {
 					t.Fatalf("ring %d tick %d: Route changed the delivered view", ring, tk-1)
 				}
-				slots, free := c.Buffers()
-				seen := map[*simnet.Message]bool{unsafe.SliceData(sorted): true}
-				buffers := 0
-				for _, buf := range slices.Concat(slots, free) {
-					if cap(buf) == 0 {
-						continue
+				// Where every page is: once each, and the view among none.
+				seen := map[*simnet.Message]bool{unsafe.SliceData(sorted[:cap(sorted)]): true}
+				linked := 0
+				place := func(where string, p page) {
+					if cap(p) != PageLen || seen[unsafe.SliceData(p[:PageLen])] {
+						t.Fatalf("ring %d tick %d: a page %s has capacity %d, or is held twice, or is the delivered view", ring, tk-1, where, cap(p))
 					}
-					buffers++
-					if seen[unsafe.SliceData(buf)] {
-						t.Fatalf("ring %d tick %d: a buffer is held twice, or by a slot and the delivered view", ring, tk-1)
-					}
-					seen[unsafe.SliceData(buf)] = true
+					seen[unsafe.SliceData(p[:PageLen])] = true
 				}
-				if buffers > ring {
-					t.Fatalf("ring %d tick %d: %d buffers in the ring and the free list", ring, tk-1, buffers)
+				for i := range c.slots {
+					msgs := 0
+					for _, p := range c.slots[i].pages {
+						place("on a slot", p)
+						msgs += len(p)
+						reused = reused || delivered[unsafe.SliceData(p)]
+					}
+					if msgs != c.slots[i].msgs {
+						t.Fatalf("ring %d tick %d: slot %d counts %d messages, its pages hold %d", ring, tk-1, i, c.slots[i].msgs, msgs)
+					}
+					linked += len(c.slots[i].pages)
+				}
+				for _, p := range c.pool.free {
+					place("in the pool", p)
+				}
+				for w := range c.lanes {
+					if l := c.Lane(w); len(l.full) != 0 || slices.ContainsFunc(l.open, func(p page) bool { return p != nil }) {
+						t.Fatalf("ring %d tick %d: lane %d still holds pages after Route", ring, tk-1, w)
+					}
+				}
+				peakLinked = max(peakLinked, linked)
+				made, pooled := c.Pages()
+				if made != len(seen)-1 || pooled != len(c.pool.free) || made-pooled != linked {
+					t.Fatalf("ring %d tick %d: %d pages made, %d pooled, %d linked, %d found", ring, tk-1, made, pooled, linked, len(seen)-1)
+				}
+				if limit := peakLinked + shards*(ring-1); made > limit {
+					t.Fatalf("ring %d tick %d: %d pages made, at most %d were in flight (limit %d)", ring, tk-1, made, peakLinked, limit)
+				}
+				held := int64(cap(sorted))*(msgBytes+4) + int64(cap(inOff))*4 // the view, its index column, the offsets
+				if got, want := c.ScratchBytes()-held, int64(made)*PageLen*msgBytes; got != want {
+					t.Fatalf("ring %d tick %d: ScratchBytes counts %d bytes beyond the view, the %d pages made are %d", ring, tk-1, got, made, want)
 				}
 			}
-			if sorted, _ := c.View(); len(sorted) != n*fan || !parked {
-				t.Fatalf("ring %d: %d messages delivered a tick, parked=%v: nothing tested", ring, len(sorted), parked)
+			if sorted, _ := c.View(); len(sorted) != n*fan || !reused {
+				t.Fatalf("ring %d: %d messages delivered a tick, reused=%v: nothing tested", ring, len(sorted), reused)
 			}
 			// Warm: from here a tick allocates its phase closures (and, past
-			// one shard, the fan-out's goroutines) and no buffer — one would
-			// be at least a slot's n*fan messages.
+			// one shard, the fan-out's goroutines) and no page — one would
+			// be PageLen messages.
+			made, _ := c.Pages()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			const measured = 10
@@ -244,34 +391,49 @@ func TestBufferLifetime(t *testing.T) {
 				oneTick()
 			}
 			runtime.ReadMemStats(&after)
-			if got, limit := (after.TotalAlloc-before.TotalAlloc)/measured, uint64(n*fan*msgBytes/64); got > limit {
+			if got, limit := (after.TotalAlloc-before.TotalAlloc)/measured, uint64(PageLen*msgBytes/4); got > limit {
 				t.Errorf("ring %d shards %d: a steady-state tick allocated %d bytes (limit %d)", ring, shards, got, limit)
 			}
 			if shards == 1 {
-				if allocs := testing.AllocsPerRun(10, oneTick); allocs > 3 {
-					t.Errorf("ring %d: a steady-state tick made %v allocations, want the three phase closures of Deliver and Route", ring, allocs)
+				if allocs := testing.AllocsPerRun(10, oneTick); allocs > 2 {
+					t.Errorf("ring %d: a steady-state tick made %v allocations, want the two phase closures of Deliver", ring, allocs)
 				}
+			}
+			if now, _ := c.Pages(); now != made {
+				t.Errorf("ring %d shards %d: steady traffic made %d more pages", ring, shards, now-made)
 			}
 		}
 	}
 }
 
 // TestLaneIsolation pins the padding: a lane is a whole number of cache
-// lines, and whatever the array's alignment at least one full line separates
-// the last byte worker w writes from the first byte of worker w+1's lane.
+// lines, and whatever the arrays' alignment at least one full line separates
+// the last byte worker w writes from the first byte of worker w+1's lane,
+// and worker w's open-page headers, which Send writes on every message, from
+// worker w+1's.
 func TestLaneIsolation(t *testing.T) {
 	if sz := unsafe.Sizeof(Lane{}); sz%CacheLine != 0 {
 		t.Errorf("Lane is %d bytes, not a multiple of the %d-byte cache line", sz, CacheLine)
 	}
-	c, err := New(Config{N: 64, Shards: 4, Ring: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w+1 < c.Shards(); w++ {
-		stateEnd := uintptr(unsafe.Pointer(c.Lane(w))) + unsafe.Sizeof(laneState{})
-		next := uintptr(unsafe.Pointer(c.Lane(w + 1)))
-		if next < stateEnd+CacheLine {
-			t.Errorf("lane %d's state ends at %#x, lane %d starts at %#x: less than a %d-byte line apart", w, stateEnd, w+1, next, CacheLine)
+	for _, ring := range []int{2, 3, 9} {
+		c, err := New(Config{N: 64, Shards: 4, Ring: ring})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w+1 < c.Shards(); w++ {
+			stateEnd := uintptr(unsafe.Pointer(c.Lane(w))) + unsafe.Sizeof(laneState{})
+			next := uintptr(unsafe.Pointer(c.Lane(w + 1)))
+			if next < stateEnd+CacheLine {
+				t.Errorf("lane %d's state ends at %#x, lane %d starts at %#x: less than a %d-byte line apart", w, stateEnd, w+1, next, CacheLine)
+			}
+			open, nextOpen := c.Lane(w).open, c.Lane(w+1).open
+			if len(open) != ring || cap(open) != ring {
+				t.Fatalf("ring %d: lane %d has %d open-page headers (capacity %d)", ring, w, len(open), cap(open))
+			}
+			openEnd := uintptr(unsafe.Pointer(&open[ring-1])) + unsafe.Sizeof(page{})
+			if first := uintptr(unsafe.Pointer(&nextOpen[0])); first < openEnd+CacheLine {
+				t.Errorf("ring %d: lane %d's open pages end at %#x, lane %d's start at %#x: less than a %d-byte line apart", ring, w, openEnd, w+1, first, CacheLine)
+			}
 		}
 	}
 }
