@@ -1,12 +1,9 @@
 package repro_test
 
-// One benchmark per figure and experiment of the evaluation (see DESIGN.md's
-// per-experiment index), plus micro-benchmarks of the core primitives.
-//
-// The figure benches regenerate the paper's rows at quick scale, report the
-// headline numbers via b.ReportMetric (so they appear on the benchmark line),
-// and log the full table (visible with `go test -bench . -v`). Use
-// cmd/datebench, cmd/rumorbench and cmd/hetsim for paper-scale runs and CSV.
+// Micro-benchmarks of the core primitives, for measuring while you work
+// (`go test -run '^$' -bench . -benchmem`). The repository's benchmark is
+// bench/ (`go run -C bench .`); the figures and experiments are
+// `hetsim -experiment <name>`.
 
 import (
 	"fmt"
@@ -18,256 +15,8 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/overlay"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 )
-
-// --- Figure 1: fraction of dates arranged ---------------------------------
-
-func BenchmarkFigure1_DatesFraction(b *testing.B) {
-	var last sim.Figure1Result
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunFigure1(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	row := last.Rows[len(last.Rows)-1]
-	b.ReportMetric(row.UniformMean, "uniform_frac")
-	b.ReportMetric(row.DHTWorst, "dht_worst_frac")
-	b.ReportMetric(row.DHTBest, "dht_best_frac")
-}
-
-// --- Figure 2: rounds to spread a single rumor ----------------------------
-
-func BenchmarkFigure2_RumorRounds(b *testing.B) {
-	var last sim.Figure2Result
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunFigure2(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	row := last.Rows[len(last.Rows)-1]
-	b.ReportMetric(row.Cells[gossip.PushPull].Mean, "pushpull_rounds")
-	b.ReportMetric(row.Cells[gossip.Push].Mean, "push_rounds")
-	b.ReportMetric(row.Cells[gossip.Dating].Mean, "dating_rounds")
-}
-
-// --- E3: fraction versus load ---------------------------------------------
-
-func BenchmarkAlphaVsLoad(b *testing.B) {
-	var last sim.AlphaResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunAlphaVsLoad(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	b.ReportMetric(last.Rows[0].Fraction, "frac_at_load1")
-	b.ReportMetric(last.Rows[len(last.Rows)-1].Fraction, "frac_at_load8")
-}
-
-// --- E4: selection-distribution ablation ----------------------------------
-
-func BenchmarkDistributionAblation(b *testing.B) {
-	var last sim.DistResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunDistributionAblation(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	for _, row := range last.Rows {
-		switch row.Name {
-		case "uniform":
-			b.ReportMetric(row.Fraction, "uniform_frac")
-		case "dht-intervals":
-			b.ReportMetric(row.Fraction, "dht_frac")
-		case "hub-half":
-			b.ReportMetric(row.Fraction, "hub_frac")
-		}
-	}
-}
-
-// --- E5: Theorem 4 phase structure ----------------------------------------
-
-func BenchmarkPhases(b *testing.B) {
-	var last sim.PhasesResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunPhases(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	b.ReportMetric(last.EndPhase1, "phase1_end_round")
-	b.ReportMetric(last.EndPhase2, "phase2_end_round")
-	b.ReportMetric(last.EndPhase3, "phase3_end_round")
-}
-
-// --- E6: hierarchical content distribution (Theorem 10) -------------------
-
-func BenchmarkHierarchical(b *testing.B) {
-	var last sim.HierResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunHierarchical(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	row := last.Rows[len(last.Rows)-1]
-	b.ReportMetric(row.RichRounds, "rich_rounds")
-	b.ReportMetric(row.TotalRounds, "total_rounds")
-}
-
-// --- E7: pipelining over the DHT ------------------------------------------
-
-func BenchmarkPipelining(b *testing.B) {
-	var last sim.PipelineResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunPipelining(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	lastRow := last.Rows[len(last.Rows)-1]
-	b.ReportMetric(last.ChordHops, "chord_hops")
-	b.ReportMetric(last.CDHops, "cd_hops")
-	b.ReportMetric(float64(lastRow.Naive)/float64(lastRow.Pipelined), "k64_speedup")
-}
-
-// --- E8: network-coded rumor mongering -------------------------------------
-
-func BenchmarkMongering(b *testing.B) {
-	var last sim.MongerResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunMongering(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	for _, row := range last.Rows {
-		if row.Blocks == 32 {
-			b.ReportMetric(row.Rounds, "rounds_B32")
-			b.ReportMetric(row.Rounds/float64(row.LowerBound), "overhead_vs_bound")
-		}
-	}
-}
-
-// --- E9: spreading under churn ---------------------------------------------
-
-func BenchmarkChurn(b *testing.B) {
-	var last sim.ChurnResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunChurn(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	for _, row := range last.Rows {
-		if row.CrashProb == 0.05 {
-			b.ReportMetric(row.Rounds, "rounds_p05")
-			b.ReportMetric(float64(row.Completed)/float64(row.Reps), "completion_rate_p05")
-		}
-	}
-}
-
-// --- E10: replicated storage -----------------------------------------------
-
-func BenchmarkStorage(b *testing.B) {
-	var last sim.StorageResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunStorage(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	b.ReportMetric(last.Rounds, "rounds")
-	b.ReportMetric(last.MaxOccupancy-last.MinOccupancy, "occupancy_spread")
-}
-
-// --- E11: concurrent rumors -------------------------------------------------
-
-func BenchmarkMultiRumor(b *testing.B) {
-	var last sim.MultiRumorSimResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunMultiRumorExperiment(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	row := last.Rows[len(last.Rows)-1]
-	b.ReportMetric(row.Rounds, "rounds_R8")
-	b.ReportMetric(last.SingleRounds*float64(row.Rumors)/row.Rounds, "speedup_vs_sequential")
-}
-
-// --- E12: bandwidth honesty --------------------------------------------------
-
-func BenchmarkLoadViolation(b *testing.B) {
-	var last sim.LoadResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunLoadViolation(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	for _, row := range last.Rows {
-		switch row.Algorithm {
-		case gossip.Dating:
-			b.ReportMetric(row.MaxInLoad, "dating_max_in")
-		case gossip.Push:
-			b.ReportMetric(row.MaxInLoad, "push_max_in")
-		case gossip.Pull:
-			b.ReportMetric(row.MaxOutLoad, "pull_max_out")
-		}
-	}
-}
-
-// --- E13: churning DHT --------------------------------------------------------
-
-func BenchmarkDynamicDHT(b *testing.B) {
-	var last sim.DynamicResult
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunDynamicDHT(sim.ScaleQuick, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.Log("\n" + last.Table().Render())
-	for _, row := range last.Rows {
-		if row.ReplaceProb == 0.02 {
-			b.ReportMetric(row.SteadyState, "steady_coverage_p02")
-			b.ReportMetric(row.RoundsTo95, "rounds_to_95_p02")
-		}
-	}
-}
-
-// --- Micro-benchmarks of the primitives ------------------------------------
 
 func benchDatingRound(b *testing.B, n int, sel core.Selector) {
 	b.Helper()

@@ -54,8 +54,8 @@
 // All protocols emit the same Report (rounds, per-round trajectory and
 // message counts, totals, worst per-node loads, wall time), with the
 // protocol-native result preserved in Report.Detail. The experiment
-// registry's "protocols" entry, the CLIs and the BENCH_*.json writers all
-// consume reports generically.
+// registry's "protocols" entry, hetsim -protocol and the benchmark (bench/)
+// all consume reports generically.
 //
 // Configs carry only the protocol: the orthogonal axes travel exclusively
 // as options. The legacy per-protocol entrypoints and the config fields
@@ -76,7 +76,7 @@
 //     random linear network coding, and replicated storage organized by
 //     block exchanges;
 //   - the experiment harness regenerating both figures of the paper's
-//     evaluation and the extension experiments listed in DESIGN.md.
+//     evaluation and the extension experiments (hetsim -list).
 //
 // Single rounds:
 //
@@ -87,46 +87,24 @@
 //	res := svc.RunRound(s)                        // one round of Algorithm 1
 //	fmt.Println(len(res.Dates), "dates arranged") // ≈ 0.47 * n
 //
-// # Parallelism: the owner-range exchange kernel
+// # Parallelism without moving a number
 //
 // Every flat engine parallelizes a round as a radix-partitioned counting
-// sort, and the mechanism is implemented once, in internal/exch: a
-// Partition of [0, n) into uniform owner ranges plus a generic chunked
-// Exchange[T]. Workers own two kinds of contiguous ranges — a sender shard
-// (balanced by request weight) and a destination range (uniform id cuts).
-// During the scatter each worker records every emitted (destination,
-// sender) pair into the chunk buffer of the destination's owner; a serial
-// O(workers²) exchange prefixes the owners' incoming totals into base
-// offsets; then each owner counting-sorts its own destination range,
-// replaying the chunks in worker order so every rendezvous bucket holds
-// its requests in global sender order. Round scratch is O(n + requests)
-// regardless of the worker count, and the layout is a pure function of the
-// round's inputs, so results never depend on scheduling. Each worker's
-// generator and date buffer sit in its own padded array element: on the
-// recorded 2-core box the benchmark's dating spread (n = 150k) runs 1.6x
-// faster at P = 2 than on one shard. A reference implementation pins the
-// engine's output bit-for-bit at workers {1, 2, 4, 7, 8}; allocation tests
-// pin that first-round bytes do not scale with the worker count and that a
-// warm spreading round allocates nothing per node.
-//
-// # Worker-count-independent engines
-//
-// The engines underneath Run all share one property: their randomness is
-// derived per *unit of work*, not per worker. The dating round seeds one
-// stream per requesting node in the scatter pass
-// (SplitMix64(seed, scatterDomain, node)) and one per rendezvous bucket in
-// the match pass (SplitMix64(seed, matchDomain, rendezvous)), so whichever
-// worker processes a node or bucket draws exactly the same values:
-// Arranger.Arrange(out, in, seed, workers) and
-// DatingService.RunRoundSeeded(seed, workers) — one round body under both —
-// are bit-for-bit identical for every workers count. ArrangeShared /
-// RunRoundShared draw the worker count from a shared par.Budget instead of
-// a fixed knob — which is how a Run's rounds, and the experiment harness's
-// tail jobs, soak up idle cores without being able to change a number. Both
-// return ([]Date, error); RunRoundShared's dates live in a buffer the
-// service reuses, valid until its next round. DatingService.RunRound(stream),
-// the paper's serial reference, is the same body with one worker drawing
-// everything from the caller's stream.
+// sort implemented once, in internal/exch (docs/ARCHITECTURE.md walks one
+// round through it): workers own contiguous sender shards and destination
+// ranges, round scratch is O(n + requests) whatever the worker count, and
+// the layout is a pure function of the round's inputs. Randomness is
+// derived per unit of work, not per worker — one stream per requesting node
+// (SplitMix64(seed, scatterDomain, node)) and one per rendezvous bucket
+// (SplitMix64(seed, matchDomain, rendezvous)) — so Arranger.Arrange and
+// DatingService.RunRoundSeeded, one round body under both, are bit-for-bit
+// identical for every worker count, and ArrangeShared / RunRoundShared can
+// draw workers from a shared par.Budget (a Run's rounds and the harness's
+// tail jobs soak up idle cores) without being able to change a result.
+// RunRoundShared's dates live in a buffer the service reuses, valid until
+// its next round. DatingService.RunRound(stream), the paper's serial
+// reference, is the same body with one worker drawing from the caller's
+// stream. docs/DETERMINISM.md states the full contract.
 //
 // # The sharded live-message runtime
 //
@@ -143,8 +121,7 @@
 // package comment has the mechanism), per-peer streams seeded
 // SplitMix64(seed, peerDomain, peer). Runs are bit-identical for every
 // shard count and across engines. A 10^6-peer spread completes in tens of
-// seconds (examples/livescale); at n=100k the sharded runtime is ~25x
-// faster than goroutine-per-peer (BENCH_live.json).
+// seconds (examples/livescale).
 //
 // WithNet plugs a network model into the sharded runtime: NetFixedLatency
 // and NetGeomLatency keep messages in flight for several rounds, NetLoss
@@ -224,8 +201,7 @@
 // randomness comes from the acting peer's stream, consumed in canonical
 // inbox order, so trajectories are bit-identical at every shard count and
 // across engines; examples/topology cross-checks a 10^6-peer BA spread at
-// shards {1, 2, 4} by digest, and datebench -mode topology gates the same
-// identity in CI.
+// shards {1, 2, 4} by digest.
 //
 // # Conflicting-rumor consensus
 //
@@ -256,10 +232,9 @@
 // shard-owned contiguous blocks sized by live.EffectiveShards, contact
 // randomness from the acting peer's stream, merge rules that consume no
 // randomness — so runs are bit-identical at every shard count and across
-// engines (examples/consensus cross-checks by digest; datebench -mode
-// consensus gates the identity in CI). With an Observer attached,
-// per-round variant-share gauges land in Report.Metrics on the "consensus"
-// track.
+// engines (examples/consensus cross-checks by digest). With an Observer
+// attached, per-round variant-share gauges land in Report.Metrics on the
+// "consensus" track.
 //
 // # Observability: read-only by contract
 //
@@ -272,43 +247,32 @@
 // bytes, budget tokens in flight. Run aggregates everything into Report.Metrics; the
 // observer also writes the full timeline as Chrome trace_event JSON
 // (about:tracing / ui.perfetto.dev) and renders plain-text summary tables.
-// The CLIs expose all of it as -trace, -metrics and -pprof flags.
+// hetsim exposes all of it as -trace, -metrics and -pprof flags.
 //
 // The determinism contract: observers are read-only. They never touch a
 // random stream, never reorder message exchanges, and never feed anything
 // back into protocol state — so an instrumented run is bit-identical to an
-// uninstrumented one, at every worker count, with the trajectory-digest
-// identity pinned by tests and by a CI smoke comparing datebench digests
-// with and without -trace. A disabled observer (the nil default) costs the
-// runtimes one nil check per phase: every recording method is
+// uninstrumented one, at every worker count, with the digest identity
+// pinned by tests for every protocol. A disabled observer (the nil default)
+// costs the runtimes one nil check per phase: every recording method is
 // nil-receiver-safe and the time.Now calls are gated on the observer being
 // attached.
 //
 // # The repetition-parallel experiment harness
 //
-// Above single runs, the experiment harness behind cmd/hetsim,
-// cmd/datebench and cmd/rumorbench parallelizes at the repetition grain:
-// every (overlay, repetition) cell of a figure sweep is an independent
-// simulation, run as one job with its own Service on its own goroutine.
-// Job streams are seeded
-//
-//	SplitMix64(rootSeed, domainTag, coordinates...)
-//
-// where the coordinates are the job's position in the sweep — (n index,
-// overlay index) for Figure 1, (n index, algorithm, repetition) for
-// Figure 2 — never "the next value of a shared generator". Combined with
+// Above single runs, the experiment harness behind cmd/hetsim parallelizes
+// at the repetition grain: every (overlay, repetition) cell of a figure
+// sweep is an independent job whose stream is seeded
+// SplitMix64(rootSeed, domainTag, coordinates...) from its position in the
+// sweep, never from "the next value of a shared generator". With
 // fixed-order aggregation after the fan-in barrier, published tables are
-// byte-identical for every worker count; the -par flag of the CLIs only
-// changes wall-clock time. The harness workers and the engines inside
-// jobs share one par.Budget, so when a sweep's tail leaves cores idle the
-// remaining jobs' rounds parallelize inside — still without moving a
-// number. Golden tests pin the quick-scale tables by hash so harness
-// parallelism can never silently change published results.
+// byte-identical for every worker count; hetsim's -par flag only changes
+// wall-clock time, and golden tests pin the quick-scale tables by hash.
 //
-// See the runnable programs under examples/ and the reproduction CLIs under
-// cmd/. The docs/ directory carries the repository-level contracts:
+// See the runnable programs under examples/ and the one command,
+// cmd/hetsim. The docs/ directory carries the repository-level contracts:
 // docs/ARCHITECTURE.md (package map and round data flow),
 // docs/DETERMINISM.md (the bit-identity contract and the full seed-domain
-// registry) and docs/BENCHMARKS.md (what each BENCH_*.json measures and how
-// the CI benchdiff gate works).
+// registry) and docs/BENCHMARKS.md (the benchmark in bench/ and how a
+// performance claim is made with it).
 package repro

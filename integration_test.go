@@ -240,11 +240,11 @@ func TestFigureRunnersDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs figure 2 twice")
 	}
-	f1, err := sim.RunFigure2(sim.ScaleQuick, 5)
+	f1, err := sim.RunFigure2Par(sim.ScaleQuick, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := sim.RunFigure2(sim.ScaleQuick, 5)
+	f2, err := sim.RunFigure2Par(sim.ScaleQuick, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

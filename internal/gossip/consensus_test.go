@@ -22,18 +22,28 @@ func consRun(t *testing.T, cfg ConsensusConfig, o LiveOptions) ConsensusResult {
 
 // TestConsensusShardIdentity pins the headline determinism claim for the
 // consensus spec: the shard count is a pure speed knob — the full result
-// (share histories, winner, traffic) is bit-identical at every count.
+// (share histories, winner, traffic) is bit-identical at every count, under
+// every merge rule.
 func TestConsensusShardIdentity(t *testing.T) {
 	g := mustBA(t, 2000, 3, 7)
-	cfg := ConsensusConfig{Variants: 3, Graph: g, Seeding: SeedDistinct, Rule: RuleMajority, MaxRounds: 150}
-	base := consRun(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: 1})
-	if base.Rounds == 0 || len(base.ShareHist) != base.Rounds {
-		t.Fatalf("degenerate base run: %+v", base)
-	}
-	for _, shards := range []int{2, 4, 8} {
-		res := consRun(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: shards})
-		if fmt.Sprint(res) != fmt.Sprint(base) {
-			t.Errorf("shards=%d diverged:\n got %+v\nwant %+v", shards, res, base)
+	for _, rule := range []MergeRule{RuleMajority, RuleLatest, RuleWeighted} {
+		cfg := ConsensusConfig{Variants: 3, Graph: g, Seeding: SeedDistinct, Rule: rule, MaxRounds: 150}
+		if rule == RuleWeighted {
+			p, err := bandwidth.Zipf(2000, 1.2, 8, 2.0, rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Profile = p
+		}
+		base := consRun(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: 1})
+		if base.Rounds == 0 || len(base.ShareHist) != base.Rounds {
+			t.Fatalf("%v: degenerate base run: %+v", rule, base)
+		}
+		for _, shards := range []int{2, 4, 8} {
+			res := consRun(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: shards})
+			if fmt.Sprint(res) != fmt.Sprint(base) {
+				t.Errorf("%v shards=%d diverged:\n got %+v\nwant %+v", rule, shards, res, base)
+			}
 		}
 	}
 }

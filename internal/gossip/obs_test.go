@@ -4,7 +4,7 @@ package gossip
 // instrumented run must be bit-identical to an uninstrumented one — for the
 // sharded live runtime, the clockless async runtime and the dating round
 // loop, at multiple shard counts. These are the in-process counterparts of
-// the CI smoke that compares datebench digests with and without -trace.
+// the spec-table matrix in internal/sim and the hetsim -trace test.
 
 import (
 	"reflect"

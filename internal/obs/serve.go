@@ -1,6 +1,6 @@
 package obs
 
-// Opt-in live profiling for the CLIs: an HTTP server exposing net/http/pprof
+// Opt-in live profiling for hetsim: an HTTP server exposing net/http/pprof
 // (CPU, heap, goroutine, block profiles of a long run while it executes) and
 // expvar (process memstats plus the observer's aggregated metrics). Nothing
 // here runs unless a CLI passes -pprof; the simulation never touches it.

@@ -1,8 +1,8 @@
 package obs
 
 // Aggregated views of an observer: the portable Metrics structure attached
-// to run.Report (and serialized by datebench -json), and the plain-text
-// summary table the CLIs print under -metrics.
+// to run.Report, and the plain-text summary table hetsim prints under
+// -metrics.
 
 import (
 	"fmt"

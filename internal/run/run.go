@@ -160,14 +160,14 @@ func WithBudget(b *par.Budget) Option { return func(o *Options) { o.Budget = b }
 // it, and the run's Report carries their aggregate in Metrics. Observers
 // are strictly read-only — they never touch a random stream or reorder an
 // exchange — so an instrumented run is bit-identical to an uninstrumented
-// one (the CI instrumentation-identity smoke pins this at several shard
-// counts).
+// one (the spec-table identity matrix in internal/sim pins this for every
+// protocol at several worker counts).
 func WithObserver(o *obs.Observer) Option { return func(opts *Options) { opts.Obs = o } }
 
 // defaultObserver is the process-wide fallback observer consulted when a
-// run carries no explicit WithObserver. It exists for the CLIs: hetsim and
-// datebench drive runs through harness code whose signatures do not thread
-// an observer, and -trace/-metrics attach one here instead. Because
+// run carries no explicit WithObserver. It exists for hetsim -experiment:
+// the registry experiments build their run options internally, so
+// -trace/-metrics attach the observer here instead. Because
 // observers are read-only, the global can never change a result.
 var defaultObserver atomic.Pointer[obs.Observer]
 
@@ -179,7 +179,7 @@ func SetDefaultObserver(o *obs.Observer) { defaultObserver.Store(o) }
 func DefaultObserver() *obs.Observer { return defaultObserver.Load() }
 
 // Report is the unified outcome every protocol emits: enough for the sim
-// registry, the CLIs and the BENCH_*.json writers to consume any run
+// registry, hetsim and the benchmark to consume any run
 // generically, with the protocol-native result preserved in Detail.
 type Report struct {
 	// Protocol is the spec's short name ("rumor", "live", "storage", ...).

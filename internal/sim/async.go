@@ -1,6 +1,6 @@
 package sim
 
-// This file is the sync-vs-async experiment and benchmark: the same rumor,
+// This file is the sync-vs-async experiment: the same rumor,
 // spread by round-synchronous protocols and by the clockless push&pull
 // runtime, on homogeneous and heterogeneous profiles. Time units align by
 // construction — a unit-rate peer fires once per expected synchronous
@@ -9,7 +9,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
@@ -153,101 +152,5 @@ func RunAsyncCompare(scale Scale, seed uint64, workers int) (AsyncCompareResult,
 		return AsyncCompareResult{}, err
 	}
 	res.Rows = append(res.Rows, row)
-	return res, nil
-}
-
-// AsyncBenchRow reports one shard count of the async benchmark.
-type AsyncBenchRow struct {
-	Shards       int     `json:"shards"`
-	Buckets      int     `json:"buckets"`
-	Time         float64 `json:"sim_time"`
-	SecPerBucket float64 `json:"seconds_per_bucket"`
-	MsgsPerSec   float64 `json:"messages_per_second"`
-	Fired        int64   `json:"firings"`
-}
-
-// AsyncBenchResult is the cmd/datebench async mode: full asynchronous
-// push&pull spreading at shard counts {1, shards}. All runs derive their
-// randomness per (peer, firing-index), so their informed-count trajectories
-// must be bit-identical; Identical reports that check, making every
-// benchmark run a shard-determinism smoke test. Points carries the generic
-// Report-derived perf-trajectory records BENCH_async.json collects.
-type AsyncBenchResult struct {
-	N         int  `json:"n"`
-	Identical bool `json:"identical_across_shards"`
-	// TrajectoryDigest is the FNV-1a digest of the reference trajectory
-	// (see TrajectoryDigest): a pure function of (n, seed), whatever the
-	// shard count or instrumentation.
-	TrajectoryDigest string          `json:"trajectory_digest"`
-	Rows             []AsyncBenchRow `json:"rows"`
-	Points           []BenchPoint    `json:"points"`
-}
-
-// Table renders the benchmark in the repository's table shape.
-func (r AsyncBenchResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Async clockless runtime — full spread, n=%d (identical trajectories: %v)", r.N, r.Identical),
-		"shards", "buckets", "sim time", "s/bucket", "msg/s", "firings",
-	)
-	for _, row := range r.Rows {
-		t.AddRow(
-			fmt.Sprint(row.Shards),
-			fmt.Sprint(row.Buckets),
-			fmt.Sprintf("%.1f", row.Time),
-			fmt.Sprintf("%.4f", row.SecPerBucket),
-			fmt.Sprintf("%.3g", row.MsgsPerSec),
-			fmt.Sprint(row.Fired),
-		)
-	}
-	return t
-}
-
-// RunAsyncBench profiles asynchronous spreading at a single n on the
-// clockless runtime at 1 and shards workers. Every run goes through the
-// unified runner; rows and bench points derive from its Report, with memory
-// sampled around the whole run. Trajectory disagreement is reported in
-// Identical, not as an error, so the caller decides whether it gates.
-func RunAsyncBench(n, shards int, seed uint64) (AsyncBenchResult, error) {
-	if n <= 0 {
-		return AsyncBenchResult{}, fmt.Errorf("sim: async bench needs positive n, got %d", n)
-	}
-	shardCounts := []int{1}
-	if shards > 1 {
-		shardCounts = append(shardCounts, shards)
-	}
-	res := AsyncBenchResult{N: n, Identical: true}
-	var ref []int
-	for i, sc := range shardCounts {
-		runtime.GC()
-		var memBefore, memAfter runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
-		rep, err := run.Run(gossip.AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)},
-			run.WithSeed(seed), run.WithWorkers(sc))
-		runtime.ReadMemStats(&memAfter)
-		if err != nil {
-			return AsyncBenchResult{}, err
-		}
-		if !rep.Completed {
-			return AsyncBenchResult{}, fmt.Errorf("sim: async bench shards=%d incomplete after %d buckets", sc, rep.Rounds)
-		}
-		if i == 0 {
-			ref = rep.Trajectory
-			res.TrajectoryDigest = TrajectoryDigest(ref)
-		} else if !slices.Equal(rep.Trajectory, ref) {
-			res.Identical = false
-		}
-		detail := rep.Detail.(gossip.AsyncResult)
-		p := PointFromReport(n, rep)
-		p.SampleMem(&memBefore, &memAfter)
-		res.Rows = append(res.Rows, AsyncBenchRow{
-			Shards:       sc,
-			Buckets:      rep.Rounds,
-			Time:         detail.Time,
-			SecPerBucket: p.SecondsPerRound,
-			MsgsPerSec:   p.MessagesPerSecond,
-			Fired:        detail.Fired,
-		})
-		res.Points = append(res.Points, p)
-	}
 	return res, nil
 }

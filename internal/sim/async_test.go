@@ -54,35 +54,3 @@ func TestAsyncCompareWorkersByteIdentical(t *testing.T) {
 		t.Fatal("workers knob changed the comparison table")
 	}
 }
-
-func TestRunAsyncBench(t *testing.T) {
-	res, err := RunAsyncBench(1500, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Fatal("shard counts disagreed on the async spreading trajectory")
-	}
-	if len(res.Rows) != 2 || len(res.Points) != 2 {
-		t.Fatalf("got %d rows, %d points, want 2 each (shards 1 and 2)", len(res.Rows), len(res.Points))
-	}
-	for i, row := range res.Rows {
-		if row.Buckets <= 0 || row.Fired <= 0 || row.Time <= 0 {
-			t.Fatalf("row %+v has empty metrics", row)
-		}
-		p := res.Points[i]
-		if p.Protocol != "async" || !p.Completed || p.Rounds != row.Buckets {
-			t.Fatalf("point %+v does not mirror row %+v", p, row)
-		}
-		// The memory columns the BENCH_async.json gate report reads.
-		if p.PeakHeapSysMB <= 0 {
-			t.Fatalf("point %+v has no memory sample", p)
-		}
-	}
-	if res.Rows[0].Shards != 1 || res.Rows[1].Shards != 2 {
-		t.Fatalf("shard counts %d, %d, want 1, 2", res.Rows[0].Shards, res.Rows[1].Shards)
-	}
-	if _, err := RunAsyncBench(0, 1, 1); err == nil {
-		t.Error("accepted n = 0")
-	}
-}

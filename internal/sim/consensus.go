@@ -1,6 +1,6 @@
 package sim
 
-// This file is the consensus experiment and benchmark: K conflicting
+// This file is the consensus experiment: K conflicting
 // variants of one rumor seeded by geometry and merged per peer under a rule,
 // measured as rounds to 90% agreement. The sweep crosses variant count,
 // seeding geometry and merge rule on complete and Barabási–Albert graphs —
@@ -13,7 +13,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
@@ -169,119 +168,4 @@ func RunConsensusSweep(scale Scale, seed uint64, workers int) (ConsensusSweepRes
 		return ConsensusSweepResult{}, err
 	}
 	return ConsensusSweepResult{Rows: rows}, nil
-}
-
-// ConsensusBenchRow reports one shard count of the consensus benchmark.
-type ConsensusBenchRow struct {
-	Shards      int     `json:"shards"`
-	Rounds      int     `json:"rounds"`
-	Winner      int     `json:"winner"`
-	Agreement   float64 `json:"agreement"`
-	SecPerRound float64 `json:"seconds_per_round"`
-	MsgsPerSec  float64 `json:"messages_per_second"`
-}
-
-// ConsensusBenchResult is the cmd/datebench consensus mode: K=3
-// latest-timestamp consensus from distinct random seeds on a Barabási–
-// Albert graph at shard counts {1, shards}. The latest rule floods to
-// threshold on any connected graph, so the bench always completes. The
-// identity check compares the full per-round variant-share history, not
-// just the decided-peer trajectory; ShareDigest is its FNV-1a digest, a
-// pure function of (n, seed) whatever the shard count.
-type ConsensusBenchResult struct {
-	N           int                 `json:"n"`
-	GraphDigest string              `json:"graph_digest"`
-	Identical   bool                `json:"identical_across_shards"`
-	ShareDigest string              `json:"share_digest"`
-	Rows        []ConsensusBenchRow `json:"rows"`
-	Points      []BenchPoint        `json:"points"`
-}
-
-// Table renders the benchmark in the repository's table shape.
-func (r ConsensusBenchResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Consensus runtime — BA latest-rule agreement, n=%d (identical share histories: %v)", r.N, r.Identical),
-		"shards", "rounds", "winner", "agreement", "s/round", "msg/s",
-	)
-	for _, row := range r.Rows {
-		t.AddRow(
-			fmt.Sprint(row.Shards),
-			fmt.Sprint(row.Rounds),
-			fmt.Sprint(row.Winner),
-			fmt.Sprintf("%.4f", row.Agreement),
-			fmt.Sprintf("%.4f", row.SecPerRound),
-			fmt.Sprintf("%.3g", row.MsgsPerSec),
-		)
-	}
-	return t
-}
-
-// flattenShares lays ShareHist out round-major as one []int for digesting
-// and cross-shard comparison.
-func flattenShares(hist [][]int) []int {
-	if len(hist) == 0 {
-		return nil
-	}
-	flat := make([]int, 0, len(hist)*len(hist[0]))
-	for _, shares := range hist {
-		flat = append(flat, shares...)
-	}
-	return flat
-}
-
-// RunConsensusBench profiles conflicting-rumor consensus at a single n: a
-// BA(m=3) graph built once, K=3 variants merged under the latest rule at 1
-// and shards workers on the sharded runtime. Every run goes through the
-// unified runner; rows and bench points derive from its Report, with memory
-// sampled around the whole run (graph construction excluded — the graph is
-// shared). Share-history disagreement is reported in Identical, not as an
-// error, so the caller decides whether it gates.
-func RunConsensusBench(n, shards int, seed uint64) (ConsensusBenchResult, error) {
-	if n <= 0 {
-		return ConsensusBenchResult{}, fmt.Errorf("sim: consensus bench needs positive n, got %d", n)
-	}
-	g, err := graph.BarabasiAlbert(n, 3, seed)
-	if err != nil {
-		return ConsensusBenchResult{}, err
-	}
-	cfg := gossip.ConsensusConfig{Variants: 3, Graph: g, Seeding: gossip.SeedDistinct, Rule: gossip.RuleLatest}
-	shardCounts := []int{1}
-	if shards > 1 {
-		shardCounts = append(shardCounts, shards)
-	}
-	res := ConsensusBenchResult{N: n, GraphDigest: g.Digest(), Identical: true}
-	var ref []int
-	for i, sc := range shardCounts {
-		runtime.GC()
-		var memBefore, memAfter runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
-		rep, err := run.Run(cfg, run.WithSeed(seed), run.WithWorkers(sc))
-		runtime.ReadMemStats(&memAfter)
-		if err != nil {
-			return ConsensusBenchResult{}, err
-		}
-		if !rep.Completed {
-			return ConsensusBenchResult{}, fmt.Errorf("sim: consensus bench shards=%d did not converge in %d rounds", sc, rep.Rounds)
-		}
-		det := rep.Detail.(gossip.ConsensusResult)
-		flat := flattenShares(det.ShareHist)
-		if i == 0 {
-			ref = flat
-			res.ShareDigest = TrajectoryDigest(ref)
-		} else if !slices.Equal(flat, ref) {
-			res.Identical = false
-		}
-		p := PointFromReport(n, rep)
-		p.SampleMem(&memBefore, &memAfter)
-		res.Rows = append(res.Rows, ConsensusBenchRow{
-			Shards:      sc,
-			Rounds:      rep.Rounds,
-			Winner:      det.Winner,
-			Agreement:   det.Agreement,
-			SecPerRound: p.SecondsPerRound,
-			MsgsPerSec:  p.MessagesPerSecond,
-		})
-		res.Points = append(res.Points, p)
-	}
-	return res, nil
 }

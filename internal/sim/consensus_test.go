@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestConsensusSweepParIdentity pins the harness determinism contract for
 // the consensus sweep: the rendered table is byte-identical for every -par
@@ -51,46 +48,5 @@ func TestConsensusSweepShape(t *testing.T) {
 		if row.Graph == "complete" && row.Rule == "majority" && !row.Completed {
 			t.Errorf("complete-graph majority row did not converge: %+v", row)
 		}
-	}
-}
-
-// TestConsensusBench pins the datebench consensus mode: shard counts agree
-// on the full variant-share history, the graph digest witnesses the shared
-// topology, and the generic bench points carry the memory columns.
-func TestConsensusBench(t *testing.T) {
-	res, err := RunConsensusBench(5_000, 2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Error("shard counts disagree on the consensus share history")
-	}
-	if len(res.ShareDigest) != 16 || len(res.GraphDigest) != 16 {
-		t.Errorf("digests malformed: shares %q graph %q", res.ShareDigest, res.GraphDigest)
-	}
-	if len(res.Rows) != 2 || len(res.Points) != 2 {
-		t.Fatalf("got %d rows / %d points, want 2 / 2", len(res.Rows), len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Protocol != "consensus" {
-			t.Errorf("point protocol %q, want consensus", p.Protocol)
-		}
-		if !p.Completed || p.Rounds == 0 {
-			t.Errorf("degenerate point: %+v", p)
-		}
-		if p.TotalAllocMB <= 0 {
-			t.Errorf("memory column not sampled: %+v", p)
-		}
-	}
-	for _, row := range res.Rows {
-		if row.Winner != 3 {
-			t.Errorf("latest-rule bench winner %d, want 3", row.Winner)
-		}
-	}
-	if !strings.Contains(res.Table().Render(), "identical share histories: true") {
-		t.Error("table title missing the identity witness")
-	}
-	if _, err := RunConsensusBench(0, 2, 42); err == nil {
-		t.Error("n=0 should be rejected")
 	}
 }

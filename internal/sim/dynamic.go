@@ -44,11 +44,6 @@ func (r DynamicResult) Table() *stats.Table {
 	return t
 }
 
-// RunDynamicDHT runs E13 serially; see RunDynamicDHTPar.
-func RunDynamicDHT(scale Scale, seed uint64) (DynamicResult, error) {
-	return RunDynamicDHTPar(scale, seed, 1)
-}
-
 // RunDynamicDHTPar spreads one rumor while, at the start of every round,
 // each non-source node is replaced with probability p: its ring position is
 // resampled and it forgets the rumor (a new peer reusing the id). Each

@@ -9,7 +9,7 @@ func TestDynamicDHTSpread(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dynamic DHT experiment runs many spreads")
 	}
-	res, err := RunDynamicDHT(ScaleQuick, 13)
+	res, err := RunDynamicDHTPar(ScaleQuick, 13, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestLoadViolationExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load experiment runs every algorithm")
 	}
-	res, err := RunLoadViolation(ScaleQuick, 14)
+	res, err := RunLoadViolationPar(ScaleQuick, 14, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

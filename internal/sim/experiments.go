@@ -481,11 +481,6 @@ func (r StorageResult) Table() *stats.Table {
 	return t
 }
 
-// RunStorage runs E10 serially; see RunStoragePar.
-func RunStorage(scale Scale, seed uint64) (StorageResult, error) {
-	return RunStoragePar(scale, seed, 1)
-}
-
 // RunStoragePar replicates every node's objects over the dating service and
 // reports convergence time and final load balance. Each repetition is one
 // harness job seeded from (seed, repetition); inside a job, every round's

@@ -47,11 +47,6 @@ func (r Figure1Result) Table() *stats.Table {
 	return t
 }
 
-// RunFigure1 reproduces Figure 1 serially; see RunFigure1Par.
-func RunFigure1(scale Scale, seed uint64) (Figure1Result, error) {
-	return RunFigure1Par(scale, seed, 1)
-}
-
 // RunFigure1Par reproduces Figure 1: n nodes generate n requests of each
 // type (unit bandwidths); the uniform rows average over many rounds, and
 // the DHT rows generate a population of overlays and report the worst and

@@ -46,11 +46,6 @@ func (r Figure2Result) Table() *stats.Table {
 	return t
 }
 
-// RunFigure2 reproduces Figure 2 serially; see RunFigure2Par.
-func RunFigure2(scale Scale, seed uint64) (Figure2Result, error) {
-	return RunFigure2Par(scale, seed, 1)
-}
-
 // RunFigure2Par reproduces Figure 2: for each network size, run every
 // algorithm repeatedly from a fresh source and report mean and standard
 // deviation of the number of rounds until all nodes are informed.

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
@@ -118,145 +117,16 @@ func runLiveRow(n int, model string, net live.NetModel, shards int, seed uint64)
 	if err != nil {
 		return LiveRow{}, fmt.Errorf("sim: live n=%d model=%s: %w", n, model, err)
 	}
-	p := PointFromReport(n, rep)
-	return LiveRow{
+	row := LiveRow{
 		N:            n,
 		Model:        model,
 		Shards:       shards,
 		DatingRounds: rep.Rounds,
 		Completed:    rep.Completed,
-		SecPerDating: p.SecondsPerRound,
-		MsgsPerSec:   p.MessagesPerSecond,
-	}, nil
-}
-
-// LiveBenchRow reports one engine configuration of the live benchmark.
-type LiveBenchRow struct {
-	Engine             string  `json:"engine"`
-	Shards             int     `json:"shards"`
-	DatingRounds       int     `json:"dating_rounds"`
-	SecPerDating       float64 `json:"seconds_per_dating_round"`
-	MsgsPerSec         float64 `json:"messages_per_second"`
-	SpeedupVsGoroutine float64 `json:"speedup_vs_goroutine,omitempty"`
-}
-
-// LiveBenchResult is the cmd/datebench live mode: the sharded runtime at
-// shard counts {1, shards} — plus the legacy goroutine-per-peer engine
-// when baseline is set — spreading one rumor to every peer under the
-// perfect-sync model. All runs share per-peer stream derivation, so their
-// informed-count trajectories must be bit-identical; Identical reports
-// that check (a cheap cross-engine smoke test on every benchmark run).
-// Points carries the generic Report-derived perf-trajectory records the
-// BENCH_live.json file collects.
-type LiveBenchResult struct {
-	N         int  `json:"n"`
-	Identical bool `json:"identical_across_engines"`
-	// TrajectoryDigest is the FNV-1a digest of the reference trajectory
-	// (see TrajectoryDigest): a pure function of (n, seed), whatever the
-	// engine, shard count or instrumentation.
-	TrajectoryDigest string         `json:"trajectory_digest"`
-	Rows             []LiveBenchRow `json:"rows"`
-	Points           []BenchPoint   `json:"points"`
-}
-
-// Table renders the benchmark in the repository's table shape.
-func (r LiveBenchResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Live engines — full spread, n=%d, perfect sync (identical trajectories: %v)", r.N, r.Identical),
-		"engine", "shards", "dating rounds", "s/dating round", "msg/s", "speedup",
-	)
-	for _, row := range r.Rows {
-		speedup := ""
-		if row.SpeedupVsGoroutine > 0 {
-			speedup = fmt.Sprintf("%.2fx", row.SpeedupVsGoroutine)
-		}
-		t.AddRow(
-			row.Engine,
-			fmt.Sprint(row.Shards),
-			fmt.Sprint(row.DatingRounds),
-			fmt.Sprintf("%.4f", row.SecPerDating),
-			fmt.Sprintf("%.3g", row.MsgsPerSec),
-			speedup,
-		)
 	}
-	return t
-}
-
-// RunLiveBench profiles message-level spreading at a single n: the sharded
-// runtime at 1 and shards workers, and optionally the legacy goroutine
-// engine as the baseline the speedup column is relative to. Every run goes
-// through the unified runner, and rows and bench points derive from its
-// Report. It returns an error if any run fails; trajectory disagreement is
-// reported in Identical, not as an error, so the caller decides whether it
-// gates.
-func RunLiveBench(n, shards int, baseline bool, seed uint64) (LiveBenchResult, error) {
-	if n <= 0 {
-		return LiveBenchResult{}, fmt.Errorf("sim: live bench needs positive n, got %d", n)
+	if sec := rep.Wall.Seconds(); sec > 0 && rep.Rounds > 0 {
+		row.SecPerDating = sec / float64(rep.Rounds)
+		row.MsgsPerSec = float64(rep.Messages) / sec
 	}
-	type runSpec struct {
-		engine string
-		shards int
-		opts   []run.Option
-	}
-	specs := []runSpec{}
-	shardCounts := []int{1}
-	if shards > 1 {
-		shardCounts = append(shardCounts, shards)
-	}
-	for _, sc := range shardCounts {
-		specs = append(specs, runSpec{"sharded", sc,
-			[]run.Option{run.WithSeed(seed), run.WithWorkers(sc), run.WithEngine(run.EngineSharded)}})
-	}
-	if baseline {
-		specs = append(specs, runSpec{"goroutine", 0,
-			[]run.Option{run.WithSeed(seed), run.WithEngine(run.EngineGoroutine)}})
-	}
-
-	res := LiveBenchResult{N: n, Identical: true}
-	var ref []int
-	var goroutineSec float64
-	for i, spec := range specs {
-		// The memory sample brackets run.Run entirely (runtime construction
-		// included); the GC keeps the heap comparable across engines.
-		runtime.GC()
-		var memBefore, memAfter runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
-		rep, err := run.Run(gossip.LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}, spec.opts...)
-		runtime.ReadMemStats(&memAfter)
-		if err != nil {
-			return LiveBenchResult{}, err
-		}
-		if !rep.Completed {
-			return LiveBenchResult{}, fmt.Errorf("sim: live bench %s/%d incomplete after %d dating rounds",
-				spec.engine, spec.shards, rep.Rounds)
-		}
-		if i == 0 {
-			ref = rep.Trajectory
-			res.TrajectoryDigest = TrajectoryDigest(ref)
-		} else if !slices.Equal(rep.Trajectory, ref) {
-			res.Identical = false
-		}
-		p := PointFromReport(n, rep)
-		p.SampleMem(&memBefore, &memAfter)
-		row := LiveBenchRow{
-			Engine:       spec.engine,
-			Shards:       spec.shards,
-			DatingRounds: rep.Rounds,
-			SecPerDating: p.SecondsPerRound,
-			MsgsPerSec:   p.MessagesPerSecond,
-		}
-		if spec.engine == "goroutine" {
-			goroutineSec = row.SecPerDating
-		}
-		res.Rows = append(res.Rows, row)
-		res.Points = append(res.Points, p)
-	}
-	if goroutineSec > 0 {
-		for i := range res.Rows {
-			if res.Rows[i].SecPerDating > 0 {
-				res.Rows[i].SpeedupVsGoroutine = goroutineSec / res.Rows[i].SecPerDating
-			}
-		}
-	}
-	return res, nil
+	return row, nil
 }

@@ -38,24 +38,3 @@ func TestRunLiveScaledQuick(t *testing.T) {
 		t.Fatalf("table missing sensitivity rows:\n%s", rendered)
 	}
 }
-
-func TestRunLiveBench(t *testing.T) {
-	res, err := RunLiveBench(1500, 2, true, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Fatal("engines disagreed on the spreading trajectory")
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3 (sharded x2 + goroutine)", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.SecPerDating <= 0 || row.MsgsPerSec <= 0 {
-			t.Fatalf("row %+v has empty metrics", row)
-		}
-	}
-	if _, err := RunLiveBench(0, 1, false, 1); err == nil {
-		t.Error("accepted n = 0")
-	}
-}

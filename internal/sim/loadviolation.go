@@ -39,11 +39,6 @@ func (r LoadResult) Table() *stats.Table {
 	return t
 }
 
-// RunLoadViolation runs E12 serially; see RunLoadViolationPar.
-func RunLoadViolation(scale Scale, seed uint64) (LoadResult, error) {
-	return RunLoadViolationPar(scale, seed, 1)
-}
-
 // RunLoadViolationPar measures the bandwidth honesty of every algorithm:
 // the dating service must stay at 1/1; the unfair baselines overdrive nodes
 // by Theta(log n / log log n) (balls-into-bins maxima). Each repetition is

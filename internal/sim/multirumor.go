@@ -39,11 +39,6 @@ func (r MultiRumorSimResult) Table() *stats.Table {
 	return t
 }
 
-// RunMultiRumorExperiment runs E11 serially; see RunMultiRumorExperimentPar.
-func RunMultiRumorExperiment(scale Scale, seed uint64) (MultiRumorSimResult, error) {
-	return RunMultiRumorExperimentPar(scale, seed, 1)
-}
-
 // RunMultiRumorExperimentPar injects R rumors two rounds apart on distinct
 // sources and measures completion, for R in {1, 2, 4, 8}. Each repetition
 // is one harness job seeded from (seed, rumor-count index, repetition).

@@ -35,9 +35,10 @@ func tabler[T interface{ Table() *stats.Table }](f func(Scale, uint64) (T, error
 	return parTabler(func(sc Scale, seed uint64, _ int) (T, error) { return f(sc, seed) })
 }
 
-// Registry lists every experiment in DESIGN.md's per-experiment index, in
-// presentation order, plus the runtime sweeps that are not part of the
-// paper's evaluation but share the same driver interface.
+// Registry is the per-experiment index: the paper's two figures and the
+// extension experiments E3–E13 in presentation order, then the runtime
+// sweeps that are not part of the paper's evaluation but share the same
+// driver interface.
 func Registry() []Experiment {
 	return []Experiment{
 		{"figure1", "fraction of dates arranged (uniform vs DHT)", parTabler(RunFigure1Par)},
@@ -57,6 +58,6 @@ func Registry() []Experiment {
 		{"async", "sync-vs-async spread curves on exponential peer clocks", parTabler(RunAsyncCompare)},
 		{"topology", "graph-constrained spreader/stifler spreading: final size vs alpha", parTabler(RunTopologySpread)},
 		{"consensus", "conflicting-rumor consensus: rounds to 90% agreement vs K x seeding x merge rule", parTabler(RunConsensusSweep)},
-		{"protocols", "every protocol via the unified run.Run entrypoint", parTabler(RunProtocols)},
+		{"protocols", "every protocol of the spec table via the unified run.Run entrypoint", parTabler(RunProtocols)},
 	}
 }

@@ -5,7 +5,7 @@ import "testing"
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
 	if len(reg) != 18 {
-		t.Fatalf("registry has %d experiments, DESIGN.md lists 13 plus the live benchmark, the sync-vs-async comparison, the unified-runner sweep, the topology sweep and the consensus sweep", len(reg))
+		t.Fatalf("registry has %d experiments, want the 13 of the evaluation plus the live sweep, the sync-vs-async comparison, the unified-runner sweep, the topology sweep and the consensus sweep", len(reg))
 	}
 	seen := map[string]bool{}
 	for _, e := range reg {

@@ -1,91 +1,32 @@
 package sim
 
-// This file is the Report-consuming side of the unified runner: a generic
-// BENCH_*.json point derived from any run.Report, and the "protocols"
-// registry experiment that drives every protocol of the repository through
-// run.Run — one entrypoint, one report shape, one table.
+// This file is the Report-consuming side of the unified runner: the spec
+// table holding every protocol of the repository as a function of (n, seed),
+// the digest that witnesses a run's bits, and the two ways to execute the
+// table through run.Run — the "protocols" registry experiment (every row)
+// and RunProtocol (one row, at any n).
 
 import (
 	"fmt"
-	"runtime"
+	"strings"
 
 	"repro/internal/bandwidth"
 	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/gossip"
+	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
-// BenchPoint is the generic perf-trajectory record the BENCH_*.json writers
-// emit: every field is computed from a run.Report, so any protocol the
-// unified runner can execute can be benchmarked without a bespoke writer.
-//
-// The two memory columns are sampled by the writers (SampleMem) around the
-// whole configuration — scratch construction, warm-up, and timed rounds —
-// rather than derived from the Report: PeakHeapSysMB is the runtime's heap
-// high-water mark taken from the OS (the closest Go-visible proxy for peak
-// RSS; monotonic over the process, so earlier configurations' peaks carry
-// forward), and TotalAllocMB is the bytes the configuration allocated
-// across all goroutines, scratch included. Together
-// they make scratch-memory regressions — e.g. per-worker count arrays
-// creeping back in — visible in the trajectory next to s/round. Zero means
-// the writer did not sample memory.
-type BenchPoint struct {
-	Protocol          string  `json:"protocol"`
-	N                 int     `json:"n"`
-	Workers           int     `json:"workers"`
-	Rounds            int     `json:"rounds"`
-	Completed         bool    `json:"completed"`
-	Seconds           float64 `json:"seconds"`
-	SecondsPerRound   float64 `json:"seconds_per_round"`
-	Messages          int64   `json:"messages"`
-	MessagesPerSecond float64 `json:"messages_per_second"`
-	Dropped           int64   `json:"dropped,omitempty"`
-	Clamped           int64   `json:"clamped,omitempty"`
-	PeakHeapSysMB     float64 `json:"peak_heap_sys_mb,omitempty"`
-	TotalAllocMB      float64 `json:"total_alloc_mb,omitempty"`
-}
-
-// SampleMem fills the point's memory columns from two runtime.ReadMemStats
-// samples taken before and after the timed section.
-func (p *BenchPoint) SampleMem(before, after *runtime.MemStats) {
-	const mb = 1 << 20
-	p.PeakHeapSysMB = float64(after.HeapSys) / mb
-	p.TotalAllocMB = float64(after.TotalAlloc-before.TotalAlloc) / mb
-}
-
-// PointFromReport derives the generic bench point of a run over n nodes.
-func PointFromReport(n int, rep run.Report) BenchPoint {
-	p := BenchPoint{
-		Protocol:  rep.Protocol,
-		N:         n,
-		Workers:   rep.Workers,
-		Rounds:    rep.Rounds,
-		Completed: rep.Completed,
-		Seconds:   rep.Wall.Seconds(),
-		Messages:  rep.Messages,
-		Dropped:   rep.Dropped,
-		Clamped:   rep.Clamped,
-	}
-	if rep.Rounds > 0 {
-		p.SecondsPerRound = p.Seconds / float64(rep.Rounds)
-	}
-	if p.Seconds > 0 {
-		p.MessagesPerSecond = float64(rep.Messages) / p.Seconds
-	}
-	return p
-}
-
 // TrajectoryDigest folds a run's trajectory into an FNV-1a 64 hex digest.
 // The trajectory is the deterministic heart of a report — a pure function of
 // (spec, seed), independent of workers, engine and observers —
 // so the digest is a compact bit-identity witness: two runs agree on it iff
-// they spread identically round for round. datebench -digest prints it, and
-// the CI instrumentation-identity smoke compares instrumented against
-// uninstrumented runs with it (the full -json output carries wall times,
-// which never reproduce).
+// they spread identically round for round. The benchmark compares it across
+// shard counts, and the spec-table tests across workers and observers.
 func TrajectoryDigest(traj []int) string {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -99,7 +40,77 @@ func TrajectoryDigest(traj []int) string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// ProtocolsRow is one protocol's unified report in the registry table.
+// reportDigest is the digest column of the protocols table. A consensus
+// trajectory counts decided peers and does not say which variant each of
+// them holds, so that row digests the per-round variant shares, round-major.
+func reportDigest(rep run.Report) string {
+	det, ok := rep.Detail.(gossip.ConsensusResult)
+	if !ok {
+		return TrajectoryDigest(rep.Trajectory)
+	}
+	var flat []int
+	for _, shares := range det.ShareHist {
+		flat = append(flat, shares...)
+	}
+	return TrajectoryDigest(flat)
+}
+
+// protocolSpec is one row of the spec table.
+type protocolSpec struct {
+	name  string
+	build func(n int, seed uint64) (run.Spec, error)
+}
+
+// protocolSpecs is the spec table: every protocol config of the repository
+// at n peers, named by its Protocol(). The seed reaches only what a spec
+// builds before the run starts (the contact graph, the monger payload).
+var protocolSpecs = []protocolSpec{
+	{"rumor", func(n int, _ uint64) (run.Spec, error) {
+		return gossip.Config{Algorithm: gossip.Dating, N: n}, nil
+	}},
+	{"multirumor", func(n int, _ uint64) (run.Spec, error) {
+		return gossip.MultiRumorConfig{N: n, Injections: []gossip.Injection{
+			{Round: 1, Source: 0}, {Round: 3, Source: n / 3}, {Round: 5, Source: 2 * n / 3},
+		}}, nil
+	}},
+	{"live", func(n int, _ uint64) (run.Spec, error) {
+		return gossip.LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}, nil
+	}},
+	{"monger", func(n int, seed uint64) (run.Spec, error) {
+		return coding.MongerConfig{N: n, Blocks: 8, BlockSize: 32, PayloadSeed: seed}, nil
+	}},
+	{"storage", func(n int, _ uint64) (run.Spec, error) {
+		return storage.Config{N: n, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 12, RoundCap: 2}, nil
+	}},
+	{"handshake", func(n int, _ uint64) (run.Spec, error) {
+		return core.HandshakeConfig{Profile: bandwidth.Homogeneous(n, 1), Rounds: 10}, nil
+	}},
+	{"async", func(n int, _ uint64) (run.Spec, error) {
+		return gossip.AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, nil
+	}},
+	{"topology", func(n int, seed uint64) (run.Spec, error) {
+		g, err := graph.BarabasiAlbert(n, 3, seed)
+		return gossip.TopologyConfig{Graph: g, Source: 0, Alpha: 0.25}, err
+	}},
+	// The latest rule floods to threshold on any connected graph, so this
+	// row always completes; majority can ossify on a sparse one.
+	{"consensus", func(n int, seed uint64) (run.Spec, error) {
+		g, err := graph.BarabasiAlbert(n, 3, seed)
+		return gossip.ConsensusConfig{Variants: 3, Graph: g, Seeding: gossip.SeedDistinct, Rule: gossip.RuleLatest}, err
+	}},
+}
+
+// ProtocolNames lists the rows of the spec table in table order.
+func ProtocolNames() []string {
+	names := make([]string, len(protocolSpecs))
+	for i, ps := range protocolSpecs {
+		names[i] = ps.name
+	}
+	return names
+}
+
+// ProtocolsRow is one protocol's unified report in the protocols table.
+// Everything but Seconds is a pure function of (protocol, n, seed).
 type ProtocolsRow struct {
 	Protocol   string
 	N          int
@@ -108,22 +119,23 @@ type ProtocolsRow struct {
 	Messages   int64
 	MaxInLoad  int
 	MaxOutLoad int
+	Digest     string
 	Seconds    float64
 }
 
-// ProtocolsResult is the outcome of the unified-runner experiment: every
-// protocol of the repository executed through run.Run with the same root
-// seed and worker budget, reported in the one Report shape.
+// ProtocolsResult is rows of the spec table executed through run.Run with
+// one root seed and worker budget, reported in the one Report shape.
 type ProtocolsResult struct {
+	Seed    uint64
 	Workers int
 	Rows    []ProtocolsRow
 }
 
-// Table renders the sweep; only the timing column varies run to run.
+// Table renders the rows; only the timing column varies run to run.
 func (r ProtocolsResult) Table() *stats.Table {
 	t := stats.NewTable(
-		fmt.Sprintf("Unified runner — every protocol via run.Run(spec, WithSeed, WithWorkers(%d))", r.Workers),
-		"protocol", "n", "rounds", "completed", "messages", "max in/out load", "seconds")
+		fmt.Sprintf("Unified runner — run.Run(spec, WithSeed(%d), WithWorkers(%d))", r.Seed, r.Workers),
+		"protocol", "n", "rounds", "completed", "messages", "max in/out load", "digest", "seconds")
 	for _, row := range r.Rows {
 		loads := "—"
 		if row.MaxInLoad > 0 || row.MaxOutLoad > 0 {
@@ -136,53 +148,78 @@ func (r ProtocolsResult) Table() *stats.Table {
 			fmt.Sprint(row.Completed),
 			fmt.Sprint(row.Messages),
 			loads,
+			row.Digest,
 			fmt.Sprintf("%.3f", row.Seconds),
 		)
 	}
 	return t
 }
 
+// execute builds the row's spec at n peers and executes it once through run.Run.
+// A nil observer leaves the run to the process default (see
+// run.SetDefaultObserver). A spec the protocol rejects and a run that does
+// not complete are errors.
+func (ps protocolSpec) execute(n int, seed uint64, workers int, observer *obs.Observer) (ProtocolsRow, error) {
+	spec, err := ps.build(n, seed)
+	if err != nil {
+		return ProtocolsRow{}, fmt.Errorf("sim: protocol %s: %w", ps.name, err)
+	}
+	rep, err := run.Run(spec, run.WithSeed(seed), run.WithWorkers(workers), run.WithObserver(observer))
+	if err != nil {
+		return ProtocolsRow{}, fmt.Errorf("sim: protocol %s: %w", ps.name, err)
+	}
+	if !rep.Completed {
+		return ProtocolsRow{}, fmt.Errorf("sim: protocol %s incomplete after %d rounds", ps.name, rep.Rounds)
+	}
+	return ProtocolsRow{
+		Protocol:   rep.Protocol,
+		N:          n,
+		Rounds:     rep.Rounds,
+		Completed:  rep.Completed,
+		Messages:   rep.Messages,
+		MaxInLoad:  rep.MaxInLoad,
+		MaxOutLoad: rep.MaxOutLoad,
+		Digest:     reportDigest(rep),
+		Seconds:    rep.Wall.Seconds(),
+	}, nil
+}
+
+// RunProtocol executes one row of the spec table at n peers, with the
+// observer (nil for none) attached to that run alone: the way to trace or
+// profile one big run.
+func RunProtocol(name string, n int, seed uint64, workers int, observer *obs.Observer) (ProtocolsResult, error) {
+	if n < 1 {
+		return ProtocolsResult{}, fmt.Errorf("sim: protocol %s needs a positive n, got %d", name, n)
+	}
+	for _, ps := range protocolSpecs {
+		if ps.name != name {
+			continue
+		}
+		row, err := ps.execute(n, seed, workers, observer)
+		if err != nil {
+			return ProtocolsResult{}, err
+		}
+		return ProtocolsResult{Seed: seed, Workers: workers, Rows: []ProtocolsRow{row}}, nil
+	}
+	return ProtocolsResult{}, fmt.Errorf("sim: unknown protocol %q (want one of %s)", name, strings.Join(ProtocolNames(), ", "))
+}
+
 // RunProtocols is the registry entry point for the unified-runner sweep:
-// one run.Run per protocol — rumor, multi-rumor, live, monger, storage,
-// handshake — sharing a root seed and a worker budget. Everything but the
-// timing column is deterministic, and the budget is a pure speed knob.
+// every row of the spec table once, sharing a root seed and a worker
+// budget. Everything but the timing column is deterministic, and the budget
+// is a pure speed knob.
 func RunProtocols(scale Scale, seed uint64, workers int) (ProtocolsResult, error) {
 	n := 256
 	if scale == ScalePaper {
 		n = 4096
 	}
-	specs := []struct {
-		n    int
-		spec run.Spec
-	}{
-		{n, gossip.Config{Algorithm: gossip.Dating, N: n}},
-		{n, gossip.MultiRumorConfig{N: n, Injections: []gossip.Injection{
-			{Round: 1, Source: 0}, {Round: 3, Source: n / 3}, {Round: 5, Source: 2 * n / 3},
-		}}},
-		{n, gossip.LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}},
-		{n / 2, coding.MongerConfig{N: n / 2, Blocks: 8, BlockSize: 32, PayloadSeed: seed}},
-		{n / 2, storage.Config{N: n / 2, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 12, RoundCap: 2}},
-		{n, core.HandshakeConfig{Profile: bandwidth.Homogeneous(n, 1), Rounds: 10}},
-	}
-	res := ProtocolsResult{Workers: workers}
-	for _, sp := range specs {
-		rep, err := run.Run(sp.spec, run.WithSeed(seed), run.WithWorkers(workers))
+	res := ProtocolsResult{Seed: seed, Workers: workers}
+	for _, ps := range protocolSpecs {
+		row, err := ps.execute(n, seed, workers, nil)
 		if err != nil {
-			return ProtocolsResult{}, fmt.Errorf("sim: protocols %s: %w", sp.spec.Protocol(), err)
+			return ProtocolsResult{}, err
 		}
-		if !rep.Completed {
-			return ProtocolsResult{}, fmt.Errorf("sim: protocols %s incomplete after %d rounds", rep.Protocol, rep.Rounds)
-		}
-		res.Rows = append(res.Rows, ProtocolsRow{
-			Protocol:   rep.Protocol,
-			N:          sp.n,
-			Rounds:     rep.Rounds,
-			Completed:  rep.Completed,
-			Messages:   rep.Messages,
-			MaxInLoad:  rep.MaxInLoad,
-			MaxOutLoad: rep.MaxOutLoad,
-			Seconds:    rep.Wall.Seconds(),
-		})
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

@@ -1,0 +1,84 @@
+package sim
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// TestSpecTableIdentity is the identity matrix over the spec table: every
+// protocol, at a small n, completes and reports the same row (digest,
+// rounds, messages, loads) whatever the worker budget and whether or not an
+// observer is attached. Only the timing column may differ. Four rows
+// (multirumor, monger, storage, handshake) run on engines that register no
+// track, so for them the observer axis only shows that attaching is harmless.
+func TestSpecTableIdentity(t *testing.T) {
+	if got := len(protocolSpecs); got != 9 {
+		t.Fatalf("spec table has %d rows, the repository has 9 protocols", got)
+	}
+	const n, seed = 300, 42
+	for _, ps := range protocolSpecs {
+		t.Run(ps.name, func(t *testing.T) {
+			var ref ProtocolsRow
+			for _, workers := range []int{1, 2, 4} {
+				for _, observer := range []*obs.Observer{nil, obs.NewObserver()} {
+					row, err := ps.execute(n, seed, workers, observer)
+					if err != nil {
+						t.Fatalf("workers=%d observed=%v: %v", workers, observer != nil, err)
+					}
+					row.Seconds = 0
+					if ref == (ProtocolsRow{}) {
+						if row.Protocol != ps.name || !row.Completed || row.Rounds == 0 || len(row.Digest) != 16 {
+							t.Fatalf("degenerate reference row %+v", row)
+						}
+						ref = row
+					} else if row != ref {
+						t.Errorf("workers=%d observed=%v:\n got %+v\nwant %+v", workers, observer != nil, row, ref)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSeedCompatDigests100k pins the four message-runtime rows of the spec
+// table at n = 100 000, seed 42, byte for byte. The values are the
+// trajectory and share digests of the four committed 100k bench files that
+// PR 24 deleted, re-run at that PR's parent commit; they also fix how those
+// four rows are configured.
+func TestSeedCompatDigests100k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four full spreads at n = 100 000")
+	}
+	for name, want := range map[string]string{
+		"live":      "4e31fa6a395901be",
+		"async":     "6dfc90fb4fb643a4",
+		"topology":  "0cc143a2fc3f9749",
+		"consensus": "6948ab6ab77d2cd4",
+	} {
+		res, err := RunProtocol(name, 100_000, 42, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0].Digest; got != want {
+			t.Errorf("%s: digest %s, pinned %s", name, got, want)
+		}
+	}
+}
+
+func TestRunProtocolRejects(t *testing.T) {
+	if _, err := RunProtocol("nope", 100, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "consensus") {
+		t.Errorf("unknown protocol: got %v, want an error naming the valid ones", err)
+	}
+	for _, n := range []int{0, -5} {
+		if _, err := RunProtocol("live", n, 1, 1, nil); err == nil {
+			t.Errorf("accepted n = %d", n)
+		}
+	}
+	// A peer count the row's graph generator cannot hold is the generator's
+	// error, passed up.
+	if _, err := RunProtocol("topology", 3, 1, 1, nil); err == nil {
+		t.Error("accepted a 3-peer Barabási–Albert graph with m = 3")
+	}
+}

@@ -1,10 +1,10 @@
 // Package sim is the experiment harness: each Run* function regenerates one
-// figure or experiment from DESIGN.md's per-experiment index, returning both
-// structured results (for tests and benchmarks to assert on) and a rendered
-// table in the same shape as the paper's plots.
+// figure or experiment of the registry (Registry, registry.go), returning
+// both structured results (for tests to assert on) and a rendered table in
+// the same shape as the paper's plots.
 //
 // Every experiment takes an explicit Scale. ScalePaper matches the paper's
-// parameters (10^4 repetitions, n up to 10^5) and is meant for the CLIs;
+// parameters (10^4 repetitions, n up to 10^5) and is meant for hetsim;
 // ScaleQuick shrinks repetitions and the largest n so the full suite runs in
 // seconds while preserving every qualitative conclusion.
 package sim

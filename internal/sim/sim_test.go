@@ -25,7 +25,7 @@ func TestScaleNames(t *testing.T) {
 // figure1Fast trims RunFigure1 to its two smallest sizes for unit tests.
 func figure1Fast(t *testing.T) Figure1Result {
 	t.Helper()
-	res, err := RunFigure1(ScaleQuick, 42)
+	res, err := RunFigure1Par(ScaleQuick, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFigure2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 2 takes a few seconds")
 	}
-	res, err := RunFigure2(ScaleQuick, 7)
+	res, err := RunFigure2Par(ScaleQuick, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestStorageBalanced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storage experiment replicates hundreds of blocks")
 	}
-	res, err := RunStorage(ScaleQuick, 10)
+	res, err := RunStoragePar(ScaleQuick, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

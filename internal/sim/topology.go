@@ -1,6 +1,6 @@
 package sim
 
-// This file is the topology experiment and benchmark: rumor spreading
+// This file is the topology experiment: rumor spreading
 // constrained to generated graphs, with the spreader/stifler dynamics whose
 // stifling rate alpha decides how much of the network the rumor reaches.
 // Where the paper's protocols assume any-to-any rendezvous, these runs put
@@ -11,7 +11,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
@@ -140,103 +139,4 @@ func RunTopologySpread(scale Scale, seed uint64, workers int) (TopologySpreadRes
 		return TopologySpreadResult{}, err
 	}
 	return TopologySpreadResult{Rows: rows}, nil
-}
-
-// TopologyBenchRow reports one shard count of the topology benchmark.
-type TopologyBenchRow struct {
-	Shards      int     `json:"shards"`
-	Rounds      int     `json:"rounds"`
-	FinalSpread float64 `json:"final_spread"`
-	SecPerRound float64 `json:"seconds_per_round"`
-	MsgsPerSec  float64 `json:"messages_per_second"`
-}
-
-// TopologyBenchResult is the cmd/datebench topology mode: spreader/stifler
-// spreading on a Barabási–Albert graph at shard counts {1, shards}. All
-// transition randomness derives from per-peer streams consumed in canonical
-// inbox order, so the trajectories of every shard count must be
-// bit-identical; Identical reports that check. GraphDigest witnesses that
-// every shard count also ran the identical topology.
-type TopologyBenchResult struct {
-	N           int    `json:"n"`
-	GraphDigest string `json:"graph_digest"`
-	Identical   bool   `json:"identical_across_shards"`
-	// TrajectoryDigest is the FNV-1a digest of the reference trajectory: a
-	// pure function of (n, seed), whatever the shard count.
-	TrajectoryDigest string             `json:"trajectory_digest"`
-	Rows             []TopologyBenchRow `json:"rows"`
-	Points           []BenchPoint       `json:"points"`
-}
-
-// Table renders the benchmark in the repository's table shape.
-func (r TopologyBenchResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Topology runtime — BA spreader/stifler spread, n=%d (identical trajectories: %v)", r.N, r.Identical),
-		"shards", "rounds", "final spread", "s/round", "msg/s",
-	)
-	for _, row := range r.Rows {
-		t.AddRow(
-			fmt.Sprint(row.Shards),
-			fmt.Sprint(row.Rounds),
-			fmt.Sprintf("%.4f", row.FinalSpread),
-			fmt.Sprintf("%.4f", row.SecPerRound),
-			fmt.Sprintf("%.3g", row.MsgsPerSec),
-		)
-	}
-	return t
-}
-
-// RunTopologyBench profiles graph-constrained spreading at a single n: a
-// BA(m=3) graph built once, spread with alpha=0.25 at 1 and shards workers
-// on the sharded runtime. Every run goes through the unified runner; rows
-// and bench points derive from its Report, with memory sampled around the
-// whole run (graph construction excluded — the graph is shared). Trajectory
-// disagreement is reported in Identical, not as an error, so the caller
-// decides whether it gates.
-func RunTopologyBench(n, shards int, seed uint64) (TopologyBenchResult, error) {
-	if n <= 0 {
-		return TopologyBenchResult{}, fmt.Errorf("sim: topology bench needs positive n, got %d", n)
-	}
-	g, err := graph.BarabasiAlbert(n, 3, seed)
-	if err != nil {
-		return TopologyBenchResult{}, err
-	}
-	cfg := gossip.TopologyConfig{Graph: g, Source: 0, Alpha: 0.25}
-	shardCounts := []int{1}
-	if shards > 1 {
-		shardCounts = append(shardCounts, shards)
-	}
-	res := TopologyBenchResult{N: n, GraphDigest: g.Digest(), Identical: true}
-	var ref []int
-	for i, sc := range shardCounts {
-		runtime.GC()
-		var memBefore, memAfter runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
-		rep, err := run.Run(cfg, run.WithSeed(seed), run.WithWorkers(sc))
-		runtime.ReadMemStats(&memAfter)
-		if err != nil {
-			return TopologyBenchResult{}, err
-		}
-		if !rep.Completed {
-			return TopologyBenchResult{}, fmt.Errorf("sim: topology bench shards=%d did not terminate in %d rounds", sc, rep.Rounds)
-		}
-		if i == 0 {
-			ref = rep.Trajectory
-			res.TrajectoryDigest = TrajectoryDigest(ref)
-		} else if !slices.Equal(rep.Trajectory, ref) {
-			res.Identical = false
-		}
-		det := rep.Detail.(gossip.TopologyResult)
-		p := PointFromReport(n, rep)
-		p.SampleMem(&memBefore, &memAfter)
-		res.Rows = append(res.Rows, TopologyBenchRow{
-			Shards:      sc,
-			Rounds:      rep.Rounds,
-			FinalSpread: det.FinalSpread,
-			SecPerRound: p.SecondsPerRound,
-			MsgsPerSec:  p.MessagesPerSecond,
-		})
-		res.Points = append(res.Points, p)
-	}
-	return res, nil
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestTopologySpreadParIdentity pins the harness determinism contract for
 // the topology sweep: the rendered table is byte-identical for every -par
@@ -59,41 +56,5 @@ func TestTopologySpreadShape(t *testing.T) {
 		if baRandom[i] > baRandom[i-1] {
 			t.Errorf("BA final spread not monotone in alpha: %v", baRandom)
 		}
-	}
-}
-
-// TestTopologyBench pins the datebench topology mode: shard counts agree on
-// the trajectory, the graph digest witnesses the shared topology, and the
-// generic bench points carry the memory columns.
-func TestTopologyBench(t *testing.T) {
-	res, err := RunTopologyBench(5_000, 2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Error("shard counts disagree on the topology trajectory")
-	}
-	if len(res.TrajectoryDigest) != 16 || len(res.GraphDigest) != 16 {
-		t.Errorf("digests malformed: trajectory %q graph %q", res.TrajectoryDigest, res.GraphDigest)
-	}
-	if len(res.Rows) != 2 || len(res.Points) != 2 {
-		t.Fatalf("got %d rows / %d points, want 2 / 2", len(res.Rows), len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Protocol != "topology" {
-			t.Errorf("point protocol %q, want topology", p.Protocol)
-		}
-		if !p.Completed || p.Rounds == 0 {
-			t.Errorf("degenerate point: %+v", p)
-		}
-		if p.TotalAllocMB <= 0 {
-			t.Errorf("memory column not sampled: %+v", p)
-		}
-	}
-	if !strings.Contains(res.Table().Render(), "identical trajectories: true") {
-		t.Error("table title missing the identity witness")
-	}
-	if _, err := RunTopologyBench(0, 2, 42); err == nil {
-		t.Error("n=0 should be rejected")
 	}
 }

@@ -8,7 +8,8 @@ package repro
 // implementation, so they also pin the refactored engine, the Arranger and
 // the live runtime against their historical output. The tests run each
 // protocol at n = 17 (degenerate small networks exercise every edge path)
-// and n = 1000.
+// and n = 1000, and TestSeedCompatDigests100k pins the four message-runtime
+// specs of internal/sim's spec table at n = 100 000.
 
 import (
 	"hash/fnv"
@@ -48,7 +49,26 @@ func hashReport(r Report) uint64 {
 	}
 	w(-1)
 	w(r.Messages, int64(r.MaxInLoad), int64(r.MaxOutLoad))
+	// A consensus trajectory counts decided peers only; which variant each
+	// of them holds is in the per-round share history.
+	if det, ok := r.Detail.(ConsensusResult); ok {
+		for _, shares := range det.ShareHist {
+			for _, v := range shares {
+				w(int64(v))
+			}
+			w(-1)
+		}
+	}
 	return h.Sum64()
+}
+
+// compatBA is the contact graph of the topology and consensus cases.
+func compatBA(n int) *Graph {
+	g, err := BarabasiAlbertGraph(n, 3, compatSeed)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // compatCase pins one (spec, n) cell of the golden table.
@@ -97,6 +117,25 @@ var compatCases = []compatCase{
 		name: "handshake",
 		spec: func(n int) Spec { return HandshakeConfig{Profile: UnitBandwidth(n), Rounds: 6} },
 		want: map[int]uint64{17: 0xe31905a7d005ce61, 1000: 0x6a01f39bbe200e3b},
+	},
+	// The three specs below were pinned at PR 24's parent commit, when the
+	// files that held their only digests were deleted.
+	{
+		name: "async",
+		spec: func(n int) Spec { return AsyncConfig{Profile: UnitBandwidth(n)} },
+		want: map[int]uint64{17: 0x58b58807057d6d36, 1000: 0xb457c8405ab6793f},
+	},
+	{
+		name: "topology",
+		spec: func(n int) Spec { return TopologyConfig{Graph: compatBA(n), Source: 0, Alpha: 0.25} },
+		want: map[int]uint64{17: 0x1f3affa894856a69, 1000: 0xee576a1b83b879d2},
+	},
+	{
+		name: "consensus",
+		spec: func(n int) Spec {
+			return ConsensusConfig{Variants: 3, Graph: compatBA(n), Seeding: ConsensusSeedDistinct, Rule: ConsensusRuleLatest}
+		},
+		want: map[int]uint64{17: 0xcc7af0f66b78d687, 1000: 0xe0be0bf878d0662f},
 	},
 }
 
