@@ -116,9 +116,9 @@
 // rounds. The sharded runtime (internal/live, the default under Run) is
 // the production-scale one: a fixed pool of shard workers owning
 // contiguous peer ranges on the shard-runtime core shared with the
-// asynchronous runtime (internal/shardrt: counting-sort delivery with the
-// internal/exch kernel, ring slots that are lists of pooled pages — its
-// package comment has the mechanism), per-peer streams seeded
+// asynchronous runtime (internal/shardrt: messages filed on pooled pages
+// under their destination's owner, which counting-sorts its own pages at
+// delivery — its package comment has the mechanism), per-peer streams seeded
 // SplitMix64(seed, peerDomain, peer). Runs are bit-identical for every
 // shard count and across engines. A 10^6-peer spread completes in tens of
 // seconds (examples/livescale).
@@ -162,8 +162,8 @@
 // Determinism holds without a clock to anchor rounds: peer i's k-th firing
 // draws its inter-firing gap and its protocol randomness from a stream
 // seeded SplitMix64(seed, asyncFireDomain, i, k), receive handlers are
-// pure (no stream), and the exchange kernel reassembles emissions in
-// global (peer, firing) scan order — so a run is a pure function of
+// pure (no stream), and the runtime core delivers emissions in global
+// (peer, firing) scan order — so a run is a pure function of
 // (spec, seed) and bit-identical for every WithWorkers shard count.
 // WithNet is rejected for async runs: flight time is the protocol's own
 // Latency axis, not a pluggable round-grain model.

@@ -1,5 +1,6 @@
 // Package async is the clockless event-driven runtime: the shard-runtime
-// core of internal/shardrt — the same deliver, route, pages and lanes as
+// core of internal/shardrt — the same lanes filing messages on pages under
+// their destination's owner, route and owner-local deliver as
 // internal/live — with no global round. Each peer fires on its own
 // exponential clock, the rate drawn from its heterogeneity profile, and the
 // core's ring is a calendar queue whose time axis is cut into buckets: a

@@ -311,7 +311,7 @@ func TestAsyncScratchBytesCountsFreeList(t *testing.T) {
 	}
 	rt.RunBuckets(3)
 	sorted, inOff := rt.core.View()
-	held := int64(cap(sorted))*(msgBytes+4) + int64(cap(inOff))*4 // the view, its index column, the offsets
+	held := int64(cap(sorted))*msgBytes + int64(cap(inOff))*4 // the view and the offsets
 	made, pooled := rt.core.Pages()
 	if made*shardrt.PageLen < n || pooled != made {
 		t.Fatalf("%d pages made, %d pooled, want every page of bucket 0's %d messages back in the pool", made, pooled, n)

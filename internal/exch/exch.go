@@ -1,34 +1,33 @@
-// Package exch is the owner-range exchange kernel shared by every flat
-// engine of the repository: the core round engine and the deliver phase of
-// the shard runtime under the live and async message runtimes scatter
-// records into per-(worker, owner) chunks, prefix the owners' incoming
-// totals into base offsets with a tiny serial pass, and let each owner
-// counting-sort its own contiguous destination range in parallel.
-//
-// The kernel packages that idiom once:
+// Package exch is the owner-range exchange kernel of the repository's flat
+// engines: records are split by the owner of their destination, a tiny
+// serial pass prefixes the owners' incoming totals into base offsets, and
+// each owner counting-sorts its own contiguous destination range in
+// parallel.
 //
 //   - Partition is the destination split: owner o owns the contiguous id
-//     range [Start(o), End(o)), and Owner(d) finds d's owner in O(1). The
-//     cuts are a pure function of (n, parts) and never affect results —
-//     only which worker builds which buckets. BalancedCuts is its weighted
-//     counterpart for the record side: which units a worker scans, when
-//     their cost is known and skewed.
-//   - Exchange[T] is the chunked scatter: during a fanout each worker w
-//     appends (key, value) records into its private chunk row — one small
-//     buffer per (worker, owner) pair, filled in scan order. A serial
-//     Prefix (O(workers·owners), no length-n scan) turns per-owner totals
-//     into base offsets; then each owner calls Fill to counting-sort its
-//     own range into a flat output slice with a count array covering only
-//     that range. Because workers scan ascending shards and Fill replays
-//     chunks in worker order, every bucket ends up holding its records in
-//     global scan order — the layout all the engines' determinism proofs
-//     rest on.
+//     range [Start(o), End(o)), and Owner(d) finds d's owner with a
+//     multiply. The cuts are a pure function of (n, parts) and never affect
+//     results — only which worker builds which buckets. BalancedCuts is its
+//     weighted counterpart: which units a worker scans, when their cost is
+//     known and skewed.
+//   - ClearCounts and PrefixCounts are an owner's counting sort: Fill's, and
+//     internal/shardrt's deliver of the pages its lanes filed under an owner.
+//   - Exchange[T] is the chunked scatter of the core dating engine, its one
+//     user: during a fanout each worker w appends (key, value) records into
+//     its private chunk row — one small buffer per (worker, owner) pair,
+//     filled in scan order. A serial Prefix (O(workers·owners), no length-n
+//     scan) turns per-owner totals into base offsets; then each owner calls
+//     Fill to counting-sort its own range into a flat output slice with a
+//     count array covering only that range. Because workers scan ascending
+//     shards and Fill replays chunks in worker order, every bucket ends up
+//     holding its records in global scan order — the layout the engine's
+//     determinism proof rests on.
 //
 // Scratch is O(n + records) regardless of the worker count: the owners'
 // count arrays partition [0, n) and the chunks together hold exactly the
 // round's records.
 //
-// The concat form (RecordTo, ChunkLen, SetBase, Flush and chunk.off) has no
+// The concat form (RecordTo, SetBase, Flush and chunk.off) has no
 // caller left in the program: the runtimes' route phase links pages instead
 // of flushing an outbox (internal/shardrt). It stays because bench/, which a
 // PR that claims a gain may not edit, still times it as exch.flush_ns; the
@@ -47,13 +46,25 @@
 // alignment the allocator gives the matrix.
 package exch
 
-import "unsafe"
+import (
+	"math"
+	"math/bits"
+	"unsafe"
+)
 
 // Partition splits the destination space [0, n) into parts contiguous
-// uniform id ranges, one per owner.
+// uniform id ranges, one per owner. A literal Partition{N, Parts} is valid;
+// NewPartition also stores the reciprocal of N, so Owner divides nothing.
 type Partition struct {
 	N     int // destination space size
 	Parts int // number of owners
+	recip uint64
+}
+
+// NewPartition returns the partition of [0, n) into parts ranges with the
+// reciprocal floor((2^64-1)/n) that Owner multiplies by.
+func NewPartition(n, parts int) Partition {
+	return Partition{N: n, Parts: parts, recip: math.MaxUint64 / uint64(max(n, 1))}
 }
 
 // Start returns the first destination of owner o's range.
@@ -66,8 +77,26 @@ func (p Partition) End(o int) int { return p.N * (o + 1) / p.Parts }
 func (p Partition) Range(o int) (lo, hi int) { return p.Start(o), p.End(o) }
 
 // Owner returns the owner of destination d: the largest o with
-// Start(o) <= d. Owners with empty ranges are never returned.
-func (p Partition) Owner(d int) int { return ((d+1)*p.Parts - 1) / p.N }
+// Start(o) <= d, which is ((d+1)·Parts - 1) / N. Owners with empty ranges are
+// never returned. A literal's reciprocal is computed on each call.
+func (p Partition) Owner(d int) int {
+	if p.recip == 0 {
+		p = NewPartition(p.N, p.Parts)
+	}
+	return p.owner(d)
+}
+
+// owner is Owner on a constructed partition, cheap enough to inline into
+// Record. For x = (d+1)·Parts - 1 < 2^64 the high word of x·recip is the
+// quotient or one less, so one compare corrects it.
+func (p Partition) owner(d int) int {
+	x := uint64((d+1)*p.Parts - 1)
+	q, _ := bits.Mul64(x, p.recip)
+	if x-q*uint64(p.N) >= uint64(p.N) {
+		q++
+	}
+	return int(q)
+}
 
 // BalancedCuts splits [0, n) into parts contiguous ranges of roughly equal
 // total weight, returning the parts+1 boundaries (reusing cuts) — the
@@ -127,15 +156,13 @@ type Exchange[T any] struct {
 	counts  [][]int32  // per-owner count scratch over that owner's range
 }
 
-// Owner returns the owner of destination d under the current partition.
-func (ex *Exchange[T]) Owner(d int) int { return ex.part.Owner(d) }
-
 // Reset sizes the exchange for a round of workers record rows over the
 // given destination partition. It must be called serially, before the
 // record fanout; it does not clear chunk contents — each worker clears its
 // own row with ClearWorker inside the fanout, keeping the O(workers·owners)
 // clearing off the serial path.
 func (ex *Exchange[T]) Reset(workers int, part Partition) {
+	part = NewPartition(part.N, part.Parts)
 	ex.workers = workers
 	stride := part.Parts + rowPad
 	need := workers * stride
@@ -171,7 +198,7 @@ func (ex *Exchange[T]) ClearWorker(w int) {
 // Record appends one (key, value) record from worker w, addressed to the
 // owner of key's destination range. Safe to call concurrently for distinct w.
 func (ex *Exchange[T]) Record(w int, key int32, v T) {
-	c := &ex.ch[w*ex.stride+ex.part.Owner(int(key))]
+	c := &ex.ch[w*ex.stride+ex.part.owner(int(key))]
 	c.keys = append(c.keys, key)
 	c.vals = append(c.vals, v)
 }
@@ -183,21 +210,6 @@ func (ex *Exchange[T]) Record(w int, key int32, v T) {
 func (ex *Exchange[T]) RecordTo(w, o int, v T) {
 	c := &ex.ch[w*ex.stride+o]
 	c.vals = append(c.vals, v)
-}
-
-// ChunkLen returns the number of records worker w addressed to owner o.
-func (ex *Exchange[T]) ChunkLen(w, o int) int {
-	return len(ex.ch[w*ex.stride+o].vals)
-}
-
-// Total returns owner o's incoming record total. Valid only between the
-// record barrier and the next ClearWorker.
-func (ex *Exchange[T]) Total(o int) int {
-	t := 0
-	for w := 0; w < ex.workers; w++ {
-		t += len(ex.ch[w*ex.stride+o].vals)
-	}
-	return t
 }
 
 // Prefix sums each owner's incoming chunk totals and prefixes them into
@@ -215,44 +227,23 @@ func (ex *Exchange[T]) Prefix() int32 {
 	return total
 }
 
-// Base returns owner o's base offset as computed by the last Prefix.
-func (ex *Exchange[T]) Base(o int) int32 { return ex.base[o] }
-
 // Fill counting-sorts owner o's incoming records into out, writing the
 // bucket offsets of o's destination range into off: after the owner fanout,
 // bucket v holds out[off[v]:off[v+1]] in global scan order (chunks are
 // replayed in worker order, and each worker recorded in scan order). off
 // must have length >= part.N+1; entries outside o's range are left for
 // their owners, and off[N] for the serial epilogue (use the Prefix total).
-// Fill returns this owner's end offset — equal to the next owner's base —
-// so the owner can go on to read out[Base(o):end], what it just sorted,
-// without an offset another owner is writing concurrently. Call only after
-// Prefix, once per
-// owner per round, concurrently for distinct owners.
+// Fill returns this owner's end offset, the next owner's base. Call only
+// after Prefix, once per owner per round, concurrently for distinct owners.
 func (ex *Exchange[T]) Fill(o int, off []int32, out []T) int32 {
 	lo, hi := ex.part.Range(o)
-	counts := ex.counts[o]
-	if cap(counts) < hi-lo {
-		counts = make([]int32, hi-lo)
-		ex.counts[o] = counts
-	} else {
-		counts = counts[:hi-lo]
-		for i := range counts {
-			counts[i] = 0
-		}
-	}
+	counts := ClearCounts(&ex.counts[o], hi-lo)
 	for w := 0; w < ex.workers; w++ {
 		for _, k := range ex.ch[w*ex.stride+o].keys {
 			counts[int(k)-lo]++
 		}
 	}
-	acc := ex.base[o]
-	for v := lo; v < hi; v++ {
-		off[v] = acc
-		c := counts[v-lo]
-		counts[v-lo] = acc
-		acc += c
-	}
+	acc := PrefixCounts(counts, off[lo:hi], ex.base[o])
 	for w := 0; w < ex.workers; w++ {
 		c := &ex.ch[w*ex.stride+o]
 		for i, k := range c.keys {
@@ -261,6 +252,30 @@ func (ex *Exchange[T]) Fill(o int, off []int32, out []T) int32 {
 		}
 	}
 	return acc
+}
+
+// ClearCounts returns a zeroed count array of size buckets, reusing the
+// array in *buf when it is large enough and leaving a grown one there: the
+// first step of an owner's counting sort, Fill's and the shard runtime's.
+func ClearCounts(buf *[]int32, size int) []int32 {
+	if cap(*buf) < size {
+		*buf = make([]int32, size)
+	}
+	clear((*buf)[:size])
+	return (*buf)[:size]
+}
+
+// PrefixCounts is the second step: it sets off[i] and counts[i] to base plus
+// the counts before bucket i, so counts becomes the buckets' write cursors,
+// and returns base plus the total.
+func PrefixCounts(counts, off []int32, base int32) int32 {
+	off = off[:len(counts)]
+	for i, c := range counts {
+		off[i] = base
+		counts[i] = base
+		base += c
+	}
+	return base
 }
 
 // SetBase assigns owner o's chunks consecutive write offsets starting at

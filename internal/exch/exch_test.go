@@ -1,7 +1,9 @@
 package exch
 
 import (
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"unsafe"
 
@@ -34,6 +36,69 @@ func TestPartitionCovers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkOwner holds Owner(d) to its definition, the largest o with
+// Start(o) <= d, and to the division it replaces, on a literal partition
+// and a constructed one.
+func checkOwner(t *testing.T, n, parts, d int) {
+	t.Helper()
+	lit, built := Partition{N: n, Parts: parts}, NewPartition(n, parts)
+	largest := sort.Search(parts, func(o int) bool { return lit.Start(o) > d }) - 1
+	divided := ((d+1)*parts - 1) / n
+	if got, lgot := built.Owner(d), lit.Owner(d); got != largest || got != divided || lgot != got {
+		t.Fatalf("n=%d parts=%d: Owner(%d) = %d (literal %d), want the largest o with Start(o) <= d, %d, and the quotient %d",
+			n, parts, d, got, lgot, largest, divided)
+	}
+}
+
+// checkOwnerCuts checks d = 0, n-1 and every d within one of owner o's cut.
+func checkOwnerCuts(t *testing.T, n, parts, o int) {
+	t.Helper()
+	cut := Partition{N: n, Parts: parts}.Start(o)
+	for _, d := range []int{0, n - 1, cut - 1, cut, cut + 1} {
+		if d >= 0 && d < n {
+			checkOwner(t, n, parts, d)
+		}
+	}
+}
+
+// TestPartitionOwnerTable runs checkOwner over the shapes at the edges of
+// the runtimes' range: one peer, parts = n, n = MaxInt32, and n·parts past
+// 2^32, where (d+1)·parts no longer fits 32 bits.
+func TestPartitionOwnerTable(t *testing.T) {
+	for _, tc := range []struct{ n, parts int }{
+		{1, 1}, {2, 1}, {2, 2}, {7, 3}, {10, 4}, {1000, 1000}, {1000, 999},
+		{1<<20 + 7, 4097}, {100_000, 99_999}, {3_000_000, 2_999_999},
+		{math.MaxInt32, 1}, {math.MaxInt32, 2}, {math.MaxInt32, 3}, {math.MaxInt32, 65_537},
+		{math.MaxInt32, math.MaxInt32 - 1}, {math.MaxInt32, math.MaxInt32},
+	} {
+		if tc.n <= 2000 {
+			for d := 0; d < tc.n; d++ {
+				checkOwner(t, tc.n, tc.parts, d)
+			}
+		}
+		s := rng.New(uint64(tc.n) ^ uint64(tc.parts)<<32)
+		for k := 0; k < min(tc.parts, 2000); k++ {
+			o := k // the first owners, then random ones
+			if k >= 1000 {
+				o = s.Intn(tc.parts)
+			}
+			checkOwnerCuts(t, tc.n, tc.parts, o)
+			checkOwnerCuts(t, tc.n, tc.parts, tc.parts-1-o)
+		}
+	}
+}
+
+// FuzzPartitionOwner checks Owner on fuzzed shapes n in [1, MaxInt32],
+// parts in [1, n], at a fuzzed d and at the cut of a fuzzed owner.
+func FuzzPartitionOwner(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nb, pb, db, ob uint32) {
+		n := 1 + int(nb%math.MaxInt32)
+		parts := 1 + int(pb)%n
+		checkOwner(t, n, parts, int(db)%n)
+		checkOwnerCuts(t, n, parts, int(ob)%parts)
+	})
 }
 
 func TestBalancedCuts(t *testing.T) {
@@ -106,7 +171,7 @@ func drain(ex *Exchange[int32], n, workers int) (off []int32, out []int32) {
 	}
 	off[n] = total
 	for o := 0; o+1 < workers; o++ {
-		if ends[o] != ex.Base(o+1) {
+		if ends[o] != ex.base[o+1] {
 			panic("Fill end does not meet the next owner's base")
 		}
 	}
@@ -161,6 +226,13 @@ func TestConcatSetBaseFlush(t *testing.T) {
 	// round starts clean without ClearWorker.
 	var ex Exchange[int32]
 	const owners, workers = 3, 4
+	total := func(o int) int {
+		t := 0
+		for w := 0; w < workers; w++ {
+			t += len(ex.ch[w*ex.stride+o].vals)
+		}
+		return t
+	}
 	ex.Reset(workers, Partition{N: owners, Parts: owners})
 	for w := 0; w < workers; w++ {
 		ex.ClearWorker(w)
@@ -179,8 +251,8 @@ func TestConcatSetBaseFlush(t *testing.T) {
 		for o := 0; o < owners; o++ {
 			base := 0
 			end := ex.SetBase(o, base)
-			if end-base != ex.Total(o) {
-				t.Fatalf("pass %d owner %d: SetBase end %d != total %d", pass, o, end, ex.Total(o))
+			if end-base != total(o) {
+				t.Fatalf("pass %d owner %d: SetBase end %d != total %d", pass, o, end, total(o))
 			}
 			dst := make([]int32, end)
 			for w := 0; w < workers; w++ {
@@ -189,8 +261,8 @@ func TestConcatSetBaseFlush(t *testing.T) {
 			if !reflect.DeepEqual(dst, want[o]) && len(want[o]) > 0 {
 				t.Fatalf("pass %d owner %d: flushed %v, want %v", pass, o, dst, want[o])
 			}
-			if ex.Total(o) != 0 {
-				t.Fatalf("pass %d owner %d: Flush left %d records behind", pass, o, ex.Total(o))
+			if total(o) != 0 {
+				t.Fatalf("pass %d owner %d: Flush left %d records behind", pass, o, total(o))
 			}
 		}
 	}
@@ -215,7 +287,7 @@ func TestRowIsolation(t *testing.T) {
 				}
 			}
 			header := func(w, o int) (first, last uintptr) {
-				if ex.ChunkLen(w, o) != 1 {
+				if len(ex.ch[w*ex.stride+o].vals) != 1 {
 					t.Fatalf("workers=%d owners=%d: cell (%d, %d) not where RecordTo wrote", workers, owners, w, o)
 				}
 				c := &ex.ch[w*ex.stride+o]

@@ -195,6 +195,7 @@ type ConsensusResult struct {
 // the reference the shares are tested against.
 type consState struct {
 	part    exch.Partition
+	start   []int // start[o] = part.Start(o), so that locate divides nothing
 	k       int
 	variant [][]uint8
 	stamp   [][]int32
@@ -204,7 +205,7 @@ type consState struct {
 }
 
 func newConsState(n, parts, k int, rule MergeRule, tallied bool) *consState {
-	st := &consState{part: exch.Partition{N: n, Parts: parts}, k: k}
+	st := &consState{part: exch.NewPartition(n, parts), start: make([]int, parts), k: k}
 	st.variant = make([][]uint8, parts)
 	if rule == RuleLatest {
 		st.stamp = make([][]int32, parts)
@@ -213,6 +214,7 @@ func newConsState(n, parts, k int, rule MergeRule, tallied bool) *consState {
 	}
 	for o := range st.variant {
 		lo, hi := st.part.Range(o)
+		st.start[o] = lo
 		st.variant[o] = make([]uint8, hi-lo)
 		if st.stamp != nil {
 			st.stamp[o] = make([]int32, hi-lo)
@@ -234,7 +236,7 @@ func newConsState(n, parts, k int, rule MergeRule, tallied bool) *consState {
 // blocks.
 func (st *consState) locate(i int) (o, li int) {
 	o = st.part.Owner(i)
-	return o, i - st.part.Start(o)
+	return o, i - st.start[o]
 }
 
 // adopt moves the peer at (o, li) to variant v (0 = undecided), keeping o's

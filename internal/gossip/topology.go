@@ -100,6 +100,7 @@ type TopologyResult struct {
 // reference the tallies are tested against.
 type topoState struct {
 	part  exch.Partition
+	start []int // start[o] = part.Start(o), so that cell divides nothing
 	cells [][]uint8
 	tally []topoTally
 }
@@ -112,10 +113,11 @@ type topoTally struct {
 }
 
 func newTopoState(n, parts int, tallied bool) *topoState {
-	st := &topoState{part: exch.Partition{N: n, Parts: parts}}
+	st := &topoState{part: exch.NewPartition(n, parts), start: make([]int, parts)}
 	st.cells = make([][]uint8, parts)
 	for o := range st.cells {
 		lo, hi := st.part.Range(o)
+		st.start[o] = lo
 		st.cells[o] = make([]uint8, hi-lo)
 	}
 	if tallied {
@@ -130,7 +132,7 @@ func newTopoState(n, parts int, tallied bool) *topoState {
 // cell locates peer i: its owning shard and its state cell.
 func (st *topoState) cell(i int) (o int, c *uint8) {
 	o = st.part.Owner(i)
-	return o, &st.cells[o][i-st.part.Start(o)]
+	return o, &st.cells[o][i-st.start[o]]
 }
 
 // move changes a cell of shard o to state v, keeping o's tally current;

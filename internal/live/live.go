@@ -1,10 +1,10 @@
 // Package live is the round-synchronous message runtime: it executes the
 // same per-peer protocol step functions as the simnet engines, but scales to
 // millions of peers by running them on the shard-runtime core of
-// internal/shardrt — a fixed set of shard workers over pooled message
-// pages — instead of a goroutine per peer. The core's package comment
-// describes deliver, route, the pages and why the shard count is
-// invisible; a tick is a round here. What this package adds is the step
+// internal/shardrt — a fixed set of shard workers filing messages on pooled
+// pages under their destination's owner — instead of a goroutine per peer.
+// The core's package comment describes deliver, route, the pages and why
+// the shard count is invisible; a tick is a round here. What this package adds is the step
 // loop, sleeping peers and the network model.
 //
 // # Sleeping peers

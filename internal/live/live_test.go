@@ -344,9 +344,9 @@ func TestRuntimeAccessors(t *testing.T) {
 }
 
 func TestDeliveryScratchPartitionsPeerRange(t *testing.T) {
-	// The delivery sort's memory claim: the owner ranges of the inbox
-	// exchange must partition [0, n) — so the per-owner count scratch
-	// (allocated by exch.Fill to cover exactly its owner's range) totals
+	// The delivery sort's memory claim: the delivery owners' ranges must
+	// partition [0, n) — so the per-owner count scratch (exch.ClearCounts
+	// sizes it to exactly its owner's range) totals
 	// O(n), rather than every shard holding a length-n array (the
 	// pre-kernel O(shards·n) layout).
 	st := newChatter(1000, 1)

@@ -118,6 +118,79 @@ func TestUint64nPanicsOnZero(t *testing.T) {
 	New(1).Uint64n(0)
 }
 
+// uint64nReference is Uint64n as it was before the threshold became lazy:
+// the remainder on every call, and a hand-written 64x64 -> 128 multiply.
+func uint64nReference(s *Stream, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return s.src.Uint64() & (n - 1)
+	}
+	thresh := -n % n
+	for {
+		hi, lo := mul64Reference(s.src.Uint64(), n)
+		if lo >= thresh {
+			return hi
+		}
+	}
+}
+
+func mul64Reference(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	aLo, aHi := a&mask32, a>>32
+	bLo, bHi := b&mask32, b>>32
+	t := aLo*bHi + (aLo*bLo)>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += aHi * bLo
+	hi = aHi*bHi + w2 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// countingSource counts the draws a Stream takes from its generator.
+type countingSource struct {
+	Xoshiro256
+	draws int
+}
+
+func (c *countingSource) Uint64() uint64 { c.draws++; return c.Xoshiro256.Uint64() }
+
+// TestUint64nMatchesReference holds Uint64n to the reference draw for draw:
+// the same value from the same number of generator outputs, so no stream
+// position moves. Each class of n gets a million draws: random n in
+// [2, 2^20], every power of two, and n near 2^63, where up to half of all
+// draws are rejected.
+func TestUint64nMatchesReference(t *testing.T) {
+	const draws = 1_000_000
+	pick := New(99)
+	classes := []struct {
+		name string
+		n    func(i int) uint64
+	}{
+		{"random", func(int) uint64 { return 2 + pick.Uint64n(1<<20-1) }},
+		{"power-of-two", func(i int) uint64 { return 1 << (i % 64) }},
+		{"rejection-heavy", func(i int) uint64 { return []uint64{3 << 62, 1<<63 + 1, math.MaxUint64}[i%3] }},
+	}
+	for ci, c := range classes {
+		gotSrc, wantSrc := &countingSource{}, &countingSource{}
+		gotSrc.Seed(uint64(ci))
+		wantSrc.Seed(uint64(ci))
+		got, want := NewWithSource(gotSrc), NewWithSource(wantSrc)
+		rejected := 0
+		for i := 0; i < draws; i++ {
+			n := c.n(i)
+			before := wantSrc.draws
+			g, w := got.Uint64n(n), uint64nReference(want, n)
+			if g != w || gotSrc.draws != wantSrc.draws {
+				t.Fatalf("%s draw %d, n = %d: %d after %d outputs, reference %d after %d", c.name, i, n, g, gotSrc.draws, w, wantSrc.draws)
+			}
+			rejected += wantSrc.draws - before - 1
+		}
+		if c.name == "rejection-heavy" && rejected < draws/10 {
+			t.Fatalf("%s: %d rejections in %d draws: the rejection loop was hardly run", c.name, rejected, draws)
+		}
+	}
+}
+
 func TestIntnUniformity(t *testing.T) {
 	// Chi-square-style check: 10 buckets, 100k draws, each bucket should be
 	// within 5% of expectation. This is a loose statistical test with a

@@ -1,6 +1,9 @@
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream wraps a Source with the sampling helpers used throughout the
 // simulator. A Stream is not safe for concurrent use; derive one per
@@ -52,28 +55,16 @@ func (s *Stream) Uint64n(n uint64) uint64 {
 		return s.src.Uint64() & (n - 1)
 	}
 	// Lemire's method: multiply a 64-bit draw by n and keep the high word,
-	// rejecting the small biased region of the low word.
-	thresh := -n % n
-	for {
-		v := s.src.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= thresh {
-			return hi
+	// rejecting the draws whose low word falls below 2^64 mod n. That
+	// threshold is below n, so it is computed only when the low word is.
+	hi, lo := bits.Mul64(s.src.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(s.src.Uint64(), n)
 		}
 	}
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aLo*bHi + (aLo*bLo)>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += aHi * bLo
-	hi = aHi*bHi + w2 + w1>>32
-	lo = a * b
-	return hi, lo
+	return hi
 }
 
 // Intn returns a uniform int in [0, n). n must be positive.

@@ -11,32 +11,33 @@
 // The core splits the peer ids into Shards contiguous ranges. The caller
 // runs three phases per tick, with a barrier (FanOut) between them:
 //
-//	Deliver  the ring slot due this tick, an ordered list of pages, is
-//	         counting-sorted by destination on the owner-range exchange of
-//	         internal/exch: each worker splits a contiguous run of the list
-//	         into per-owner (destination, index) chunks, a tiny serial
-//	         Prefix assigns owner base offsets, and each owner Fill-sorts
-//	         its own peer range and gathers the messages — so peer i's inbox
-//	         is the contiguous slice sorted[inOff[i]:inOff[i+1]] (View,
-//	         Inbox) and delivery scratch is O(n + messages); the gathered
-//	         pages go back to the pool;
+//	Deliver  the ring slot due this tick holds, per delivery owner, an
+//	         ordered list of pages. A serial O(shards) prefix over the
+//	         owners' message counts gives each owner its base offset, and
+//	         one FanOutSpan lets owner o counting-sort its own list by
+//	         destination (exch.ClearCounts, exch.PrefixCounts), copying each
+//	         message from its page straight to its place in the view — so
+//	         peer i's inbox is the contiguous slice sorted[inOff[i]:inOff[i+1]]
+//	         (View, Inbox); the pages then go back to the pool;
 //	step     the caller's own loop, one FanOutSpan over the step ranges:
 //	         worker w seats its Lane at each peer of [cuts[w], cuts[w+1]) in
-//	         ascending order and emits through it; Lane.Send appends the
-//	         message to the lane's open page for its delay and takes a fresh
-//	         page from the pool when that one is full;
-//	Route    a serial pass links every lane's pages for delay d onto slot
-//	         (tick+d) % ring in worker order, copying no message; the lanes'
-//	         counters merge into Stats and the gauges are sampled.
+//	         ascending order and emits through it; Lane.Send resolves the
+//	         destination's owner and appends the message to the lane's open
+//	         page for that (delay, owner), taking a fresh page from the pool
+//	         when that one is full;
+//	Route    a serial pass links every lane's pages for (delay d, owner o)
+//	         onto owner o's list of slot (tick+d) % ring in worker order,
+//	         copying no message; the lanes' counters merge into Stats and the
+//	         gauges are sampled.
 //
-// A message is therefore copied twice per hop: into its page by Send and out
-// of it by Deliver's gather.
+// A message is therefore copied twice per hop, into its page by Send and out
+// of it by its owner's sort, and is stored nowhere else.
 //
 // # Two sets of ranges
 //
-// Delivery owners are always the uniform id cuts of exch.Partition (O(1)
-// Owner, one count array per range). Step ranges are the cut array: the same
-// uniform cuts by default, exch.BalancedCuts over Config.Weights when a
+// Delivery owners are always the uniform id cuts of exch.Partition (Owner is
+// a multiply, one count array per range). Step ranges are the cut array: the
+// same uniform cuts by default, exch.BalancedCuts over Config.Weights when a
 // peer's step cost is known and skewed; a step range may then be empty. The
 // two need not agree, because per-peer state is touched by the step phase
 // alone while Deliver and Route move message pages only, and no result can
@@ -46,40 +47,39 @@
 //
 // # Buffers
 //
-// A page holds up to pageLen messages and is in exactly one place: open or
+// A page holds up to PageLen messages and is in exactly one place: open or
 // parked on a lane (being filled this tick), linked on a ring slot (in
-// flight), or in the pool. Deliver's serial epilogue returns a gathered
+// flight), or in the pool. Deliver's serial epilogue returns a delivered
 // slot's pages to the pool and the step takes them from there, one lock per
 // page, so the pool makes a page only when every page made is on a lane or a
-// slot: pages made never exceed the peak in flight, where a tick leaves at
-// most one partly filled page per (worker, delay), and steady traffic makes
-// none. The delivered view is a buffer of its own and never a page: Inbox
-// stays valid until the next Deliver although the pages it was gathered
-// from are being refilled. The view gets a quarter of headroom when it
-// grows, so traffic that creeps up tick by tick reallocates it every few
-// ticks, not on each.
+// slot. A tick leaves at most one partly filled page per (lane, delay,
+// owner), so pages made never exceed the peak linked plus shards² ×
+// (ring-1), and steady traffic makes none. The delivered view is a buffer of
+// its own and never a page: Inbox stays valid until the next Deliver
+// although the pages it was copied from are being refilled. The view gets a
+// quarter of headroom when it grows, so traffic that creeps up tick by tick
+// reallocates it every few ticks, not on each.
 //
 // # Limits
 //
-// Peers and delivery indices are int32: New rejects more than MaxInt32
-// peers and more than MaxRing ring slots, and Route panics, naming the
-// limit, before a slot would hold more than maxSlotPages pages — just under
-// 2^31 messages due in one tick, over 80 GB of pages, so a bug and not an
-// input.
+// Peers and view offsets are int32: New rejects more than MaxInt32 peers,
+// more than MaxRing ring slots and more than maxOpenPages open-page headers
+// (shards² × ring, allocated up front), and Route panics, naming the limit,
+// before a slot's message total would pass MaxInt32 — over 80 GB of pages
+// due in one tick, so a bug and not an input.
 //
 // # Determinism
 //
 // Nothing depends on the shard count. Peer i's generator state is advanced
-// only by the worker whose step range holds i. A slot's page list is
+// only by the worker whose step range holds i. Owner o's list in a slot is
 // appended to tick by tick, within a tick in worker order, within a worker
 // in fill order, and workers walk ascending ranges, so the list read front
-// to back is global emission order. Deliver's record pass hands worker w a
-// contiguous run of the list and Fill replays the workers' chunks in worker
-// order, so the delivery sort is stable and every inbox is in (tick sent,
-// sender, emission) order for any ring size and any step cuts. Which
-// physical page the pool handed a worker depends on scheduling; nothing but
-// the scratch_bytes gauge can tell. Lanes are padded so that no two workers'
-// hot fields share a cache line.
+// to back is global emission order restricted to o's range. Owner o's
+// counting sort is stable, so every inbox is in (tick sent, sender,
+// emission) order for any ring size and any step cuts. Which physical page
+// the pool handed a worker depends on scheduling; nothing but the
+// scratch_bytes gauge can tell. Lanes and their open-page rows are padded so
+// that no two workers' hot fields share a cache line.
 package shardrt
 
 import (
@@ -102,18 +102,16 @@ const (
 	CacheLine = 64
 	// MaxRing is the largest ring New accepts: messages fly at most
 	// MaxRing-1 ticks. The largest ring in the repository has 9 slots; a
-	// larger request is a unit mistake, and the ring and the shards x ring
-	// open-page headers are allocated up front.
+	// larger request is a unit mistake, and the ring is allocated up front.
 	MaxRing = 1 << 16
 
 	// PageLen is the number of messages a page holds. One constant, no
 	// knob: at 64 both message workloads ran 4-10 % slower, 1024 was not
 	// distinguishable from 256 (CHANGES.md PR 22).
-	PageLen   = 1 << pageShift
-	pageShift = 8
-	// maxSlotPages is the most pages one ring slot may hold: every
-	// slotIndex of such a slot, and its message total, fit in int32.
-	maxSlotPages = math.MaxInt32 >> pageShift
+	PageLen = 256
+	// maxOpenPages bounds the shards² × ring open-page headers New
+	// allocates: 400 MB of headers is a mistake, not a run.
+	maxOpenPages = 1 << 24
 	// openPad is the number of unused page headers between two lanes' rows
 	// of open pages: the fewest that fill a cache line. Send writes its
 	// lane's header on every message; at ring 2 two rows allocated apart
@@ -126,18 +124,13 @@ const (
 // always PageLen.
 type page []simnet.Message
 
-// slotIndex is the delivery index of message k of page p of a slot: what
-// Deliver sorts in place of the 40-byte message. It fits for p <
-// maxSlotPages, which checkSlot holds every slot to.
-func slotIndex(p, k int) int32 { return int32(p<<pageShift | k) }
-
-// checkSlot stops the run when a slot of that many pages could not be
+// checkTotal stops the run when a slot of that many messages could not be
 // delivered (package comment, "Limits"). Route calls it once per slot it
 // linked to, not per message.
-func checkSlot(track string, pages int) {
-	if pages > maxSlotPages {
-		panic(fmt.Sprintf("%s: %d message pages are due in one tick, beyond the runtime's limit of %d pages of %d (delivery indices are int32)",
-			track, pages, maxSlotPages, PageLen))
+func checkTotal(track string, msgs int) {
+	if msgs > math.MaxInt32 {
+		panic(fmt.Sprintf("%s: %d messages are due in one tick, beyond the runtime's limit of %d (view offsets are int32)",
+			track, msgs, math.MaxInt32))
 	}
 }
 
@@ -163,7 +156,7 @@ func (pl *pagePool) take() page {
 	return make(page, 0, PageLen)
 }
 
-// release returns gathered pages to the pool.
+// release returns delivered pages to the pool.
 func (pl *pagePool) release(pages []page) {
 	pl.mu.Lock()
 	for _, p := range pages {
@@ -199,10 +192,11 @@ type cursorSource struct {
 func (c *cursorSource) Uint64() uint64   { return c.states[c.node].Uint64() }
 func (c *cursorSource) Seed(seed uint64) { c.states[c.node].Seed(seed) }
 
-// parkedPage is a page a lane filled to the brim this tick, with its delay.
+// parkedPage is a page a lane filled to the brim this tick, with its delay
+// and its delivery owner.
 type parkedPage struct {
-	d int
-	p page
+	d, o int32
+	p    page
 }
 
 // laneState is one worker's private state: its cursor stream, the peer it
@@ -213,14 +207,16 @@ type laneState struct {
 	Stream *rng.Stream
 	src    cursorSource
 
-	// n, ring and pool are the core's, copied so that an emission reads
-	// nothing but its own lane.
+	// n, ring, part and pool are the core's, copied so that an emission
+	// reads nothing but its own lane.
 	n, ring int
+	part    exch.Partition
 	pool    *pagePool
-	// open[d] is the page the tick's emissions of delay d are appended to
-	// (nil before the first), a row of the core's one header array with
-	// openPad spare headers after it; full holds the pages that filled up,
-	// in fill order. Route links both onto the slots and empties them.
+	// open[d*part.Parts+o] is the page the tick's emissions of delay d to
+	// owner o are appended to (nil before the first), a row of the core's one
+	// header array with openPad spare headers after it; full holds the pages
+	// that filled up, in fill order. Route links both onto the slots and
+	// empties them.
 	open                   []page
 	full                   []parkedPage
 	sent, dropped, clamped int64
@@ -256,9 +252,10 @@ func (l *Lane) Address(m *simnet.Message) bool {
 // Drop counts a message the caller's network lost.
 func (l *Lane) Drop() { l.dropped++ }
 
-// Send schedules an addressed message d >= 1 ticks ahead. The core cannot
-// schedule past its ring, so a larger d is delivered at the horizon and
-// counted in Stats.Clamped rather than silently reclassified.
+// Send schedules an addressed message d >= 1 ticks ahead, filed under its
+// destination's delivery owner. The core cannot schedule past its ring, so a
+// larger d is delivered at the horizon and counted in Stats.Clamped rather
+// than silently reclassified.
 func (l *Lane) Send(d int, m simnet.Message) {
 	if d >= l.ring {
 		d = l.ring - 1
@@ -266,18 +263,19 @@ func (l *Lane) Send(d int, m simnet.Message) {
 	}
 	l.sent++
 	l.byKind[m.Kind]++
-	p := l.open[d]
+	k := d*l.part.Parts + l.part.Owner(m.To)
+	p := l.open[k]
 	if len(p) == cap(p) {
-		p = l.turn(d)
+		p = l.turn(k)
 	}
-	l.open[d] = append(p, m) // within capacity: never reallocates
+	l.open[k] = append(p, m) // within capacity: never reallocates
 }
 
-// turn parks the full open page of delay d, if there is one, and returns an
-// empty page from the pool.
-func (l *Lane) turn(d int) page {
-	if p := l.open[d]; p != nil {
-		l.full = append(l.full, parkedPage{d, p})
+// turn parks the full open page under header k, if there is one, and
+// returns an empty page from the pool.
+func (l *Lane) turn(k int) page {
+	if p := l.open[k]; p != nil {
+		l.full = append(l.full, parkedPage{int32(k / l.part.Parts), int32(k % l.part.Parts), p})
 	}
 	return l.pool.take()
 }
@@ -286,9 +284,15 @@ func (l *Lane) turn(d int) page {
 // fired): the WorkGauge sample, and Work's running total.
 func (l *Lane) AddWork(k int) { l.work += int64(k) }
 
-// slot is the mail due at one tick: pages in canonical order (package
-// comment, "Determinism") and the messages they hold.
+// slot is the mail due at one tick: per delivery owner, the pages filed
+// under it in canonical order (package comment, "Determinism") and the
+// messages they hold; msgs is the slot's total.
 type slot struct {
+	owners []ownerPages
+	msgs   int
+}
+
+type ownerPages struct {
 	pages []page
 	msgs  int
 }
@@ -305,20 +309,19 @@ type Core struct {
 	cuts   []int          // step ranges: shards+1 ascending boundaries
 	lanes  []Lane
 
-	// inbox is the delivery exchange: per-(worker, owner) chunks of
-	// (destination, slot index) records, Fill-sorted by each owner.
-	inbox exch.Exchange[int32]
-
 	// slots[t % ring] holds the messages due at tick t; pool holds every
 	// page that is on no slot and no lane (package comment, "Buffers").
 	slots []slot
 	pool  pagePool
-	// sorted/inOff are the delivered view; sortedIdx is the Fill output
-	// feeding the gather (4-byte slot indices in the exchange chunks instead
-	// of 40-byte messages).
-	sorted    []simnet.Message
-	sortedIdx []int32
-	inOff     []int32
+	// sorted/inOff are the delivered view. In Deliver due is the slot being
+	// delivered, base[o] owner o's first index in sorted and counts[o] its
+	// count array; sortFn is sortOwner, bound once so no tick allocates it.
+	sorted []simnet.Message
+	inOff  []int32
+	due    *slot
+	base   []int32
+	counts [][]int32
+	sortFn func(o int)
 
 	stats simnet.Stats
 	work  int64
@@ -345,25 +348,33 @@ func EffectiveShards(n, shards int) int {
 // New validates cfg, before allocating anything, and builds the core. The
 // generator states are left unseeded for the caller.
 func New(cfg Config) (*Core, error) {
+	shards := EffectiveShards(cfg.N, cfg.Shards)
 	switch {
 	case cfg.N <= 0:
 		return nil, fmt.Errorf("%s: runtime needs n > 0, got %d", cfg.Track, cfg.N)
 	case cfg.N > math.MaxInt32:
-		// Deliver records destinations and slot indices as int32.
+		// The view's offsets are int32.
 		return nil, fmt.Errorf("%s: %d peers exceed the runtime's limit of %d", cfg.Track, cfg.N, math.MaxInt32)
 	case cfg.Shards < 0:
 		return nil, fmt.Errorf("%s: shards %d must be non-negative (0 selects GOMAXPROCS)", cfg.Track, cfg.Shards)
 	case cfg.Ring < 2 || cfg.Ring > MaxRing:
 		return nil, fmt.Errorf("%s: a delivery ring of %d slots is outside [2, %d]", cfg.Track, cfg.Ring, MaxRing)
+	case shards*shards > maxOpenPages/cfg.Ring:
+		return nil, fmt.Errorf("%s: %d shards² × %d ring slots of open-page headers exceed the runtime's limit of %d", cfg.Track, shards, cfg.Ring, maxOpenPages)
 	}
-	shards := EffectiveShards(cfg.N, cfg.Shards)
 	c := &Core{
 		n: cfg.N, shards: shards, ring: cfg.Ring, track: cfg.Track,
 		states: make([]rng.Xoshiro256, cfg.N),
-		part:   exch.Partition{N: cfg.N, Parts: shards},
+		part:   exch.NewPartition(cfg.N, shards),
 		lanes:  make([]Lane, shards),
 		slots:  make([]slot, cfg.Ring),
 		inOff:  make([]int32, cfg.N+1),
+		base:   make([]int32, shards),
+		counts: make([][]int32, shards),
+	}
+	c.sortFn = c.sortOwner
+	for i := range c.slots {
+		c.slots[i].owners = make([]ownerPages, shards)
 	}
 	if cfg.Weights != nil {
 		c.cuts = exch.BalancedCuts(nil, cfg.N, shards, func(i int) float64 { return cfg.Weights[i] })
@@ -373,13 +384,13 @@ func New(cfg Config) (*Core, error) {
 			c.cuts[w] = c.part.Start(w)
 		}
 	}
-	c.inbox.Reset(shards, c.part)
-	stride := c.ring + openPad
+	row := c.ring * shards
+	stride := row + openPad
 	open := make([]page, shards*stride)
 	for w := range c.lanes {
 		l := &c.lanes[w]
-		l.n, l.ring, l.pool = c.n, c.ring, &c.pool
-		l.open = open[w*stride : w*stride+c.ring : w*stride+c.ring]
+		l.n, l.ring, l.part, l.pool = c.n, c.ring, c.part, &c.pool
+		l.open = open[w*stride : w*stride+row : w*stride+row]
 		l.src.states = c.states
 		l.Stream = rng.NewWithSource(&l.src)
 	}
@@ -459,56 +470,63 @@ func (c *Core) FanOutSpan(tick int, p obs.Phase, f func(w int)) {
 	})
 }
 
-// Deliver sorts the slot due at tick into the delivered view. Within a
-// peer's bucket Fill's order is ascending slot index, which is page-list
-// order: the canonical (tick sent, sender, emission) order. An empty slot
-// leaves every inbox empty.
+// Deliver sorts the slot due at tick into the delivered view: a serial
+// prefix over the owners' counts, then one fan-out of sortOwner.
 func (c *Core) Deliver(tick int) {
 	sl := &c.slots[tick%c.ring]
-	if sl.msgs == 0 {
-		c.sorted = c.sorted[:0]
-		clear(c.inOff)
-		return
-	}
-
-	pages := sl.pages
-	runs := exch.Partition{N: len(pages), Parts: c.shards}
-	c.FanOutSpan(tick, obs.PhaseDeliver, func(w int) {
-		c.inbox.ClearWorker(w)
-		lo, hi := runs.Range(w)
-		for p, pg := range pages[lo:hi] {
-			base := slotIndex(lo+p, 0)
-			for k := range pg {
-				c.inbox.Record(w, int32(pg[k].To), base+int32(k))
-			}
-		}
-	})
-	c.inbox.Prefix()
-
 	if cap(c.sorted) < sl.msgs {
 		c.sorted = make([]simnet.Message, sl.msgs, withHeadroom(sl.msgs))
-		c.sortedIdx = make([]int32, sl.msgs, withHeadroom(sl.msgs))
 	}
 	c.sorted = c.sorted[:sl.msgs]
-	c.sortedIdx = c.sortedIdx[:sl.msgs]
-	c.FanOutSpan(tick, obs.PhaseDeliver, func(o int) {
-		end := c.inbox.Fill(o, c.inOff, c.sortedIdx)
-		for j := c.inbox.Base(o); j < end; j++ {
-			idx := c.sortedIdx[j]
-			c.sorted[j] = pages[idx>>pageShift][idx&(PageLen-1)]
+	var base int32
+	for o := range sl.owners {
+		c.base[o] = base
+		base += int32(sl.owners[o].msgs)
+	}
+	c.due = sl
+	c.FanOutSpan(tick, obs.PhaseDeliver, c.sortFn)
+	c.inOff[c.n] = base
+	// Every message has been copied out: the pages are free for whichever
+	// lane asks next.
+	for o := range sl.owners {
+		own := &sl.owners[o]
+		c.pool.release(own.pages)
+		own.pages, own.msgs, sl.msgs = own.pages[:0], 0, 0
+	}
+}
+
+// sortOwner is owner o's share of Deliver: a stable counting sort of o's
+// pages by destination into the view and the offsets of o's range, so an
+// inbox is in page-list order, the canonical one.
+func (c *Core) sortOwner(o int) {
+	pages := c.due.owners[o].pages
+	lo, hi := c.part.Range(o)
+	off, base := c.inOff[lo:hi], c.base[o]
+	if len(pages) == 0 && base == 0 { // every offset of o is 0, as on an empty tick
+		clear(off)
+		return
+	}
+	counts := exch.ClearCounts(&c.counts[o], hi-lo)
+	for _, p := range pages {
+		for k := range p {
+			counts[p[k].To-lo]++
 		}
-	})
-	c.inOff[c.n] = int32(sl.msgs)
-	// The gather has copied every message out: the pages are free for
-	// whichever lane asks next.
-	c.pool.release(pages)
-	sl.pages, sl.msgs = pages[:0], 0
+	}
+	exch.PrefixCounts(counts, off, base)
+	sorted := c.sorted
+	for _, p := range pages {
+		for k := range p {
+			j := &counts[p[k].To-lo]
+			sorted[*j] = p[k]
+			*j++
+		}
+	}
 }
 
 // Route links the tick's pages onto the future slots and closes the tick:
 // the lanes' counters merge into Stats and the gauges are sampled. Workers
 // are visited in order and a worker's full pages precede its open ones, so
-// every slot's list grows in canonical order; slot (tick + d) is never the
+// every owner's list grows in canonical order; slot (tick + d) is never the
 // slot delivered this tick since 1 <= d < ring.
 func (c *Core) Route(tick int) {
 	var t0 time.Time
@@ -516,9 +534,11 @@ func (c *Core) Route(tick int) {
 		t0 = time.Now()
 	}
 	linked := false
-	link := func(d int, p page) {
+	link := func(d, o int, p page) {
 		sl := &c.slots[(tick+d)%c.ring]
-		sl.pages = append(sl.pages, p)
+		own := &sl.owners[o]
+		own.pages = append(own.pages, p)
+		own.msgs += len(p)
 		sl.msgs += len(p)
 		linked = true
 	}
@@ -526,13 +546,16 @@ func (c *Core) Route(tick int) {
 	for w := range c.lanes {
 		l := &c.lanes[w]
 		for _, f := range l.full {
-			link(f.d, f.p)
+			link(int(f.d), int(f.o), f.p)
 		}
 		l.full = l.full[:0]
 		for d := 1; d < c.ring; d++ {
-			if p := l.open[d]; p != nil {
-				link(d, p)
-				l.open[d] = nil
+			row := l.open[d*c.shards : (d+1)*c.shards]
+			for o, p := range row {
+				if p != nil {
+					link(d, o, p)
+					row[o] = nil
+				}
 			}
 		}
 		c.stats.Sent += l.sent
@@ -549,7 +572,7 @@ func (c *Core) Route(tick int) {
 	}
 	if linked {
 		for d := 1; d < c.ring; d++ {
-			checkSlot(c.track, len(c.slots[(tick+d)%c.ring].pages))
+			checkTotal(c.track, c.slots[(tick+d)%c.ring].msgs)
 		}
 		if c.arenas != nil {
 			c.arenas[0].Record(tick, obs.PhaseRoute, t0)
@@ -583,5 +606,5 @@ func (c *Core) ScratchBytes() int64 {
 	const msgBytes = int64(unsafe.Sizeof(simnet.Message{}))
 	made, _ := c.Pages()
 	return int64(made)*PageLen*msgBytes +
-		int64(cap(c.sorted))*msgBytes + int64(cap(c.sortedIdx))*4 + int64(cap(c.inOff))*4
+		int64(cap(c.sorted))*msgBytes + int64(cap(c.inOff))*4
 }

@@ -26,8 +26,9 @@ func TestNewValidation(t *testing.T) {
 		{N: 4, Ring: 2, Shards: -1},
 		{N: 4, Ring: 1},
 		{N: 4, Ring: MaxRing + 1},
-		{N: 4, Ring: math.MinInt},       // a MaxDelay()+1 that wrapped
-		{N: math.MaxInt32 + 1, Ring: 2}, // rejected before the n-sized makes
+		{N: 4, Ring: math.MinInt},            // a MaxDelay()+1 that wrapped
+		{N: math.MaxInt32 + 1, Ring: 2},      // rejected before the n-sized makes
+		{N: 1000, Shards: 64, Ring: MaxRing}, // 2^28 open-page headers
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("accepted %+v", cfg)
@@ -175,56 +176,83 @@ func TestDeliverMatchesReference(t *testing.T) {
 // TestDeliverPageBoundaries holds the reference to the page seams: the first
 // peer of every step range emits, per tick and for each of two delays, a
 // count that leaves its last page empty, one short, exactly full, one over,
-// or several pages long, so slots are lists of full, partial and single
+// or several pages long, so owners' lists are of full, partial and single
 // pages from different workers, and every slot collects several delays from
-// different ticks. One weighting leaves a step range empty.
+// different ticks. One weighting leaves a step range empty. The traffic goes
+// to every peer, to the last owner's range alone, or to two peers, which
+// leaves most owners of five or eleven shards with nothing to sort.
 func TestDeliverPageBoundaries(t *testing.T) {
 	const n = 11
 	counts := []int{0, 1, PageLen - 1, PageLen, PageLen + 1, 3*PageLen + 7}
 	heavyHead := make([]float64, n) // all weight on peer 0: every cut but the last is 1
 	heavyHead[0] = 1
-	for _, shards := range []int{1, 2, 3, 5} {
+	for _, shards := range []int{1, 2, 3, 5, n} {
 		for _, ring := range []int{2, 5, 9} {
 			for wi, weights := range [][]float64{nil, frontLoaded(n), heavyHead} {
-				name := fmt.Sprintf("shards=%d/ring=%d/weights=%d", shards, ring, wi)
-				cfg := Config{N: n, Shards: shards, Ring: ring, Weights: weights}
-				probe, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cuts := probe.Cuts()
-				if wi == 2 && shards >= 3 && cuts[1] != cuts[2] {
-					t.Fatalf("%s: cuts %v leave no step range empty", name, cuts)
-				}
-				plan := func(tk, i int) []emission {
-					w, ok := slices.BinarySearch(cuts, i)
-					if !ok {
-						return nil // not the first peer of a range
-					}
-					for w+1 < len(cuts) && cuts[w+1] == i {
-						w++ // the last of the ranges starting here is the non-empty one
-					}
-					var out []emission
-					for half, d := range []int{1 + tk%(ring-1), 1 + (tk+2)%(ring-1)} {
-						for k := 0; k < counts[(tk+w+3*half)%len(counts)]; k++ {
-							out = append(out, emission{d: d, m: simnet.Message{To: (k*7 + tk + half) % n, Kind: uint8(half), A: int64(tk), B: int64(k)}})
-						}
-					}
-					return out
-				}
-				c, want := checkAgainstReference(t, name, cfg, 2*len(counts)+ring, plan)
-				if made, _ := c.Pages(); want.Sent < int64(len(counts)*PageLen) || made < 4 {
-					t.Fatalf("%s: %d messages over %d pages: nothing tested", name, want.Sent, made)
+				for _, traffic := range []string{"everyone", "one-owner", "two-peers"} {
+					testPageBoundaries(t, fmt.Sprintf("shards=%d/ring=%d/weights=%d/%s", shards, ring, wi, traffic),
+						Config{N: n, Shards: shards, Ring: ring, Weights: weights}, counts, traffic, wi == 2 && shards >= 3)
 				}
 			}
 		}
 	}
 }
 
+// testPageBoundaries is one case of TestDeliverPageBoundaries; emptyRange
+// asks it to confirm that the weighting left a step range empty.
+func testPageBoundaries(t *testing.T, name string, cfg Config, counts []int, traffic string, emptyRange bool) {
+	probe, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, ring := probe.Shards(), cfg.Ring
+	lo, hi := 0, cfg.N // the destinations: [lo, hi), or lo and hi-1 for two-peers
+	switch traffic {
+	case "one-owner":
+		lo, hi = probe.Part().Range(shards - 1)
+	case "two-peers":
+		lo, hi = 2, 8
+	}
+	to := func(x int) int {
+		switch {
+		case traffic != "two-peers":
+			return lo + x%(hi-lo)
+		case x%2 == 0:
+			return lo
+		}
+		return hi - 1
+	}
+	cuts := probe.Cuts()
+	if emptyRange && cuts[1] != cuts[2] {
+		t.Fatalf("%s: cuts %v leave no step range empty", name, cuts)
+	}
+	plan := func(tk, i int) []emission {
+		w, ok := slices.BinarySearch(cuts, i)
+		if !ok {
+			return nil // not the first peer of a range
+		}
+		for w+1 < len(cuts) && cuts[w+1] == i {
+			w++ // the last of the ranges starting here is the non-empty one
+		}
+		var out []emission
+		for half, d := range []int{1 + tk%(ring-1), 1 + (tk+2)%(ring-1)} {
+			for k := 0; k < counts[(tk+w+3*half)%len(counts)]; k++ {
+				out = append(out, emission{d: d, m: simnet.Message{To: to(k*7 + tk + half), Kind: uint8(half), A: int64(tk), B: int64(k)}})
+			}
+		}
+		return out
+	}
+	c, want := checkAgainstReference(t, name, cfg, 2*len(counts)+ring, plan)
+	if made, _ := c.Pages(); want.Sent < int64(len(counts)*PageLen) || made < 4 {
+		t.Fatalf("%s: %d messages over %d pages: nothing tested", name, want.Sent, made)
+	}
+}
+
 // FuzzDeliver drives fuzzed (sender, destination, delay, burst) emissions
 // for a few ticks against the reference: data is cut into ticks, and each
 // three bytes of a tick are one burst of identical emissions, long enough to
-// cross page seams.
+// cross page seams. The corpus includes traffic to one owner's range alone
+// and to fewer destinations than there are owners.
 func FuzzDeliver(f *testing.F) {
 	f.Add(uint8(6), uint8(1), uint8(0), false, []byte{0, 1, 0x01, 2, 3, 0x12})
 	f.Add(uint8(12), uint8(2), uint8(3), true, []byte{0, 5, 0x70, 11, 5, 0x71, 3, 200, 0x00, 4, 4, 0xf3, 0, 0, 0x6f, 9, 1, 0x62})
@@ -255,41 +283,41 @@ func FuzzDeliver(f *testing.F) {
 	})
 }
 
-// TestSlotIndexLimit pins the int32 boundary of the delivery index: the last
-// page checkSlot admits still indexes (and totals) inside int32, the first
-// one it refuses would not, and the refusal names the limit.
-func TestSlotIndexLimit(t *testing.T) {
-	last := maxSlotPages - 1 // the last valid page of the longest slot
-	if got := slotIndex(last, PageLen-1); got <= 0 || int(got) != maxSlotPages*PageLen-1 {
-		t.Errorf("slotIndex(%d, %d) = %d, want %d", last, PageLen-1, got, maxSlotPages*PageLen-1)
+// TestSlotMessageLimit pins the int32 boundary of a slot's message total,
+// which bounds every view offset and owner count: checkTotal admits
+// MaxInt32 messages, and Route stops, naming the track and the limit, at the
+// first tick that links a slot past it. The slot's count is planted; two
+// billion real messages would be 80 GB.
+func TestSlotMessageLimit(t *testing.T) {
+	checkTotal("test", math.MaxInt32) // the largest slot passes
+	c, err := New(Config{N: 4, Shards: 2, Ring: 3, Track: "test"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total := int64(maxSlotPages) * PageLen; total > math.MaxInt32 {
-		t.Errorf("%d full pages hold %d messages, beyond int32", maxSlotPages, total)
+	c.slots[2].msgs = math.MaxInt32
+	ln := c.Lane(1)
+	ln.Seat(3)
+	if m := (simnet.Message{To: 0}); ln.Address(&m) {
+		ln.Send(2, m)
 	}
-	if total := int64(maxSlotPages+1) * PageLen; total <= math.MaxInt32 {
-		t.Errorf("a slot of %d pages would still fit: the limit is not tight", maxSlotPages+1)
-	}
-	if got := slotIndex(maxSlotPages+1, 0); got >= 0 {
-		t.Errorf("slotIndex(%d, 0) = %d: expected the wrap the limit exists for", maxSlotPages+1, got)
-	}
-	checkSlot("test", maxSlotPages) // the longest slot passes
 	defer func() {
 		msg, _ := recover().(string)
-		if want := fmt.Sprint(maxSlotPages); !strings.Contains(msg, want) || !strings.Contains(msg, "test:") {
-			t.Errorf("checkSlot(%d) stopped with %q, want a message naming the track and the limit %s", maxSlotPages+1, msg, want)
+		if want := fmt.Sprint(math.MaxInt32); !strings.Contains(msg, want) || !strings.Contains(msg, "test:") {
+			t.Errorf("Route stopped with %q, want a message naming the track and the limit %s", msg, want)
 		}
 	}()
-	checkSlot("test", maxSlotPages+1)
-	t.Error("checkSlot admitted a slot past the limit")
+	c.Route(0)
+	t.Error("Route linked a slot past the limit")
 }
 
 // TestBufferLifetime pins the page policy on both ring shapes in the
 // repository, live's two-slot Sync ring and a calendar: a page is on a lane,
 // on a slot or in the pool and nowhere twice, the pool makes no more pages
-// than were ever in flight, a released page is taken again, the delivered
-// view is nobody's page, a tick's inboxes survive the tick's Route and the
-// reuse of their pages, every page made shows in ScratchBytes, and steady
-// traffic allocates no page.
+// than were ever in flight plus one partly filled page per (lane, delay,
+// owner), a released page is taken again, the delivered view is nobody's
+// page, a tick's inboxes survive the tick's Route and the reuse of their
+// pages, ScratchBytes is the pages made, the view and the offsets and
+// nothing else, and a steady tick allocates nothing.
 func TestBufferLifetime(t *testing.T) {
 	const n, fan = 600, 6
 	const msgBytes = int64(unsafe.Sizeof(simnet.Message{}))
@@ -319,8 +347,10 @@ func TestBufferLifetime(t *testing.T) {
 			delivered := map[*simnet.Message]bool{} // pages of slots Deliver has gathered
 			reused, peakLinked := false, 0
 			oneTick := func() {
-				for _, p := range c.slots[tk%ring].pages {
-					delivered[unsafe.SliceData(p)] = true
+				for _, own := range c.slots[tk%ring].owners {
+					for _, p := range own.pages {
+						delivered[unsafe.SliceData(p)] = true
+					}
 				}
 				c.Deliver(tk)
 				sorted, _ := c.View()
@@ -345,16 +375,27 @@ func TestBufferLifetime(t *testing.T) {
 					seen[unsafe.SliceData(p[:PageLen])] = true
 				}
 				for i := range c.slots {
-					msgs := 0
-					for _, p := range c.slots[i].pages {
-						place("on a slot", p)
-						msgs += len(p)
-						reused = reused || delivered[unsafe.SliceData(p)]
+					total := 0
+					for o, own := range c.slots[i].owners {
+						msgs := 0
+						lo, hi := c.Part().Range(o)
+						for _, p := range own.pages {
+							place("on a slot", p)
+							msgs += len(p)
+							reused = reused || delivered[unsafe.SliceData(p)]
+							if slices.ContainsFunc(p, func(m simnet.Message) bool { return m.To < lo || m.To >= hi }) {
+								t.Fatalf("ring %d tick %d: slot %d files a message outside [%d, %d) under owner %d", ring, tk-1, i, lo, hi, o)
+							}
+						}
+						if msgs != own.msgs {
+							t.Fatalf("ring %d tick %d: slot %d owner %d counts %d messages, its pages hold %d", ring, tk-1, i, o, own.msgs, msgs)
+						}
+						total += msgs
+						linked += len(own.pages)
 					}
-					if msgs != c.slots[i].msgs {
-						t.Fatalf("ring %d tick %d: slot %d counts %d messages, its pages hold %d", ring, tk-1, i, c.slots[i].msgs, msgs)
+					if total != c.slots[i].msgs {
+						t.Fatalf("ring %d tick %d: slot %d counts %d messages, its owners hold %d", ring, tk-1, i, c.slots[i].msgs, total)
 					}
-					linked += len(c.slots[i].pages)
 				}
 				for _, p := range c.pool.free {
 					place("in the pool", p)
@@ -369,20 +410,20 @@ func TestBufferLifetime(t *testing.T) {
 				if made != len(seen)-1 || pooled != len(c.pool.free) || made-pooled != linked {
 					t.Fatalf("ring %d tick %d: %d pages made, %d pooled, %d linked, %d found", ring, tk-1, made, pooled, linked, len(seen)-1)
 				}
-				if limit := peakLinked + shards*(ring-1); made > limit {
+				if limit := peakLinked + shards*shards*(ring-1); made > limit {
 					t.Fatalf("ring %d tick %d: %d pages made, at most %d were in flight (limit %d)", ring, tk-1, made, peakLinked, limit)
 				}
-				held := int64(cap(sorted))*(msgBytes+4) + int64(cap(inOff))*4 // the view, its index column, the offsets
-				if got, want := c.ScratchBytes()-held, int64(made)*PageLen*msgBytes; got != want {
-					t.Fatalf("ring %d tick %d: ScratchBytes counts %d bytes beyond the view, the %d pages made are %d", ring, tk-1, got, made, want)
+				view := int64(cap(sorted))*msgBytes + int64(cap(inOff))*4
+				if got, want := c.ScratchBytes(), int64(made)*PageLen*msgBytes+view; got != want {
+					t.Fatalf("ring %d tick %d: ScratchBytes is %d, the %d pages made, the view and the offsets are %d", ring, tk-1, got, made, want)
 				}
 			}
 			if sorted, _ := c.View(); len(sorted) != n*fan || !reused {
 				t.Fatalf("ring %d: %d messages delivered a tick, reused=%v: nothing tested", ring, len(sorted), reused)
 			}
-			// Warm: from here a tick allocates its phase closures (and, past
-			// one shard, the fan-out's goroutines) and no page — one would
-			// be PageLen messages.
+			// Warm: from here a tick allocates nothing on one shard and, past
+			// one, only the fan-out's goroutines — a page would be PageLen
+			// messages.
 			made, _ := c.Pages()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -395,8 +436,8 @@ func TestBufferLifetime(t *testing.T) {
 				t.Errorf("ring %d shards %d: a steady-state tick allocated %d bytes (limit %d)", ring, shards, got, limit)
 			}
 			if shards == 1 {
-				if allocs := testing.AllocsPerRun(10, oneTick); allocs > 2 {
-					t.Errorf("ring %d: a steady-state tick made %v allocations, want the two phase closures of Deliver", ring, allocs)
+				if allocs := testing.AllocsPerRun(10, oneTick); allocs != 0 {
+					t.Errorf("ring %d: a steady-state tick made %v allocations, want none", ring, allocs)
 				}
 			}
 			if now, _ := c.Pages(); now != made {
@@ -409,30 +450,44 @@ func TestBufferLifetime(t *testing.T) {
 // TestLaneIsolation pins the padding: a lane is a whole number of cache
 // lines, and whatever the arrays' alignment at least one full line separates
 // the last byte worker w writes from the first byte of worker w+1's lane,
-// and worker w's open-page headers, which Send writes on every message, from
-// worker w+1's.
+// and worker w's (delay × owner) row of open-page headers, which Send writes
+// on every message, from worker w+1's. Send files a message under header
+// delay × shards + owner of its own row.
 func TestLaneIsolation(t *testing.T) {
 	if sz := unsafe.Sizeof(Lane{}); sz%CacheLine != 0 {
 		t.Errorf("Lane is %d bytes, not a multiple of the %d-byte cache line", sz, CacheLine)
 	}
 	for _, ring := range []int{2, 3, 9} {
-		c, err := New(Config{N: 64, Shards: 4, Ring: ring})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for w := 0; w+1 < c.Shards(); w++ {
-			stateEnd := uintptr(unsafe.Pointer(c.Lane(w))) + unsafe.Sizeof(laneState{})
-			next := uintptr(unsafe.Pointer(c.Lane(w + 1)))
-			if next < stateEnd+CacheLine {
-				t.Errorf("lane %d's state ends at %#x, lane %d starts at %#x: less than a %d-byte line apart", w, stateEnd, w+1, next, CacheLine)
+		for _, shards := range []int{2, 3, 4} {
+			c, err := New(Config{N: 64, Shards: shards, Ring: ring})
+			if err != nil {
+				t.Fatal(err)
 			}
-			open, nextOpen := c.Lane(w).open, c.Lane(w+1).open
-			if len(open) != ring || cap(open) != ring {
-				t.Fatalf("ring %d: lane %d has %d open-page headers (capacity %d)", ring, w, len(open), cap(open))
+			row := ring * shards
+			for w := 0; w+1 < shards; w++ {
+				stateEnd := uintptr(unsafe.Pointer(c.Lane(w))) + unsafe.Sizeof(laneState{})
+				next := uintptr(unsafe.Pointer(c.Lane(w + 1)))
+				if next < stateEnd+CacheLine {
+					t.Errorf("lane %d's state ends at %#x, lane %d starts at %#x: less than a %d-byte line apart", w, stateEnd, w+1, next, CacheLine)
+				}
+				open, nextOpen := c.Lane(w).open, c.Lane(w+1).open
+				if len(open) != row || cap(open) != row {
+					t.Fatalf("ring %d shards %d: lane %d has %d open-page headers (capacity %d), want %d", ring, shards, w, len(open), cap(open), row)
+				}
+				openEnd := uintptr(unsafe.Pointer(&open[row-1])) + unsafe.Sizeof(page{})
+				if first := uintptr(unsafe.Pointer(&nextOpen[0])); first < openEnd+CacheLine {
+					t.Errorf("ring %d shards %d: lane %d's open pages end at %#x, lane %d's start at %#x: less than a %d-byte line apart", ring, shards, w, openEnd, w+1, first, CacheLine)
+				}
 			}
-			openEnd := uintptr(unsafe.Pointer(&open[ring-1])) + unsafe.Sizeof(page{})
-			if first := uintptr(unsafe.Pointer(&nextOpen[0])); first < openEnd+CacheLine {
-				t.Errorf("ring %d: lane %d's open pages end at %#x, lane %d's start at %#x: less than a %d-byte line apart", ring, w, openEnd, w+1, first, CacheLine)
+			ln := c.Lane(shards - 1)
+			for to := 0; to < 64; to++ {
+				if m := (simnet.Message{To: to}); ln.Address(&m) {
+					ln.Send(ring-1, m)
+				}
+				k := (ring-1)*shards + c.Part().Owner(to)
+				if p := ln.open[k]; len(p) == 0 || p[len(p)-1].To != to {
+					t.Fatalf("ring %d shards %d: message to %d is not last under header %d", ring, shards, to, k)
+				}
 			}
 		}
 	}
