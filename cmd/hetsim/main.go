@@ -41,7 +41,6 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -159,12 +158,8 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Experiments build their run options internally, so the observer rides
-	// the process-wide default; sound because observers are read-only.
-	run.SetDefaultObserver(observer)
-	defer run.SetDefaultObserver(nil)
 	for _, e := range exps {
-		t, err := e.Run(scale, *seed, *par)
+		t, err := e.Run(scale, *seed, *par, observer)
 		if err != nil {
 			fmt.Fprintf(stderr, "hetsim: %s: %v\n", e.Name, err)
 			return 1

@@ -102,3 +102,32 @@ func TestListAndExperiment(t *testing.T) {
 		t.Errorf("protocols table has %d completed rows, want 9:\n%s", rows, stdout)
 	}
 }
+
+// TestExperimentTraceIdentity is the same smoke for a registry experiment:
+// the observer reaches the experiment's runs, and the table is unchanged.
+func TestExperimentTraceIdentity(t *testing.T) {
+	args := []string{"-experiment", "topology", "-scale", "quick", "-par", "2"}
+	code, plain, stderr := runCLI(args...)
+	if code != 0 {
+		t.Fatalf("plain run: exit %d: %s", code, stderr)
+	}
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	code, traced, stderr := runCLI(append(args, "-trace", trace)...)
+	if code != 0 {
+		t.Fatalf("traced run: exit %d: %s", code, stderr)
+	}
+	if plain != traced {
+		t.Errorf("tables differ:\nplain\n%s\ntraced\n%s", plain, traced)
+	}
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Errorf("trace file is not JSON: %v", err)
+	}
+	if !bytes.Contains(raw, []byte("spreaders")) {
+		t.Error("trace file holds no topology gauge")
+	}
+}

@@ -36,9 +36,6 @@
 //     every budget-fed engine derives randomness per unit of work rather
 //     than per worker, the budget is a pure speed knob: bit-identical
 //     reports at every value.
-//   - WithEngine picks the execution substrate for live runs (sharded by
-//     default, goroutine-per-peer on request); under the perfect-sync
-//     network both substrates produce the identical report.
 //   - WithNet plugs a network model into live runs: NetFixedLatency,
 //     NetGeomLatency, NetLoss, NetEpochChurn, and NetRingLatency — the
 //     asymmetric model whose per-pair latency is the ring distance in a
@@ -110,17 +107,15 @@
 //
 // LiveConfig runs the dating handshake as a real message protocol: every
 // offer, answer and payload is an individually routed message and each
-// peer's only state is its rumor bit. Two substrates run the same step
-// code. The goroutine engine (WithEngine(LiveGoroutine)) is the
-// demonstrational one — one goroutine per peer, barrier-synchronized
-// rounds. The sharded runtime (internal/live, the default under Run) is
-// the production-scale one: a fixed pool of shard workers owning
-// contiguous peer ranges on the shard-runtime core shared with the
+// peer's only state is its rumor bit. It runs on the sharded runtime
+// (internal/live): a fixed pool of shard workers owning contiguous peer
+// ranges on the shard-runtime core shared with the
 // asynchronous runtime (internal/shardrt: messages filed on pooled pages
 // under their destination's owner, which counting-sorts its own pages at
 // delivery — its package comment has the mechanism), per-peer streams seeded
 // SplitMix64(seed, peerDomain, peer). Runs are bit-identical for every
-// shard count and across engines. A 10^6-peer spread completes in tens of
+// shard count, and to the goroutine-per-peer engine the tests keep as an
+// oracle. A 10^6-peer spread completes in tens of
 // seconds (examples/livescale).
 //
 // WithNet plugs a network model into the sharded runtime: NetFixedLatency
@@ -195,12 +190,11 @@
 // hetsim "topology" experiment tables it against Alpha on scale-free,
 // random and complete graphs, from random and hub sources.
 //
-// The protocol runs on both live substrates (goroutine and sharded), with
-// per-peer SIR state held in shard-owned contiguous blocks sized by
-// live.EffectiveShards — no slice is written by two workers. All transition
+// The protocol runs on the sharded round runtime with one SIR state byte
+// per peer, written only by the shard stepping that peer. All transition
 // randomness comes from the acting peer's stream, consumed in canonical
-// inbox order, so trajectories are bit-identical at every shard count and
-// across engines; examples/topology cross-checks a 10^6-peer BA spread at
+// inbox order, so trajectories are bit-identical at every shard count;
+// examples/topology cross-checks a 10^6-peer BA spread at
 // shards {1, 2, 4} by digest.
 //
 // # Conflicting-rumor consensus
@@ -228,11 +222,10 @@
 // rules can lock in local pluralities and stall below the threshold — only
 // the latest rule always floods to full agreement.
 //
-// The subsystem shares the topology machinery: per-peer variant state in
-// shard-owned contiguous blocks sized by live.EffectiveShards, contact
-// randomness from the acting peer's stream, merge rules that consume no
-// randomness — so runs are bit-identical at every shard count and across
-// engines (examples/consensus cross-checks by digest). With an Observer
+// The subsystem shares the topology machinery: per-peer variant state flat
+// by peer id, contact randomness from the acting peer's stream, merge rules
+// that consume no randomness — so runs are bit-identical at every shard
+// count (examples/consensus cross-checks by digest). With an Observer
 // attached, per-round variant-share gauges land in Report.Metrics on the
 // "consensus" track.
 //

@@ -234,6 +234,11 @@ func (rt *Runtime) N() int { return rt.core.N() }
 // Shards returns the effective worker count.
 func (rt *Runtime) Shards() int { return rt.core.Shards() }
 
+// Cuts returns the step ranges, cut by cumulative clock rate: shard w
+// steps the peers of [cuts[w], cuts[w+1]), and only it writes their
+// protocol state.
+func (rt *Runtime) Cuts() []int { return rt.core.Cuts() }
+
 // Bucket returns the next bucket index RunBuckets will execute.
 func (rt *Runtime) Bucket() int { return rt.bucket }
 

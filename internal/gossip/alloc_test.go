@@ -47,15 +47,15 @@ func TestLiveSpreadAllocBound(t *testing.T) {
 	cfg := LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}
 	var res LiveResult
 	var err error
-	bytes := allocated(func() { res, err = RunLive(cfg, LiveOptions{Seed: 3, Engine: LiveSharded, Shards: 2}) })
+	bytes := allocated(func() { res, err = RunLive(cfg, LiveOptions{Seed: 3, Shards: 2}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
-		t.Fatalf("spread did not complete in %d dating rounds", res.DatingRounds)
+		t.Fatalf("spread did not complete in %d dating rounds", res.Rounds)
 	}
 	perMessage := float64(bytes) / float64(res.Traffic.Sent)
-	t.Logf("%d dating rounds, %d messages, %.2f B per message", res.DatingRounds, res.Traffic.Sent, perMessage)
+	t.Logf("%d dating rounds, %d messages, %.2f B per message", res.Rounds, res.Traffic.Sent, perMessage)
 	if perMessage > bound {
 		t.Errorf("live spread allocated %.2f B per message, bound %.1f", perMessage, bound)
 	}
@@ -72,15 +72,15 @@ func TestAsyncSpreadAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res AsyncResult
-	bytes := allocated(func() { res, err = RunAsync(AsyncConfig{Profile: p}, AsyncOptions{Seed: 3, Shards: 2}) })
+	bytes := allocated(func() { res, err = RunAsync(AsyncConfig{Profile: p}, LiveOptions{Seed: 3, Shards: 2}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
-		t.Fatalf("spread did not complete in %d buckets", res.Buckets)
+		t.Fatalf("spread did not complete in %d buckets", res.Rounds)
 	}
 	perMessage := float64(bytes) / float64(res.Traffic.Sent)
-	t.Logf("%d buckets, %d messages, %.2f B per message", res.Buckets, res.Traffic.Sent, perMessage)
+	t.Logf("%d buckets, %d messages, %.2f B per message", res.Rounds, res.Traffic.Sent, perMessage)
 	if perMessage > bound {
 		t.Errorf("async spread allocated %.2f B per message, bound %.1f", perMessage, bound)
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/async"
 	"repro/internal/bandwidth"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/run"
 	"repro/internal/simnet"
@@ -54,44 +53,33 @@ type AsyncConfig struct {
 	// BucketWidth).
 	Latency float64
 	// MaxTime caps the run in clock-time units (0 = a generous log-based
-	// default, far beyond any plausible completion time).
+	// default, far beyond any plausible completion time); it must be finite.
 	MaxTime float64
 }
 
-// AsyncResult reports an asynchronous spreading run.
+// AsyncResult reports an asynchronous spreading run: Rounds counts the
+// calendar buckets executed and History holds the informed-peer count at
+// each bucket boundary.
 type AsyncResult struct {
-	// Buckets is the number of calendar buckets executed; Time is the
-	// simulated clock time they span (Buckets * BucketWidth).
-	Buckets   int
-	Time      float64
-	Completed bool
-	// History is the informed-peer count at each bucket boundary.
-	History []int
-	// SentHistory is the number of messages emitted per bucket.
-	SentHistory []int
+	Stepped
+	// Time is the simulated clock time the buckets span (Rounds *
+	// BucketWidth).
+	Time float64
 	// Fired is the total number of clock firings executed.
-	Fired   int64
-	Traffic simnet.Stats
-}
-
-// AsyncOptions carries the axes of an async run that are orthogonal to the
-// protocol; under repro.Run they come from the run options.
-type AsyncOptions struct {
-	Seed uint64
-	// Shards is the runtime's worker count (0 = GOMAXPROCS); every value is
-	// bit-identical.
-	Shards int
-	// Obs, when non-nil, receives phase spans and per-bucket gauges from the
-	// runtime. Observers are read-only: attaching one never changes results.
-	Obs *obs.Observer
+	Fired int64
 }
 
 // RunAsync executes asynchronous push&pull rumor spreading on the clockless
-// runtime.
-func RunAsync(cfg AsyncConfig, o AsyncOptions) (AsyncResult, error) {
+// runtime. The runtime carries its own latency model in
+// AsyncConfig.Latency, so a network model in o is rejected rather than
+// silently ignored.
+func RunAsync(cfg AsyncConfig, o LiveOptions) (AsyncResult, error) {
 	n := cfg.Profile.N()
 	if n == 0 {
 		return AsyncResult{}, fmt.Errorf("gossip: async run needs a profile")
+	}
+	if o.Net != nil {
+		return AsyncResult{}, fmt.Errorf("gossip: async runs model latency via AsyncConfig.Latency, not a network model")
 	}
 	if _, err := cfg.Profile.Ratio(); err != nil {
 		return AsyncResult{}, err
@@ -99,33 +87,28 @@ func RunAsync(cfg AsyncConfig, o AsyncOptions) (AsyncResult, error) {
 	if cfg.Source < 0 || cfg.Source >= n {
 		return AsyncResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	sel := cfg.Selector
-	if sel == nil {
-		u, err := core.NewUniformSelector(n)
-		if err != nil {
-			return AsyncResult{}, err
-		}
-		sel = u
+	if !(cfg.MaxTime >= 0) || math.IsInf(cfg.MaxTime, 1) {
+		return AsyncResult{}, fmt.Errorf("gossip: async max time %v must be finite and non-negative", cfg.MaxTime)
 	}
-	if sel.N() != n {
-		return AsyncResult{}, fmt.Errorf("gossip: selector addresses %d nodes, profile has %d", sel.N(), n)
+	sel, err := selectorFor(cfg.Selector, n)
+	if err != nil {
+		return AsyncResult{}, err
 	}
 	width := cfg.BucketWidth
 	if width == 0 {
 		width = 1
 	}
 	maxTime := cfg.MaxTime
-	if maxTime <= 0 {
+	if maxTime == 0 {
 		maxTime = float64(defaultRoundCap(n))
 	}
-	maxBuckets := int(math.Ceil(maxTime / width))
+	buckets := math.Ceil(maxTime / width)
+	if buckets > math.MaxInt32 {
+		return AsyncResult{}, fmt.Errorf("gossip: async max time %v is %v buckets of width %v", maxTime, buckets, width)
+	}
 
-	// Per-peer protocol state: peer i writes only informed[i] (its owner
-	// shard), so concurrent shards never race; the bucket barrier publishes
-	// the writes to the coordinator loop below.
-	informed := make([]bool, n)
-	informed[cfg.Source] = true
-
+	st := newPeerStates(n) // state 1 is "informed"
+	fire, recv := asyncHandlers(sel, &st)
 	rt, err := async.New(async.Config{
 		N:           n,
 		Seed:        o.Seed,
@@ -134,85 +117,54 @@ func RunAsync(cfg AsyncConfig, o AsyncOptions) (AsyncResult, error) {
 		Latency:     cfg.Latency,
 		Shards:      o.Shards,
 		Obs:         o.Obs,
-		Fire: func(peer, fire int, t float64, s *rng.Stream, emit func(simnet.Message)) {
-			bit := int64(0)
-			if informed[peer] {
-				bit = 1
-			}
-			emit(simnet.Message{To: sel.Pick(s), Kind: kindContact, A: bit})
-		},
-		Recv: func(peer int, m simnet.Message, emit func(simnet.Message)) {
-			switch m.Kind {
-			case kindContact:
-				if m.A == 1 {
-					informed[peer] = true // push
-				} else if informed[peer] {
-					emit(simnet.Message{To: m.From, Kind: kindReply, A: 1}) // pull
-				}
-			case kindReply:
-				informed[peer] = true
-			}
-		},
+		Fire:        fire,
+		Recv:        recv,
 	})
 	if err != nil {
 		return AsyncResult{}, err
 	}
+	st.key(rt.Cuts(), 1)
+	st.set(cfg.Source, 1)
 
-	var res AsyncResult
-	var prevSent int64
-	for b := 0; b < maxBuckets; b++ {
-		res.Traffic = rt.RunBuckets(1)
-		res.SentHistory = append(res.SentHistory, int(res.Traffic.Sent-prevSent))
-		prevSent = res.Traffic.Sent
-		count := 0
-		for i := 0; i < n; i++ {
-			if informed[i] {
-				count++
-			}
-		}
-		res.Buckets = b + 1
-		res.History = append(res.History, count)
-		if count == n {
-			// Replies already in flight no longer matter: every peer knows
-			// the rumor, so the run can stop at this boundary.
-			res.Completed = true
-			break
-		}
-	}
-	res.Time = float64(res.Buckets) * width
+	// Replies still in flight when every peer knows the rumor no longer
+	// matter, so the run stops at that boundary.
+	res := AsyncResult{Stepped: drive(rt.RunBuckets, 0, 1, int(buckets), nil, func(int) (int, bool) {
+		informed := st.count(1)
+		return informed, informed == n
+	})}
+	res.Time = float64(res.Rounds) * width
 	res.Fired = rt.Fired()
 	return res, nil
+}
+
+// asyncHandlers builds the push&pull handlers over the peers' informed
+// states: a firing contacts one partner, pushing the rumor if its peer
+// knows it; an uninformed contact is answered with the rumor (pull).
+func asyncHandlers(sel core.Selector, st *peerStates) (async.FireFunc, async.RecvFunc) {
+	fire := func(peer, fire int, t float64, s *rng.Stream, emit func(simnet.Message)) {
+		emit(simnet.Message{To: sel.Pick(s), Kind: kindContact, A: int64(st.of[peer])})
+	}
+	recv := func(peer int, m simnet.Message, emit func(simnet.Message)) {
+		switch m.Kind {
+		case kindContact:
+			if m.A == 1 {
+				st.set(peer, 1) // push
+			} else if st.of[peer] == 1 {
+				emit(simnet.Message{To: m.From, Kind: kindReply, A: 1}) // pull
+			}
+		case kindReply:
+			st.set(peer, 1)
+		}
+	}
+	return fire, recv
 }
 
 // Protocol implements run.Spec.
 func (c AsyncConfig) Protocol() string { return "async" }
 
-// Execute implements run.Spec: the runtime seed derives from the root seed
-// under DomainAsync and WithWorkers sets the shard count (a pure speed
-// knob — every count is bit-identical). The async runtime carries its own
-// latency model in AsyncConfig.Latency, so WithNet is rejected rather than
-// silently ignored; WithEngine does not apply and is ignored. Trajectory is the informed-peer count per bucket; Detail the
+// Execute implements run.Spec under liveOptionsFor(o, DomainAsync); WithNet
+// is rejected. Trajectory is the informed-peer count per bucket; Detail the
 // full AsyncResult.
 func (c AsyncConfig) Execute(o *run.Options) (run.Report, error) {
-	if o.Net != nil {
-		return run.Report{}, fmt.Errorf("gossip: async runs model latency via AsyncConfig.Latency, not WithNet")
-	}
-	res, err := RunAsync(c, AsyncOptions{
-		Seed:   run.SeedFor(o.Seed, run.DomainAsync),
-		Shards: o.Workers,
-		Obs:    o.Obs,
-	})
-	if err != nil {
-		return run.Report{}, err
-	}
-	return run.Report{
-		Rounds:     res.Buckets,
-		Completed:  res.Completed,
-		Trajectory: res.History,
-		Sent:       res.SentHistory,
-		Messages:   res.Traffic.Sent,
-		Dropped:    res.Traffic.Dropped,
-		Clamped:    res.Traffic.Clamped,
-		Detail:     res,
-	}, nil
+	return execute(RunAsync(c, liveOptionsFor(o, run.DomainAsync)))
 }

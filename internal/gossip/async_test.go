@@ -1,7 +1,9 @@
 package gossip
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bandwidth"
@@ -13,35 +15,42 @@ import (
 
 func TestAsyncValidation(t *testing.T) {
 	unit := bandwidth.Homogeneous(16, 1)
-	if _, err := RunAsync(AsyncConfig{}, AsyncOptions{}); err == nil {
-		t.Error("accepted empty profile")
-	}
-	if _, err := RunAsync(AsyncConfig{Profile: unit, Source: -1}, AsyncOptions{}); err == nil {
-		t.Error("accepted negative source")
-	}
-	if _, err := RunAsync(AsyncConfig{Profile: unit, Source: 16}, AsyncOptions{}); err == nil {
-		t.Error("accepted out-of-range source")
-	}
 	sel, err := core.NewUniformSelector(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAsync(AsyncConfig{Profile: unit, Selector: sel}, AsyncOptions{}); err == nil {
-		t.Error("accepted selector/profile size mismatch")
+	for _, tc := range []struct {
+		cfg  AsyncConfig
+		o    LiveOptions
+		want string
+	}{
+		{AsyncConfig{}, LiveOptions{}, "profile"},
+		{AsyncConfig{Profile: unit, Source: -1}, LiveOptions{}, "source"},
+		{AsyncConfig{Profile: unit, Source: 16}, LiveOptions{}, "source"},
+		{AsyncConfig{Profile: unit, Selector: sel}, LiveOptions{}, "selector"},
+		{AsyncConfig{Profile: unit, MaxTime: math.NaN()}, LiveOptions{}, "max time"},
+		{AsyncConfig{Profile: unit, MaxTime: math.Inf(1)}, LiveOptions{}, "max time"},
+		{AsyncConfig{Profile: unit, MaxTime: -1}, LiveOptions{}, "max time"},
+		{AsyncConfig{Profile: unit, BucketWidth: 1e-300}, LiveOptions{}, "max time"},
+		{AsyncConfig{Profile: unit}, LiveOptions{Net: live.Loss{P: 0.1}}, "network model"},
+	} {
+		if _, err := RunAsync(tc.cfg, tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v %+v: error %v, want one naming %q", tc.cfg, tc.o, err, tc.want)
+		}
 	}
 }
 
 func TestAsyncSpreadCompletes(t *testing.T) {
 	const n = 500
-	res, err := RunAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, AsyncOptions{Seed: 11, Shards: 2})
+	res, err := RunAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, LiveOptions{Seed: 11, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
-		t.Fatalf("spread incomplete after %d buckets", res.Buckets)
+		t.Fatalf("spread incomplete after %d buckets", res.Rounds)
 	}
-	if len(res.History) != res.Buckets || len(res.SentHistory) != res.Buckets {
-		t.Fatalf("history lengths %d/%d, want %d", len(res.History), len(res.SentHistory), res.Buckets)
+	if len(res.History) != res.Rounds || len(res.SentHistory) != res.Rounds {
+		t.Fatalf("history lengths %d/%d, want %d", len(res.History), len(res.SentHistory), res.Rounds)
 	}
 	prev := 1 // the source
 	for b, count := range res.History {
@@ -50,14 +59,14 @@ func TestAsyncSpreadCompletes(t *testing.T) {
 		}
 		prev = count
 	}
-	if res.History[res.Buckets-1] != n {
-		t.Fatalf("final informed count %d, want %d", res.History[res.Buckets-1], n)
+	if res.History[res.Rounds-1] != n {
+		t.Fatalf("final informed count %d, want %d", res.History[res.Rounds-1], n)
 	}
 	if res.Fired == 0 || res.Traffic.Sent == 0 {
 		t.Fatalf("no activity recorded: %+v", res)
 	}
-	if res.Time != float64(res.Buckets) {
-		t.Fatalf("time %v at default width, want %d", res.Time, res.Buckets)
+	if res.Time != float64(res.Rounds) {
+		t.Fatalf("time %v at default width, want %d", res.Time, res.Rounds)
 	}
 }
 
@@ -73,12 +82,12 @@ func TestAsyncShardBitIdentity(t *testing.T) {
 	}
 	var ref AsyncResult
 	for _, shards := range []int{1, 2, 8} {
-		res, err := RunAsync(AsyncConfig{Profile: prof}, AsyncOptions{Seed: 42, Shards: shards})
+		res, err := RunAsync(AsyncConfig{Profile: prof}, LiveOptions{Seed: 42, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Completed {
-			t.Fatalf("shards=%d: incomplete after %d buckets", shards, res.Buckets)
+			t.Fatalf("shards=%d: incomplete after %d buckets", shards, res.Rounds)
 		}
 		if shards == 1 {
 			ref = res
@@ -103,12 +112,12 @@ func TestAsyncBimodalShardIdentity(t *testing.T) {
 	}
 	var ref AsyncResult
 	for _, shards := range []int{1, 2, 4, 8} {
-		res, err := RunAsync(AsyncConfig{Profile: prof}, AsyncOptions{Seed: 17, Shards: shards})
+		res, err := RunAsync(AsyncConfig{Profile: prof}, LiveOptions{Seed: 17, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Completed {
-			t.Fatalf("shards=%d: incomplete after %d buckets", shards, res.Buckets)
+			t.Fatalf("shards=%d: incomplete after %d buckets", shards, res.Rounds)
 		}
 		if shards == 1 {
 			ref = res
@@ -158,10 +167,10 @@ func TestAsyncViaRun(t *testing.T) {
 	if !ok {
 		t.Fatalf("detail is %T, want AsyncResult", rep1.Detail)
 	}
-	if rep1.Rounds != detail.Buckets || !rep1.Completed || rep1.Messages != detail.Traffic.Sent {
+	if rep1.Rounds != detail.Rounds || !rep1.Completed || rep1.Messages != detail.Traffic.Sent {
 		t.Fatalf("report fields diverge from detail:\n%+v\nvs %+v", rep1, detail)
 	}
-	if len(rep1.Trajectory) != detail.Buckets || rep1.Trajectory[len(rep1.Trajectory)-1] != n {
+	if len(rep1.Trajectory) != detail.Rounds || rep1.Trajectory[len(rep1.Trajectory)-1] != n {
 		t.Fatalf("trajectory %v does not end informed", rep1.Trajectory)
 	}
 }
@@ -170,11 +179,11 @@ func TestAsyncLatencySlowsSpread(t *testing.T) {
 	// Physics check: tripling the message flight time (at fixed bucket
 	// width) can only slow the spread down.
 	const n = 1000
-	fast, err := RunAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, AsyncOptions{Seed: 5, Shards: 2})
+	fast, err := RunAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, LiveOptions{Seed: 5, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := RunAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1), Latency: 3}, AsyncOptions{Seed: 5, Shards: 2})
+	slow, err := RunAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1), Latency: 3}, LiveOptions{Seed: 5, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

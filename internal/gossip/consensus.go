@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"repro/internal/bandwidth"
-	"repro/internal/exch"
 	"repro/internal/graph"
 	"repro/internal/live"
 	"repro/internal/obs"
@@ -150,12 +149,12 @@ type ConsensusConfig struct {
 	MaxRounds int
 }
 
-// ConsensusResult reports a conflicting-rumor consensus run.
+// ConsensusResult reports a conflicting-rumor consensus run. History is
+// the count of peers holding any variant after each round — the spread
+// component of the dynamics; Completed reports whether the leading variant
+// reached the threshold share within the round cap.
 type ConsensusResult struct {
-	Rounds int
-	// Completed reports whether the leading variant reached the threshold
-	// share within the round cap.
-	Completed bool
+	Stepped
 	// Winner is the leading variant (1-based) when the run stopped.
 	Winner int
 	// Agreement is the leading variant's share of the whole population
@@ -164,133 +163,37 @@ type ConsensusResult struct {
 	// Seeds lists the initially seeded peers in canonical order; seed j
 	// holds variant j/SeedsPerVariant + 1.
 	Seeds []int
-	// DecidedHist is the count of peers holding any variant after each
-	// round — the spread component of the dynamics.
-	DecidedHist []int
 	// ShareHist[r][v] is the count of peers holding variant v+1 after
 	// round r+1 — the consensus component.
 	ShareHist [][]int
-	// SentHistory is the number of messages routed per round.
-	SentHistory []int
-	Traffic     simnet.Stats
 }
 
-// consState is the per-peer variant state, laid out as contiguous cell
-// blocks per shard — the owning shard is the only writer of its blocks, so
-// blocks of different shards never share a slice (the -race suite pins this
-// layout, the shard-local-arena idiom of the topology SIR state). The
-// partition mirrors the runtime's exactly via live.EffectiveShards.
-//
-// variant holds each peer's current opinion (0 = undecided, 1..K).
-// stamp (RuleLatest only) holds the logical timestamp of the held variant.
-// heard (RuleMajority / RuleWeighted only) holds K accumulated weights per
-// peer, the peer's lifetime tally of what it has been told.
-//
-// shares, on the sharded runtime, holds one row of K variant counts per
-// shard (row o at shares[o*stride:]), kept current by the shard that owns
-// the changing peer, so the coordinator sums K cells per shard between
-// rounds instead of scanning n. Rows are a cache line or more apart. It is
-// nil on the goroutine engine, whose concurrent mode steps the peers of its
-// single block from many goroutines: there counts recounts — which is also
-// the reference the shares are tested against.
+// consState is the per-peer variant state, flat by peer id. peerStates
+// holds each peer's current opinion (0 = undecided, 1..K) and tallies the
+// K variants; stamp (RuleLatest only) holds the logical timestamp of the
+// held variant; heard (RuleMajority / RuleWeighted only) holds K
+// accumulated weights per peer, the peer's lifetime tally of what it has
+// been told.
 type consState struct {
-	part    exch.Partition
-	start   []int // start[o] = part.Start(o), so that locate divides nothing
-	k       int
-	variant [][]uint8
-	stamp   [][]int32
-	heard   [][]float64
-	shares  []int64
-	stride  int
+	peerStates
+	k     int
+	stamp []int32
+	heard []float64
 }
 
-func newConsState(n, parts, k int, rule MergeRule, tallied bool) *consState {
-	st := &consState{part: exch.NewPartition(n, parts), start: make([]int, parts), k: k}
-	st.variant = make([][]uint8, parts)
+func newConsState(n, k int, rule MergeRule) *consState {
+	st := &consState{peerStates: newPeerStates(n), k: k}
 	if rule == RuleLatest {
-		st.stamp = make([][]int32, parts)
+		st.stamp = make([]int32, n)
 	} else {
-		st.heard = make([][]float64, parts)
-	}
-	for o := range st.variant {
-		lo, hi := st.part.Range(o)
-		st.start[o] = lo
-		st.variant[o] = make([]uint8, hi-lo)
-		if st.stamp != nil {
-			st.stamp[o] = make([]int32, hi-lo)
-		}
-		if st.heard != nil {
-			st.heard[o] = make([]float64, (hi-lo)*k)
-		}
-	}
-	if tallied {
-		// K cells rounded up to whole cache lines, plus one line so the gap
-		// holds whatever the slice's alignment.
-		st.stride = (k+7)/8*8 + 8
-		st.shares = make([]int64, parts*st.stride)
+		st.heard = make([]float64, n*k)
 	}
 	return st
 }
 
-// locate returns peer i's owning shard and its index within that shard's
-// blocks.
-func (st *consState) locate(i int) (o, li int) {
-	o = st.part.Owner(i)
-	return o, i - st.start[o]
-}
-
-// adopt moves the peer at (o, li) to variant v (0 = undecided), keeping o's
-// share row current; while the runtime is stepping only shard o itself may
-// call it.
-func (st *consState) adopt(o, li int, v uint8) {
-	if st.shares != nil {
-		row := st.shares[o*st.stride:]
-		if old := st.variant[o][li]; old != 0 {
-			row[old-1]--
-		}
-		if v != 0 {
-			row[v-1]++
-		}
-	}
-	st.variant[o][li] = v
-}
-
-// heardRow returns the K-cell tally slice of the peer at (o, li).
-func (st *consState) heardRow(o, li int) []float64 {
-	return st.heard[o][li*st.k : (li+1)*st.k]
-}
-
-// counts fills shares with the per-variant totals and returns the number of
-// decided peers; called by the coordinator between rounds, when the shards
-// are quiescent.
-func (st *consState) counts(shares []int) (decided int) {
-	if st.shares == nil {
-		return st.recount(shares)
-	}
-	for v := range shares {
-		shares[v] = 0
-		for o := 0; o < st.part.Parts; o++ {
-			shares[v] += int(st.shares[o*st.stride+v])
-		}
-		decided += shares[v]
-	}
-	return decided
-}
-
-// recount is counts by scanning every peer's variant.
-func (st *consState) recount(shares []int) (decided int) {
-	for i := range shares {
-		shares[i] = 0
-	}
-	for _, cell := range st.variant {
-		for _, v := range cell {
-			if v != 0 {
-				decided++
-				shares[v-1]++
-			}
-		}
-	}
-	return decided
+// heardRow returns peer i's K-cell tally slice.
+func (st *consState) heardRow(i int) []float64 {
+	return st.heard[i*st.k : (i+1)*st.k]
 }
 
 // argmaxVariant returns the 1-based variant with the largest accumulated
@@ -320,12 +223,10 @@ func argmaxVariant(heard []float64) int {
 // false.
 func consStep(sampler graph.Sampler, st *consState, weight []float64) live.ActiveStepFunc {
 	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
-		o, li := st.locate(node)
-		held := st.variant[o][li]
-		v := held
+		v := st.of[node]
 		var stamp int32
 		if st.stamp != nil {
-			stamp = st.stamp[o][li]
+			stamp = st.stamp[node]
 			for _, m := range inbox {
 				if m.Kind != kindConsVariant {
 					continue
@@ -338,9 +239,9 @@ func consStep(sampler graph.Sampler, st *consState, weight []float64) live.Activ
 					v, stamp = mv, ms
 				}
 			}
-			st.stamp[o][li] = stamp
+			st.stamp[node] = stamp
 		} else {
-			heard := st.heardRow(o, li)
+			heard := st.heardRow(node)
 			revised := false
 			for _, m := range inbox {
 				if m.Kind != kindConsVariant {
@@ -357,9 +258,7 @@ func consStep(sampler graph.Sampler, st *consState, weight []float64) live.Activ
 				v = uint8(argmaxVariant(heard))
 			}
 		}
-		if v != held {
-			st.adopt(o, li, v)
-		}
+		st.set(node, v)
 		if v == 0 {
 			return false
 		}
@@ -437,9 +336,12 @@ func consensusSeeds(cfg ConsensusConfig, seed uint64) ([]int, error) {
 	return seeds, nil
 }
 
-// RunConsensus executes conflicting-rumor consensus on a live message
-// engine.
+// RunConsensus executes conflicting-rumor consensus on the round runtime.
 func RunConsensus(cfg ConsensusConfig, o LiveOptions) (ConsensusResult, error) {
+	return runConsensus(cfg, o, roundClock)
+}
+
+func runConsensus(cfg ConsensusConfig, o LiveOptions, clk clock) (ConsensusResult, error) {
 	if cfg.Graph == nil || cfg.Graph.N() == 0 {
 		return ConsensusResult{}, fmt.Errorf("gossip: consensus run needs a graph")
 	}
@@ -447,8 +349,8 @@ func RunConsensus(cfg ConsensusConfig, o LiveOptions) (ConsensusResult, error) {
 	if cfg.Variants < 1 || cfg.Variants > 255 {
 		return ConsensusResult{}, fmt.Errorf("gossip: variant count %d out of [1,255]", cfg.Variants)
 	}
-	if cfg.Threshold < 0 || cfg.Threshold > 1 {
-		return ConsensusResult{}, fmt.Errorf("gossip: threshold %v out of [0,1]", cfg.Threshold)
+	if err := unitInterval("consensus threshold", cfg.Threshold); err != nil {
+		return ConsensusResult{}, err
 	}
 	if cfg.Rule < RuleMajority || cfg.Rule > RuleWeighted {
 		return ConsensusResult{}, fmt.Errorf("gossip: unknown merge rule %d", cfg.Rule)
@@ -479,13 +381,17 @@ func RunConsensus(cfg ConsensusConfig, o LiveOptions) (ConsensusResult, error) {
 	}
 	spv := len(seeds) / cfg.Variants
 
-	st := newConsState(n, o.blocks(n), cfg.Variants, cfg.Rule, o.Engine == LiveSharded)
+	st := newConsState(n, cfg.Variants, cfg.Rule)
+	tick, cuts, err := clk(n, o, nil, consStep(sampler, st, weight))
+	if err != nil {
+		return ConsensusResult{}, err
+	}
+	st.key(cuts, cfg.Variants)
 	for j, p := range seeds {
 		v := uint8(j/spv + 1)
-		po, pli := st.locate(p)
-		st.adopt(po, pli, v)
+		st.set(p, v)
 		if st.stamp != nil {
-			st.stamp[po][pli] = int32(j + 1)
+			st.stamp[p] = int32(j + 1)
 		} else {
 			// The seed credits its own variant once (at its own influence
 			// weight under RuleWeighted), so a freshly contacted seed does
@@ -494,13 +400,8 @@ func RunConsensus(cfg ConsensusConfig, o LiveOptions) (ConsensusResult, error) {
 			if weight != nil {
 				w = weight[p]
 			}
-			st.heardRow(po, pli)[v-1] += w
+			st.heardRow(p)[v-1] += w
 		}
-	}
-
-	runRounds, err := o.runner(n, nil, consStep(sampler, st, weight))
-	if err != nil {
-		return ConsensusResult{}, err
 	}
 
 	tr := o.Obs.Track("consensus", 1)
@@ -508,35 +409,23 @@ func RunConsensus(cfg ConsensusConfig, o LiveOptions) (ConsensusResult, error) {
 	for v := range gauges {
 		gauges[v] = tr.Gauge(fmt.Sprintf("variant_%d", v+1))
 	}
-
 	res := ConsensusResult{Seeds: seeds}
-	shares := make([]int, cfg.Variants)
-	var prevSent int64
-	for round := 1; round <= maxRounds; round++ {
-		res.Traffic = runRounds(1)
-		res.SentHistory = append(res.SentHistory, int(res.Traffic.Sent-prevSent))
-		prevSent = res.Traffic.Sent
-		decided := st.counts(shares)
-		res.Rounds = round
-		res.DecidedHist = append(res.DecidedHist, decided)
-		res.ShareHist = append(res.ShareHist, append([]int(nil), shares...))
-		lead, leadCount := 1, shares[0]
-		for v := 1; v < cfg.Variants; v++ {
-			if shares[v] > leadCount {
-				lead, leadCount = v+1, shares[v]
+	res.Stepped = drive(tick, 0, 1, maxRounds, tr, func(round int) (int, bool) {
+		shares := make([]int, cfg.Variants)
+		decided, lead := 0, 0
+		for v := range shares {
+			shares[v] = st.count(uint8(v + 1))
+			decided += shares[v]
+			if shares[v] > shares[lead] {
+				lead = v
 			}
+			gauges[v].Sample(round, int64(shares[v]))
 		}
-		for v, g := range gauges {
-			g.Sample(round, int64(shares[v]))
-		}
-		tr.Barrier()
-		res.Winner = lead
-		res.Agreement = float64(leadCount) / float64(n)
-		if leadCount >= target {
-			res.Completed = true
-			break
-		}
-	}
+		res.ShareHist = append(res.ShareHist, shares)
+		res.Winner = lead + 1
+		res.Agreement = float64(shares[lead]) / float64(n)
+		return decided, shares[lead] >= target
+	})
 	return res, nil
 }
 
@@ -547,18 +436,5 @@ func (c ConsensusConfig) Protocol() string { return "consensus" }
 // Trajectory is the decided-peer history; Detail the full ConsensusResult
 // (per-round variant shares, winner, agreement).
 func (c ConsensusConfig) Execute(o *run.Options) (run.Report, error) {
-	res, err := RunConsensus(c, liveOptionsFor(o, run.DomainConsensus))
-	if err != nil {
-		return run.Report{}, err
-	}
-	return run.Report{
-		Rounds:     res.Rounds,
-		Completed:  res.Completed,
-		Trajectory: res.DecidedHist,
-		Sent:       res.SentHistory,
-		Messages:   res.Traffic.Sent,
-		Dropped:    res.Traffic.Dropped,
-		Clamped:    res.Traffic.Clamped,
-		Detail:     res,
-	}, nil
+	return execute(RunConsensus(c, liveOptionsFor(o, run.DomainConsensus)))
 }

@@ -2,11 +2,12 @@ package gossip
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bandwidth"
 	"repro/internal/graph"
-	"repro/internal/live"
 	"repro/internal/rng"
 	"repro/internal/run"
 )
@@ -35,12 +36,12 @@ func TestConsensusShardIdentity(t *testing.T) {
 			}
 			cfg.Profile = p
 		}
-		base := consRun(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: 1})
+		base := consRun(t, cfg, LiveOptions{Seed: 42, Shards: 1})
 		if base.Rounds == 0 || len(base.ShareHist) != base.Rounds {
 			t.Fatalf("%v: degenerate base run: %+v", rule, base)
 		}
 		for _, shards := range []int{2, 4, 8} {
-			res := consRun(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: shards})
+			res := consRun(t, cfg, LiveOptions{Seed: 42, Shards: shards})
 			if fmt.Sprint(res) != fmt.Sprint(base) {
 				t.Errorf("%v shards=%d diverged:\n got %+v\nwant %+v", rule, shards, res, base)
 			}
@@ -48,10 +49,10 @@ func TestConsensusShardIdentity(t *testing.T) {
 	}
 }
 
-// TestConsensusEngineIdentity pins that the goroutine engine (sequential and
-// concurrent) reproduces the sharded runtime bit for bit under every merge
-// rule — all engines share the per-peer stream derivation, and the rules
-// themselves consume no randomness.
+// TestConsensusEngineIdentity pins that the goroutine engine, the test
+// oracle, reproduces the sharded runtime bit for bit under every merge rule
+// — both share the per-peer stream derivation, and the rules themselves
+// consume no randomness.
 func TestConsensusEngineIdentity(t *testing.T) {
 	g := mustBA(t, 800, 2, 3)
 	for _, rule := range []MergeRule{RuleMajority, RuleLatest, RuleWeighted} {
@@ -63,14 +64,13 @@ func TestConsensusEngineIdentity(t *testing.T) {
 			}
 			cfg.Profile = p
 		}
-		sharded := consRun(t, cfg, LiveOptions{Seed: 9, Engine: LiveSharded, Shards: 3})
-		seq := consRun(t, cfg, LiveOptions{Seed: 9, Engine: LiveGoroutine})
-		conc := consRun(t, cfg, LiveOptions{Seed: 9, Engine: LiveGoroutine, Concurrent: true})
-		if fmt.Sprint(seq) != fmt.Sprint(sharded) {
-			t.Errorf("%v: sequential engine diverged:\n got %+v\nwant %+v", rule, seq, sharded)
+		sharded := consRun(t, cfg, LiveOptions{Seed: 9, Shards: 3})
+		oracle, err := runConsensus(cfg, LiveOptions{Seed: 9}, oracleClock)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fmt.Sprint(conc) != fmt.Sprint(sharded) {
-			t.Errorf("%v: concurrent engine diverged:\n got %+v\nwant %+v", rule, conc, sharded)
+		if fmt.Sprint(oracle) != fmt.Sprint(sharded) {
+			t.Errorf("%v: goroutine engine diverged:\n got %+v\nwant %+v", rule, oracle, sharded)
 		}
 	}
 }
@@ -86,11 +86,11 @@ func TestConsensusShardLocalState(t *testing.T) {
 	for _, rule := range []MergeRule{RuleMajority, RuleLatest} {
 		for _, shards := range []int{1, 4} {
 			res := consRun(t, ConsensusConfig{Variants: 3, Graph: g, Rule: rule, MaxRounds: 200},
-				LiveOptions{Seed: 4, Engine: LiveSharded, Shards: shards})
+				LiveOptions{Seed: 4, Shards: shards})
 			if rule == RuleLatest && !res.Completed {
 				t.Errorf("rule=%v shards=%d: run did not complete", rule, shards)
 			}
-			if last := res.DecidedHist[len(res.DecidedHist)-1]; rule == RuleMajority && last != 1200 {
+			if last := res.History[len(res.History)-1]; rule == RuleMajority && last != 1200 {
 				t.Errorf("rule=%v shards=%d: %d of 1200 peers decided", rule, shards, last)
 			}
 		}
@@ -109,7 +109,7 @@ func TestConsensusSingleVariantMatchesPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := consRun(t, ConsensusConfig{Variants: 1, Graph: g, Rule: RuleMajority, Threshold: 1},
-		LiveOptions{Seed: 21, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 21, Shards: 2})
 	if !res.Completed {
 		t.Fatal("K=1 complete-graph run did not complete")
 	}
@@ -128,9 +128,9 @@ func TestConsensusSingleVariantMatchesPush(t *testing.T) {
 		t.Errorf("K=1 complete-graph agreement %v, want 1", res.Agreement)
 	}
 	// The decided-peer trajectory is monotone like any rumor history.
-	for i := 1; i < len(res.DecidedHist); i++ {
-		if res.DecidedHist[i] < res.DecidedHist[i-1] {
-			t.Fatalf("decided count decreased at round %d: %v", i+1, res.DecidedHist)
+	for i := 1; i < len(res.History); i++ {
+		if res.History[i] < res.History[i-1] {
+			t.Fatalf("decided count decreased at round %d: %v", i+1, res.History)
 		}
 	}
 }
@@ -157,8 +157,8 @@ func TestConsensusTieResolution(t *testing.T) {
 	// A run built entirely from tie-prone integer tallies replays exactly.
 	g := mustBA(t, 600, 2, 29)
 	cfg := ConsensusConfig{Variants: 5, Graph: g, Seeding: SeedClustered, Rule: RuleMajority, MaxRounds: 150}
-	a := consRun(t, cfg, LiveOptions{Seed: 3, Engine: LiveSharded, Shards: 4})
-	b := consRun(t, cfg, LiveOptions{Seed: 3, Engine: LiveSharded, Shards: 4})
+	a := consRun(t, cfg, LiveOptions{Seed: 3, Shards: 4})
+	b := consRun(t, cfg, LiveOptions{Seed: 3, Shards: 4})
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Errorf("identical majority runs diverged:\n got %+v\nwant %+v", b, a)
 	}
@@ -177,8 +177,8 @@ func TestConsensusWeightedUniformEqualsMajority(t *testing.T) {
 	wtd := base
 	wtd.Rule = RuleWeighted
 	wtd.Profile = bandwidth.Homogeneous(1000, 4)
-	mres := consRun(t, maj, LiveOptions{Seed: 13, Engine: LiveSharded, Shards: 2})
-	wres := consRun(t, wtd, LiveOptions{Seed: 13, Engine: LiveSharded, Shards: 2})
+	mres := consRun(t, maj, LiveOptions{Seed: 13, Shards: 2})
+	wres := consRun(t, wtd, LiveOptions{Seed: 13, Shards: 2})
 	if fmt.Sprint(mres.ShareHist) != fmt.Sprint(wres.ShareHist) ||
 		mres.Winner != wres.Winner || mres.Rounds != wres.Rounds {
 		t.Errorf("uniform weighted diverged from majority:\n got %+v\nwant %+v", wres, mres)
@@ -191,7 +191,7 @@ func TestConsensusWeightedUniformEqualsMajority(t *testing.T) {
 func TestConsensusLatestRuleFloods(t *testing.T) {
 	g := mustBA(t, 1500, 3, 23)
 	res := consRun(t, ConsensusConfig{Variants: 4, Graph: g, Seeding: SeedDistinct, Rule: RuleLatest},
-		LiveOptions{Seed: 11, Engine: LiveSharded, Shards: 4})
+		LiveOptions{Seed: 11, Shards: 4})
 	if !res.Completed {
 		t.Fatal("latest-rule run did not converge")
 	}
@@ -215,7 +215,7 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 
 	// Distinct: all seeds distinct, count = K * SeedsPerVariant.
 	dres := consRun(t, ConsensusConfig{Variants: 3, Graph: g, Seeding: SeedDistinct, SeedsPerVariant: 2, Rule: RuleMajority},
-		LiveOptions{Seed: 7, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 7, Shards: 2})
 	if len(dres.Seeds) != 6 {
 		t.Fatalf("distinct seeding placed %d seeds, want 6", len(dres.Seeds))
 	}
@@ -229,7 +229,7 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 
 	// Hub/leaf: variant 1 takes the top hub, variant 2 the bottom leaf.
 	hres := consRun(t, ConsensusConfig{Variants: 2, Graph: g, Seeding: SeedHubLeaf, Rule: RuleMajority},
-		LiveOptions{Seed: 7, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 7, Shards: 2})
 	hub := g.Hub()
 	if hres.Seeds[0] != hub {
 		t.Errorf("hub seeding placed variant 1 at %d (degree %d), want hub %d (degree %d)",
@@ -246,7 +246,7 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 
 	// Clustered: variant v starts its ring range at (v-1)*n/K.
 	cres := consRun(t, ConsensusConfig{Variants: 4, Graph: g, Seeding: SeedClustered, SeedsPerVariant: 2, Rule: RuleMajority},
-		LiveOptions{Seed: 7, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 7, Shards: 2})
 	want := []int{0, 1, 100, 101, 200, 201, 300, 301}
 	if fmt.Sprint(cres.Seeds) != fmt.Sprint(want) {
 		t.Errorf("clustered seeds %v, want %v", cres.Seeds, want)
@@ -275,32 +275,27 @@ func TestConsensusNameParsing(t *testing.T) {
 	}
 }
 
-// TestConsensusValidation pins the config error paths.
+// TestConsensusValidation pins the config error paths; each error names
+// what it rejects.
 func TestConsensusValidation(t *testing.T) {
 	g := mustBA(t, 50, 2, 1)
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2}, LiveOptions{}); err == nil {
-		t.Error("nil graph should be rejected")
-	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 0, Graph: g}, LiveOptions{}); err == nil {
-		t.Error("zero variants should be rejected")
-	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 256, Graph: g}, LiveOptions{}); err == nil {
-		t.Error("variant count > 255 should be rejected")
-	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Threshold: 1.5}, LiveOptions{}); err == nil {
-		t.Error("threshold > 1 should be rejected")
-	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Rule: RuleWeighted}, LiveOptions{}); err == nil {
-		t.Error("weighted rule without a matching profile should be rejected")
-	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, SeedsPerVariant: 30}, LiveOptions{}); err == nil {
-		t.Error("seeds exceeding the population should be rejected")
-	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Seeding: ConsensusSeeding(9)}, LiveOptions{}); err == nil {
-		t.Error("unknown seeding should be rejected")
-	}
-	if _, err := RunConsensus(ConsensusConfig{Variants: 2, Graph: g, Rule: MergeRule(9)}, LiveOptions{}); err == nil {
-		t.Error("unknown merge rule should be rejected")
+	for _, tc := range []struct {
+		cfg  ConsensusConfig
+		want string
+	}{
+		{ConsensusConfig{Variants: 2}, "graph"},
+		{ConsensusConfig{Variants: 0, Graph: g}, "variant count"},
+		{ConsensusConfig{Variants: 256, Graph: g}, "variant count"},
+		{ConsensusConfig{Variants: 2, Graph: g, Threshold: 1.5}, "threshold"},
+		{ConsensusConfig{Variants: 2, Graph: g, Threshold: math.NaN()}, "threshold"},
+		{ConsensusConfig{Variants: 2, Graph: g, Rule: RuleWeighted}, "profile"},
+		{ConsensusConfig{Variants: 2, Graph: g, SeedsPerVariant: 30}, "exceed"},
+		{ConsensusConfig{Variants: 2, Graph: g, Seeding: ConsensusSeeding(9)}, "seeding"},
+		{ConsensusConfig{Variants: 2, Graph: g, Rule: MergeRule(9)}, "merge rule"},
+	} {
+		if _, err := RunConsensus(tc.cfg, LiveOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want one naming %q", tc.cfg, err, tc.want)
+		}
 	}
 }
 
@@ -331,58 +326,5 @@ func TestConsensusSpec(t *testing.T) {
 	}
 	if det.Rounds != rep1.Rounds || len(rep1.Sent) != rep1.Rounds {
 		t.Errorf("report shape mismatch: rounds %d/%d, sent len %d", det.Rounds, rep1.Rounds, len(rep1.Sent))
-	}
-	repG, err := run.Run(cfg, run.WithSeed(8), run.WithEngine(run.EngineGoroutine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(repG.Trajectory) != fmt.Sprint(rep1.Trajectory) {
-		t.Errorf("goroutine engine diverged through spec: %v vs %v", repG.Trajectory, rep1.Trajectory)
-	}
-}
-
-// TestConsensusTalliesMatchRecount pins the per-shard variant share rows
-// against the full recount they replace, after every round, at several
-// shard counts and under both state layouts (stamps and
-// heard tallies); under -race it also pins that each row has one writer.
-// The runtime is driven round by round, as RunConsensus does.
-func TestConsensusTalliesMatchRecount(t *testing.T) {
-	const k = 3
-	g := mustBA(t, 3000, 3, 7)
-	sampler, err := graph.NewUniformNeighbors(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rule := range []MergeRule{RuleMajority, RuleLatest} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			st := newConsState(g.N(), live.EffectiveShards(g.N(), shards), k, rule, true)
-			for j, p := range []int{5, 1400, 2999} {
-				o, li := st.locate(p)
-				st.adopt(o, li, uint8(j+1))
-				if rule == RuleLatest {
-					st.stamp[o][li] = int32(j + 1)
-				} else {
-					st.heardRow(o, li)[j]++
-				}
-			}
-			rt, err := live.New(live.Config{N: g.N(), Seed: 42, Shards: shards,
-				ActiveStep: consStep(sampler, st, nil)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, want := make([]int, k), make([]int, k)
-			decided := 0
-			for round := 0; round < 30; round++ {
-				rt.Run(1)
-				decided = st.counts(got)
-				if wantDecided := st.recount(want); decided != wantDecided || fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("rule=%v shards=%d round %d: tallies say %d decided %v; recount %d %v",
-						rule, shards, round, decided, got, wantDecided, want)
-				}
-			}
-			if decided < g.N()/2 {
-				t.Errorf("rule=%v shards=%d: only %d of %d peers decided", rule, shards, decided, g.N())
-			}
-		}
 	}
 }

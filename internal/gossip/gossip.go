@@ -14,6 +14,27 @@
 // Unlike the baselines, the dating spreader never exceeds any node's
 // bandwidth; the Result records the worst per-round loads so experiments
 // can quantify how badly each baseline overdrives nodes.
+//
+// # Stepped protocols
+//
+// Four protocols run message by message on the shard runtimes: the dating
+// handshake (LiveConfig), graph spreading (TopologyConfig) and
+// conflicting-rumor consensus (ConsensusConfig) on the round runtime of
+// internal/live, and asynchronous push&pull (AsyncConfig) on the calendar
+// of internal/async. Each brings its per-peer state, its step (or fire and
+// receive) functions and an observe predicate; one driver does the rest.
+// It runs the ticks — a one-tick prologue and three ticks per dating round
+// for live, one tick per round or bucket for the others — up to the round
+// cap, records each round's emitted messages and progress, publishes the
+// protocol's observer track at every round, and maps the result onto
+// run.Report. Every result embeds the same Stepped fields.
+//
+// Per-peer state is flat, indexed by peer id, and written only by the
+// shard stepping that peer. Each protocol's state byte carries a tally:
+// per step shard, a cache-line-padded row of counters by state, updated
+// only when a peer's state changes, so observe sums a few counters instead
+// of scanning n peers. The rows follow the runtime's step cuts, which
+// async balances by clock rate.
 package gossip
 
 import (

@@ -6,28 +6,14 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/core"
 	"repro/internal/live"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/run"
 	"repro/internal/simnet"
 )
 
-// LiveEngine selects the execution substrate for a message-level run.
-type LiveEngine int
-
-const (
-	// LiveGoroutine is the legacy engine: one goroutine per peer (or its
-	// sequential twin, per LiveConfig.Concurrent). Perfect-sync only.
-	LiveGoroutine LiveEngine = iota
-	// LiveSharded is the internal/live runtime: a fixed pool of shard
-	// workers over flat message buffers. It scales to millions of peers,
-	// is bit-identical for every shard count, and accepts a NetModel.
-	LiveSharded
-)
-
 // LiveConfig parameterizes a fully message-level spreading run: the dating
 // service's three-step handshake (scatter, answer, payload) executed peer
-// by peer on a message engine. Nothing is shared between peers except
+// by peer on the round runtime. Nothing is shared between peers except
 // messages; each peer's only state is whether it knows the rumor. This is
 // the protocol exactly as a real deployment would run it.
 type LiveConfig struct {
@@ -39,131 +25,29 @@ type LiveConfig struct {
 	MaxDatingRounds int
 }
 
-// LiveOptions carries the axes of a stepped message-level run — live,
-// topology or consensus — that are orthogonal to the protocol: the seed, the
-// execution substrate, its worker count and the network model. Under
-// repro.Run these come from the run options (liveOptionsFor); the Run*
-// functions take them explicitly so direct callers state the same
-// separation.
-type LiveOptions struct {
-	Seed uint64
-	// Engine picks the substrate; the zero value is the goroutine engine.
-	// (All engines share the sharded runtime's per-peer stream derivation,
-	// so the engine choice never changes trajectories.)
-	Engine LiveEngine
-	// Concurrent selects the goroutine engine's concurrent mode (true) or
-	// its sequential twin (false); both produce identical results for the
-	// same seed. Ignored by the sharded engine, which always runs its
-	// shard workers.
-	Concurrent bool
-	// Shards is the sharded engine's worker count (0 = GOMAXPROCS). The
-	// run's results are bit-identical for every value: shards are a pure
-	// speed knob.
-	Shards int
-	// Net plugs a network model — latency, loss, churn — into the sharded
-	// engine; nil is the paper's perfect-sync model. The goroutine engine
-	// rejects non-nil models.
-	Net live.NetModel
-	// Obs, when non-nil, receives phase spans and per-round gauges from the
-	// sharded engine, plus the protocol's own gauges where it has any.
-	// Observers are read-only: attaching one never changes results.
-	Obs *obs.Observer
-}
-
-// liveOptionsFor maps the unified run options onto LiveOptions: the runtime
-// seed derives from the root seed under the protocol's domain, WithEngine
-// picks the substrate (default: the sharded runtime), WithWorkers sets the
-// shard count and WithNet the network model.
-func liveOptionsFor(o *run.Options, domain uint64) LiveOptions {
-	lo := LiveOptions{Seed: run.SeedFor(o.Seed, domain), Net: o.Net, Obs: o.Obs}
-	switch o.Engine {
-	case run.EngineGoroutine:
-		lo.Engine = LiveGoroutine
-		lo.Concurrent = true
-	default: // EngineDefault, EngineSharded
-		lo.Engine = LiveSharded
-		lo.Shards = o.Workers
-	}
-	return lo
-}
-
-// blocks returns how many shard-owned state blocks a protocol keeps over n
-// peers: the sharded runtime's worker count, so that each block has exactly
-// one writing worker (who can also keep the block's tally), and a single
-// block on the goroutine engine.
-func (o LiveOptions) blocks(n int) int {
-	if o.Engine == LiveSharded {
-		return live.EffectiveShards(n, o.Shards)
-	}
-	return 1
-}
-
-// runner builds the engine o selects over n peers and returns its round
-// function; exactly one of step and active is set. The goroutine engine
-// derives the per-peer streams exactly as the sharded runtime does and
-// steps every peer whatever an active step answers — which is what makes it
-// the differential oracle: goroutine, sequential and sharded runs of one
-// seed are bit-identical under perfect sync, and a step that wrongly
-// reports "asleep" diverges.
-func (o LiveOptions) runner(n int, step live.StepFunc, active live.ActiveStepFunc) (func(rounds int) simnet.Stats, error) {
-	switch o.Engine {
-	case LiveGoroutine:
-		if o.Net != nil {
-			return nil, fmt.Errorf("gossip: network models require the sharded engine")
-		}
-		if active != nil {
-			step = func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
-				active(node, round, inbox, s, emit)
-			}
-		}
-		streams := make([]*rng.Stream, n)
-		for i := range streams {
-			streams[i] = rng.New(live.PeerSeed(o.Seed, i))
-		}
-		eng, err := simnet.NewLiveWithStreams(streams, adaptStep(step))
-		if err != nil {
-			return nil, err
-		}
-		if o.Concurrent {
-			return eng.Run, nil
-		}
-		return eng.RunSequential, nil
-	case LiveSharded:
-		rt, err := live.New(live.Config{
-			N: n, Seed: o.Seed, Step: step, ActiveStep: active,
-			Shards: o.Shards, Net: o.Net, Obs: o.Obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return rt.Run, nil
-	}
-	return nil, fmt.Errorf("gossip: unknown live engine %d", o.Engine)
-}
-
-// LiveResult reports a message-level spreading run.
+// LiveResult reports a message-level spreading run; Rounds counts dating
+// rounds, each three network rounds of the handshake.
 type LiveResult struct {
-	DatingRounds int
-	Completed    bool
-	History      []int // informed count after each dating round
-	// SentHistory is the number of messages routed per dating round (the
-	// three network rounds of the handshake; the first entry also counts
-	// the prologue scatter).
-	SentHistory []int
+	Stepped
 	// MaxInPayloads is the largest number of payload messages any node
 	// received in one dating round; the dating service guarantees it never
 	// exceeds that node's bin under the perfect-sync model (latency models
 	// may bunch deliveries of adjacent rounds).
 	MaxInPayloads int
-	Traffic       simnet.Stats
 }
 
-// livePeerState is the per-peer protocol state. Peer i writes only index i
-// of each slice, so concurrent peers never race; the engine's round barrier
-// publishes the writes to the coordinator.
-type livePeerState struct {
-	informed   []bool
-	inPayloads []int // payloads received in the current dating round
+func (r LiveResult) report(detail any) run.Report {
+	rep := r.Stepped.report(detail)
+	rep.MaxInLoad = r.MaxInPayloads
+	return rep
+}
+
+// liveState is the per-peer protocol state: state 1 of peerStates is
+// "informed". Peer i writes only index i of each slice.
+type liveState struct {
+	peerStates
+	inPayloads []int32 // payloads received in the current dating round
+	maxIn      []int32 // the most payloads received in any one dating round
 	// pendOffers/pendRequests buffer control messages that arrive outside
 	// their handshake phase — possible only under latency models, so both
 	// stay nil (and cost nothing) under perfect sync.
@@ -171,9 +55,24 @@ type livePeerState struct {
 	pendRequests [][]int32
 }
 
-// RunLive executes rumor spreading with the dating-service handshake on a
-// live message engine.
+// newLiveState builds the state of n peers, none informed, with pending
+// buffers when latency can deliver control messages out of phase.
+func newLiveState(n int, pending bool) *liveState {
+	st := &liveState{peerStates: newPeerStates(n), inPayloads: make([]int32, n), maxIn: make([]int32, n)}
+	if pending {
+		st.pendOffers = make([][]int32, n)
+		st.pendRequests = make([][]int32, n)
+	}
+	return st
+}
+
+// RunLive executes rumor spreading with the dating-service handshake on the
+// round runtime.
 func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
+	return runLive(cfg, o, roundClock)
+}
+
+func runLive(cfg LiveConfig, o LiveOptions, clk clock) (LiveResult, error) {
 	n := cfg.Profile.N()
 	if n == 0 {
 		return LiveResult{}, fmt.Errorf("gossip: live run needs a profile")
@@ -184,71 +83,51 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 	if cfg.Source < 0 || cfg.Source >= n {
 		return LiveResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	sel := cfg.Selector
-	if sel == nil {
-		u, err := core.NewUniformSelector(n)
-		if err != nil {
-			return LiveResult{}, err
-		}
-		sel = u
-	}
-	if sel.N() != n {
-		return LiveResult{}, fmt.Errorf("gossip: selector addresses %d nodes, profile has %d", sel.N(), n)
+	sel, err := selectorFor(cfg.Selector, n)
+	if err != nil {
+		return LiveResult{}, err
 	}
 	maxDating := cfg.MaxDatingRounds
 	if maxDating <= 0 {
 		maxDating = defaultRoundCap(n)
 	}
 
-	st := &livePeerState{
-		informed:   make([]bool, n),
-		inPayloads: make([]int, n),
-	}
-	if o.Net != nil && o.Net.MaxDelay() > 1 {
-		// Latency can deliver offers and demands outside their phase; give
-		// every rendezvous a holding buffer until its next matching round.
-		st.pendOffers = make([][]int32, n)
-		st.pendRequests = make([][]int32, n)
-	}
-	st.informed[cfg.Source] = true
-
-	run, err := o.runner(n, liveEmitStep(cfg.Profile, sel, st), nil)
+	// Latency can deliver offers and demands outside their phase; then every
+	// rendezvous gets a holding buffer until its next matching round.
+	st := newLiveState(n, o.Net != nil && o.Net.MaxDelay() > 1)
+	tick, cuts, err := clk(n, o, liveEmitStep(cfg.Profile, sel, st), nil)
 	if err != nil {
 		return LiveResult{}, err
 	}
+	st.key(cuts, 1)
+	st.set(cfg.Source, 1)
 
-	var res LiveResult
 	// Prologue: the first scatter (phase 0 of dating round 1, no payloads
-	// in flight yet). After it, every loop iteration runs phases 1 and 2 of
-	// the current dating round plus phase 0 of the next, which absorbs the
-	// payloads — so the informed count inspected after each iteration is
-	// exact for that round.
-	run(1)
-	var prevSent int64
-	for round := 1; round <= maxDating; round++ {
-		for i := range st.inPayloads {
-			st.inPayloads[i] = 0
-		}
-		res.Traffic = run(3)
-		res.SentHistory = append(res.SentHistory, int(res.Traffic.Sent-prevSent))
-		prevSent = res.Traffic.Sent
-		count := 0
-		for i := 0; i < n; i++ {
-			if st.informed[i] {
-				count++
-			}
-			if st.inPayloads[i] > res.MaxInPayloads {
-				res.MaxInPayloads = st.inPayloads[i]
-			}
-		}
-		res.DatingRounds = round
-		res.History = append(res.History, count)
-		if count == n {
-			res.Completed = true
-			break
-		}
+	// in flight yet). After it, every round runs phases 1 and 2 of the
+	// current dating round plus phase 0 of the next, which absorbs the
+	// payloads — so the informed count inspected after each round is exact
+	// for that round.
+	res := LiveResult{Stepped: drive(tick, 1, 3, maxDating, nil, func(int) (int, bool) {
+		informed := st.count(1)
+		return informed, informed == n
+	})}
+	for _, m := range st.maxIn {
+		res.MaxInPayloads = max(res.MaxInPayloads, int(m))
 	}
 	return res, nil
+}
+
+// selectorFor returns sel, or a uniform selector when it is nil, checking
+// that it addresses the protocol's n peers.
+func selectorFor(sel core.Selector, n int) (core.Selector, error) {
+	if sel == nil {
+		u, err := core.NewUniformSelector(n)
+		return u, err
+	}
+	if sel.N() != n {
+		return nil, fmt.Errorf("gossip: selector addresses %d nodes, profile has %d", sel.N(), n)
+	}
+	return sel, nil
 }
 
 // liveEmitStep builds the per-peer handshake state machine, in the sharded
@@ -265,8 +144,13 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 // (possible only under latency models) wait in the peer's pending buffers
 // for the next one. Under the perfect-sync model every message arrives in
 // its natural phase, so this reduces bit-for-bit to the legacy behavior.
-func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *livePeerState) live.StepFunc {
+func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *liveState) live.StepFunc {
 	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
+		if round%3 == 1 {
+			// A dating round's first network round: every peer is stepped
+			// every round, so this is where its payload count restarts.
+			st.inPayloads[node] = 0
+		}
 		// A rendezvous seldom has more than a handful of either kind: both
 		// lists start on the stack and reach the heap only past that.
 		var offerBuf, requestBuf [8]int32
@@ -275,16 +159,13 @@ func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *livePeerStat
 			switch m.Kind {
 			case core.KindPayload:
 				st.inPayloads[node]++
+				st.maxIn[node] = max(st.maxIn[node], st.inPayloads[node])
 				if m.A == 1 {
-					st.informed[node] = true
+					st.set(node, 1)
 				}
 			case core.KindAnswer:
 				if m.A >= 0 {
-					rumor := int64(0)
-					if st.informed[node] {
-						rumor = 1
-					}
-					emit(simnet.Message{To: int(m.A), Kind: core.KindPayload, A: rumor})
+					emit(simnet.Message{To: int(m.A), Kind: core.KindPayload, A: int64(st.of[node])})
 				}
 			case core.KindOffer:
 				offers = append(offers, int32(m.From))
@@ -334,15 +215,5 @@ func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *livePeerStat
 		if len(requests) > 0 {
 			st.pendRequests[node] = append(st.pendRequests[node], requests...)
 		}
-	}
-}
-
-// adaptStep converts the emit-style step back to the slice-returning shape
-// of the goroutine engine, so both substrates run the same protocol code.
-func adaptStep(step live.StepFunc) simnet.StepFunc {
-	return func(node, round int, inbox []simnet.Message, s *rng.Stream) []simnet.Message {
-		var out []simnet.Message
-		step(node, round, inbox, s, func(m simnet.Message) { out = append(out, m) })
-		return out
 	}
 }

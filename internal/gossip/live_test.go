@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/live"
 	"repro/internal/rng"
+	"repro/internal/run"
 	"repro/internal/simnet"
 )
 
@@ -32,45 +33,17 @@ func TestRunLiveValidation(t *testing.T) {
 func TestRunLiveCompletes(t *testing.T) {
 	res, err := RunLive(
 		LiveConfig{Profile: bandwidth.Homogeneous(256, 1)},
-		LiveOptions{Seed: 1, Concurrent: true},
+		LiveOptions{Seed: 1},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
-		t.Fatalf("live spread incomplete after %d dating rounds", res.DatingRounds)
+		t.Fatalf("live spread incomplete after %d dating rounds", res.Rounds)
 	}
 	last := res.History[len(res.History)-1]
 	if last != 256 {
 		t.Fatalf("final informed %d", last)
-	}
-}
-
-func TestRunLiveConcurrentEqualsSequential(t *testing.T) {
-	// The goroutine engine and the single-threaded engine must produce the
-	// exact same spreading trace for the same seed — the protocol has no
-	// hidden scheduling dependence.
-	mk := func(concurrent bool) LiveResult {
-		res, err := RunLive(
-			LiveConfig{Profile: bandwidth.Homogeneous(200, 1)},
-			LiveOptions{Seed: 7, Concurrent: concurrent},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := mk(true), mk(false)
-	if a.DatingRounds != b.DatingRounds || a.Completed != b.Completed {
-		t.Fatalf("rounds differ: %d vs %d", a.DatingRounds, b.DatingRounds)
-	}
-	for i := range a.History {
-		if a.History[i] != b.History[i] {
-			t.Fatalf("history diverges at round %d: %d vs %d", i+1, a.History[i], b.History[i])
-		}
-	}
-	if a.Traffic.Sent != b.Traffic.Sent {
-		t.Fatalf("traffic differs: %d vs %d", a.Traffic.Sent, b.Traffic.Sent)
 	}
 }
 
@@ -80,7 +53,7 @@ func TestRunLiveRespectsBandwidth(t *testing.T) {
 	for _, b := range []int{1, 3} {
 		res, err := RunLive(
 			LiveConfig{Profile: bandwidth.Homogeneous(128, b)},
-			LiveOptions{Seed: 3, Concurrent: true},
+			LiveOptions{Seed: 3},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +68,7 @@ func TestRunLiveRespectsBandwidth(t *testing.T) {
 }
 
 func TestRunLiveHistoryMonotone(t *testing.T) {
-	res, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(150, 1)}, LiveOptions{Seed: 5, Concurrent: true})
+	res, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(150, 1)}, LiveOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +89,7 @@ func TestRunLiveMatchesFlatSimulatorStatistically(t *testing.T) {
 	for rep := 0; rep < reps; rep++ {
 		lr, err := RunLive(
 			LiveConfig{Profile: bandwidth.Homogeneous(300, 1)},
-			LiveOptions{Seed: uint64(100 + rep), Concurrent: true},
+			LiveOptions{Seed: uint64(100 + rep)},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -124,7 +97,7 @@ func TestRunLiveMatchesFlatSimulatorStatistically(t *testing.T) {
 		if !lr.Completed {
 			t.Fatal("live incomplete")
 		}
-		liveSum += float64(lr.DatingRounds)
+		liveSum += float64(lr.Rounds)
 
 		fr, err := Run(Config{Algorithm: Dating, N: 300, Source: 0}, rng.New(uint64(100+rep)))
 		if err != nil {
@@ -142,7 +115,7 @@ func TestRunLiveOverheadShape(t *testing.T) {
 	// Per dating round, control traffic is 2 scatter messages per unit of
 	// bandwidth plus one answer per offer; payloads are at most min-side
 	// bandwidth. Verify the traffic mix.
-	res, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(100, 1)}, LiveOptions{Seed: 9, Concurrent: true})
+	res, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(100, 1)}, LiveOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +142,9 @@ func TestLiveStepPhases(t *testing.T) {
 	// and one request must emit exactly one positive answer.
 	profile := bandwidth.Homogeneous(4, 1)
 	sel, _ := core.NewUniformSelector(4)
-	st := &livePeerState{informed: make([]bool, 4), inPayloads: make([]int, 4)}
-	step := liveStep(profile, sel, st)
+	st := newLiveState(4, false)
+	st.key([]int{0, 4}, 1)
+	step := adaptStep(liveEmitStep(profile, sel, st))
 	inbox := []simnet.Message{
 		{From: 1, To: 0, Kind: core.KindOffer},
 		{From: 2, To: 0, Kind: core.KindRequest},
@@ -184,7 +158,7 @@ func TestLiveStepPhases(t *testing.T) {
 	}
 
 	// Phase 2: an informed node with a positive answer sends the rumor.
-	st.informed[1] = true
+	st.set(1, 1)
 	out = step(1, 2, []simnet.Message{{From: 0, To: 1, Kind: core.KindAnswer, A: 2}}, rng.New(2))
 	if len(out) != 1 || out[0].Kind != core.KindPayload || out[0].A != 1 || out[0].To != 2 {
 		t.Fatalf("bad payload: %+v", out)
@@ -192,7 +166,7 @@ func TestLiveStepPhases(t *testing.T) {
 
 	// Phase 0: the receiver absorbs the payload and becomes informed.
 	out = step(2, 3, []simnet.Message{{From: 1, To: 2, Kind: core.KindPayload, A: 1}}, rng.New(3))
-	if !st.informed[2] {
+	if st.of[2] != 1 {
 		t.Fatal("payload did not inform the receiver")
 	}
 	if len(out) != 2 { // one offer + one request scattered
@@ -206,7 +180,7 @@ func TestRunLiveShardedBitIdentity(t *testing.T) {
 	run := func(shards int) LiveResult {
 		res, err := RunLive(
 			LiveConfig{Profile: bandwidth.Homogeneous(10_000, 1)},
-			LiveOptions{Seed: 17, Engine: LiveSharded, Shards: shards},
+			LiveOptions{Seed: 17, Shards: shards},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -215,48 +189,46 @@ func TestRunLiveShardedBitIdentity(t *testing.T) {
 	}
 	ref := run(1)
 	if !ref.Completed {
-		t.Fatalf("sharded spread incomplete after %d dating rounds", ref.DatingRounds)
+		t.Fatalf("sharded spread incomplete after %d dating rounds", ref.Rounds)
 	}
 	for _, shards := range []int{2, 8} {
 		if got := run(shards); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("shards=%d diverged from shards=1: %d vs %d dating rounds, history %v vs %v",
-				shards, got.DatingRounds, ref.DatingRounds, got.History, ref.History)
+				shards, got.Rounds, ref.Rounds, got.History, ref.History)
 		}
 	}
 }
 
 func TestRunLiveEnginesAgree(t *testing.T) {
-	// All three substrates — goroutine-per-peer, its sequential twin, and
-	// the sharded runtime — share per-peer stream derivation and must give
-	// exactly the same spreading trajectory under the perfect-sync model.
-	cfg := LiveConfig{Profile: bandwidth.Homogeneous(1500, 1)}
-	base := LiveOptions{Seed: 23}
-	variants := []LiveOptions{}
-	for _, concurrent := range []bool{false, true} {
-		o := base
-		o.Engine, o.Concurrent = LiveGoroutine, concurrent
-		variants = append(variants, o)
-	}
-	for _, shards := range []int{1, 4} {
-		o := base
-		o.Engine, o.Shards = LiveSharded, shards
-		variants = append(variants, o)
-	}
-	var ref LiveResult
-	for i, o := range variants {
-		res, err := RunLive(cfg, o)
+	// The goroutine engine, the test oracle, and the sharded runtime share
+	// per-peer stream derivation and must give exactly the same result
+	// under the perfect-sync model. n = 17 and 1000 at the seed-compat
+	// golden's seed are the facade's golden cells.
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+	}{
+		{1500, 23},
+		{17, run.SeedFor(0xC0FFEE, run.DomainLive)},
+		{1000, run.SeedFor(0xC0FFEE, run.DomainLive)},
+	} {
+		cfg := LiveConfig{Profile: bandwidth.Homogeneous(tc.n, 1)}
+		ref, err := runLive(cfg, LiveOptions{Seed: tc.seed}, oracleClock)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			ref = res
-			if !ref.Completed {
-				t.Fatalf("spread incomplete after %d dating rounds", ref.DatingRounds)
-			}
-			continue
+		if !ref.Completed {
+			t.Fatalf("n=%d: spread incomplete after %d dating rounds", tc.n, ref.Rounds)
 		}
-		if !reflect.DeepEqual(res, ref) {
-			t.Fatalf("engine variant %d diverged: history %v vs %v", i, res.History, ref.History)
+		for _, shards := range []int{1, 4} {
+			res, err := RunLive(cfg, LiveOptions{Seed: tc.seed, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatalf("n=%d shards=%d diverged from the goroutine engine: history %v vs %v",
+					tc.n, shards, res.History, ref.History)
+			}
 		}
 	}
 }
@@ -267,7 +239,7 @@ func TestRunLiveNetModelSensitivity(t *testing.T) {
 	run := func(net live.NetModel) LiveResult {
 		res, err := RunLive(
 			LiveConfig{Profile: bandwidth.Homogeneous(2000, 1)},
-			LiveOptions{Seed: 29, Engine: LiveSharded, Shards: 2, Net: net},
+			LiveOptions{Seed: 29, Shards: 2, Net: net},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -286,22 +258,12 @@ func TestRunLiveNetModelSensitivity(t *testing.T) {
 	} {
 		res := run(net)
 		if !res.Completed {
-			t.Fatalf("%s: incomplete after %d dating rounds", name, res.DatingRounds)
+			t.Fatalf("%s: incomplete after %d dating rounds", name, res.Rounds)
 		}
-		if res.DatingRounds < sync.DatingRounds {
+		if res.Rounds < sync.Rounds {
 			t.Fatalf("%s: degraded network spread FASTER (%d vs %d dating rounds)",
-				name, res.DatingRounds, sync.DatingRounds)
+				name, res.Rounds, sync.Rounds)
 		}
-	}
-}
-
-func TestRunLiveGoroutineRejectsNetModel(t *testing.T) {
-	_, err := RunLive(
-		LiveConfig{Profile: bandwidth.Homogeneous(16, 1)},
-		LiveOptions{Net: live.Loss{P: 0.1}},
-	)
-	if err == nil {
-		t.Fatal("goroutine engine accepted a network model")
 	}
 }
 
@@ -316,7 +278,7 @@ func TestRunLiveShardedOverlap(t *testing.T) {
 			defer wg.Done()
 			res, err := RunLive(
 				LiveConfig{Profile: bandwidth.Homogeneous(800, 1)},
-				LiveOptions{Seed: 37, Engine: LiveSharded, Shards: 3},
+				LiveOptions{Seed: 37, Shards: 3},
 			)
 			if err != nil {
 				t.Error(err)
@@ -331,10 +293,4 @@ func TestRunLiveShardedOverlap(t *testing.T) {
 			t.Fatalf("overlapping run %d diverged", i)
 		}
 	}
-}
-
-// liveStep is the slice-returning form of the handshake step, used by the
-// single-phase unit tests above.
-func liveStep(profile bandwidth.Profile, sel core.Selector, st *livePeerState) simnet.StepFunc {
-	return adaptStep(liveEmitStep(profile, sel, st))
 }

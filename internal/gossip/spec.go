@@ -3,9 +3,9 @@ package gossip
 // This file implements the unified-runner specs (run.Spec) for the three
 // gossip protocols: single-rumor spreading, multi-rumor spreading, and the
 // fully message-level live run. The configs carry only the protocol; the
-// orthogonal axes — seed, worker budget, execution substrate, network
-// model — come exclusively from the run options, which is what keeps the
-// axes orthogonal to the protocol choice.
+// orthogonal axes — seed, worker budget, network model — come exclusively
+// from the run options, which is what keeps the axes orthogonal to the
+// protocol choice.
 
 import (
 	"repro/internal/run"
@@ -60,24 +60,9 @@ func (c MultiRumorConfig) Execute(o *run.Options) (run.Report, error) {
 // Protocol implements run.Spec.
 func (c LiveConfig) Protocol() string { return "live" }
 
-// Execute implements run.Spec under liveOptionsFor(o, DomainLive). Under
-// the perfect-sync model every engine and every worker count yields the
-// identical report. Trajectory is the informed-peer history; Detail the full
-// LiveResult.
+// Execute implements run.Spec under liveOptionsFor(o, DomainLive): every
+// worker count yields the identical report. Trajectory is the informed-peer
+// history; Detail the full LiveResult.
 func (c LiveConfig) Execute(o *run.Options) (run.Report, error) {
-	res, err := RunLive(c, liveOptionsFor(o, run.DomainLive))
-	if err != nil {
-		return run.Report{}, err
-	}
-	return run.Report{
-		Rounds:     res.DatingRounds,
-		Completed:  res.Completed,
-		Trajectory: res.History,
-		Sent:       res.SentHistory,
-		Messages:   res.Traffic.Sent,
-		Dropped:    res.Traffic.Dropped,
-		Clamped:    res.Traffic.Clamped,
-		MaxInLoad:  res.MaxInPayloads,
-		Detail:     res,
-	}, nil
+	return execute(RunLive(c, liveOptionsFor(o, run.DomainLive)))
 }

@@ -10,10 +10,10 @@ package gossip
 // and the final spread fraction becomes the quantity of interest.
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bandwidth"
-	"repro/internal/exch"
 	"repro/internal/graph"
 	"repro/internal/live"
 	"repro/internal/rng"
@@ -69,108 +69,17 @@ type TopologyConfig struct {
 	MaxRounds int
 }
 
-// TopologyResult reports a graph-constrained spreading run.
+// TopologyResult reports a graph-constrained spreading run; History is the
+// informed count (spreaders + stiflers) after each round.
 type TopologyResult struct {
-	Rounds    int
-	Completed bool
-	// History is the informed count (spreaders + stiflers) after each round.
-	History []int
+	Stepped
 	// SpreaderHist / StiflerHist split the informed count by state.
 	SpreaderHist []int
 	StiflerHist  []int
-	// SentHistory is the number of messages routed per round.
-	SentHistory []int
 	// FinalSpread is the informed fraction when the run stopped — the
 	// epidemic-size observable of the rumor literature (< 1 when stifling
 	// killed the rumor early).
 	FinalSpread float64
-	Traffic     simnet.Stats
-}
-
-// topoState is the per-peer SIR state, laid out as one contiguous cell block
-// per shard — the owning shard is the only writer of its block, so blocks of
-// different shards never share a slice (the -race suite pins this layout).
-// The partition mirrors the runtime's exactly via live.EffectiveShards.
-//
-// tally, on the sharded runtime, is one state histogram per shard, kept
-// current by the shard that owns the changing peer, so the coordinator sums
-// a few cells between rounds instead of scanning n. It is nil on the
-// goroutine engine, whose concurrent mode steps the peers of its single
-// block from many goroutines: there counts recounts — which is also the
-// reference the tallies are tested against.
-type topoState struct {
-	part  exch.Partition
-	start []int // start[o] = part.Start(o), so that cell divides nothing
-	cells [][]uint8
-	tally []topoTally
-}
-
-// topoTally counts one shard's peers by SIR state, padded to a cache line
-// so that neighbouring shards' updates do not contend.
-type topoTally struct {
-	n [3]int64
-	_ [40]byte
-}
-
-func newTopoState(n, parts int, tallied bool) *topoState {
-	st := &topoState{part: exch.NewPartition(n, parts), start: make([]int, parts)}
-	st.cells = make([][]uint8, parts)
-	for o := range st.cells {
-		lo, hi := st.part.Range(o)
-		st.start[o] = lo
-		st.cells[o] = make([]uint8, hi-lo)
-	}
-	if tallied {
-		st.tally = make([]topoTally, parts)
-		for o := range st.tally {
-			st.tally[o].n[topoIgnorant] = int64(len(st.cells[o]))
-		}
-	}
-	return st
-}
-
-// cell locates peer i: its owning shard and its state cell.
-func (st *topoState) cell(i int) (o int, c *uint8) {
-	o = st.part.Owner(i)
-	return o, &st.cells[o][i-st.start[o]]
-}
-
-// move changes a cell of shard o to state v, keeping o's tally current;
-// while the runtime is stepping only shard o itself may call it.
-func (st *topoState) move(o int, c *uint8, v uint8) {
-	if st.tally != nil {
-		st.tally[o].n[*c]--
-		st.tally[o].n[v]++
-	}
-	*c = v
-}
-
-// counts returns the spreader and stifler totals; called by the coordinator
-// between rounds, when the shards are quiescent.
-func (st *topoState) counts() (spreaders, stiflers int) {
-	if st.tally == nil {
-		return st.recount()
-	}
-	for o := range st.tally {
-		spreaders += int(st.tally[o].n[topoSpreader])
-		stiflers += int(st.tally[o].n[topoStifler])
-	}
-	return
-}
-
-// recount tallies the states by scanning every cell.
-func (st *topoState) recount() (spreaders, stiflers int) {
-	for _, cell := range st.cells {
-		for _, v := range cell {
-			switch v {
-			case topoSpreader:
-				spreaders++
-			case topoStifler:
-				stiflers++
-			}
-		}
-	}
-	return
 }
 
 // topoStep builds the per-peer spreader/stifler state machine. All
@@ -186,10 +95,9 @@ func (st *topoState) recount() (spreaders, stiflers int) {
 // with an empty inbox falls through both blocks below without a draw, an
 // emission or a state change, which is what the runtime's sleep contract
 // asks of a peer that reports false.
-func topoStep(sampler graph.Sampler, st *topoState, alpha, lambda, delta float64) live.ActiveStepFunc {
+func topoStep(sampler graph.Sampler, st *peerStates, alpha, lambda, delta float64) live.ActiveStepFunc {
 	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
-		o, cell := st.cell(node)
-		state := *cell
+		state := st.of[node]
 		for _, m := range inbox {
 			switch m.Kind {
 			case kindTopoContact:
@@ -214,9 +122,7 @@ func topoStep(sampler graph.Sampler, st *topoState, alpha, lambda, delta float64
 				emit(simnet.Message{To: nb, Kind: kindTopoContact, A: 1})
 			}
 		}
-		if state != *cell {
-			st.move(o, cell, state)
-		}
+		st.set(node, state)
 		return state == topoSpreader
 	}
 }
@@ -233,9 +139,13 @@ func topoSampler(cfg TopologyConfig) (graph.Sampler, error) {
 	return graph.NewWeightedNeighbors(cfg.Graph, meanBandwidth(cfg.Profile))
 }
 
-// RunTopology executes graph-constrained spreader/stifler spreading on a
-// live message engine.
+// RunTopology executes graph-constrained spreader/stifler spreading on the
+// round runtime.
 func RunTopology(cfg TopologyConfig, o LiveOptions) (TopologyResult, error) {
+	return runTopology(cfg, o, roundClock)
+}
+
+func runTopology(cfg TopologyConfig, o LiveOptions, clk clock) (TopologyResult, error) {
 	if cfg.Graph == nil || cfg.Graph.N() == 0 {
 		return TopologyResult{}, fmt.Errorf("gossip: topology run needs a graph")
 	}
@@ -243,9 +153,9 @@ func RunTopology(cfg TopologyConfig, o LiveOptions) (TopologyResult, error) {
 	if cfg.Source < 0 || cfg.Source >= n {
 		return TopologyResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	if cfg.Alpha < 0 || cfg.Alpha > 1 || cfg.Lambda < 0 || cfg.Lambda > 1 || cfg.Delta < 0 || cfg.Delta > 1 {
-		return TopologyResult{}, fmt.Errorf("gossip: topology rates must lie in [0,1], got alpha=%v lambda=%v delta=%v",
-			cfg.Alpha, cfg.Lambda, cfg.Delta)
+	if err := errors.Join(unitInterval("topology alpha", cfg.Alpha), unitInterval("topology lambda", cfg.Lambda),
+		unitInterval("topology delta", cfg.Delta)); err != nil {
+		return TopologyResult{}, err
 	}
 	lambda := cfg.Lambda
 	if lambda == 0 {
@@ -260,14 +170,13 @@ func RunTopology(cfg TopologyConfig, o LiveOptions) (TopologyResult, error) {
 		maxRounds = defaultRoundCap(n)
 	}
 
-	st := newTopoState(n, o.blocks(n), o.Engine == LiveSharded)
-	so, sc := st.cell(cfg.Source)
-	st.move(so, sc, topoSpreader)
-
-	runRounds, err := o.runner(n, nil, topoStep(sampler, st, cfg.Alpha, lambda, cfg.Delta))
+	st := newPeerStates(n) // states topoSpreader and topoStifler are counted
+	tick, cuts, err := clk(n, o, nil, topoStep(sampler, &st, cfg.Alpha, lambda, cfg.Delta))
 	if err != nil {
 		return TopologyResult{}, err
 	}
+	st.key(cuts, 2)
+	st.set(cfg.Source, topoSpreader)
 	maxDelay := 1
 	if o.Net != nil {
 		maxDelay = o.Net.MaxDelay()
@@ -276,44 +185,28 @@ func RunTopology(cfg TopologyConfig, o LiveOptions) (TopologyResult, error) {
 	tr := o.Obs.Track("topology", 1)
 	gSpread := tr.Gauge("spreaders")
 	gStifle := tr.Gauge("stiflers")
-
 	var res TopologyResult
-	var prevSent int64
-	informed := 0
 	quiet := 0
-	for round := 1; round <= maxRounds; round++ {
-		res.Traffic = runRounds(1)
-		res.SentHistory = append(res.SentHistory, int(res.Traffic.Sent-prevSent))
-		prevSent = res.Traffic.Sent
-		spreaders, stiflers := st.counts()
-		informed = spreaders + stiflers
-		res.Rounds = round
-		res.History = append(res.History, informed)
+	res.Stepped = drive(tick, 0, 1, maxRounds, tr, func(round int) (int, bool) {
+		spreaders, stiflers := st.count(topoSpreader), st.count(topoStifler)
 		res.SpreaderHist = append(res.SpreaderHist, spreaders)
 		res.StiflerHist = append(res.StiflerHist, stiflers)
 		gSpread.Sample(round, int64(spreaders))
 		gStifle.Sample(round, int64(stiflers))
-		tr.Barrier()
-		if spreaders == 0 {
-			// No spreader emitted a contact this round; once that holds for
-			// maxDelay consecutive rounds no stale contact from an earlier
-			// round is in flight either, so the epidemic is over. (Informed
-			// peers still answer contacts, so full spread alone does not
-			// quiesce traffic — stop there too.)
-			quiet++
-			if quiet >= maxDelay {
-				res.Completed = true
-				break
-			}
-		} else {
+		informed := spreaders + stiflers
+		if spreaders > 0 {
 			quiet = 0
-			if informed == n {
-				res.Completed = true
-				break
-			}
+			return informed, informed == n
 		}
-	}
-	res.FinalSpread = float64(informed) / float64(n)
+		// No spreader emitted a contact this round; once that holds for
+		// maxDelay consecutive rounds no stale contact from an earlier
+		// round is in flight either, so the epidemic is over. (Informed
+		// peers still answer contacts, so full spread alone does not
+		// quiesce traffic — stop there too.)
+		quiet++
+		return informed, quiet >= maxDelay
+	})
+	res.FinalSpread = float64(res.History[len(res.History)-1]) / float64(n)
 	return res, nil
 }
 
@@ -324,18 +217,5 @@ func (c TopologyConfig) Protocol() string { return "topology" }
 // Trajectory is the informed-peer history; Detail the full TopologyResult
 // (spreader/stifler split, final spread fraction).
 func (c TopologyConfig) Execute(o *run.Options) (run.Report, error) {
-	res, err := RunTopology(c, liveOptionsFor(o, run.DomainTopology))
-	if err != nil {
-		return run.Report{}, err
-	}
-	return run.Report{
-		Rounds:     res.Rounds,
-		Completed:  res.Completed,
-		Trajectory: res.History,
-		Sent:       res.SentHistory,
-		Messages:   res.Traffic.Sent,
-		Dropped:    res.Traffic.Dropped,
-		Clamped:    res.Traffic.Clamped,
-		Detail:     res,
-	}, nil
+	return execute(RunTopology(c, liveOptionsFor(o, run.DomainTopology)))
 }

@@ -2,11 +2,12 @@ package gossip
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bandwidth"
 	"repro/internal/graph"
-	"repro/internal/live"
 	"repro/internal/rng"
 	"repro/internal/run"
 )
@@ -35,32 +36,32 @@ func topoTrajectory(t *testing.T, cfg TopologyConfig, o LiveOptions) TopologyRes
 func TestTopologyShardIdentity(t *testing.T) {
 	g := mustBA(t, 3000, 3, 7)
 	cfg := TopologyConfig{Graph: g, Source: 0, Alpha: 0.4, Delta: 0.02}
-	base := topoTrajectory(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: 1})
+	base := topoTrajectory(t, cfg, LiveOptions{Seed: 42, Shards: 1})
 	if base.Rounds == 0 || base.History[0] == 0 {
 		t.Fatalf("degenerate base run: %+v", base)
 	}
 	for _, shards := range []int{2, 4, 8} {
-		res := topoTrajectory(t, cfg, LiveOptions{Seed: 42, Engine: LiveSharded, Shards: shards})
+		res := topoTrajectory(t, cfg, LiveOptions{Seed: 42, Shards: shards})
 		if fmt.Sprint(res) != fmt.Sprint(base) {
 			t.Errorf("shards=%d diverged:\n got %+v\nwant %+v", shards, res, base)
 		}
 	}
 }
 
-// TestTopologyEngineIdentity pins that the goroutine engine (sequential and
-// concurrent) reproduces the sharded runtime bit for bit — all engines share
-// the per-peer stream derivation.
+// TestTopologyEngineIdentity pins that the goroutine engine, the test
+// oracle, reproduces the sharded runtime bit for bit: both share the
+// per-peer stream derivation, and the oracle steps every peer whatever its
+// step answers, so a peer that wrongly reports "asleep" diverges.
 func TestTopologyEngineIdentity(t *testing.T) {
 	g := mustBA(t, 800, 2, 3)
 	cfg := TopologyConfig{Graph: g, Source: 5, Alpha: 0.3, Delta: 0.01}
-	sharded := topoTrajectory(t, cfg, LiveOptions{Seed: 9, Engine: LiveSharded, Shards: 3})
-	seq := topoTrajectory(t, cfg, LiveOptions{Seed: 9, Engine: LiveGoroutine})
-	conc := topoTrajectory(t, cfg, LiveOptions{Seed: 9, Engine: LiveGoroutine, Concurrent: true})
-	if fmt.Sprint(seq) != fmt.Sprint(sharded) {
-		t.Errorf("sequential engine diverged:\n got %+v\nwant %+v", seq, sharded)
+	sharded := topoTrajectory(t, cfg, LiveOptions{Seed: 9, Shards: 3})
+	oracle, err := runTopology(cfg, LiveOptions{Seed: 9}, oracleClock)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fmt.Sprint(conc) != fmt.Sprint(sharded) {
-		t.Errorf("concurrent engine diverged:\n got %+v\nwant %+v", conc, sharded)
+	if fmt.Sprint(oracle) != fmt.Sprint(sharded) {
+		t.Errorf("goroutine engine diverged:\n got %+v\nwant %+v", oracle, sharded)
 	}
 }
 
@@ -71,7 +72,7 @@ func TestTopologyShardLocalState(t *testing.T) {
 	g := mustBA(t, 1200, 3, 11)
 	for _, shards := range []int{1, 4} {
 		res := topoTrajectory(t, TopologyConfig{Graph: g, Source: 0, Alpha: 0.2},
-			LiveOptions{Seed: 4, Engine: LiveSharded, Shards: shards})
+			LiveOptions{Seed: 4, Shards: shards})
 		if !res.Completed {
 			t.Errorf("shards=%d: run did not complete", shards)
 		}
@@ -89,7 +90,7 @@ func TestTopologyCompleteGraphMatchesPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := topoTrajectory(t, TopologyConfig{Graph: g, Source: 0},
-		LiveOptions{Seed: 21, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 21, Shards: 2})
 	if !res.Completed {
 		t.Fatal("complete-graph run did not complete")
 	}
@@ -112,7 +113,7 @@ func TestTopologyCompleteGraphMatchesPush(t *testing.T) {
 func TestTopologyStiflingLimitsSpread(t *testing.T) {
 	g := mustBA(t, 5000, 3, 13)
 	res := topoTrajectory(t, TopologyConfig{Graph: g, Source: 0, Alpha: 0.9, Delta: 0.1},
-		LiveOptions{Seed: 17, Engine: LiveSharded, Shards: 4})
+		LiveOptions{Seed: 17, Shards: 4})
 	if !res.Completed {
 		t.Fatal("stifled run did not terminate")
 	}
@@ -142,7 +143,7 @@ func TestTopologyWeightedSampler(t *testing.T) {
 	g := mustBA(t, 500, 2, 5)
 	p := bandwidth.Homogeneous(500, 2)
 	res := topoTrajectory(t, TopologyConfig{Graph: g, Profile: p, Weighted: true, Source: 0, Alpha: 0.5},
-		LiveOptions{Seed: 2, Engine: LiveSharded, Shards: 2})
+		LiveOptions{Seed: 2, Shards: 2})
 	if !res.Completed {
 		t.Error("weighted run did not complete")
 	}
@@ -151,20 +152,25 @@ func TestTopologyWeightedSampler(t *testing.T) {
 	}
 }
 
-// TestTopologyValidation pins the config error paths.
+// TestTopologyValidation pins the config error paths; each error names
+// what it rejects.
 func TestTopologyValidation(t *testing.T) {
 	g := mustBA(t, 50, 2, 1)
-	if _, err := RunTopology(TopologyConfig{}, LiveOptions{}); err == nil {
-		t.Error("nil graph should be rejected")
-	}
-	if _, err := RunTopology(TopologyConfig{Graph: g, Source: 50}, LiveOptions{}); err == nil {
-		t.Error("out-of-range source should be rejected")
-	}
-	if _, err := RunTopology(TopologyConfig{Graph: g, Alpha: 1.5}, LiveOptions{}); err == nil {
-		t.Error("alpha > 1 should be rejected")
-	}
-	if _, err := RunTopology(TopologyConfig{Graph: g, Delta: -0.1}, LiveOptions{}); err == nil {
-		t.Error("negative delta should be rejected")
+	for _, tc := range []struct {
+		cfg  TopologyConfig
+		want string
+	}{
+		{TopologyConfig{}, "graph"},
+		{TopologyConfig{Graph: g, Source: 50}, "source"},
+		{TopologyConfig{Graph: g, Alpha: 1.5}, "alpha"},
+		{TopologyConfig{Graph: g, Alpha: math.NaN()}, "alpha"},
+		{TopologyConfig{Graph: g, Lambda: math.NaN()}, "lambda"},
+		{TopologyConfig{Graph: g, Delta: -0.1}, "delta"},
+		{TopologyConfig{Graph: g, Delta: math.NaN()}, "delta"},
+	} {
+		if _, err := RunTopology(tc.cfg, LiveOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want one naming %q", tc.cfg, err, tc.want)
+		}
 	}
 }
 
@@ -195,49 +201,5 @@ func TestTopologySpec(t *testing.T) {
 	}
 	if det.Rounds != rep1.Rounds || len(rep1.Sent) != rep1.Rounds {
 		t.Errorf("report shape mismatch: rounds %d/%d, sent len %d", det.Rounds, rep1.Rounds, len(rep1.Sent))
-	}
-	// The goroutine engine agrees through the spec layer too.
-	repG, err := run.Run(cfg, run.WithSeed(8), run.WithEngine(run.EngineGoroutine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(repG.Trajectory) != fmt.Sprint(rep1.Trajectory) {
-		t.Errorf("goroutine engine diverged through spec: %v vs %v", repG.Trajectory, rep1.Trajectory)
-	}
-}
-
-// TestTopologyTalliesMatchRecount pins the per-shard state tallies against
-// the full recount they replace, after every round, at several shard
-// counts; under -race it also pins that each tally cell has
-// one writer. The runtime is driven round by round, as RunTopology does.
-func TestTopologyTalliesMatchRecount(t *testing.T) {
-	g := mustBA(t, 3000, 3, 7)
-	sampler, err := graph.NewUniformNeighbors(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		st := newTopoState(g.N(), live.EffectiveShards(g.N(), shards), true)
-		o, c := st.cell(0)
-		st.move(o, c, topoSpreader)
-		rt, err := live.New(live.Config{N: g.N(), Seed: 42, Shards: shards,
-			ActiveStep: topoStep(sampler, st, 0.4, 1, 0.02)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stiflers := 0
-		for round := 0; round < 60; round++ {
-			rt.Run(1)
-			sp, sf := st.counts()
-			wantSp, wantSf := st.recount()
-			if sp != wantSp || sf != wantSf {
-				t.Fatalf("shards=%d round %d: tallies say %d spreaders, %d stiflers; recount %d, %d",
-					shards, round, sp, sf, wantSp, wantSf)
-			}
-			stiflers = sf
-		}
-		if stiflers == 0 {
-			t.Errorf("shards=%d: the spread never stifled anyone", shards)
-		}
 	}
 }

@@ -66,18 +66,8 @@ func PeerSeed(seed uint64, i int) uint64 {
 // indexed by node, but must not touch any shared state: peers of different
 // shards run concurrently. The emit-callback shape (instead of returning a
 // slice, as simnet.StepFunc does) lets the runtime route messages without a
-// per-peer allocation; Adapt converts a simnet.StepFunc.
+// per-peer allocation.
 type StepFunc func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message))
-
-// Adapt wraps a slice-returning simnet.StepFunc as a StepFunc, so protocol
-// code written for the legacy engines runs on the sharded runtime unchanged.
-func Adapt(step simnet.StepFunc) StepFunc {
-	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
-		for _, m := range step(node, round, inbox, s) {
-			emit(m)
-		}
-	}
-}
 
 // ActiveStepFunc is a StepFunc that reports whether its peer stays awake.
 // A peer that reported false is not stepped again until it has mail, so
@@ -195,17 +185,15 @@ func New(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// EffectiveShards returns the worker count New runs with for a configured
-// Shards value over n peers (0 selects GOMAXPROCS, capped at n), so that
-// protocols keeping per-peer state in shard-owned contiguous blocks (see
-// internal/gossip's topology state) can size their partition to match.
-func EffectiveShards(n, shards int) int { return shardrt.EffectiveShards(n, shards) }
-
 // N returns the peer count.
 func (rt *Runtime) N() int { return rt.core.N() }
 
 // Shards returns the effective worker count.
 func (rt *Runtime) Shards() int { return rt.core.Shards() }
+
+// Cuts returns the step ranges: shard w steps the peers of [cuts[w],
+// cuts[w+1]), and only it writes their protocol state.
+func (rt *Runtime) Cuts() []int { return rt.core.Cuts() }
 
 // Round returns the next round number Run will execute.
 func (rt *Runtime) Round() int { return rt.round }

@@ -8,10 +8,10 @@
 //
 // The facade used to grow one entrypoint per subsystem, each with its own
 // signature (some took a *rng.Stream, some buried the seed in the config)
-// and with Workers/Engine/Net duplicated across four config structs. The
-// runner collapses that N×M surface: a protocol config implements Spec, and
-// the axes that are orthogonal to the protocol — seed, worker budget,
-// execution substrate, network model, tracing — are options:
+// and with Workers/Net duplicated across four config structs. The runner
+// collapses that N×M surface: a protocol config implements Spec, and the
+// axes that are orthogonal to the protocol — seed, worker budget, network
+// model, tracing — are options:
 //
 //	rep, err := run.Run(cfg,
 //	    run.WithSeed(42),
@@ -43,7 +43,6 @@ package run
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/live"
@@ -78,21 +77,6 @@ func SeedFor(seed, domain uint64) uint64 { return rng.Derive(seed, domain) }
 // entrypoint reproduces Run(spec, WithSeed(seed)) bit for bit.
 func StreamFor(seed, domain uint64) *rng.Stream { return rng.New(SeedFor(seed, domain)) }
 
-// Engine selects the execution substrate for protocols that have more than
-// one (today: the live message-level runs).
-type Engine int
-
-const (
-	// EngineDefault lets the protocol pick its production substrate (for
-	// live runs, the sharded runtime).
-	EngineDefault Engine = iota
-	// EngineGoroutine is the goroutine-per-peer demonstration engine.
-	EngineGoroutine
-	// EngineSharded is the sharded flat-buffer runtime; it scales to
-	// millions of peers and accepts a NetModel.
-	EngineSharded
-)
-
 // Options carries the orthogonal axes of a run. Specs read it in Execute;
 // construct it through Run's functional options, never literally.
 type Options struct {
@@ -104,8 +88,6 @@ type Options struct {
 	// Budget is the shared token pool the protocol's rounds draw from;
 	// Run sizes it from Workers when the caller did not share one.
 	Budget *par.Budget
-	// Engine picks the execution substrate where the protocol has several.
-	Engine Engine
 	// Net plugs a network model into message-level substrates; nil is the
 	// paper's perfect-sync network.
 	Net live.NetModel
@@ -134,10 +116,6 @@ func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 // pure speed knob: every worker count produces the same report.
 func WithWorkers(k int) Option { return func(o *Options) { o.Workers = k } }
 
-// WithEngine selects the execution substrate for protocols that have more
-// than one; protocols with a single substrate ignore it.
-func WithEngine(e Engine) Option { return func(o *Options) { o.Engine = e } }
-
 // WithNet plugs a network model — latency, loss, churn — into the run.
 // Only message-level protocols (live spreading) consult it.
 func WithNet(m live.NetModel) Option { return func(o *Options) { o.Net = m } }
@@ -163,20 +141,6 @@ func WithBudget(b *par.Budget) Option { return func(o *Options) { o.Budget = b }
 // one (the spec-table identity matrix in internal/sim pins this for every
 // protocol at several worker counts).
 func WithObserver(o *obs.Observer) Option { return func(opts *Options) { opts.Obs = o } }
-
-// defaultObserver is the process-wide fallback observer consulted when a
-// run carries no explicit WithObserver. It exists for hetsim -experiment:
-// the registry experiments build their run options internally, so
-// -trace/-metrics attach the observer here instead. Because
-// observers are read-only, the global can never change a result.
-var defaultObserver atomic.Pointer[obs.Observer]
-
-// SetDefaultObserver installs (or, with nil, removes) the process-wide
-// fallback observer.
-func SetDefaultObserver(o *obs.Observer) { defaultObserver.Store(o) }
-
-// DefaultObserver returns the process-wide fallback observer, or nil.
-func DefaultObserver() *obs.Observer { return defaultObserver.Load() }
 
 // Report is the unified outcome every protocol emits: enough for the sim
 // registry, hetsim and the benchmark to consume any run
@@ -215,7 +179,7 @@ type Report struct {
 	Workers int    `json:"workers"`
 	// Metrics is the aggregated instrumentation of the run — phase
 	// wall-clock totals and per-round gauge summaries — when an observer
-	// was attached (WithObserver or the CLI default); nil otherwise.
+	// was attached with WithObserver; nil otherwise.
 	Metrics *obs.Metrics `json:"metrics,omitempty"`
 	// Detail is the protocol-native result (gossip.Result, storage.Result,
 	// ...) for callers that need fields the unified shape does not carry.
@@ -236,8 +200,7 @@ type Spec interface {
 
 // Run executes a protocol spec under the given options and returns its
 // unified report. The report is a pure function of (spec, seed): the worker
-// budget, the engine choice (under the perfect-sync network) and shared
-// budgets only change wall-clock time.
+// budget and shared budgets only change wall-clock time.
 func Run(spec Spec, opts ...Option) (Report, error) {
 	if spec == nil {
 		return Report{}, fmt.Errorf("run: nil spec")
@@ -255,9 +218,6 @@ func Run(spec Spec, opts ...Option) (Report, error) {
 			return Report{}, err
 		}
 		o.Budget = b
-	}
-	if o.Obs == nil {
-		o.Obs = defaultObserver.Load()
 	}
 	mark := o.Obs.Mark()
 	start := time.Now()

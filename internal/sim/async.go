@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/run"
 	"repro/internal/stats"
@@ -81,8 +82,8 @@ func milestone(traj []int, n int, frac, timePerStep float64) float64 {
 // spread curve. timePerStep converts trajectory indices to clock time: 1
 // for both the synchronous protocols (one round = one time unit) and the
 // async runtime at the default bucket width.
-func compareRow(n int, profile, mode string, spec run.Spec, workers int, seed uint64) (AsyncCompareRow, error) {
-	rep, err := run.Run(spec, run.WithSeed(seed), run.WithWorkers(workers))
+func compareRow(n int, profile, mode string, spec run.Spec, workers int, seed uint64, o *obs.Observer) (AsyncCompareRow, error) {
+	rep, err := run.Run(spec, run.WithSeed(seed), run.WithWorkers(workers), run.WithObserver(o))
 	if err != nil {
 		return AsyncCompareRow{}, fmt.Errorf("sim: async compare %s/%s n=%d: %w", profile, mode, n, err)
 	}
@@ -106,7 +107,7 @@ func compareRow(n int, profile, mode string, spec run.Spec, workers int, seed ui
 // heterogeneous regime at n=20000. The workers knob is a pure speed knob
 // (the async runtime's shard count); every table is bit-identical for any
 // value.
-func RunAsyncCompare(scale Scale, seed uint64, workers int) (AsyncCompareResult, error) {
+func RunAsyncCompare(scale Scale, seed uint64, workers int, o *obs.Observer) (AsyncCompareResult, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -119,13 +120,13 @@ func RunAsyncCompare(scale Scale, seed uint64, workers int) (AsyncCompareResult,
 	var res AsyncCompareResult
 	for _, n := range ns {
 		row, err := compareRow(n, "unit", "sync-push-pull",
-			gossip.Config{Algorithm: gossip.PushPull, N: n}, workers, seed)
+			gossip.Config{Algorithm: gossip.PushPull, N: n}, workers, seed, o)
 		if err != nil {
 			return AsyncCompareResult{}, err
 		}
 		res.Rows = append(res.Rows, row)
 		row, err = compareRow(n, "unit", "async",
-			gossip.AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, workers, seed)
+			gossip.AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, workers, seed, o)
 		if err != nil {
 			return AsyncCompareResult{}, err
 		}
@@ -141,13 +142,13 @@ func RunAsyncCompare(scale Scale, seed uint64, workers int) (AsyncCompareResult,
 		return AsyncCompareResult{}, err
 	}
 	row, err := compareRow(nHet, "zipf", "sync-dating",
-		gossip.Config{Algorithm: gossip.Dating, Profile: prof}, workers, seed)
+		gossip.Config{Algorithm: gossip.Dating, Profile: prof}, workers, seed, o)
 	if err != nil {
 		return AsyncCompareResult{}, err
 	}
 	res.Rows = append(res.Rows, row)
 	row, err = compareRow(nHet, "zipf", "async",
-		gossip.AsyncConfig{Profile: prof}, workers, seed)
+		gossip.AsyncConfig{Profile: prof}, workers, seed, o)
 	if err != nil {
 		return AsyncCompareResult{}, err
 	}

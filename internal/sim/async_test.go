@@ -9,7 +9,7 @@ func TestAsyncCompareQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sync-vs-async comparison end to end")
 	}
-	res, err := RunAsyncCompare(ScaleQuick, 42, 2)
+	res, err := RunAsyncCompare(ScaleQuick, 42, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestAsyncCompareWorkersByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the comparison twice")
 	}
-	a, err := RunAsyncCompare(ScaleQuick, 7, 1)
+	a, err := RunAsyncCompare(ScaleQuick, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunAsyncCompare(ScaleQuick, 7, 4)
+	b, err := RunAsyncCompare(ScaleQuick, 7, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/run"
@@ -93,7 +94,7 @@ type consensusJob struct {
 // plurality lock-in level in its agreement column. Jobs fan across workers
 // goroutines with per-job derived seeds, so the table is byte-identical for
 // every worker count.
-func RunConsensusSweep(scale Scale, seed uint64, workers int) (ConsensusSweepResult, error) {
+func RunConsensusSweep(scale Scale, seed uint64, workers int, o *obs.Observer) (ConsensusSweepResult, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -145,7 +146,7 @@ func RunConsensusSweep(scale Scale, seed uint64, workers int) (ConsensusSweepRes
 		if job.rule == gossip.RuleWeighted {
 			cfg.Profile = job.profile
 		}
-		rep, err := run.Run(cfg, run.WithSeed(rng.Derive(seed, domainConsensusJobs, uint64(j), 4)))
+		rep, err := run.Run(cfg, run.WithSeed(rng.Derive(seed, domainConsensusJobs, uint64(j), 4)), run.WithObserver(o))
 		if err != nil {
 			return fmt.Errorf("sim: consensus %s K=%d %v %v: %w", job.name, job.k, job.seeding, job.rule, err)
 		}

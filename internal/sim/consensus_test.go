@@ -6,11 +6,11 @@ import "testing"
 // the consensus sweep: the rendered table is byte-identical for every -par
 // value.
 func TestConsensusSweepParIdentity(t *testing.T) {
-	r1, err := RunConsensusSweep(ScaleQuick, 42, 1)
+	r1, err := RunConsensusSweep(ScaleQuick, 42, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := RunConsensusSweep(ScaleQuick, 42, 4)
+	r4, err := RunConsensusSweep(ScaleQuick, 42, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestConsensusSweepParIdentity(t *testing.T) {
 // global lead), and the winner of a converged latest row being the
 // last-stamped variant K.
 func TestConsensusSweepShape(t *testing.T) {
-	res, err := RunConsensusSweep(ScaleQuick, 7, 2)
+	res, err := RunConsensusSweep(ScaleQuick, 7, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
 	"repro/internal/live"
+	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/stats"
 )
@@ -81,7 +82,7 @@ func liveModels(seed uint64, n int) []liveModel {
 // table at n=10^5 (minutes). The workers knob sets the runtime's shard
 // count — the live runtime is bit-identical for every shard count, so
 // workers only changes wall-clock time (the timing columns).
-func RunLiveScaled(scale Scale, seed uint64, workers int) (LiveSweepResult, error) {
+func RunLiveScaled(scale Scale, seed uint64, workers int, o *obs.Observer) (LiveSweepResult, error) {
 	ns := []int{1_000, 10_000}
 	nSens := 2_000
 	if scale == ScalePaper {
@@ -90,14 +91,14 @@ func RunLiveScaled(scale Scale, seed uint64, workers int) (LiveSweepResult, erro
 	}
 	var res LiveSweepResult
 	for _, n := range ns {
-		row, err := runLiveRow(n, "sync", nil, workers, seed)
+		row, err := runLiveRow(n, "sync", nil, workers, seed, o)
 		if err != nil {
 			return LiveSweepResult{}, err
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	for _, m := range liveModels(seed, nSens) {
-		row, err := runLiveRow(nSens, m.name, m.net, workers, seed)
+		row, err := runLiveRow(nSens, m.name, m.net, workers, seed, o)
 		if err != nil {
 			return LiveSweepResult{}, err
 		}
@@ -108,12 +109,12 @@ func RunLiveScaled(scale Scale, seed uint64, workers int) (LiveSweepResult, erro
 
 // runLiveRow executes one full message-level spreading run through the
 // unified runner and derives the row from its Report.
-func runLiveRow(n int, model string, net live.NetModel, shards int, seed uint64) (LiveRow, error) {
+func runLiveRow(n int, model string, net live.NetModel, shards int, seed uint64, o *obs.Observer) (LiveRow, error) {
 	if shards < 1 {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	rep, err := run.Run(gossip.LiveConfig{Profile: bandwidth.Homogeneous(n, 1)},
-		run.WithSeed(seed), run.WithWorkers(shards), run.WithNet(net))
+		run.WithSeed(seed), run.WithWorkers(shards), run.WithNet(net), run.WithObserver(o))
 	if err != nil {
 		return LiveRow{}, fmt.Errorf("sim: live n=%d model=%s: %w", n, model, err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRunLiveScaledQuick(t *testing.T) {
-	res, err := RunLiveScaled(ScaleQuick, 42, 2)
+	res, err := RunLiveScaled(ScaleQuick, 42, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package sim
 
-import "repro/internal/stats"
+import (
+	"repro/internal/obs"
+	"repro/internal/stats"
+)
 
 // Experiment couples a runnable experiment with its name, so drivers (the
 // hetsim CLI, tests) share one registry.
@@ -14,14 +17,17 @@ type Experiment struct {
 	// for every worker count. Experiments without repetition parallelism
 	// accept the knob and run serially. The live benchmark is special: it
 	// feeds the knob to its runtime as the shard count, and only its timing
-	// columns vary run to run.
-	Run func(scale Scale, seed uint64, workers int) (*stats.Table, error)
+	// columns vary run to run. The observer, nil for none, is attached to
+	// every run the experiment executes through run.Run; observers are
+	// read-only, so no table depends on it.
+	Run func(scale Scale, seed uint64, workers int, o *obs.Observer) (*stats.Table, error)
 }
 
-// parTabler adapts a workers-aware experiment to the registry signature.
-func parTabler[T interface{ Table() *stats.Table }](f func(Scale, uint64, int) (T, error)) func(Scale, uint64, int) (*stats.Table, error) {
-	return func(sc Scale, seed uint64, workers int) (*stats.Table, error) {
-		res, err := f(sc, seed, workers)
+// obsTabler adapts an experiment that runs through run.Run to the registry
+// signature.
+func obsTabler[T interface{ Table() *stats.Table }](f func(Scale, uint64, int, *obs.Observer) (T, error)) func(Scale, uint64, int, *obs.Observer) (*stats.Table, error) {
+	return func(sc Scale, seed uint64, workers int, o *obs.Observer) (*stats.Table, error) {
+		res, err := f(sc, seed, workers, o)
 		if err != nil {
 			return nil, err
 		}
@@ -29,9 +35,14 @@ func parTabler[T interface{ Table() *stats.Table }](f func(Scale, uint64, int) (
 	}
 }
 
-// tabler adapts a serial experiment; the workers knob is accepted and
-// ignored.
-func tabler[T interface{ Table() *stats.Table }](f func(Scale, uint64) (T, error)) func(Scale, uint64, int) (*stats.Table, error) {
+// parTabler adapts a workers-aware experiment; the observer is ignored.
+func parTabler[T interface{ Table() *stats.Table }](f func(Scale, uint64, int) (T, error)) func(Scale, uint64, int, *obs.Observer) (*stats.Table, error) {
+	return obsTabler(func(sc Scale, seed uint64, workers int, _ *obs.Observer) (T, error) { return f(sc, seed, workers) })
+}
+
+// tabler adapts a serial experiment; the workers knob and the observer are
+// accepted and ignored.
+func tabler[T interface{ Table() *stats.Table }](f func(Scale, uint64) (T, error)) func(Scale, uint64, int, *obs.Observer) (*stats.Table, error) {
 	return parTabler(func(sc Scale, seed uint64, _ int) (T, error) { return f(sc, seed) })
 }
 
@@ -54,10 +65,10 @@ func Registry() []Experiment {
 		{"multirumor", "E11: concurrent rumors share the dates", parTabler(RunMultiRumorExperimentPar)},
 		{"loads", "E12: worst per-node loads (bandwidth honesty)", parTabler(RunLoadViolationPar)},
 		{"dynamicdht", "E13: spreading over a churning DHT", parTabler(RunDynamicDHTPar)},
-		{"live", "sharded message runtime: scale sweep + latency/loss sensitivity", parTabler(RunLiveScaled)},
-		{"async", "sync-vs-async spread curves on exponential peer clocks", parTabler(RunAsyncCompare)},
-		{"topology", "graph-constrained spreader/stifler spreading: final size vs alpha", parTabler(RunTopologySpread)},
-		{"consensus", "conflicting-rumor consensus: rounds to 90% agreement vs K x seeding x merge rule", parTabler(RunConsensusSweep)},
-		{"protocols", "every protocol of the spec table via the unified run.Run entrypoint", parTabler(RunProtocols)},
+		{"live", "sharded message runtime: scale sweep + latency/loss sensitivity", obsTabler(RunLiveScaled)},
+		{"async", "sync-vs-async spread curves on exponential peer clocks", obsTabler(RunAsyncCompare)},
+		{"topology", "graph-constrained spreader/stifler spreading: final size vs alpha", obsTabler(RunTopologySpread)},
+		{"consensus", "conflicting-rumor consensus: rounds to 90% agreement vs K x seeding x merge rule", obsTabler(RunConsensusSweep)},
+		{"protocols", "every protocol of the spec table via the unified run.Run entrypoint", obsTabler(RunProtocols)},
 	}
 }

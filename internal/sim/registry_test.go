@@ -34,7 +34,7 @@ func TestRegistryRunnersProduceTables(t *testing.T) {
 			if e.Name != name {
 				continue
 			}
-			tbl, err := e.Run(ScaleQuick, 42, 2)
+			tbl, err := e.Run(ScaleQuick, 42, 2, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

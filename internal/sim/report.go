@@ -155,10 +155,9 @@ func (r ProtocolsResult) Table() *stats.Table {
 	return t
 }
 
-// execute builds the row's spec at n peers and executes it once through run.Run.
-// A nil observer leaves the run to the process default (see
-// run.SetDefaultObserver). A spec the protocol rejects and a run that does
-// not complete are errors.
+// execute builds the row's spec at n peers and executes it once through
+// run.Run, with the observer (nil for none) attached. A spec the protocol
+// rejects and a run that does not complete are errors.
 func (ps protocolSpec) execute(n int, seed uint64, workers int, observer *obs.Observer) (ProtocolsRow, error) {
 	spec, err := ps.build(n, seed)
 	if err != nil {
@@ -208,14 +207,14 @@ func RunProtocol(name string, n int, seed uint64, workers int, observer *obs.Obs
 // every row of the spec table once, sharing a root seed and a worker
 // budget. Everything but the timing column is deterministic, and the budget
 // is a pure speed knob.
-func RunProtocols(scale Scale, seed uint64, workers int) (ProtocolsResult, error) {
+func RunProtocols(scale Scale, seed uint64, workers int, o *obs.Observer) (ProtocolsResult, error) {
 	n := 256
 	if scale == ScalePaper {
 		n = 4096
 	}
 	res := ProtocolsResult{Seed: seed, Workers: workers}
 	for _, ps := range protocolSpecs {
-		row, err := ps.execute(n, seed, workers, nil)
+		row, err := ps.execute(n, seed, workers, o)
 		if err != nil {
 			return ProtocolsResult{}, err
 		}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/run"
@@ -81,7 +82,7 @@ type topologyJob struct {
 // complete graph stays small — its CSR is O(n²)). Jobs fan across workers
 // goroutines with per-job derived seeds, so the table is byte-identical for
 // every worker count.
-func RunTopologySpread(scale Scale, seed uint64, workers int) (TopologySpreadResult, error) {
+func RunTopologySpread(scale Scale, seed uint64, workers int, o *obs.Observer) (TopologySpreadResult, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -117,7 +118,7 @@ func RunTopologySpread(scale Scale, seed uint64, workers int) (TopologySpreadRes
 		job := jobs[j]
 		rep, err := run.Run(
 			gossip.TopologyConfig{Graph: job.g, Source: job.source, Alpha: job.alpha},
-			run.WithSeed(rng.Derive(seed, domainTopologyJobs, uint64(j), 3)),
+			run.WithSeed(rng.Derive(seed, domainTopologyJobs, uint64(j), 3)), run.WithObserver(o),
 		)
 		if err != nil {
 			return fmt.Errorf("sim: topology %s alpha=%.2f %s: %w", job.name, job.alpha, job.start, err)

@@ -6,11 +6,11 @@ import "testing"
 // the topology sweep: the rendered table is byte-identical for every -par
 // value.
 func TestTopologySpreadParIdentity(t *testing.T) {
-	r1, err := RunTopologySpread(ScaleQuick, 42, 1)
+	r1, err := RunTopologySpread(ScaleQuick, 42, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := RunTopologySpread(ScaleQuick, 42, 4)
+	r4, err := RunTopologySpread(ScaleQuick, 42, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestTopologySpreadParIdentity(t *testing.T) {
 // full at alpha=0 on connected graphs, declines monotonically in alpha on
 // the BA graph, and the hub-start rows exist for every alpha.
 func TestTopologySpreadShape(t *testing.T) {
-	res, err := RunTopologySpread(ScaleQuick, 7, 2)
+	res, err := RunTopologySpread(ScaleQuick, 7, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

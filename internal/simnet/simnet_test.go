@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -155,6 +156,55 @@ func TestLiveRunDeliversEachRound(t *testing.T) {
 		if in[0].From != (i-1+n)%n {
 			t.Fatalf("node %d got ping from %d", i, in[0].From)
 		}
+	}
+}
+
+func TestLiveConcurrentEqualsSequential(t *testing.T) {
+	// A stateful protocol, as the gossip protocols are: each peer writes
+	// only its own entry of a shared per-peer slice and pushes the rumor to
+	// a random peer once it knows it. The concurrent engine and its
+	// sequential twin must give the same informed history and traffic.
+	const n, rounds = 200, 12
+	run := func(concurrent bool) ([]int, Stats) {
+		informed := make([]bool, n)
+		informed[0] = true
+		l, err := NewLive(n, 7, func(node, round int, inbox []Message, s *rng.Stream) []Message {
+			if len(inbox) > 0 {
+				informed[node] = true
+			}
+			if !informed[node] {
+				return nil
+			}
+			return []Message{{To: s.Intn(n), Kind: 1}}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var history []int
+		var st Stats
+		for r := 0; r < rounds; r++ {
+			if concurrent {
+				st = l.Run(1)
+			} else {
+				st = l.RunSequential(1)
+			}
+			count := 0
+			for _, inf := range informed {
+				if inf {
+					count++
+				}
+			}
+			history = append(history, count)
+		}
+		return history, st
+	}
+	ha, sa := run(true)
+	hb, sb := run(false)
+	if fmt.Sprint(ha) != fmt.Sprint(hb) || sa != sb {
+		t.Fatalf("concurrent %v %+v, sequential %v %+v", ha, sa, hb, sb)
+	}
+	if ha[rounds-1] <= ha[0] {
+		t.Fatalf("the rumor never spread: %v", ha)
 	}
 }
 

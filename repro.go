@@ -65,16 +65,13 @@ type (
 	// reusable scratch; its output is independent of its worker count.
 	Arranger = core.Arranger
 
-	// LiveConfig parameterizes fully message-level spreading; the engine,
-	// shard count and network model come from the run options (WithEngine,
-	// WithWorkers, WithNet).
+	// LiveConfig parameterizes fully message-level spreading; the shard
+	// count and network model come from the run options (WithWorkers,
+	// WithNet).
 	LiveConfig = gossip.LiveConfig
 
 	// LiveResult reports a message-level spreading run.
 	LiveResult = gossip.LiveResult
-
-	// LiveEngine selects the message-level execution substrate.
-	LiveEngine = gossip.LiveEngine
 
 	// NetModel decides message latency and loss in sharded live runs.
 	NetModel = live.NetModel
@@ -116,8 +113,8 @@ type (
 	// TopologyConfig parameterizes graph-constrained spreader/stifler
 	// spreading (ignorant → spreader → stifler, stifling rate Alpha): every
 	// contact is drawn over the initiating peer's neighbor row instead of
-	// the any-to-any rendezvous assumption. The engine, shard count and
-	// network model come from the run options.
+	// the any-to-any rendezvous assumption. The shard count and network
+	// model come from the run options.
 	TopologyConfig = gossip.TopologyConfig
 
 	// TopologyResult reports a graph-constrained spreading run, including
@@ -128,8 +125,7 @@ type (
 	// conflicting variants of one rumor seeded by geometry (ConsensusSeed*)
 	// over a Graph and merged per peer under a Rule (ConsensusRule*) until
 	// the leading variant holds a Threshold share of the population. The
-	// engine, shard count and network model come from the run options;
-	// attach an Observer to get per-round variant-share gauges in
+	// shard count and network model come from the run options; attach an Observer to get per-round variant-share gauges in
 	// Report.Metrics.
 	ConsensusConfig = gossip.ConsensusConfig
 
@@ -183,7 +179,7 @@ type (
 	Report = run.Report
 
 	// RunOption is a functional option of Run; see WithSeed, WithWorkers,
-	// WithEngine, WithNet and WithTrace.
+	// WithNet, WithObserver and WithTrace.
 	RunOption = run.Option
 
 	// Observer is the deterministic instrumentation sink of WithObserver:
@@ -235,16 +231,6 @@ const (
 	ConsensusRuleWeighted = gossip.RuleWeighted
 )
 
-// Message-level execution substrates for live runs (WithEngine).
-const (
-	// LiveGoroutine runs one goroutine per peer (the zero value).
-	LiveGoroutine = gossip.LiveGoroutine
-	// LiveSharded runs the sharded internal/live runtime: scales to
-	// millions of peers, bit-identical for every shard count, and accepts
-	// a NetModel for latency, loss and churn.
-	LiveSharded = gossip.LiveSharded
-)
-
 // Run executes any protocol of this package — rumor spreading
 // (RumorConfig), multi-rumor (MultiRumorConfig), message-level live
 // spreading (LiveConfig), asynchronous clockless spreading (AsyncConfig),
@@ -262,9 +248,8 @@ const (
 // the root seed with the repository's SplitMix64 domain scheme, one domain
 // per protocol, so protocols sharing a seed draw from disjoint stream
 // families and a report is a pure function of (spec, seed). The worker
-// budget (WithWorkers), the execution substrate (WithEngine, under the
-// perfect-sync network) and shared budgets are pure speed knobs — the
-// seed-compatibility tests pin Run's output bit-for-bit across all of them.
+// budget (WithWorkers) and shared budgets are pure speed knobs — the
+// seed-compatibility tests pin Run's output bit-for-bit across them.
 func Run(spec Spec, opts ...RunOption) (Report, error) { return run.Run(spec, opts...) }
 
 // WithSeed sets the run's root seed (default 0); two runs of one spec and
@@ -275,16 +260,6 @@ func WithSeed(seed uint64) RunOption { return run.WithSeed(seed) }
 // rounds draw spare workers from one shared pool, and the sharded live
 // runtime uses it as its shard count. Results never depend on it.
 func WithWorkers(k int) RunOption { return run.WithWorkers(k) }
-
-// WithEngine selects the execution substrate for live runs: LiveSharded
-// (the default under Run) or LiveGoroutine. Under the perfect-sync network
-// both substrates produce the identical report.
-func WithEngine(e LiveEngine) RunOption {
-	if e == LiveGoroutine {
-		return run.WithEngine(run.EngineGoroutine)
-	}
-	return run.WithEngine(run.EngineSharded)
-}
 
 // WithNet plugs a network model — latency, loss, churn, ring-distance
 // asymmetry — into a live run; nil is the paper's perfect-sync model.

@@ -165,8 +165,8 @@ func TestAsyncTraceIsBucketLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	detail := rep.Detail.(repro.AsyncResult)
-	if len(buckets) != detail.Buckets {
-		t.Fatalf("trace saw %d buckets, run executed %d", len(buckets), detail.Buckets)
+	if len(buckets) != detail.Rounds {
+		t.Fatalf("trace saw %d buckets, run executed %d", len(buckets), detail.Rounds)
 	}
 	for i, b := range buckets {
 		if b != i+1 {

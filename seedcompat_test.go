@@ -3,8 +3,8 @@ package repro
 // Seed-compatibility golden tests for the unified runner: for every
 // protocol, Run(spec, WithSeed(s)) is pinned bit-for-bit by an FNV-1a hash
 // over the unified report, and must be bit-identical across worker budgets
-// and (for live runs) execution substrates — the whole point of the seed-first API is that *no* option other than the seed can
-// move a number. The hashes were captured from the pre-exch-kernel
+// — the whole point of the seed-first API is that *no* option other than
+// the seed can move a number. The hashes were captured from the pre-exch-kernel
 // implementation, so they also pin the refactored engine, the Arranger and
 // the live runtime against their historical output. The tests run each
 // protocol at n = 17 (degenerate small networks exercise every edge path)
@@ -15,6 +15,9 @@ import (
 	"hash/fnv"
 	"reflect"
 	"testing"
+
+	"repro/internal/gossip"
+	"repro/internal/run"
 )
 
 const compatSeed = 0xC0FFEE
@@ -190,21 +193,25 @@ func TestSeedCompatGoldens(t *testing.T) {
 }
 
 func TestSeedCompatLiveEngines(t *testing.T) {
-	// The engine axis must be invisible too: the goroutine-per-peer
-	// substrate yields the identical report under perfect sync, matching
-	// the same pinned hash as the sharded default.
+	// The engine must be invisible too. The facade's live report at the
+	// golden seed is exactly the sharded runtime's at the derived seed, at
+	// every shard count; gossip's TestRunLiveEnginesAgree pins that runtime
+	// to the goroutine engine, the test oracle, at these very n and seed.
 	for _, n := range []int{17, 1000} {
-		spec := LiveConfig{Profile: UnitBandwidth(n)}
-		sharded, err := Run(spec, WithSeed(compatSeed))
+		cfg := LiveConfig{Profile: UnitBandwidth(n)}
+		rep, err := Run(cfg, WithSeed(compatSeed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		goro, err := Run(spec, WithSeed(compatSeed), WithEngine(LiveGoroutine))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(stripTiming(goro), stripTiming(sharded)) {
-			t.Fatalf("n=%d: goroutine engine report differs from sharded", n)
+		for _, shards := range []int{1, 4} {
+			want, err := gossip.RunLive(cfg, gossip.LiveOptions{
+				Seed: run.SeedFor(compatSeed, run.DomainLive), Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rep.Detail, want) {
+				t.Fatalf("n=%d shards=%d: facade report differs from the runtime's", n, shards)
+			}
 		}
 	}
 }
