@@ -89,7 +89,7 @@ func BenchmarkGossipRound(b *testing.B) {
 			s := rng.New(7)
 			rounds := 0
 			for i := 0; i < b.N; i++ {
-				res, err := gossip.Run(gossip.Config{Algorithm: a, N: 1024, Source: 0}, s)
+				res, err := gossip.Run(gossip.Config{Algorithm: a, N: 1024, Source: 0}, s, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

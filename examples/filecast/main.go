@@ -41,6 +41,6 @@ func main() {
 	fmt.Printf("\ncompleted: %v in %d rounds (lower bound: %d rounds)\n",
 		rep.Completed, rep.Rounds, blocks)
 	fmt.Printf("packets sent: %d, innovative: %d (%.1f%% useful)\n",
-		res.PacketsSent, res.Innovative, 100*float64(res.Innovative)/float64(res.PacketsSent))
+		rep.Messages, res.Innovative, 100*float64(res.Innovative)/float64(rep.Messages))
 	fmt.Println("\nevery node's decoded content was verified against the source")
 }

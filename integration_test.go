@@ -41,7 +41,7 @@ func TestRumorOverRealDHT(t *testing.T) {
 		N:         n,
 		Selector:  sel,
 		Source:    ring.Owner(s.Uint64()), // an arbitrary DHT node
-	}, s)
+	}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +68,12 @@ func TestDHTSpreadingBeatsUniformSlightly(t *testing.T) {
 	}
 	ringSel, _ := core.NewRingSelector(ring)
 	for rep := 0; rep < reps; rep++ {
-		rd, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n, Selector: ringSel}, s)
+		rd, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n, Selector: ringSel}, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dht.Add(float64(rd.Rounds))
-		ru, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n}, s)
+		ru, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n}, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestMongeringOverDHT(t *testing.T) {
 	sel, _ := core.NewRingSelector(ring)
 	res, err := coding.RunMonger(coding.MongerConfig{
 		N: n, Blocks: 6, BlockSize: 32, Selector: sel, PayloadSeed: 9,
-	}, s)
+	}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestStorageOverDHT(t *testing.T) {
 	sel, _ := core.NewRingSelector(ring)
 	res, err := storage.Run(storage.Config{
 		N: n, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 4, Selector: sel,
-	}, s)
+	}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,14 +28,12 @@ type MongerConfig struct {
 	PayloadSeed uint64
 }
 
-// MongerResult reports a mongering run.
+// MongerResult reports a mongering run: History is the fully decoded node
+// count after each round, SentHistory the coded packets transmitted per
+// round.
 type MongerResult struct {
-	Rounds         int
-	Completed      bool
-	DecodedHistory []int // fully decoded node count per round
-	SentHistory    []int // coded packets transmitted per round
-	PacketsSent    int   // coded packets transmitted
-	Innovative     int   // packets that increased some node's rank
+	run.Stepped
+	Innovative int // packets that increased some node's rank
 }
 
 // Protocol implements run.Spec.
@@ -46,31 +44,19 @@ func (c MongerConfig) Protocol() string { return "monger" }
 // shared budget. Trajectory is the fully-decoded node history; Detail the
 // full MongerResult.
 func (c MongerConfig) Execute(o *run.Options) (run.Report, error) {
-	res, err := runMongerBudgeted(c, run.StreamFor(o.Seed, run.DomainMonger), o.Budget)
+	res, err := RunMonger(c, run.StreamFor(o.Seed, run.DomainMonger), o.Budget)
 	if err != nil {
 		return run.Report{}, err
 	}
-	return run.Report{
-		Rounds:     res.Rounds,
-		Completed:  res.Completed,
-		Trajectory: res.DecodedHistory,
-		Sent:       res.SentHistory,
-		Messages:   int64(res.PacketsSent),
-		Detail:     res,
-	}, nil
+	return res.Report(res, nil), nil
 }
 
 // RunMonger executes the protocol and verifies every node's decoded message
-// against the source content before declaring completion.
-func RunMonger(cfg MongerConfig, s *rng.Stream) (MongerResult, error) {
-	return runMongerBudgeted(cfg, s, nil)
-}
-
-// runMongerBudgeted is RunMonger with an optional shared worker budget.
-// Every dating round runs on the seeded engine with one seed drawn off the
-// run stream; a non-nil b lets each round soak up the pool's spare tokens,
-// and the worker count is a pure speed knob either way.
-func runMongerBudgeted(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerResult, error) {
+// against the source content before declaring completion. Every dating
+// round runs on the seeded engine with one seed drawn off s; a non-nil b
+// lets each round soak up the pool's spare tokens, and the worker count is
+// a pure speed knob either way.
+func RunMonger(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerResult, error) {
 	if cfg.N <= 1 {
 		return MongerResult{}, fmt.Errorf("coding: mongering needs n > 1, got %d", cfg.N)
 	}
@@ -88,13 +74,9 @@ func runMongerBudgeted(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerRe
 	if profile.N() != cfg.N {
 		return MongerResult{}, fmt.Errorf("coding: profile nodes %d != n %d", profile.N(), cfg.N)
 	}
-	sel := cfg.Selector
-	if sel == nil {
-		u, err := core.NewUniformSelector(cfg.N)
-		if err != nil {
-			return MongerResult{}, err
-		}
-		sel = u
+	sel, err := core.SelectorFor(cfg.Selector, cfg.N)
+	if err != nil {
+		return MongerResult{}, err
 	}
 	svc, err := core.NewService(profile, sel)
 	if err != nil {
@@ -130,13 +112,13 @@ func runMongerBudgeted(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerRe
 	}
 
 	var res MongerResult
-	for round := 1; round <= maxRounds; round++ {
+	res.Stepped, err = run.Drive(maxRounds, nil, func(int) (int, int, bool, error) {
 		// One draw per round whatever the worker count, so the run stream
 		// evolves identically for every budget size.
 		seed := s.Uint64()
 		dates, err := svc.RunRoundShared(seed, b, nil)
 		if err != nil {
-			return MongerResult{}, err
+			return 0, 0, false, err
 		}
 		// Transmissions use the start-of-round spans: emit all packets
 		// first, then deliver, so a packet relayed within the same round
@@ -149,13 +131,12 @@ func runMongerBudgeted(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerRe
 		for _, d := range dates {
 			if pkt, ok := nodes[d.Sender].Emit(s); ok {
 				mail = append(mail, delivery{to: d.Receiver, pkt: pkt})
-				res.PacketsSent++
 			}
 		}
 		for _, m := range mail {
 			innovative, err := nodes[m.to].AddPacket(m.pkt)
 			if err != nil {
-				return MongerResult{}, err
+				return 0, 0, false, err
 			}
 			if innovative {
 				res.Innovative++
@@ -167,13 +148,10 @@ func runMongerBudgeted(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerRe
 				decoded++
 			}
 		}
-		res.Rounds = round
-		res.DecodedHistory = append(res.DecodedHistory, decoded)
-		res.SentHistory = append(res.SentHistory, len(mail))
-		if decoded == cfg.N {
-			res.Completed = true
-			break
-		}
+		return len(mail), decoded, decoded == cfg.N, nil
+	})
+	if err != nil {
+		return MongerResult{}, err
 	}
 
 	if res.Completed {

@@ -164,7 +164,7 @@ func TestMongerWithHeterogeneousProfile(t *testing.T) {
 	prof := heterogeneousProfile(30)
 	res, err := RunMonger(MongerConfig{
 		N: 30, Blocks: 6, BlockSize: 16, Profile: prof, PayloadSeed: 4,
-	}, s)
+	}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestMongerWithHeterogeneousProfile(t *testing.T) {
 func TestMongerProfileMismatch(t *testing.T) {
 	s := rng.New(4)
 	prof := heterogeneousProfile(10)
-	if _, err := RunMonger(MongerConfig{N: 20, Blocks: 2, BlockSize: 4, Profile: prof}, s); err == nil {
+	if _, err := RunMonger(MongerConfig{N: 20, Blocks: 2, BlockSize: 4, Profile: prof}, s, nil); err == nil {
 		t.Fatal("accepted profile/N mismatch")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/run"
 )
 
 func randomBlocks(s *rng.Stream, b, size int) [][]byte {
@@ -210,20 +211,20 @@ func TestRankNeverExceedsBlocks(t *testing.T) {
 
 func TestRunMongerValidation(t *testing.T) {
 	s := rng.New(8)
-	if _, err := RunMonger(MongerConfig{N: 1, Blocks: 2, BlockSize: 4}, s); err == nil {
+	if _, err := RunMonger(MongerConfig{N: 1, Blocks: 2, BlockSize: 4}, s, nil); err == nil {
 		t.Error("accepted n = 1")
 	}
-	if _, err := RunMonger(MongerConfig{N: 4, Blocks: 0, BlockSize: 4}, s); err == nil {
+	if _, err := RunMonger(MongerConfig{N: 4, Blocks: 0, BlockSize: 4}, s, nil); err == nil {
 		t.Error("accepted zero blocks")
 	}
-	if _, err := RunMonger(MongerConfig{N: 4, Blocks: 2, BlockSize: 4, Source: 9}, s); err == nil {
+	if _, err := RunMonger(MongerConfig{N: 4, Blocks: 2, BlockSize: 4, Source: 9}, s, nil); err == nil {
 		t.Error("accepted bad source")
 	}
 }
 
 func TestRunMongerCompletes(t *testing.T) {
 	s := rng.New(9)
-	res, err := RunMonger(MongerConfig{N: 40, Blocks: 8, BlockSize: 16, PayloadSeed: 1}, s)
+	res, err := RunMonger(MongerConfig{N: 40, Blocks: 8, BlockSize: 16, PayloadSeed: 1}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +236,12 @@ func TestRunMongerCompletes(t *testing.T) {
 	if res.Rounds < 8 {
 		t.Fatalf("completed in %d rounds, impossible for 8 blocks at unit bandwidth", res.Rounds)
 	}
-	last := res.DecodedHistory[len(res.DecodedHistory)-1]
+	last := res.History[len(res.History)-1]
 	if last != 40 {
 		t.Fatalf("final decoded count %d", last)
 	}
-	if res.Innovative > res.PacketsSent {
-		t.Fatalf("innovative %d > sent %d", res.Innovative, res.PacketsSent)
+	if sent := run.SumSent(res.SentHistory); int64(res.Innovative) > sent {
+		t.Fatalf("innovative %d > sent %d", res.Innovative, sent)
 	}
 }
 
@@ -249,7 +250,7 @@ func TestRunMongerRoundsNearOptimal(t *testing.T) {
 	// a factor ~4 of the information-theoretic bound.
 	s := rng.New(10)
 	const n, blocks = 60, 12
-	res, err := RunMonger(MongerConfig{N: n, Blocks: blocks, BlockSize: 8, PayloadSeed: 2}, s)
+	res, err := RunMonger(MongerConfig{N: n, Blocks: blocks, BlockSize: 8, PayloadSeed: 2}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +265,12 @@ func TestRunMongerRoundsNearOptimal(t *testing.T) {
 
 func TestRunMongerDecodedHistoryMonotone(t *testing.T) {
 	s := rng.New(11)
-	res, err := RunMonger(MongerConfig{N: 30, Blocks: 4, BlockSize: 8}, s)
+	res, err := RunMonger(MongerConfig{N: 30, Blocks: 4, BlockSize: 8}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := 0
-	for i, c := range res.DecodedHistory {
+	for i, c := range res.History {
 		if c < prev {
 			t.Fatalf("decoded count dropped at round %d", i+1)
 		}
@@ -279,7 +280,7 @@ func TestRunMongerDecodedHistoryMonotone(t *testing.T) {
 
 func TestRunMongerRespectsMaxRounds(t *testing.T) {
 	s := rng.New(12)
-	res, err := RunMonger(MongerConfig{N: 100, Blocks: 32, BlockSize: 8, MaxRounds: 3}, s)
+	res, err := RunMonger(MongerConfig{N: 100, Blocks: 32, BlockSize: 8, MaxRounds: 3}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

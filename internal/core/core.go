@@ -49,6 +49,19 @@ func NewUniformSelector(n int) (UniformSelector, error) {
 	return UniformSelector{n: n}, nil
 }
 
+// SelectorFor returns sel, or a uniform selector over n nodes when sel is
+// nil — the default of every protocol config's Selector — checking that it
+// addresses the protocol's n nodes.
+func SelectorFor(sel Selector, n int) (Selector, error) {
+	if sel == nil {
+		return NewUniformSelector(n)
+	}
+	if sel.N() != n {
+		return nil, fmt.Errorf("core: selector addresses %d nodes, the protocol has %d", sel.N(), n)
+	}
+	return sel, nil
+}
+
 // Pick implements Selector.
 func (u UniformSelector) Pick(s *rng.Stream) int { return s.Intn(u.n) }
 

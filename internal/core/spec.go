@@ -42,13 +42,9 @@ func (c HandshakeConfig) Execute(o *run.Options) (run.Report, error) {
 	if n == 0 {
 		return run.Report{}, fmt.Errorf("core: handshake run needs a profile")
 	}
-	sel := c.Selector
-	if sel == nil {
-		u, err := NewUniformSelector(n)
-		if err != nil {
-			return run.Report{}, err
-		}
-		sel = u
+	sel, err := SelectorFor(c.Selector, n)
+	if err != nil {
+		return run.Report{}, err
 	}
 	rounds := c.Rounds
 	if rounds <= 0 {
@@ -63,23 +59,16 @@ func (c HandshakeConfig) Execute(o *run.Options) (run.Report, error) {
 		return run.Report{}, err
 	}
 
-	var rep run.Report
 	total := 0
-	for r := 1; r <= rounds; r++ {
+	res, err := run.Drive(rounds, nil, func(r int) (int, int, bool, error) {
 		dates, err := h.RunRound(nw)
-		if err != nil {
-			return run.Report{}, err
-		}
 		total += len(dates)
-		rep.Sent = append(rep.Sent, len(dates))
-		rep.Trajectory = append(rep.Trajectory, total)
+		// A fixed-length run: finishing is completing.
+		return len(dates), total, r == rounds, err
+	})
+	if err != nil {
+		return run.Report{}, err
 	}
 	st := nw.Stats()
-	rep.Rounds = rounds
-	rep.Completed = true // fixed-length run: finishing is completing
-	rep.Messages = st.Sent
-	rep.Dropped = st.Dropped
-	rep.Clamped = st.Clamped
-	rep.Detail = st
-	return rep, nil
+	return res.Report(st, &st), nil
 }

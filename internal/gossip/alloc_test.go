@@ -20,7 +20,7 @@ func TestDatingSpreadAllocBound(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := Run(cfg, rng.New(3))
+	res, err := Run(cfg, rng.New(3), nil, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -90,7 +90,7 @@ func RunAsync(cfg AsyncConfig, o LiveOptions) (AsyncResult, error) {
 	if !(cfg.MaxTime >= 0) || math.IsInf(cfg.MaxTime, 1) {
 		return AsyncResult{}, fmt.Errorf("gossip: async max time %v must be finite and non-negative", cfg.MaxTime)
 	}
-	sel, err := selectorFor(cfg.Selector, n)
+	sel, err := core.SelectorFor(cfg.Selector, n)
 	if err != nil {
 		return AsyncResult{}, err
 	}

@@ -6,7 +6,7 @@ import "repro/internal/rng"
 // All of them assume the ability to choose another node uniformly at random
 // — the capability the dating service dispenses with. Decisions read the
 // start-of-round informed set (st.informed) and write st.next, so rounds
-// are synchronous.
+// are synchronous. A baseline round cannot fail.
 
 // pickOther returns a uniform node other than i (a node gains nothing from
 // contacting itself).
@@ -21,7 +21,7 @@ func pickOther(n, i int, s *rng.Stream) int {
 // stepPush: every informed node sends the rumor to a uniformly random node.
 // Receivers accept any number of simultaneous pushes (the "much higher
 // bandwidth" benefit the paper notes for unfair schemes).
-func stepPush(st *state, s *rng.Stream) {
+func stepPush(st *state, s *rng.Stream) error {
 	n := len(st.informed)
 	for i := 0; i < n; i++ {
 		if !st.alive[i] || !st.informed[i] {
@@ -34,12 +34,13 @@ func stepPush(st *state, s *rng.Stream) {
 			st.next[t] = true
 		}
 	}
+	return nil
 }
 
 // stepPull: every uninformed node asks a uniformly random node; it becomes
 // informed if the asked node was informed. The asked node serves every
 // request addressed to it ("unfair": its outgoing load is unbounded).
-func stepPull(st *state, s *rng.Stream) {
+func stepPull(st *state, s *rng.Stream) error {
 	n := len(st.informed)
 	for i := 0; i < n; i++ {
 		if !st.alive[i] || st.informed[i] {
@@ -52,12 +53,13 @@ func stepPull(st *state, s *rng.Stream) {
 			st.next[i] = true
 		}
 	}
+	return nil
 }
 
 // stepPushPull: every node contacts a uniformly random node and the pair
 // exchange the rumor in both directions ("double communication in each
 // round", as the paper remarks).
-func stepPushPull(st *state, s *rng.Stream) {
+func stepPushPull(st *state, s *rng.Stream) error {
 	n := len(st.informed)
 	for i := 0; i < n; i++ {
 		if !st.alive[i] {
@@ -78,12 +80,13 @@ func stepPushPull(st *state, s *rng.Stream) {
 			st.next[i] = true
 		}
 	}
+	return nil
 }
 
 // stepFairPull: like PULL, but an informed node satisfies only ONE of the
 // requests it received this round, chosen uniformly (the paper's fairness
 // notion: bounded outgoing bandwidth).
-func stepFairPull(st *state, s *rng.Stream) {
+func stepFairPull(st *state, s *rng.Stream) error {
 	n := len(st.informed)
 	// winner[t] is the reservoir-sampled single requester node t will serve.
 	winner := make([]int, n)
@@ -111,12 +114,13 @@ func stepFairPull(st *state, s *rng.Stream) {
 			st.next[w] = true
 		}
 	}
+	return nil
 }
 
 // stepFairPushPull: every node contacts a uniformly random node; pushes are
 // delivered as usual, but the pull direction is fair — a contacted informed
 // node answers only one of its callers.
-func stepFairPushPull(st *state, s *rng.Stream) {
+func stepFairPushPull(st *state, s *rng.Stream) error {
 	n := len(st.informed)
 	winner := make([]int, n)
 	seen := make([]int, n)
@@ -152,4 +156,5 @@ func stepFairPushPull(st *state, s *rng.Stream) {
 			st.next[w] = true
 		}
 	}
+	return nil
 }

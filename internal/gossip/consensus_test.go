@@ -116,7 +116,7 @@ func TestConsensusSingleVariantMatchesPush(t *testing.T) {
 	if res.Winner != 1 {
 		t.Errorf("K=1 winner %d, want 1", res.Winner)
 	}
-	push, err := Run(Config{Algorithm: Push, N: n, Source: 0}, rng.New(21))
+	push, err := Run(Config{Algorithm: Push, N: n, Source: 0}, rng.New(21), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

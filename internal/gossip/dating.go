@@ -1,8 +1,6 @@
 package gossip
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -25,7 +23,7 @@ import (
 // the round grabs the caller's worker plus whatever spare tokens the
 // shared budget has that round; a nil budget runs serially.
 func datingStep(svc *core.Service, b *par.Budget) stepFunc {
-	return func(st *state, s *rng.Stream) {
+	return func(st *state, s *rng.Stream) error {
 		var alive func(i int) bool
 		if st.crashed > 0 {
 			// st.alive is fixed for the duration of the round, so the
@@ -37,11 +35,10 @@ func datingStep(svc *core.Service, b *par.Budget) stepFunc {
 		seed := s.Uint64()
 		dates, err := svc.RunRoundShared(seed, b, alive)
 		if err != nil {
-			// Run validated the configuration; a failure here is a
-			// programming error, not a runtime condition.
-			panic(fmt.Sprintf("gossip: seeded dating round failed: %v", err))
+			return err
 		}
 		applyDates(st, dates)
+		return nil
 	}
 }
 

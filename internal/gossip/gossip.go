@@ -22,12 +22,9 @@
 // conflicting-rumor consensus (ConsensusConfig) on the round runtime of
 // internal/live, and asynchronous push&pull (AsyncConfig) on the calendar
 // of internal/async. Each brings its per-peer state, its step (or fire and
-// receive) functions and an observe predicate; one driver does the rest.
-// It runs the ticks — a one-tick prologue and three ticks per dating round
-// for live, one tick per round or bucket for the others — up to the round
-// cap, records each round's emitted messages and progress, publishes the
-// protocol's observer track at every round, and maps the result onto
-// run.Report. Every result embeds the same Stepped fields.
+// receive) functions and an observe predicate, and runs on the one round
+// loop of every protocol, described in internal/run's package comment.
+// Every result embeds the same Stepped fields.
 //
 // Per-peer state is flat, indexed by peer id, and written only by the
 // shard stepping that peer. Each protocol's state byte carries a tally:
@@ -46,6 +43,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/run"
 )
 
 // Algorithm selects a rumor spreading protocol.
@@ -118,16 +116,14 @@ func (c *Config) n() int {
 	return c.N
 }
 
-// Result reports one spreading run.
+// Result reports one spreading run. Completed means every live node was
+// informed, History is the informed node count after each round, and
+// SentHistory the messages moved per round: all arranged dates for the
+// dating spreader (every date consumes bandwidth whether or not it carries
+// the rumor), rumor transmissions for the baselines.
 type Result struct {
-	Rounds    int   // rounds executed until completion (or the cap)
-	Completed bool  // whether every live node was informed
-	History   []int // informed node count after each round
+	run.Stepped
 	ItHistory []int // total outgoing bandwidth of informed nodes per round
-	// SentHistory is the number of messages moved per round: all arranged
-	// dates for the dating spreader (every date consumes bandwidth whether
-	// or not it carries the rumor), rumor transmissions for the baselines.
-	SentHistory []int
 	// MaxInLoad / MaxOutLoad record the largest number of rumor messages a
 	// single node received / served in one round; the dating spreader keeps
 	// these within the profile bounds by construction, the baselines do not.
@@ -157,68 +153,18 @@ func (st *state) reset() {
 
 // stepFunc advances one synchronous round: reads st.informed, writes
 // st.next, and accounts loads in st.out / st.in.
-type stepFunc func(st *state, s *rng.Stream)
+type stepFunc func(st *state, s *rng.Stream) error
 
 // Run executes one spreading run and returns its result. Every dating
 // round runs on the seeded engine: randomness derives per node and per
 // rendezvous from a per-round seed drawn off s, so the run stream advances
 // by exactly one value per dating round regardless of how the round is
-// parallelized.
-func Run(cfg Config, s *rng.Stream) (Result, error) {
-	return runBudgeted(cfg, s, nil, nil)
-}
-
-// roundObs is the dating loop's instrumentation: a whole-round span per
-// dating round plus the per-round gauges (messages moved, budget tokens in
-// flight beyond the implicit ones). A nil roundObs (observation off) makes
-// every method a no-op without any time.Now call on the round path.
-type roundObs struct {
-	tr      *obs.Track
-	arena   *obs.Arena
-	gSent   *obs.Gauge
-	gBudget *obs.Gauge
-}
-
-func newRoundObs(tr *obs.Track) *roundObs {
-	if tr == nil {
-		return nil
-	}
-	return &roundObs{
-		tr:      tr,
-		arena:   tr.Arena(0),
-		gSent:   tr.Gauge("sent"),
-		gBudget: tr.Gauge("budget_in_flight"),
-	}
-}
-
-// span times f as the given round's whole-round phase.
-func (ro *roundObs) span(round int, f func()) {
-	if ro == nil {
-		f()
-		return
-	}
-	t0 := time.Now()
-	f()
-	ro.arena.Record(round, obs.PhaseRound, t0)
-}
-
-// sample records the round's gauges and publishes the round's spans.
-func (ro *roundObs) sample(round, sent int, b *par.Budget) {
-	if ro == nil {
-		return
-	}
-	ro.gSent.Sample(round, int64(sent))
-	ro.gBudget.Sample(round, int64(b.InFlight()))
-	ro.tr.Barrier()
-}
-
-// runBudgeted is Run with an optional shared worker budget. When b is
-// non-nil every dating round runs with the caller's worker plus whatever
-// spare tokens the pool has that round; a seeded round is worker-count
-// independent, so the fluctuating counts are a pure speed knob. tr, when
-// non-nil, receives a whole-round span and the per-round gauges of every
-// round; observation is read-only and never touches the run stream.
-func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, error) {
+// parallelized. With a non-nil b every dating round runs with the caller's
+// worker plus whatever spare tokens the pool has that round, a pure speed
+// knob. tr, when non-nil, receives a whole-round span per round and the
+// per-round gauges (messages moved, budget tokens in flight beyond the
+// implicit ones); observation is read-only and never touches the stream.
+func Run(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, error) {
 	n := cfg.n()
 	if n <= 0 {
 		return Result{}, fmt.Errorf("gossip: config needs N or a Profile")
@@ -247,13 +193,9 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Resul
 	case FairPushPull:
 		step = stepFairPushPull
 	case Dating:
-		sel := cfg.Selector
-		if sel == nil {
-			u, err := core.NewUniformSelector(n)
-			if err != nil {
-				return Result{}, err
-			}
-			sel = u
+		sel, err := core.SelectorFor(cfg.Selector, n)
+		if err != nil {
+			return Result{}, err
 		}
 		svc, err := core.NewService(profile, sel)
 		if err != nil {
@@ -282,9 +224,12 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Resul
 		st.alive[i] = true
 	}
 
-	ro := newRoundObs(tr)
+	// The round span times the step alone; with no observer attached the
+	// arena is nil and the round path makes no time.Now call.
+	arena, gSent, gBudget := tr.Arena(0), tr.Gauge("sent"), tr.Gauge("budget_in_flight")
 	var res Result
-	for round := 1; round <= maxRounds; round++ {
+	var err error
+	res.Stepped, err = run.Drive(maxRounds, tr, func(round int) (int, int, bool, error) {
 		if cfg.CrashProb > 0 {
 			for i := 0; i < n; i++ {
 				if i != cfg.Source && st.alive[i] && s.Bernoulli(cfg.CrashProb) {
@@ -294,42 +239,37 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Resul
 			}
 		}
 		st.reset()
-		ro.span(round, func() { step(st, s) })
-		st.informed, st.next = st.next, st.informed
-		done := roundEpilogue(&cfg, st, &res, round)
-		ro.sample(round, res.SentHistory[len(res.SentHistory)-1], b)
-		if done {
-			res.Completed = true
-			break
+		var t0 time.Time
+		if arena != nil {
+			t0 = time.Now()
 		}
+		if err := step(st, s); err != nil {
+			return 0, 0, false, err
+		}
+		arena.Record(round, obs.PhaseRound, t0)
+		st.informed, st.next = st.next, st.informed
+		count, it, done := tally(st)
+		res.ItHistory = append(res.ItHistory, it)
+		sent := 0
+		for i := range st.out {
+			sent += st.out[i]
+			res.MaxOutLoad = max(res.MaxOutLoad, st.out[i])
+			res.MaxInLoad = max(res.MaxInLoad, st.in[i])
+		}
+		if cfg.OnRound != nil {
+			cfg.OnRound(round, st.informed)
+		}
+		if tr != nil {
+			gSent.Sample(round, int64(sent))
+			gBudget.Sample(round, int64(b.InFlight()))
+		}
+		return sent, count, done, nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	res.Crashed = st.crashed
 	return res, nil
-}
-
-// roundEpilogue folds one completed round into the result — informed and
-// I_t histories, per-node load maxima, the OnRound hook — and reports
-// whether every live node is informed.
-func roundEpilogue(cfg *Config, st *state, res *Result, round int) bool {
-	count, it, done := tally(st)
-	res.Rounds = round
-	res.History = append(res.History, count)
-	res.ItHistory = append(res.ItHistory, it)
-	sent := 0
-	for i := range st.out {
-		sent += st.out[i]
-		if st.out[i] > res.MaxOutLoad {
-			res.MaxOutLoad = st.out[i]
-		}
-		if st.in[i] > res.MaxInLoad {
-			res.MaxInLoad = st.in[i]
-		}
-	}
-	res.SentHistory = append(res.SentHistory, sent)
-	if cfg.OnRound != nil {
-		cfg.OnRound(round, st.informed)
-	}
-	return done
 }
 
 // tally counts informed nodes, the informed outgoing bandwidth I_t, and

@@ -1,7 +1,9 @@
 package gossip
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bandwidth"
@@ -30,19 +32,37 @@ func TestAlgorithmNames(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	s := rng.New(1)
-	if _, err := Run(Config{Algorithm: Push}, s); err == nil {
+	if _, err := Run(Config{Algorithm: Push}, s, nil, nil); err == nil {
 		t.Error("accepted missing N")
 	}
-	if _, err := Run(Config{Algorithm: Push, N: 5, Source: 5}, s); err == nil {
+	if _, err := Run(Config{Algorithm: Push, N: 5, Source: 5}, s, nil, nil); err == nil {
 		t.Error("accepted out-of-range source")
 	}
 	for _, p := range []float64{1.5, 1, -0.1, math.NaN()} {
-		if _, err := Run(Config{Algorithm: Dating, N: 64, CrashProb: p}, s); err == nil {
+		if _, err := Run(Config{Algorithm: Dating, N: 64, CrashProb: p}, s, nil, nil); err == nil {
 			t.Errorf("accepted crash probability %v", p)
 		}
 	}
-	if _, err := Run(Config{Algorithm: Algorithm(42), N: 5}, s); err == nil {
+	if _, err := Run(Config{Algorithm: Algorithm(42), N: 5}, s, nil, nil); err == nil {
 		t.Error("accepted unknown algorithm")
+	}
+}
+
+// failingPreparer is a uniform selector whose Prepare always fails.
+type failingPreparer struct{ core.UniformSelector }
+
+func (failingPreparer) Prepare() error { return errors.New("ring snapshot unavailable") }
+
+func TestDatingRoundFailureIsAnError(t *testing.T) {
+	// A dating round that fails — here the selector cannot prepare — ends
+	// the run with that error instead of a panic.
+	u, err := core.NewUniformSelector(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Config{Algorithm: Dating, N: 64, Selector: failingPreparer{u}}, rng.New(1), nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "ring snapshot unavailable") {
+		t.Fatalf("error %v, want the selector's prepare failure", err)
 	}
 }
 
@@ -50,7 +70,7 @@ func TestAllAlgorithmsComplete(t *testing.T) {
 	s := rng.New(2)
 	const n = 300
 	for _, a := range Algorithms() {
-		res, err := Run(Config{Algorithm: a, N: n, Source: 0}, s)
+		res, err := Run(Config{Algorithm: a, N: n, Source: 0}, s, nil, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -67,7 +87,7 @@ func TestHistoryMonotone(t *testing.T) {
 	// Informed nodes never forget the rumor.
 	s := rng.New(3)
 	for _, a := range Algorithms() {
-		res, err := Run(Config{Algorithm: a, N: 200, Source: 0}, s)
+		res, err := Run(Config{Algorithm: a, N: 200, Source: 0}, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +110,7 @@ func TestRoundsLogarithmic(t *testing.T) {
 	for _, n := range ns {
 		var acc stats.Accumulator
 		for rep := 0; rep < 12; rep++ {
-			res, err := Run(Config{Algorithm: Dating, N: n, Source: 0}, s)
+			res, err := Run(Config{Algorithm: Dating, N: n, Source: 0}, s, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +149,7 @@ func TestFigure2Ordering(t *testing.T) {
 	for _, a := range Algorithms() {
 		var acc stats.Accumulator
 		for rep := 0; rep < reps; rep++ {
-			res, err := Run(Config{Algorithm: a, N: n, Source: 0}, s)
+			res, err := Run(Config{Algorithm: a, N: n, Source: 0}, s, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,28 +181,28 @@ func TestFigure2Ordering(t *testing.T) {
 func TestDatingRespectsBandwidthBaselinesDoNot(t *testing.T) {
 	s := rng.New(6)
 	const n = 2000
-	resD, err := Run(Config{Algorithm: Dating, N: n, Source: 0}, s)
+	resD, err := Run(Config{Algorithm: Dating, N: n, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resD.MaxInLoad > 1 || resD.MaxOutLoad > 1 {
 		t.Fatalf("dating exceeded unit bandwidth: in %d out %d", resD.MaxInLoad, resD.MaxOutLoad)
 	}
-	resP, err := Run(Config{Algorithm: Push, N: n, Source: 0}, s)
+	resP, err := Run(Config{Algorithm: Push, N: n, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resP.MaxInLoad <= 1 {
 		t.Errorf("push never overloaded a receiver at n=%d, which is implausible", n)
 	}
-	resL, err := Run(Config{Algorithm: Pull, N: n, Source: 0}, s)
+	resL, err := Run(Config{Algorithm: Pull, N: n, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resL.MaxOutLoad <= 1 {
 		t.Errorf("pull never overloaded a server at n=%d, which is implausible", n)
 	}
-	resF, err := Run(Config{Algorithm: FairPull, N: n, Source: 0}, s)
+	resF, err := Run(Config{Algorithm: FairPull, N: n, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +222,7 @@ func TestDatingWithDHTSelector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Algorithm: Dating, N: 500, Selector: sel, Source: 3}, s)
+	res, err := Run(Config{Algorithm: Dating, N: 500, Selector: sel, Source: 3}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +237,7 @@ func TestDatingHeterogeneousProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Algorithm: Dating, Profile: p, Source: 0}, s)
+	res, err := Run(Config{Algorithm: Dating, Profile: p, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +261,7 @@ func TestDatingHeterogeneousProfile(t *testing.T) {
 
 func TestCrashToleranceDating(t *testing.T) {
 	s := rng.New(9)
-	res, err := Run(Config{Algorithm: Dating, N: 500, Source: 0, CrashProb: 0.02}, s)
+	res, err := Run(Config{Algorithm: Dating, N: 500, Source: 0, CrashProb: 0.02}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +293,7 @@ func TestCrashedNodesNeverInformed(t *testing.T) {
 			}
 		},
 	}
-	if _, err := Run(cfg, s); err != nil {
+	if _, err := Run(cfg, s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if sawDeadInformed {
@@ -284,7 +304,7 @@ func TestCrashedNodesNeverInformed(t *testing.T) {
 
 func TestMaxRoundsCapRespected(t *testing.T) {
 	s := rng.New(11)
-	res, err := Run(Config{Algorithm: Dating, N: 5000, Source: 0, MaxRounds: 2}, s)
+	res, err := Run(Config{Algorithm: Dating, N: 5000, Source: 0, MaxRounds: 2}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +330,7 @@ func TestOnRoundObserverCalledEveryRound(t *testing.T) {
 				t.Fatalf("informed slice has %d entries", len(informed))
 			}
 		},
-	}, s)
+	}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +342,7 @@ func TestOnRoundObserverCalledEveryRound(t *testing.T) {
 func TestItHistoryTracksOutBandwidth(t *testing.T) {
 	s := rng.New(13)
 	p, _ := bandwidth.Bimodal(100, 10, 5, 1)
-	res, err := Run(Config{Algorithm: Dating, Profile: p, Source: 0}, s)
+	res, err := Run(Config{Algorithm: Dating, Profile: p, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +414,7 @@ func TestHierarchicalValidation(t *testing.T) {
 func TestSourceChoiceIrrelevantToCompletion(t *testing.T) {
 	s := rng.New(16)
 	for _, src := range []int{0, 17, 99} {
-		res, err := Run(Config{Algorithm: Dating, N: 100, Source: src}, s)
+		res, err := Run(Config{Algorithm: Dating, N: 100, Source: src}, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +427,7 @@ func TestSourceChoiceIrrelevantToCompletion(t *testing.T) {
 func TestTwoNodeNetwork(t *testing.T) {
 	s := rng.New(17)
 	for _, a := range Algorithms() {
-		res, err := Run(Config{Algorithm: a, N: 2, Source: 0}, s)
+		res, err := Run(Config{Algorithm: a, N: 2, Source: 0}, s, nil, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bandwidth"
-	"repro/internal/core"
 	"repro/internal/rng"
 )
 
@@ -30,15 +29,10 @@ func RunHierarchical(n, rich, richB int, s *rng.Stream) (HierarchicalResult, err
 	if err != nil {
 		return HierarchicalResult{}, err
 	}
-	sel, err := core.NewUniformSelector(n)
-	if err != nil {
-		return HierarchicalResult{}, err
-	}
 	var hres HierarchicalResult
 	cfg := Config{
 		Algorithm: Dating,
 		Profile:   profile,
-		Selector:  sel,
 		Source:    0,
 		OnRound: func(round int, informed []bool) {
 			if hres.RichRounds == 0 {
@@ -51,7 +45,7 @@ func RunHierarchical(n, rich, richB int, s *rng.Stream) (HierarchicalResult, err
 			}
 		},
 	}
-	res, err := Run(cfg, s)
+	res, err := Run(cfg, s, nil, nil)
 	if err != nil {
 		return HierarchicalResult{}, err
 	}

@@ -83,7 +83,7 @@ func runLive(cfg LiveConfig, o LiveOptions, clk clock) (LiveResult, error) {
 	if cfg.Source < 0 || cfg.Source >= n {
 		return LiveResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	sel, err := selectorFor(cfg.Selector, n)
+	sel, err := core.SelectorFor(cfg.Selector, n)
 	if err != nil {
 		return LiveResult{}, err
 	}
@@ -115,19 +115,6 @@ func runLive(cfg LiveConfig, o LiveOptions, clk clock) (LiveResult, error) {
 		res.MaxInPayloads = max(res.MaxInPayloads, int(m))
 	}
 	return res, nil
-}
-
-// selectorFor returns sel, or a uniform selector when it is nil, checking
-// that it addresses the protocol's n peers.
-func selectorFor(sel core.Selector, n int) (core.Selector, error) {
-	if sel == nil {
-		u, err := core.NewUniformSelector(n)
-		return u, err
-	}
-	if sel.N() != n {
-		return nil, fmt.Errorf("gossip: selector addresses %d nodes, profile has %d", sel.N(), n)
-	}
-	return sel, nil
 }
 
 // liveEmitStep builds the per-peer handshake state machine, in the sharded

@@ -99,7 +99,7 @@ func TestRunLiveMatchesFlatSimulatorStatistically(t *testing.T) {
 		}
 		liveSum += float64(lr.Rounds)
 
-		fr, err := Run(Config{Algorithm: Dating, N: 300, Source: 0}, rng.New(uint64(100+rep)))
+		fr, err := Run(Config{Algorithm: Dating, N: 300, Source: 0}, rng.New(uint64(100+rep)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

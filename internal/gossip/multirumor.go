@@ -2,11 +2,13 @@ package gossip
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bandwidth"
 	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/run"
 )
 
 // The paper's model explicitly "allows for extensions such as rumors
@@ -48,26 +50,19 @@ type MultiRumorConfig struct {
 	MaxRounds  int
 }
 
-// MultiRumorResult reports a multi-rumor run.
+// MultiRumorResult reports a multi-rumor run: History is the total of
+// (node, rumor) pairs known after each round, SentHistory the dates
+// arranged per round (each carries one rumor).
 type MultiRumorResult struct {
-	Rounds        int
-	Completed     bool
-	PerRumorDone  []int // round at which each rumor reached everyone (0 = never)
-	KnowledgeHist []int // total (node, rumor) pairs known per round
-	SentHistory   []int // dates arranged per round (each carries one rumor)
+	run.Stepped
+	PerRumorDone []int // round at which each rumor reached everyone (0 = never)
 }
 
 // RunMultiRumor spreads all injected rumors until every node knows every
-// rumor or MaxRounds elapses.
-func RunMultiRumor(cfg MultiRumorConfig, s *rng.Stream) (MultiRumorResult, error) {
-	return runMultiRumorBudgeted(cfg, s, nil)
-}
-
-// runMultiRumorBudgeted is RunMultiRumor with an optional shared worker
-// budget. Every dating round runs on the seeded engine with one seed drawn
-// off the run stream; a non-nil b lets each round soak up spare tokens,
-// and as in runBudgeted the worker count is a pure speed knob.
-func runMultiRumorBudgeted(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (MultiRumorResult, error) {
+// rumor or MaxRounds elapses. Every dating round runs on the seeded engine
+// with one seed drawn off s; a non-nil b lets each round soak up spare
+// tokens, and as in Run the worker count is a pure speed knob.
+func RunMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (MultiRumorResult, error) {
 	n := cfg.N
 	profile := cfg.Profile
 	if profile.N() > 0 {
@@ -80,6 +75,10 @@ func runMultiRumorBudgeted(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (
 	if len(cfg.Injections) == 0 {
 		return MultiRumorResult{}, fmt.Errorf("gossip: no rumors to inject")
 	}
+	if len(cfg.Injections) > math.MaxInt16 {
+		// Rumor ids are stored as int16.
+		return MultiRumorResult{}, fmt.Errorf("gossip: %d injections exceed the limit of %d rumors", len(cfg.Injections), math.MaxInt16)
+	}
 	for i, inj := range cfg.Injections {
 		if inj.Source < 0 || inj.Source >= n {
 			return MultiRumorResult{}, fmt.Errorf("gossip: injection %d source %d out of range", i, inj.Source)
@@ -88,13 +87,9 @@ func runMultiRumorBudgeted(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (
 			return MultiRumorResult{}, fmt.Errorf("gossip: injection %d round %d must be >= 1", i, inj.Round)
 		}
 	}
-	sel := cfg.Selector
-	if sel == nil {
-		u, err := core.NewUniformSelector(n)
-		if err != nil {
-			return MultiRumorResult{}, err
-		}
-		sel = u
+	sel, err := core.SelectorFor(cfg.Selector, n)
+	if err != nil {
+		return MultiRumorResult{}, err
 	}
 	svc, err := core.NewService(profile, sel)
 	if err != nil {
@@ -125,10 +120,8 @@ func runMultiRumorBudgeted(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (
 	counts := make([]int, nRumors) // nodes knowing each rumor
 	countKnown := 0                // total (node, rumor) pairs
 
-	var res MultiRumorResult
-	res.PerRumorDone = make([]int, nRumors)
-
-	for round := 1; round <= maxRounds; round++ {
+	res := MultiRumorResult{PerRumorDone: make([]int, nRumors)}
+	res.Stepped, err = run.Drive(maxRounds, nil, func(round int) (int, int, bool, error) {
 		for r, inj := range cfg.Injections {
 			if inj.Round == round && !known[inj.Source][r] {
 				learn(inj.Source, r)
@@ -142,9 +135,8 @@ func runMultiRumorBudgeted(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (
 		seed := s.Uint64()
 		dates, err := svc.RunRoundShared(seed, b, nil)
 		if err != nil {
-			return MultiRumorResult{}, err
+			return 0, 0, false, err
 		}
-		res.SentHistory = append(res.SentHistory, len(dates))
 		// Synchronous semantics: forwarding decisions use start-of-round
 		// knowledge, so collect transfers first and apply afterwards.
 		type transfer struct {
@@ -179,12 +171,10 @@ func runMultiRumorBudgeted(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (
 				res.PerRumorDone[r] = round
 			}
 		}
-		res.Rounds = round
-		res.KnowledgeHist = append(res.KnowledgeHist, countKnown)
-		if countKnown == n*nRumors {
-			res.Completed = true
-			break
-		}
+		return len(dates), countKnown, countKnown == n*nRumors, nil
+	})
+	if err != nil {
+		return MultiRumorResult{}, err
 	}
 	return res, nil
 }

@@ -1,7 +1,10 @@
 package gossip
 
 import (
+	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bandwidth"
@@ -11,21 +14,31 @@ import (
 
 func TestMultiRumorValidation(t *testing.T) {
 	s := rng.New(1)
-	if _, err := RunMultiRumor(MultiRumorConfig{}, s); err == nil {
+	if _, err := RunMultiRumor(MultiRumorConfig{}, s, nil); err == nil {
 		t.Error("accepted empty config")
 	}
-	if _, err := RunMultiRumor(MultiRumorConfig{N: 10}, s); err == nil {
+	if _, err := RunMultiRumor(MultiRumorConfig{N: 10}, s, nil); err == nil {
 		t.Error("accepted zero injections")
 	}
 	if _, err := RunMultiRumor(MultiRumorConfig{
 		N: 10, Injections: []Injection{{Round: 1, Source: 10}},
-	}, s); err == nil {
+	}, s, nil); err == nil {
 		t.Error("accepted out-of-range source")
 	}
 	if _, err := RunMultiRumor(MultiRumorConfig{
 		N: 10, Injections: []Injection{{Round: 0, Source: 0}},
-	}, s); err == nil {
+	}, s, nil); err == nil {
 		t.Error("accepted round 0 injection")
+	}
+	// Rumor ids are int16: one injection more than that must be rejected
+	// with the limit named, not wrap to a negative id.
+	many := make([]Injection, math.MaxInt16+1)
+	for i := range many {
+		many[i] = Injection{Round: 1}
+	}
+	_, err := RunMultiRumor(MultiRumorConfig{N: 10, Injections: many}, s, nil)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(math.MaxInt16)) {
+		t.Errorf("%d injections: error %v, want one naming the limit %d", len(many), err, math.MaxInt16)
 	}
 }
 
@@ -39,7 +52,7 @@ func TestSingleRumorMatchesRun(t *testing.T) {
 		mr, err := RunMultiRumor(MultiRumorConfig{
 			N:          300,
 			Injections: []Injection{{Round: 1, Source: 0}},
-		}, s)
+		}, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +61,7 @@ func TestSingleRumorMatchesRun(t *testing.T) {
 		}
 		multi += float64(mr.Rounds)
 
-		sr, err := Run(Config{Algorithm: Dating, N: 300, Source: 0}, s)
+		sr, err := Run(Config{Algorithm: Dating, N: 300, Source: 0}, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +84,7 @@ func TestMultiRumorAllDelivered(t *testing.T) {
 			{Round: 10, Source: 150},
 		},
 	}
-	res, err := RunMultiRumor(cfg, s)
+	res, err := RunMultiRumor(cfg, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +99,7 @@ func TestMultiRumorAllDelivered(t *testing.T) {
 			t.Fatalf("rumor %d completed at %d before injection at %d", r, done, cfg.Injections[r].Round)
 		}
 	}
-	last := res.KnowledgeHist[len(res.KnowledgeHist)-1]
+	last := res.History[len(res.History)-1]
 	if last != n*len(cfg.Injections) {
 		t.Fatalf("final knowledge %d, want %d", last, n*len(cfg.Injections))
 	}
@@ -97,12 +110,12 @@ func TestMultiRumorKnowledgeMonotone(t *testing.T) {
 	res, err := RunMultiRumor(MultiRumorConfig{
 		N:          150,
 		Injections: []Injection{{Round: 1, Source: 0}, {Round: 3, Source: 1}},
-	}, s)
+	}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := 0
-	for i, k := range res.KnowledgeHist {
+	for i, k := range res.History {
 		if k < prev {
 			t.Fatalf("knowledge dropped at round %d", i+1)
 		}
@@ -120,7 +133,7 @@ func TestMultiRumorLateInjection(t *testing.T) {
 			{Round: 1, Source: 0},
 			{Round: 30, Source: 7},
 		},
-	}, s)
+	}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +155,7 @@ func TestForwardingPolicies(t *testing.T) {
 				{Round: 1, Source: 0}, {Round: 2, Source: 1}, {Round: 3, Source: 2},
 			},
 			Forwarding: policy,
-		}, s)
+		}, s, nil)
 		if err != nil {
 			t.Fatalf("policy %v: %v", policy, err)
 		}
@@ -161,7 +174,7 @@ func TestMultiRumorHeterogeneous(t *testing.T) {
 	res, err := RunMultiRumor(MultiRumorConfig{
 		Profile:    p,
 		Injections: []Injection{{Round: 1, Source: 0}, {Round: 1, Source: 100}},
-	}, s)
+	}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +189,7 @@ func TestMultiRumorMaxRounds(t *testing.T) {
 		N:          5000,
 		Injections: []Injection{{Round: 1, Source: 0}},
 		MaxRounds:  2,
-	}, s)
+	}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +207,7 @@ func TestMultiRumorReproducible(t *testing.T) {
 		Forwarding: ForwardRoundRobin,
 	}
 	run := func() MultiRumorResult {
-		res, err := RunMultiRumor(cfg, rng.New(21))
+		res, err := RunMultiRumor(cfg, rng.New(21), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +234,7 @@ func TestMultiRumorBudgetPureSpeedKnob(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := runMultiRumorBudgeted(MultiRumorConfig{
+		res, err := RunMultiRumor(MultiRumorConfig{
 			N: 600,
 			Injections: []Injection{
 				{Round: 1, Source: 0},

@@ -8,8 +8,7 @@ import (
 	"repro/internal/rng"
 )
 
-// runWith executes a spreading run with a worker budget of the given size,
-// the knob runBudgeted exposes above Run.
+// runWith executes a spreading run with a worker budget of the given size.
 func runWith(t *testing.T, cfg Config, seed uint64, workers int) Result {
 	t.Helper()
 	var b *par.Budget
@@ -20,7 +19,7 @@ func runWith(t *testing.T, cfg Config, seed uint64, workers int) Result {
 			t.Fatal(err)
 		}
 	}
-	res, err := runBudgeted(cfg, rng.New(seed), b, nil)
+	res, err := Run(cfg, rng.New(seed), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

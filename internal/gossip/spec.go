@@ -19,20 +19,13 @@ func (c Config) Protocol() string { return "rumor" }
 // shared budget. Trajectory is the informed-node history; Detail the full
 // Result.
 func (c Config) Execute(o *run.Options) (run.Report, error) {
-	res, err := runBudgeted(c, run.StreamFor(o.Seed, run.DomainRumor), o.Budget, o.Obs.Track("rumor", 1))
+	res, err := Run(c, run.StreamFor(o.Seed, run.DomainRumor), o.Budget, o.Obs.Track("rumor", 1))
 	if err != nil {
 		return run.Report{}, err
 	}
-	return run.Report{
-		Rounds:     res.Rounds,
-		Completed:  res.Completed,
-		Trajectory: res.History,
-		Sent:       res.SentHistory,
-		Messages:   run.SumSent(res.SentHistory),
-		MaxInLoad:  res.MaxInLoad,
-		MaxOutLoad: res.MaxOutLoad,
-		Detail:     res,
-	}, nil
+	rep := res.Report(res, nil)
+	rep.MaxInLoad, rep.MaxOutLoad = res.MaxInLoad, res.MaxOutLoad
+	return rep, nil
 }
 
 // Protocol implements run.Spec.
@@ -43,18 +36,11 @@ func (c MultiRumorConfig) Protocol() string { return "multirumor" }
 // Trajectory is the cumulative (node, rumor) knowledge count; Detail the
 // full MultiRumorResult.
 func (c MultiRumorConfig) Execute(o *run.Options) (run.Report, error) {
-	res, err := runMultiRumorBudgeted(c, run.StreamFor(o.Seed, run.DomainMulti), o.Budget)
+	res, err := RunMultiRumor(c, run.StreamFor(o.Seed, run.DomainMulti), o.Budget)
 	if err != nil {
 		return run.Report{}, err
 	}
-	return run.Report{
-		Rounds:     res.Rounds,
-		Completed:  res.Completed,
-		Trajectory: res.KnowledgeHist,
-		Sent:       res.SentHistory,
-		Messages:   run.SumSent(res.SentHistory),
-		Detail:     res,
-	}, nil
+	return res.Report(res, nil), nil
 }
 
 // Protocol implements run.Spec.

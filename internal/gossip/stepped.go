@@ -37,36 +37,17 @@ func liveOptionsFor(o *run.Options, domain uint64) LiveOptions {
 	return LiveOptions{Seed: run.SeedFor(o.Seed, domain), Shards: o.Workers, Net: o.Net, Obs: o.Obs}
 }
 
-// Stepped is what every stepped protocol reports, embedded in its result.
+// Stepped is what every stepped protocol reports, embedded in its result:
+// the round loop's core (SentHistory counts the messages emitted per
+// round; live's first entry also counts the prologue scatter) and the
+// runtime's traffic.
 type Stepped struct {
-	// Rounds is the number of rounds executed: dating rounds for live,
-	// calendar buckets for async.
-	Rounds int
-	// Completed reports whether the protocol reached its goal within its
-	// round cap.
-	Completed bool
-	// History is the protocol's progress count after each round: informed
-	// peers, or decided peers for consensus.
-	History []int
-	// SentHistory is the number of messages emitted per round (live's first
-	// entry also counts the prologue scatter).
-	SentHistory []int
-	Traffic     simnet.Stats
+	run.Stepped
+	Traffic simnet.Stats
 }
 
 // report maps a stepped result onto the unified report.
-func (s Stepped) report(detail any) run.Report {
-	return run.Report{
-		Rounds:     s.Rounds,
-		Completed:  s.Completed,
-		Trajectory: s.History,
-		Sent:       s.SentHistory,
-		Messages:   s.Traffic.Sent,
-		Dropped:    s.Traffic.Dropped,
-		Clamped:    s.Traffic.Clamped,
-		Detail:     detail,
-	}
-}
+func (s Stepped) report(detail any) run.Report { return s.Stepped.Report(detail, &s.Traffic) }
 
 // execute is the Execute body of the stepped specs: the result, or its
 // error, as a unified report whose Detail is the full result.
@@ -98,30 +79,21 @@ func roundClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveStep
 	return rt.Run, rt.Cuts(), nil
 }
 
-// drive is the one tick loop of the stepped protocols. It runs lead ticks,
-// then per ticks a round until observe reports done or limit rounds have
-// run. After each round it records the messages the round emitted, asks
-// observe for the round's progress, and publishes tr's spans and gauges.
+// drive runs a stepped protocol on run.Drive: lead ticks first, then per
+// ticks a round, whose sent count is the runtime's traffic delta and whose
+// progress observe reports. observe cannot fail, so neither can drive.
 func drive(tick ticker, lead, per, limit int, tr *obs.Track, observe func(round int) (progress int, done bool)) Stepped {
-	var res Stepped
 	if lead > 0 {
 		tick(lead)
 	}
-	var prevSent int64
-	for round := 1; round <= limit; round++ {
-		res.Traffic = tick(per)
-		res.SentHistory = append(res.SentHistory, int(res.Traffic.Sent-prevSent))
-		prevSent = res.Traffic.Sent
+	var traffic simnet.Stats
+	res, _ := run.Drive(limit, tr, func(round int) (int, int, bool, error) {
+		prev := traffic.Sent
+		traffic = tick(per)
 		progress, done := observe(round)
-		res.Rounds = round
-		res.History = append(res.History, progress)
-		tr.Barrier()
-		if done {
-			res.Completed = true
-			break
-		}
-	}
-	return res
+		return int(traffic.Sent - prev), progress, done, nil
+	})
+	return Stepped{Stepped: res, Traffic: traffic}
 }
 
 // peerStates is a stepped protocol's per-peer state byte, flat by peer id,

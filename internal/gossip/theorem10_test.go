@@ -76,7 +76,7 @@ func TestCorollary11WeakSource(t *testing.T) {
 				richDone = round
 			},
 		}
-		res, err := Run(cfg, s)
+		res, err := Run(cfg, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

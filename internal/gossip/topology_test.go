@@ -94,7 +94,7 @@ func TestTopologyCompleteGraphMatchesPush(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("complete-graph run did not complete")
 	}
-	push, err := Run(Config{Algorithm: Push, N: n, Source: 0}, rng.New(21))
+	push, err := Run(Config{Algorithm: Push, N: n, Source: 0}, rng.New(21), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,16 +78,6 @@ func NewAlias(weights []float64) (*Alias, error) {
 	return a, nil
 }
 
-// MustAlias is NewAlias but panics on invalid weights. It is intended for
-// statically known weight vectors in tests and examples.
-func MustAlias(weights []float64) *Alias {
-	a, err := NewAlias(weights)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // N returns the number of outcomes.
 func (a *Alias) N() int { return len(a.prob) }
 
@@ -129,50 +119,6 @@ func NewZipf(n int, exponent float64) (*Zipf, error) {
 // Sample returns a rank in {1, ..., n}.
 func (z *Zipf) Sample(s *Stream) int { return z.table.Sample(s) + 1 }
 
-// Binomial samples from Binomial(n, p). For the modest n used per call in
-// the simulator an inversion/summation hybrid is fast enough: inversion by
-// geometric skips when n*p is small, otherwise a normal approximation with
-// an exact correction loop is avoided in favor of simple BTRS-free summation
-// over blocks. The implementation is exact (no approximation error).
-func (s *Stream) Binomial(n int, p float64) int {
-	if n < 0 {
-		panic("rng: Binomial with n < 0")
-	}
-	if p <= 0 || n == 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	// Symmetry: keep p <= 1/2 for the skip method's efficiency.
-	if p > 0.5 {
-		return n - s.Binomial(n, 1-p)
-	}
-	if float64(n)*p < 32 {
-		// First-waiting-time (geometric skip) method: expected work O(np).
-		lnq := math.Log1p(-p)
-		count := -1
-		trials := 0
-		for {
-			skip := int(math.Floor(math.Log(s.Float64Open()) / lnq))
-			trials += skip + 1
-			if trials > n {
-				return count + 1
-			}
-			count++
-		}
-	}
-	// For large np, draw by direct Bernoulli summation in word-sized blocks.
-	// This is O(n) but only reached for large n*p where callers are rare.
-	count := 0
-	for i := 0; i < n; i++ {
-		if s.Float64() < p {
-			count++
-		}
-	}
-	return count
-}
-
 // Poisson samples from Poisson(lambda) using Knuth's product method for
 // small lambda and decomposition for large lambda (splitting lambda in
 // halves keeps the product method's underflow at bay while remaining exact).
@@ -195,36 +141,4 @@ func (s *Stream) Poisson(lambda float64) int {
 		}
 		k++
 	}
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials (support {0, 1, 2, ...}).
-func (s *Stream) Geometric(p float64) int {
-	if p <= 0 {
-		panic("rng: Geometric with p <= 0")
-	}
-	if p >= 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log(s.Float64Open()) / math.Log1p(-p)))
-}
-
-// Hypergeometric samples the number of "successes" in a sample of size k
-// drawn without replacement from a population of size n containing succ
-// successes. The dating service's per-node date counts follow this law
-// conditionally on the total number of dates (paper, after Lemma 3), so the
-// sampler is used by tests validating that structure. Implementation is exact
-// sequential sampling, O(k).
-func (s *Stream) Hypergeometric(n, succ, k int) int {
-	if k < 0 || succ < 0 || n < 0 || succ > n || k > n {
-		panic(fmt.Sprintf("rng: invalid Hypergeometric(n=%d, succ=%d, k=%d)", n, succ, k))
-	}
-	got := 0
-	for i := 0; i < k; i++ {
-		// Probability the next draw is a success given the remaining pool.
-		if s.Float64()*float64(n-i) < float64(succ-got) {
-			got++
-		}
-	}
-	return got
 }

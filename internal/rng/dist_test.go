@@ -24,7 +24,10 @@ func TestAliasRejectsBadWeights(t *testing.T) {
 
 func TestAliasMatchesWeights(t *testing.T) {
 	weights := []float64{1, 2, 3, 4}
-	a := MustAlias(weights)
+	a, err := NewAlias(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(100)
 	const draws = 400000
 	counts := make([]int, len(weights))
@@ -40,7 +43,10 @@ func TestAliasMatchesWeights(t *testing.T) {
 }
 
 func TestAliasSingleOutcome(t *testing.T) {
-	a := MustAlias([]float64{3.5})
+	a, err := NewAlias([]float64{3.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(1)
 	for i := 0; i < 100; i++ {
 		if a.Sample(s) != 0 {
@@ -50,7 +56,10 @@ func TestAliasSingleOutcome(t *testing.T) {
 }
 
 func TestAliasZeroWeightNeverSampled(t *testing.T) {
-	a := MustAlias([]float64{0, 1, 0, 2})
+	a, err := NewAlias([]float64{0, 1, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(2)
 	for i := 0; i < 100000; i++ {
 		v := a.Sample(s)
@@ -73,7 +82,10 @@ func TestAliasProbabilitiesSaneProperty(t *testing.T) {
 			weights[i] = float64(r%16) + 1 // 1..16, all positive
 			sum += weights[i]
 		}
-		a := MustAlias(weights)
+		a, err := NewAlias(weights)
+		if err != nil {
+			return false
+		}
 		s := New(seed)
 		const draws = 30000
 		counts := make([]int, len(weights))
@@ -127,51 +139,6 @@ func TestZipfRanksDecreasing(t *testing.T) {
 	}
 }
 
-func TestBinomialEdges(t *testing.T) {
-	s := New(4)
-	if got := s.Binomial(10, 0); got != 0 {
-		t.Fatalf("Binomial(10, 0) = %d", got)
-	}
-	if got := s.Binomial(10, 1); got != 10 {
-		t.Fatalf("Binomial(10, 1) = %d", got)
-	}
-	if got := s.Binomial(0, 0.5); got != 0 {
-		t.Fatalf("Binomial(0, .5) = %d", got)
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	s := New(5)
-	cases := []struct {
-		n int
-		p float64
-	}{
-		{20, 0.25}, {100, 0.05}, {1000, 0.7}, {4, 0.5},
-	}
-	for _, c := range cases {
-		const reps = 20000
-		var sum, sumSq float64
-		for i := 0; i < reps; i++ {
-			v := float64(s.Binomial(c.n, c.p))
-			if v < 0 || v > float64(c.n) {
-				t.Fatalf("Binomial(%d,%v) out of range: %v", c.n, c.p, v)
-			}
-			sum += v
-			sumSq += v * v
-		}
-		mean := sum / reps
-		wantMean := float64(c.n) * c.p
-		variance := sumSq/reps - mean*mean
-		wantVar := wantMean * (1 - c.p)
-		if math.Abs(mean-wantMean) > 0.05*wantMean+0.1 {
-			t.Errorf("Binomial(%d,%v) mean %.3f, want %.3f", c.n, c.p, mean, wantMean)
-		}
-		if math.Abs(variance-wantVar) > 0.1*wantVar+0.2 {
-			t.Errorf("Binomial(%d,%v) var %.3f, want %.3f", c.n, c.p, variance, wantVar)
-		}
-	}
-}
-
 func TestPoissonMoments(t *testing.T) {
 	s := New(6)
 	for _, lambda := range []float64{0.25, 1, 4, 25, 100} {
@@ -201,70 +168,4 @@ func TestPoissonZero(t *testing.T) {
 	if got := s.Poisson(-1); got != 0 {
 		t.Fatalf("Poisson(-1) = %d", got)
 	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	s := New(8)
-	const p, reps = 0.2, 100000
-	var sum float64
-	for i := 0; i < reps; i++ {
-		v := s.Geometric(p)
-		if v < 0 {
-			t.Fatalf("negative geometric %d", v)
-		}
-		sum += float64(v)
-	}
-	want := (1 - p) / p // mean of failures-before-success
-	if mean := sum / reps; math.Abs(mean-want) > 0.05*want {
-		t.Fatalf("Geometric(%v) mean %.3f, want %.3f", p, mean, want)
-	}
-}
-
-func TestGeometricOne(t *testing.T) {
-	s := New(9)
-	for i := 0; i < 50; i++ {
-		if s.Geometric(1) != 0 {
-			t.Fatal("Geometric(1) != 0")
-		}
-	}
-}
-
-func TestHypergeometricExact(t *testing.T) {
-	s := New(10)
-	// Degenerate cases have deterministic answers.
-	if got := s.Hypergeometric(10, 10, 4); got != 4 {
-		t.Fatalf("all-success population: got %d", got)
-	}
-	if got := s.Hypergeometric(10, 0, 4); got != 0 {
-		t.Fatalf("no-success population: got %d", got)
-	}
-	if got := s.Hypergeometric(5, 3, 5); got != 3 {
-		t.Fatalf("full sample: got %d, want 3", got)
-	}
-}
-
-func TestHypergeometricMean(t *testing.T) {
-	s := New(11)
-	const n, succ, k, reps = 50, 20, 10, 50000
-	var sum float64
-	for i := 0; i < reps; i++ {
-		v := s.Hypergeometric(n, succ, k)
-		if v < 0 || v > k || v > succ {
-			t.Fatalf("hypergeometric out of range: %d", v)
-		}
-		sum += float64(v)
-	}
-	want := float64(k) * float64(succ) / float64(n)
-	if mean := sum / reps; math.Abs(mean-want) > 0.03*want {
-		t.Fatalf("hypergeometric mean %.3f, want %.3f", mean, want)
-	}
-}
-
-func TestHypergeometricPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for invalid parameters")
-		}
-	}()
-	New(1).Hypergeometric(5, 6, 2)
 }

@@ -6,33 +6,28 @@ import (
 )
 
 // Statistical quality tests beyond basic uniformity: serial correlation,
-// pairwise bucket independence, bit balance, and cross-generator agreement
-// of distributional moments. All use fixed seeds, so they are deterministic.
+// pairwise bucket independence and bit balance. All use fixed seeds, so
+// they are deterministic.
 
 func TestSerialCorrelationLow(t *testing.T) {
-	for name, src := range map[string]Source{
-		"xoshiro": NewXoshiro256(101),
-		"pcg":     NewPCG32(101),
-	} {
-		s := NewWithSource(src)
-		const n = 200000
-		xs := make([]float64, n)
-		var mean float64
-		for i := range xs {
-			xs[i] = s.Float64()
-			mean += xs[i]
-		}
-		mean /= n
-		var num, den float64
-		for i := 0; i < n-1; i++ {
-			num += (xs[i] - mean) * (xs[i+1] - mean)
-		}
-		for i := 0; i < n; i++ {
-			den += (xs[i] - mean) * (xs[i] - mean)
-		}
-		if r := num / den; math.Abs(r) > 0.01 {
-			t.Errorf("%s: lag-1 autocorrelation %.4f", name, r)
-		}
+	s := New(101)
+	const n = 200000
+	xs := make([]float64, n)
+	var mean float64
+	for i := range xs {
+		xs[i] = s.Float64()
+		mean += xs[i]
+	}
+	mean /= n
+	var num, den float64
+	for i := 0; i < n-1; i++ {
+		num += (xs[i] - mean) * (xs[i+1] - mean)
+	}
+	for i := 0; i < n; i++ {
+		den += (xs[i] - mean) * (xs[i] - mean)
+	}
+	if r := num / den; math.Abs(r) > 0.01 {
+		t.Errorf("lag-1 autocorrelation %.4f", r)
 	}
 }
 
@@ -77,31 +72,6 @@ func TestBitBalance(t *testing.T) {
 	}
 }
 
-func TestGeneratorFamiliesAgreeOnMoments(t *testing.T) {
-	// Experiment conclusions must not depend on the generator family: both
-	// sources should produce Binomial samples with matching moments.
-	moments := func(src Source) (mean, variance float64) {
-		s := NewWithSource(src)
-		const reps = 40000
-		var sum, sumSq float64
-		for i := 0; i < reps; i++ {
-			v := float64(s.Binomial(50, 0.3))
-			sum += v
-			sumSq += v * v
-		}
-		mean = sum / reps
-		return mean, sumSq/reps - mean*mean
-	}
-	mx, vx := moments(NewXoshiro256(404))
-	mp, vp := moments(NewPCG32(404))
-	if math.Abs(mx-mp) > 0.15 {
-		t.Errorf("means disagree: xoshiro %.3f vs pcg %.3f", mx, mp)
-	}
-	if math.Abs(vx-vp) > 0.6 {
-		t.Errorf("variances disagree: xoshiro %.3f vs pcg %.3f", vx, vp)
-	}
-}
-
 func TestUint64nLargeBoundsUnbiased(t *testing.T) {
 	// Lemire rejection must stay unbiased for bounds just below a power of
 	// two, the worst case for naive modulo.
@@ -130,19 +100,6 @@ func TestStreamsPairwiseDistinct(t *testing.T) {
 			t.Fatalf("streams %d and %d share first output", prev, i)
 		}
 		firsts[v] = i
-	}
-}
-
-func TestBinomialLargeNPPath(t *testing.T) {
-	// Exercise the O(n) summation branch (n*p >= 32) explicitly.
-	s := New(707)
-	const n, p, reps = 200, 0.5, 20000
-	var sum float64
-	for i := 0; i < reps; i++ {
-		sum += float64(s.Binomial(n, p))
-	}
-	if mean := sum / reps; math.Abs(mean-100) > 1.5 {
-		t.Fatalf("Binomial(200, .5) mean %.2f", mean)
 	}
 }
 

@@ -101,64 +101,3 @@ func (x *Xoshiro256) Uint64() uint64 {
 	s[3] = bits.RotateLeft64(s[3], 45)
 	return result
 }
-
-// Jump advances the generator by 2^128 steps, equivalent to that many calls
-// to Uint64. It can be used to derive non-overlapping sequences from a single
-// seed; NewStreams uses independent SplitMix64 seeds instead, but Jump is
-// provided for callers who need the classical jump-ahead construction.
-func (x *Xoshiro256) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				s0 ^= x.s[0]
-				s1 ^= x.s[1]
-				s2 ^= x.s[2]
-				s3 ^= x.s[3]
-			}
-			x.Uint64()
-		}
-	}
-	x.s[0], x.s[1], x.s[2], x.s[3] = s0, s1, s2, s3
-}
-
-// PCG32 implements the PCG-XSH-RR 64/32 generator by O'Neill. It is smaller
-// and slightly faster than xoshiro for 32-bit draws; it is provided as an
-// alternative Source, mainly to let tests verify that experiment conclusions
-// do not depend on the generator family.
-type PCG32 struct {
-	state uint64
-	inc   uint64
-}
-
-// NewPCG32 returns a PCG32 seeded with the given seed and a fixed odd
-// increment derived from the seed.
-func NewPCG32(seed uint64) *PCG32 {
-	p := new(PCG32)
-	p.Seed(seed)
-	return p
-}
-
-// Seed resets the generator to a state derived from seed.
-func (p *PCG32) Seed(seed uint64) {
-	sm := seed
-	p.state = splitMix64(&sm)
-	p.inc = splitMix64(&sm) | 1
-	p.next32()
-}
-
-func (p *PCG32) next32() uint32 {
-	old := p.state
-	p.state = old*6364136223846793005 + p.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint(old >> 59)
-	return bits.RotateLeft32(xorshifted, -int(rot))
-}
-
-// Uint64 returns the next 64-bit value, composed of two 32-bit PCG outputs.
-func (p *PCG32) Uint64() uint64 {
-	hi := uint64(p.next32())
-	lo := uint64(p.next32())
-	return hi<<32 | lo
-}

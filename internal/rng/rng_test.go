@@ -41,43 +41,17 @@ func TestXoshiroZeroSeedValid(t *testing.T) {
 	}
 }
 
-func TestPCG32Determinism(t *testing.T) {
-	a := NewWithSource(NewPCG32(7))
-	b := NewWithSource(NewPCG32(7))
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("PCG streams with equal seeds diverged at draw %d", i)
-		}
-	}
-}
-
 func TestSeedResets(t *testing.T) {
-	for name, src := range map[string]Source{"xoshiro": NewXoshiro256(9), "pcg": NewPCG32(9)} {
-		first := make([]uint64, 16)
-		for i := range first {
-			first[i] = src.Uint64()
-		}
-		src.Seed(9)
-		for i := range first {
-			if got := src.Uint64(); got != first[i] {
-				t.Fatalf("%s: re-seeded stream diverged at %d", name, i)
-			}
-		}
+	src := NewXoshiro256(9)
+	first := make([]uint64, 16)
+	for i := range first {
+		first[i] = src.Uint64()
 	}
-}
-
-func TestJumpChangesSequence(t *testing.T) {
-	a := NewXoshiro256(5)
-	b := NewXoshiro256(5)
-	b.Jump()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
+	src.Seed(9)
+	for i := range first {
+		if got := src.Uint64(); got != first[i] {
+			t.Fatalf("re-seeded stream diverged at %d", i)
 		}
-	}
-	if same > 0 {
-		t.Fatalf("jumped stream overlapped original in %d of 100 draws", same)
 	}
 }
 
@@ -206,21 +180,6 @@ func TestIntnUniformity(t *testing.T) {
 		if math.Abs(float64(c)-want) > 0.05*want {
 			t.Errorf("bucket %d: got %d, want %.0f +/- 5%%", b, c, want)
 		}
-	}
-}
-
-func TestIntRange(t *testing.T) {
-	s := New(2)
-	seen := map[int]bool{}
-	for i := 0; i < 1000; i++ {
-		v := s.IntRange(-3, 3)
-		if v < -3 || v > 3 {
-			t.Fatalf("IntRange(-3,3) = %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 7 {
-		t.Fatalf("IntRange(-3,3) hit %d of 7 values in 1000 draws", len(seen))
 	}
 }
 
@@ -371,19 +330,6 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	}
 	if count[5] != 2 || count[1] != 1 || count[2] != 1 || count[9] != 3 {
 		t.Fatalf("shuffle changed multiset: %v", work)
-	}
-}
-
-func TestPermInto(t *testing.T) {
-	s := New(15)
-	dst := make([]int, 10)
-	s.PermInto(dst)
-	seen := make([]bool, 10)
-	for _, v := range dst {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("PermInto produced invalid permutation %v", dst)
-		}
-		seen[v] = true
 	}
 }
 

@@ -75,14 +75,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64n(uint64(n)))
 }
 
-// IntRange returns a uniform int in [lo, hi]. Requires lo <= hi.
-func (s *Stream) IntRange(lo, hi int) int {
-	if lo > hi {
-		panic("rng: IntRange with lo > hi")
-	}
-	return lo + s.Intn(hi-lo+1)
-}
-
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (s *Stream) Float64() float64 {
 	return float64(s.src.Uint64()>>11) / (1 << 53)
@@ -138,28 +130,10 @@ func (s *Stream) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes n elements using the Fisher–Yates algorithm, calling swap
-// for each exchange.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// ShuffleInts permutes an int slice in place.
+// ShuffleInts permutes an int slice in place (Fisher–Yates).
 func (s *Stream) ShuffleInts(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := s.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-}
-
-// PermInto fills dst (which determines n) with a uniform random permutation
-// of [0, len(dst)), avoiding an allocation in hot loops.
-func (s *Stream) PermInto(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	s.ShuffleInts(dst)
 }

@@ -35,10 +35,30 @@
 //
 // WithWorkers(k) sizes a par.Budget of k tokens that the whole run draws
 // from: the protocol's dating rounds grab spare tokens per round (via
-// Arranger.ArrangeShared / Service.RunRoundSeeded) instead of pinning a
+// Arranger.ArrangeShared / Service.RunRoundShared) instead of pinning a
 // fixed inner worker count. Every budget-fed engine derives its randomness
 // per unit of work, so the worker count a round happens to get is a pure
 // speed knob — reports are bit-identical for every k >= 1.
+//
+// # The round loop
+//
+// Every protocol is a sequence of rounds that yields a progress count per
+// round, and all nine run on one loop, Drive. A protocol hands Drive its
+// round function — advance one round, return what it sent, its progress,
+// whether it is done, or an error — and Drive runs it up to the round cap,
+// records Rounds, Completed, History and SentHistory in the Stepped core
+// every result embeds, and publishes the protocol's observer track after
+// each round. Stepped.Report is the one mapping onto Report: Messages is the
+// sum of the sent counts unless the protocol ran on a message engine, whose
+// counters it then reports.
+//
+// The round-abstract protocols (rumor, multi-rumor, mongering, storage) draw
+// one seed per round off their run stream; the handshake runs a fixed number
+// of dating rounds. The four stepped protocols (live, topology, consensus,
+// async) reach Drive through a thin wrapper in internal/gossip that ticks
+// their runtime — live's one-tick prologue and three ticks per dating round,
+// one tick per round or calendar bucket otherwise — and takes each round's
+// sent count from the runtime's traffic.
 package run
 
 import (
@@ -241,14 +261,4 @@ func Run(spec Spec, opts ...Option) (Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// SumSent totals a per-round message history; protocols use it to fill
-// Report.Messages when the engine does not count traffic itself.
-func SumSent(sent []int) int64 {
-	var total int64
-	for _, v := range sent {
-		total += int64(v)
-	}
-	return total
 }

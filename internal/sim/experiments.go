@@ -11,6 +11,7 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/run"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -194,7 +195,7 @@ func RunPhases(scale Scale, seed uint64) (PhasesResult, error) {
 	var sample []int
 	for rep := 0; rep < reps; rep++ {
 		s := root.Split()
-		r, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n, Source: 0}, s)
+		r, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n, Source: 0}, s, nil, nil)
 		if err != nil {
 			return PhasesResult{}, err
 		}
@@ -381,7 +382,7 @@ func RunMongering(scale Scale, seed uint64) (MongerResult, error) {
 			s := root.Split()
 			mr, err := coding.RunMonger(coding.MongerConfig{
 				N: n, Blocks: blocks, BlockSize: 64, PayloadSeed: root.Uint64(),
-			}, s)
+			}, s, nil)
 			if err != nil {
 				return MongerResult{}, err
 			}
@@ -389,7 +390,7 @@ func RunMongering(scale Scale, seed uint64) (MongerResult, error) {
 				return MongerResult{}, fmt.Errorf("sim: mongering incomplete (B=%d)", blocks)
 			}
 			rounds.Add(float64(mr.Rounds))
-			eff.Add(float64(mr.Innovative) / float64(mr.PacketsSent))
+			eff.Add(float64(mr.Innovative) / float64(run.SumSent(mr.SentHistory)))
 		}
 		res.Rows = append(res.Rows, MongerRow{
 			Blocks:     blocks,
@@ -441,7 +442,7 @@ func RunChurn(scale Scale, seed uint64) (ChurnResult, error) {
 		completed := 0
 		for rep := 0; rep < reps; rep++ {
 			s := root.Split()
-			r, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n, Source: 0, CrashProb: p}, s)
+			r, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n, Source: 0, CrashProb: p}, s, nil, nil)
 			if err != nil {
 				return ChurnResult{}, err
 			}
@@ -494,7 +495,7 @@ func RunStoragePar(scale Scale, seed uint64, workers int) (StorageResult, error)
 	results := make([]storage.Result, reps)
 	err := forEach(reps, workers, func(rep int, b *par.Budget) error {
 		s := rng.New(rng.Derive(seed, domainStorage, uint64(rep)))
-		r, err := storage.RunShared(storage.Config{
+		r, err := storage.Run(storage.Config{
 			N: n, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 12, RoundCap: 2,
 		}, s, b)
 		if err != nil {

@@ -80,7 +80,7 @@ func RunFigure2Par(scale Scale, seed uint64, workers int) (Figure2Result, error)
 		c := coords[j]
 		n := ns[c.ni]
 		s := rng.New(rng.Derive(seed, domainFigure2, uint64(c.ni), uint64(c.ai), uint64(c.rep)))
-		r, err := gossip.Run(gossip.Config{Algorithm: algos[c.ai], N: n, Source: 0}, s)
+		r, err := gossip.Run(gossip.Config{Algorithm: algos[c.ai], N: n, Source: 0}, s, nil, nil)
 		if err != nil {
 			return err
 		}

@@ -54,7 +54,7 @@ func RunLoadViolationPar(scale Scale, seed uint64, workers int) (LoadResult, err
 	err := forEach(len(outs), workers, func(j int, _ *par.Budget) error {
 		ai, rep := j/reps, j%reps
 		s := rng.New(rng.Derive(seed, domainLoads, uint64(ai), uint64(rep)))
-		r, err := gossip.Run(gossip.Config{Algorithm: algos[ai], N: n, Source: 0}, s)
+		r, err := gossip.Run(gossip.Config{Algorithm: algos[ai], N: n, Source: 0}, s, nil, nil)
 		if err != nil {
 			return err
 		}

@@ -62,7 +62,7 @@ func RunMultiRumorExperimentPar(scale Scale, seed uint64, workers int) (MultiRum
 			N:          n,
 			Injections: injections,
 			Forwarding: gossip.ForwardRandom,
-		}, s)
+		}, s, nil)
 		if err != nil {
 			return err
 		}

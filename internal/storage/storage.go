@@ -13,6 +13,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -34,16 +35,15 @@ type Config struct {
 	MaxRounds int
 }
 
-// Result reports a replication run.
+// Result reports a replication run: History is the cumulative count of
+// placed replicas after each round, SentHistory the dates arranged per round
+// (useful or wasted).
 type Result struct {
-	Rounds        int
-	Completed     bool
-	PlacedHistory []int // cumulative placed replicas per round
-	SentHistory   []int // dates arranged per round (useful or wasted)
-	Transfers     int   // dates used to ship a block
-	WastedDates   int   // dates where the pair had nothing placeable
-	MaxOccupancy  int   // fullest node at the end
-	MinOccupancy  int   // emptiest node at the end
+	run.Stepped
+	Transfers    int // dates used to ship a block
+	WastedDates  int // dates where the pair had nothing placeable
+	MaxOccupancy int // fullest node at the end
+	MinOccupancy int // emptiest node at the end
 }
 
 // validate checks feasibility: enough distinct hosts and enough total slots.
@@ -76,54 +76,28 @@ func (c Config) Protocol() string { return "storage" }
 // shared budget. Trajectory is the cumulative placed-replica history;
 // Detail the full Result.
 func (c Config) Execute(o *run.Options) (run.Report, error) {
-	res, err := runBudgeted(c, run.StreamFor(o.Seed, run.DomainStorage), o.Budget)
+	res, err := Run(c, run.StreamFor(o.Seed, run.DomainStorage), o.Budget)
 	if err != nil {
 		return run.Report{}, err
 	}
-	return run.Report{
-		Rounds:     res.Rounds,
-		Completed:  res.Completed,
-		Trajectory: res.PlacedHistory,
-		Sent:       res.SentHistory,
-		Messages:   int64(res.Transfers + res.WastedDates),
-		Detail:     res,
-	}, nil
+	return res.Report(res, nil), nil
 }
 
 // Run executes the replication protocol until every object has R replicas
-// or MaxRounds elapses.
-func Run(cfg Config, s *rng.Stream) (Result, error) {
-	return runBudgeted(cfg, s, nil)
-}
-
-// RunShared is Run with a shared worker budget: every round's Arrange runs
-// with the caller's worker plus whatever spare tokens b has at that moment.
-// The Arranger is worker-count independent, so budget sharing never changes
-// the result — the experiment harness uses this to let storage repetitions
-// soak up cores its other jobs are done with.
-func RunShared(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
-	return runBudgeted(cfg, s, b)
-}
-
-func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
+// or MaxRounds elapses. With a non-nil b every round's Arrange runs with the
+// caller's worker plus whatever spare tokens b has at that moment; the
+// Arranger is worker-count independent, so budget sharing never changes the
+// result — the experiment harness uses this to let storage repetitions soak
+// up cores its other jobs are done with.
+func Run(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	sel := cfg.Selector
-	if sel == nil {
-		u, err := core.NewUniformSelector(cfg.N)
-		if err != nil {
-			return Result{}, err
-		}
-		sel = u
+	sel, err := core.SelectorFor(cfg.Selector, cfg.N)
+	if err != nil {
+		return Result{}, err
 	}
-	if sel.N() != cfg.N {
-		return Result{}, fmt.Errorf("storage: selector addresses %d nodes, config has %d", sel.N(), cfg.N)
-	}
-	cap := cfg.RoundCap
-	if cap == 0 {
-		cap = 1
-	}
+	roundCap := max(cfg.RoundCap, 1)
 	arr, err := core.NewArranger(sel)
 	if err != nil {
 		return Result{}, err
@@ -152,18 +126,17 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
 	var res Result
 	out := make([]int, n)
 	in := make([]int, n)
-	for round := 1; round <= maxRounds; round++ {
+	res.Stepped, err = run.Drive(maxRounds, nil, func(int) (int, int, bool, error) {
 		for i := 0; i < n; i++ {
-			out[i] = min(outstanding[i], cap)
-			in[i] = min(cfg.SlotsPerNode-occupancy[i], cap)
+			out[i] = min(outstanding[i], roundCap)
+			in[i] = min(cfg.SlotsPerNode-occupancy[i], roundCap)
 		}
 		// One draw from s seeds the whole round, so the run consumes the
 		// same stream positions at every worker count.
 		dates, err := arr.ArrangeShared(out, in, s.Uint64(), b)
 		if err != nil {
-			return Result{}, err
+			return 0, 0, false, err
 		}
-		res.SentHistory = append(res.SentHistory, len(dates))
 		for _, d := range dates {
 			owner, host := d.Sender, d.Receiver
 			if owner == host || occupancy[host] >= cfg.SlotsPerNode || outstanding[owner] == 0 {
@@ -194,23 +167,13 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
 				res.WastedDates++
 			}
 		}
-		res.Rounds = round
-		res.PlacedHistory = append(res.PlacedHistory, placed)
-		if placed == needTotal {
-			res.Completed = true
-			break
-		}
+		return len(dates), placed, placed == needTotal, nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 
-	res.MaxOccupancy, res.MinOccupancy = occupancy[0], occupancy[0]
-	for _, c := range occupancy {
-		if c > res.MaxOccupancy {
-			res.MaxOccupancy = c
-		}
-		if c < res.MinOccupancy {
-			res.MinOccupancy = c
-		}
-	}
+	res.MaxOccupancy, res.MinOccupancy = slices.Max(occupancy), slices.Min(occupancy)
 	// Internal consistency: every hosts list within bounds and distinct.
 	for id, hs := range hosts {
 		if len(hs) > cfg.Replicas {
@@ -225,11 +188,4 @@ func runBudgeted(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

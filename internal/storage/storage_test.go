@@ -21,7 +21,7 @@ func TestConfigValidation(t *testing.T) {
 		{N: 4, ObjectsPerNode: 1, Replicas: 1, SlotsPerNode: 2, RoundCap: -1}, // bad cap
 	}
 	for i, cfg := range bad {
-		if _, err := Run(cfg, s); err == nil {
+		if _, err := Run(cfg, s, nil); err == nil {
 			t.Errorf("case %d accepted: %+v", i, cfg)
 		}
 	}
@@ -29,7 +29,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestSelectorSizeMismatch(t *testing.T) {
 	sel, _ := core.NewUniformSelector(5)
-	_, err := Run(Config{N: 6, ObjectsPerNode: 1, Replicas: 1, SlotsPerNode: 2, Selector: sel}, rng.New(2))
+	_, err := Run(Config{N: 6, ObjectsPerNode: 1, Replicas: 1, SlotsPerNode: 2, Selector: sel}, rng.New(2), nil)
 	if err == nil {
 		t.Fatal("accepted selector/config size mismatch")
 	}
@@ -38,7 +38,7 @@ func TestSelectorSizeMismatch(t *testing.T) {
 func TestReplicationCompletes(t *testing.T) {
 	s := rng.New(3)
 	cfg := Config{N: 50, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 8}
-	res, err := Run(cfg, s)
+	res, err := Run(cfg, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestReplicationCompletes(t *testing.T) {
 	if res.Transfers != want {
 		t.Fatalf("transfers %d, want %d", res.Transfers, want)
 	}
-	last := res.PlacedHistory[len(res.PlacedHistory)-1]
+	last := res.History[len(res.History)-1]
 	if last != want {
 		t.Fatalf("placed %d, want %d", last, want)
 	}
@@ -57,12 +57,12 @@ func TestReplicationCompletes(t *testing.T) {
 
 func TestPlacedHistoryMonotone(t *testing.T) {
 	s := rng.New(4)
-	res, err := Run(Config{N: 30, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 4}, s)
+	res, err := Run(Config{N: 30, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 4}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := 0
-	for i, c := range res.PlacedHistory {
+	for i, c := range res.History {
 		if c < prev {
 			t.Fatalf("placements dropped at round %d", i+1)
 		}
@@ -73,7 +73,7 @@ func TestPlacedHistoryMonotone(t *testing.T) {
 func TestOccupancyWithinSlots(t *testing.T) {
 	s := rng.New(5)
 	cfg := Config{N: 40, ObjectsPerNode: 2, Replicas: 2, SlotsPerNode: 5}
-	res, err := Run(cfg, s)
+	res, err := Run(cfg, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestLoadBalance(t *testing.T) {
 	// no node may end up with more than ~4x the average occupancy.
 	s := rng.New(6)
 	cfg := Config{N: 100, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 12}
-	res, err := Run(cfg, s)
+	res, err := Run(cfg, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +108,12 @@ func TestTightCapacityStillCompletes(t *testing.T) {
 	// packing, which takes longer but must still terminate.
 	s := rng.New(7)
 	cfg := Config{N: 12, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 2, MaxRounds: 20000}
-	res, err := Run(cfg, s)
+	res, err := Run(cfg, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
-		t.Fatalf("tight config incomplete after %d rounds (placed %v)", res.Rounds, res.PlacedHistory[len(res.PlacedHistory)-1])
+		t.Fatalf("tight config incomplete after %d rounds (placed %v)", res.Rounds, res.History[len(res.History)-1])
 	}
 	if res.MaxOccupancy != 2 || res.MinOccupancy != 2 {
 		t.Fatalf("tight config must fill every slot: %d..%d", res.MinOccupancy, res.MaxOccupancy)
@@ -123,12 +123,12 @@ func TestTightCapacityStillCompletes(t *testing.T) {
 func TestRoundCapLimitsPerRoundProgress(t *testing.T) {
 	s := rng.New(8)
 	cfg := Config{N: 20, ObjectsPerNode: 4, Replicas: 2, SlotsPerNode: 10, RoundCap: 1}
-	res, err := Run(cfg, s)
+	res, err := Run(cfg, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := 0
-	for _, c := range res.PlacedHistory {
+	for _, c := range res.History {
 		// With cap 1, at most one block lands per node per round.
 		if c-prev > 20 {
 			t.Fatalf("placed %d blocks in one round with cap 1 on 20 nodes", c-prev)
@@ -139,11 +139,11 @@ func TestRoundCapLimitsPerRoundProgress(t *testing.T) {
 
 func TestHigherCapFaster(t *testing.T) {
 	s1, s2 := rng.New(9), rng.New(10)
-	slow, err := Run(Config{N: 40, ObjectsPerNode: 4, Replicas: 3, SlotsPerNode: 16, RoundCap: 1}, s1)
+	slow, err := Run(Config{N: 40, ObjectsPerNode: 4, Replicas: 3, SlotsPerNode: 16, RoundCap: 1}, s1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(Config{N: 40, ObjectsPerNode: 4, Replicas: 3, SlotsPerNode: 16, RoundCap: 4}, s2)
+	fast, err := Run(Config{N: 40, ObjectsPerNode: 4, Replicas: 3, SlotsPerNode: 16, RoundCap: 4}, s2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestHigherCapFaster(t *testing.T) {
 
 func TestMaxRoundsCap(t *testing.T) {
 	s := rng.New(11)
-	res, err := Run(Config{N: 60, ObjectsPerNode: 8, Replicas: 3, SlotsPerNode: 30, MaxRounds: 2}, s)
+	res, err := Run(Config{N: 60, ObjectsPerNode: 8, Replicas: 3, SlotsPerNode: 30, MaxRounds: 2}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestWeightedSelectorWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{N: 30, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 4, Selector: sel}, rng.New(12))
+	res, err := Run(Config{N: 30, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 4, Selector: sel}, rng.New(12), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestWorkersBitIdenticalRuns(t *testing.T) {
 	// run — rounds, history, transfers, occupancy — must be bit-identical
 	// at every budget size.
 	cfg := Config{N: 60, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 10, RoundCap: 2}
-	base, err := Run(cfg, rng.New(77))
+	base, err := Run(cfg, rng.New(77), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestWorkersBitIdenticalRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunShared(cfg, rng.New(77), b)
+		got, err := Run(cfg, rng.New(77), b)
 		if err != nil {
 			t.Fatal(err)
 		}

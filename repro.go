@@ -125,8 +125,8 @@ type (
 	// conflicting variants of one rumor seeded by geometry (ConsensusSeed*)
 	// over a Graph and merged per peer under a Rule (ConsensusRule*) until
 	// the leading variant holds a Threshold share of the population. The
-	// shard count and network model come from the run options; attach an Observer to get per-round variant-share gauges in
-	// Report.Metrics.
+	// shard count and network model come from the run options; attach an
+	// Observer to get per-round variant-share gauges in Report.Metrics.
 	ConsensusConfig = gossip.ConsensusConfig
 
 	// ConsensusResult reports a consensus run: winner, agreement level and

@@ -16,8 +16,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/coding"
 	"repro/internal/gossip"
 	"repro/internal/run"
+	"repro/internal/storage"
 )
 
 const compatSeed = 0xC0FFEE
@@ -213,6 +215,55 @@ func TestSeedCompatLiveEngines(t *testing.T) {
 				t.Fatalf("n=%d shards=%d: facade report differs from the runtime's", n, shards)
 			}
 		}
+	}
+}
+
+// detail adapts a stream entry point's typed result to a Report.Detail.
+func detail[R any](res R, err error) (any, error) { return res, err }
+
+func TestSeedCompatStreamEntryPoints(t *testing.T) {
+	// The run package's promise: a stream entry point fed run.StreamFor of a
+	// root seed returns exactly the Detail that Run reports at that seed.
+	entries := map[string]struct {
+		domain uint64
+		run    func(spec Spec, s *Stream) (any, error)
+	}{
+		"rumor-dating": {run.DomainRumor, func(spec Spec, s *Stream) (any, error) {
+			return detail(gossip.Run(spec.(RumorConfig), s, nil, nil))
+		}},
+		"rumor-push": {run.DomainRumor, func(spec Spec, s *Stream) (any, error) {
+			return detail(gossip.Run(spec.(RumorConfig), s, nil, nil))
+		}},
+		"multirumor": {run.DomainMulti, func(spec Spec, s *Stream) (any, error) {
+			return detail(gossip.RunMultiRumor(spec.(MultiRumorConfig), s, nil))
+		}},
+		"monger": {run.DomainMonger, func(spec Spec, s *Stream) (any, error) {
+			return detail(coding.RunMonger(spec.(MongerConfig), s, nil))
+		}},
+		"storage": {run.DomainStorage, func(spec Spec, s *Stream) (any, error) {
+			return detail(storage.Run(spec.(StorageConfig), s, nil))
+		}},
+	}
+	for _, tc := range compatCases {
+		e, ok := entries[tc.name]
+		if !ok {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range []int{17, 1000} {
+				rep, err := Run(tc.spec(n), WithSeed(compatSeed))
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				want, err := e.run(tc.spec(n), run.StreamFor(compatSeed, e.domain))
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				if !reflect.DeepEqual(rep.Detail, want) {
+					t.Fatalf("n=%d: Run's detail differs from the stream entry point's result", n)
+				}
+			}
+		})
 	}
 }
 
