@@ -73,10 +73,11 @@ type FireFunc func(peer, fire int, t float64, s *rng.Stream, emit func(simnet.Me
 
 // RecvFunc handles one arrived message at its destination peer. It runs at
 // the boundary of the bucket containing the arrival time, before any of the
-// peer's firings in that bucket. RecvFunc gets no stream — handlers must be
-// pure functions of the peer state and the message, which keeps all
-// randomness accounted to (peer, firing-index) coordinates. Replies emitted
-// here are timed from the bucket boundary.
+// peer's firings in that bucket; m is a copy, unpacked from the delivered
+// view. RecvFunc gets no stream — handlers must be pure functions of the
+// peer state and the message, which keeps all randomness accounted to
+// (peer, firing-index) coordinates. Replies emitted here are timed from the
+// bucket boundary.
 type RecvFunc func(peer int, m simnet.Message, emit func(simnet.Message))
 
 // Config parameterizes a runtime.
@@ -280,7 +281,7 @@ func (rt *Runtime) RunBuckets(buckets int) simnet.Stats {
 }
 
 // Inbox returns the messages delivered to peer i in the bucket RunBuckets
-// executed last, for post-run inspection. Valid until the next RunBuckets.
+// executed last, for post-run inspection, in a fresh slice.
 func (rt *Runtime) Inbox(i int) []simnet.Message { return rt.core.Inbox(i) }
 
 // stepAll advances every peer through the current bucket: shard w walks its
@@ -294,7 +295,7 @@ func (rt *Runtime) Inbox(i int) []simnet.Message { return rt.core.Inbox(i) }
 func (rt *Runtime) stepAll() {
 	bStart := float64(rt.bucket) * rt.width
 	bEnd := bStart + rt.width
-	sorted, inOff := rt.core.View()
+	inOff := rt.core.View()
 	states, cuts := rt.core.States(), rt.core.Cuts()
 	rt.core.FanOutSpan(rt.bucket, obs.PhaseStep, func(w int) {
 		sh := &rt.sh[w]
@@ -304,7 +305,7 @@ func (rt *Runtime) stepAll() {
 			ln.Seat(i)
 			if rt.recv != nil {
 				sh.now = bStart
-				for _, m := range sorted[inOff[i]:inOff[i+1]] {
+				for _, m := range ln.Inbox(inOff[i], inOff[i+1]) {
 					rt.recv(i, m, sh.emit)
 				}
 			}

@@ -32,7 +32,7 @@ func (c *apingState) fire(peer, fire int, t float64, s *rng.Stream, emit func(si
 	h = h*1099511628211 + math.Float64bits(t)
 	c.digest[peer] = h
 	for k := 0; k < c.fan; k++ {
-		emit(simnet.Message{To: s.Intn(c.n), Kind: 1, A: int64(fire)})
+		emit(simnet.Message{To: s.Intn(c.n), Kind: 1, A: int32(fire)})
 	}
 }
 

@@ -299,7 +299,6 @@ func TestAsyncScratchBytesCountsFreeList(t *testing.T) {
 	// first firing only (rate 40: in bucket 0), so once bucket 1 has gathered
 	// those messages every page made stays pooled.
 	const n = 400
-	const msgBytes = int64(unsafe.Sizeof(simnet.Message{}))
 	fire := func(peer, k int, t float64, s *rng.Stream, emit func(simnet.Message)) {
 		if k == 0 {
 			emit(simnet.Message{To: (peer + 1) % n, Kind: 1})
@@ -310,13 +309,12 @@ func TestAsyncScratchBytesCountsFreeList(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.RunBuckets(3)
-	sorted, inOff := rt.core.View()
-	held := int64(cap(sorted))*msgBytes + int64(cap(inOff))*4 // the view and the offsets
+	held := rt.core.ViewBytes() // the view and the offsets
 	made, pooled := rt.core.Pages()
 	if made*shardrt.PageLen < n || pooled != made {
 		t.Fatalf("%d pages made, %d pooled, want every page of bucket 0's %d messages back in the pool", made, pooled, n)
 	}
-	if got, want := rt.core.ScratchBytes()-held, int64(made)*shardrt.PageLen*msgBytes; got != want {
+	if got, want := rt.core.ScratchBytes()-held, int64(made)*shardrt.PageLen*shardrt.RecordBytes; got != want {
 		t.Fatalf("ScratchBytes() counts %d bytes beyond the view, the %d pooled pages have %d", got, made, want)
 	}
 }

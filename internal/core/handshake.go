@@ -91,7 +91,7 @@ func (h *Handshake) RunRound(nw *simnet.Network) ([]Date, error) {
 			q = len(requests)
 		}
 		MatchRendezvous(offers, requests, h.streams[v], func(sender, receiver int32) {
-			nw.Send(simnet.Message{From: v, To: int(sender), Kind: KindAnswer, A: int64(receiver)})
+			nw.Send(simnet.Message{From: v, To: int(sender), Kind: KindAnswer, A: receiver})
 		})
 		// Algorithm 1 answers every offer, matched or not; unmatched offers
 		// learn that sending is not possible this round.

@@ -142,7 +142,7 @@ func RunAsync(cfg AsyncConfig, o LiveOptions) (AsyncResult, error) {
 // knows it; an uninformed contact is answered with the rumor (pull).
 func asyncHandlers(sel core.Selector, st *peerStates) (async.FireFunc, async.RecvFunc) {
 	fire := func(peer, fire int, t float64, s *rng.Stream, emit func(simnet.Message)) {
-		emit(simnet.Message{To: sel.Pick(s), Kind: kindContact, A: int64(st.of[peer])})
+		emit(simnet.Message{To: sel.Pick(s), Kind: kindContact, A: int32(st.of[peer])})
 	}
 	recv := func(peer int, m simnet.Message, emit func(simnet.Message)) {
 		switch m.Kind {

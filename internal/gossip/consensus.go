@@ -231,7 +231,7 @@ func consStep(sampler graph.Sampler, st *consState, weight []float64) live.Activ
 				if m.Kind != kindConsVariant {
 					continue
 				}
-				mv, ms := uint8(m.A), int32(m.B)
+				mv, ms := uint8(m.A), m.B
 				// Strictly newer stamps win; an equal stamp with a lower
 				// variant id wins too, so the rule is total and
 				// deterministic even if two seeds ever shared a stamp.
@@ -263,7 +263,7 @@ func consStep(sampler graph.Sampler, st *consState, weight []float64) live.Activ
 			return false
 		}
 		if nb := sampler.Pick(node, s); nb >= 0 {
-			emit(simnet.Message{To: nb, Kind: kindConsVariant, A: int64(v), B: int64(stamp)})
+			emit(simnet.Message{To: nb, Kind: kindConsVariant, A: int32(v), B: stamp})
 		}
 		return true
 	}

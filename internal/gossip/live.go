@@ -152,7 +152,7 @@ func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *liveState) l
 				}
 			case core.KindAnswer:
 				if m.A >= 0 {
-					emit(simnet.Message{To: int(m.A), Kind: core.KindPayload, A: int64(st.of[node])})
+					emit(simnet.Message{To: int(m.A), Kind: core.KindPayload, A: int32(st.of[node])})
 				}
 			case core.KindOffer:
 				offers = append(offers, int32(m.From))
@@ -186,7 +186,7 @@ func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *liveState) l
 				q = len(requests)
 			}
 			core.MatchRendezvous(offers, requests, s, func(sender, receiver int32) {
-				emit(simnet.Message{To: int(sender), Kind: core.KindAnswer, A: int64(receiver)})
+				emit(simnet.Message{To: int(sender), Kind: core.KindAnswer, A: receiver})
 			})
 			for _, o := range offers[q:] {
 				emit(simnet.Message{To: int(o), Kind: core.KindAnswer, A: -1})

@@ -49,7 +49,7 @@ func (p *napper) step(node, round int, inbox []simnet.Message, s *rng.Stream, em
 	}
 	if p.energy[node] > 0 {
 		p.energy[node]--
-		emit(simnet.Message{To: s.Intn(p.n), Kind: uint8(1 + round%2), A: int64(round)})
+		emit(simnet.Message{To: s.Intn(p.n), Kind: uint8(1 + round%2), A: int32(round)})
 	}
 	return p.energy[node] > 0
 }

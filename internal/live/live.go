@@ -61,12 +61,13 @@ func PeerSeed(seed uint64, i int) uint64 {
 
 // StepFunc is one peer's behavior for one round: given its id, the round
 // number, and the messages delivered to it, it emits the messages it wants
-// to send (From is stamped by the runtime). The provided stream is the
-// peer's private randomness. A StepFunc may keep per-peer protocol state
-// indexed by node, but must not touch any shared state: peers of different
-// shards run concurrently. The emit-callback shape (instead of returning a
-// slice, as simnet.StepFunc does) lets the runtime route messages without a
-// per-peer allocation.
+// to send (From is stamped by the runtime). The inbox is valid for the call
+// only: the runtime unpacks the next peer's into the same scratch. The
+// provided stream is the peer's private randomness. A StepFunc may keep
+// per-peer protocol state indexed by node, but must not touch any shared
+// state: peers of different shards run concurrently. The emit-callback
+// shape (instead of returning a slice, as simnet.StepFunc does) lets the
+// runtime route messages without a per-peer allocation.
 type StepFunc func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message))
 
 // ActiveStepFunc is a StepFunc that reports whether its peer stays awake.
@@ -244,7 +245,7 @@ func (rt *Runtime) Run(rounds int) simnet.Stats {
 }
 
 // Inbox returns the messages delivered to peer i in the round Run executed
-// last, for post-run inspection. Valid until the next Run call.
+// last, for post-run inspection, in a fresh slice.
 func (rt *Runtime) Inbox(i int) []simnet.Message { return rt.core.Inbox(i) }
 
 // stepRange is the runtime's one step loop, run after the deliver barrier:
@@ -258,7 +259,7 @@ func (rt *Runtime) stepRange(w int) {
 	ln := sh.lane
 	cuts := rt.core.Cuts()
 	lo, hi := cuts[w], cuts[w+1]
-	sorted, inOff := rt.core.View()
+	inOff := rt.core.View()
 	asleep := rt.asleep
 	step, active, round := rt.step, rt.active, rt.round
 	stream, emit := ln.Stream, sh.emit
@@ -271,10 +272,11 @@ func (rt *Runtime) stepRange(w int) {
 		} else {
 			ln.Seat(i)
 			sh.netSeeded = false
+			inbox := ln.Inbox(start, stop)
 			if active != nil {
-				asleep[i] = !active(i, round, sorted[start:stop], stream, emit)
+				asleep[i] = !active(i, round, inbox, stream, emit)
 			} else {
-				step(i, round, sorted[start:stop], stream, emit)
+				step(i, round, inbox, stream, emit)
 			}
 		}
 		start = stop

@@ -37,7 +37,7 @@ func (c *chatterState) step(node, round int, inbox []simnet.Message, s *rng.Stre
 		c.digest[node] = h
 	}
 	for k := 0; k < c.fan; k++ {
-		emit(simnet.Message{To: s.Intn(c.n), Kind: 1, A: int64(round)})
+		emit(simnet.Message{To: s.Intn(c.n), Kind: 1, A: int32(round)})
 	}
 }
 

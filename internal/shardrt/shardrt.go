@@ -16,22 +16,31 @@
 //	         owners' message counts gives each owner its base offset, and
 //	         one FanOutSpan lets owner o counting-sort its own list by
 //	         destination (exch.ClearCounts, exch.PrefixCounts), copying each
-//	         message from its page straight to its place in the view — so
-//	         peer i's inbox is the contiguous slice sorted[inOff[i]:inOff[i+1]]
-//	         (View, Inbox); the pages then go back to the pool;
+//	         record from its page straight to its place in the view — so
+//	         peer i's inbox is the contiguous run of records between the
+//	         offsets inOff[i] and inOff[i+1] (View); the pages then go back
+//	         to the pool;
 //	step     the caller's own loop, one FanOutSpan over the step ranges:
 //	         worker w seats its Lane at each peer of [cuts[w], cuts[w+1]) in
-//	         ascending order and emits through it; Lane.Send resolves the
-//	         destination's owner and appends the message to the lane's open
-//	         page for that (delay, owner), taking a fresh page from the pool
-//	         when that one is full;
+//	         ascending order, unpacks the peer's inbox into the lane's
+//	         scratch (Lane.Inbox) and emits through the lane; Lane.Send
+//	         packs the message into a record, resolves the destination's
+//	         owner and appends the record to the lane's open page for that
+//	         (delay, owner), taking a fresh page from the pool when that one
+//	         is full;
 //	Route    a serial pass links every lane's pages for (delay d, owner o)
 //	         onto owner o's list of slot (tick+d) % ring in worker order,
 //	         copying no message; the lanes' counters merge into Stats and the
 //	         gauges are sampled.
 //
-// A message is therefore copied twice per hop, into its page by Send and out
-// of it by its owner's sort, and is stored nowhere else.
+// A message is a simnet.Message (32 bytes) only where a protocol holds it:
+// at emit and in the step's inbox. Inside the core it is a 20-byte record of
+// int32 ids and payloads, which loses nothing: New admits at most MaxInt32
+// peers and a Message's payloads are int32. A hop therefore moves 20 + 20 +
+// 32 bytes — packed onto its page by Send, copied into the view by its
+// owner's sort, unpacked into the step's scratch by Lane.Inbox — where two
+// copies of a 40-byte Message moved 40 + 40, and the message is stored
+// nowhere but its page and the view.
 //
 // # Two sets of ranges
 //
@@ -47,7 +56,7 @@
 //
 // # Buffers
 //
-// A page holds up to PageLen messages and is in exactly one place: open or
+// A page holds up to PageLen records and is in exactly one place: open or
 // parked on a lane (being filled this tick), linked on a ring slot (in
 // flight), or in the pool. Deliver's serial epilogue returns a delivered
 // slot's pages to the pool and the step takes them from there, one lock per
@@ -55,19 +64,20 @@
 // slot. A tick leaves at most one partly filled page per (lane, delay,
 // owner), so pages made never exceed the peak linked plus shards² ×
 // (ring-1), and steady traffic makes none. The delivered view is a buffer of
-// its own and never a page: Inbox stays valid until the next Deliver
-// although the pages it was copied from are being refilled. A view that must
-// grow by r = msgs/last over the previous tick gets room for two more ticks
-// at that rate, msgs·r² up to 4x, when r > 1.25, so a ×1.6 ramp reallocates
-// it every third tick, not on each; otherwise a quarter of headroom.
+// its own and never a page: it stays valid until the next Deliver although
+// the pages it was copied from are being refilled. A view that must grow by
+// r = msgs/last over the previous tick gets room for two more ticks at that
+// rate, msgs·r² up to 4x, when r > 1.25, so a ×1.6 ramp reallocates it every
+// third tick, not on each; otherwise a quarter of headroom. Each lane's inbox
+// scratch holds one peer's unpacked inbox at a time and grows to the largest.
 //
 // # Limits
 //
-// Peers and view offsets are int32: New rejects more than MaxInt32 peers,
-// more than MaxRing ring slots and more than maxOpenPages open-page headers
-// (shards² × ring, allocated up front), and Route panics, naming the limit,
-// before a slot's message total would pass MaxInt32 — over 80 GB of pages
-// due in one tick, so a bug and not an input.
+// Peers, a record's ids and view offsets are int32: New rejects more than
+// MaxInt32 peers, more than MaxRing ring slots and more than maxOpenPages
+// open-page headers (shards² × ring, allocated up front), and Route panics,
+// naming the limit, before a slot's message total would pass MaxInt32 — over
+// 40 GB of pages due in one tick, so a bug and not an input.
 //
 // # Determinism
 //
@@ -121,9 +131,33 @@ const (
 	openPad = int((CacheLine-1)/unsafe.Sizeof(page{}) + 1)
 )
 
-// page is a run of messages in emission order: length is the fill, capacity
+// record is a message as the core stores it, on a page and in the view:
+// 20 bytes where a simnet.Message is 32. Every field fits: ids because New
+// admits at most MaxInt32 peers, payloads because a Message's are int32.
+type record struct {
+	from, to, a, b int32
+	kind           uint8
+}
+
+// RecordBytes is the size of one message on a page or in the delivered view.
+const RecordBytes = int64(unsafe.Sizeof(record{}))
+
+// pack stores the addressed message m in r. Both conversions write field by
+// field: a record or Message built as a value and then copied went through
+// the stack in narrow stores and came back in wide loads, which stall on
+// store forwarding (Lane.Inbox ran 3x slower in a micro-benchmark).
+func (r *record) pack(m *simnet.Message) {
+	r.from, r.to, r.a, r.b, r.kind = int32(m.From), int32(m.To), m.A, m.B, m.Kind
+}
+
+// unpackTo stores the message r holds in m.
+func (r *record) unpackTo(m *simnet.Message) {
+	m.From, m.To, m.Kind, m.A, m.B = int(r.from), int(r.to), r.kind, r.a, r.b
+}
+
+// page is a run of records in emission order: length is the fill, capacity
 // always PageLen.
-type page []simnet.Message
+type page []record
 
 // checkTotal stops the run when a slot of that many messages could not be
 // delivered (package comment, "Limits"). Route calls it once per slot it
@@ -201,18 +235,22 @@ type parkedPage struct {
 }
 
 // laneState is one worker's private state: its cursor stream, the peer it
-// is seated at (the sender of whatever it emits), the pages it is filling
-// and the tick's counters.
+// is seated at (the sender of whatever it emits), the pages it is filling,
+// the scratch its peers' inboxes are unpacked into and the tick's counters.
 type laneState struct {
 	// Stream draws from the generator state of the seated peer.
 	Stream *rng.Stream
 	src    cursorSource
 
 	// n, ring, part and pool are the core's, copied so that an emission
-	// reads nothing but its own lane.
+	// reads nothing but its own lane; view points at the core's delivered
+	// records.
 	n, ring int
 	part    exch.Partition
 	pool    *pagePool
+	view    *[]record
+	// inbox is the scratch Inbox unpacks into, reused from peer to peer.
+	inbox []simnet.Message
 	// open[d*part.Parts+o] is the page the tick's emissions of delay d to
 	// owner o are appended to (nil before the first), a row of the core's one
 	// header array with openPad spare headers after it; full holds the pages
@@ -269,7 +307,9 @@ func (l *Lane) Send(d int, m simnet.Message) {
 	if len(p) == cap(p) {
 		p = l.turn(k)
 	}
-	l.open[k] = append(p, m) // within capacity: never reallocates
+	p = p[:len(p)+1] // within capacity: never reallocates
+	p[len(p)-1].pack(&m)
+	l.open[k] = p
 }
 
 // turn parks the full open page under header k, if there is one, and
@@ -279,6 +319,24 @@ func (l *Lane) turn(k int) page {
 		l.full = append(l.full, parkedPage{int32(k / l.part.Parts), int32(k % l.part.Parts), p})
 	}
 	return l.pool.take()
+}
+
+// Inbox returns the messages of view[start:stop], the delivered records
+// between two of View's offsets, as Messages: one peer's inbox. They are
+// unpacked into the lane's scratch, so the slice is valid until the lane's
+// next Inbox, which is for the duration of one step call. The scratch starts
+// at a page's worth of Messages, 8 KB: a step writes it for every peer, and
+// two lanes' scratch must not share a cache line.
+func (l *Lane) Inbox(start, stop int32) []simnet.Message {
+	recs := (*l.view)[start:stop]
+	if cap(l.inbox) < len(recs) {
+		l.inbox = make([]simnet.Message, max(len(recs), PageLen, 2*cap(l.inbox)))
+	}
+	in := l.inbox[:len(recs)]
+	for k := range recs {
+		recs[k].unpackTo(&in[k])
+	}
+	return in
 }
 
 // AddWork adds k units to the tick's work count (peers stepped, clocks
@@ -317,7 +375,7 @@ type Core struct {
 	// sorted/inOff are the delivered view. In Deliver due is the slot being
 	// delivered, base[o] owner o's first index in sorted and counts[o] its
 	// count array; sortFn is sortOwner, bound once so no tick allocates it.
-	sorted []simnet.Message
+	sorted []record
 	inOff  []int32
 	last   int // messages the previous Deliver delivered
 	due    *slot
@@ -391,7 +449,7 @@ func New(cfg Config) (*Core, error) {
 	open := make([]page, shards*stride)
 	for w := range c.lanes {
 		l := &c.lanes[w]
-		l.n, l.ring, l.part, l.pool = c.n, c.ring, c.part, &c.pool
+		l.n, l.ring, l.part, l.pool, l.view = c.n, c.ring, c.part, &c.pool, &c.sorted
 		l.open = open[w*stride : w*stride+row : w*stride+row]
 		l.src.states = c.states
 		l.Stream = rng.NewWithSource(&l.src)
@@ -438,12 +496,26 @@ func (c *Core) Cuts() []int { return c.cuts }
 // Lane returns worker w's lane.
 func (c *Core) Lane(w int) *Lane { return &c.lanes[w] }
 
-// View returns the delivered view of the last Deliver: peer i's inbox is
-// sorted[inOff[i]:inOff[i+1]]. Valid until the next Deliver.
-func (c *Core) View() (sorted []simnet.Message, inOff []int32) { return c.sorted, c.inOff }
+// View returns the offsets of the last Deliver's view: peer i's inbox is
+// Lane.Inbox(inOff[i], inOff[i+1]). Valid until the next Deliver.
+func (c *Core) View() (inOff []int32) { return c.inOff }
 
-// Inbox returns the messages delivered to peer i by the last Deliver.
-func (c *Core) Inbox(i int) []simnet.Message { return c.sorted[c.inOff[i]:c.inOff[i+1]] }
+// Inbox returns the messages delivered to peer i by the last Deliver,
+// unpacked into a fresh slice: for inspection after a run, not for a step.
+func (c *Core) Inbox(i int) []simnet.Message {
+	recs := c.sorted[c.inOff[i]:c.inOff[i+1]]
+	in := make([]simnet.Message, len(recs))
+	for k := range recs {
+		recs[k].unpackTo(&in[k])
+	}
+	return in
+}
+
+// ViewBytes is the delivered view's footprint: its records' capacity and the
+// offset table.
+func (c *Core) ViewBytes() int64 {
+	return int64(cap(c.sorted))*RecordBytes + int64(cap(c.inOff))*4
+}
 
 // Pages reports the page pool's state to the lifetime tests of the packages
 // above: pages made since New and how many of them lie in the pool now (the
@@ -477,7 +549,7 @@ func (c *Core) FanOutSpan(tick int, p obs.Phase, f func(w int)) {
 func (c *Core) Deliver(tick int) {
 	sl := &c.slots[tick%c.ring]
 	if cap(c.sorted) < sl.msgs {
-		c.sorted = make([]simnet.Message, sl.msgs, withHeadroom(sl.msgs, c.last))
+		c.sorted = make([]record, sl.msgs, withHeadroom(sl.msgs, c.last))
 	}
 	c.sorted, c.last = c.sorted[:sl.msgs], sl.msgs
 	var base int32
@@ -511,14 +583,14 @@ func (c *Core) sortOwner(o int) {
 	counts := exch.ClearCounts(&c.counts[o], hi-lo)
 	for _, p := range pages {
 		for k := range p {
-			counts[p[k].To-lo]++
+			counts[int(p[k].to)-lo]++
 		}
 	}
 	exch.PrefixCounts(counts, off, base)
 	sorted := c.sorted
 	for _, p := range pages {
 		for k := range p {
-			j := &counts[p[k].To-lo]
+			j := &counts[int(p[k].to)-lo]
 			sorted[*j] = p[k]
 			*j++
 		}
@@ -607,11 +679,10 @@ func withHeadroom(size, last int) int {
 	return size + size/4
 }
 
-// ScratchBytes estimates the reusable buffer footprint: every page made,
-// wherever it is now, the delivered view and the offset table.
+// ScratchBytes estimates the reusable buffer footprint: the records of every
+// page made, wherever it is now, and ViewBytes. The lanes' inbox scratch, one
+// peer's inbox each, is left out.
 func (c *Core) ScratchBytes() int64 {
-	const msgBytes = int64(unsafe.Sizeof(simnet.Message{}))
 	made, _ := c.Pages()
-	return int64(made)*PageLen*msgBytes +
-		int64(cap(c.sorted))*msgBytes + int64(cap(c.inOff))*4
+	return int64(made)*PageLen*RecordBytes + c.ViewBytes()
 }

@@ -44,9 +44,10 @@ func TestNewValidation(t *testing.T) {
 }
 
 // checkAgainstReference runs plan for ticks ticks on a core built from cfg
-// and checks every delivered inbox against the definition: the messages due
-// this tick, in (tick sent, sender, emission) order, stably sorted by
-// destination. After every tick it checks conservation, and at the end Stats
+// and checks every delivered inbox, as Core.Inbox and as the stepping lane's
+// Inbox unpack it, against the definition: the messages due this tick, in
+// (tick sent, sender, emission) order, stably sorted by destination. After
+// every tick it checks conservation, and at the end Stats
 // and Work against the same replay; the core and the stats it should have
 // are returned.
 func checkAgainstReference(t testing.TB, name string, cfg Config, ticks int, plan func(tk, i int) []emission) (*Core, simnet.Stats) {
@@ -61,7 +62,7 @@ func checkAgainstReference(t testing.TB, name string, cfg Config, ticks int, pla
 	delivered := int64(0)
 	for tk := 0; tk < ticks; tk++ {
 		c.Deliver(tk)
-		_, inOff := c.View()
+		inOff := c.View()
 		delivered += int64(inOff[n])
 		if inOff[0] != 0 || int(inOff[n]) != len(due[tk]) {
 			t.Fatalf("%s tick %d: offsets run %d..%d over a slot of %d", name, tk, inOff[0], inOff[n], len(due[tk]))
@@ -108,6 +109,9 @@ func checkAgainstReference(t testing.TB, name string, cfg Config, ticks int, pla
 			ln := c.Lane(w)
 			for i := cuts[w]; i < cuts[w+1]; i++ {
 				ln.Seat(i)
+				if got := ln.Inbox(inOff[i], inOff[i+1]); !slices.Equal(got, ref[i]) {
+					t.Errorf("%s tick %d peer %d: the lane unpacked %d messages that differ from the %d of the reference", name, tk, i, len(got), len(ref[i]))
+				}
 				for _, e := range plan(tk, i) {
 					if m := e.m; ln.Address(&m) {
 						ln.Send(e.d, m)
@@ -173,7 +177,7 @@ func TestDeliverMatchesReference(t *testing.T) {
 						for k := range out {
 							out[k] = emission{
 								d: 1 + s.Intn(ring+1), // up to two past the horizon
-								m: simnet.Message{To: s.Intn(n+2) - 1, Kind: uint8(s.Intn(3)), A: int64(tk), B: int64(k)},
+								m: simnet.Message{To: s.Intn(n+2) - 1, Kind: uint8(s.Intn(3)), A: int32(tk), B: int32(k)},
 							}
 						}
 						return out
@@ -256,7 +260,7 @@ func testPageBoundaries(t *testing.T, name string, cfg Config, counts []int, tra
 		var out []emission
 		for half, d := range []int{1 + tk%(ring-1), 1 + (tk+2)%(ring-1)} {
 			for k := 0; k < counts[(tk+w+3*half)%len(counts)]; k++ {
-				out = append(out, emission{d: d, m: simnet.Message{To: to(k*7 + tk + half), Kind: uint8(half), A: int64(tk), B: int64(k)}})
+				out = append(out, emission{d: d, m: simnet.Message{To: to(k*7 + tk + half), Kind: uint8(half), A: int32(tk), B: int32(k)}})
 			}
 		}
 		return out
@@ -269,14 +273,20 @@ func testPageBoundaries(t *testing.T, name string, cfg Config, counts []int, tra
 
 // FuzzDeliver drives fuzzed (sender, destination, delay, burst) emissions
 // for a few ticks against the reference: data is cut into ticks, and each
-// three bytes of a tick are one burst of identical emissions, long enough to
-// cross page seams. The corpus includes traffic to one owner's range alone
-// and to fewer destinations than there are owners.
+// three bytes of a tick are one burst of emissions, long enough to cross
+// page seams. Destinations run from -1 to n, Kind over all 256 values, and
+// the payload words are pa and pb with the burst's byte offset and the
+// emission's index in the burst xored in, so they span the int32 range and
+// no two emissions of a tick are equal: the reference then checks that
+// Send's packing, the owners' sort and the unpacking of Core.Inbox and
+// Lane.Inbox lose nothing. The corpus includes traffic to one owner's range
+// alone, to fewer destinations than there are owners, and payload-extremes:
+// A = MinInt32, B = MaxInt32 and Kind 255 to peer n-1.
 func FuzzDeliver(f *testing.F) {
-	f.Add(uint8(6), uint8(1), uint8(0), false, []byte{0, 1, 0x01, 2, 3, 0x12})
-	f.Add(uint8(12), uint8(2), uint8(3), true, []byte{0, 5, 0x70, 11, 5, 0x71, 3, 200, 0x00, 4, 4, 0xf3, 0, 0, 0x6f, 9, 1, 0x62})
-	f.Add(uint8(1), uint8(4), uint8(7), false, []byte{0, 0, 0xff, 0, 0, 0xfe, 0, 0, 0xf0})
-	f.Fuzz(func(t *testing.T, nb, sb, rb uint8, weighted bool, data []byte) {
+	f.Add(uint8(6), uint8(1), uint8(0), false, int32(0), int32(0), []byte{0, 1, 0x01, 2, 3, 0x12})
+	f.Add(uint8(12), uint8(2), uint8(3), true, int32(0), int32(0), []byte{0, 5, 0x70, 11, 5, 0x71, 3, 200, 0x00, 4, 4, 0xf3, 0, 0, 0x6f, 9, 1, 0x62})
+	f.Add(uint8(1), uint8(4), uint8(7), false, int32(0), int32(0), []byte{0, 0, 0xff, 0, 0, 0xfe, 0, 0, 0xf0})
+	f.Fuzz(func(t *testing.T, nb, sb, rb uint8, weighted bool, pa, pb int32, data []byte) {
 		const ticks = 4
 		n, shards, ring := 1+int(nb)%40, 1+int(sb)%6, 2+int(rb)%8
 		plans := make([][][]emission, ticks+ring) // the tail drains the ring
@@ -289,7 +299,7 @@ func FuzzDeliver(f *testing.F) {
 			for k := 0; k < 1+(x>>4)*37; k++ {
 				plans[tk][i] = append(plans[tk][i], emission{
 					d: 1 + x%16, // past the horizon of most rings
-					m: simnet.Message{To: int(data[b+1])%(n+2) - 1, Kind: uint8(x), A: int64(b), B: int64(k)},
+					m: simnet.Message{To: int(data[b+1])%(n+2) - 1, Kind: uint8(x), A: pa ^ int32(b), B: pb ^ int32(k)},
 				})
 			}
 		}
@@ -302,11 +312,22 @@ func FuzzDeliver(f *testing.F) {
 	})
 }
 
+// TestRecordLayout pins the two message layouts: a Message is 32 bytes,
+// its record on a page and in the view 20.
+func TestRecordLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(simnet.Message{}); sz != 32 {
+		t.Errorf("simnet.Message is %d bytes, want 32", sz)
+	}
+	if sz := unsafe.Sizeof(record{}); sz != 20 || RecordBytes != 20 {
+		t.Errorf("a record is %d bytes (RecordBytes %d), want 20", sz, RecordBytes)
+	}
+}
+
 // TestSlotMessageLimit pins the int32 boundary of a slot's message total,
 // which bounds every view offset and owner count: checkTotal admits
 // MaxInt32 messages, and Route stops, naming the track and the limit, at the
 // first tick that links a slot past it. The slot's count is planted; two
-// billion real messages would be 80 GB.
+// billion real messages would be 40 GB.
 func TestSlotMessageLimit(t *testing.T) {
 	checkTotal("test", math.MaxInt32) // the largest slot passes
 	c, err := New(Config{N: 4, Shards: 2, Ring: 3, Track: "test"})
@@ -343,11 +364,10 @@ func viewGrowths(t *testing.T, totals []int) (caps []int) {
 	ln.Seat(0)
 	for tk := range totals {
 		c.Deliver(tk)
-		sorted, _ := c.View()
-		if len(sorted) != totals[tk] {
-			t.Fatalf("tick %d delivered %d messages, want %d", tk, len(sorted), totals[tk])
+		if got := c.View()[n]; int(got) != totals[tk] {
+			t.Fatalf("tick %d delivered %d messages, want %d", tk, got, totals[tk])
 		}
-		caps = append(caps, cap(sorted))
+		caps = append(caps, cap(c.sorted))
 		if tk+1 < len(totals) {
 			for k := 0; k < totals[tk+1]; k++ {
 				ln.Send(1, simnet.Message{To: k % n})
@@ -409,7 +429,7 @@ func TestViewGrowth(t *testing.T) {
 // nothing else, and a steady tick allocates nothing.
 func TestBufferLifetime(t *testing.T) {
 	const n, fan = 600, 6
-	const msgBytes = int64(unsafe.Sizeof(simnet.Message{}))
+	const recBytes = int64(unsafe.Sizeof(record{}))
 	for _, ring := range []int{2, 5} {
 		for _, shards := range []int{1, 2} {
 			c, err := New(Config{N: n, Shards: shards, Ring: ring})
@@ -426,14 +446,14 @@ func TestBufferLifetime(t *testing.T) {
 				for i := cuts[w]; i < cuts[w+1]; i++ {
 					ln.Seat(i)
 					for k := 0; k < fan; k++ {
-						if m := (simnet.Message{To: (i*7 + k*13 + tk) % n, A: int64(tk), B: int64(k)}); ln.Address(&m) {
+						if m := (simnet.Message{To: (i*7 + k*13 + tk) % n, A: int32(tk), B: int32(k)}); ln.Address(&m) {
 							ln.Send(1+(i+k)%(ring-1), m)
 						}
 					}
 				}
 			}
-			var snapshot []simnet.Message
-			delivered := map[*simnet.Message]bool{} // pages of slots Deliver has gathered
+			var snapshot []record
+			delivered := map[*record]bool{} // pages of slots Deliver has gathered
 			reused, peakLinked := false, 0
 			oneTick := func() {
 				for _, own := range c.slots[tk%ring].owners {
@@ -442,20 +462,19 @@ func TestBufferLifetime(t *testing.T) {
 					}
 				}
 				c.Deliver(tk)
-				sorted, _ := c.View()
-				snapshot = append(snapshot[:0], sorted...)
+				snapshot = append(snapshot[:0], c.sorted...)
 				c.FanOut(step)
 				c.Route(tk)
 				tk++
 			}
 			for tk < 4*ring {
 				oneTick()
-				sorted, inOff := c.View()
+				sorted, inOff := c.sorted, c.View()
 				if !slices.Equal(sorted, snapshot) {
 					t.Fatalf("ring %d tick %d: Route changed the delivered view", ring, tk-1)
 				}
 				// Where every page is: once each, and the view among none.
-				seen := map[*simnet.Message]bool{unsafe.SliceData(sorted[:cap(sorted)]): true}
+				seen := map[*record]bool{unsafe.SliceData(sorted[:cap(sorted)]): true}
 				linked := 0
 				place := func(where string, p page) {
 					if cap(p) != PageLen || seen[unsafe.SliceData(p[:PageLen])] {
@@ -472,7 +491,7 @@ func TestBufferLifetime(t *testing.T) {
 							place("on a slot", p)
 							msgs += len(p)
 							reused = reused || delivered[unsafe.SliceData(p)]
-							if slices.ContainsFunc(p, func(m simnet.Message) bool { return m.To < lo || m.To >= hi }) {
+							if slices.ContainsFunc(p, func(r record) bool { return int(r.to) < lo || int(r.to) >= hi }) {
 								t.Fatalf("ring %d tick %d: slot %d files a message outside [%d, %d) under owner %d", ring, tk-1, i, lo, hi, o)
 							}
 						}
@@ -502,17 +521,17 @@ func TestBufferLifetime(t *testing.T) {
 				if limit := peakLinked + shards*shards*(ring-1); made > limit {
 					t.Fatalf("ring %d tick %d: %d pages made, at most %d were in flight (limit %d)", ring, tk-1, made, peakLinked, limit)
 				}
-				view := int64(cap(sorted))*msgBytes + int64(cap(inOff))*4
-				if got, want := c.ScratchBytes(), int64(made)*PageLen*msgBytes+view; got != want {
+				view := int64(cap(sorted))*recBytes + int64(cap(inOff))*4
+				if got, want := c.ScratchBytes(), int64(made)*PageLen*recBytes+view; got != want {
 					t.Fatalf("ring %d tick %d: ScratchBytes is %d, the %d pages made, the view and the offsets are %d", ring, tk-1, got, made, want)
 				}
 			}
-			if sorted, _ := c.View(); len(sorted) != n*fan || !reused {
-				t.Fatalf("ring %d: %d messages delivered a tick, reused=%v: nothing tested", ring, len(sorted), reused)
+			if got := c.View()[n]; int(got) != n*fan || !reused {
+				t.Fatalf("ring %d: %d messages delivered a tick, reused=%v: nothing tested", ring, got, reused)
 			}
 			// Warm: from here a tick allocates nothing on one shard and, past
 			// one, only the fan-out's goroutines — a page would be PageLen
-			// messages.
+			// records.
 			made, _ := c.Pages()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -521,7 +540,7 @@ func TestBufferLifetime(t *testing.T) {
 				oneTick()
 			}
 			runtime.ReadMemStats(&after)
-			if got, limit := (after.TotalAlloc-before.TotalAlloc)/measured, uint64(PageLen*msgBytes/4); got > limit {
+			if got, limit := (after.TotalAlloc-before.TotalAlloc)/measured, uint64(PageLen*recBytes/4); got > limit {
 				t.Errorf("ring %d shards %d: a steady-state tick allocated %d bytes (limit %d)", ring, shards, got, limit)
 			}
 			if shards == 1 {
@@ -574,7 +593,7 @@ func TestLaneIsolation(t *testing.T) {
 					ln.Send(ring-1, m)
 				}
 				k := (ring-1)*shards + c.Part().Owner(to)
-				if p := ln.open[k]; len(p) == 0 || p[len(p)-1].To != to {
+				if p := ln.open[k]; len(p) == 0 || int(p[len(p)-1].to) != to {
 					t.Fatalf("ring %d shards %d: message to %d is not last under header %d", ring, shards, to, k)
 				}
 			}

@@ -18,22 +18,26 @@
 // pool, flat reusable buffers, and a pluggable NetModel, and is
 // bit-identical across shard counts.
 //
-// Payloads are two int64 words (enough for "the address of your date" plus a
+// Payloads are two int32 words (enough for "the address of your date" plus a
 // tag — the paper stresses that control messages are tiny, about one IP
-// address each).
+// address each). int32 is enough because every payload the protocols send is
+// a peer id, a state byte, a variant or a consensus stamp, and peer ids are
+// bounded by n <= MaxInt32: NewNetwork and the sharded runtime both reject a
+// larger n.
 package simnet
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
 
-// Message is a unit protocol message.
+// Message is a unit protocol message: 32 bytes.
 type Message struct {
 	From, To int
 	Kind     uint8
-	A, B     int64
+	A, B     int32
 }
 
 // Stats aggregates traffic counters for an engine run.
@@ -64,8 +68,12 @@ type Network struct {
 
 // NewNetwork creates an engine with n live nodes and empty mailboxes.
 func NewNetwork(n int) (*Network, error) {
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		return nil, fmt.Errorf("simnet: network needs n > 0, got %d", n)
+	case n > math.MaxInt32:
+		// A peer id rides in a payload word.
+		return nil, fmt.Errorf("simnet: %d nodes exceed the network's limit of %d (payloads are int32)", n, math.MaxInt32)
 	}
 	nw := &Network{
 		n:      n,

@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -13,6 +15,17 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(-3); err == nil {
 		t.Error("accepted negative n")
+	}
+}
+
+// TestNewNetworkLimit pins the int32 bound on n: a peer id rides in an int32
+// payload word (the handshake's answer names the receiver in A), so a larger
+// network is rejected, naming the limit, before its n-sized makes — which
+// at this n would take tens of gigabytes.
+func TestNewNetworkLimit(t *testing.T) {
+	_, err := NewNetwork(math.MaxInt32 + 1)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(math.MaxInt32)) {
+		t.Errorf("n = MaxInt32+1 gave %v, want an error naming the limit %d", err, math.MaxInt32)
 	}
 }
 
@@ -117,7 +130,7 @@ func TestCrash(t *testing.T) {
 // counts received pings in A of the next message.
 func pingStep(n int) StepFunc {
 	return func(node, round int, inbox []Message, s *rng.Stream) []Message {
-		return []Message{{To: (node + 1) % n, Kind: 1, A: int64(len(inbox))}}
+		return []Message{{To: (node + 1) % n, Kind: 1, A: int32(len(inbox))}}
 	}
 }
 
@@ -216,7 +229,7 @@ func TestLiveMatchesSequential(t *testing.T) {
 		var out []Message
 		k := 1 + s.Intn(3)
 		for j := 0; j < k; j++ {
-			out = append(out, Message{To: s.Intn(32), Kind: 2, A: int64(s.Uint64() % 1000)})
+			out = append(out, Message{To: s.Intn(32), Kind: 2, A: int32(s.Uint64() % 1000)})
 		}
 		return out
 	}
