@@ -204,11 +204,11 @@ func (r RingLatency) Plan(_ int, m simnet.Message, _ *rng.Stream) int {
 	if arc > 0.5 {
 		arc = 1 - arc
 	}
-	d := 1 + int(arc*r.Scale)
-	if d > r.Max {
-		d = r.Max
+	// Clamped before the conversion: a large Scale would overflow int.
+	if x := arc * r.Scale; x < float64(r.Max-1) {
+		return 1 + int(x)
 	}
-	return d
+	return r.Max
 }
 
 // MaxDelay implements NetModel.
@@ -275,6 +275,11 @@ func validateNet(net NetModel, n int) error {
 		}
 		if len(m.Pos) < n {
 			return fmt.Errorf("live: RingLatency embeds %d peers, runtime has %d", len(m.Pos), n)
+		}
+		for i, x := range m.Pos[:n] {
+			if !(x >= 0 && x < 1) {
+				return fmt.Errorf("live: RingLatency.Pos[%d] %v outside [0, 1)", i, x)
+			}
 		}
 	}
 	return nil

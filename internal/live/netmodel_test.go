@@ -3,6 +3,8 @@ package live
 import (
 	"testing"
 
+	"repro/internal/rng"
+	"repro/internal/shardrt"
 	"repro/internal/simnet"
 )
 
@@ -93,4 +95,56 @@ func TestRingLatencySlowsSpread(t *testing.T) {
 	if ringStats.Dropped != syncStats.Dropped {
 		t.Fatalf("ring latency dropped messages: %d vs %d under sync", ringStats.Dropped, syncStats.Dropped)
 	}
+}
+
+// FuzzNetModelPlan holds every model New admits — validateNet accepts it
+// and its ring fits shardrt.MaxRing — to the NetModel contract: Plan
+// returns Drop or a delay in [1, MaxDelay()], and a model that is not
+// Random draws nothing (it is called with a nil stream). kind picks the
+// base model (FixedLatency, GeomLatency, RingLatency over two peers at
+// positions pf and pt, Sync) and wrap puts it under Loss, EpochChurn, or
+// EpochChurn over Loss; k is the base's delay parameter, p its probability
+// or scale, q the wrapper's drop probability or down fraction.
+func FuzzNetModelPlan(f *testing.F) {
+	f.Add(uint8(0), uint8(0), 3, 0.0, 0.0, 0.0, 0.0, 1, uint64(0), uint32(0), false)
+	f.Add(uint8(1), uint8(1), 9, 0.3, 0.2, 0.0, 0.0, 1, uint64(0), uint32(5), false)
+	f.Add(uint8(2), uint8(2), 4, 8.0, 0.5, 0.05, 0.6, 3, uint64(7), uint32(11), true)
+	f.Add(uint8(3), uint8(3), 1, 0.0, 0.9, 0.0, 0.0, 2, uint64(1), uint32(4), false)
+	f.Fuzz(func(t *testing.T, kind, wrap uint8, k int, p, q, pf, pt float64, epoch int, seed uint64, round uint32, swap bool) {
+		var net NetModel
+		switch kind % 4 {
+		case 0:
+			net = FixedLatency{Rounds: k}
+		case 1:
+			net = GeomLatency{P: p, Cap: k}
+		case 2:
+			net = RingLatency{Pos: []float64{pf, pt}, Scale: p, Max: k}
+		default:
+			net = Sync{}
+		}
+		switch wrap % 4 {
+		case 1:
+			net = Loss{P: q, Under: net}
+		case 2:
+			net = EpochChurn{Seed: seed, Epoch: epoch, DownFrac: q, Under: net}
+		case 3:
+			net = EpochChurn{Seed: seed, Epoch: epoch, DownFrac: q, Under: Loss{P: q, Under: net}}
+		}
+		if validateNet(net, 2) != nil || net.MaxDelay() >= shardrt.MaxRing {
+			return
+		}
+		m := simnet.Message{From: 0, To: 1}
+		if swap {
+			m.From, m.To = 1, 0
+		}
+		var s *rng.Stream
+		if net.Random() {
+			s = rng.New(seed)
+		}
+		for r := int(round); r < int(round)+4; r++ {
+			if d := net.Plan(r, m, s); d != Drop && (d < 1 || d > net.MaxDelay()) {
+				t.Fatalf("%#v: Plan(%d) = %d, want Drop or a delay in [1, %d]", net, r, d, net.MaxDelay())
+			}
+		}
+	})
 }

@@ -12,14 +12,18 @@
 // runs three phases per tick, with a barrier (FanOut) between them:
 //
 //	Deliver  the ring slot due this tick holds, per delivery owner, an
-//	         ordered list of pages. A serial O(shards) prefix over the
-//	         owners' message counts gives each owner its base offset, and
-//	         one FanOutSpan lets owner o counting-sort its own list by
+//	         ordered list of pages. The previous tick's view returns its
+//	         pages to the pool and takes ⌈msgs/PageLen⌉, under one lock; the
+//	         view is those pages in order, record j at
+//	         view[j>>pageShift][j&pageMask]. A serial O(shards) prefix over
+//	         the owners' message counts gives each owner its base index,
+//	         and one FanOutSpan lets owner o counting-sort its own list by
 //	         destination (exch.ClearCounts, exch.PrefixCounts), copying each
-//	         record from its page straight to its place in the view — so
-//	         peer i's inbox is the contiguous run of records between the
-//	         offsets inOff[i] and inOff[i+1] (View); the pages then go back
-//	         to the pool;
+//	         record from its page straight to its place in the view (two
+//	         owners may write the page at their boundary, never the same
+//	         record) — so peer i's inbox is the run of records between the
+//	         offsets inOff[i] and inOff[i+1] (View), on one page unless it
+//	         crosses a seam; the slot's pages then go back to the pool;
 //	step     the caller's own loop, one FanOutSpan over the step ranges:
 //	         worker w seats its Lane at each peer of [cuts[w], cuts[w+1]) in
 //	         ascending order, unpacks the peer's inbox into the lane's
@@ -37,10 +41,10 @@
 // at emit and in the step's inbox. Inside the core it is a 20-byte record of
 // int32 ids and payloads, which loses nothing: New admits at most MaxInt32
 // peers and a Message's payloads are int32. A hop therefore moves 20 + 20 +
-// 32 bytes — packed onto its page by Send, copied into the view by its
-// owner's sort, unpacked into the step's scratch by Lane.Inbox — where two
-// copies of a 40-byte Message moved 40 + 40, and the message is stored
-// nowhere but its page and the view.
+// 32 bytes — packed onto its page by Send, copied onto a page of the view by
+// its owner's sort, unpacked into the step's scratch by Lane.Inbox — where
+// two copies of a 40-byte Message moved 40 + 40, and the message is stored
+// nowhere but on pages.
 //
 // # Two sets of ranges
 //
@@ -58,17 +62,18 @@
 //
 // A page holds up to PageLen records and is in exactly one place: open or
 // parked on a lane (being filled this tick), linked on a ring slot (in
-// flight), or in the pool. Deliver's serial epilogue returns a delivered
-// slot's pages to the pool and the step takes them from there, one lock per
-// page, so the pool makes a page only when every page made is on a lane or a
-// slot. A tick leaves at most one partly filled page per (lane, delay,
-// owner), so pages made never exceed the peak linked plus shards² ×
-// (ring-1), and steady traffic makes none. The delivered view is a buffer of
-// its own and never a page: it stays valid until the next Deliver although
-// the pages it was copied from are being refilled. A view that must grow by
-// r = msgs/last over the previous tick gets room for two more ticks at that
-// rate, msgs·r² up to 4x, when r > 1.25, so a ×1.6 ramp reallocates it every
-// third tick, not on each; otherwise a quarter of headroom. Each lane's inbox
+// flight), held by the delivered view, or in the pool. Deliver's serial
+// epilogue returns a delivered slot's pages to the pool and the step takes
+// them from there, one lock per page; the view's pages go back at the next
+// Deliver, which takes the new view's in the same lock. The pool makes a
+// page only when every page made is on a lane, a slot or the view, and a
+// tick leaves at most one partly filled page per (lane, delay, owner), so
+// pages made never exceed the peak over ticks of linked plus view pages,
+// plus shards² × (ring-1); steady traffic makes none. The view is nobody
+// else's page: it stays valid until the next Deliver although the pages it
+// was copied from are being refilled, and it is never reallocated, only
+// made of more or fewer pages — the memory follows the traffic of the
+// moment and is shared with the messages in flight. Each lane's inbox
 // scratch holds one peer's unpacked inbox at a time and grows to the largest.
 //
 // # Limits
@@ -118,8 +123,11 @@ const (
 
 	// PageLen is the number of messages a page holds. One constant, no
 	// knob: at 64 both message workloads ran 4-10 % slower, 1024 was not
-	// distinguishable from 256 (CHANGES.md PR 22).
-	PageLen = 256
+	// distinguishable from 256 (CHANGES.md PR 22). A power of two, so that
+	// record j of the delivered view is view[j>>pageShift][j&pageMask].
+	PageLen   = 1 << pageShift
+	pageShift = 8
+	pageMask  = PageLen - 1
 	// maxOpenPages bounds the shards² × ring open-page headers New
 	// allocates: 400 MB of headers is a mistake, not a run.
 	maxOpenPages = 1 << 24
@@ -159,6 +167,10 @@ func (r *record) unpackTo(m *simnet.Message) {
 // always PageLen.
 type page []record
 
+// viewPage is a page as the delivered view holds it: all PageLen records
+// addressable, so that indexing within it needs no bounds check.
+type viewPage = *[PageLen]record
+
 // checkTotal stops the run when a slot of that many messages could not be
 // delivered (package comment, "Limits"). Route calls it once per slot it
 // linked to, not per message.
@@ -182,6 +194,11 @@ type pagePool struct {
 func (pl *pagePool) take() page {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
+	return pl.get()
+}
+
+// get is take with pl.mu held.
+func (pl *pagePool) get() page {
 	if k := len(pl.free) - 1; k >= 0 {
 		p := pl.free[k]
 		pl.free = pl.free[:k]
@@ -198,6 +215,21 @@ func (pl *pagePool) release(pages []page) {
 		pl.free = append(pl.free, p[:0])
 	}
 	pl.mu.Unlock()
+}
+
+// swapView returns the view's pages to the pool and refills the view with k
+// pages, released ones before new ones, under one lock.
+func (pl *pagePool) swapView(view []viewPage, k int) []viewPage {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	for _, p := range view {
+		pl.free = append(pl.free, p[:0])
+	}
+	view = view[:0]
+	for range k {
+		view = append(view, viewPage(pl.get()[:PageLen]))
+	}
+	return view
 }
 
 // Config sizes a core.
@@ -243,14 +275,18 @@ type laneState struct {
 	src    cursorSource
 
 	// n, ring, part and pool are the core's, copied so that an emission
-	// reads nothing but its own lane; view points at the core's delivered
-	// records.
+	// reads nothing but its own lane; view points at the core's table of
+	// delivered pages.
 	n, ring int
 	part    exch.Partition
 	pool    *pagePool
-	view    *[]record
-	// inbox is the scratch Inbox unpacks into, reused from peer to peer.
+	view    *[]viewPage
+	// inbox is the scratch Inbox unpacks into, reused from peer to peer;
+	// cur is the view's page curAt, the one Inbox read last (Deliver sets
+	// curAt to -1).
 	inbox []simnet.Message
+	cur   viewPage
+	curAt int32
 	// open[d*part.Parts+o] is the page the tick's emissions of delay d to
 	// owner o are appended to (nil before the first), a row of the core's one
 	// header array with openPad spare headers after it; full holds the pages
@@ -321,22 +357,48 @@ func (l *Lane) turn(k int) page {
 	return l.pool.take()
 }
 
-// Inbox returns the messages of view[start:stop], the delivered records
-// between two of View's offsets, as Messages: one peer's inbox. They are
-// unpacked into the lane's scratch, so the slice is valid until the lane's
-// next Inbox, which is for the duration of one step call. The scratch starts
-// at a page's worth of Messages, 8 KB: a step writes it for every peer, and
-// two lanes' scratch must not share a cache line.
+// Inbox returns the delivered records between two of View's offsets as
+// Messages: one peer's inbox. They are unpacked into the lane's scratch, so
+// the slice is valid until the lane's next Inbox, which is for the duration
+// of one step call. The scratch starts at a page's worth of Messages, 8 KB:
+// a step writes it for every peer, and two lanes' scratch must not share a
+// cache line. An inbox on one page, the common case, is unpacked from the
+// lane's cached page without unpackView's loop: the step calls Inbox for
+// every peer in ascending order, so one page serves many calls, and Inbox
+// took a fifth longer through the loop alone and a sixth longer through the
+// page table on every call.
 func (l *Lane) Inbox(start, stop int32) []simnet.Message {
-	recs := (*l.view)[start:stop]
-	if cap(l.inbox) < len(recs) {
-		l.inbox = make([]simnet.Message, max(len(recs), PageLen, 2*cap(l.inbox)))
+	n := int(stop - start)
+	if cap(l.inbox) < n {
+		l.inbox = make([]simnet.Message, max(n, PageLen, 2*cap(l.inbox)))
 	}
-	in := l.inbox[:len(recs)]
-	for k := range recs {
-		recs[k].unpackTo(&in[k])
+	in := l.inbox[:n]
+	if k := int(start & pageMask); n > 0 && k+n <= PageLen { // on one page
+		if at := start >> pageShift; at != l.curAt {
+			l.cur, l.curAt = (*l.view)[at], at
+		}
+		recs := l.cur[k : k+n]
+		for i := range recs {
+			recs[i].unpackTo(&in[i])
+		}
+		return in
 	}
+	unpackView(*l.view, start, in)
 	return in
+}
+
+// unpackView unpacks the len(in) records of view from index start on into
+// in. The run lies on one page unless it crosses a seam; an empty run
+// touches no page, since start may then be one past the view's last page.
+func unpackView(view []viewPage, start int32, in []simnet.Message) {
+	for len(in) > 0 {
+		recs := view[start>>pageShift][start&pageMask:]
+		recs = recs[:min(len(recs), len(in))]
+		for k := range recs {
+			recs[k].unpackTo(&in[k])
+		}
+		in, start = in[len(recs):], start+int32(len(recs))
+	}
 }
 
 // AddWork adds k units to the tick's work count (peers stepped, clocks
@@ -369,15 +431,17 @@ type Core struct {
 	lanes  []Lane
 
 	// slots[t % ring] holds the messages due at tick t; pool holds every
-	// page that is on no slot and no lane (package comment, "Buffers").
+	// page that is on no slot, no lane and not in the view (package
+	// comment, "Buffers").
 	slots []slot
 	pool  pagePool
-	// sorted/inOff are the delivered view. In Deliver due is the slot being
-	// delivered, base[o] owner o's first index in sorted and counts[o] its
-	// count array; sortFn is sortOwner, bound once so no tick allocates it.
-	sorted []record
+	// view/inOff are the delivered view: record j of the tick is
+	// view[j>>pageShift][j&pageMask], pages the view alone holds until the
+	// next Deliver. In Deliver due is the slot being delivered, base[o] owner
+	// o's first index in the view and counts[o] its count array; sortFn is
+	// sortOwner, bound once so no tick allocates it.
+	view   []viewPage
 	inOff  []int32
-	last   int // messages the previous Deliver delivered
 	due    *slot
 	base   []int32
 	counts [][]int32
@@ -449,7 +513,7 @@ func New(cfg Config) (*Core, error) {
 	open := make([]page, shards*stride)
 	for w := range c.lanes {
 		l := &c.lanes[w]
-		l.n, l.ring, l.part, l.pool, l.view = c.n, c.ring, c.part, &c.pool, &c.sorted
+		l.n, l.ring, l.part, l.pool, l.view = c.n, c.ring, c.part, &c.pool, &c.view
 		l.open = open[w*stride : w*stride+row : w*stride+row]
 		l.src.states = c.states
 		l.Stream = rng.NewWithSource(&l.src)
@@ -503,18 +567,16 @@ func (c *Core) View() (inOff []int32) { return c.inOff }
 // Inbox returns the messages delivered to peer i by the last Deliver,
 // unpacked into a fresh slice: for inspection after a run, not for a step.
 func (c *Core) Inbox(i int) []simnet.Message {
-	recs := c.sorted[c.inOff[i]:c.inOff[i+1]]
-	in := make([]simnet.Message, len(recs))
-	for k := range recs {
-		recs[k].unpackTo(&in[k])
-	}
+	in := make([]simnet.Message, c.inOff[i+1]-c.inOff[i])
+	unpackView(c.view, c.inOff[i], in)
 	return in
 }
 
-// ViewBytes is the delivered view's footprint: its records' capacity and the
-// offset table.
+// ViewBytes is what the delivered view holds beside its pages, which are
+// counted with every other page made: the offset table and the table of
+// page pointers.
 func (c *Core) ViewBytes() int64 {
-	return int64(cap(c.sorted))*RecordBytes + int64(cap(c.inOff))*4
+	return int64(cap(c.inOff))*4 + int64(cap(c.view))*int64(unsafe.Sizeof(viewPage(nil)))
 }
 
 // Pages reports the page pool's state to the lifetime tests of the packages
@@ -544,14 +606,15 @@ func (c *Core) FanOutSpan(tick int, p obs.Phase, f func(w int)) {
 	})
 }
 
-// Deliver sorts the slot due at tick into the delivered view: a serial
-// prefix over the owners' counts, then one fan-out of sortOwner.
+// Deliver sorts the slot due at tick into the delivered view: the previous
+// view's pages go back to the pool and the view takes ⌈msgs/PageLen⌉, then
+// a serial prefix over the owners' counts, then one fan-out of sortOwner.
 func (c *Core) Deliver(tick int) {
 	sl := &c.slots[tick%c.ring]
-	if cap(c.sorted) < sl.msgs {
-		c.sorted = make([]record, sl.msgs, withHeadroom(sl.msgs, c.last))
+	c.view = c.pool.swapView(c.view, (sl.msgs+pageMask)>>pageShift)
+	for w := range c.lanes {
+		c.lanes[w].curAt = -1
 	}
-	c.sorted, c.last = c.sorted[:sl.msgs], sl.msgs
 	var base int32
 	for o := range sl.owners {
 		c.base[o] = base
@@ -587,12 +650,16 @@ func (c *Core) sortOwner(o int) {
 		}
 	}
 	exch.PrefixCounts(counts, off, base)
-	sorted := c.sorted
+	// Two owners may write the page at their boundary, at distinct records.
+	// The index is read into x once: indexing the view through *j twice
+	// spilled it to the stack, and the sort ran a fifth slower.
+	view := c.view
 	for _, p := range pages {
 		for k := range p {
 			j := &counts[int(p[k].to)-lo]
-			sorted[*j] = p[k]
-			*j++
+			x := *j
+			*j = x + 1
+			view[x>>pageShift][x&pageMask] = p[k]
 		}
 	}
 }
@@ -670,18 +737,9 @@ func (c *Core) Route(tick int) {
 	c.tr.Barrier()
 }
 
-// withHeadroom is the capacity the delivered view is allocated with for
-// size messages after a tick that delivered last (package comment, "Buffers").
-func withHeadroom(size, last int) int {
-	if r := float64(size) / float64(last); last > 0 && r > 1.25 {
-		return int(float64(size) * min(r*r, 4))
-	}
-	return size + size/4
-}
-
 // ScratchBytes estimates the reusable buffer footprint: the records of every
-// page made, wherever it is now, and ViewBytes. The lanes' inbox scratch, one
-// peer's inbox each, is left out.
+// page made, wherever it is now (the view's included), and ViewBytes. The
+// lanes' inbox scratch, one peer's inbox each, is left out.
 func (c *Core) ScratchBytes() int64 {
 	made, _ := c.Pages()
 	return int64(made)*PageLen*RecordBytes + c.ViewBytes()

@@ -350,83 +350,128 @@ func TestSlotMessageLimit(t *testing.T) {
 	t.Error("Route linked a slot past the limit")
 }
 
-// viewGrowths drives a one-shard core through ticks that deliver totals[tk]
-// messages each (totals[0] must be 0: nothing is in flight at tick 0) and
-// returns the view's capacity after every Deliver.
-func viewGrowths(t *testing.T, totals []int) (caps []int) {
-	t.Helper()
-	const n = 1000
-	c, err := New(Config{N: n, Shards: 1, Ring: 2})
-	if err != nil {
-		t.Fatal(err)
+// appendView appends the records the last Deliver put in the view to recs,
+// in view order.
+func appendView(recs []record, c *Core) []record {
+	for j, total := 0, int(c.inOff[c.n]); j < total; j += PageLen {
+		recs = append(recs, c.view[j>>pageShift][:min(total-j, PageLen)]...)
 	}
-	ln := c.Lane(0)
-	ln.Seat(0)
-	for tk := range totals {
-		c.Deliver(tk)
-		if got := c.View()[n]; int(got) != totals[tk] {
-			t.Fatalf("tick %d delivered %d messages, want %d", tk, got, totals[tk])
-		}
-		caps = append(caps, cap(c.sorted))
-		if tk+1 < len(totals) {
-			for k := 0; k < totals[tk+1]; k++ {
-				ln.Send(1, simnet.Message{To: k % n})
-			}
-		}
-		c.Route(tk)
-	}
-	return caps
+	return recs
 }
 
-// grown counts the ticks on which the view was reallocated.
-func grown(caps []int) int {
+// linkedPages counts the pages on the ring's slots.
+func linkedPages(c *Core) int {
 	k := 0
-	for tk := 1; tk < len(caps); tk++ {
-		if caps[tk] != caps[tk-1] {
-			k++
+	for i := range c.slots {
+		for _, own := range c.slots[i].owners {
+			k += len(own.pages)
 		}
 	}
 	return k
 }
 
-// TestViewGrowth pins the view's growth rule (package comment, "Buffers") on
-// three traffic shapes. A ramp of ×1.6 a tick, the shape of a rumor spread
-// on a sparse graph, reallocated the view on every tick under a quarter of
-// headroom; room for two more ticks at the observed rate reallocates it on
-// at most half. The live-sync workload's repeating totals (0, 120 000,
-// 60 000, about 28 600) and flat traffic allocate it once, at a quarter
-// over the first total: the rule sees no ramp in them.
-func TestViewGrowth(t *testing.T) {
+// TestViewPages pins the view's page policy (package comment, "Buffers") on
+// three traffic shapes: a ramp of ×1.6 a tick, the shape of a rumor spread
+// on a sparse graph, the live-sync workload's repeating totals (0, 120 000,
+// 60 000, about 28 600) and flat traffic. After every Deliver the view holds
+// ⌈msgs/PageLen⌉ pages that are on no slot, no lane and not in the pool,
+// the pool has made no more pages than the peak of linked and view pages
+// plus one partly filled page per (lane, delay, owner), and once a shape
+// repeats a tick makes no page.
+func TestViewPages(t *testing.T) {
 	ramp := []int{0}
 	for x := 10.0; len(ramp) <= 20; x *= 1.6 {
 		ramp = append(ramp, int(x))
-	}
-	caps := viewGrowths(t, ramp)
-	t.Logf("a 20-tick ramp of ×1.6 grew the view on %d ticks: capacities %v", grown(caps), caps)
-	if grown(caps) > 10 {
-		t.Errorf("a 20-tick ramp of ×1.6 grew the view on %d ticks, want at most 10", grown(caps))
 	}
 	var live, flat []int
 	for tk := 0; tk < 12; tk++ {
 		live = append(live, []int{0, 120_000, 60_000, 28_600}[tk%4])
 		flat = append(flat, min(tk, 1)*5000)
 	}
-	for name, totals := range map[string][]int{"live-sync": live, "flat": flat} {
-		caps := viewGrowths(t, totals)
-		if want := totals[1] + totals[1]/4; grown(caps) != 1 || caps[len(caps)-1] != want {
-			t.Errorf("%s traffic grew the view on %d ticks to capacity %d, want once to %d: capacities %v", name, grown(caps), caps[len(caps)-1], want, caps)
+	for _, tc := range []struct {
+		name   string
+		totals []int
+		warm   int // ticks after which no page may be made
+	}{{"ramp", ramp, len(ramp)}, {"live-sync", live, 4}, {"flat", flat, 2}} {
+		const n, shards, ring = 1000, 2, 2
+		c, err := New(Config{N: n, Shards: shards, Ring: ring})
+		if err != nil {
+			t.Fatal(err)
 		}
+		peak, warmMade := 0, 0
+		for tk, total := range tc.totals {
+			linked := linkedPages(c)
+			c.Deliver(tk)
+			if got := c.View()[n]; int(got) != total {
+				t.Fatalf("%s tick %d delivered %d messages, want %d", tc.name, tk, got, total)
+			}
+			if want := (total + PageLen - 1) / PageLen; len(c.view) != want {
+				t.Fatalf("%s tick %d: the view holds %d pages for %d messages, want %d", tc.name, tk, len(c.view), total, want)
+			}
+			held := map[*record]bool{}
+			for _, p := range c.view {
+				held[&p[0]] = true
+			}
+			for i := range c.slots {
+				for _, own := range c.slots[i].owners {
+					for _, p := range own.pages {
+						if held[unsafe.SliceData(p[:PageLen])] {
+							t.Fatalf("%s tick %d: a page of the view is on slot %d", tc.name, tk, i)
+						}
+					}
+				}
+			}
+			for _, p := range c.pool.free {
+				if held[unsafe.SliceData(p[:PageLen])] {
+					t.Fatalf("%s tick %d: a page of the view is in the pool", tc.name, tk)
+				}
+			}
+			peak = max(peak, linked+len(c.view))
+			if tk+1 < len(tc.totals) {
+				c.FanOut(func(w int) {
+					ln := c.Lane(w)
+					ln.Seat(c.Cuts()[w])
+					for k := w; k < tc.totals[tk+1]; k += shards {
+						ln.Send(1, simnet.Message{To: k % n})
+					}
+				})
+			}
+			for w := range c.lanes {
+				onLane := slices.Clone(c.lanes[w].open)
+				for _, f := range c.lanes[w].full {
+					onLane = append(onLane, f.p)
+				}
+				for _, p := range onLane {
+					if p != nil && held[unsafe.SliceData(p[:PageLen])] {
+						t.Fatalf("%s tick %d: a page of the view is on lane %d", tc.name, tk, w)
+					}
+				}
+			}
+			c.Route(tk)
+			peak = max(peak, linkedPages(c)+len(c.view))
+			made, _ := c.Pages()
+			if limit := peak + shards*shards*(ring-1); made > limit {
+				t.Fatalf("%s tick %d: %d pages made, the peak of linked and view pages is %d (limit %d)", tc.name, tk, made, peak, limit)
+			}
+			if tk+1 == tc.warm {
+				warmMade = made
+			} else if tk >= tc.warm && made != warmMade {
+				t.Fatalf("%s tick %d: a repeated tick made %d pages", tc.name, tk, made-warmMade)
+			}
+		}
+		made, _ := c.Pages()
+		t.Logf("%s: %d pages made, peak of linked and view pages %d", tc.name, made, peak)
 	}
 }
 
 // TestBufferLifetime pins the page policy on both ring shapes in the
 // repository, live's two-slot Sync ring and a calendar: a page is on a lane,
-// on a slot or in the pool and nowhere twice, the pool makes no more pages
-// than were ever in flight plus one partly filled page per (lane, delay,
-// owner), a released page is taken again, the delivered view is nobody's
-// page, a tick's inboxes survive the tick's Route and the reuse of their
-// pages, ScratchBytes is the pages made, the view and the offsets and
-// nothing else, and a steady tick allocates nothing.
+// on a slot, held by the delivered view or in the pool and nowhere twice,
+// the pool makes no more pages than were ever in flight or in the view plus
+// one partly filled page per (lane, delay, owner), a released page is taken
+// again, a tick's inboxes survive the tick's Route and the reuse of their
+// pages, ScratchBytes is the pages made, the offsets and the view's page
+// table and nothing else, and a steady tick allocates nothing.
 func TestBufferLifetime(t *testing.T) {
 	const n, fan = 600, 6
 	const recBytes = int64(unsafe.Sizeof(record{}))
@@ -454,33 +499,41 @@ func TestBufferLifetime(t *testing.T) {
 			}
 			var snapshot []record
 			delivered := map[*record]bool{} // pages of slots Deliver has gathered
-			reused, peakLinked := false, 0
+			reused, peak := false, 0
 			oneTick := func() {
 				for _, own := range c.slots[tk%ring].owners {
 					for _, p := range own.pages {
 						delivered[unsafe.SliceData(p)] = true
 					}
 				}
+				linked := linkedPages(c)
 				c.Deliver(tk)
-				snapshot = append(snapshot[:0], c.sorted...)
+				peak = max(peak, linked+len(c.view))
+				snapshot = appendView(snapshot[:0], c)
 				c.FanOut(step)
 				c.Route(tk)
 				tk++
 			}
 			for tk < 4*ring {
 				oneTick()
-				sorted, inOff := c.sorted, c.View()
-				if !slices.Equal(sorted, snapshot) {
+				inOff := c.View()
+				if !slices.Equal(appendView(nil, c), snapshot) {
 					t.Fatalf("ring %d tick %d: Route changed the delivered view", ring, tk-1)
 				}
-				// Where every page is: once each, and the view among none.
-				seen := map[*record]bool{unsafe.SliceData(sorted[:cap(sorted)]): true}
+				// Where every page is: once each.
+				seen := map[*record]bool{}
 				linked := 0
 				place := func(where string, p page) {
 					if cap(p) != PageLen || seen[unsafe.SliceData(p[:PageLen])] {
-						t.Fatalf("ring %d tick %d: a page %s has capacity %d, or is held twice, or is the delivered view", ring, tk-1, where, cap(p))
+						t.Fatalf("ring %d tick %d: a page %s has capacity %d, or is held twice", ring, tk-1, where, cap(p))
 					}
 					seen[unsafe.SliceData(p[:PageLen])] = true
+				}
+				if want := (int(inOff[n]) + PageLen - 1) / PageLen; len(c.view) != want {
+					t.Fatalf("ring %d tick %d: the view holds %d pages for %d messages, want %d", ring, tk-1, len(c.view), inOff[n], want)
+				}
+				for _, p := range c.view {
+					place("held by the view", p[:])
 				}
 				for i := range c.slots {
 					total := 0
@@ -513,17 +566,17 @@ func TestBufferLifetime(t *testing.T) {
 						t.Fatalf("ring %d tick %d: lane %d still holds pages after Route", ring, tk-1, w)
 					}
 				}
-				peakLinked = max(peakLinked, linked)
+				peak = max(peak, linked+len(c.view))
 				made, pooled := c.Pages()
-				if made != len(seen)-1 || pooled != len(c.pool.free) || made-pooled != linked {
-					t.Fatalf("ring %d tick %d: %d pages made, %d pooled, %d linked, %d found", ring, tk-1, made, pooled, linked, len(seen)-1)
+				if made != len(seen) || pooled != len(c.pool.free) || made-pooled != linked+len(c.view) {
+					t.Fatalf("ring %d tick %d: %d pages made, %d pooled, %d linked, %d in the view, %d found", ring, tk-1, made, pooled, linked, len(c.view), len(seen))
 				}
-				if limit := peakLinked + shards*shards*(ring-1); made > limit {
-					t.Fatalf("ring %d tick %d: %d pages made, at most %d were in flight (limit %d)", ring, tk-1, made, peakLinked, limit)
+				if limit := peak + shards*shards*(ring-1); made > limit {
+					t.Fatalf("ring %d tick %d: %d pages made, at most %d were in flight or in the view (limit %d)", ring, tk-1, made, peak, limit)
 				}
-				view := int64(cap(sorted))*recBytes + int64(cap(inOff))*4
-				if got, want := c.ScratchBytes(), int64(made)*PageLen*recBytes+view; got != want {
-					t.Fatalf("ring %d tick %d: ScratchBytes is %d, the %d pages made, the view and the offsets are %d", ring, tk-1, got, made, want)
+				tables := int64(cap(inOff))*4 + int64(cap(c.view))*8
+				if got, want := c.ScratchBytes(), int64(made)*PageLen*recBytes+tables; got != want {
+					t.Fatalf("ring %d tick %d: ScratchBytes is %d, the %d pages made, the offsets and the page table are %d", ring, tk-1, got, made, want)
 				}
 			}
 			if got := c.View()[n]; int(got) != n*fan || !reused {
