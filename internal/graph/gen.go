@@ -53,7 +53,7 @@ func RingLattice(n, k int) (*CSR, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: ring lattice needs n > 0, got %d", n)
 	}
-	if k < 1 || 2*k >= n {
+	if k < 1 || k > (n-1)/2 { // 2k < n, without overflowing 2k
 		return nil, fmt.Errorf("graph: ring lattice needs 1 <= k and 2k < n, got k=%d n=%d", k, n)
 	}
 	g := &CSR{Off: make([]int32, n+1), Adj: make([]int32, 2*k*n)}
@@ -82,13 +82,13 @@ func ErdosRenyi(n int, p float64, seed uint64) (*CSR, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: Erdős–Rényi needs n > 0, got %d", n)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("graph: Erdős–Rényi needs p in [0,1], got %v", p)
 	}
 	if p == 1 {
 		return Complete(n)
 	}
-	var edges [][2]int32
+	var ends []int32
 	if p > 0 {
 		s := rng.New(rng.Derive(seed, rng.DomainGraph, tagErdosRenyi, uint64(n), math.Float64bits(p)))
 		logq := math.Log1p(-p)
@@ -98,18 +98,19 @@ func ErdosRenyi(n int, p float64, seed uint64) (*CSR, error) {
 		// sequence.
 		v, w := 1, -1
 		for v < n {
-			skip := int(math.Log1p(-s.Float64()) / logq) // Geometric(p) >= 0
+			// Geometric(p) >= 0, clamped past the last pair: a tiny p overflows int.
+			skip := int(min(math.Log1p(-s.Float64())/logq, float64(n)*float64(n)))
 			w += 1 + skip
 			for w >= v && v < n {
 				w -= v
 				v++
 			}
 			if v < n {
-				edges = append(edges, [2]int32{int32(v), int32(w)})
+				ends = append(ends, int32(v), int32(w))
 			}
 		}
 	}
-	return FromEdges(n, edges, false)
+	return FromEdges(n, ends, false)
 }
 
 // BarabasiAlbert returns a preferential-attachment scale-free graph: nodes
@@ -124,9 +125,9 @@ func BarabasiAlbert(n, m int, seed uint64) (*CSR, error) {
 		return nil, fmt.Errorf("graph: Barabási–Albert needs 1 <= m < n, got m=%d n=%d", m, n)
 	}
 	s := rng.New(rng.Derive(seed, rng.DomainGraph, tagBarabasi, uint64(n), uint64(m)))
-	edges := make([][2]int32, 0, m*(n-m))
-	// repeated holds every edge endpoint once; sampling it uniformly is
-	// sampling nodes proportional to degree.
+	// repeated holds every edge endpoint once, edge by edge: sampling it
+	// uniformly is sampling nodes proportional to degree, and it is the
+	// endpoint list FromEdges builds the CSR from.
 	repeated := make([]int32, 0, 2*m*(n-m))
 	targets := make([]int32, m)
 	for i := range targets {
@@ -134,7 +135,6 @@ func BarabasiAlbert(n, m int, seed uint64) (*CSR, error) {
 	}
 	for t := m; t < n; t++ {
 		for _, w := range targets {
-			edges = append(edges, [2]int32{int32(t), w})
 			repeated = append(repeated, int32(t), w)
 		}
 		if t == n-1 {
@@ -158,7 +158,7 @@ func BarabasiAlbert(n, m int, seed uint64) (*CSR, error) {
 			}
 		}
 	}
-	return FromEdges(n, edges, false)
+	return FromEdges(n, repeated, false)
 }
 
 // PowerLaw returns a configuration-model graph with a truncated power-law
@@ -175,8 +175,8 @@ func PowerLaw(n int, exponent float64, minDeg, maxDeg int, seed uint64) (*CSR, e
 	if minDeg < 1 || maxDeg < minDeg || maxDeg >= n {
 		return nil, fmt.Errorf("graph: power law needs 1 <= minDeg <= maxDeg < n, got [%d,%d] n=%d", minDeg, maxDeg, n)
 	}
-	if exponent <= 0 {
-		return nil, fmt.Errorf("graph: power law needs exponent > 0, got %v", exponent)
+	if !(exponent > 0) || math.IsInf(exponent, 1) { // also rejects NaN
+		return nil, fmt.Errorf("graph: power law needs a finite exponent > 0, got %v", exponent)
 	}
 	s := rng.New(rng.Derive(seed, rng.DomainGraph, tagPowerLaw, uint64(n),
 		math.Float64bits(exponent), uint64(minDeg), uint64(maxDeg)))
@@ -212,9 +212,6 @@ func PowerLaw(n int, exponent float64, minDeg, maxDeg int, seed uint64) (*CSR, e
 		j := s.Intn(i + 1)
 		stubs[i], stubs[j] = stubs[j], stubs[i]
 	}
-	edges := make([][2]int32, 0, len(stubs)/2)
-	for i := 0; i+1 < len(stubs); i += 2 {
-		edges = append(edges, [2]int32{stubs[i], stubs[i+1]})
-	}
-	return FromEdges(n, edges, true)
+	// Consecutive shuffled stubs pair up: stubs is the endpoint list.
+	return FromEdges(n, stubs, true)
 }

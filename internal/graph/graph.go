@@ -13,6 +13,9 @@
 // few dozen megabytes, and sampling a contact is one bounded draw over a
 // row slice.
 //
+// While a graph is built, the generator's own flat endpoint list and the
+// CSR are the only copies of its edges, and Validate allocates nothing.
+//
 // # Determinism
 //
 // Generators are pure functions of their parameters and a root seed: each
@@ -24,6 +27,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // CSR is an undirected graph in compressed-sparse-row form: the neighbors
@@ -70,26 +74,28 @@ func (g *CSR) Hub() int {
 	return hub
 }
 
-// Validate checks structural invariants: monotone offsets covering Adj,
-// neighbor ids in range, rows sorted with no self-loops or duplicates, and
-// symmetric adjacency (j in row i iff i in row j). Generators always emit
-// valid graphs; Validate guards hand-built ones.
+// Validate checks structural invariants without allocating: offsets from 0
+// to len(Adj) that never decrease, all checked before any row is sliced, so
+// a malformed CSR is an error and never a panic; neighbor ids in range; rows
+// sorted with no self-loops or duplicates; and symmetric adjacency, by a
+// binary search of row j for i. Validate guards hand-built graphs.
 func (g *CSR) Validate() error {
-	n := g.N()
-	if n == 0 {
+	if g == nil || len(g.Off) == 0 {
 		if g != nil && len(g.Adj) != 0 {
 			return fmt.Errorf("graph: empty offsets with %d adjacency entries", len(g.Adj))
 		}
 		return nil
 	}
+	n := len(g.Off) - 1
 	if g.Off[0] != 0 || int(g.Off[n]) != len(g.Adj) {
 		return fmt.Errorf("graph: offsets span [%d,%d], adjacency has %d entries", g.Off[0], g.Off[n], len(g.Adj))
 	}
-	deg := make(map[[2]int32]bool, len(g.Adj))
 	for i := 0; i < n; i++ {
 		if g.Off[i] > g.Off[i+1] {
 			return fmt.Errorf("graph: offsets decrease at node %d", i)
 		}
+	}
+	for i := 0; i < n; i++ {
 		row := g.Neighbors(i)
 		for k, j := range row {
 			if j < 0 || int(j) >= n {
@@ -101,12 +107,13 @@ func (g *CSR) Validate() error {
 			if k > 0 && row[k-1] >= j {
 				return fmt.Errorf("graph: node %d row unsorted or duplicated at %d", i, j)
 			}
-			deg[[2]int32{int32(i), j}] = true
 		}
 	}
-	for e := range deg {
-		if !deg[[2]int32{e[1], e[0]}] {
-			return fmt.Errorf("graph: edge %d-%d present in one direction only", e[0], e[1])
+	for i := 0; i < n; i++ {
+		for _, j := range g.Neighbors(i) {
+			if _, ok := slices.BinarySearch(g.Neighbors(int(j)), int32(i)); !ok {
+				return fmt.Errorf("graph: edge %d-%d present in one direction only", i, j)
+			}
 		}
 	}
 	return nil
@@ -135,44 +142,51 @@ func (g *CSR) Digest() string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// FromEdges builds a CSR from an undirected edge list: each (a, b) pair
-// becomes both a→b and b→a, rows come out sorted, and — with dedupe —
-// duplicate edges and self-loops are discarded (the configuration model
-// produces both). The build is a counting sort over the edge list, so it
-// is O(n + edges) and allocation-exact.
-func FromEdges(n int, edges [][2]int32, dedupe bool) (*CSR, error) {
+// FromEdges builds a CSR from an undirected edge list of flat endpoint
+// pairs: edge k is (ends[2k], ends[2k+1]), and an odd length is an error.
+// Each edge becomes both a→b and b→a, rows come out sorted, and — with
+// dedupe — duplicate edges and self-loops are discarded (the configuration
+// model produces both). The build is a counting sort with Off as its fill
+// cursor, so it is O(n + edges) and allocates nothing but the CSR.
+func FromEdges(n int, ends []int32, dedupe bool) (*CSR, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
 	}
-	deg := make([]int32, n+1)
-	for _, e := range edges {
-		if e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n {
-			return nil, fmt.Errorf("graph: edge %d-%d out of range [0,%d)", e[0], e[1], n)
+	if len(ends)%2 != 0 {
+		return nil, fmt.Errorf("graph: odd endpoint count %d", len(ends))
+	}
+	off := make([]int32, n+1)
+	for k := 0; k < len(ends); k += 2 {
+		a, b := ends[k], ends[k+1]
+		if a < 0 || int(a) >= n || b < 0 || int(b) >= n {
+			return nil, fmt.Errorf("graph: edge %d-%d out of range [0,%d)", a, b, n)
 		}
-		if e[0] == e[1] {
+		if a == b {
 			if dedupe {
 				continue
 			}
-			return nil, fmt.Errorf("graph: self-loop at node %d", e[0])
+			return nil, fmt.Errorf("graph: self-loop at node %d", a)
 		}
-		deg[e[0]+1]++
-		deg[e[1]+1]++
+		off[a+1]++
+		off[b+1]++
 	}
 	for i := 0; i < n; i++ {
-		deg[i+1] += deg[i]
+		off[i+1] += off[i]
 	}
-	g := &CSR{Off: deg, Adj: make([]int32, deg[n])}
-	cursor := make([]int32, n)
-	for _, e := range edges {
-		if e[0] == e[1] {
+	g := &CSR{Off: off, Adj: make([]int32, off[n])}
+	// off[a] walks row a from its start to its end, row a+1's start.
+	for k := 0; k < len(ends); k += 2 {
+		a, b := ends[k], ends[k+1]
+		if a == b {
 			continue
 		}
-		a, b := e[0], e[1]
-		g.Adj[g.Off[a]+cursor[a]] = b
-		cursor[a]++
-		g.Adj[g.Off[b]+cursor[b]] = a
-		cursor[b]++
+		g.Adj[off[a]] = b
+		off[a]++
+		g.Adj[off[b]] = a
+		off[b]++
 	}
+	copy(off[1:], off[:n])
+	off[0] = 0
 	sortRows(g)
 	if dedupe {
 		dedupeRows(g)
@@ -209,23 +223,22 @@ func sortRows(g *CSR) {
 }
 
 // dedupeRows removes duplicate neighbors from the (sorted) rows, compacting
-// Adj and rewriting Off in one pass.
+// Adj and Off in place in one pass; lo is row i's old start, and w <= k.
 func dedupeRows(g *CSR) {
 	n := g.N()
-	w := int32(0)
-	newOff := make([]int32, n+1)
+	w, lo := int32(0), int32(0)
 	for i := 0; i < n; i++ {
-		newOff[i] = w
-		row := g.Neighbors(i)
-		for k, v := range row {
-			if k > 0 && row[k-1] == v {
+		hi := g.Off[i+1]
+		g.Off[i] = w
+		for k := lo; k < hi; k++ {
+			if k > lo && g.Adj[k-1] == g.Adj[k] {
 				continue
 			}
-			g.Adj[w] = v
+			g.Adj[w] = g.Adj[k]
 			w++
 		}
+		lo = hi
 	}
-	newOff[n] = w
-	g.Off = newOff
+	g.Off[n] = w
 	g.Adj = g.Adj[:w:w]
 }
