@@ -35,15 +35,22 @@
 // ranges left one shard with most of the bucket's work and the others
 // waiting at the barrier. Delivery keeps the uniform id cuts. The core's
 // package comment says why the two may differ and why neither shows in any
-// result; per-peer state here — clocks, generator states, the protocol's
-// own arrays — is touched by the step phase alone.
+// result; per-peer state here — the clocks and the protocol's own arrays —
+// is touched by the step phase alone.
 //
 // # Determinism
 //
 // A run is a pure function of (n, seed, rates, widths, handlers). Peer i's
-// k-th firing draws its inter-firing gap and its protocol randomness from a
-// private stream seeded rng.Derive(seed, rng.DomainAsyncFire, i, k), so
-// with the core's canonical (peer, firing) emission order every shard count
+// stream k is seeded rng.Derive(seed, rng.DomainAsyncFire, i, k); the
+// runtime derives the (seed, DomainAsyncFire) prefix once and absorbs i and
+// k per firing, which is the same chain bit for bit. Stream 0 draws the
+// first gap and nothing else. Firing k opens stream k+1: the protocol draws
+// from it first, then the runtime draws the gap to firing k+1. A gap is a
+// ziggurat draw and takes a variable number of outputs (one on about 98.9 %
+// of draws), as a protocol's draws may, so the gap starts wherever the
+// protocol left the stream. No generator state outlives a firing: a shard
+// reseeds one generator per firing, and the core keeps no per-peer states.
+// With the core's canonical (peer, firing) emission order every shard count
 // replays the identical event history bit for bit. Arrival times are
 // quantized to bucket boundaries (an arrival inside bucket b is absorbed
 // when bucket b opens, before any firing of bucket b), so the effective
@@ -64,10 +71,10 @@ import (
 
 // FireFunc is one peer's behavior at one firing of its clock: peer fires
 // for the k-th time at absolute time t, draws whatever randomness it needs
-// from s (its private per-(peer, firing) stream — the same stream the gap
-// before this firing came from), and emits messages. From is stamped by the
-// runtime; emitted messages arrive Latency later, quantized to the bucket
-// boundary. A FireFunc may keep per-peer state indexed by peer id but must
+// from s (its private per-(peer, firing) stream, from which the runtime
+// then draws the gap to the peer's next firing), and emits messages. From
+// is stamped by the runtime; emitted messages arrive Latency later,
+// quantized to the bucket boundary. A FireFunc may keep per-peer state indexed by peer id but must
 // not touch shared state: peers of different shards run concurrently.
 type FireFunc func(peer, fire int, t float64, s *rng.Stream, emit func(simnet.Message))
 
@@ -111,15 +118,18 @@ type Config struct {
 }
 
 // shardState is what a worker keeps beside its core lane: the time of the
-// event it is replaying, which emit turns into an arrival bucket.
+// event it is replaying, which emit turns into an arrival bucket, and the
+// generator every firing of its range reseeds and draws from.
 type shardState struct {
-	lane *shardrt.Lane
-	now  float64
-	emit func(simnet.Message)
+	lane   *shardrt.Lane
+	now    float64
+	emit   func(simnet.Message)
+	state  rng.Xoshiro256
+	stream *rng.Stream
 }
 
-// shard pads shardState the way the core pads its lanes: now is written on
-// every firing, so neighbours must not share its line.
+// shard pads shardState the way the core pads its lanes: now and state are
+// written on every firing, so neighbours must not share their lines.
 type shard struct {
 	shardState
 	_ [2*shardrt.CacheLine - unsafe.Sizeof(shardState{})%shardrt.CacheLine]byte
@@ -136,12 +146,14 @@ type Runtime struct {
 	rates   []float64
 	width   float64
 	latency float64
-	seed    uint64
 	bucket  int
+	// fireKey is Derive(Seed, DomainAsyncFire), the prefix every firing
+	// stream's seed shares: peer i's stream k is seeded
+	// Absorb(Absorb(fireKey, i), k).
+	fireKey uint64
 
-	// Per-peer clock state beside the core's generator states (the state of
-	// the pending firing: gap already drawn from it, the firing's protocol
-	// draws continue it): the pending firing's absolute time and its index.
+	// Per-peer clock state: the pending firing's absolute time and its
+	// index. No generator state outlives a firing, so the core keeps none.
 	nextFire []float64
 	fireIdx  []uint64
 	sh       []shard
@@ -187,7 +199,7 @@ func New(cfg Config) (*Runtime, error) {
 	// clamp in Send only guards float boundary noise), and the ring holds
 	// the bucket being delivered as well.
 	core, err := shardrt.New(shardrt.Config{
-		N: cfg.N, Shards: cfg.Shards, Ring: int(latency/width) + 3, Weights: rates,
+		N: cfg.N, Shards: cfg.Shards, Ring: int(latency/width) + 3, Weights: rates, Stateless: true,
 		Obs: cfg.Obs, Track: "async", WorkGauge: "fired", DepthGauge: "calendar_depth",
 	})
 	if err != nil {
@@ -206,7 +218,7 @@ func New(cfg Config) (*Runtime, error) {
 		rates:    rates,
 		width:    width,
 		latency:  latency,
-		seed:     cfg.Seed,
+		fireKey:  rng.Derive(cfg.Seed, rng.DomainAsyncFire),
 		nextFire: make([]float64, cfg.N),
 		fireIdx:  make([]uint64, cfg.N),
 		sh:       make([]shard, core.Shards()),
@@ -215,15 +227,14 @@ func New(cfg Config) (*Runtime, error) {
 		sh := &rt.sh[w]
 		sh.lane = core.Lane(w)
 		sh.emit = rt.makeEmit(sh)
+		sh.stream = rng.NewWithSource(&sh.state)
 	}
-	states := core.States()
 	core.FanOut(func(w int) {
-		ln := core.Lane(w)
+		sh := &rt.sh[w]
 		lo, hi := core.Part().Range(w)
 		for i := lo; i < hi; i++ {
-			states[i].Seed(rng.Derive(cfg.Seed, rng.DomainAsyncFire, uint64(i), 0))
-			ln.Seat(i)
-			rt.nextFire[i] = ln.Stream.ExpFloat64() / rates[i]
+			sh.state.Seed(rng.Absorb(rng.Absorb(rt.fireKey, uint64(i)), 0))
+			rt.nextFire[i] = sh.stream.ExpFloat64() / rates[i]
 		}
 	})
 	return rt, nil
@@ -288,15 +299,14 @@ func (rt *Runtime) Inbox(i int) []simnet.Message { return rt.core.Inbox(i) }
 // step range in ascending order; each peer absorbs its arrivals (canonical
 // order, timed from the bucket boundary), then replays its clock firings
 // that fall inside the bucket in time order, drawing each firing's
-// randomness — and the gap to the next firing — from the firing's private
-// derived stream. Concatenating the shards' emissions in shard order
+// randomness — and then the gap to the next firing — from the firing's
+// private derived stream. Concatenating the shards' emissions in shard order
 // therefore yields global (peer, firing) scan order, the canonical order
 // the delivery sort preserves.
 func (rt *Runtime) stepAll() {
 	bStart := float64(rt.bucket) * rt.width
 	bEnd := bStart + rt.width
-	inOff := rt.core.View()
-	states, cuts := rt.core.States(), rt.core.Cuts()
+	inOff, cuts := rt.core.View(), rt.core.Cuts()
 	rt.core.FanOutSpan(rt.bucket, obs.PhaseStep, func(w int) {
 		sh := &rt.sh[w]
 		ln := sh.lane
@@ -313,11 +323,11 @@ func (rt *Runtime) stepAll() {
 				t := rt.nextFire[i]
 				k := rt.fireIdx[i]
 				sh.now = t
-				rt.fire(i, int(k), t, ln.Stream, sh.emit)
+				sh.state.Seed(rng.Absorb(rng.Absorb(rt.fireKey, uint64(i)), k+1))
+				rt.fire(i, int(k), t, sh.stream, sh.emit)
 				fired++
 				rt.fireIdx[i] = k + 1
-				states[i].Seed(rng.Derive(rt.seed, rng.DomainAsyncFire, uint64(i), k+1))
-				rt.nextFire[i] = t + ln.Stream.ExpFloat64()/rt.rates[i]
+				rt.nextFire[i] = t + sh.stream.ExpFloat64()/rt.rates[i]
 			}
 		}
 		ln.AddWork(fired)

@@ -224,30 +224,6 @@ func TestAsyncLatencyQuantization(t *testing.T) {
 	}
 }
 
-func TestAsyncRatesDriveFiringFrequency(t *testing.T) {
-	// A peer with clock rate r fires r times per unit time in expectation.
-	fires := make([]int64, 2)
-	fire := func(peer, k int, t float64, s *rng.Stream, emit func(simnet.Message)) {
-		fires[peer]++
-	}
-	rt, err := New(Config{N: 2, Seed: 9, Fire: fire, Rates: []float64{1, 8}, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 2000
-	rt.RunBuckets(horizon)
-	if fires[0] < horizon*8/10 || fires[0] > horizon*12/10 {
-		t.Fatalf("unit-rate peer fired %d times in %d units", fires[0], horizon)
-	}
-	ratio := float64(fires[1]) / float64(fires[0])
-	if ratio < 6.5 || ratio > 9.5 {
-		t.Fatalf("rate-8 peer fired %.2fx the unit peer, want about 8x", ratio)
-	}
-	if rt.Fired() != fires[0]+fires[1] {
-		t.Fatalf("Fired() = %d, want %d", rt.Fired(), fires[0]+fires[1])
-	}
-}
-
 func TestAsyncDroppedAndNilRecv(t *testing.T) {
 	// Out-of-range destinations count as drops; with Recv == nil, arrivals
 	// fall on the floor without crashing and the inbox view stays readable.

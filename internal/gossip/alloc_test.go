@@ -71,7 +71,7 @@ func TestLiveSpreadAllocBound(t *testing.T) {
 // under their owner it allocated 19.3 B per message; after it, 15.1; with
 // pages and the view holding 20-byte records instead of 40-byte Messages,
 // 9.2; with the view made of pool pages instead of a buffer grown on its
-// own, 7.1.
+// own, 7.1; with one generator per shard instead of one per peer, 6.25.
 func TestAsyncSpreadAllocBound(t *testing.T) {
 	const n, bound = 20_000, 8.0
 	p, err := bandwidth.Bimodal(n, n/10, 8, 1)

@@ -167,7 +167,9 @@ func BarabasiAlbert(n, m int, seed uint64) (*CSR, error) {
 // duplicate edges are discarded (the standard erased configuration model,
 // so realized degrees can fall slightly below the drawn sequence). Unlike
 // BarabasiAlbert the degree exponent is a free parameter, matching the
-// scale-free-network spreading literature's γ knob.
+// scale-free-network spreading literature's γ knob. An exponent so large
+// that minDeg^-exponent underflows to 0 (about 1075 at minDeg 2) is an
+// error: no degree would have any weight.
 func PowerLaw(n int, exponent float64, minDeg, maxDeg int, seed uint64) (*CSR, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: power law needs n > 0, got %d", n)
@@ -178,20 +180,31 @@ func PowerLaw(n int, exponent float64, minDeg, maxDeg int, seed uint64) (*CSR, e
 	if !(exponent > 0) || math.IsInf(exponent, 1) { // also rejects NaN
 		return nil, fmt.Errorf("graph: power law needs a finite exponent > 0, got %v", exponent)
 	}
+	// Inverse-CDF table over the truncated support: cheap (maxDeg entries)
+	// and exact, so degree draws are one uniform plus a scan. The weights
+	// fall with d: once one underflows to 0, every later one does too and
+	// none of those degrees can be drawn, so the table stops there. If
+	// minDeg's own weight underflows, no degree can be drawn at all.
+	weights := make([]float64, 0, maxDeg-minDeg+1)
+	total := 0.0
+	for d := minDeg; d <= maxDeg; d++ {
+		w := math.Pow(float64(d), -exponent)
+		if w == 0 {
+			break
+		}
+		weights = append(weights, w)
+		total += w
+	}
+	if len(weights) == 0 {
+		return nil, fmt.Errorf("graph: power law weight %d^-%v underflows to 0", minDeg, exponent)
+	}
 	s := rng.New(rng.Derive(seed, rng.DomainGraph, tagPowerLaw, uint64(n),
 		math.Float64bits(exponent), uint64(minDeg), uint64(maxDeg)))
-	// Inverse-CDF table over the truncated support: cheap (maxDeg entries)
-	// and exact, so degree draws are one uniform plus a scan.
-	weights := make([]float64, maxDeg-minDeg+1)
-	total := 0.0
-	for i := range weights {
-		weights[i] = math.Pow(float64(minDeg+i), -exponent)
-		total += weights[i]
-	}
 	stubs := make([]int32, 0, n*minDeg)
 	for i := 0; i < n; i++ {
 		x := s.Float64() * total
-		d := maxDeg
+		// x can round up to total and outlast the scan: the last degree.
+		d := minDeg + len(weights) - 1
 		for k, w := range weights {
 			x -= w
 			if x < 0 {

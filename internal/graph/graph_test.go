@@ -160,6 +160,27 @@ func TestGeneratorsRejectNonFinite(t *testing.T) {
 	}
 }
 
+// TestPowerLawRejectsUnderflow pins that an exponent under which every
+// weight d^-exponent underflows is an error. The inverse-CDF scan then never
+// went below zero, and every node got maxDeg. One step short of the
+// underflow, the largest weight is still positive and every draw is minDeg.
+func TestPowerLawRejectsUnderflow(t *testing.T) {
+	for _, e := range []float64{1075, 1e6} {
+		if _, err := PowerLaw(100, e, 2, 20, 1); err == nil {
+			t.Errorf("PowerLaw should reject exponent %v at minDeg 2", e)
+		}
+	}
+	g, err := PowerLaw(100, 1074, 2, 20, 1) // 2^-1074 is the least positive float64
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g.N(); i++ {
+		if d := g.Degree(i); d > 2 {
+			t.Fatalf("node %d has degree %d at exponent 1074, want at most minDeg 2", i, d)
+		}
+	}
+}
+
 // TestValidateErrors pins that Validate reports a malformed CSR as an
 // error, never a panic: the offsets are checked before any row is sliced,
 // and Off[0] is checked at n = 0 too. The first case once panicked with
@@ -298,7 +319,8 @@ func FuzzGenerators(f *testing.F) {
 			gen, admitted = func() (*CSR, error) { return BarabasiAlbert(n, k, seed) }, k >= 1 && k < n
 		default:
 			gen = func() (*CSR, error) { return PowerLaw(n, exponent, minDeg, maxDeg, seed) }
-			admitted = n > 0 && minDeg >= 1 && minDeg <= maxDeg && maxDeg < n && exponent > 0 && !math.IsInf(exponent, 1)
+			admitted = n > 0 && minDeg >= 1 && minDeg <= maxDeg && maxDeg < n && exponent > 0 && !math.IsInf(exponent, 1) &&
+				math.Pow(float64(minDeg), -exponent) > 0
 		}
 		g, err := gen()
 		if (err == nil) != admitted {

@@ -30,12 +30,13 @@ package rng
 // implementation detail of that package's determinism story); the constants
 // below are the ones shared across packages.
 const (
-	// DomainAsyncFire seeds the stream of one firing event: peer i's k-th
-	// firing draws its inter-firing gap and its protocol randomness from a
-	// stream seeded Derive(runtimeSeed, DomainAsyncFire, i, k). Deriving per
-	// (peer, firing-index) — rather than per peer — is what makes the async
-	// runtime bit-identical for every shard count: no shard ever needs
-	// another shard's generator position to reproduce an event.
+	// DomainAsyncFire seeds the streams of the async runtime's clocks: peer
+	// i's stream k, seeded Derive(runtimeSeed, DomainAsyncFire, i, k), holds
+	// the protocol randomness of firing k-1 (none for k = 0) and then the
+	// gap that schedules firing k. Deriving per (peer, firing-index) —
+	// rather than per peer — is what makes the async runtime bit-identical
+	// for every shard count: no shard ever needs another shard's generator
+	// position to reproduce an event.
 	DomainAsyncFire uint64 = 0xB1
 
 	// DomainGraph seeds the topology generators of internal/graph: a

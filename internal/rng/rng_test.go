@@ -241,22 +241,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	s := New(8)
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := s.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("negative exponential draw %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("Exp mean %.4f, want 1 +/- 0.02", mean)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	s := New(9)
 	var sum, sumSq float64

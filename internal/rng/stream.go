@@ -100,12 +100,6 @@ func (s *Stream) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// ExpFloat64 returns an exponentially distributed value with rate 1,
-// generated by inversion.
-func (s *Stream) ExpFloat64() float64 {
-	return -math.Log(s.Float64Open())
-}
-
 // NormFloat64 returns a standard normal value using the Marsaglia polar
 // method. One of the pair of generated values is discarded to keep the
 // Stream stateless beyond its Source.

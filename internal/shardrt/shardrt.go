@@ -86,12 +86,12 @@
 //
 // # Determinism
 //
-// Nothing depends on the shard count. Peer i's generator state is advanced
-// only by the worker whose step range holds i. Owner o's list in a slot is
-// appended to tick by tick, within a tick in worker order, within a worker
-// in fill order, and workers walk ascending ranges, so the list read front
-// to back is global emission order restricted to o's range. Owner o's
-// counting sort is stable, so every inbox is in (tick sent, sender,
+// Nothing depends on the shard count. Peer i's generator state, on a core
+// that keeps them, is advanced only by the worker whose step range holds
+// i. Owner o's list in a slot is appended to tick by tick, within a tick in
+// worker order, within a worker in fill order, and workers walk ascending
+// ranges, so the list read front to back is global emission order
+// restricted to o's range. Owner o's counting sort is stable, so every inbox is in (tick sent, sender,
 // emission) order for any ring size and any step cuts. Which physical page
 // the pool handed a worker depends on scheduling; nothing but the
 // scratch_bytes gauge can tell. Lanes and their open-page rows are padded so
@@ -240,6 +240,10 @@ type Config struct {
 	// Weights, when non-nil, cuts the step ranges by cumulative weight
 	// (len >= N); nil keeps them equal to the delivery ranges.
 	Weights []float64
+	// Stateless drops the per-peer generator states: States is nil and
+	// Lane.Stream is nil. A runtime that seeds a stream of its own for
+	// every unit of work sets it, as async does for every firing.
+	Stateless bool
 	// Obs, when non-nil, receives per-(tick, worker, phase) spans and
 	// per-tick gauges on a track named Track. Track also prefixes New's
 	// errors; WorkGauge and DepthGauge name the per-tick work count and the
@@ -270,7 +274,8 @@ type parkedPage struct {
 // is seated at (the sender of whatever it emits), the pages it is filling,
 // the scratch its peers' inboxes are unpacked into and the tick's counters.
 type laneState struct {
-	// Stream draws from the generator state of the seated peer.
+	// Stream draws from the generator state of the seated peer; it is nil
+	// on a Stateless core.
 	Stream *rng.Stream
 	src    cursorSource
 
@@ -488,13 +493,15 @@ func New(cfg Config) (*Core, error) {
 	}
 	c := &Core{
 		n: cfg.N, shards: shards, ring: cfg.Ring, track: cfg.Track,
-		states: make([]rng.Xoshiro256, cfg.N),
 		part:   exch.NewPartition(cfg.N, shards),
 		lanes:  make([]Lane, shards),
 		slots:  make([]slot, cfg.Ring),
 		inOff:  make([]int32, cfg.N+1),
 		base:   make([]int32, shards),
 		counts: make([][]int32, shards),
+	}
+	if !cfg.Stateless {
+		c.states = make([]rng.Xoshiro256, cfg.N)
 	}
 	c.sortFn = c.sortOwner
 	for i := range c.slots {
@@ -515,8 +522,10 @@ func New(cfg Config) (*Core, error) {
 		l := &c.lanes[w]
 		l.n, l.ring, l.part, l.pool, l.view = c.n, c.ring, c.part, &c.pool, &c.view
 		l.open = open[w*stride : w*stride+row : w*stride+row]
-		l.src.states = c.states
-		l.Stream = rng.NewWithSource(&l.src)
+		if c.states != nil {
+			l.src.states = c.states
+			l.Stream = rng.NewWithSource(&l.src)
+		}
 	}
 	if cfg.Obs != nil {
 		c.tr = cfg.Obs.Track(cfg.Track, shards)
@@ -546,8 +555,8 @@ func (c *Core) Stats() simnet.Stats { return c.stats }
 // Work returns the total of the lanes' AddWork over all ticks routed.
 func (c *Core) Work() int64 { return c.work }
 
-// States returns the per-peer generator states; state i belongs to the
-// worker whose range holds i.
+// States returns the per-peer generator states, nil on a Stateless core;
+// state i belongs to the worker whose range holds i.
 func (c *Core) States() []rng.Xoshiro256 { return c.states }
 
 // Part returns the delivery partition.

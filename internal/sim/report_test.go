@@ -53,7 +53,7 @@ func TestSeedCompatDigests100k(t *testing.T) {
 	}
 	for name, want := range map[string]string{
 		"live":      "4e31fa6a395901be",
-		"async":     "6dfc90fb4fb643a4",
+		"async":     "0e94edbc6501af41",
 		"topology":  "0cc143a2fc3f9749",
 		"consensus": "6948ab6ab77d2cd4",
 	} {

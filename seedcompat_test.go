@@ -128,7 +128,7 @@ var compatCases = []compatCase{
 	{
 		name: "async",
 		spec: func(n int) Spec { return AsyncConfig{Profile: UnitBandwidth(n)} },
-		want: map[int]uint64{17: 0x58b58807057d6d36, 1000: 0xb457c8405ab6793f},
+		want: map[int]uint64{17: 0x58115ee62e50b6e1, 1000: 0xb1bf882b7331b718},
 	},
 	{
 		name: "topology",
