@@ -9,13 +9,13 @@ import (
 	"fmt"
 	"testing"
 
+	"repro"
 	"repro/internal/bandwidth"
 	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/overlay"
 	"repro/internal/rng"
-	"repro/internal/simnet"
 )
 
 func benchDatingRound(b *testing.B, n int, sel core.Selector) {
@@ -240,21 +240,12 @@ func BenchmarkDecoderAddPacket(b *testing.B) {
 	}
 }
 
+// BenchmarkHandshakeRound times a one-dating-round handshake run at
+// n = 1000, runtime setup included.
 func BenchmarkHandshakeRound(b *testing.B) {
-	const n = 1000
-	p := bandwidth.Homogeneous(n, 1)
-	sel, _ := core.NewUniformSelector(n)
-	h, err := core.NewHandshake(p, sel, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
+	spec := repro.HandshakeConfig{Profile: repro.UnitBandwidth(1000), Rounds: 1}
 	for i := 0; i < b.N; i++ {
-		nw, err := simnet.NewNetwork(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := h.RunRound(nw); err != nil {
+		if _, err := repro.Run(spec, repro.WithSeed(9)); err != nil {
 			b.Fatal(err)
 		}
 	}

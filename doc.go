@@ -64,9 +64,10 @@
 // The package is the facade over the implementation layers, which remain
 // available for round-level work:
 //
-//   - the dating service itself (Algorithm 1), flat and message-level;
+//   - the dating service itself (Algorithm 1), as flat rounds;
 //   - rumor spreading on top of it, plus the five classical baselines
-//     (PUSH, PULL, PUSH&PULL, fair PULL, fair PUSH&PULL) of Figure 2;
+//     (PUSH, PULL, PUSH&PULL, fair PULL, fair PUSH&PULL) of Figure 2, and
+//     the message-level dating handshake on the sharded runtimes;
 //   - the DHT substrate of Section 4 (Chord-style and continuous–discrete
 //     routing, interval-weight selection, pipelined lookups);
 //   - the Section 5 extensions: multi-block rumor mongering with GF(2^8)
@@ -107,10 +108,12 @@
 //
 // LiveConfig runs the dating handshake as a real message protocol: every
 // offer, answer and payload is an individually routed message and each
-// peer's only state is its rumor bit. It runs on the sharded runtime
-// (internal/live): a fixed pool of shard workers owning contiguous peer
-// ranges on the shard-runtime core shared with the
-// asynchronous runtime (internal/shardrt: messages filed on pooled pages
+// peer's only state is its rumor bit. HandshakeConfig runs the same
+// handshake with no rumor for a fixed number of dating rounds: its report
+// counts the dates and every control message, the paper's overhead model.
+// Both run on the sharded runtime (internal/live): a fixed pool of shard
+// workers owning contiguous peer ranges on the shard-runtime core shared
+// with the asynchronous runtime (internal/shardrt: messages filed on pooled pages
 // under their destination's owner, which counting-sorts its own pages at
 // delivery — its package comment has the mechanism), per-peer streams seeded
 // SplitMix64(seed, peerDomain, peer). Runs are bit-identical for every

@@ -24,17 +24,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	totalDates := 0
 	for r, dates := range rep.Sent {
-		totalDates += dates
 		fmt.Printf("dating round %2d: %3d dates\n", r+1, dates)
 	}
 
-	st := rep.Detail.(repro.NetworkStats)
-	control := st.Sent - int64(totalDates)
-	fmt.Printf("\nover %d dating rounds (%d network rounds):\n", rounds, st.Rounds)
+	totalDates := int64(rep.Trajectory[len(rep.Trajectory)-1])
+	control := rep.Messages - totalDates
+	res := rep.Detail.(repro.LiveResult)
+	fmt.Printf("\nover %d dating rounds (%d network rounds):\n", rounds, res.Traffic.Rounds)
 	fmt.Printf("  payload messages: %d\n", totalDates)
 	fmt.Printf("  control messages: %d (%.1f per payload, all address-sized)\n",
 		control, float64(control)/float64(totalDates))
+	fmt.Printf("  most payloads one peer received in a dating round: %d (its bandwidth is 1)\n", res.MaxInPayloads)
 	fmt.Println("\nwhen the payload is a movie chunk, this overhead is negligible")
 }

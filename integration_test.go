@@ -17,7 +17,6 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -123,51 +122,6 @@ func TestStorageOverDHT(t *testing.T) {
 	}
 	if !res.Completed {
 		t.Fatalf("replication over DHT incomplete after %d rounds", res.Rounds)
-	}
-}
-
-func TestHandshakeOverDHTWithChurn(t *testing.T) {
-	// Message-level dating over DHT selection while killing nodes between
-	// rounds: dates must keep flowing among survivors and never touch the
-	// dead.
-	s := rng.New(5)
-	const n = 80
-	ring, err := overlay.NewRing(n, s.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, _ := core.NewRingSelector(ring)
-	h, err := core.NewHandshake(bandwidth.Homogeneous(n, 1), sel, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := simnet.NewNetwork(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadSet := map[int]bool{}
-	for round := 0; round < 8; round++ {
-		if round%2 == 1 {
-			killed := nw.Crash(s, 0.05)
-			_ = killed
-			for i := 0; i < n; i++ {
-				if !nw.Alive(i) {
-					deadSet[i] = true
-				}
-			}
-		}
-		dates, err := h.RunRound(nw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range dates {
-			if deadSet[d.Sender] || deadSet[d.Receiver] {
-				t.Fatalf("round %d: date %v touches a dead node", round, d)
-			}
-		}
-		if nw.AliveCount() > 10 && len(dates) == 0 {
-			t.Fatalf("round %d: no dates among %d live nodes", round, nw.AliveCount())
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/overlay"
 	"repro/internal/rng"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 )
 
@@ -128,41 +127,6 @@ func TestLemma3HypergeometricVariance(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no K-bin accumulated enough rounds; widen the experiment")
-	}
-}
-
-func TestHandshakeDeterministic(t *testing.T) {
-	// Two handshakes with equal seeds over fresh networks must arrange the
-	// exact same dates round for round.
-	const n = 50
-	p := bandwidth.Homogeneous(n, 1)
-	sel, _ := NewUniformSelector(n)
-	run := func() [][]Date {
-		h, err := NewHandshake(p, sel, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw, _ := simnet.NewNetwork(n)
-		var all [][]Date
-		for r := 0; r < 5; r++ {
-			dates, err := h.RunRound(nw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, dates)
-		}
-		return all
-	}
-	a, b := run(), run()
-	for r := range a {
-		if len(a[r]) != len(b[r]) {
-			t.Fatalf("round %d: %d vs %d dates", r, len(a[r]), len(b[r]))
-		}
-		for i := range a[r] {
-			if a[r][i] != b[r][i] {
-				t.Fatalf("round %d date %d differs: %v vs %v", r, i, a[r][i], b[r][i])
-			}
-		}
 	}
 }
 

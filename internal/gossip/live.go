@@ -11,6 +11,16 @@ import (
 	"repro/internal/simnet"
 )
 
+// Message kinds of the dating handshake. The paper's overhead claim —
+// control messages carry about one IP address — corresponds to the single
+// address word these messages use.
+const (
+	KindOffer   uint8 = 1 // sending request: "I can send one unit"
+	KindRequest uint8 = 2 // receiving request: "I can receive one unit"
+	KindAnswer  uint8 = 3 // rendezvous answer to an offer; A = receiver or -1
+	KindPayload uint8 = 4 // the actual unit-size message
+)
+
 // LiveConfig parameterizes a fully message-level spreading run: the dating
 // service's three-step handshake (scatter, answer, payload) executed peer
 // by peer on the round runtime. Nothing is shared between peers except
@@ -25,8 +35,27 @@ type LiveConfig struct {
 	MaxDatingRounds int
 }
 
-// LiveResult reports a message-level spreading run; Rounds counts dating
-// rounds, each three network rounds of the handshake.
+// HandshakeConfig parameterizes the dating service on its own: Rounds
+// dating rounds of the same handshake on the same runtime, with no rumor
+// riding the payloads. It makes the paper's overhead model measurable: the
+// run's traffic is every control message and every payload.
+type HandshakeConfig struct {
+	// Profile holds the per-node bandwidths; required.
+	Profile bandwidth.Profile
+	// Selector defaults to uniform over the profile's nodes.
+	Selector core.Selector
+	// Rounds is the number of dating rounds to run (each costing three
+	// network rounds); 0 means 10.
+	Rounds int
+}
+
+// LiveResult reports a handshake run; Rounds counts dating rounds, each
+// three network rounds. A spread (LiveConfig) reports its informed peers
+// in History and its traffic per dating round in SentHistory. A bare
+// handshake (HandshakeConfig) reports the dates of each dating round in
+// SentHistory and their running total in History: a date counts in the
+// dating round the network accepts its payload, which under the
+// perfect-sync model delivers it within that round.
 type LiveResult struct {
 	Stepped
 	// MaxInPayloads is the largest number of payload messages any node
@@ -66,6 +95,45 @@ func newLiveState(n int, pending bool) *liveState {
 	return st
 }
 
+// maxInPayloads returns the most payloads any peer received in one dating
+// round; called after the run.
+func (st *liveState) maxInPayloads() int {
+	m := int32(0)
+	for _, v := range st.maxIn {
+		m = max(m, v)
+	}
+	return int(m)
+}
+
+// startHandshake validates a handshake over profile and sel (nil =
+// uniform) that scatters for dating rounds 1..rounds, and builds its peer
+// state and its runtime on clk. Nothing has ticked yet: the caller drives
+// the prologue scatter (network round 0), then three ticks per dating
+// round — phases 1 and 2 of that round and phase 0 of the next, which
+// absorbs its payloads.
+func startHandshake(profile bandwidth.Profile, sel core.Selector, rounds int, o LiveOptions, clk clock) (*liveState, ticker, error) {
+	n := profile.N()
+	if n == 0 {
+		return nil, nil, fmt.Errorf("gossip: dating handshake needs a profile")
+	}
+	if _, err := profile.Ratio(); err != nil {
+		return nil, nil, err
+	}
+	sel, err := core.SelectorFor(sel, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Latency can deliver offers and demands outside their phase; then every
+	// rendezvous gets a holding buffer until its next matching round.
+	st := newLiveState(n, o.Net != nil && o.Net.MaxDelay() > 1)
+	tick, cuts, err := clk(n, o, liveEmitStep(profile, sel, st, rounds), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.key(cuts, 1)
+	return st, tick, nil
+}
+
 // RunLive executes rumor spreading with the dating-service handshake on the
 // round runtime.
 func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
@@ -73,54 +141,63 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 }
 
 func runLive(cfg LiveConfig, o LiveOptions, clk clock) (LiveResult, error) {
-	n := cfg.Profile.N()
-	if n == 0 {
-		return LiveResult{}, fmt.Errorf("gossip: live run needs a profile")
+	maxDating := cfg.MaxDatingRounds
+	if maxDating <= 0 {
+		maxDating = defaultRoundCap(cfg.Profile.N())
 	}
-	if _, err := cfg.Profile.Ratio(); err != nil {
+	st, tick, err := startHandshake(cfg.Profile, cfg.Selector, maxDating, o, clk)
+	if err != nil {
 		return LiveResult{}, err
 	}
+	n := cfg.Profile.N()
 	if cfg.Source < 0 || cfg.Source >= n {
 		return LiveResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	sel, err := core.SelectorFor(cfg.Selector, n)
-	if err != nil {
-		return LiveResult{}, err
-	}
-	maxDating := cfg.MaxDatingRounds
-	if maxDating <= 0 {
-		maxDating = defaultRoundCap(n)
-	}
-
-	// Latency can deliver offers and demands outside their phase; then every
-	// rendezvous gets a holding buffer until its next matching round.
-	st := newLiveState(n, o.Net != nil && o.Net.MaxDelay() > 1)
-	tick, cuts, err := clk(n, o, liveEmitStep(cfg.Profile, sel, st), nil)
-	if err != nil {
-		return LiveResult{}, err
-	}
-	st.key(cuts, 1)
 	st.set(cfg.Source, 1)
 
-	// Prologue: the first scatter (phase 0 of dating round 1, no payloads
-	// in flight yet). After it, every round runs phases 1 and 2 of the
-	// current dating round plus phase 0 of the next, which absorbs the
-	// payloads — so the informed count inspected after each round is exact
-	// for that round.
+	// The informed count inspected after each dating round is exact for
+	// that round: its last tick absorbed the round's payloads.
 	res := LiveResult{Stepped: drive(tick, 1, 3, maxDating, nil, func(int) (int, bool) {
 		informed := st.count(1)
 		return informed, informed == n
 	})}
-	for _, m := range st.maxIn {
-		res.MaxInPayloads = max(res.MaxInPayloads, int(m))
+	res.MaxInPayloads = st.maxInPayloads()
+	return res, nil
+}
+
+// runHandshake executes cfg.Rounds dating rounds of the bare handshake on
+// clk: every payload carries state 0, so peers only date.
+func runHandshake(cfg HandshakeConfig, o LiveOptions, clk clock) (LiveResult, error) {
+	rounds := cfg.Rounds
+	if rounds <= 0 {
+		rounds = 10
 	}
+	st, tick, err := startHandshake(cfg.Profile, cfg.Selector, rounds, o, clk)
+	if err != nil {
+		return LiveResult{}, err
+	}
+	var traffic simnet.Stats
+	res := LiveResult{Stepped: drive(func(ticks int) simnet.Stats {
+		traffic = tick(ticks)
+		return traffic
+	}, 1, 3, rounds, nil, func(r int) (int, bool) {
+		return int(traffic.ByKind[KindPayload]), r == rounds
+	})}
+	// A dating round's sent count is its dates, not its traffic.
+	prev := 0
+	for r, total := range res.History {
+		res.SentHistory[r], prev = total-prev, total
+	}
+	res.MaxInPayloads = st.maxInPayloads()
 	return res, nil
 }
 
 // liveEmitStep builds the per-peer handshake state machine, in the sharded
-// runtime's emit form. Network round r is phase r % 3 of a dating round:
+// runtime's emit form. Network round r is phase r % 3 of dating round
+// r/3 + 1:
 //
-//	phase 0: scatter offers and receiving requests;
+//	phase 0: scatter offers and receiving requests, in dating rounds
+//	         1..rounds only;
 //	phase 1: act as rendezvous — match, answer offers with partner address;
 //	phase 2: senders with a partner transmit the payload, carrying the
 //	         rumor bit.
@@ -131,7 +208,7 @@ func runLive(cfg LiveConfig, o LiveOptions, clk clock) (LiveResult, error) {
 // (possible only under latency models) wait in the peer's pending buffers
 // for the next one. Under the perfect-sync model every message arrives in
 // its natural phase, so this reduces bit-for-bit to the legacy behavior.
-func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *liveState) live.StepFunc {
+func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *liveState, rounds int) live.StepFunc {
 	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
 		if round%3 == 1 {
 			// A dating round's first network round: every peer is stepped
@@ -144,30 +221,33 @@ func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *liveState) l
 		offers, requests := offerBuf[:0], requestBuf[:0]
 		for _, m := range inbox {
 			switch m.Kind {
-			case core.KindPayload:
+			case KindPayload:
 				st.inPayloads[node]++
 				st.maxIn[node] = max(st.maxIn[node], st.inPayloads[node])
 				if m.A == 1 {
 					st.set(node, 1)
 				}
-			case core.KindAnswer:
+			case KindAnswer:
 				if m.A >= 0 {
-					emit(simnet.Message{To: int(m.A), Kind: core.KindPayload, A: int32(st.of[node])})
+					emit(simnet.Message{To: int(m.A), Kind: KindPayload, A: int32(st.of[node])})
 				}
-			case core.KindOffer:
+			case KindOffer:
 				offers = append(offers, int32(m.From))
-			case core.KindRequest:
+			case KindRequest:
 				requests = append(requests, int32(m.From))
 			}
 		}
 
 		switch round % 3 {
-		case 0: // scatter
+		case 0: // scatter, unless the run ends before this dating round
+			if round/3 >= rounds {
+				break
+			}
 			for k := 0; k < profile.Out[node]; k++ {
-				emit(simnet.Message{To: sel.Pick(s), Kind: core.KindOffer})
+				emit(simnet.Message{To: sel.Pick(s), Kind: KindOffer})
 			}
 			for k := 0; k < profile.In[node]; k++ {
-				emit(simnet.Message{To: sel.Pick(s), Kind: core.KindRequest})
+				emit(simnet.Message{To: sel.Pick(s), Kind: KindRequest})
 			}
 
 		case 1: // rendezvous: match everything that made it here in time
@@ -186,10 +266,10 @@ func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *liveState) l
 				q = len(requests)
 			}
 			core.MatchRendezvous(offers, requests, s, func(sender, receiver int32) {
-				emit(simnet.Message{To: int(sender), Kind: core.KindAnswer, A: receiver})
+				emit(simnet.Message{To: int(sender), Kind: KindAnswer, A: receiver})
 			})
 			for _, o := range offers[q:] {
-				emit(simnet.Message{To: int(o), Kind: core.KindAnswer, A: -1})
+				emit(simnet.Message{To: int(o), Kind: KindAnswer, A: -1})
 			}
 			return
 		}

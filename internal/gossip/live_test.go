@@ -120,9 +120,9 @@ func TestRunLiveOverheadShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.Traffic
-	offers := st.ByKind[core.KindOffer]
-	answers := st.ByKind[core.KindAnswer]
-	payloads := st.ByKind[core.KindPayload]
+	offers := st.ByKind[KindOffer]
+	answers := st.ByKind[KindAnswer]
+	payloads := st.ByKind[KindPayload]
 	if offers == 0 || answers == 0 || payloads == 0 {
 		t.Fatalf("missing traffic classes: %d/%d/%d", offers, answers, payloads)
 	}
@@ -144,28 +144,28 @@ func TestLiveStepPhases(t *testing.T) {
 	sel, _ := core.NewUniformSelector(4)
 	st := newLiveState(4, false)
 	st.key([]int{0, 4}, 1)
-	step := adaptStep(liveEmitStep(profile, sel, st))
+	step := adaptStep(liveEmitStep(profile, sel, st, 10))
 	inbox := []simnet.Message{
-		{From: 1, To: 0, Kind: core.KindOffer},
-		{From: 2, To: 0, Kind: core.KindRequest},
+		{From: 1, To: 0, Kind: KindOffer},
+		{From: 2, To: 0, Kind: KindRequest},
 	}
 	out := step(0, 1, inbox, rng.New(1)) // round 1 = phase 1 (rendezvous)
 	if len(out) != 1 {
 		t.Fatalf("rendezvous emitted %d messages, want 1", len(out))
 	}
-	if out[0].Kind != core.KindAnswer || out[0].To != 1 || out[0].A != 2 {
+	if out[0].Kind != KindAnswer || out[0].To != 1 || out[0].A != 2 {
 		t.Fatalf("bad answer: %+v", out[0])
 	}
 
 	// Phase 2: an informed node with a positive answer sends the rumor.
 	st.set(1, 1)
-	out = step(1, 2, []simnet.Message{{From: 0, To: 1, Kind: core.KindAnswer, A: 2}}, rng.New(2))
-	if len(out) != 1 || out[0].Kind != core.KindPayload || out[0].A != 1 || out[0].To != 2 {
+	out = step(1, 2, []simnet.Message{{From: 0, To: 1, Kind: KindAnswer, A: 2}}, rng.New(2))
+	if len(out) != 1 || out[0].Kind != KindPayload || out[0].A != 1 || out[0].To != 2 {
 		t.Fatalf("bad payload: %+v", out)
 	}
 
 	// Phase 0: the receiver absorbs the payload and becomes informed.
-	out = step(2, 3, []simnet.Message{{From: 1, To: 2, Kind: core.KindPayload, A: 1}}, rng.New(3))
+	out = step(2, 3, []simnet.Message{{From: 1, To: 2, Kind: KindPayload, A: 1}}, rng.New(3))
 	if st.of[2] != 1 {
 		t.Fatal("payload did not inform the receiver")
 	}

@@ -1,8 +1,8 @@
 package gossip
 
-// This file implements the unified-runner specs (run.Spec) for the three
-// gossip protocols: single-rumor spreading, multi-rumor spreading, and the
-// fully message-level live run. The configs carry only the protocol; the
+// This file implements the unified-runner specs (run.Spec) for single-rumor
+// spreading, multi-rumor spreading, the fully message-level live run and
+// the bare dating handshake. The configs carry only the protocol; the
 // orthogonal axes — seed, worker budget, network model — come exclusively
 // from the run options, which is what keeps the axes orthogonal to the
 // protocol choice.
@@ -51,4 +51,17 @@ func (c LiveConfig) Protocol() string { return "live" }
 // history; Detail the full LiveResult.
 func (c LiveConfig) Execute(o *run.Options) (run.Report, error) {
 	return execute(RunLive(c, liveOptionsFor(o, run.DomainLive)))
+}
+
+// Protocol implements run.Spec.
+func (c HandshakeConfig) Protocol() string { return "handshake" }
+
+// Execute implements run.Spec under liveOptionsFor(o, DomainHandshake):
+// every worker count yields the identical report. Trajectory is the running
+// total of completed dates, Sent the dates of each dating round, Messages
+// all traffic — the address-sized control messages included — and
+// MaxInLoad the most payloads a peer received in one dating round. Detail
+// is the full LiveResult.
+func (c HandshakeConfig) Execute(o *run.Options) (run.Report, error) {
+	return execute(runHandshake(c, liveOptionsFor(o, run.DomainHandshake), roundClock))
 }

@@ -130,7 +130,7 @@ func checkTallies(t *testing.T, protocol string) {
 		{"live", func(shards int) (*peerStates, int, func(), error) {
 			st := newLiveState(n, false)
 			rt, err := live.New(live.Config{N: n, Seed: 42, Shards: shards,
-				Step: liveEmitStep(bandwidth.Homogeneous(n, 1), uniform, st)})
+				Step: liveEmitStep(bandwidth.Homogeneous(n, 1), uniform, st, defaultRoundCap(n))})
 			if err != nil {
 				return nil, 0, nil, err
 			}

@@ -53,12 +53,13 @@
 // counters it then reports.
 //
 // The round-abstract protocols (rumor, multi-rumor, mongering, storage) draw
-// one seed per round off their run stream; the handshake runs a fixed number
-// of dating rounds. The four stepped protocols (live, topology, consensus,
-// async) reach Drive through a thin wrapper in internal/gossip that ticks
-// their runtime — live's one-tick prologue and three ticks per dating round,
-// one tick per round or calendar bucket otherwise — and takes each round's
-// sent count from the runtime's traffic.
+// one seed per round off their run stream. The five stepped protocols (live,
+// handshake, topology, consensus, async) reach Drive through a thin wrapper
+// in internal/gossip that ticks their runtime — the handshake's one-tick
+// prologue and three ticks per dating round, one tick per round or calendar
+// bucket otherwise — and takes each round's sent count from the runtime's
+// traffic; the bare handshake, which runs a fixed number of dating rounds,
+// counts its dates instead.
 package run
 
 import (

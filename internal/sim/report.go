@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/coding"
-	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -83,7 +82,7 @@ var protocolSpecs = []protocolSpec{
 		return storage.Config{N: n, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 12, RoundCap: 2}, nil
 	}},
 	{"handshake", func(n int, _ uint64) (run.Spec, error) {
-		return core.HandshakeConfig{Profile: bandwidth.Homogeneous(n, 1), Rounds: 10}, nil
+		return gossip.HandshakeConfig{Profile: bandwidth.Homogeneous(n, 1), Rounds: 10}, nil
 	}},
 	{"async", func(n int, _ uint64) (run.Spec, error) {
 		return gossip.AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, nil

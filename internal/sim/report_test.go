@@ -10,9 +10,9 @@ import (
 // TestSpecTableIdentity is the identity matrix over the spec table: every
 // protocol, at a small n, completes and reports the same row (digest,
 // rounds, messages, loads) whatever the worker budget and whether or not an
-// observer is attached. Only the timing column may differ. Four rows
-// (multirumor, monger, storage, handshake) run on engines that register no
-// track, so for them the observer axis only shows that attaching is harmless.
+// observer is attached. Only the timing column may differ. Three rows
+// (multirumor, monger, storage) run on engines that register no track, so
+// for them the observer axis only shows that attaching is harmless.
 func TestSpecTableIdentity(t *testing.T) {
 	if got := len(protocolSpecs); got != 9 {
 		t.Fatalf("spec table has %d rows, the repository has 9 protocols", got)

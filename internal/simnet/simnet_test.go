@@ -2,129 +2,10 @@ package simnet
 
 import (
 	"fmt"
-	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/rng"
 )
-
-func TestNewNetworkValidation(t *testing.T) {
-	if _, err := NewNetwork(0); err == nil {
-		t.Error("accepted n = 0")
-	}
-	if _, err := NewNetwork(-3); err == nil {
-		t.Error("accepted negative n")
-	}
-}
-
-// TestNewNetworkLimit pins the int32 bound on n: a peer id rides in an int32
-// payload word (the handshake's answer names the receiver in A), so a larger
-// network is rejected, naming the limit, before its n-sized makes — which
-// at this n would take tens of gigabytes.
-func TestNewNetworkLimit(t *testing.T) {
-	_, err := NewNetwork(math.MaxInt32 + 1)
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(math.MaxInt32)) {
-		t.Errorf("n = MaxInt32+1 gave %v, want an error naming the limit %d", err, math.MaxInt32)
-	}
-}
-
-func TestSendDeliverRoundTrip(t *testing.T) {
-	nw, err := NewNetwork(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.Send(Message{From: 0, To: 2, Kind: 7, A: 42})
-	nw.Send(Message{From: 1, To: 2, Kind: 7, A: 43})
-	if got := len(nw.Inbox(2)); got != 0 {
-		t.Fatalf("message delivered before round boundary: %d", got)
-	}
-	nw.Deliver()
-	in := nw.Inbox(2)
-	if len(in) != 2 {
-		t.Fatalf("inbox size %d, want 2", len(in))
-	}
-	if in[0].A != 42 || in[1].A != 43 {
-		t.Fatalf("payloads %v", in)
-	}
-	nw.Deliver()
-	if len(nw.Inbox(2)) != 0 {
-		t.Fatal("inbox not cleared after next round")
-	}
-	st := nw.Stats()
-	if st.Sent != 2 || st.Rounds != 2 || st.ByKind[7] != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestSendValidatesEndpoints(t *testing.T) {
-	nw, _ := NewNetwork(2)
-	nw.Send(Message{From: 0, To: 5})
-	nw.Send(Message{From: -1, To: 1})
-	if st := nw.Stats(); st.Sent != 0 || st.Dropped != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestKillAndRevive(t *testing.T) {
-	nw, _ := NewNetwork(3)
-	nw.Kill(1)
-	if nw.Alive(1) || nw.AliveCount() != 2 {
-		t.Fatal("kill did not take effect")
-	}
-	nw.Kill(1) // idempotent
-	if nw.AliveCount() != 2 {
-		t.Fatal("double kill changed count")
-	}
-	nw.Send(Message{From: 0, To: 1}) // to dead node
-	nw.Send(Message{From: 1, To: 0}) // from dead node
-	if st := nw.Stats(); st.Sent != 0 || st.Dropped != 2 {
-		t.Fatalf("dead traffic not dropped: %+v", st)
-	}
-	nw.Revive(1)
-	if !nw.Alive(1) || nw.AliveCount() != 3 {
-		t.Fatal("revive did not take effect")
-	}
-	nw.Revive(1) // idempotent
-	if nw.AliveCount() != 3 {
-		t.Fatal("double revive changed count")
-	}
-}
-
-func TestReviveClearsInbox(t *testing.T) {
-	nw, _ := NewNetwork(2)
-	nw.Send(Message{From: 0, To: 1})
-	nw.Deliver()
-	nw.Kill(1)
-	nw.Revive(1)
-	if len(nw.Inbox(1)) != 0 {
-		t.Fatal("revived node kept stale inbox")
-	}
-}
-
-func TestCrash(t *testing.T) {
-	nw, _ := NewNetwork(1000)
-	s := rng.New(42)
-	killed := nw.Crash(s, 0.1, 0)
-	if killed < 50 || killed > 150 {
-		t.Fatalf("killed %d of 1000 at p=0.1", killed)
-	}
-	if !nw.Alive(0) {
-		t.Fatal("protected node crashed")
-	}
-	if nw.AliveCount() != 1000-killed {
-		t.Fatalf("alive count %d after killing %d", nw.AliveCount(), killed)
-	}
-	// p = 0 kills nobody; p = 1 kills everyone unprotected.
-	if extra := nw.Crash(s, 0); extra != 0 {
-		t.Fatalf("p=0 killed %d", extra)
-	}
-	nw2, _ := NewNetwork(10)
-	nw2.Crash(s, 1, 3)
-	if nw2.AliveCount() != 1 || !nw2.Alive(3) {
-		t.Fatal("p=1 with protection failed")
-	}
-}
 
 // pingStep: every node sends its id to node (id+1) mod n each round and
 // counts received pings in A of the next message.

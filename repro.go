@@ -70,7 +70,8 @@ type (
 	// WithNet).
 	LiveConfig = gossip.LiveConfig
 
-	// LiveResult reports a message-level spreading run.
+	// LiveResult reports a run of the dating handshake: a spread
+	// (LiveConfig) or the bare handshake (HandshakeConfig).
 	LiveResult = gossip.LiveResult
 
 	// NetModel decides message latency and loss in sharded live runs.
@@ -151,20 +152,16 @@ type (
 	// Injection introduces one rumor at a given round and source.
 	Injection = gossip.Injection
 
-	// Network is the deterministic round-synchronous message engine.
-	Network = simnet.Network
-
-	// NetworkStats aggregates an engine's traffic counters (messages sent,
-	// dropped, per kind); HandshakeConfig runs report it as Report.Detail.
+	// NetworkStats aggregates a message runtime's traffic counters
+	// (messages sent, dropped, per kind): the Traffic of LiveResult, and so
+	// of every LiveConfig and HandshakeConfig run.
 	NetworkStats = simnet.Stats
 
-	// Handshake runs the dating service as an explicit three-step message
-	// protocol on a Network, exposing the real control-message overhead.
-	Handshake = core.Handshake
-
-	// HandshakeConfig runs the explicit three-step handshake through the
-	// unified runner: repro.Run(HandshakeConfig{...}).
-	HandshakeConfig = core.HandshakeConfig
+	// HandshakeConfig runs the dating service on its own as the explicit
+	// three-step handshake, for a fixed number of dating rounds on the
+	// round runtime: repro.Run(HandshakeConfig{...}). Its Report.Detail is
+	// a LiveResult whose Traffic exposes the control-message overhead.
+	HandshakeConfig = gossip.HandshakeConfig
 
 	// NetRingLatency is the asymmetric network model: per-pair latency
 	// proportional to ring distance in a DHT-style embedding, so which
@@ -387,13 +384,3 @@ func ArrangeDates(out, in []int, sel Selector, s *Stream) ([]Date, error) {
 //		...
 //	}
 func NewArranger(sel Selector) (*Arranger, error) { return core.NewArranger(sel) }
-
-// NewNetwork creates a round-synchronous message engine with n live nodes.
-func NewNetwork(n int) (*Network, error) { return simnet.NewNetwork(n) }
-
-// NewHandshake builds the message-level dating service: each round costs
-// three network rounds (scatter, answer, payload) and every control message
-// carries about one address, the paper's overhead model.
-func NewHandshake(p Profile, sel Selector, seed uint64) (*Handshake, error) {
-	return core.NewHandshake(p, sel, seed)
-}

@@ -119,9 +119,12 @@ var compatCases = []compatCase{
 		want: map[int]uint64{17: 0xc56f61fda6de9cbd, 1000: 0x2bbea01938fc3740},
 	},
 	{
+		// Repinned when the handshake moved onto the sharded runtime: its
+		// per-peer streams are seeded by live.PeerSeed, no longer by
+		// rng.NewStreams, and it reports MaxInLoad.
 		name: "handshake",
 		spec: func(n int) Spec { return HandshakeConfig{Profile: UnitBandwidth(n), Rounds: 6} },
-		want: map[int]uint64{17: 0xe31905a7d005ce61, 1000: 0x6a01f39bbe200e3b},
+		want: map[int]uint64{17: 0x0e30b3d2c5c87152, 1000: 0x54ef859ea5cba57f},
 	},
 	// The three specs below were pinned at PR 24's parent commit, when the
 	// files that held their only digests were deleted.
