@@ -8,15 +8,19 @@ package repro_test
 import (
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"repro"
 	"repro/internal/bandwidth"
 	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/gossip"
+	"repro/internal/live"
 	"repro/internal/overlay"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -122,6 +126,70 @@ func TestStorageOverDHT(t *testing.T) {
 	}
 	if !res.Completed {
 		t.Fatalf("replication over DHT incomplete after %d rounds", res.Rounds)
+	}
+}
+
+// churnWatch is EpochChurn that also audits the payloads it lets through:
+// it counts them, and counts those with an endpoint down in the send round.
+// Plan runs on every shard, so the counters are atomic.
+type churnWatch struct {
+	live.EpochChurn
+	passed, touchedDown *atomic.Int64
+}
+
+func (w churnWatch) Plan(round int, m simnet.Message, s *rng.Stream) int {
+	d := w.EpochChurn.Plan(round, m, s)
+	if d != live.Drop && m.Kind == gossip.KindPayload {
+		w.passed.Add(1)
+		if w.Down(round, m.From) || w.Down(round, m.To) {
+			w.touchedDown.Add(1)
+		}
+	}
+	return d
+}
+
+func TestHandshakeOverDHTWithChurn(t *testing.T) {
+	// Message-level dating over DHT selection, run through the facade,
+	// while peers go down for whole epochs: dates must keep flowing among
+	// the survivors, never touch a down peer, and count exactly the
+	// payloads the network delivered, whatever the worker count.
+	const n, rounds = 80, 8
+	ring, err := overlay.NewRing(n, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, _ := core.NewRingSelector(ring)
+	spec := repro.HandshakeConfig{Profile: bandwidth.Homogeneous(n, 1), Selector: sel, Rounds: rounds}
+	var ref repro.LiveResult
+	for _, workers := range []int{1, 3} {
+		w := churnWatch{EpochChurn: live.EpochChurn{Seed: 77, Epoch: 2, DownFrac: 0.1},
+			passed: new(atomic.Int64), touchedDown: new(atomic.Int64)}
+		rep, err := repro.Run(spec, repro.WithSeed(77), repro.WithWorkers(workers), repro.WithNet(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rep.Detail.(repro.LiveResult)
+		if c := w.touchedDown.Load(); c > 0 {
+			t.Fatalf("workers=%d: %d payloads crossed a down peer", workers, c)
+		}
+		dates := 0
+		for r, d := range res.SentHistory {
+			if d == 0 {
+				t.Fatalf("workers=%d: no dates in dating round %d", workers, r+1)
+			}
+			dates += d
+		}
+		if int64(dates) != w.passed.Load() {
+			t.Fatalf("workers=%d: %d dates, %d payloads delivered", workers, dates, w.passed.Load())
+		}
+		if res.Traffic.Dropped == 0 {
+			t.Fatalf("workers=%d: churn dropped nothing", workers)
+		}
+		if workers == 1 {
+			ref = res
+		} else if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("workers=%d: dates %v, one worker %v", workers, res.SentHistory, ref.SentHistory)
+		}
 	}
 }
 

@@ -245,3 +245,59 @@ func TestHandshakeOverDHTWithChurn(t *testing.T) {
 		}
 	}
 }
+
+// crashNet is a perfect-sync network on which peers 0..Dead-1 have crashed:
+// every message to or from them is lost.
+type crashNet struct{ Dead int }
+
+func (c crashNet) Plan(_ int, m simnet.Message, _ *rng.Stream) int {
+	if m.From < c.Dead || m.To < c.Dead {
+		return live.Drop
+	}
+	return 1
+}
+
+func (crashNet) MaxDelay() int { return 1 }
+func (crashNet) Random() bool  { return false }
+
+// TestHandshakeWithCrashedNodes runs the handshake with a fifth of the peers
+// crashed for the whole run: no crashed peer may send or receive a payload,
+// the survivors must still date in every dating round, and no more than
+// their Σ bout, and every shard count gives the same run.
+func TestHandshakeWithCrashedNodes(t *testing.T) {
+	const n, dead, rounds = 50, 10, 6
+	cfg := HandshakeConfig{Profile: bandwidth.Homogeneous(n, 1), Rounds: rounds}
+	var ref LiveResult
+	for _, shards := range []int{1, 2, 4} {
+		touched := make([]int, n) // per receiving peer: payloads to or from a crashed peer
+		res, err := runHandshake(cfg, LiveOptions{Seed: 13, Shards: shards, Net: crashNet{Dead: dead}},
+			tapClock(func(node, _ int, inbox, _ []simnet.Message) {
+				for _, m := range inbox {
+					if m.Kind == KindPayload && (m.From < dead || node < dead) {
+						touched[node]++
+					}
+				}
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range touched {
+			if c > 0 {
+				t.Fatalf("shards=%d: peer %d received %d payloads involving a crashed peer", shards, i, c)
+			}
+		}
+		for r, d := range res.SentHistory {
+			if d == 0 || d > n-dead {
+				t.Fatalf("shards=%d: %d dates in dating round %d among %d live peers", shards, d, r+1, n-dead)
+			}
+		}
+		if res.Traffic.Dropped == 0 {
+			t.Fatalf("shards=%d: the crashed peers lost nothing", shards)
+		}
+		if shards == 1 {
+			ref = res
+		} else if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("shards=%d: dates %v, one shard %v", shards, res.SentHistory, ref.SentHistory)
+		}
+	}
+}
