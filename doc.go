@@ -69,7 +69,10 @@
 //     (PUSH, PULL, PUSH&PULL, fair PULL, fair PUSH&PULL) of Figure 2, and
 //     the message-level dating handshake on the sharded runtimes;
 //   - the DHT substrate of Section 4 (Chord-style and continuous–discrete
-//     routing, interval-weight selection, pipelined lookups);
+//     routing, interval-weight selection). Pipelined lookups are measured
+//     on the handshake itself: experiment E7 runs it over ring selection
+//     with a fixed latency of one Chord lookup, where k dating rounds take
+//     3k + O(L) network ticks instead of 3kL + 1;
 //   - the Section 5 extensions: multi-block rumor mongering with GF(2^8)
 //     random linear network coding, and replicated storage organized by
 //     block exchanges;

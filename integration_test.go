@@ -193,42 +193,50 @@ func TestHandshakeOverDHTWithChurn(t *testing.T) {
 	}
 }
 
+// TestPipelinedDatingOverChordLatency runs Section 4 end to end through the
+// facade: a DHT ring's measured Chord lookup latency sets a fixed network
+// latency, and the handshake over ring selection pipelines its dating
+// rounds under it. k rounds take 3k + 3L − 2 + ((1 − L) mod 3) ticks, a
+// single round still dates, and 64 rounds date at sync's rate.
 func TestPipelinedDatingOverChordLatency(t *testing.T) {
-	// Glue E7 together end to end: measure real hop counts, feed them into
-	// the pipeline, and confirm the k rounds complete in latency + k steps.
-	s := rng.New(6)
-	ring, err := overlay.NewRing(512, s.Split())
+	const n = 1024
+	s := repro.NewStream(6)
+	ring, err := repro.NewRing(n, s.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	latency := int(math.Ceil(ring.AvgLookupHops(s, 200, ring.Lookup)))
-	if latency < 2 {
-		t.Fatalf("latency %d too small for n=512", latency)
+	hops := int(math.Ceil(ring.AvgLookupHops(s, 400, ring.Lookup)))
+	if hops < 2 {
+		t.Fatalf("latency %d too small for n=%d", hops, n)
 	}
-	pl, err := core.NewPipeline(latency)
+	sel, err := repro.RingSelection(ring)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, _ := core.NewRingSelector(ring)
-	svc, err := core.NewService(bandwidth.Homogeneous(512, 1), sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 10
-	steps, matured, totalDates := 0, 0, 0
-	for matured < k {
-		steps++
-		res := svc.RunRound(s)
-		if out, ok := pl.Tick(res.Dates); ok {
-			matured++
-			totalDates += len(out)
+	handshake := func(k, shards int, net repro.NetModel) repro.LiveResult {
+		rep, err := repro.Run(repro.HandshakeConfig{Profile: repro.UnitBandwidth(n), Selector: sel, Rounds: k},
+			repro.WithSeed(6), repro.WithWorkers(shards), repro.WithNet(net))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return rep.Detail.(repro.LiveResult)
 	}
-	if steps != latency+k {
-		t.Fatalf("pipelined %d rounds took %d steps, want %d", k, steps, latency+k)
-	}
-	if totalDates < k*200 { // ~0.52 * 512 per round
-		t.Fatalf("only %d dates matured over %d rounds", totalDates, k)
+	for _, shards := range []int{1, 2} {
+		sync := handshake(64, shards, nil)
+		for _, L := range []int{2, 3, hops, 2 * hops} {
+			for _, k := range []int{1, 2, 8, 64} {
+				res := handshake(k, shards, repro.NetFixedLatency{Rounds: L})
+				if want := 3*k + 3*L - 2 + ((1-L)%3+3)%3; res.Traffic.Rounds != int64(want) {
+					t.Errorf("shards=%d L=%d k=%d: %d ticks, want %d", shards, L, k, res.Traffic.Rounds, want)
+				}
+				if k == 1 && res.History[0] == 0 {
+					t.Errorf("shards=%d L=%d: one dating round arranged no date", shards, L)
+				}
+				if k == 64 && math.Abs(float64(res.History[63])/float64(sync.History[63])-1) > 0.02 {
+					t.Errorf("shards=%d L=%d: %d dates in 64 rounds, sync %d", shards, L, res.History[63], sync.History[63])
+				}
+			}
+		}
 	}
 }
 

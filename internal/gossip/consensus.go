@@ -382,7 +382,7 @@ func runConsensus(cfg ConsensusConfig, o LiveOptions, clk clock) (ConsensusResul
 	spv := len(seeds) / cfg.Variants
 
 	st := newConsState(n, cfg.Variants, cfg.Rule)
-	tick, cuts, err := clk(n, o, nil, consStep(sampler, st, weight))
+	tick, _, cuts, err := clk(n, o, nil, consStep(sampler, st, weight))
 	if err != nil {
 		return ConsensusResult{}, err
 	}

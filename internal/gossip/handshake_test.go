@@ -19,7 +19,7 @@ import (
 // each peer from one shard, once per round, so tap may write state indexed
 // by node.
 func tapClock(tap func(node, round int, inbox, out []simnet.Message)) clock {
-	return func(n int, o LiveOptions, step live.StepFunc, _ live.ActiveStepFunc) (ticker, []int, error) {
+	return func(n int, o LiveOptions, step live.StepFunc, _ live.ActiveStepFunc) (ticker, func() int, []int, error) {
 		return roundClock(n, o, func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
 			var out []simnet.Message
 			step(node, round, inbox, s, func(m simnet.Message) {
@@ -130,14 +130,14 @@ func TestHandshakeCapacityAndValidity(t *testing.T) {
 func TestHandshakeMessageAccounting(t *testing.T) {
 	const n, b, rounds = 300, 2, 6
 	var ticks []simnet.Stats // cumulative traffic after each network round
-	clk := func(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, []int, error) {
-		tick, cuts, err := roundClock(n, o, step, active)
+	clk := func(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, func() int, []int, error) {
+		tick, inFlight, cuts, err := roundClock(n, o, step, active)
 		return func(k int) simnet.Stats {
 			for ; k > 0; k-- {
 				ticks = append(ticks, tick(1))
 			}
 			return ticks[len(ticks)-1]
-		}, cuts, err
+		}, inFlight, cuts, err
 	}
 	res, err := runHandshake(HandshakeConfig{Profile: bandwidth.Homogeneous(n, b), Rounds: rounds}, LiveOptions{Seed: 11, Shards: 2}, clk)
 	if err != nil {
@@ -300,4 +300,129 @@ func TestHandshakeWithCrashedNodes(t *testing.T) {
 			t.Fatalf("shards=%d: dates %v, one shard %v", shards, res.SentHistory, ref.SentHistory)
 		}
 	}
+}
+
+// TestHandshakePipelining measures Section 4's latency hiding on the
+// handshake itself. With DHT selection under FixedLatency{L}, a peer
+// scatters dating round d+1 while round d's messages are still in flight,
+// so k dating rounds take 3k + 3L − 2 + ((1 − L) mod 3) ticks (drain
+// included) instead of the naive 3kL + 1, and at k = 64 they arrange as
+// many dates per round as perfect sync does. L spans 2, 3, the measured
+// Chord lookup latency and twice that; every single round must date.
+func TestHandshakePipelining(t *testing.T) {
+	const n = 1024
+	s := rng.New(5)
+	ring, err := overlay.NewRing(n, s.Split())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := core.NewRingSelector(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hops := int(math.Ceil(ring.AvgLookupHops(s, 400, ring.Lookup)))
+	cfg := HandshakeConfig{Profile: bandwidth.Homogeneous(n, 1), Selector: sel, Rounds: 64}
+	for _, shards := range []int{1, 2} {
+		sync, err := runHandshake(cfg, LiveOptions{Seed: 5, Shards: shards}, roundClock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncRate := float64(sync.History[63]) / 64
+		for _, L := range []int{2, 3, hops, 2 * hops} {
+			for _, k := range []int{1, 2, 8, 64} {
+				cfg := cfg
+				cfg.Rounds = k
+				res, err := runHandshake(cfg, LiveOptions{Seed: 5, Shards: shards, Net: live.FixedLatency{Rounds: L}}, roundClock)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := 3*k + 3*L - 2 + ((1-L)%3+3)%3; res.Traffic.Rounds != int64(want) {
+					t.Errorf("shards=%d L=%d k=%d: %d ticks, want %d (naive %d)", shards, L, k, res.Traffic.Rounds, want, 3*k*L+1)
+				}
+				dates := res.History[k-1]
+				if dates == 0 {
+					t.Errorf("shards=%d L=%d k=%d: no dates", shards, L, k)
+				}
+				if rate := float64(dates) / float64(k); k == 64 && math.Abs(rate/syncRate-1) > 0.02 {
+					t.Errorf("shards=%d L=%d: %.1f dates per round, sync %.1f", shards, L, rate, syncRate)
+				}
+			}
+		}
+	}
+}
+
+// TestHandshakeDrain taps every peer-step of short handshakes under
+// latency models, including the random and distance-dependent ones. A
+// finished run must report exactly the payloads the network delivered and
+// end with nothing in flight or pending: every message sent was delivered,
+// every offer was answered, and every control message arrived no later
+// than the run's last matching tick. The drain must stop within 3·MaxDelay
+// + 2 ticks of the last scatter — a control message's flight, the wait for
+// a matching tick, the answer's and the payload's flights — and the result
+// must not depend on the shard count.
+func TestHandshakeDrain(t *testing.T) {
+	const n = 500
+	for name, net := range map[string]live.NetModel{
+		"fixed2": live.FixedLatency{Rounds: 2},
+		"fixed3": live.FixedLatency{Rounds: 3},
+		"fixed5": live.FixedLatency{Rounds: 5},
+		"geom":   live.GeomLatency{P: 0.5, Cap: 6},
+		"ring":   live.RingLatency{Pos: live.UniformRing(n, 3), Scale: 10, Max: 8},
+	} {
+		for _, k := range []int{1, 4} {
+			var ref LiveResult
+			for _, shards := range []int{1, 2, 4} {
+				delivered := make([]int64, n) // per peer: messages received
+				payloads := make([]int64, n)  // per peer: payloads received
+				lastCtl := make([]int, n)     // per peer: last tick an offer or request arrived
+				res, err := runHandshake(HandshakeConfig{Profile: bandwidth.Homogeneous(n, 2), Rounds: k},
+					LiveOptions{Seed: 21, Shards: shards, Net: net},
+					tapClock(func(node, round int, inbox, _ []simnet.Message) {
+						delivered[node] += int64(len(inbox))
+						payloads[node] += int64(countPayloads(inbox))
+						for _, m := range inbox {
+							if m.Kind == KindOffer || m.Kind == KindRequest {
+								lastCtl[node] = round
+							}
+						}
+					}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := res.Traffic
+				dates := int64(res.History[k-1])
+				if dates == 0 || sum(payloads) != dates || tr.ByKind[KindPayload] != dates {
+					t.Fatalf("%s k=%d shards=%d: %d dates, %d payloads sent, %d delivered",
+						name, k, shards, dates, tr.ByKind[KindPayload], sum(payloads))
+				}
+				if sum(delivered) != tr.Sent || tr.Dropped != 0 || tr.ByKind[KindAnswer] != tr.ByKind[KindOffer] {
+					t.Fatalf("%s k=%d shards=%d: %d sent, %d delivered, %d dropped, %d offers, %d answers",
+						name, k, shards, tr.Sent, sum(delivered), tr.Dropped, tr.ByKind[KindOffer], tr.ByKind[KindAnswer])
+				}
+				lastMatch := int(tr.Rounds-1) - int(tr.Rounds+1)%3 // the last tick t with t%3 == 1
+				if late := slices.Max(lastCtl); late > lastMatch {
+					t.Fatalf("%s k=%d shards=%d: a control message arrived at tick %d, after the last matching tick %d",
+						name, k, shards, late, lastMatch)
+				}
+				if past := int(tr.Rounds) - 1 - 3*(k-1); past > 3*net.MaxDelay()+2 {
+					t.Fatalf("%s k=%d shards=%d: the run went on %d ticks past the last scatter, MaxDelay %d",
+						name, k, shards, past, net.MaxDelay())
+				}
+				if shards == 1 {
+					ref = res
+				} else if !reflect.DeepEqual(res, ref) {
+					t.Fatalf("%s k=%d shards=%d: dates %v, one shard %v", name, k, shards, res.SentHistory, ref.SentHistory)
+				}
+			}
+		}
+	}
+}
+
+// sum totals per-peer counts.
+func sum(xs []int64) int64 {
+	var s int64
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

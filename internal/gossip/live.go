@@ -44,8 +44,12 @@ type HandshakeConfig struct {
 	Profile bandwidth.Profile
 	// Selector defaults to uniform over the profile's nodes.
 	Selector core.Selector
-	// Rounds is the number of dating rounds to run (each costing three
-	// network rounds); 0 means 10.
+	// Rounds is the number of dating rounds to scatter (each costing three
+	// network rounds); 0 means 10. Under a latency model rounds overlap,
+	// and a date counts in the dating round whose network rounds accepted
+	// its payload; after the last round the run drains — ticks on until
+	// nothing is in flight or pending — and the drain counts toward the
+	// last round.
 	Rounds int
 }
 
@@ -54,8 +58,10 @@ type HandshakeConfig struct {
 // in History and its traffic per dating round in SentHistory. A bare
 // handshake (HandshakeConfig) reports the dates of each dating round in
 // SentHistory and their running total in History: a date counts in the
-// dating round the network accepts its payload, which under the
-// perfect-sync model delivers it within that round.
+// dating round whose network rounds accepted its payload (see
+// HandshakeConfig.Rounds), so History's last entry is every date the run
+// arranged. Traffic.Rounds is the network rounds run, the drain included:
+// 3·Rounds + 1 under perfect sync.
 type LiveResult struct {
 	Stepped
 	// MaxInPayloads is the largest number of payload messages any node
@@ -95,6 +101,17 @@ func newLiveState(n int, pending bool) *liveState {
 	return st
 }
 
+// pending reports whether any rendezvous holds an offer or request that
+// still waits for a matching round; called between ticks.
+func (st *liveState) pending() bool {
+	for i := range st.pendOffers {
+		if len(st.pendOffers[i]) > 0 || len(st.pendRequests[i]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // maxInPayloads returns the most payloads any peer received in one dating
 // round; called after the run.
 func (st *liveState) maxInPayloads() int {
@@ -107,31 +124,31 @@ func (st *liveState) maxInPayloads() int {
 
 // startHandshake validates a handshake over profile and sel (nil =
 // uniform) that scatters for dating rounds 1..rounds, and builds its peer
-// state and its runtime on clk. Nothing has ticked yet: the caller drives
-// the prologue scatter (network round 0), then three ticks per dating
-// round — phases 1 and 2 of that round and phase 0 of the next, which
-// absorbs its payloads.
-func startHandshake(profile bandwidth.Profile, sel core.Selector, rounds int, o LiveOptions, clk clock) (*liveState, ticker, error) {
+// state and its runtime on clk, returning the runtime's ticker and
+// in-flight count. Nothing has ticked yet: the caller drives the prologue
+// scatter (network round 0), then three ticks per dating round — phases 1
+// and 2 of that round and phase 0 of the next, which absorbs its payloads.
+func startHandshake(profile bandwidth.Profile, sel core.Selector, rounds int, o LiveOptions, clk clock) (*liveState, ticker, func() int, error) {
 	n := profile.N()
 	if n == 0 {
-		return nil, nil, fmt.Errorf("gossip: dating handshake needs a profile")
+		return nil, nil, nil, fmt.Errorf("gossip: dating handshake needs a profile")
 	}
 	if _, err := profile.Ratio(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	sel, err := core.SelectorFor(sel, n)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	// Latency can deliver offers and demands outside their phase; then every
 	// rendezvous gets a holding buffer until its next matching round.
 	st := newLiveState(n, o.Net != nil && o.Net.MaxDelay() > 1)
-	tick, cuts, err := clk(n, o, liveEmitStep(profile, sel, st, rounds), nil)
+	tick, inFlight, cuts, err := clk(n, o, liveEmitStep(profile, sel, st, rounds), nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	st.key(cuts, 1)
-	return st, tick, nil
+	return st, tick, inFlight, nil
 }
 
 // RunLive executes rumor spreading with the dating-service handshake on the
@@ -145,7 +162,7 @@ func runLive(cfg LiveConfig, o LiveOptions, clk clock) (LiveResult, error) {
 	if maxDating <= 0 {
 		maxDating = defaultRoundCap(cfg.Profile.N())
 	}
-	st, tick, err := startHandshake(cfg.Profile, cfg.Selector, maxDating, o, clk)
+	st, tick, _, err := startHandshake(cfg.Profile, cfg.Selector, maxDating, o, clk)
 	if err != nil {
 		return LiveResult{}, err
 	}
@@ -166,23 +183,32 @@ func runLive(cfg LiveConfig, o LiveOptions, clk clock) (LiveResult, error) {
 }
 
 // runHandshake executes cfg.Rounds dating rounds of the bare handshake on
-// clk: every payload carries state 0, so peers only date.
+// clk: every payload carries state 0, so peers only date. After the last
+// dating round it drains: it ticks on until no message is in flight and no
+// rendezvous holds a pending offer or request, so every date the scatters
+// arranged is counted, in the last dating round. Under perfect sync both
+// already hold when that round ends, so the drain adds no tick.
 func runHandshake(cfg HandshakeConfig, o LiveOptions, clk clock) (LiveResult, error) {
 	rounds := cfg.Rounds
 	if rounds <= 0 {
 		rounds = 10
 	}
-	st, tick, err := startHandshake(cfg.Profile, cfg.Selector, rounds, o, clk)
+	st, tick, inFlight, err := startHandshake(cfg.Profile, cfg.Selector, rounds, o, clk)
 	if err != nil {
 		return LiveResult{}, err
 	}
 	var traffic simnet.Stats
-	res := LiveResult{Stepped: drive(func(ticks int) simnet.Stats {
+	count := func(ticks int) simnet.Stats {
 		traffic = tick(ticks)
 		return traffic
-	}, 1, 3, rounds, nil, func(r int) (int, bool) {
+	}
+	res := LiveResult{Stepped: drive(count, 1, 3, rounds, nil, func(r int) (int, bool) {
+		for r == rounds && (inFlight() > 0 || st.pending()) {
+			count(1)
+		}
 		return int(traffic.ByKind[KindPayload]), r == rounds
 	})}
+	res.Traffic = traffic
 	// A dating round's sent count is its dates, not its traffic.
 	prev := 0
 	for r, total := range res.History {

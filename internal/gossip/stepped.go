@@ -63,20 +63,21 @@ func execute[R interface{ report(any) run.Report }](res R, err error) (run.Repor
 type ticker func(ticks int) simnet.Stats
 
 // clock builds the round runtime a protocol is stepped on, exactly one of
-// step and active set, and returns its ticker and step cuts: step shard w
-// steps the peers of [cuts[w], cuts[w+1]).
-type clock func(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, []int, error)
+// step and active set, and returns its ticker, the count of messages it has
+// in flight between ticks, and its step cuts: step shard w steps the peers
+// of [cuts[w], cuts[w+1]).
+type clock func(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (tick ticker, inFlight func() int, cuts []int, err error)
 
 // roundClock is the production clock: the sharded round runtime.
-func roundClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, []int, error) {
+func roundClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, func() int, []int, error) {
 	rt, err := live.New(live.Config{
 		N: n, Seed: o.Seed, Step: step, ActiveStep: active,
 		Shards: o.Shards, Net: o.Net, Obs: o.Obs,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return rt.Run, rt.Cuts(), nil
+	return rt.Run, rt.InFlight, rt.Cuts(), nil
 }
 
 // drive runs a stepped protocol on run.Drive: lead ticks first, then per

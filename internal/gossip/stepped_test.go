@@ -20,9 +20,9 @@ import (
 // exactly as the runtime derives them, and every peer is stepped whatever
 // an active step answers, so a run that matches the runtime's bit for bit
 // also shows that no peer wrongly reported "asleep".
-func oracleClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, []int, error) {
+func oracleClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, func() int, []int, error) {
 	if o.Net != nil {
-		return nil, nil, fmt.Errorf("gossip: the goroutine engine runs perfect sync only")
+		return nil, nil, nil, fmt.Errorf("gossip: the goroutine engine runs perfect sync only")
 	}
 	if active != nil {
 		step = func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
@@ -35,9 +35,17 @@ func oracleClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveSte
 	}
 	eng, err := simnet.NewLiveWithStreams(streams, adaptStep(step))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return eng.RunSequential, []int{0, n}, nil
+	// Under perfect sync what is in flight is the next round's mail.
+	inFlight := func() int {
+		c := 0
+		for i := 0; i < n; i++ {
+			c += len(eng.Inbox(i))
+		}
+		return c
+	}
+	return eng.RunSequential, inFlight, []int{0, n}, nil
 }
 
 // adaptStep converts the emit-style step to the goroutine engine's

@@ -171,7 +171,7 @@ func runTopology(cfg TopologyConfig, o LiveOptions, clk clock) (TopologyResult, 
 	}
 
 	st := newPeerStates(n) // states topoSpreader and topoStifler are counted
-	tick, cuts, err := clk(n, o, nil, topoStep(sampler, &st, cfg.Alpha, lambda, cfg.Delta))
+	tick, _, cuts, err := clk(n, o, nil, topoStep(sampler, &st, cfg.Alpha, lambda, cfg.Delta))
 	if err != nil {
 		return TopologyResult{}, err
 	}

@@ -244,6 +244,10 @@ func (rt *Runtime) Run(rounds int) simnet.Stats {
 	return rt.core.Stats()
 }
 
+// InFlight returns the messages sent and not yet delivered: after Run,
+// those due in a later round.
+func (rt *Runtime) InFlight() int { return rt.core.InFlight() }
+
 // Inbox returns the messages delivered to peer i in the round Run executed
 // last, for post-run inspection, in a fresh slice.
 func (rt *Runtime) Inbox(i int) []simnet.Message { return rt.core.Inbox(i) }

@@ -10,9 +10,9 @@
 //
 // Two routing schemes are provided: Chord-style finger routing [SMK+01] and
 // the Naor–Wieder continuous–discrete distance-halving scheme [NW03b]. Both
-// resolve lookups in O(log n) hops; the hop counts feed the pipelining cost
-// model of Section 4 (k dating rounds cost Theta(log n + k) time steps when
-// requests are pipelined).
+// resolve lookups in O(log n) hops. The Chord hop count sets the message
+// latency under which experiment E7 measures the handshake's pipelining:
+// k dating rounds take Theta(log n + k) network ticks, not Theta(k log n).
 //
 // The ring uses 64-bit fixed-point positions: the unit interval (0,1] is
 // mapped to the full uint64 range, so arithmetic wraps naturally.

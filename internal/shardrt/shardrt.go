@@ -737,13 +737,20 @@ func (c *Core) Route(tick int) {
 	c.gDropped.Sample(tick, c.stats.Dropped)
 	c.gClamped.Sample(tick, c.stats.Clamped)
 	c.gWork.Sample(tick, work)
+	c.gDepth.Sample(tick, int64(c.InFlight()))
+	c.gScratch.Sample(tick, c.ScratchBytes())
+	c.tr.Barrier()
+}
+
+// InFlight returns the messages routed onto a ring slot and not yet
+// delivered: the sum of the slots' totals, O(ring). Between ticks it is
+// what the DepthGauge samples.
+func (c *Core) InFlight() int {
 	depth := 0
 	for i := range c.slots {
 		depth += c.slots[i].msgs
 	}
-	c.gDepth.Sample(tick, int64(depth))
-	c.gScratch.Sample(tick, c.ScratchBytes())
-	c.tr.Barrier()
+	return depth
 }
 
 // ScratchBytes estimates the reusable buffer footprint: the records of every

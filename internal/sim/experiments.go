@@ -8,6 +8,7 @@ import (
 	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/gossip"
+	"repro/internal/live"
 	"repro/internal/overlay"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -274,11 +275,15 @@ func RunHierarchical(scale Scale, seed uint64) (HierResult, error) {
 
 // --- E7: pipelining over the DHT (Section 4) -----------------------------
 
-// PipelineRow is one k-value of experiment E7.
+// PipelineRow is one k-value of experiment E7: k dating rounds of the
+// handshake over DHT selection, under perfect sync and under a fixed
+// latency of one Chord lookup per message.
 type PipelineRow struct {
-	K         int // dating rounds
-	Naive     int // time steps without pipelining: k * latency
-	Pipelined int // time steps with pipelining: latency + k
+	K         int     // dating rounds
+	Naive     int     // network ticks if each round waited out its three latencies
+	Ticks     int64   // measured network ticks under the latency, drain included
+	SyncDates float64 // dates per dating round under perfect sync
+	Dates     float64 // dates per dating round under the latency
 }
 
 // PipelineResult is the E7 outcome.
@@ -286,25 +291,29 @@ type PipelineResult struct {
 	N            int
 	ChordHops    float64 // measured average Chord lookup hops
 	CDHops       float64 // measured average continuous-discrete hops
-	LatencySteps int     // ceil(ChordHops), the per-lookup latency used
+	LatencySteps int     // ceil(ChordHops), the per-message latency used
 	Rows         []PipelineRow
 }
 
 // Table renders E7.
 func (r PipelineResult) Table() *stats.Table {
 	t := stats.NewTable(
-		fmt.Sprintf("E7 — pipelined dating over a DHT (n = %d, chord %.1f hops, cd %.1f hops)",
-			r.N, r.ChordHops, r.CDHops),
-		"k rounds", "naive steps", "pipelined steps")
+		fmt.Sprintf("E7 — pipelined dating over a DHT (n = %d, chord %.1f hops, cd %.1f hops, latency %d ticks)",
+			r.N, r.ChordHops, r.CDHops, r.LatencySteps),
+		"k rounds", "naive ticks", "measured ticks", "dates/round sync", "dates/round latency")
 	for _, row := range r.Rows {
-		t.AddRow(fmt.Sprint(row.K), fmt.Sprint(row.Naive), fmt.Sprint(row.Pipelined))
+		t.AddRow(fmt.Sprint(row.K), fmt.Sprint(row.Naive), fmt.Sprint(row.Ticks),
+			fmt.Sprintf("%.1f", row.SyncDates), fmt.Sprintf("%.1f", row.Dates))
 	}
 	return t
 }
 
-// RunPipelining measures DHT routing latency and contrasts k dating rounds
-// with and without pipelining: Theta(k log n) versus Theta(log n + k),
-// cross-validated against a simulated Pipeline.
+// RunPipelining measures DHT routing latency L and runs k dating rounds of
+// the handshake over ring selection under perfect sync and under
+// FixedLatency{L}. The handshake pipelines by construction — a peer
+// scatters each round without waiting for the last one's answers — so the
+// measured ticks grow by 3 per round, not by the naive 3L, and the rounds
+// keep sync's date rate.
 func RunPipelining(scale Scale, seed uint64) (PipelineResult, error) {
 	n, samples := 1024, 400
 	if scale == ScalePaper {
@@ -319,25 +328,31 @@ func RunPipelining(scale Scale, seed uint64) (PipelineResult, error) {
 	chord := ring.AvgLookupHops(s, samples, ring.Lookup)
 	cd := ring.AvgLookupHops(s, samples, ring.LookupCD)
 	latency := int(math.Ceil(chord))
+	sel, err := core.NewRingSelector(ring)
+	if err != nil {
+		return PipelineResult{}, err
+	}
+	// handshake runs k dating rounds and returns the network ticks and the
+	// dates per dating round.
+	handshake := func(k int, net live.NetModel) (int64, float64, error) {
+		rep, err := run.Run(gossip.HandshakeConfig{Profile: bandwidth.Homogeneous(n, 1), Selector: sel, Rounds: k},
+			run.WithSeed(seed), run.WithNet(net))
+		if err != nil {
+			return 0, 0, err
+		}
+		return rep.Detail.(gossip.LiveResult).Traffic.Rounds, float64(rep.Trajectory[k-1]) / float64(k), nil
+	}
 	res := PipelineResult{N: n, ChordHops: chord, CDHops: cd, LatencySteps: latency}
 	for _, k := range []int{1, 2, 4, 8, 16, 32, 64} {
-		naive := core.TimeFor(k, latency, false)
-		pipe := core.TimeFor(k, latency, true)
-		// Validate the closed form against an actual pipeline simulation.
-		pl, err := core.NewPipeline(latency)
+		_, syncDates, err := handshake(k, nil)
 		if err != nil {
 			return PipelineResult{}, err
 		}
-		steps := 0
-		for matured := 0; matured < k; steps++ {
-			if _, ok := pl.Tick(nil); ok {
-				matured++
-			}
+		ticks, dates, err := handshake(k, live.FixedLatency{Rounds: latency})
+		if err != nil {
+			return PipelineResult{}, err
 		}
-		if steps != pipe {
-			return PipelineResult{}, fmt.Errorf("sim: pipeline sim %d != closed form %d", steps, pipe)
-		}
-		res.Rows = append(res.Rows, PipelineRow{K: k, Naive: naive, Pipelined: pipe})
+		res.Rows = append(res.Rows, PipelineRow{K: k, Naive: 3*k*latency + 1, Ticks: ticks, SyncDates: syncDates, Dates: dates})
 	}
 	return res, nil
 }

@@ -58,7 +58,7 @@ func Registry() []Experiment {
 		{"ablation", "E4: arranged fraction by selection distribution", tabler(RunDistributionAblation)},
 		{"phases", "E5: Theorem 4 phase structure", tabler(RunPhases)},
 		{"hierarchical", "E6: Theorem 10 rich-first delivery", tabler(RunHierarchical)},
-		{"pipelining", "E7: pipelined dating over a DHT", tabler(RunPipelining)},
+		{"pipelining", "E7: pipelined dating over a DHT, measured on the handshake", tabler(RunPipelining)},
 		{"mongering", "E8: network-coded multi-block broadcast", tabler(RunMongering)},
 		{"churn", "E9: spreading under crashes", tabler(RunChurn)},
 		{"storage", "E10: replicated storage block exchanges", parTabler(RunStoragePar)},

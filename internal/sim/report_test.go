@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gossip"
 	"repro/internal/obs"
+	"repro/internal/run"
 )
 
 // TestSpecTableIdentity is the identity matrix over the spec table: every
@@ -39,6 +41,50 @@ func TestSpecTableIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTrajectoriesMonotone runs every row of the spec table once at n = 300
+// and checks the invariant each row's Trajectory carries by definition:
+// it counts something that only grows — informed peers (rumor, live,
+// async), known (node, rumor) pairs (multirumor), decoded nodes (monger),
+// placed replicas (storage), the running total of dates (handshake),
+// informed peers as spreaders plus stiflers (topology) and peers holding
+// any variant (consensus) — so it never decreases. No row is excluded.
+// Topology's stiflers never revert either, so its StiflerHist never falls.
+func TestTrajectoriesMonotone(t *testing.T) {
+	const n, seed = 300, 42
+	for _, ps := range protocolSpecs {
+		spec, err := ps.build(n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := run.Run(spec, run.WithSeed(seed), run.WithWorkers(2))
+		if err != nil {
+			t.Fatalf("%s: %v", ps.name, err)
+		}
+		if len(rep.Trajectory) == 0 {
+			t.Fatalf("%s: empty trajectory", ps.name)
+		}
+		checkMonotone(t, ps.name+" trajectory", rep.Trajectory)
+		if ps.name == "topology" {
+			det, ok := rep.Detail.(gossip.TopologyResult)
+			if !ok || len(det.StiflerHist) != len(rep.Trajectory) || det.StiflerHist[len(det.StiflerHist)-1] == 0 {
+				t.Fatalf("topology: no stifler history in %T", rep.Detail)
+			}
+			checkMonotone(t, "topology stiflers", det.StiflerHist)
+		}
+	}
+}
+
+// checkMonotone fails if hist ever decreases.
+func checkMonotone(t *testing.T, what string, hist []int) {
+	t.Helper()
+	for r := 1; r < len(hist); r++ {
+		if hist[r] < hist[r-1] {
+			t.Errorf("%s fell from %d to %d in round %d", what, hist[r-1], hist[r], r+1)
+			return
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -197,6 +198,9 @@ func TestHierarchicalGap(t *testing.T) {
 	}
 }
 
+// TestPipeliningCrossover checks E7's measured handshake: past one round
+// the pipelined run beats the naive 3kL + 1 ticks, each further round adds
+// three ticks whatever L is, and at k = 64 the latency costs no dates.
 func TestPipeliningCrossover(t *testing.T) {
 	res, err := RunPipelining(ScaleQuick, 7)
 	if err != nil {
@@ -205,21 +209,24 @@ func TestPipeliningCrossover(t *testing.T) {
 	if res.LatencySteps < 2 {
 		t.Fatalf("latency %d implausibly small for n=%d", res.LatencySteps, res.N)
 	}
+	first := res.Rows[0]
 	for _, row := range res.Rows {
-		if row.K == 1 {
-			// A single round cannot benefit from pipelining.
-			if row.Pipelined < row.Naive {
-				continue
-			}
+		if row.K > 1 && row.Ticks >= int64(row.Naive) {
+			t.Errorf("k=%d: pipelined %d ticks not better than naive %d", row.K, row.Ticks, row.Naive)
 		}
-		if row.K > 1 && row.Pipelined >= row.Naive {
-			t.Errorf("k=%d: pipelined %d not better than naive %d", row.K, row.Pipelined, row.Naive)
+		if got := row.Ticks - first.Ticks; got != int64(3*(row.K-first.K)) {
+			t.Errorf("k=%d: %d ticks more than k=%d, want 3 per round", row.K, got, first.K)
+		}
+		if row.Dates == 0 {
+			t.Errorf("k=%d: no dates under latency %d", row.K, res.LatencySteps)
 		}
 	}
-	// Asymptotically the pipelined cost is ~k while naive is ~k*latency.
 	last := res.Rows[len(res.Rows)-1]
-	if ratio := float64(last.Naive) / float64(last.Pipelined); ratio < float64(res.LatencySteps)/2 {
+	if ratio := float64(last.Naive) / float64(last.Ticks); ratio < float64(res.LatencySteps)/2 {
 		t.Errorf("k=%d speedup %.1f too small for latency %d", last.K, ratio, res.LatencySteps)
+	}
+	if math.Abs(last.Dates/last.SyncDates-1) > 0.02 {
+		t.Errorf("k=%d: %.1f dates per round under latency, %.1f under sync", last.K, last.Dates, last.SyncDates)
 	}
 }
 
