@@ -24,11 +24,14 @@ func benchDatingRound(b *testing.B, n int, sel core.Selector) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := rng.New(1)
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		total += len(svc.RunRound(s).Dates)
+		res, err := svc.RunRoundSeeded(uint64(i), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += len(res.Dates)
 	}
 	b.ReportMetric(float64(total)/float64(b.N)/float64(n), "frac")
 }
@@ -86,10 +89,9 @@ func BenchmarkGossipRound(b *testing.B) {
 	// Cost of one full spreading run at n=1024, per algorithm.
 	for _, a := range gossip.Algorithms() {
 		b.Run(a.String(), func(b *testing.B) {
-			s := rng.New(7)
 			rounds := 0
 			for i := 0; i < b.N; i++ {
-				res, err := gossip.Run(gossip.Config{Algorithm: a, N: 1024, Source: 0}, s, nil, nil)
+				res, err := repro.Run(repro.RumorConfig{Algorithm: a, N: 1024, Source: 0}, repro.WithSeed(uint64(i)))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -161,10 +163,9 @@ func BenchmarkArrangeDates(b *testing.B) {
 		out[i] = 1
 		in[i] = 1
 	}
-	s := rng.New(13)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ArrangeDates(out, in, sel, s); err != nil {
+		if _, err := core.ArrangeDates(out, in, sel, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

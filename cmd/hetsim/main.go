@@ -10,10 +10,11 @@
 //	       [-trace FILE] [-metrics] [-pprof ADDR]
 //
 // -experiment figure1 and -experiment figure2 are the paper's two figures.
-// -par fans experiment repetitions across N goroutines (default
-// GOMAXPROCS). Repetition seeds are derived from (seed, overlay,
-// repetition), so tables are byte-identical for every -par value; the flag
-// is purely a wall-clock knob for paper-scale sweeps.
+// -par fans every experiment's jobs — its repetitions and sweep cells —
+// across N goroutines (default GOMAXPROCS). Each job's seed is derived from
+// (seed, experiment domain, job coordinates), so tables are byte-identical
+// for every -par value; the flag is purely a wall-clock knob. The live and
+// protocols experiments print it and their timings.
 //
 // -protocol runs one row of the `protocols` experiment (rumor, multirumor,
 // live, monger, storage, handshake, async, topology, consensus) once at -n
@@ -57,7 +58,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 100_000, "peer count of the -protocol run")
 	scaleName := fs.String("scale", "quick", "experiment sizing: quick or paper")
 	seed := fs.Uint64("seed", 42, "root random seed")
-	par := fs.Int("par", runtime.GOMAXPROCS(0), "harness workers of an experiment, worker budget of a -protocol run (results identical for any value)")
+	par := fs.Int("par", runtime.GOMAXPROCS(0), "worker budget: an experiment's job goroutines, a -protocol run's workers (results identical for any value)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	list := fs.Bool("list", false, "list available experiments and exit")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event timeline to this file (about:tracing / ui.perfetto.dev)")

@@ -40,10 +40,6 @@
 //     NetGeomLatency, NetLoss, NetEpochChurn, and NetRingLatency — the
 //     asymmetric model whose per-pair latency is the ring distance in a
 //     DHT-style embedding (UniformRingEmbedding builds one).
-//   - WithTrace replays the per-round trajectory to an observer once the
-//     run completes — once per calendar bucket for clockless AsyncConfig
-//     runs (for live observation, use a protocol-level hook such as
-//     RumorConfig.OnRound).
 //   - WithObserver attaches the instrumentation layer (see Observability
 //     below): Report.Metrics is filled with phase-timing and gauge
 //     aggregates, and the observer can export a Chrome trace timeline.
@@ -55,9 +51,11 @@
 // all consume reports generically.
 //
 // Configs carry only the protocol: the orthogonal axes travel exclusively
-// as options. The legacy per-protocol entrypoints and the config fields
-// that duplicated the axes are gone; the seed-compatibility golden tests
-// pin Run's output bit-for-bit against the pre-refactor implementation.
+// as options. Run is the one way to start a protocol — no protocol takes a
+// stream from its caller — and the seed-compatibility golden tests pin its
+// output bit-for-bit. Report.Trajectory holds the per-round progress (one
+// entry per calendar bucket for clockless AsyncConfig runs); for live
+// observation, use a protocol-level hook such as RumorConfig.OnRound.
 //
 // # Below the runner
 //
@@ -84,8 +82,7 @@
 //	profile := repro.UnitBandwidth(1000)          // n nodes, bin = bout = 1
 //	sel, _ := repro.Uniform(1000)                 // selection distribution
 //	svc, _ := repro.NewDatingService(profile, sel)
-//	s := repro.NewStream(42)                      // deterministic randomness
-//	res := svc.RunRound(s)                        // one round of Algorithm 1
+//	res, _ := svc.RunRoundSeeded(42, 1)           // one round of Algorithm 1, seed 42
 //	fmt.Println(len(res.Dates), "dates arranged") // ≈ 0.47 * n
 //
 // # Parallelism without moving a number
@@ -103,9 +100,8 @@
 // draw workers from a shared par.Budget (a Run's rounds and the harness's
 // tail jobs soak up idle cores) without being able to change a result.
 // RunRoundShared's dates live in a buffer the service reuses, valid until
-// its next round. DatingService.RunRound(stream), the paper's serial
-// reference, is the same body with one worker drawing from the caller's
-// stream. docs/DETERMINISM.md states the full contract.
+// its next round. There is no stream-fed round: the paper's repeated
+// rounds are repeated seeds. docs/DETERMINISM.md states the full contract.
 //
 // # The sharded live-message runtime
 //

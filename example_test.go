@@ -13,8 +13,7 @@ func ExampleNewDatingService() {
 	sel, _ := repro.Uniform(1000)
 	svc, _ := repro.NewDatingService(profile, sel)
 
-	s := repro.NewStream(42)
-	res := svc.RunRound(s)
+	res, _ := svc.RunRoundSeeded(42, 1)
 
 	frac := res.Fraction(svc.M())
 	fmt.Println(frac > 0.40 && frac < 0.55)
@@ -66,7 +65,8 @@ func ExampleRingSelection() {
 
 	total := 0
 	for i := 0; i < 20; i++ {
-		total += len(svc.RunRound(s).Dates)
+		res, _ := svc.RunRoundSeeded(uint64(i), 1)
+		total += len(res.Dates)
 	}
 	avg := float64(total) / 20 / 1000
 	fmt.Println(avg > 0.50) // uniform gives ~0.47; DHT beats it
@@ -93,11 +93,9 @@ func ExampleRun_monger() {
 // offers two units and nodes 2 and 3 each demand one.
 func ExampleArrangeDates() {
 	sel, _ := repro.Uniform(4)
-	s := repro.NewStream(9)
-
 	supply := []int{2, 0, 0, 0}
 	demand := []int{0, 0, 1, 1}
-	dates, _ := repro.ArrangeDates(supply, demand, sel, s)
+	dates, _ := repro.ArrangeDates(supply, demand, sel, 9)
 
 	valid := true
 	for _, d := range dates {

@@ -28,10 +28,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	s := repro.NewStream(2024)
+	// A round is a pure function of its seed: here round r of seed 2024.
 	fmt.Printf("dating service, n = %d nodes, m = %d possible communications/round\n\n", n, svc.M())
 	for round := 1; round <= 5; round++ {
-		res := svc.RunRound(s)
+		res, err := svc.RunRoundSeeded(2024+uint64(round), 1)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("round %d: %4d dates arranged (%.1f%% of the centralized optimum)\n",
 			round, len(res.Dates), 100*res.Fraction(svc.M()))
 	}

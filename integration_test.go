@@ -13,7 +13,6 @@ import (
 
 	"repro"
 	"repro/internal/bandwidth"
-	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/live"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/storage"
 )
 
 func TestRumorOverRealDHT(t *testing.T) {
@@ -31,7 +29,7 @@ func TestRumorOverRealDHT(t *testing.T) {
 	// uniform sampling anywhere.
 	s := rng.New(1)
 	const n = 1024
-	ring, err := overlay.NewRing(n, s.Split())
+	ring, err := overlay.NewRing(n, rng.New(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +37,12 @@ func TestRumorOverRealDHT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gossip.Run(gossip.Config{
-		Algorithm: gossip.Dating,
+	res, err := repro.Run(repro.RumorConfig{
+		Algorithm: repro.Dating,
 		N:         n,
 		Selector:  sel,
 		Source:    ring.Owner(s.Uint64()), // an arbitrary DHT node
-	}, s, nil, nil)
+	}, repro.WithSeed(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,18 +63,18 @@ func TestDHTSpreadingBeatsUniformSlightly(t *testing.T) {
 	s := rng.New(2)
 	const n, reps = 512, 12
 	var dht, uni stats.Accumulator
-	ring, err := overlay.NewRing(n, s.Split())
+	ring, err := overlay.NewRing(n, rng.New(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ringSel, _ := core.NewRingSelector(ring)
 	for rep := 0; rep < reps; rep++ {
-		rd, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n, Selector: ringSel}, s, nil, nil)
+		rd, err := repro.Run(repro.RumorConfig{Algorithm: repro.Dating, N: n, Selector: ringSel}, repro.WithSeed(s.Uint64()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		dht.Add(float64(rd.Rounds))
-		ru, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n}, s, nil, nil)
+		ru, err := repro.Run(repro.RumorConfig{Algorithm: repro.Dating, N: n}, repro.WithSeed(s.Uint64()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,14 +92,14 @@ func TestMongeringOverDHT(t *testing.T) {
 	// Section 5 extension on the Section 4 substrate.
 	s := rng.New(3)
 	const n = 64
-	ring, err := overlay.NewRing(n, s.Split())
+	ring, err := overlay.NewRing(n, rng.New(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sel, _ := core.NewRingSelector(ring)
-	res, err := coding.RunMonger(coding.MongerConfig{
+	res, err := repro.Run(repro.MongerConfig{
 		N: n, Blocks: 6, BlockSize: 32, Selector: sel, PayloadSeed: 9,
-	}, s, nil)
+	}, repro.WithSeed(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +111,14 @@ func TestMongeringOverDHT(t *testing.T) {
 func TestStorageOverDHT(t *testing.T) {
 	s := rng.New(4)
 	const n = 40
-	ring, err := overlay.NewRing(n, s.Split())
+	ring, err := overlay.NewRing(n, rng.New(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sel, _ := core.NewRingSelector(ring)
-	res, err := storage.Run(storage.Config{
+	res, err := repro.Run(repro.StorageConfig{
 		N: n, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 4, Selector: sel,
-	}, s, nil)
+	}, repro.WithSeed(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +199,7 @@ func TestHandshakeOverDHTWithChurn(t *testing.T) {
 func TestPipelinedDatingOverChordLatency(t *testing.T) {
 	const n = 1024
 	s := repro.NewStream(6)
-	ring, err := repro.NewRing(n, s.Split())
+	ring, err := repro.NewRing(n, repro.NewStream(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,18 +244,18 @@ func TestExperimentSuiteDeterminism(t *testing.T) {
 	}
 	// The whole harness is a pure function of its seed: identical tables
 	// on identical seeds, different tables on different seeds.
-	a1, err := sim.RunAlphaVsLoad(sim.ScaleQuick, 99)
+	a1, err := sim.RunAlphaVsLoad(sim.ScaleQuick, 99, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := sim.RunAlphaVsLoad(sim.ScaleQuick, 99)
+	a2, err := sim.RunAlphaVsLoad(sim.ScaleQuick, 99, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a1, a2) {
 		t.Fatal("same seed produced different results")
 	}
-	a3, err := sim.RunAlphaVsLoad(sim.ScaleQuick, 100)
+	a3, err := sim.RunAlphaVsLoad(sim.ScaleQuick, 100, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +268,11 @@ func TestFigureRunnersDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs figure 2 twice")
 	}
-	f1, err := sim.RunFigure2Par(sim.ScaleQuick, 5, 1)
+	f1, err := sim.RunFigure2(sim.ScaleQuick, 5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := sim.RunFigure2Par(sim.ScaleQuick, 5, 1)
+	f2, err := sim.RunFigure2(sim.ScaleQuick, 5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +287,7 @@ func TestPoissonPredictionAgainstDHTSimulation(t *testing.T) {
 	// agreeing through two module boundaries.
 	s := rng.New(7)
 	const n = 800
-	ring, err := overlay.NewRing(n, s.Split())
+	ring, err := overlay.NewRing(n, rng.New(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +302,11 @@ func TestPoissonPredictionAgainstDHTSimulation(t *testing.T) {
 	}
 	var acc stats.Accumulator
 	for r := 0; r < 150; r++ {
-		acc.Add(svc.RunRound(s).Fraction(n))
+		res, err := svc.RunRoundSeeded(s.Uint64(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc.Add(res.Fraction(n))
 	}
 	if math.Abs(acc.Mean()-pred) > 0.02 {
 		t.Fatalf("DHT: simulated %.4f vs Poisson prediction %.4f", acc.Mean(), pred)

@@ -44,19 +44,19 @@ func (c MongerConfig) Protocol() string { return "monger" }
 // shared budget. Trajectory is the fully-decoded node history; Detail the
 // full MongerResult.
 func (c MongerConfig) Execute(o *run.Options) (run.Report, error) {
-	res, err := RunMonger(c, run.StreamFor(o.Seed, run.DomainMonger), o.Budget)
+	res, err := runMonger(c, run.StreamFor(o.Seed, run.DomainMonger), o.Budget)
 	if err != nil {
 		return run.Report{}, err
 	}
 	return res.Report(res, nil), nil
 }
 
-// RunMonger executes the protocol and verifies every node's decoded message
-// against the source content before declaring completion. Every dating
-// round runs on the seeded engine with one seed drawn off s; a non-nil b
-// lets each round soak up the pool's spare tokens, and the worker count is
-// a pure speed knob either way.
-func RunMonger(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerResult, error) {
+// runMonger is the body of MongerConfig.Execute: it executes the protocol
+// and verifies every node's decoded message against the source content
+// before declaring completion. Every dating round runs on the seeded engine
+// with one seed drawn off s; a non-nil b lets each round soak up the pool's
+// spare tokens, and the worker count is a pure speed knob either way.
+func runMonger(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerResult, error) {
 	if cfg.N <= 1 {
 		return MongerResult{}, fmt.Errorf("coding: mongering needs n > 1, got %d", cfg.N)
 	}

@@ -42,7 +42,11 @@ func TestDecodeOrderInvariance(t *testing.T) {
 		forward[i] = i
 		backward[i] = len(packets) - 1 - i
 	}
-	shuffled := s.Perm(len(packets))
+	shuffled := append([]int(nil), forward...)
+	for i := len(shuffled) - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
 
 	for _, order := range [][]int{forward, backward, shuffled} {
 		d := decodeIn(order)
@@ -162,7 +166,7 @@ func TestMongerWithHeterogeneousProfile(t *testing.T) {
 	// end-to-end.
 	s := rng.New(3)
 	prof := heterogeneousProfile(30)
-	res, err := RunMonger(MongerConfig{
+	res, err := runMonger(MongerConfig{
 		N: 30, Blocks: 6, BlockSize: 16, Profile: prof, PayloadSeed: 4,
 	}, s, nil)
 	if err != nil {
@@ -176,7 +180,7 @@ func TestMongerWithHeterogeneousProfile(t *testing.T) {
 func TestMongerProfileMismatch(t *testing.T) {
 	s := rng.New(4)
 	prof := heterogeneousProfile(10)
-	if _, err := RunMonger(MongerConfig{N: 20, Blocks: 2, BlockSize: 4, Profile: prof}, s, nil); err == nil {
+	if _, err := runMonger(MongerConfig{N: 20, Blocks: 2, BlockSize: 4, Profile: prof}, s, nil); err == nil {
 		t.Fatal("accepted profile/N mismatch")
 	}
 }

@@ -123,7 +123,7 @@ func TestPoissonPredictionMatchesSimulation(t *testing.T) {
 		}
 		var acc stats.Accumulator
 		for r := 0; r < 100; r++ {
-			acc.Add(sv.RunRound(s).Fraction(sv.M()))
+			acc.Add(seededRound(t, sv, s.Uint64()).Fraction(sv.M()))
 		}
 		pred, err := PredictUniformFraction(float64(b))
 		if err != nil {
@@ -197,7 +197,7 @@ func TestPredictWeightedFractionMatchesSimulation(t *testing.T) {
 	s := rng.New(8)
 	var acc stats.Accumulator
 	for r := 0; r < 150; r++ {
-		acc.Add(sv.RunRound(s).Fraction(n))
+		acc.Add(seededRound(t, sv, s.Uint64()).Fraction(n))
 	}
 	if math.Abs(acc.Mean()-pred) > 0.015 {
 		t.Fatalf("simulated %.4f vs predicted %.4f", acc.Mean(), pred)

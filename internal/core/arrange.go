@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/par"
-	"repro/internal/rng"
 )
 
 // Arranger runs dating rounds directly from per-node supply and demand
@@ -70,17 +69,17 @@ func (a *Arranger) Arrange(out, in []int, seed uint64, workers int) ([]Date, err
 	if err := prepare(a.sel, workers); err != nil {
 		return nil, err
 	}
-	return a.eng.round(nil, a.sel, out, in, nil, nil, seed, nil, workers), nil
+	return a.eng.round(nil, a.sel, out, in, nil, nil, seed, workers), nil
 }
 
-// ArrangeDates is the one-shot convenience form of Arranger.Arrange: it
-// draws the round seed from s (advancing it by exactly one value) and runs
-// serially without scratch reuse. Hot paths that arrange every round —
-// storage, churning-DHT spreading — should hold an Arranger instead.
-func ArrangeDates(out, in []int, sel Selector, s *rng.Stream) ([]Date, error) {
+// ArrangeDates is the one-shot convenience form of Arranger.Arrange: one
+// seeded round on one worker without scratch reuse. Hot paths that arrange
+// every round — storage, churning-DHT spreading — should hold an Arranger
+// instead.
+func ArrangeDates(out, in []int, sel Selector, seed uint64) ([]Date, error) {
 	a, err := NewArranger(sel)
 	if err != nil {
 		return nil, err
 	}
-	return a.Arrange(out, in, s.Uint64(), 1)
+	return a.Arrange(out, in, seed, 1)
 }

@@ -317,15 +317,14 @@ func TestArrangeValidation(t *testing.T) {
 	if _, err := a.Arrange([]int{1, -1, 1, 1}, []int{1, 1, 1, 1}, 1, 1); err == nil {
 		t.Error("accepted negative supply")
 	}
-	if _, err := ArrangeDates([]int{1}, []int{1}, nil, rng.New(1)); err == nil {
+	if _, err := ArrangeDates([]int{1}, []int{1}, nil, 1); err == nil {
 		t.Error("ArrangeDates accepted a nil selector")
 	}
 }
 
-func TestArrangeDatesConsumesOneDraw(t *testing.T) {
-	// The compat wrapper draws the round seed from the caller's stream and
-	// nothing else, so caller-side determinism is independent of any future
-	// internal parallelism.
+func TestArrangeDatesMatchesArranger(t *testing.T) {
+	// The one-shot wrapper is Arranger.Arrange at the same seed, whatever
+	// the Arranger's worker count.
 	sel, err := NewUniformSelector(50)
 	if err != nil {
 		t.Fatal(err)
@@ -336,13 +335,20 @@ func TestArrangeDatesConsumesOneDraw(t *testing.T) {
 		out[i] = 1
 		in[i] = 1
 	}
-	used, probe := rng.New(31), rng.New(31)
-	if _, err := ArrangeDates(out, in, sel, used); err != nil {
+	got, err := ArrangeDates(out, in, sel, 31)
+	if err != nil {
 		t.Fatal(err)
 	}
-	probe.Uint64() // the one draw the wrapper is allowed
-	if used.Uint64() != probe.Uint64() {
-		t.Fatal("ArrangeDates consumed more than one draw from the caller's stream")
+	a, err := NewArranger(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Arrange(out, in, 31, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("ArrangeDates diverged from Arranger.Arrange at the same seed")
 	}
 }
 

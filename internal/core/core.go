@@ -186,13 +186,6 @@ func (sv *Service) N() int { return sv.profile.N() }
 // M returns m = min(Bin, Bout), the centralized optimum per round.
 func (sv *Service) M() int { return sv.profile.M() }
 
-// RunRound executes Algorithm 1 once, serially, drawing every choice from
-// s in node order and then rendezvous order — the paper's reference round,
-// the one Figures 1 and 2 are computed with.
-func (sv *Service) RunRound(s *rng.Stream) RoundResult {
-	return sv.result(sv.eng.round(nil, sv.sel, sv.profile.Out, sv.profile.In, nil, sv.senderCuts(1, nil), 0, s, 1))
-}
-
 // RunRoundSeeded executes Algorithm 1 once with per-node/per-rendezvous
 // derived randomness: the result is bit-for-bit identical for every
 // workers >= 1, so parallelism never changes published numbers — and it
@@ -226,7 +219,7 @@ func (sv *Service) seeded(dst []Date, seed uint64, workers int, alive func(i int
 	if err := prepare(sv.sel, workers); err != nil {
 		return nil, err
 	}
-	return sv.eng.round(dst, sv.sel, sv.profile.Out, sv.profile.In, alive, sv.senderCuts(workers, alive), seed, nil, workers), nil
+	return sv.eng.round(dst, sv.sel, sv.profile.Out, sv.profile.In, alive, sv.senderCuts(workers, alive), seed, workers), nil
 }
 
 // RunRoundShared arranges the dates of RunRoundSeededFiltered drawing its

@@ -29,6 +29,16 @@ func uniformService(t *testing.T, n, b int) *Service {
 	return mustService(t, bandwidth.Homogeneous(n, b), sel)
 }
 
+// seededRound runs one seeded round of sv on one worker.
+func seededRound(t *testing.T, sv *Service, seed uint64) RoundResult {
+	t.Helper()
+	res, err := sv.RunRoundSeeded(seed, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSelectorValidation(t *testing.T) {
 	if _, err := NewUniformSelector(0); err == nil {
 		t.Error("accepted n = 0")
@@ -134,7 +144,7 @@ func TestRunRoundCapacityInvariant(t *testing.T) {
 		sel, _ := NewUniformSelector(p.N())
 		sv := mustService(t, p, sel)
 		for round := 0; round < 20; round++ {
-			res := sv.RunRound(s)
+			res := seededRound(t, sv, s.Uint64())
 			if err := ValidateCapacities(res, p); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
@@ -156,7 +166,7 @@ func TestRunRoundCapacityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := sv.RunRound(s)
+		res := seededRound(t, sv, s.Uint64())
 		return ValidateCapacities(res, sv.Profile()) == nil
 	}, &quick.Config{MaxCount: 150})
 	if err != nil {
@@ -166,7 +176,7 @@ func TestRunRoundCapacityProperty(t *testing.T) {
 
 func TestRunRoundRequestCounts(t *testing.T) {
 	sv := uniformService(t, 20, 3)
-	res := sv.RunRound(rng.New(6))
+	res := seededRound(t, sv, 6)
 	if res.OffersSent != 60 || res.RequestsSent != 60 {
 		t.Fatalf("sent %d offers / %d requests, want 60/60", res.OffersSent, res.RequestsSent)
 	}
@@ -183,7 +193,7 @@ func TestUniformFractionNearPaper(t *testing.T) {
 	s := rng.New(7)
 	var acc stats.Accumulator
 	for r := 0; r < 200; r++ {
-		res := sv.RunRound(s)
+		res := seededRound(t, sv, s.Uint64())
 		acc.Add(res.Fraction(n))
 	}
 	if acc.Mean() < 0.45 || acc.Mean() > 0.50 {
@@ -200,7 +210,7 @@ func TestDHTFractionBeatsUniform(t *testing.T) {
 	// arrange MORE dates; DHT interval selection gives >= 0.52 n.
 	const n = 500
 	s := rng.New(8)
-	ring, err := overlay.NewRing(n, s.Split())
+	ring, err := overlay.NewRing(n, rng.New(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +218,7 @@ func TestDHTFractionBeatsUniform(t *testing.T) {
 	sv := mustService(t, bandwidth.Homogeneous(n, 1), sel)
 	var acc stats.Accumulator
 	for r := 0; r < 200; r++ {
-		acc.Add(sv.RunRound(s).Fraction(n))
+		acc.Add(seededRound(t, sv, s.Uint64()).Fraction(n))
 	}
 	if acc.Mean() < 0.50 {
 		t.Fatalf("DHT fraction %.4f, paper reports >= 0.52", acc.Mean())
@@ -226,7 +236,7 @@ func TestPointMassDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	sv := mustService(t, bandwidth.Homogeneous(n, 1), sel)
-	res := sv.RunRound(rng.New(9))
+	res := seededRound(t, sv, 9)
 	if len(res.Dates) != n {
 		t.Fatalf("centralized rendezvous arranged %d dates, want %d", len(res.Dates), n)
 	}
@@ -246,7 +256,7 @@ func TestHeterogeneousProfileFraction(t *testing.T) {
 	sv := mustService(t, p, sel)
 	var acc stats.Accumulator
 	for r := 0; r < 50; r++ {
-		acc.Add(sv.RunRound(s).Fraction(p.M()))
+		acc.Add(seededRound(t, sv, s.Uint64()).Fraction(p.M()))
 	}
 	if acc.Mean() < 0.30 {
 		t.Fatalf("heterogeneous fraction %.4f too low", acc.Mean())
@@ -265,7 +275,7 @@ func TestFractionGrowsWithLoad(t *testing.T) {
 		sv := uniformService(t, n, b)
 		var acc stats.Accumulator
 		for r := 0; r < 60; r++ {
-			acc.Add(sv.RunRound(s).Fraction(sv.M()))
+			acc.Add(seededRound(t, sv, s.Uint64()).Fraction(sv.M()))
 		}
 		if acc.Mean() <= prev {
 			t.Fatalf("fraction did not grow with load: b=%d gives %.4f after %.4f", b, acc.Mean(), prev)
@@ -407,9 +417,9 @@ func TestServiceReuseAcrossRounds(t *testing.T) {
 	svReused := uniformService(t, 200, 1)
 	var reused, fresh int
 	for r := 0; r < 30; r++ {
-		reused += len(svReused.RunRound(s1).Dates)
+		reused += len(seededRound(t, svReused, s1.Uint64()).Dates)
 		svFresh := uniformService(t, 200, 1)
-		fresh += len(svFresh.RunRound(s2).Dates)
+		fresh += len(seededRound(t, svFresh, s2.Uint64()).Dates)
 	}
 	if reused != fresh {
 		t.Fatalf("reused service diverged: %d vs %d dates (same seed)", reused, fresh)
@@ -428,7 +438,7 @@ func TestPerNodeHypergeometricShape(t *testing.T) {
 	matched := make([]int, n)
 	total := 0
 	for r := 0; r < rounds; r++ {
-		res := sv.RunRound(s)
+		res := seededRound(t, sv, s.Uint64())
 		out, _ := res.PerNode(n)
 		for i := 0; i < n; i++ {
 			matched[i] += out[i]

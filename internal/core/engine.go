@@ -34,8 +34,7 @@ package core
 // worker order, bucket v always holds its requests in global sender order —
 // exactly the layout of the pre-radix engine, whatever the worker count.
 //
-// The body's only mode is where a unit of work's stream comes from. Every
-// production path is *seeded*: a worker reseeds its generator with
+// Every round is *seeded*: a worker reseeds its generator with
 // rng.Derive(seed, domainScatter, node) before a node's draws and with
 // rng.Derive(seed, domainMatch, rendezvous) before a bucket's shuffle, so
 // whichever worker processes a node or bucket draws the same values and the
@@ -43,12 +42,9 @@ package core
 // a pure speed knob, on any GOMAXPROCS, under any goroutine schedule. The
 // (seed, domain) prefix of either chain is derived once per round, so the
 // price per participating node and per non-empty bucket is one rng.Absorb
-// step plus the four-step SplitMix64 state expansion: about a fifth on a
-// unit-bandwidth uniform round at n=100k (BenchmarkSeededRound tracks it).
-// The other mode is the paper's serial reference, RunRound: one worker
-// drawing everything from the caller's single stream, in node order and
-// then rendezvous order. The two differ in those two reseeds and nothing
-// else.
+// step plus the four-step SplitMix64 state expansion (BenchmarkSeededRound
+// times the whole round). No round draws from a caller's stream: the
+// paper's repeated rounds are repeated seeds.
 //
 // Memory is O(n + requests) regardless of the worker count: the owners'
 // count arrays partition [0, n) (one length-(n/workers) array each, not one
@@ -63,7 +59,7 @@ package core
 //
 // Buffer contract: round appends its dates to the buffer the caller hands it.
 // nil gets a fresh slice of exactly the round's size that the engine never
-// touches again (RunRound, RunRoundSeeded*, Arrange*); Service.RunRoundShared
+// touches again (RunRoundSeeded*, Arrange*); Service.RunRoundShared
 // hands in the buffer it keeps (non-nil from the start, and grown with a
 // quarter of headroom), so a spreading round allocates nothing proportional
 // to n and its dates are valid until that Service's next RunRoundShared.
@@ -168,13 +164,10 @@ func prepare(sel Selector, workers int) error {
 //
 // cut, when non-nil, is the workers+1 sender shard boundaries to scatter by;
 // nil balances the shards by this round's request weight. The cuts only
-// decide which worker does the work, never the draws.
-//
-// serial selects the stream mode (see the file comment): nil reseeds per
-// node and per rendezvous from seed, so the result is the same for every
-// workers >= 1; non-nil draws everything from that one stream, ignores
-// seed, and needs workers == 1.
-func (e *engine) round(dst []Date, sel Selector, out, in []int, alive func(i int) bool, cut []int, seed uint64, serial *rng.Stream, workers int) []Date {
+// decide which worker does the work, never the draws: every node and
+// bucket reseeds from seed, so the result is the same for every
+// workers >= 1.
+func (e *engine) round(dst []Date, sel Selector, out, in []int, alive func(i int) bool, cut []int, seed uint64, workers int) []Date {
 	n := sel.N()
 	e.ensure(n, workers)
 	// The two-step prefix of either Derive chain is the same for every node
@@ -211,17 +204,12 @@ func (e *engine) round(dst []Date, sel Selector, out, in []int, alive func(i int
 			e.offers.Reserve(w, sumOut)
 			e.reqs.Reserve(w, sumIn)
 		}
-		s := serial
-		if s == nil {
-			s = ws.stream
-		}
+		s := ws.stream
 		for i := cut[w]; i < cut[w+1]; i++ {
 			if out[i]+in[i] == 0 || (alive != nil && !alive(i)) {
 				continue
 			}
-			if serial == nil {
-				ws.gen.Seed(rng.Absorb(scatterKey, uint64(i)))
-			}
+			ws.gen.Seed(rng.Absorb(scatterKey, uint64(i)))
 			for k := 0; k < out[i]; k++ {
 				dest := sel.Pick(s)
 				if alive != nil && !alive(dest) {
@@ -281,10 +269,6 @@ func (e *engine) round(dst []Date, sel Selector, out, in []int, alive func(i int
 	dst = dst[:e.dateCut[workers]]
 	par.Do(workers, func(w int) {
 		ws := &e.ws[w]
-		s := serial
-		if s == nil {
-			s = ws.stream
-		}
 		next := e.dateCut[w]
 		emit := func(sender, receiver int32) {
 			dst[next] = Date{Sender: int(sender), Receiver: int(receiver)}
@@ -296,10 +280,8 @@ func (e *engine) round(dst []Date, sel Selector, out, in []int, alive func(i int
 			if len(offers) == 0 || len(requests) == 0 {
 				continue
 			}
-			if serial == nil {
-				ws.gen.Seed(rng.Absorb(matchKey, uint64(v)))
-			}
-			MatchRendezvous(offers, requests, s, emit)
+			ws.gen.Seed(rng.Absorb(matchKey, uint64(v)))
+			MatchRendezvous(offers, requests, ws.stream, emit)
 		}
 	})
 	return dst

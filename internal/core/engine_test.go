@@ -102,8 +102,8 @@ func TestSeededRoundControlMessageCounts(t *testing.T) {
 }
 
 func TestServiceMixedSerialParallelReuse(t *testing.T) {
-	// One Service must survive interleaved serial, seeded, and filtered
-	// rounds with different worker counts: the scratch is shared, and a
+	// One Service must survive interleaved unfiltered and filtered rounds
+	// with different worker counts: the scratch is shared, and a
 	// leak from any round shape would corrupt the next.
 	const n = 250
 	sv := parallelService(t, n, 2)
@@ -114,7 +114,7 @@ func TestServiceMixedSerialParallelReuse(t *testing.T) {
 		var err error
 		switch round % 4 {
 		case 0:
-			res = sv.RunRound(s)
+			res = seededRound(t, sv, s.Uint64())
 		case 1:
 			res, err = sv.RunRoundSeeded(s.Uint64(), 4)
 		case 2:
@@ -147,7 +147,7 @@ func TestServiceManyRoundsAccounting(t *testing.T) {
 	sv := parallelService(t, n, b)
 	s := rng.New(500)
 	for round := 0; round < rounds; round++ {
-		res := sv.RunRound(s)
+		res := seededRound(t, sv, s.Uint64())
 		if res.OffersSent != n*b || res.RequestsSent != n*b {
 			t.Fatalf("round %d: sent %d/%d, want %d/%d",
 				round, res.OffersSent, res.RequestsSent, n*b, n*b)

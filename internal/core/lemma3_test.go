@@ -34,7 +34,7 @@ func TestLemma3PairwiseUniformity(t *testing.T) {
 	total := 0
 	const rounds = 120000
 	for r := 0; r < rounds; r++ {
-		for _, d := range sv.RunRound(s).Dates {
+		for _, d := range seededRound(t, sv, s.Uint64()).Dates {
 			if d.Sender != d.Receiver {
 				counts[[2]int{d.Sender, d.Receiver}]++
 				total++
@@ -70,7 +70,7 @@ func TestLemma3UnitExchangeability(t *testing.T) {
 	var big, small stats.Accumulator
 	const rounds = 30000
 	for r := 0; r < rounds; r++ {
-		out, _ := sv.RunRound(s).PerNode(n)
+		out, _ := seededRound(t, sv, s.Uint64()).PerNode(n)
 		big.Add(float64(out[0]))
 		small.Add(float64(out[1]))
 	}
@@ -97,7 +97,7 @@ func TestLemma3HypergeometricVariance(t *testing.T) {
 	perK := map[int]*stats.Accumulator{}
 	const rounds = 60000
 	for r := 0; r < rounds; r++ {
-		res := sv.RunRound(s)
+		res := seededRound(t, sv, s.Uint64())
 		k := len(res.Dates)
 		acc, ok := perK[k]
 		if !ok {
@@ -180,7 +180,7 @@ func TestDatingOverDynamicSelectorCapacity(t *testing.T) {
 				}
 			}
 		}
-		res := sv.RunRound(s)
+		res := seededRound(t, sv, s.Uint64())
 		if err := ValidateCapacities(res, sv.Profile()); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bandwidth"
-	"repro/internal/rng"
 )
 
 func TestSeededRoundWorkerIndependence(t *testing.T) {
@@ -49,8 +48,8 @@ func TestSeededRoundWorkerIndependence(t *testing.T) {
 }
 
 func TestSeededRoundScratchReuse(t *testing.T) {
-	// Reusing one Service across seeded and serial rounds must not leak
-	// state between the two stream modes.
+	// Reusing one Service across unfiltered and filtered rounds at other
+	// worker counts must not leak state between the round shapes.
 	profile := bandwidth.Homogeneous(800, 2)
 	sel, _ := NewUniformSelector(800)
 	svc, err := NewService(profile, sel)
@@ -61,7 +60,9 @@ func TestSeededRoundScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.RunRound(rng.New(99))
+	if _, err := svc.RunRoundSeededFiltered(99, 1, func(i int) bool { return i%3 != 0 }); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := svc.RunRoundSeeded(5, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -211,20 +212,12 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 	}
 }
 
-// BenchmarkSeededRound quantifies the derivation overhead of the
-// worker-count-independent round against the serial-stream round at n=100k
-// (the cost quoted in engine.go).
+// BenchmarkSeededRound times one unit-bandwidth uniform round at n=100k on
+// one worker (the cost quoted in engine.go).
 func BenchmarkSeededRound(b *testing.B) {
 	const n = 100_000
 	profile := bandwidth.Homogeneous(n, 1)
 	sel, _ := NewUniformSelector(n)
-	b.Run("serial-stream", func(b *testing.B) {
-		svc, _ := NewService(profile, sel)
-		s := rng.New(1)
-		for i := 0; i < b.N; i++ {
-			svc.RunRound(s)
-		}
-	})
 	b.Run("seeded-1", func(b *testing.B) {
 		svc, _ := NewService(profile, sel)
 		for i := 0; i < b.N; i++ {

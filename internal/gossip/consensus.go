@@ -58,22 +58,12 @@ const (
 
 var seedingNames = [...]string{"random", "hub", "clustered"}
 
-// String names the seeding geometry as used in CLI flags and tables.
+// String names the seeding geometry as used in tables.
 func (g ConsensusSeeding) String() string {
 	if g < 0 || int(g) >= len(seedingNames) {
 		return fmt.Sprintf("seeding(%d)", int(g))
 	}
 	return seedingNames[g]
-}
-
-// ParseConsensusSeeding maps a name back to a ConsensusSeeding.
-func ParseConsensusSeeding(name string) (ConsensusSeeding, error) {
-	for i, n := range seedingNames {
-		if n == name {
-			return ConsensusSeeding(i), nil
-		}
-	}
-	return 0, fmt.Errorf("gossip: unknown consensus seeding %q", name)
 }
 
 // MergeRule selects how a peer revises its variant from what it hears.
@@ -101,22 +91,12 @@ const (
 
 var ruleNames = [...]string{"majority", "latest", "weighted"}
 
-// String names the merge rule as used in CLI flags and tables.
+// String names the merge rule as used in tables.
 func (r MergeRule) String() string {
 	if r < 0 || int(r) >= len(ruleNames) {
 		return fmt.Sprintf("rule(%d)", int(r))
 	}
 	return ruleNames[r]
-}
-
-// ParseMergeRule maps a name back to a MergeRule.
-func ParseMergeRule(name string) (MergeRule, error) {
-	for i, n := range ruleNames {
-		if n == name {
-			return MergeRule(i), nil
-		}
-	}
-	return 0, fmt.Errorf("gossip: unknown merge rule %q", name)
 }
 
 // ConsensusConfig parameterizes conflicting-rumor consensus: K variants of

@@ -116,7 +116,7 @@ func TestConsensusSingleVariantMatchesPush(t *testing.T) {
 	if res.Winner != 1 {
 		t.Errorf("K=1 winner %d, want 1", res.Winner)
 	}
-	push, err := Run(Config{Algorithm: Push, N: n, Source: 0}, rng.New(21), nil, nil)
+	push, err := spread(Config{Algorithm: Push, N: n, Source: 0}, rng.New(21), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,28 +250,6 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 	want := []int{0, 1, 100, 101, 200, 201, 300, 301}
 	if fmt.Sprint(cres.Seeds) != fmt.Sprint(want) {
 		t.Errorf("clustered seeds %v, want %v", cres.Seeds, want)
-	}
-}
-
-// TestConsensusNameParsing pins the string round-trips used by CLI flags.
-func TestConsensusNameParsing(t *testing.T) {
-	for _, gm := range []ConsensusSeeding{SeedDistinct, SeedHubLeaf, SeedClustered} {
-		got, err := ParseConsensusSeeding(gm.String())
-		if err != nil || got != gm {
-			t.Errorf("seeding %v did not round-trip: %v, %v", gm, got, err)
-		}
-	}
-	for _, r := range []MergeRule{RuleMajority, RuleLatest, RuleWeighted} {
-		got, err := ParseMergeRule(r.String())
-		if err != nil || got != r {
-			t.Errorf("rule %v did not round-trip: %v, %v", r, got, err)
-		}
-	}
-	if _, err := ParseConsensusSeeding("nope"); err == nil {
-		t.Error("unknown seeding name should be rejected")
-	}
-	if _, err := ParseMergeRule("nope"); err == nil {
-		t.Error("unknown rule name should be rejected")
 	}
 }
 

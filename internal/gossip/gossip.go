@@ -61,22 +61,12 @@ const (
 
 var algoNames = [...]string{"push", "pull", "push-pull", "fair-pull", "fair-push-pull", "dating"}
 
-// String returns the algorithm's name as used in CLI flags and tables.
+// String returns the algorithm's name as used in tables.
 func (a Algorithm) String() string {
 	if a < 0 || int(a) >= len(algoNames) {
 		return fmt.Sprintf("algorithm(%d)", int(a))
 	}
 	return algoNames[a]
-}
-
-// ParseAlgorithm maps a name back to an Algorithm.
-func ParseAlgorithm(name string) (Algorithm, error) {
-	for i, n := range algoNames {
-		if n == name {
-			return Algorithm(i), nil
-		}
-	}
-	return 0, fmt.Errorf("gossip: unknown algorithm %q", name)
 }
 
 // Algorithms lists every implemented algorithm in Figure 2 display order.
@@ -155,7 +145,7 @@ func (st *state) reset() {
 // st.next, and accounts loads in st.out / st.in.
 type stepFunc func(st *state, s *rng.Stream) error
 
-// Run executes one spreading run and returns its result. Every dating
+// spread is the body of Config.Execute: one spreading run. Every dating
 // round runs on the seeded engine: randomness derives per node and per
 // rendezvous from a per-round seed drawn off s, so the run stream advances
 // by exactly one value per dating round regardless of how the round is
@@ -164,7 +154,7 @@ type stepFunc func(st *state, s *rng.Stream) error
 // knob. tr, when non-nil, receives a whole-round span per round and the
 // per-round gauges (messages moved, budget tokens in flight beyond the
 // implicit ones); observation is read-only and never touches the stream.
-func Run(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, error) {
+func spread(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, error) {
 	n := cfg.n()
 	if n <= 0 {
 		return Result{}, fmt.Errorf("gossip: config needs N or a Profile")

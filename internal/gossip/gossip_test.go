@@ -13,17 +13,13 @@ import (
 )
 
 func TestAlgorithmNames(t *testing.T) {
+	seen := map[string]bool{}
 	for _, a := range Algorithms() {
-		parsed, err := ParseAlgorithm(a.String())
-		if err != nil {
-			t.Fatalf("round-trip of %v: %v", a, err)
+		name := a.String()
+		if seen[name] || strings.HasPrefix(name, "algorithm(") {
+			t.Fatalf("%d: name %q is a duplicate or a fallback", int(a), name)
 		}
-		if parsed != a {
-			t.Fatalf("round-trip of %v gave %v", a, parsed)
-		}
-	}
-	if _, err := ParseAlgorithm("smoke-signals"); err == nil {
-		t.Error("accepted unknown algorithm name")
+		seen[name] = true
 	}
 	if got := Algorithm(99).String(); got != "algorithm(99)" {
 		t.Errorf("out-of-range String = %q", got)
@@ -32,18 +28,18 @@ func TestAlgorithmNames(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	s := rng.New(1)
-	if _, err := Run(Config{Algorithm: Push}, s, nil, nil); err == nil {
+	if _, err := spread(Config{Algorithm: Push}, s, nil, nil); err == nil {
 		t.Error("accepted missing N")
 	}
-	if _, err := Run(Config{Algorithm: Push, N: 5, Source: 5}, s, nil, nil); err == nil {
+	if _, err := spread(Config{Algorithm: Push, N: 5, Source: 5}, s, nil, nil); err == nil {
 		t.Error("accepted out-of-range source")
 	}
 	for _, p := range []float64{1.5, 1, -0.1, math.NaN()} {
-		if _, err := Run(Config{Algorithm: Dating, N: 64, CrashProb: p}, s, nil, nil); err == nil {
+		if _, err := spread(Config{Algorithm: Dating, N: 64, CrashProb: p}, s, nil, nil); err == nil {
 			t.Errorf("accepted crash probability %v", p)
 		}
 	}
-	if _, err := Run(Config{Algorithm: Algorithm(42), N: 5}, s, nil, nil); err == nil {
+	if _, err := spread(Config{Algorithm: Algorithm(42), N: 5}, s, nil, nil); err == nil {
 		t.Error("accepted unknown algorithm")
 	}
 }
@@ -60,7 +56,7 @@ func TestDatingRoundFailureIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(Config{Algorithm: Dating, N: 64, Selector: failingPreparer{u}}, rng.New(1), nil, nil)
+	_, err = spread(Config{Algorithm: Dating, N: 64, Selector: failingPreparer{u}}, rng.New(1), nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "ring snapshot unavailable") {
 		t.Fatalf("error %v, want the selector's prepare failure", err)
 	}
@@ -70,7 +66,7 @@ func TestAllAlgorithmsComplete(t *testing.T) {
 	s := rng.New(2)
 	const n = 300
 	for _, a := range Algorithms() {
-		res, err := Run(Config{Algorithm: a, N: n, Source: 0}, s, nil, nil)
+		res, err := spread(Config{Algorithm: a, N: n, Source: 0}, s, nil, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -87,7 +83,7 @@ func TestHistoryMonotone(t *testing.T) {
 	// Informed nodes never forget the rumor.
 	s := rng.New(3)
 	for _, a := range Algorithms() {
-		res, err := Run(Config{Algorithm: a, N: 200, Source: 0}, s, nil, nil)
+		res, err := spread(Config{Algorithm: a, N: 200, Source: 0}, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +106,7 @@ func TestRoundsLogarithmic(t *testing.T) {
 	for _, n := range ns {
 		var acc stats.Accumulator
 		for rep := 0; rep < 12; rep++ {
-			res, err := Run(Config{Algorithm: Dating, N: n, Source: 0}, s, nil, nil)
+			res, err := spread(Config{Algorithm: Dating, N: n, Source: 0}, s, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +145,7 @@ func TestFigure2Ordering(t *testing.T) {
 	for _, a := range Algorithms() {
 		var acc stats.Accumulator
 		for rep := 0; rep < reps; rep++ {
-			res, err := Run(Config{Algorithm: a, N: n, Source: 0}, s, nil, nil)
+			res, err := spread(Config{Algorithm: a, N: n, Source: 0}, s, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,28 +177,28 @@ func TestFigure2Ordering(t *testing.T) {
 func TestDatingRespectsBandwidthBaselinesDoNot(t *testing.T) {
 	s := rng.New(6)
 	const n = 2000
-	resD, err := Run(Config{Algorithm: Dating, N: n, Source: 0}, s, nil, nil)
+	resD, err := spread(Config{Algorithm: Dating, N: n, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resD.MaxInLoad > 1 || resD.MaxOutLoad > 1 {
 		t.Fatalf("dating exceeded unit bandwidth: in %d out %d", resD.MaxInLoad, resD.MaxOutLoad)
 	}
-	resP, err := Run(Config{Algorithm: Push, N: n, Source: 0}, s, nil, nil)
+	resP, err := spread(Config{Algorithm: Push, N: n, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resP.MaxInLoad <= 1 {
 		t.Errorf("push never overloaded a receiver at n=%d, which is implausible", n)
 	}
-	resL, err := Run(Config{Algorithm: Pull, N: n, Source: 0}, s, nil, nil)
+	resL, err := spread(Config{Algorithm: Pull, N: n, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resL.MaxOutLoad <= 1 {
 		t.Errorf("pull never overloaded a server at n=%d, which is implausible", n)
 	}
-	resF, err := Run(Config{Algorithm: FairPull, N: n, Source: 0}, s, nil, nil)
+	resF, err := spread(Config{Algorithm: FairPull, N: n, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +218,7 @@ func TestDatingWithDHTSelector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Algorithm: Dating, N: 500, Selector: sel, Source: 3}, s, nil, nil)
+	res, err := spread(Config{Algorithm: Dating, N: 500, Selector: sel, Source: 3}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +233,7 @@ func TestDatingHeterogeneousProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Algorithm: Dating, Profile: p, Source: 0}, s, nil, nil)
+	res, err := spread(Config{Algorithm: Dating, Profile: p, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +257,7 @@ func TestDatingHeterogeneousProfile(t *testing.T) {
 
 func TestCrashToleranceDating(t *testing.T) {
 	s := rng.New(9)
-	res, err := Run(Config{Algorithm: Dating, N: 500, Source: 0, CrashProb: 0.02}, s, nil, nil)
+	res, err := spread(Config{Algorithm: Dating, N: 500, Source: 0, CrashProb: 0.02}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +289,7 @@ func TestCrashedNodesNeverInformed(t *testing.T) {
 			}
 		},
 	}
-	if _, err := Run(cfg, s, nil, nil); err != nil {
+	if _, err := spread(cfg, s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if sawDeadInformed {
@@ -304,7 +300,7 @@ func TestCrashedNodesNeverInformed(t *testing.T) {
 
 func TestMaxRoundsCapRespected(t *testing.T) {
 	s := rng.New(11)
-	res, err := Run(Config{Algorithm: Dating, N: 5000, Source: 0, MaxRounds: 2}, s, nil, nil)
+	res, err := spread(Config{Algorithm: Dating, N: 5000, Source: 0, MaxRounds: 2}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +315,7 @@ func TestMaxRoundsCapRespected(t *testing.T) {
 func TestOnRoundObserverCalledEveryRound(t *testing.T) {
 	s := rng.New(12)
 	calls := 0
-	res, err := Run(Config{
+	res, err := spread(Config{
 		Algorithm: PushPull, N: 128, Source: 0,
 		OnRound: func(round int, informed []bool) {
 			calls++
@@ -342,7 +338,7 @@ func TestOnRoundObserverCalledEveryRound(t *testing.T) {
 func TestItHistoryTracksOutBandwidth(t *testing.T) {
 	s := rng.New(13)
 	p, _ := bandwidth.Bimodal(100, 10, 5, 1)
-	res, err := Run(Config{Algorithm: Dating, Profile: p, Source: 0}, s, nil, nil)
+	res, err := spread(Config{Algorithm: Dating, Profile: p, Source: 0}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +379,7 @@ func TestHierarchicalRichBeforePoor(t *testing.T) {
 	var richSum, totalSum float64
 	const reps = 10
 	for rep := 0; rep < reps; rep++ {
-		hres, err := RunHierarchical(600, 60, 16, s)
+		hres, err := RunHierarchical(600, 60, 16, s.Uint64())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,10 +399,10 @@ func TestHierarchicalRichBeforePoor(t *testing.T) {
 
 func TestHierarchicalValidation(t *testing.T) {
 	s := rng.New(15)
-	if _, err := RunHierarchical(10, 0, 4, s); err == nil {
+	if _, err := RunHierarchical(10, 0, 4, s.Uint64()); err == nil {
 		t.Error("accepted zero rich nodes")
 	}
-	if _, err := RunHierarchical(10, 11, 4, s); err == nil {
+	if _, err := RunHierarchical(10, 11, 4, s.Uint64()); err == nil {
 		t.Error("accepted rich > n")
 	}
 }
@@ -414,7 +410,7 @@ func TestHierarchicalValidation(t *testing.T) {
 func TestSourceChoiceIrrelevantToCompletion(t *testing.T) {
 	s := rng.New(16)
 	for _, src := range []int{0, 17, 99} {
-		res, err := Run(Config{Algorithm: Dating, N: 100, Source: src}, s, nil, nil)
+		res, err := spread(Config{Algorithm: Dating, N: 100, Source: src}, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +423,7 @@ func TestSourceChoiceIrrelevantToCompletion(t *testing.T) {
 func TestTwoNodeNetwork(t *testing.T) {
 	s := rng.New(17)
 	for _, a := range Algorithms() {
-		res, err := Run(Config{Algorithm: a, N: 2, Source: 0}, s, nil, nil)
+		res, err := spread(Config{Algorithm: a, N: 2, Source: 0}, s, nil, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}

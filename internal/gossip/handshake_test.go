@@ -312,7 +312,7 @@ func TestHandshakeWithCrashedNodes(t *testing.T) {
 func TestHandshakePipelining(t *testing.T) {
 	const n = 1024
 	s := rng.New(5)
-	ring, err := overlay.NewRing(n, s.Split())
+	ring, err := overlay.NewRing(n, rng.New(s.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bandwidth"
-	"repro/internal/rng"
+	"repro/internal/run"
 )
 
 // HierarchicalResult reports the Theorem 10 experiment: on a network with
@@ -20,8 +20,10 @@ type HierarchicalResult struct {
 // RunHierarchical spreads a rumor with the dating service on a bimodal
 // profile: `rich` nodes with bandwidth richB (the "at least average" class)
 // and the rest with bandwidth 1. The source is node 0, which is rich, as
-// Theorem 10 requires (source bandwidth Omega(m/n)).
-func RunHierarchical(n, rich, richB int, s *rng.Stream) (HierarchicalResult, error) {
+// Theorem 10 requires (source bandwidth Omega(m/n)). The spread is one
+// run.Run of the rumor spec from the root seed; opts add the run's other
+// axes (a shared budget, an observer).
+func RunHierarchical(n, rich, richB int, seed uint64, opts ...run.Option) (HierarchicalResult, error) {
 	if rich < 1 || rich > n {
 		return HierarchicalResult{}, fmt.Errorf("gossip: rich count %d out of [1,%d]", rich, n)
 	}
@@ -45,14 +47,14 @@ func RunHierarchical(n, rich, richB int, s *rng.Stream) (HierarchicalResult, err
 			}
 		},
 	}
-	res, err := Run(cfg, s, nil, nil)
+	rep, err := run.Run(cfg, append([]run.Option{run.WithSeed(seed)}, opts...)...)
 	if err != nil {
 		return HierarchicalResult{}, err
 	}
-	hres.TotalRounds = res.Rounds
-	hres.Completed = res.Completed
+	hres.TotalRounds = rep.Rounds
+	hres.Completed = rep.Completed
 	if hres.RichRounds == 0 {
-		hres.RichRounds = res.Rounds
+		hres.RichRounds = rep.Rounds
 	}
 	return hres, nil
 }

@@ -58,11 +58,12 @@ type MultiRumorResult struct {
 	PerRumorDone []int // round at which each rumor reached everyone (0 = never)
 }
 
-// RunMultiRumor spreads all injected rumors until every node knows every
-// rumor or MaxRounds elapses. Every dating round runs on the seeded engine
-// with one seed drawn off s; a non-nil b lets each round soak up spare
-// tokens, and as in Run the worker count is a pure speed knob.
-func RunMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (MultiRumorResult, error) {
+// runMultiRumor is the body of MultiRumorConfig.Execute: it spreads all
+// injected rumors until every node knows every rumor or MaxRounds elapses.
+// Every dating round runs on the seeded engine with one seed drawn off s; a
+// non-nil b lets each round soak up spare tokens, and as in spread the
+// worker count is a pure speed knob.
+func runMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (MultiRumorResult, error) {
 	n := cfg.N
 	profile := cfg.Profile
 	if profile.N() > 0 {

@@ -14,18 +14,18 @@ import (
 
 func TestMultiRumorValidation(t *testing.T) {
 	s := rng.New(1)
-	if _, err := RunMultiRumor(MultiRumorConfig{}, s, nil); err == nil {
+	if _, err := runMultiRumor(MultiRumorConfig{}, s, nil); err == nil {
 		t.Error("accepted empty config")
 	}
-	if _, err := RunMultiRumor(MultiRumorConfig{N: 10}, s, nil); err == nil {
+	if _, err := runMultiRumor(MultiRumorConfig{N: 10}, s, nil); err == nil {
 		t.Error("accepted zero injections")
 	}
-	if _, err := RunMultiRumor(MultiRumorConfig{
+	if _, err := runMultiRumor(MultiRumorConfig{
 		N: 10, Injections: []Injection{{Round: 1, Source: 10}},
 	}, s, nil); err == nil {
 		t.Error("accepted out-of-range source")
 	}
-	if _, err := RunMultiRumor(MultiRumorConfig{
+	if _, err := runMultiRumor(MultiRumorConfig{
 		N: 10, Injections: []Injection{{Round: 0, Source: 0}},
 	}, s, nil); err == nil {
 		t.Error("accepted round 0 injection")
@@ -36,7 +36,7 @@ func TestMultiRumorValidation(t *testing.T) {
 	for i := range many {
 		many[i] = Injection{Round: 1}
 	}
-	_, err := RunMultiRumor(MultiRumorConfig{N: 10, Injections: many}, s, nil)
+	_, err := runMultiRumor(MultiRumorConfig{N: 10, Injections: many}, s, nil)
 	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(math.MaxInt16)) {
 		t.Errorf("%d injections: error %v, want one naming the limit %d", len(many), err, math.MaxInt16)
 	}
@@ -44,12 +44,12 @@ func TestMultiRumorValidation(t *testing.T) {
 
 func TestSingleRumorMatchesRun(t *testing.T) {
 	// One rumor injected at round 1 is exactly the Theorem 4 setting; the
-	// round counts should be statistically comparable to Run(Dating).
+	// round counts should be statistically comparable to spread(Dating).
 	s := rng.New(2)
 	var multi, single float64
 	const reps = 8
 	for rep := 0; rep < reps; rep++ {
-		mr, err := RunMultiRumor(MultiRumorConfig{
+		mr, err := runMultiRumor(MultiRumorConfig{
 			N:          300,
 			Injections: []Injection{{Round: 1, Source: 0}},
 		}, s, nil)
@@ -61,7 +61,7 @@ func TestSingleRumorMatchesRun(t *testing.T) {
 		}
 		multi += float64(mr.Rounds)
 
-		sr, err := Run(Config{Algorithm: Dating, N: 300, Source: 0}, s, nil, nil)
+		sr, err := spread(Config{Algorithm: Dating, N: 300, Source: 0}, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestMultiRumorAllDelivered(t *testing.T) {
 			{Round: 10, Source: 150},
 		},
 	}
-	res, err := RunMultiRumor(cfg, s, nil)
+	res, err := runMultiRumor(cfg, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestMultiRumorAllDelivered(t *testing.T) {
 
 func TestMultiRumorKnowledgeMonotone(t *testing.T) {
 	s := rng.New(4)
-	res, err := RunMultiRumor(MultiRumorConfig{
+	res, err := runMultiRumor(MultiRumorConfig{
 		N:          150,
 		Injections: []Injection{{Round: 1, Source: 0}, {Round: 3, Source: 1}},
 	}, s, nil)
@@ -127,7 +127,7 @@ func TestMultiRumorLateInjection(t *testing.T) {
 	// A rumor injected late must still complete; its completion round is
 	// at least its injection round plus a spreading period.
 	s := rng.New(5)
-	res, err := RunMultiRumor(MultiRumorConfig{
+	res, err := runMultiRumor(MultiRumorConfig{
 		N: 200,
 		Injections: []Injection{
 			{Round: 1, Source: 0},
@@ -149,7 +149,7 @@ func TestForwardingPolicies(t *testing.T) {
 	// Both policies are live: every injected rumor reaches every node.
 	for _, policy := range []Forwarding{ForwardRandom, ForwardRoundRobin} {
 		s := rng.New(6)
-		res, err := RunMultiRumor(MultiRumorConfig{
+		res, err := runMultiRumor(MultiRumorConfig{
 			N: 150,
 			Injections: []Injection{
 				{Round: 1, Source: 0}, {Round: 2, Source: 1}, {Round: 3, Source: 2},
@@ -171,7 +171,7 @@ func TestMultiRumorHeterogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMultiRumor(MultiRumorConfig{
+	res, err := runMultiRumor(MultiRumorConfig{
 		Profile:    p,
 		Injections: []Injection{{Round: 1, Source: 0}, {Round: 1, Source: 100}},
 	}, s, nil)
@@ -185,7 +185,7 @@ func TestMultiRumorHeterogeneous(t *testing.T) {
 
 func TestMultiRumorMaxRounds(t *testing.T) {
 	s := rng.New(8)
-	res, err := RunMultiRumor(MultiRumorConfig{
+	res, err := runMultiRumor(MultiRumorConfig{
 		N:          5000,
 		Injections: []Injection{{Round: 1, Source: 0}},
 		MaxRounds:  2,
@@ -207,7 +207,7 @@ func TestMultiRumorReproducible(t *testing.T) {
 		Forwarding: ForwardRoundRobin,
 	}
 	run := func() MultiRumorResult {
-		res, err := RunMultiRumor(cfg, rng.New(21), nil)
+		res, err := runMultiRumor(cfg, rng.New(21), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestMultiRumorBudgetPureSpeedKnob(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := RunMultiRumor(MultiRumorConfig{
+		res, err := runMultiRumor(MultiRumorConfig{
 			N: 600,
 			Injections: []Injection{
 				{Round: 1, Source: 0},

@@ -72,13 +72,13 @@ func TestDatingObserverIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(cfg, rng.New(11), b, nil)
+	plain, err := spread(cfg, rng.New(11), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.NewObserver()
 	b2, _ := par.NewBudget(4)
-	traced, err := Run(cfg, rng.New(11), b2, o.Track("rumor", 1))
+	traced, err := spread(cfg, rng.New(11), b2, o.Track("rumor", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

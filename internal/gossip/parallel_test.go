@@ -19,7 +19,7 @@ func runWith(t *testing.T, cfg Config, seed uint64, workers int) Result {
 			t.Fatal(err)
 		}
 	}
-	res, err := Run(cfg, rng.New(seed), b, nil)
+	res, err := spread(cfg, rng.New(seed), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

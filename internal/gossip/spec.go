@@ -19,7 +19,7 @@ func (c Config) Protocol() string { return "rumor" }
 // shared budget. Trajectory is the informed-node history; Detail the full
 // Result.
 func (c Config) Execute(o *run.Options) (run.Report, error) {
-	res, err := Run(c, run.StreamFor(o.Seed, run.DomainRumor), o.Budget, o.Obs.Track("rumor", 1))
+	res, err := spread(c, run.StreamFor(o.Seed, run.DomainRumor), o.Budget, o.Obs.Track("rumor", 1))
 	if err != nil {
 		return run.Report{}, err
 	}
@@ -36,7 +36,7 @@ func (c MultiRumorConfig) Protocol() string { return "multirumor" }
 // Trajectory is the cumulative (node, rumor) knowledge count; Detail the
 // full MultiRumorResult.
 func (c MultiRumorConfig) Execute(o *run.Options) (run.Report, error) {
-	res, err := RunMultiRumor(c, run.StreamFor(o.Seed, run.DomainMulti), o.Budget)
+	res, err := runMultiRumor(c, run.StreamFor(o.Seed, run.DomainMulti), o.Budget)
 	if err != nil {
 		return run.Report{}, err
 	}

@@ -21,7 +21,7 @@ func TestTheorem10RichRoundsShrinkWithBandwidth(t *testing.T) {
 	for _, richB := range []int{4, 16, 64} {
 		var acc stats.Accumulator
 		for rep := 0; rep < reps; rep++ {
-			hr, err := RunHierarchical(n, n/10, richB, s)
+			hr, err := RunHierarchical(n, n/10, richB, s.Uint64())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestCorollary11WeakSource(t *testing.T) {
 				richDone = round
 			},
 		}
-		res, err := Run(cfg, s, nil, nil)
+		res, err := spread(cfg, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

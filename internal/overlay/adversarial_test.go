@@ -156,7 +156,11 @@ func TestJoinShiftsOwnership(t *testing.T) {
 	pred := r.Position(9)
 	target := r.Position(10)
 	mid := pred + (target-pred)/2
-	r2, err := r.WithNode(mid)
+	pos := []uint64{mid}
+	for rank := 0; rank < r.N(); rank++ {
+		pos = append(pos, r.Position(rank))
+	}
+	r2, err := RingFromPositions(pos)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 	var hops []float64
 	ns := []int{64, 256, 1024, 4096}
 	for _, n := range ns {
-		r, err := NewRing(n, s.Split())
+		r, err := NewRing(n, rng.New(s.Uint64()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 func TestLookupCDHopsLogarithmic(t *testing.T) {
 	s := rng.New(12)
 	for _, n := range []int{64, 1024} {
-		r, err := NewRing(n, s.Split())
+		r, err := NewRing(n, rng.New(s.Uint64()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,48 +253,6 @@ func TestFingerCountLogarithmic(t *testing.T) {
 	avg := float64(total) / float64(r.N())
 	if avg < 5 || avg > 30 {
 		t.Fatalf("avg finger count %.1f, want ~log2(1024)=10 within [5,30]", avg)
-	}
-}
-
-func TestWithNode(t *testing.T) {
-	r, _ := RingFromPositions([]uint64{100, 200, 300})
-	r2, err := r.WithNode(250)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.N() != 4 {
-		t.Fatalf("N = %d", r2.N())
-	}
-	if r.N() != 3 {
-		t.Fatal("WithNode mutated the receiver")
-	}
-	if r2.Owner(225) != 2 { // 250 is now rank 2
-		t.Fatalf("Owner(225) = %d", r2.Owner(225))
-	}
-	if _, err := r.WithNode(200); err == nil {
-		t.Error("accepted duplicate join position")
-	}
-}
-
-func TestWithoutRank(t *testing.T) {
-	r, _ := RingFromPositions([]uint64{100, 200, 300})
-	r2, err := r.WithoutRank(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.N() != 2 {
-		t.Fatalf("N = %d", r2.N())
-	}
-	// 200's arc is absorbed by its successor (300, now rank 1).
-	if r2.Owner(150) != 1 {
-		t.Fatalf("Owner(150) = %d, want 1", r2.Owner(150))
-	}
-	if _, err := r.WithoutRank(5); err == nil {
-		t.Error("accepted out-of-range rank")
-	}
-	single, _ := RingFromPositions([]uint64{7})
-	if _, err := single.WithoutRank(0); err == nil {
-		t.Error("removed the last node")
 	}
 }
 

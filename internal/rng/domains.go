@@ -12,9 +12,11 @@ package rng
 //
 //	0x01–0x02   core.Arranger / seeded Service rounds (per-node scatter,
 //	            per-rendezvous match)
-//	0x11–0x61   sim harness repetition jobs (figure1: 0x11–0x13, figure2:
-//	            0x21, multirumor: 0x31, loads: 0x41, dynamic: 0x51,
-//	            storage: 0x61)
+//	0x11–0x68   sim harness jobs (figure1: 0x11–0x13, figure2: 0x21,
+//	            multirumor: 0x31, loads: 0x41, dynamic: 0x51, storage:
+//	            0x61, alpha: 0x62, ablation: 0x63, phases: 0x64,
+//	            hierarchical: 0x65, pipelining: 0x66, mongering: 0x67,
+//	            churn: 0x68)
 //	0x71        sim async experiment inputs (heterogeneous Zipf profiles)
 //	0x81        sim topology experiment jobs
 //	0x82        sim consensus experiment jobs

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestXoshiroDeterminism(t *testing.T) {
@@ -238,95 +237,5 @@ func TestBernoulliRate(t *testing.T) {
 	}
 	if rate := float64(hits) / n; math.Abs(rate-0.3) > 0.01 {
 		t.Fatalf("Bernoulli(0.3) rate %.4f", rate)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(9)
-	var sum, sumSq float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %.4f, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance %.4f, want ~1", variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(10)
-	err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		s.src.Seed(seed)
-		p := s.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermUniform(t *testing.T) {
-	// All 6 permutations of 3 elements should appear with ~equal frequency.
-	s := New(13)
-	counts := map[[3]int]int{}
-	const draws = 60000
-	for i := 0; i < draws; i++ {
-		p := s.Perm(3)
-		counts[[3]int{p[0], p[1], p[2]}]++
-	}
-	if len(counts) != 6 {
-		t.Fatalf("saw %d distinct permutations, want 6", len(counts))
-	}
-	want := float64(draws) / 6
-	for p, c := range counts {
-		if math.Abs(float64(c)-want) > 0.06*want {
-			t.Errorf("perm %v: count %d, want %.0f +/- 6%%", p, c, want)
-		}
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	s := New(14)
-	orig := []int{5, 5, 1, 2, 9, 9, 9}
-	work := append([]int(nil), orig...)
-	s.ShuffleInts(work)
-	count := map[int]int{}
-	for _, v := range work {
-		count[v]++
-	}
-	if count[5] != 2 || count[1] != 1 || count[2] != 1 || count[9] != 3 {
-		t.Fatalf("shuffle changed multiset: %v", work)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(21)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split stream matched parent %d times", same)
 	}
 }

@@ -1,13 +1,10 @@
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Stream wraps a Source with the sampling helpers used throughout the
 // simulator. A Stream is not safe for concurrent use; derive one per
-// goroutine with NewStreams or Split.
+// goroutine or unit of work from its own seed (Derive, NewStreams).
 type Stream struct {
 	src Source
 }
@@ -33,12 +30,6 @@ func NewStreams(seed uint64, n int) []*Stream {
 		out[i] = New(splitMix64(&sm))
 	}
 	return out
-}
-
-// Split derives a new independent stream from this one. The child's seed is
-// drawn from the parent, so splitting is itself deterministic.
-func (s *Stream) Split() *Stream {
-	return New(s.Uint64())
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.
@@ -98,36 +89,4 @@ func (s *Stream) Bernoulli(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
-}
-
-// NormFloat64 returns a standard normal value using the Marsaglia polar
-// method. One of the pair of generated values is discarded to keep the
-// Stream stateless beyond its Source.
-func (s *Stream) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
-}
-
-// Perm returns a uniform random permutation of [0, n) as a slice.
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.ShuffleInts(p)
-	return p
-}
-
-// ShuffleInts permutes an int slice in place (Fisher–Yates).
-func (s *Stream) ShuffleInts(p []int) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
 }

@@ -11,7 +11,7 @@
 // and with Workers/Net duplicated across four config structs. The runner
 // collapses that N×M surface: a protocol config implements Spec, and the
 // axes that are orthogonal to the protocol — seed, worker budget, network
-// model, tracing — are options:
+// model, observer — are options:
 //
 //	rep, err := run.Run(cfg,
 //	    run.WithSeed(42),
@@ -27,14 +27,15 @@
 //
 //	rng.Derive(rootSeed, domain)
 //
-// so protocols sharing a root seed draw from disjoint stream families, and
-// feeding the legacy entrypoints a stream built with StreamFor reproduces a
-// Run bit for bit — the seed-compatibility golden tests pin exactly that.
+// so protocols sharing a root seed draw from disjoint stream families. A
+// spec's Execute is its only entrypoint: no protocol takes a stream from
+// its caller, and the seed-compatibility golden tests pin Run's output.
 //
 // # The worker budget
 //
 // WithWorkers(k) sizes a par.Budget of k tokens that the whole run draws
-// from: the protocol's dating rounds grab spare tokens per round (via
+// from, unless WithBudget shares one the caller already holds: the
+// protocol's dating rounds grab spare tokens per round (via
 // Arranger.ArrangeShared / Service.RunRoundShared) instead of pinning a
 // fixed inner worker count. Every budget-fed engine derives its randomness
 // per unit of work, so the worker count a round happens to get is a pure
@@ -94,8 +95,8 @@ const (
 func SeedFor(seed, domain uint64) uint64 { return rng.Derive(seed, domain) }
 
 // StreamFor returns the run stream a protocol with the given domain tag
-// derives from a root seed. Feeding this stream to a legacy *Stream-based
-// entrypoint reproduces Run(spec, WithSeed(seed)) bit for bit.
+// derives from a root seed: what a round-level spec's Execute hands its
+// protocol body.
 func StreamFor(seed, domain uint64) *rng.Stream { return rng.New(SeedFor(seed, domain)) }
 
 // Options carries the orthogonal axes of a run. Specs read it in Execute;
@@ -112,13 +113,6 @@ type Options struct {
 	// Net plugs a network model into message-level substrates; nil is the
 	// paper's perfect-sync network.
 	Net live.NetModel
-	// Trace receives the run's per-round progress, one call per protocol
-	// round in round order with the trajectory value of that round. Calls
-	// are a replay of the recorded trajectory after the protocol finishes
-	// (identical semantics for every protocol), not a live feed. For
-	// bucketed protocols (AsyncConfig) the round number is the 1-based
-	// calendar bucket index.
-	Trace func(round, progress int)
 	// Obs, when non-nil, receives the run's instrumentation: phase spans
 	// and per-round gauges from every runtime the protocol constructs.
 	// Observers are read-only — attaching one never changes any result —
@@ -140,14 +134,6 @@ func WithWorkers(k int) Option { return func(o *Options) { o.Workers = k } }
 // WithNet plugs a network model — latency, loss, churn — into the run.
 // Only message-level protocols (live spreading) consult it.
 func WithNet(m live.NetModel) Option { return func(o *Options) { o.Net = m } }
-
-// WithTrace registers a per-round observer: fn is called once per protocol
-// round, in round order, with the round number (1-based) and that round's
-// trajectory value. The calls replay the recorded trajectory after the run
-// completes — the same semantics for every protocol — so fn is for
-// rendering progress histories, not for watching a long run live (attach a
-// protocol-level hook such as RumorConfig.OnRound for that).
-func WithTrace(fn func(round, progress int)) Option { return func(o *Options) { o.Trace = fn } }
 
 // WithBudget shares an existing worker pool with the run instead of sizing
 // a fresh one from WithWorkers — this is how the experiment harness lets a
@@ -255,11 +241,6 @@ func Run(spec Spec, opts ...Option) (Report, error) {
 	}
 	if o.Obs != nil {
 		rep.Metrics = o.Obs.MetricsSince(mark)
-	}
-	if o.Trace != nil {
-		for i, v := range rep.Trajectory {
-			o.Trace(i+1, v)
-		}
 	}
 	return rep, nil
 }

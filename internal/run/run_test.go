@@ -2,8 +2,9 @@ package run
 
 import (
 	"errors"
-	"slices"
 	"testing"
+
+	"repro/internal/par"
 )
 
 // fakeSpec records the options Execute saw and returns a canned report.
@@ -39,8 +40,7 @@ func TestRunValidatesOptions(t *testing.T) {
 func TestRunStampsReport(t *testing.T) {
 	// Execute's own values for the stamped fields lose; the rest survives.
 	spec := &fakeSpec{rep: Report{Protocol: "x", Seed: 1, Workers: 9, Trajectory: []int{1, 3, 4}, Messages: 17}}
-	var traced []int
-	rep, err := Run(spec, WithSeed(42), WithWorkers(3), WithTrace(func(round, v int) { traced = append(traced, round, v) }))
+	rep, err := Run(spec, WithSeed(42), WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,17 @@ func TestRunStampsReport(t *testing.T) {
 	if rep.Rounds != 3 || rep.Messages != 17 {
 		t.Errorf("rounds %d messages %d, want 3 (the trajectory's length) and 17", rep.Rounds, rep.Messages)
 	}
-	if want := []int{1, 1, 2, 3, 3, 4}; !slices.Equal(traced, want) {
-		t.Errorf("trace replay %v, want %v", traced, want)
-	}
 	if spec.got.Budget == nil || spec.got.Budget.Total() != 3 {
 		t.Errorf("Execute saw budget %v, want one of 3 workers", spec.got.Budget)
 	}
 	if rep, err = Run(spec); err != nil || rep.Workers != 1 || rep.Seed != 0 {
 		t.Errorf("defaults: workers %d seed %d err %v, want 1, 0, nil", rep.Workers, rep.Seed, err)
+	}
+	shared, err := par.NewBudget(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(spec, WithBudget(shared)); err != nil || spec.got.Budget != shared {
+		t.Errorf("Execute saw budget %p (err %v), want the shared one %p", spec.got.Budget, err, shared)
 	}
 }

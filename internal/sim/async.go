@@ -8,7 +8,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
@@ -108,9 +107,6 @@ func compareRow(n int, profile, mode string, spec run.Spec, workers int, seed ui
 // (the async runtime's shard count); every table is bit-identical for any
 // value.
 func RunAsyncCompare(scale Scale, seed uint64, workers int, o *obs.Observer) (AsyncCompareResult, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	ns := []int{1_000, 10_000}
 	nHet := 2_000
 	if scale == ScalePaper {

@@ -35,22 +35,3 @@ func TestAsyncCompareQuick(t *testing.T) {
 		}
 	}
 }
-
-func TestAsyncCompareWorkersByteIdentical(t *testing.T) {
-	// The workers knob is the async runtime's shard count — a pure speed
-	// knob; the rendered table must be byte-identical across values.
-	if testing.Short() {
-		t.Skip("runs the comparison twice")
-	}
-	a, err := RunAsyncCompare(ScaleQuick, 7, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunAsyncCompare(ScaleQuick, 7, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Table().Render() != b.Table().Render() {
-		t.Fatal("workers knob changed the comparison table")
-	}
-}

@@ -12,7 +12,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
-	"repro/internal/run"
 	"repro/internal/stats"
 )
 
@@ -95,9 +93,6 @@ type consensusJob struct {
 // goroutines with per-job derived seeds, so the table is byte-identical for
 // every worker count.
 func RunConsensusSweep(scale Scale, seed uint64, workers int, o *obs.Observer) (ConsensusSweepResult, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	nBA, nComplete, maxRounds := 2_000, 1_000, 200
 	if scale == ScalePaper {
 		nBA, nComplete, maxRounds = 20_000, 2_000, 400
@@ -134,7 +129,7 @@ func RunConsensusSweep(scale Scale, seed uint64, workers int, o *obs.Observer) (
 	}
 
 	rows := make([]ConsensusRow, len(jobs))
-	err = forEach(len(jobs), workers, func(j int, _ *par.Budget) error {
+	err = forEach(len(jobs), workers, func(j int, b *par.Budget) error {
 		job := jobs[j]
 		cfg := gossip.ConsensusConfig{
 			Variants:  job.k,
@@ -146,7 +141,7 @@ func RunConsensusSweep(scale Scale, seed uint64, workers int, o *obs.Observer) (
 		if job.rule == gossip.RuleWeighted {
 			cfg.Profile = job.profile
 		}
-		rep, err := run.Run(cfg, run.WithSeed(rng.Derive(seed, domainConsensusJobs, uint64(j), 4)), run.WithObserver(o))
+		rep, err := runJob(cfg, rng.Derive(seed, domainConsensusJobs, uint64(j), 4), b, o)
 		if err != nil {
 			return fmt.Errorf("sim: consensus %s K=%d %v %v: %w", job.name, job.k, job.seeding, job.rule, err)
 		}

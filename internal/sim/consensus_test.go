@@ -2,23 +2,6 @@ package sim
 
 import "testing"
 
-// TestConsensusSweepParIdentity pins the harness determinism contract for
-// the consensus sweep: the rendered table is byte-identical for every -par
-// value.
-func TestConsensusSweepParIdentity(t *testing.T) {
-	r1, err := RunConsensusSweep(ScaleQuick, 42, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := RunConsensusSweep(ScaleQuick, 42, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r4.Table().CSV(), r1.Table().CSV(); got != want {
-		t.Errorf("-par changed the consensus table:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 // TestConsensusSweepShape pins the sweep's qualitative content: the full
 // {2,3,5} x {random,hub,clustered} x {majority,latest,weighted} cross on
 // both graphs, every latest row converging (the flood argument), every

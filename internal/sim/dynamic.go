@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -44,7 +45,7 @@ func (r DynamicResult) Table() *stats.Table {
 	return t
 }
 
-// RunDynamicDHTPar spreads one rumor while, at the start of every round,
+// RunDynamicDHT spreads one rumor while, at the start of every round,
 // each non-source node is replaced with probability p: its ring position is
 // resampled and it forgets the rumor (a new peer reusing the id). Each
 // repetition is one harness job seeded from (seed, churn-rate index,
@@ -52,35 +53,27 @@ func (r DynamicResult) Table() *stats.Table {
 // harness's shared worker budget, so once the sweep's tail leaves cores
 // idle the remaining repetitions parallelize their rounds — the Arranger
 // is worker-count independent, so the numbers cannot move.
-func RunDynamicDHTPar(scale Scale, seed uint64, workers int) (DynamicResult, error) {
+func RunDynamicDHT(scale Scale, seed uint64, workers int, _ *obs.Observer) (DynamicResult, error) {
 	n, reps, rounds := 512, 8, 120
 	if scale == ScalePaper {
 		n, reps, rounds = 4096, 50, 200
 	}
 	probs := []float64{0, 0.005, 0.02}
-	outs := make([]churnOutcome, len(probs)*reps)
-	err := forEach(len(outs), workers, func(j int, b *par.Budget) error {
-		pi, rep := j/reps, j%reps
-		s := rng.New(rng.Derive(seed, domainDynamic, uint64(pi), uint64(rep)))
-		out, err := spreadOverChurningRing(n, probs[pi], rounds, b, s)
-		if err != nil {
-			return err
+	outs, err := sweep(len(probs), reps, workers, seed, domainDynamic, func(c, _ int, jobSeed uint64, b *par.Budget) (churnOutcome, error) {
+		out, err := spreadOverChurningRing(n, probs[c], rounds, jobSeed, b)
+		if err == nil && out.roundsTo95 == 0 {
+			err = fmt.Errorf("sim: coverage never reached 95%% at p=%v", probs[c])
 		}
-		if out.roundsTo95 == 0 {
-			return fmt.Errorf("sim: coverage never reached 95%% at p=%v", probs[pi])
-		}
-		outs[j] = out
-		return nil
+		return out, err
 	})
 	if err != nil {
 		return DynamicResult{}, err
 	}
 
 	res := DynamicResult{N: n, Rounds: rounds}
-	for pi, p := range probs {
+	for c, p := range probs {
 		var to95, steady, replaced stats.Accumulator
-		for rep := 0; rep < reps; rep++ {
-			out := outs[pi*reps+rep]
+		for _, out := range outs[c*reps : (c+1)*reps] {
 			to95.Add(float64(out.roundsTo95))
 			steady.Add(out.steadyCoverage)
 			replaced.Add(float64(out.replaced))
@@ -101,12 +94,13 @@ type churnOutcome struct {
 }
 
 // spreadOverChurningRing runs one spreading instance for a fixed number of
-// rounds under sustained churn. Each dating round's Arrange draws workers
-// from the shared budget (nil = serial); since the Arranger is worker-count
-// independent and each round's seed is a single draw from s, the outcome
-// depends only on s.
-func spreadOverChurningRing(n int, replaceProb float64, rounds int, b *par.Budget, s *rng.Stream) (churnOutcome, error) {
+// rounds under sustained churn. The ring, the churn and each round's seed
+// are drawn from one stream seeded with seed; each dating round's Arrange
+// draws workers from the shared budget (nil = serial). Since the Arranger
+// is worker-count independent, the outcome depends only on seed.
+func spreadOverChurningRing(n int, replaceProb float64, rounds int, seed uint64, b *par.Budget) (churnOutcome, error) {
 	var out churnOutcome
+	s := rng.New(seed)
 	ring, err := overlay.NewDynamicRing(n, s)
 	if err != nil {
 		return out, err

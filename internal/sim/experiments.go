@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/live"
+	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -40,29 +41,31 @@ func (r AlphaResult) Table() *stats.Table {
 }
 
 // RunAlphaVsLoad measures the arranged fraction as bandwidth per node grows,
-// validating the paper's remark that E[X]/m increases with m/n.
-func RunAlphaVsLoad(scale Scale, seed uint64) (AlphaResult, error) {
+// validating the paper's remark that E[X]/m increases with m/n. Each load
+// is one harness job of seeded rounds.
+func RunAlphaVsLoad(scale Scale, seed uint64, workers int, _ *obs.Observer) (AlphaResult, error) {
 	n, rounds := 1000, 300
 	if scale == ScalePaper {
 		rounds = 3000
 	}
-	root := rng.New(seed)
-	var res AlphaResult
-	for _, b := range []int{1, 2, 4, 8} {
+	loads := []int{1, 2, 4, 8}
+	accs, err := sweep(len(loads), 1, workers, seed, domainAlpha, func(c, _ int, jobSeed uint64, b *par.Budget) (stats.Accumulator, error) {
 		sel, err := core.NewUniformSelector(n)
 		if err != nil {
-			return AlphaResult{}, err
+			return stats.Accumulator{}, err
 		}
-		svc, err := core.NewService(bandwidth.Homogeneous(n, b), sel)
+		svc, err := core.NewService(bandwidth.Homogeneous(n, loads[c]), sel)
 		if err != nil {
-			return AlphaResult{}, err
+			return stats.Accumulator{}, err
 		}
-		s := root.Split()
-		var acc stats.Accumulator
-		for r := 0; r < rounds; r++ {
-			acc.Add(svc.RunRound(s).Fraction(svc.M()))
-		}
-		res.Rows = append(res.Rows, AlphaRow{Load: b, Fraction: acc.Mean(), Std: acc.Std()})
+		return fractions(svc, rounds, svc.M(), jobSeed, b)
+	})
+	if err != nil {
+		return AlphaResult{}, err
+	}
+	var res AlphaResult
+	for c, acc := range accs {
+		res.Rows = append(res.Rows, AlphaRow{Load: loads[c], Fraction: acc.Mean(), Std: acc.Std()})
 	}
 	return res, nil
 }
@@ -92,12 +95,13 @@ func (r DistResult) Table() *stats.Table {
 // RunDistributionAblation compares the arranged fraction across selection
 // distributions, testing the paper's conjecture that uniform is the worst
 // case: every skewed distribution should arrange at least as many dates.
-func RunDistributionAblation(scale Scale, seed uint64) (DistResult, error) {
+// Each distribution is one harness job of seeded rounds; the jobs share the
+// read-only selectors.
+func RunDistributionAblation(scale Scale, seed uint64, workers int, _ *obs.Observer) (DistResult, error) {
 	n, rounds := 1000, 200
 	if scale == ScalePaper {
 		rounds = 2000
 	}
-	root := rng.New(seed)
 
 	type namedSel struct {
 		name string
@@ -111,7 +115,7 @@ func RunDistributionAblation(scale Scale, seed uint64) (DistResult, error) {
 	}
 	sels = append(sels, namedSel{"uniform", uni})
 
-	ring, err := overlay.NewRing(n, root.Split())
+	ring, err := overlay.NewRing(n, rng.New(rng.Derive(seed, domainAblation)))
 	if err != nil {
 		return DistResult{}, err
 	}
@@ -146,18 +150,19 @@ func RunDistributionAblation(scale Scale, seed uint64) (DistResult, error) {
 	sels = append(sels, namedSel{"hub-half", hub})
 
 	profile := bandwidth.Homogeneous(n, 1)
-	var res DistResult
-	for _, ns := range sels {
-		svc, err := core.NewService(profile, ns.sel)
+	accs, err := sweep(len(sels), 1, workers, seed, domainAblation, func(c, _ int, jobSeed uint64, b *par.Budget) (stats.Accumulator, error) {
+		svc, err := core.NewService(profile, sels[c].sel)
 		if err != nil {
-			return DistResult{}, err
+			return stats.Accumulator{}, err
 		}
-		s := root.Split()
-		var acc stats.Accumulator
-		for r := 0; r < rounds; r++ {
-			acc.Add(svc.RunRound(s).Fraction(n))
-		}
-		res.Rows = append(res.Rows, DistRow{Name: ns.name, Fraction: acc.Mean(), Std: acc.Std()})
+		return fractions(svc, rounds, n, jobSeed, b)
+	})
+	if err != nil {
+		return DistResult{}, err
+	}
+	var res DistResult
+	for c, acc := range accs {
+		res.Rows = append(res.Rows, DistRow{Name: sels[c].name, Fraction: acc.Mean(), Std: acc.Std()})
 	}
 	return res, nil
 }
@@ -185,38 +190,38 @@ func (r PhasesResult) Table() *stats.Table {
 
 // RunPhases tracks I_t (total outgoing bandwidth of informed nodes) over
 // dating-service spreading runs and locates the phase boundaries from the
-// proof of Theorem 4.
-func RunPhases(scale Scale, seed uint64) (PhasesResult, error) {
+// proof of Theorem 4. Each repetition is one harness job.
+func RunPhases(scale Scale, seed uint64, workers int, o *obs.Observer) (PhasesResult, error) {
 	n, reps := 4096, 10
 	if scale == ScalePaper {
 		reps = 100
 	}
-	root := rng.New(seed)
-	var p1, p2, p3 stats.Accumulator
-	var sample []int
-	for rep := 0; rep < reps; rep++ {
-		s := root.Split()
-		r, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n, Source: 0}, s, nil, nil)
+	its, err := sweep(1, reps, workers, seed, domainPhases, func(_, _ int, jobSeed uint64, b *par.Budget) ([]int, error) {
+		rep, err := runJob(gossip.Config{Algorithm: gossip.Dating, N: n, Source: 0}, jobSeed, b, o)
 		if err != nil {
-			return PhasesResult{}, err
+			return nil, err
 		}
-		if !r.Completed {
-			return PhasesResult{}, fmt.Errorf("sim: phases run incomplete")
+		if !rep.Completed {
+			return nil, fmt.Errorf("sim: phases run incomplete")
 		}
-		e1, e2, e3 := gossip.PhaseBoundaries(r.ItHistory, n, n)
+		return rep.Detail.(gossip.Result).ItHistory, nil
+	})
+	if err != nil {
+		return PhasesResult{}, err
+	}
+	var p1, p2, p3 stats.Accumulator
+	for _, it := range its {
+		e1, e2, e3 := gossip.PhaseBoundaries(it, n, n)
 		p1.Add(float64(e1))
 		p2.Add(float64(e2))
 		p3.Add(float64(e3))
-		if rep == 0 {
-			sample = r.ItHistory
-		}
 	}
 	return PhasesResult{
 		N:         n,
 		EndPhase1: p1.Mean(),
 		EndPhase2: p2.Mean(),
 		EndPhase3: p3.Mean(),
-		ItSample:  sample,
+		ItSample:  its[0],
 	}, nil
 }
 
@@ -244,27 +249,30 @@ func (r HierResult) Table() *stats.Table {
 
 // RunHierarchical runs the Theorem 10 experiment: a bimodal network where
 // 10% of nodes have bandwidth 16, spreading from a rich source; rich nodes
-// must be fully informed well before the weak tail.
-func RunHierarchical(scale Scale, seed uint64) (HierResult, error) {
+// must be fully informed well before the weak tail. Each (n, repetition)
+// is one harness job.
+func RunHierarchical(scale Scale, seed uint64, workers int, o *obs.Observer) (HierResult, error) {
 	ns := []int{512, 2048}
 	reps := 8
 	if scale == ScalePaper {
 		ns = []int{512, 2048, 8192}
 		reps = 100
 	}
-	root := rng.New(seed)
+	outs, err := sweep(len(ns), reps, workers, seed, domainHierarchical, func(c, _ int, jobSeed uint64, b *par.Budget) (gossip.HierarchicalResult, error) {
+		n := ns[c]
+		hr, err := gossip.RunHierarchical(n, n/10, 16, jobSeed, run.WithBudget(b), run.WithObserver(o))
+		if err == nil && !hr.Completed {
+			err = fmt.Errorf("sim: hierarchical run incomplete at n=%d", n)
+		}
+		return hr, err
+	})
+	if err != nil {
+		return HierResult{}, err
+	}
 	var res HierResult
-	for _, n := range ns {
+	for c, n := range ns {
 		var rich, total stats.Accumulator
-		for rep := 0; rep < reps; rep++ {
-			s := root.Split()
-			hr, err := gossip.RunHierarchical(n, n/10, 16, s)
-			if err != nil {
-				return HierResult{}, err
-			}
-			if !hr.Completed {
-				return HierResult{}, fmt.Errorf("sim: hierarchical run incomplete at n=%d", n)
-			}
+		for _, hr := range outs[c*reps : (c+1)*reps] {
 			rich.Add(float64(hr.RichRounds))
 			total.Add(float64(hr.TotalRounds))
 		}
@@ -313,18 +321,18 @@ func (r PipelineResult) Table() *stats.Table {
 // FixedLatency{L}. The handshake pipelines by construction — a peer
 // scatters each round without waiting for the last one's answers — so the
 // measured ticks grow by 3 per round, not by the naive 3L, and the rounds
-// keep sync's date rate.
-func RunPipelining(scale Scale, seed uint64) (PipelineResult, error) {
+// keep sync's date rate. Each k is one harness job running both networks
+// from the job's seed.
+func RunPipelining(scale Scale, seed uint64, workers int, o *obs.Observer) (PipelineResult, error) {
 	n, samples := 1024, 400
 	if scale == ScalePaper {
 		n, samples = 16384, 2000
 	}
-	root := rng.New(seed)
-	ring, err := overlay.NewRing(n, root.Split())
+	ring, err := overlay.NewRing(n, rng.New(rng.Derive(seed, domainPipelining)))
 	if err != nil {
 		return PipelineResult{}, err
 	}
-	s := root.Split()
+	s := rng.New(rng.Derive(seed, domainPipelining, 0))
 	chord := ring.AvgLookupHops(s, samples, ring.Lookup)
 	cd := ring.AvgLookupHops(s, samples, ring.LookupCD)
 	latency := int(math.Ceil(chord))
@@ -334,27 +342,28 @@ func RunPipelining(scale Scale, seed uint64) (PipelineResult, error) {
 	}
 	// handshake runs k dating rounds and returns the network ticks and the
 	// dates per dating round.
-	handshake := func(k int, net live.NetModel) (int64, float64, error) {
+	handshake := func(k int, net live.NetModel, jobSeed uint64, b *par.Budget) (int64, float64, error) {
 		rep, err := run.Run(gossip.HandshakeConfig{Profile: bandwidth.Homogeneous(n, 1), Selector: sel, Rounds: k},
-			run.WithSeed(seed), run.WithNet(net))
+			run.WithSeed(jobSeed), run.WithNet(net), run.WithBudget(b), run.WithObserver(o))
 		if err != nil {
 			return 0, 0, err
 		}
 		return rep.Detail.(gossip.LiveResult).Traffic.Rounds, float64(rep.Trajectory[k-1]) / float64(k), nil
 	}
-	res := PipelineResult{N: n, ChordHops: chord, CDHops: cd, LatencySteps: latency}
-	for _, k := range []int{1, 2, 4, 8, 16, 32, 64} {
-		_, syncDates, err := handshake(k, nil)
+	ks := []int{1, 2, 4, 8, 16, 32, 64}
+	rows, err := sweep(len(ks), 1, workers, seed, domainPipelining, func(c, _ int, jobSeed uint64, b *par.Budget) (PipelineRow, error) {
+		k := ks[c]
+		_, syncDates, err := handshake(k, nil, jobSeed, b)
 		if err != nil {
-			return PipelineResult{}, err
+			return PipelineRow{}, err
 		}
-		ticks, dates, err := handshake(k, live.FixedLatency{Rounds: latency})
-		if err != nil {
-			return PipelineResult{}, err
-		}
-		res.Rows = append(res.Rows, PipelineRow{K: k, Naive: 3*k*latency + 1, Ticks: ticks, SyncDates: syncDates, Dates: dates})
+		ticks, dates, err := handshake(k, live.FixedLatency{Rounds: latency}, jobSeed, b)
+		return PipelineRow{K: k, Naive: 3*k*latency + 1, Ticks: ticks, SyncDates: syncDates, Dates: dates}, err
+	})
+	if err != nil {
+		return PipelineResult{}, err
 	}
-	return res, nil
+	return PipelineResult{N: n, ChordHops: chord, CDHops: cd, LatencySteps: latency, Rows: rows}, nil
 }
 
 // --- E8: rumor mongering with network coding (Section 5) -----------------
@@ -382,30 +391,37 @@ func (r MongerResult) Table() *stats.Table {
 }
 
 // RunMongering broadcasts a B-block message via RLNC over the dating
-// service and reports rounds against the B-round lower bound.
-func RunMongering(scale Scale, seed uint64) (MongerResult, error) {
+// service and reports rounds against the B-round lower bound. Each
+// (block count, repetition) is one harness job; its seed is also the
+// payload's.
+func RunMongering(scale Scale, seed uint64, workers int, o *obs.Observer) (MongerResult, error) {
 	n, reps := 100, 5
 	if scale == ScalePaper {
 		n, reps = 500, 30
 	}
-	root := rng.New(seed)
+	blockCounts := []int{8, 32}
+	type outcome struct{ rounds, eff float64 }
+	outs, err := sweep(len(blockCounts), reps, workers, seed, domainMongering, func(c, _ int, jobSeed uint64, b *par.Budget) (outcome, error) {
+		blocks := blockCounts[c]
+		rep, err := runJob(coding.MongerConfig{N: n, Blocks: blocks, BlockSize: 64, PayloadSeed: jobSeed}, jobSeed, b, o)
+		if err != nil {
+			return outcome{}, err
+		}
+		if !rep.Completed {
+			return outcome{}, fmt.Errorf("sim: mongering incomplete (B=%d)", blocks)
+		}
+		mr := rep.Detail.(coding.MongerResult)
+		return outcome{float64(mr.Rounds), float64(mr.Innovative) / float64(run.SumSent(mr.SentHistory))}, nil
+	})
+	if err != nil {
+		return MongerResult{}, err
+	}
 	var res MongerResult
-	for _, blocks := range []int{8, 32} {
-		var rounds stats.Accumulator
-		var eff stats.Accumulator
-		for rep := 0; rep < reps; rep++ {
-			s := root.Split()
-			mr, err := coding.RunMonger(coding.MongerConfig{
-				N: n, Blocks: blocks, BlockSize: 64, PayloadSeed: root.Uint64(),
-			}, s, nil)
-			if err != nil {
-				return MongerResult{}, err
-			}
-			if !mr.Completed {
-				return MongerResult{}, fmt.Errorf("sim: mongering incomplete (B=%d)", blocks)
-			}
-			rounds.Add(float64(mr.Rounds))
-			eff.Add(float64(mr.Innovative) / float64(run.SumSent(mr.SentHistory)))
+	for c, blocks := range blockCounts {
+		var rounds, eff stats.Accumulator
+		for _, out := range outs[c*reps : (c+1)*reps] {
+			rounds.Add(out.rounds)
+			eff.Add(out.eff)
 		}
 		res.Rows = append(res.Rows, MongerRow{
 			Blocks:     blocks,
@@ -444,28 +460,29 @@ func (r ChurnResult) Table() *stats.Table {
 
 // RunChurn verifies that the spreading protocol tolerates node crashes —
 // the robustness motivation the paper gives for keeping the protocol
-// oblivious.
-func RunChurn(scale Scale, seed uint64) (ChurnResult, error) {
+// oblivious. Each (crash probability, repetition) is one harness job.
+func RunChurn(scale Scale, seed uint64, workers int, o *obs.Observer) (ChurnResult, error) {
 	n, reps := 1000, 10
 	if scale == ScalePaper {
 		reps = 200
 	}
-	root := rng.New(seed)
+	probs := []float64{0, 0.01, 0.05}
+	outs, err := sweep(len(probs), reps, workers, seed, domainChurn, func(c, _ int, jobSeed uint64, b *par.Budget) (run.Report, error) {
+		return runJob(gossip.Config{Algorithm: gossip.Dating, N: n, Source: 0, CrashProb: probs[c]}, jobSeed, b, o)
+	})
+	if err != nil {
+		return ChurnResult{}, err
+	}
 	var res ChurnResult
-	for _, p := range []float64{0, 0.01, 0.05} {
+	for c, p := range probs {
 		var rounds, crashed stats.Accumulator
 		completed := 0
-		for rep := 0; rep < reps; rep++ {
-			s := root.Split()
-			r, err := gossip.Run(gossip.Config{Algorithm: gossip.Dating, N: n, Source: 0, CrashProb: p}, s, nil, nil)
-			if err != nil {
-				return ChurnResult{}, err
-			}
-			if r.Completed {
+		for _, rep := range outs[c*reps : (c+1)*reps] {
+			if rep.Completed {
 				completed++
 			}
-			rounds.Add(float64(r.Rounds))
-			crashed.Add(float64(r.Crashed))
+			rounds.Add(float64(rep.Rounds))
+			crashed.Add(float64(rep.Detail.(gossip.Result).Crashed))
 		}
 		res.Rows = append(res.Rows, ChurnRow{
 			CrashProb: p, Rounds: rounds.Mean(), Crashed: crashed.Mean(),
@@ -497,30 +514,27 @@ func (r StorageResult) Table() *stats.Table {
 	return t
 }
 
-// RunStoragePar replicates every node's objects over the dating service and
+// RunStorage replicates every node's objects over the dating service and
 // reports convergence time and final load balance. Each repetition is one
-// harness job seeded from (seed, repetition); inside a job, every round's
-// Arrange draws spare tokens from the harness's shared worker budget (the
-// Arranger is worker-count independent, so the numbers cannot move).
-func RunStoragePar(scale Scale, seed uint64, workers int) (StorageResult, error) {
+// harness job; inside a job, every round's Arrange draws spare tokens from
+// the harness's shared worker budget (the Arranger is worker-count
+// independent, so the numbers cannot move).
+func RunStorage(scale Scale, seed uint64, workers int, o *obs.Observer) (StorageResult, error) {
 	n, reps := 100, 10
 	if scale == ScalePaper {
 		n, reps = 1000, 50
 	}
-	results := make([]storage.Result, reps)
-	err := forEach(reps, workers, func(rep int, b *par.Budget) error {
-		s := rng.New(rng.Derive(seed, domainStorage, uint64(rep)))
-		r, err := storage.Run(storage.Config{
+	results, err := sweep(1, reps, workers, seed, domainStorage, func(_, _ int, jobSeed uint64, b *par.Budget) (storage.Result, error) {
+		rep, err := runJob(storage.Config{
 			N: n, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 12, RoundCap: 2,
-		}, s, b)
+		}, jobSeed, b, o)
 		if err != nil {
-			return err
+			return storage.Result{}, err
 		}
-		if !r.Completed {
-			return fmt.Errorf("sim: storage run incomplete")
+		if !rep.Completed {
+			return storage.Result{}, fmt.Errorf("sim: storage run incomplete")
 		}
-		results[rep] = r
-		return nil
+		return rep.Detail.(storage.Result), nil
 	})
 	if err != nil {
 		return StorageResult{}, err

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/overlay"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -47,17 +48,17 @@ func (r Figure1Result) Table() *stats.Table {
 	return t
 }
 
-// RunFigure1Par reproduces Figure 1: n nodes generate n requests of each
+// RunFigure1 reproduces Figure 1: n nodes generate n requests of each
 // type (unit bandwidths); the uniform rows average over many rounds, and
 // the DHT rows generate a population of overlays and report the worst and
 // best per-overlay averages, the paper's methodology ("we took only one DHT
 // out of 200 generated — the one that showed the worst average").
 //
 // Each (n, overlay) cell — and each uniform row — is one harness job with
-// its own Service and a stream derived from (seed, n index, overlay index),
-// fanned across workers goroutines. The result is byte-identical for every
-// worker count.
-func RunFigure1Par(scale Scale, seed uint64, workers int) (Figure1Result, error) {
+// its own Service, running seeded rounds from a seed derived from (seed,
+// n index, overlay index), fanned across workers goroutines. The result is
+// byte-identical for every worker count.
+func RunFigure1(scale Scale, seed uint64, workers int, _ *obs.Observer) (Figure1Result, error) {
 	ns, roundsFor, dhtCount := figure1Sizes(scale)
 	perN := dhtCount + 1 // slot 0 of each n is the uniform row, then one slot per overlay
 	perDHTFor := func(n int) int {
@@ -86,11 +87,10 @@ func RunFigure1Par(scale Scale, seed uint64, workers int) (Figure1Result, error)
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].cost > jobs[j].cost })
 
 	accs := make([]stats.Accumulator, len(ns)*perN)
-	err := forEach(len(jobs), workers, func(j int, _ *par.Budget) error {
+	err := forEach(len(jobs), workers, func(j int, b *par.Budget) error {
 		ni, k := jobs[j].ni, jobs[j].k
 		slot := ni*perN + k
 		n := ns[ni]
-		rounds := roundsFor(n)
 		profile := bandwidth.Homogeneous(n, 1)
 
 		if k == 0 {
@@ -103,18 +103,12 @@ func RunFigure1Par(scale Scale, seed uint64, workers int) (Figure1Result, error)
 			if err != nil {
 				return err
 			}
-			s := rng.New(rng.Derive(seed, domainFigure1Uniform, uint64(ni)))
-			var uni stats.Accumulator
-			for r := 0; r < rounds; r++ {
-				uni.Add(svc.RunRound(s).Fraction(n))
-			}
-			accs[slot] = uni
-			return nil
+			accs[slot], err = fractions(svc, roundsFor(n), n, rng.Derive(seed, domainFigure1Uniform, uint64(ni)), b)
+			return err
 		}
 
 		// DHT-interval selection, one overlay of the population. Per-overlay
 		// round budgets shrink so total work stays proportional.
-		perDHT := perDHTFor(n)
 		d := uint64(k - 1)
 		ring, err := overlay.NewRing(n, rng.New(rng.Derive(seed, domainFigure1Ring, uint64(ni), d)))
 		if err != nil {
@@ -128,13 +122,8 @@ func RunFigure1Par(scale Scale, seed uint64, workers int) (Figure1Result, error)
 		if err != nil {
 			return err
 		}
-		ds := rng.New(rng.Derive(seed, domainFigure1Rounds, uint64(ni), d))
-		var acc stats.Accumulator
-		for r := 0; r < perDHT; r++ {
-			acc.Add(dsvc.RunRound(ds).Fraction(n))
-		}
-		accs[slot] = acc
-		return nil
+		accs[slot], err = fractions(dsvc, perDHTFor(n), n, rng.Derive(seed, domainFigure1Rounds, uint64(ni), d), b)
+		return err
 	})
 	if err != nil {
 		return Figure1Result{}, err

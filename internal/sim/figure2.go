@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/gossip"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -46,15 +47,15 @@ func (r Figure2Result) Table() *stats.Table {
 	return t
 }
 
-// RunFigure2Par reproduces Figure 2: for each network size, run every
+// RunFigure2 reproduces Figure 2: for each network size, run every
 // algorithm repeatedly from a fresh source and report mean and standard
 // deviation of the number of rounds until all nodes are informed.
 //
-// Every single repetition is one harness job — one spreading run with its
-// own Service, seeded from (seed, n index, algorithm index, repetition
-// index) — so the sweep saturates workers goroutines even for a single
+// Every single repetition is one harness job — one spreading run through
+// run.Run, seeded from (seed, n index, algorithm index, repetition index) —
+// so the sweep saturates workers goroutines even for a single
 // (n, algorithm) cell. The result is byte-identical for every worker count.
-func RunFigure2Par(scale Scale, seed uint64, workers int) (Figure2Result, error) {
+func RunFigure2(scale Scale, seed uint64, workers int, o *obs.Observer) (Figure2Result, error) {
 	ns, repsFor := figure2Sizes(scale)
 	algos := gossip.Algorithms()
 	type coord struct{ ni, ai, rep, slot int }
@@ -76,11 +77,11 @@ func RunFigure2Par(scale Scale, seed uint64, workers int) (Figure2Result, error)
 	// order, so the table is unaffected by the schedule.
 	sort.SliceStable(coords, func(i, j int) bool { return ns[coords[i].ni] > ns[coords[j].ni] })
 	rounds := make([]float64, len(coords))
-	err := forEach(len(coords), workers, func(j int, _ *par.Budget) error {
+	err := forEach(len(coords), workers, func(j int, b *par.Budget) error {
 		c := coords[j]
 		n := ns[c.ni]
-		s := rng.New(rng.Derive(seed, domainFigure2, uint64(c.ni), uint64(c.ai), uint64(c.rep)))
-		r, err := gossip.Run(gossip.Config{Algorithm: algos[c.ai], N: n, Source: 0}, s, nil, nil)
+		r, err := runJob(gossip.Config{Algorithm: algos[c.ai], N: n, Source: 0},
+			rng.Derive(seed, domainFigure2, uint64(c.ni), uint64(c.ai), uint64(c.rep)), b, o)
 		if err != nil {
 			return err
 		}

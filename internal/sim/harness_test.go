@@ -37,7 +37,7 @@ func TestFigure1WorkersByteIdentical(t *testing.T) {
 	// scale-independent — job seeds are derived from (seed, n, overlay)
 	// with no reference to the worker count — so verifying it at quick
 	// scale locks the mechanism for the paper scale too.
-	base, err := RunFigure1Par(ScaleQuick, 42, 1)
+	base, err := RunFigure1(ScaleQuick, 42, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFigure1WorkersByteIdentical(t *testing.T) {
 		t.Errorf("figure 1 golden drifted: got %#x, pinned %#x\n%s", h, uint64(goldenFigure1Quick), rendered)
 	}
 	for _, workers := range []int{2, 8} {
-		res, err := RunFigure1Par(ScaleQuick, 42, workers)
+		res, err := RunFigure1(ScaleQuick, 42, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestFigure2WorkersByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs figure 2 at three worker counts")
 	}
-	base, err := RunFigure2Par(ScaleQuick, 42, 1)
+	base, err := RunFigure2(ScaleQuick, 42, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFigure2WorkersByteIdentical(t *testing.T) {
 		t.Errorf("figure 2 golden drifted: got %#x, pinned %#x\n%s", h, uint64(goldenFigure2Quick), rendered)
 	}
 	for _, workers := range []int{2, 8} {
-		res, err := RunFigure2Par(ScaleQuick, 42, workers)
+		res, err := RunFigure2(ScaleQuick, 42, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,61 +82,6 @@ func TestFigure2WorkersByteIdentical(t *testing.T) {
 		if out := res.Table().Render(); out != rendered {
 			t.Fatalf("workers=%d: rendered table differs from serial", workers)
 		}
-	}
-}
-
-func TestSweepsWorkersByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs four sweeps at two worker counts")
-	}
-	// The remaining repetition-parallel sweeps: serial and workers=4 must
-	// agree exactly, through the registry's table rendering.
-	for _, tc := range []struct {
-		name string
-		run  func(Scale, uint64, int) (string, error)
-	}{
-		{"multirumor", func(sc Scale, seed uint64, w int) (string, error) {
-			r, err := RunMultiRumorExperimentPar(sc, seed, w)
-			if err != nil {
-				return "", err
-			}
-			return r.Table().Render(), nil
-		}},
-		{"loads", func(sc Scale, seed uint64, w int) (string, error) {
-			r, err := RunLoadViolationPar(sc, seed, w)
-			if err != nil {
-				return "", err
-			}
-			return r.Table().Render(), nil
-		}},
-		{"dynamicdht", func(sc Scale, seed uint64, w int) (string, error) {
-			r, err := RunDynamicDHTPar(sc, seed, w)
-			if err != nil {
-				return "", err
-			}
-			return r.Table().Render(), nil
-		}},
-		{"storage", func(sc Scale, seed uint64, w int) (string, error) {
-			r, err := RunStoragePar(sc, seed, w)
-			if err != nil {
-				return "", err
-			}
-			return r.Table().Render(), nil
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			serial, err := tc.run(ScaleQuick, 9, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := tc.run(ScaleQuick, 9, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial != par {
-				t.Fatalf("workers=4 table differs from serial:\n%s\nvs\n%s", par, serial)
-			}
-		})
 	}
 }
 
@@ -156,7 +101,7 @@ func TestHarnessOverlappingRuns(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = RunMultiRumorExperimentPar(ScaleQuick, 5, 4)
+			results[g], errs[g] = RunMultiRumorExperiment(ScaleQuick, 5, 4, nil)
 		}(g)
 	}
 	wg.Wait()

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
@@ -110,9 +109,6 @@ func RunLiveScaled(scale Scale, seed uint64, workers int, o *obs.Observer) (Live
 // runLiveRow executes one full message-level spreading run through the
 // unified runner and derives the row from its Report.
 func runLiveRow(n int, model string, net live.NetModel, shards int, seed uint64, o *obs.Observer) (LiveRow, error) {
-	if shards < 1 {
-		shards = runtime.GOMAXPROCS(0)
-	}
 	rep, err := run.Run(gossip.LiveConfig{Profile: bandwidth.Homogeneous(n, 1)},
 		run.WithSeed(seed), run.WithWorkers(shards), run.WithNet(net), run.WithObserver(o))
 	if err != nil {

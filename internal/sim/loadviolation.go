@@ -4,8 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/gossip"
+	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/rng"
+	"repro/internal/run"
 	"repro/internal/stats"
 )
 
@@ -39,43 +40,34 @@ func (r LoadResult) Table() *stats.Table {
 	return t
 }
 
-// RunLoadViolationPar measures the bandwidth honesty of every algorithm:
-// the dating service must stay at 1/1; the unfair baselines overdrive nodes
-// by Theta(log n / log log n) (balls-into-bins maxima). Each repetition is
-// one harness job seeded from (seed, algorithm index, repetition).
-func RunLoadViolationPar(scale Scale, seed uint64, workers int) (LoadResult, error) {
+// RunLoadViolation measures the bandwidth honesty of every algorithm: the
+// dating service must stay at 1/1; the unfair baselines overdrive nodes by
+// Theta(log n / log log n) (balls-into-bins maxima). Each repetition is one
+// harness job seeded from (seed, algorithm index, repetition).
+func RunLoadViolation(scale Scale, seed uint64, workers int, o *obs.Observer) (LoadResult, error) {
 	n, reps := 2048, 10
 	if scale == ScalePaper {
 		n, reps = 16384, 100
 	}
 	algos := gossip.Algorithms()
-	type outcome struct{ in, out, rounds float64 }
-	outs := make([]outcome, len(algos)*reps)
-	err := forEach(len(outs), workers, func(j int, _ *par.Budget) error {
-		ai, rep := j/reps, j%reps
-		s := rng.New(rng.Derive(seed, domainLoads, uint64(ai), uint64(rep)))
-		r, err := gossip.Run(gossip.Config{Algorithm: algos[ai], N: n, Source: 0}, s, nil, nil)
-		if err != nil {
-			return err
+	outs, err := sweep(len(algos), reps, workers, seed, domainLoads, func(c, _ int, jobSeed uint64, b *par.Budget) (run.Report, error) {
+		rep, err := runJob(gossip.Config{Algorithm: algos[c], N: n, Source: 0}, jobSeed, b, o)
+		if err == nil && !rep.Completed {
+			err = fmt.Errorf("sim: %v incomplete in load experiment", algos[c])
 		}
-		if !r.Completed {
-			return fmt.Errorf("sim: %v incomplete in load experiment", algos[ai])
-		}
-		outs[j] = outcome{in: float64(r.MaxInLoad), out: float64(r.MaxOutLoad), rounds: float64(r.Rounds)}
-		return nil
+		return rep, err
 	})
 	if err != nil {
 		return LoadResult{}, err
 	}
 
 	res := LoadResult{N: n}
-	for ai, a := range algos {
+	for c, a := range algos {
 		var inL, outL, rounds stats.Accumulator
-		for rep := 0; rep < reps; rep++ {
-			o := outs[ai*reps+rep]
-			inL.Add(o.in)
-			outL.Add(o.out)
-			rounds.Add(o.rounds)
+		for _, rep := range outs[c*reps : (c+1)*reps] {
+			inL.Add(float64(rep.MaxInLoad))
+			outL.Add(float64(rep.MaxOutLoad))
+			rounds.Add(float64(rep.Rounds))
 		}
 		res.Rows = append(res.Rows, LoadRow{
 			Algorithm:  a,

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/gossip"
+	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -39,54 +39,49 @@ func (r MultiRumorSimResult) Table() *stats.Table {
 	return t
 }
 
-// RunMultiRumorExperimentPar injects R rumors two rounds apart on distinct
+// RunMultiRumorExperiment injects R rumors two rounds apart on distinct
 // sources and measures completion, for R in {1, 2, 4, 8}. Each repetition
 // is one harness job seeded from (seed, rumor-count index, repetition).
-func RunMultiRumorExperimentPar(scale Scale, seed uint64, workers int) (MultiRumorSimResult, error) {
+func RunMultiRumorExperiment(scale Scale, seed uint64, workers int, o *obs.Observer) (MultiRumorSimResult, error) {
 	n, reps := 512, 8
 	if scale == ScalePaper {
 		n, reps = 4096, 50
 	}
 	rumorCounts := []int{1, 2, 4, 8}
 	type outcome struct{ rounds, perRumor float64 }
-	outs := make([]outcome, len(rumorCounts)*reps)
-	err := forEach(len(outs), workers, func(j int, _ *par.Budget) error {
-		ri, rep := j/reps, j%reps
-		rumors := rumorCounts[ri]
+	outs, err := sweep(len(rumorCounts), reps, workers, seed, domainMultiRumor, func(c, _ int, jobSeed uint64, b *par.Budget) (outcome, error) {
+		rumors := rumorCounts[c]
 		injections := make([]gossip.Injection, rumors)
 		for r := range injections {
 			injections[r] = gossip.Injection{Round: 1 + 2*r, Source: (r * 37) % n}
 		}
-		s := rng.New(rng.Derive(seed, domainMultiRumor, uint64(ri), uint64(rep)))
-		mr, err := gossip.RunMultiRumor(gossip.MultiRumorConfig{
+		rep, err := runJob(gossip.MultiRumorConfig{
 			N:          n,
 			Injections: injections,
 			Forwarding: gossip.ForwardRandom,
-		}, s, nil)
+		}, jobSeed, b, o)
 		if err != nil {
-			return err
+			return outcome{}, err
 		}
-		if !mr.Completed {
-			return fmt.Errorf("sim: multi-rumor run incomplete (R=%d)", rumors)
+		if !rep.Completed {
+			return outcome{}, fmt.Errorf("sim: multi-rumor run incomplete (R=%d)", rumors)
 		}
 		var sum float64
-		for _, d := range mr.PerRumorDone {
+		for _, d := range rep.Detail.(gossip.MultiRumorResult).PerRumorDone {
 			sum += float64(d)
 		}
-		outs[j] = outcome{rounds: float64(mr.Rounds), perRumor: sum / float64(rumors)}
-		return nil
+		return outcome{rounds: float64(rep.Rounds), perRumor: sum / float64(rumors)}, nil
 	})
 	if err != nil {
 		return MultiRumorSimResult{}, err
 	}
 
-	var res MultiRumorSimResult
-	res.N = n
-	for ri, rumors := range rumorCounts {
+	res := MultiRumorSimResult{N: n}
+	for c, rumors := range rumorCounts {
 		var rounds, per stats.Accumulator
-		for rep := 0; rep < reps; rep++ {
-			rounds.Add(outs[ri*reps+rep].rounds)
-			per.Add(outs[ri*reps+rep].perRumor)
+		for _, out := range outs[c*reps : (c+1)*reps] {
+			rounds.Add(out.rounds)
+			per.Add(out.perRumor)
 		}
 		if rumors == 1 {
 			res.SingleRounds = rounds.Mean()

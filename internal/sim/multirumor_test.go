@@ -9,7 +9,7 @@ func TestMultiRumorExperimentSharing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rumor experiment runs many spreads")
 	}
-	res, err := RunMultiRumorExperimentPar(ScaleQuick, 11, 1)
+	res, err := RunMultiRumorExperiment(ScaleQuick, 11, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

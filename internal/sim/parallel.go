@@ -2,32 +2,26 @@ package sim
 
 // Harness-level parallelism.
 //
-// The paper's headline experiments — the Figure 1 arranged-fraction sweep
-// and the Figure 2 rounds-to-spread comparison — are embarrassingly
-// parallel per repetition: every (overlay, repetition) cell is an
-// independent simulation. The harness exploits exactly that grain. Each
-// job owns a private Service/Arranger (one Service per goroutine; a
-// Service reuses scratch and must never run concurrently) and a private
-// stream seeded
+// Every experiment is a set of independent simulations — repetitions and
+// sweep cells — and each is one harness job with its own Service, Arranger
+// or run, seeded
 //
 //	rng.Derive(rootSeed, domainTag, coordinates...)
 //
-// where the coordinates are the job's position in the sweep (n index,
-// overlay index, repetition index, ...). A job's numbers therefore depend
-// only on its coordinates, never on the worker count or the goroutine
-// schedule. Jobs write into caller-indexed result slots and all
-// aggregation happens after the barrier, in job-index order, so the
-// floating-point reduction order is fixed too: published tables are
-// byte-identical for every worker count. The golden tests in
-// harness_test.go pin that invariant down.
+// by its position in the sweep (n index, cell index, repetition index, ...).
+// A job that runs a protocol hands that seed to run.Run (runJob); a job of
+// bare dating rounds seeds round r with rng.Absorb(jobSeed, r), the same
+// chain one coordinate longer. Jobs write into caller-indexed result slots
+// and all aggregation happens after the barrier, in job-index order, so
+// published tables are byte-identical for every worker count and with or
+// without an observer (TestRegistryWorkersIdentical).
 //
 // The harness and the engines inside jobs share one par.Budget: each
-// harness worker goroutine holds a token for its lifetime, and a job that
-// wants inner parallelism (a churning-ring Arrange, a storage round) grabs
-// the pool's spare tokens for the duration of that round instead of
-// pinning its inner workers to 1. While all harness workers are busy there
-// are no spares and jobs run serially inside, exactly as before; when the
-// job queue drains below the worker count, exiting workers release their
+// harness worker goroutine holds a token for its lifetime, and a job's
+// dating rounds grab the pool's spare tokens for the duration of a round
+// instead of pinning their inner workers to 1. While all harness workers
+// are busy there are no spares and jobs run serially inside; when the job
+// queue drains below the worker count, exiting workers release their
 // tokens and the still-running jobs' rounds soak up the leftover cores.
 // Budget-fed engines are worker-count independent, so none of this can
 // change a published number.
@@ -37,11 +31,17 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/rng"
+	"repro/internal/run"
+	"repro/internal/stats"
 )
 
 // Seed-derivation domain tags, one per experiment surface, keeping job
-// streams disjoint across experiments that share a root seed.
+// streams disjoint across experiments that share a root seed (the
+// allocation map is internal/rng/domains.go).
 const (
 	domainFigure1Uniform uint64 = 0x11
 	domainFigure1Ring    uint64 = 0x12
@@ -51,6 +51,13 @@ const (
 	domainLoads          uint64 = 0x41
 	domainDynamic        uint64 = 0x51
 	domainStorage        uint64 = 0x61
+	domainAlpha          uint64 = 0x62
+	domainAblation       uint64 = 0x63
+	domainPhases         uint64 = 0x64
+	domainHierarchical   uint64 = 0x65
+	domainPipelining     uint64 = 0x66
+	domainMongering      uint64 = 0x67
+	domainChurn          uint64 = 0x68
 )
 
 // forEach runs jobs 0..jobs-1 across a worker budget of the given size,
@@ -59,7 +66,7 @@ const (
 // opportunistic inner parallelism (see the package comment). All jobs run
 // even when one fails; the error reported is the one with the lowest job
 // index, so failures are as deterministic as results.
-func forEach(jobs, workers int, run func(job int, b *par.Budget) error) error {
+func forEach(jobs, workers int, job func(j int, b *par.Budget) error) error {
 	if workers < 1 {
 		return fmt.Errorf("sim: harness needs workers >= 1, got %d", workers)
 	}
@@ -67,22 +74,7 @@ func forEach(jobs, workers int, run func(job int, b *par.Budget) error) error {
 	if err != nil {
 		return err
 	}
-	g := workers
-	if g > jobs {
-		g = jobs
-	}
-	if g <= 1 {
-		// Same contract as the concurrent path: every job runs, the
-		// lowest-index error wins. The budget still carries workers-1
-		// spares, so a single expensive job can parallelize inside.
-		var first error
-		for j := 0; j < jobs; j++ {
-			if err := run(j, b); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
+	g := min(workers, jobs)
 	errs := make([]error, jobs)
 	var next atomic.Int64
 	steal := func() {
@@ -91,7 +83,7 @@ func forEach(jobs, workers int, run func(job int, b *par.Budget) error) error {
 			if j >= jobs {
 				return
 			}
-			errs[j] = run(j, b)
+			errs[j] = job(j, b)
 		}
 	}
 	var wg sync.WaitGroup
@@ -117,4 +109,40 @@ func forEach(jobs, workers int, run func(job int, b *par.Budget) error) error {
 		}
 	}
 	return nil
+}
+
+// sweep runs cells × reps harness jobs, cell-major: job (c, r) gets the seed
+// rng.Derive(seed, domain, c, r) and the harness budget, and its outcome
+// lands in slot c*reps + r of the returned slice.
+func sweep[T any](cells, reps, workers int, seed, domain uint64, job func(cell, rep int, jobSeed uint64, b *par.Budget) (T, error)) ([]T, error) {
+	outs := make([]T, cells*reps)
+	err := forEach(len(outs), workers, func(j int, b *par.Budget) error {
+		c, r := j/reps, j%reps
+		out, err := job(c, r, rng.Derive(seed, domain, uint64(c), uint64(r)), b)
+		outs[j] = out
+		return err
+	})
+	return outs, err
+}
+
+// runJob is the one way a harness job runs a protocol: run.Run from the
+// job's seed, drawing workers from the harness budget, with the
+// experiment's observer (nil for none) attached.
+func runJob(spec run.Spec, seed uint64, b *par.Budget, o *obs.Observer) (run.Report, error) {
+	return run.Run(spec, run.WithSeed(seed), run.WithBudget(b), run.WithObserver(o))
+}
+
+// fractions runs rounds seeded dating rounds of svc — round r seeded
+// rng.Absorb(jobSeed, r) — with workers drawn from b, and accumulates the
+// fraction of m each arranges.
+func fractions(svc *core.Service, rounds, m int, jobSeed uint64, b *par.Budget) (stats.Accumulator, error) {
+	var acc stats.Accumulator
+	for r := 0; r < rounds; r++ {
+		dates, err := svc.RunRoundShared(rng.Absorb(jobSeed, uint64(r)), b, nil)
+		if err != nil {
+			return acc, err
+		}
+		acc.Add(float64(len(dates)) / float64(m))
+	}
+	return acc, nil
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/obs"
+)
 
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
@@ -24,23 +28,36 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestRegistryRunnersProduceTables(t *testing.T) {
+// TestRegistryWorkersIdentical runs every experiment through the registry
+// at quick scale: each must render a non-empty table, byte-identical at
+// workers 1 and 4 and with an observer attached. live and protocols are
+// left out because they print timing (and live its shard count) columns.
+func TestRegistryWorkersIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two registry experiments end to end")
+		t.Skip("runs every registry experiment three times")
 	}
-	// Spot-check two cheap experiments through the registry interface.
-	for _, name := range []string{"alpha", "pipelining"} {
-		for _, e := range Registry() {
-			if e.Name != name {
-				continue
-			}
-			tbl, err := e.Run(ScaleQuick, 42, 2, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if tbl.NumRows() == 0 {
-				t.Fatalf("%s: empty table", name)
-			}
+	for _, e := range Registry() {
+		if e.Name == "live" || e.Name == "protocols" {
+			continue
 		}
+		t.Run(e.Name, func(t *testing.T) {
+			render := func(workers int, o *obs.Observer) string {
+				tbl, err := e.Run(ScaleQuick, 9, workers, o)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if tbl.NumRows() == 0 {
+					t.Fatalf("workers=%d: empty table", workers)
+				}
+				return tbl.Render()
+			}
+			serial := render(1, nil)
+			if par := render(4, nil); par != serial {
+				t.Fatalf("workers=4 table differs from workers=1:\n%s\nvs\n%s", par, serial)
+			}
+			if observed := render(4, obs.NewObserver()); observed != serial {
+				t.Fatalf("an observer changed the table:\n%s\nvs\n%s", observed, serial)
+			}
+		})
 	}
 }

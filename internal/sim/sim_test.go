@@ -26,7 +26,7 @@ func TestScaleNames(t *testing.T) {
 // figure1Fast trims RunFigure1 to its two smallest sizes for unit tests.
 func figure1Fast(t *testing.T) Figure1Result {
 	t.Helper()
-	res, err := RunFigure1Par(ScaleQuick, 42, 1)
+	res, err := RunFigure1(ScaleQuick, 42, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFigure2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 2 takes a few seconds")
 	}
-	res, err := RunFigure2Par(ScaleQuick, 7, 1)
+	res, err := RunFigure2(ScaleQuick, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestAlphaVsLoadIncreasing(t *testing.T) {
-	res, err := RunAlphaVsLoad(ScaleQuick, 3)
+	res, err := RunAlphaVsLoad(ScaleQuick, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestAlphaVsLoadIncreasing(t *testing.T) {
 }
 
 func TestDistributionAblationUniformWorst(t *testing.T) {
-	res, err := RunDistributionAblation(ScaleQuick, 4)
+	res, err := RunDistributionAblation(ScaleQuick, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestPhasesOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("phases experiment runs several spreads at n=4096")
 	}
-	res, err := RunPhases(ScaleQuick, 5)
+	res, err := RunPhases(ScaleQuick, 5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestHierarchicalGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hierarchical experiment runs several spreads")
 	}
-	res, err := RunHierarchical(ScaleQuick, 6)
+	res, err := RunHierarchical(ScaleQuick, 6, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestHierarchicalGap(t *testing.T) {
 // the pipelined run beats the naive 3kL + 1 ticks, each further round adds
 // three ticks whatever L is, and at k = 64 the latency costs no dates.
 func TestPipeliningCrossover(t *testing.T) {
-	res, err := RunPipelining(ScaleQuick, 7)
+	res, err := RunPipelining(ScaleQuick, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestMongeringNearLowerBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mongering decodes many matrices")
 	}
-	res, err := RunMongering(ScaleQuick, 8)
+	res, err := RunMongering(ScaleQuick, 8, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestChurnRobustness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn experiment runs several spreads")
 	}
-	res, err := RunChurn(ScaleQuick, 9)
+	res, err := RunChurn(ScaleQuick, 9, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestStorageBalanced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storage experiment replicates hundreds of blocks")
 	}
-	res, err := RunStoragePar(ScaleQuick, 10, 1)
+	res, err := RunStorage(ScaleQuick, 10, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

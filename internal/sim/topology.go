@@ -10,14 +10,12 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
-	"repro/internal/run"
 	"repro/internal/stats"
 )
 
@@ -83,9 +81,6 @@ type topologyJob struct {
 // goroutines with per-job derived seeds, so the table is byte-identical for
 // every worker count.
 func RunTopologySpread(scale Scale, seed uint64, workers int, o *obs.Observer) (TopologySpreadResult, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	nGen, nComplete := 2_000, 1_000
 	if scale == ScalePaper {
 		nGen, nComplete = 20_000, 2_000
@@ -114,12 +109,10 @@ func RunTopologySpread(scale Scale, seed uint64, workers int, o *obs.Observer) (
 	}
 
 	rows := make([]TopologySpreadRow, len(jobs))
-	err = forEach(len(jobs), workers, func(j int, _ *par.Budget) error {
+	err = forEach(len(jobs), workers, func(j int, b *par.Budget) error {
 		job := jobs[j]
-		rep, err := run.Run(
-			gossip.TopologyConfig{Graph: job.g, Source: job.source, Alpha: job.alpha},
-			run.WithSeed(rng.Derive(seed, domainTopologyJobs, uint64(j), 3)), run.WithObserver(o),
-		)
+		rep, err := runJob(gossip.TopologyConfig{Graph: job.g, Source: job.source, Alpha: job.alpha},
+			rng.Derive(seed, domainTopologyJobs, uint64(j), 3), b, o)
 		if err != nil {
 			return fmt.Errorf("sim: topology %s alpha=%.2f %s: %w", job.name, job.alpha, job.start, err)
 		}

@@ -2,23 +2,6 @@ package sim
 
 import "testing"
 
-// TestTopologySpreadParIdentity pins the harness determinism contract for
-// the topology sweep: the rendered table is byte-identical for every -par
-// value.
-func TestTopologySpreadParIdentity(t *testing.T) {
-	r1, err := RunTopologySpread(ScaleQuick, 42, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := RunTopologySpread(ScaleQuick, 42, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r4.Table().CSV(), r1.Table().CSV(); got != want {
-		t.Errorf("-par changed the topology table:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 // TestTopologySpreadShape pins the sweep's qualitative content: spread is
 // full at alpha=0 on connected graphs, declines monotonically in alpha on
 // the BA graph, and the hub-start rows exist for every alpha.

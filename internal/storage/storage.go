@@ -76,20 +76,21 @@ func (c Config) Protocol() string { return "storage" }
 // shared budget. Trajectory is the cumulative placed-replica history;
 // Detail the full Result.
 func (c Config) Execute(o *run.Options) (run.Report, error) {
-	res, err := Run(c, run.StreamFor(o.Seed, run.DomainStorage), o.Budget)
+	res, err := replicate(c, run.StreamFor(o.Seed, run.DomainStorage), o.Budget)
 	if err != nil {
 		return run.Report{}, err
 	}
 	return res.Report(res, nil), nil
 }
 
-// Run executes the replication protocol until every object has R replicas
-// or MaxRounds elapses. With a non-nil b every round's Arrange runs with the
-// caller's worker plus whatever spare tokens b has at that moment; the
-// Arranger is worker-count independent, so budget sharing never changes the
-// result — the experiment harness uses this to let storage repetitions soak
-// up cores its other jobs are done with.
-func Run(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
+// replicate is the body of Config.Execute: it runs the replication protocol
+// until every object has R replicas or MaxRounds elapses. With a non-nil b
+// every round's Arrange runs with the caller's worker plus whatever spare
+// tokens b has at that moment; the Arranger is worker-count independent, so
+// budget sharing never changes the result — the experiment harness uses
+// this to let storage repetitions soak up cores its other jobs are done
+// with.
+func replicate(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}

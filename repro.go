@@ -18,8 +18,8 @@ import (
 // Re-exported core types. The facade uses type aliases so that values flow
 // freely between the public API and the implementation packages.
 type (
-	// Stream is a deterministic random stream; all APIs take one
-	// explicitly so that every simulation is reproducible from its seed.
+	// Stream is a deterministic random stream. Only the input builders
+	// (NewRing, ZipfBandwidth) take one; rounds and runs take seeds.
 	Stream = rng.Stream
 
 	// Profile holds per-node incoming/outgoing bandwidths (bin, bout).
@@ -176,7 +176,7 @@ type (
 	Report = run.Report
 
 	// RunOption is a functional option of Run; see WithSeed, WithWorkers,
-	// WithNet, WithObserver and WithTrace.
+	// WithNet and WithObserver.
 	RunOption = run.Option
 
 	// Observer is the deterministic instrumentation sink of WithObserver:
@@ -262,17 +262,6 @@ func WithWorkers(k int) RunOption { return run.WithWorkers(k) }
 // asymmetry — into a live run; nil is the paper's perfect-sync model.
 func WithNet(m NetModel) RunOption { return run.WithNet(m) }
 
-// WithTrace registers a per-round observer: fn is called once per protocol
-// round, in round order, with the 1-based round number and that round's
-// trajectory value (informed nodes, placed replicas, ...). For clockless
-// AsyncConfig runs the granularity is the calendar bucket: fn receives the
-// 1-based bucket index and the informed count at that bucket's boundary.
-// The calls replay the recorded trajectory after the run completes —
-// uniform for every protocol — so use fn to render progress histories; to
-// watch a long run live, attach a protocol-level hook such as
-// RumorConfig.OnRound.
-func WithTrace(fn func(round, progress int)) RunOption { return run.WithTrace(fn) }
-
 // NewObserver returns an empty instrumentation observer for WithObserver.
 // After the run, export with Observer.WriteTraceFile (Chrome trace_event
 // JSON for about:tracing / Perfetto), print Observer.Summary, or read the
@@ -324,9 +313,6 @@ func PowerLawGraph(n int, exponent float64, minDeg, maxDeg int, seed uint64) (*G
 // NewStream returns a deterministic random stream seeded with seed.
 func NewStream(seed uint64) *Stream { return rng.New(seed) }
 
-// NewStreams derives n independent per-node streams from one seed.
-func NewStreams(seed uint64, n int) []*Stream { return rng.NewStreams(seed, n) }
-
 // UnitBandwidth returns the homogeneous profile of the paper's figures:
 // every node sends and receives one unit message per round.
 func UnitBandwidth(n int) Profile { return bandwidth.Homogeneous(n, 1) }
@@ -368,8 +354,8 @@ func NewDatingService(p Profile, sel Selector) (*DatingService, error) {
 // demand vectors (the abstract resource-matching interface of the paper's
 // introduction; zeros are allowed). It is the one-shot form of Arranger;
 // protocols that arrange every round should hold an Arranger instead.
-func ArrangeDates(out, in []int, sel Selector, s *Stream) ([]Date, error) {
-	return core.ArrangeDates(out, in, sel, s)
+func ArrangeDates(out, in []int, sel Selector, seed uint64) ([]Date, error) {
+	return core.ArrangeDates(out, in, sel, seed)
 }
 
 // NewArranger builds a reusable supply/demand matcher over a selection
@@ -380,7 +366,7 @@ func ArrangeDates(out, in []int, sel Selector, s *Stream) ([]Date, error) {
 //
 //	arr, _ := repro.NewArranger(sel)
 //	for round := 0; round < rounds; round++ {
-//		dates, _ := arr.Arrange(supply, demand, s.Uint64(), 8)
+//		dates, _ := arr.Arrange(supply, demand, uint64(round), 8)
 //		...
 //	}
 func NewArranger(sel Selector) (*Arranger, error) { return core.NewArranger(sel) }

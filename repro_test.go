@@ -21,8 +21,10 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := repro.NewStream(42)
-	res := svc.RunRound(s)
+	res, err := svc.RunRoundSeeded(42, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	frac := res.Fraction(n)
 	if frac < 0.40 || frac > 0.55 {
 		t.Fatalf("fraction %.3f outside sane band", frac)
@@ -53,7 +55,10 @@ func TestDHTFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := svc.RunRound(s)
+	res, err := svc.RunRoundSeeded(s.Uint64(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Dates) == 0 {
 		t.Fatal("no dates over DHT selection")
 	}
@@ -74,8 +79,7 @@ func TestBimodalAndZipfFacade(t *testing.T) {
 
 func TestArrangeDatesFacade(t *testing.T) {
 	sel, _ := repro.Uniform(4)
-	s := repro.NewStream(4)
-	dates, err := repro.ArrangeDates([]int{1, 0, 2, 0}, []int{0, 1, 0, 2}, sel, s)
+	dates, err := repro.ArrangeDates([]int{1, 0, 2, 0}, []int{0, 1, 0, 2}, sel, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +109,6 @@ func TestReplicateFacade(t *testing.T) {
 	}
 	if !rep.Completed {
 		t.Fatalf("replication incomplete after %d rounds", rep.Rounds)
-	}
-}
-
-func TestNewStreamsFacade(t *testing.T) {
-	streams := repro.NewStreams(7, 3)
-	if len(streams) != 3 {
-		t.Fatalf("got %d streams", len(streams))
-	}
-	if streams[0].Uint64() == streams[1].Uint64() {
-		t.Fatal("streams not independent")
 	}
 }
 
@@ -148,36 +142,25 @@ func TestArrangerFacade(t *testing.T) {
 	}
 }
 
-// TestAsyncTraceIsBucketLevel pins the WithTrace contract for clockless
-// AsyncConfig runs: the callback fires once per calendar bucket, in bucket
+// TestAsyncTraceIsBucketLevel pins the trajectory of clockless AsyncConfig
+// runs: Report.Trajectory holds one entry per calendar bucket, in bucket
 // order, with the informed count at that bucket's boundary — exactly the
-// run's History. The alternative (rejecting WithTrace for async runs) was
-// considered and rejected; buckets are the async runtime's rounds.
+// run's History. Buckets are the async runtime's rounds.
 func TestAsyncTraceIsBucketLevel(t *testing.T) {
 	const n = 400
-	var buckets, progress []int
-	rep, err := repro.Run(repro.AsyncConfig{Profile: repro.UnitBandwidth(n)},
-		repro.WithSeed(5), repro.WithTrace(func(bucket, p int) {
-			buckets = append(buckets, bucket)
-			progress = append(progress, p)
-		}))
+	rep, err := repro.Run(repro.AsyncConfig{Profile: repro.UnitBandwidth(n)}, repro.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	detail := rep.Detail.(repro.AsyncResult)
-	if len(buckets) != detail.Rounds {
-		t.Fatalf("trace saw %d buckets, run executed %d", len(buckets), detail.Rounds)
+	if len(rep.Trajectory) != detail.Rounds || rep.Rounds != detail.Rounds {
+		t.Fatalf("trajectory has %d buckets, report %d rounds, run executed %d", len(rep.Trajectory), rep.Rounds, detail.Rounds)
 	}
-	for i, b := range buckets {
-		if b != i+1 {
-			t.Fatalf("trace buckets out of order: %v", buckets)
-		}
-		if progress[i] != detail.History[i] {
-			t.Fatalf("bucket %d: trace progress %d, history %d", b, progress[i], detail.History[i])
-		}
+	if !reflect.DeepEqual(rep.Trajectory, detail.History) {
+		t.Fatalf("trajectory %v differs from the bucket history %v", rep.Trajectory, detail.History)
 	}
-	if progress[len(progress)-1] != n {
-		t.Fatalf("final trace progress %d, want %d", progress[len(progress)-1], n)
+	if last := rep.Trajectory[len(rep.Trajectory)-1]; last != n {
+		t.Fatalf("final trajectory value %d, want %d", last, n)
 	}
 }
 

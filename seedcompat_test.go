@@ -16,10 +16,8 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/coding"
 	"repro/internal/gossip"
 	"repro/internal/run"
-	"repro/internal/storage"
 )
 
 const compatSeed = 0xC0FFEE
@@ -155,18 +153,6 @@ func stripTiming(r Report) Report {
 	return r
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestSeedCompatGoldens(t *testing.T) {
 	// The golden table itself, plus the option-invariance sweep: worker
 	// budgets 1/2/8 must all hash to the pinned value — they are pure speed
@@ -221,55 +207,6 @@ func TestSeedCompatLiveEngines(t *testing.T) {
 	}
 }
 
-// detail adapts a stream entry point's typed result to a Report.Detail.
-func detail[R any](res R, err error) (any, error) { return res, err }
-
-func TestSeedCompatStreamEntryPoints(t *testing.T) {
-	// The run package's promise: a stream entry point fed run.StreamFor of a
-	// root seed returns exactly the Detail that Run reports at that seed.
-	entries := map[string]struct {
-		domain uint64
-		run    func(spec Spec, s *Stream) (any, error)
-	}{
-		"rumor-dating": {run.DomainRumor, func(spec Spec, s *Stream) (any, error) {
-			return detail(gossip.Run(spec.(RumorConfig), s, nil, nil))
-		}},
-		"rumor-push": {run.DomainRumor, func(spec Spec, s *Stream) (any, error) {
-			return detail(gossip.Run(spec.(RumorConfig), s, nil, nil))
-		}},
-		"multirumor": {run.DomainMulti, func(spec Spec, s *Stream) (any, error) {
-			return detail(gossip.RunMultiRumor(spec.(MultiRumorConfig), s, nil))
-		}},
-		"monger": {run.DomainMonger, func(spec Spec, s *Stream) (any, error) {
-			return detail(coding.RunMonger(spec.(MongerConfig), s, nil))
-		}},
-		"storage": {run.DomainStorage, func(spec Spec, s *Stream) (any, error) {
-			return detail(storage.Run(spec.(StorageConfig), s, nil))
-		}},
-	}
-	for _, tc := range compatCases {
-		e, ok := entries[tc.name]
-		if !ok {
-			continue
-		}
-		t.Run(tc.name, func(t *testing.T) {
-			for _, n := range []int{17, 1000} {
-				rep, err := Run(tc.spec(n), WithSeed(compatSeed))
-				if err != nil {
-					t.Fatalf("n=%d: %v", n, err)
-				}
-				want, err := e.run(tc.spec(n), run.StreamFor(compatSeed, e.domain))
-				if err != nil {
-					t.Fatalf("n=%d: %v", n, err)
-				}
-				if !reflect.DeepEqual(rep.Detail, want) {
-					t.Fatalf("n=%d: Run's detail differs from the stream entry point's result", n)
-				}
-			}
-		})
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(nil); err == nil {
 		t.Error("accepted a nil spec")
@@ -279,29 +216,5 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(RumorConfig{}); err == nil {
 		t.Error("accepted an empty rumor config")
-	}
-}
-
-func TestRunTraceReplaysTrajectory(t *testing.T) {
-	var rounds []int
-	var progress []int
-	rep, err := Run(RumorConfig{N: 128, Algorithm: Dating},
-		WithSeed(3), WithTrace(func(round, p int) {
-			rounds = append(rounds, round)
-			progress = append(progress, p)
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rounds) != rep.Rounds {
-		t.Fatalf("trace saw %d rounds, report has %d", len(rounds), rep.Rounds)
-	}
-	for i := range rounds {
-		if rounds[i] != i+1 {
-			t.Fatalf("trace rounds out of order: %v", rounds)
-		}
-	}
-	if !intsEqual(progress, rep.Trajectory) {
-		t.Fatalf("trace progress %v differs from trajectory %v", progress, rep.Trajectory)
 	}
 }
