@@ -22,10 +22,11 @@ func tableHash(s string) uint64 {
 // the published numbers down to the byte: any change to the seed-derivation
 // scheme, the round engine, or the aggregation order fails loudly here
 // instead of silently shifting results. Regenerate by running the test and
-// copying the hashes it prints on failure.
+// copying the hashes it prints on failure. Last repinned when Figure 1's
+// rounds became seeded rounds and Figure 2's repetitions run.Run jobs.
 const (
-	goldenFigure1Quick = 0x72e269d28fe03812
-	goldenFigure2Quick = 0xbf23414ba4c8aeb5
+	goldenFigure1Quick = 0x6da0c96d449109d3
+	goldenFigure2Quick = 0x2ffb0b8b36081f26
 )
 
 func TestFigure1WorkersByteIdentical(t *testing.T) {
