@@ -30,11 +30,12 @@ func TestRegistryComplete(t *testing.T) {
 
 // TestRegistryWorkersIdentical runs every experiment through the registry
 // at quick scale: each must render a non-empty table, byte-identical at
-// workers 1 and 4 and with an observer attached. live and protocols are
-// left out because they print timing (and live its shard count) columns.
+// workers 1 with no observer and at workers 4 with an observer attached.
+// live and protocols are left out because they print timing (and live its
+// shard count) columns.
 func TestRegistryWorkersIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every registry experiment three times")
+		t.Skip("runs every registry experiment twice")
 	}
 	for _, e := range Registry() {
 		if e.Name == "live" || e.Name == "protocols" {
@@ -52,11 +53,8 @@ func TestRegistryWorkersIdentical(t *testing.T) {
 				return tbl.Render()
 			}
 			serial := render(1, nil)
-			if par := render(4, nil); par != serial {
-				t.Fatalf("workers=4 table differs from workers=1:\n%s\nvs\n%s", par, serial)
-			}
-			if observed := render(4, obs.NewObserver()); observed != serial {
-				t.Fatalf("an observer changed the table:\n%s\nvs\n%s", observed, serial)
+			if par := render(4, obs.NewObserver()); par != serial {
+				t.Fatalf("workers=4 with an observer differs from workers=1:\n%s\nvs\n%s", par, serial)
 			}
 		})
 	}
