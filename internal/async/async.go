@@ -153,7 +153,7 @@ type Runtime struct {
 	fireKey uint64
 
 	// Per-peer clock state: the pending firing's absolute time and its
-	// index. No generator state outlives a firing, so the core keeps none.
+	// index. No generator state outlives a firing.
 	nextFire []float64
 	fireIdx  []uint64
 	sh       []shard
@@ -199,7 +199,7 @@ func New(cfg Config) (*Runtime, error) {
 	// clamp in Send only guards float boundary noise), and the ring holds
 	// the bucket being delivered as well.
 	core, err := shardrt.New(shardrt.Config{
-		N: cfg.N, Shards: cfg.Shards, Ring: int(latency/width) + 3, Weights: rates, Stateless: true,
+		N: cfg.N, Shards: cfg.Shards, Ring: int(latency/width) + 3, Weights: rates,
 		Obs: cfg.Obs, Track: "async", WorkGauge: "fired", DepthGauge: "calendar_depth",
 	})
 	if err != nil {

@@ -66,15 +66,15 @@ func TestSelectorsConcurrentPick(t *testing.T) {
 				}
 			}
 			const goroutines, picks = 8, 2000
-			streams := rng.NewStreams(77, goroutines)
 			var wg sync.WaitGroup
 			errs := make([]int, goroutines) // out-of-range picks per goroutine
 			for g := 0; g < goroutines; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
+					s := rng.New(rng.Derive(77, uint64(g)))
 					for k := 0; k < picks; k++ {
-						if v := tc.sel.Pick(streams[g]); v < 0 || v >= tc.sel.N() {
+						if v := tc.sel.Pick(s); v < 0 || v >= tc.sel.N() {
 							errs[g]++
 						}
 					}

@@ -51,7 +51,7 @@ func TestConsensusShardIdentity(t *testing.T) {
 
 // TestConsensusEngineIdentity pins that the goroutine engine, the test
 // oracle, reproduces the sharded runtime bit for bit under every merge rule
-// — both share the per-peer stream derivation, and the rules themselves
+// — both seed every peer-step's stream alike, and the rules themselves
 // consume no randomness.
 func TestConsensusEngineIdentity(t *testing.T) {
 	g := mustBA(t, 800, 2, 3)
@@ -71,6 +71,45 @@ func TestConsensusEngineIdentity(t *testing.T) {
 		}
 		if fmt.Sprint(oracle) != fmt.Sprint(sharded) {
 			t.Errorf("%v: goroutine engine diverged:\n got %+v\nwant %+v", rule, oracle, sharded)
+		}
+	}
+}
+
+// TestConsensusSharesSumToDecided pins the invariant between the two
+// histories a consensus run reports: after every round the per-variant
+// shares sum to the decided count, which never exceeds n — under every
+// merge rule and at every shard count. The latest-rule run is the one
+// seedcompat_test.go pins at n = 1000; the other rules share its graph and
+// seed.
+func TestConsensusSharesSumToDecided(t *testing.T) {
+	const n = 1000
+	g := mustBA(t, n, 3, 0xC0FFEE)
+	seed := run.SeedFor(0xC0FFEE, run.DomainConsensus)
+	for _, rule := range []MergeRule{RuleLatest, RuleMajority, RuleWeighted} {
+		cfg := ConsensusConfig{Variants: 3, Graph: g, Seeding: SeedDistinct, Rule: rule}
+		if rule == RuleWeighted {
+			p, err := bandwidth.Zipf(n, 1.2, 8, 2.0, rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Profile = p
+		}
+		for _, shards := range []int{1, 2, 4} {
+			res := consRun(t, cfg, LiveOptions{Seed: seed, Shards: shards})
+			if res.Rounds == 0 || len(res.History) != res.Rounds || len(res.ShareHist) != res.Rounds {
+				t.Fatalf("%v shards=%d: %d rounds, %d history entries, %d share rows",
+					rule, shards, res.Rounds, len(res.History), len(res.ShareHist))
+			}
+			for r, shares := range res.ShareHist {
+				sum := 0
+				for _, c := range shares {
+					sum += c
+				}
+				if sum != res.History[r] || sum > n {
+					t.Fatalf("%v shards=%d round %d: shares %v sum to %d, decided %d, n %d",
+						rule, shards, r+1, shares, sum, res.History[r], n)
+				}
+			}
 		}
 	}
 }

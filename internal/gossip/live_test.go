@@ -201,7 +201,7 @@ func TestRunLiveShardedBitIdentity(t *testing.T) {
 
 func TestRunLiveEnginesAgree(t *testing.T) {
 	// The goroutine engine, the test oracle, and the sharded runtime share
-	// per-peer stream derivation and must give exactly the same result
+	// per-step stream derivation and must give exactly the same result
 	// under the perfect-sync model. n = 17 and 1000 at the seed-compat
 	// golden's seed are the facade's golden cells.
 	for _, tc := range []struct {

@@ -16,8 +16,8 @@ import (
 
 // oracleClock is the test seam that steps a protocol on the goroutine
 // engine, the differential oracle, instead of the sharded runtime: in
-// sequential mode, as one step shard. The per-peer streams are derived
-// exactly as the runtime derives them, and every peer is stepped whatever
+// sequential mode, as one step shard. Every step's stream is seeded
+// exactly as the runtime seeds it, and every peer is stepped whatever
 // an active step answers, so a run that matches the runtime's bit for bit
 // also shows that no peer wrongly reported "asleep".
 func oracleClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, func() int, []int, error) {
@@ -29,11 +29,8 @@ func oracleClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveSte
 			active(node, round, inbox, s, emit)
 		}
 	}
-	streams := make([]*rng.Stream, n)
-	for i := range streams {
-		streams[i] = rng.New(live.PeerSeed(o.Seed, i))
-	}
-	eng, err := simnet.NewLiveWithStreams(streams, adaptStep(step))
+	peerSeed := func(round, node int) uint64 { return live.PeerSeed(o.Seed, round, node) }
+	eng, err := simnet.NewLive(n, peerSeed, adaptStep(step))
 	if err != nil {
 		return nil, nil, nil, err
 	}

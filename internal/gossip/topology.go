@@ -92,9 +92,9 @@ type TopologyResult struct {
 // with runs that never consult those knobs.
 //
 // A peer is awake exactly while it is a spreader: an ignorant or a stifler
-// with an empty inbox falls through both blocks below without a draw, an
-// emission or a state change, which is what the runtime's sleep contract
-// asks of a peer that reports false.
+// with an empty inbox falls through both blocks below without an emission
+// or a state change, which is what the runtime's sleep contract asks of a
+// peer that reports false.
 func topoStep(sampler graph.Sampler, st *peerStates, alpha, lambda, delta float64) live.ActiveStepFunc {
 	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
 		state := st.of[node]

@@ -49,8 +49,8 @@ func TestTopologyShardIdentity(t *testing.T) {
 }
 
 // TestTopologyEngineIdentity pins that the goroutine engine, the test
-// oracle, reproduces the sharded runtime bit for bit: both share the
-// per-peer stream derivation, and the oracle steps every peer whatever its
+// oracle, reproduces the sharded runtime bit for bit: both seed every
+// peer-step's stream from (round, peer), and the oracle steps every peer whatever its
 // step answers, so a peer that wrongly reports "asleep" diverges.
 func TestTopologyEngineIdentity(t *testing.T) {
 	g := mustBA(t, 800, 2, 3)

@@ -57,11 +57,10 @@ func (p *napper) step(node, round int, inbox []simnet.Message, s *rng.Stream, em
 // napperRun is everything a run leaves behind that the shard count, the
 // schedule and the skipping of sleeping peers must not change.
 type napperRun struct {
-	stats   simnet.Stats
-	sent    []int64
-	digest  []uint64
-	energy  []int
-	streams []rng.Xoshiro256
+	stats  simnet.Stats
+	sent   []int64
+	digest []uint64
+	energy []int
 }
 
 func runNapper(t *testing.T, n, rounds, shards int, net NetModel, dense bool, o *obs.Observer) (napperRun, *napper) {
@@ -86,15 +85,16 @@ func runNapper(t *testing.T, n, rounds, shards int, net NetModel, dense bool, o 
 		sent = append(sent, st.Sent-prev)
 		prev = st.Sent
 	}
-	return napperRun{stats: rt.Stats(), sent: sent, digest: p.digest, energy: p.energy, streams: rt.core.States()}, p
+	return napperRun{stats: rt.Stats(), sent: sent, digest: p.digest, energy: p.energy}, p
 }
 
 // TestActiveStepMatchesDense is the sleep contract's differential: the same
 // awake-reporting step run through ActiveStep, where sleeping peers are
 // skipped, and through dense Step, where its answer is ignored and everyone
-// is stepped, must leave identical traffic, per-round sent counts, per-peer
-// state and per-peer stream positions — at every shard count, under every
-// kind of network model.
+// is stepped, must leave identical traffic, per-round sent counts and
+// per-peer state — at every shard count, under every kind of network model.
+// Every step draws from a stream of its own (TestPeerStreamIsPerStep), so
+// there are no stream positions left to compare.
 func TestActiveStepMatchesDense(t *testing.T) {
 	const n, rounds = 600, 40
 	nets := map[string]NetModel{
@@ -120,6 +120,66 @@ func TestActiveStepMatchesDense(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPeerStreamIsPerStep pins the seeding of the round runtime's streams:
+// for every peer-step taken, the step's first two draws are those of
+// rng.New(PeerSeed(seed, round, peer)), at every shard count, under dense
+// Step and under ActiveStep, peers stepped again after sleeping included.
+// The recording step draws before the napper on most steps and not at all
+// on the rest, so a step that draws nothing is followed by steps that do;
+// it draws on steps whose peer then sleeps, too, which the sleep contract
+// allows because no later step reads that stream.
+func TestPeerStreamIsPerStep(t *testing.T) {
+	const n, rounds, seed = 600, 40, 42
+	for _, dense := range []bool{true, false} {
+		for _, shards := range []int{1, 2, 4} {
+			p := newNapper(n, rounds)
+			draws := make([][][2]uint64, rounds)
+			for r := range draws {
+				draws[r] = make([][2]uint64, n)
+			}
+			record := func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
+				if (node+round)%3 != 0 {
+					draws[round][node] = [2]uint64{s.Uint64(), s.Uint64()}
+				}
+				return p.step(node, round, inbox, s, emit)
+			}
+			cfg := Config{N: n, Seed: seed, Shards: shards, Net: FixedLatency{Rounds: 3}}
+			if dense {
+				cfg.Step = func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
+					record(node, round, inbox, s, emit)
+				}
+			} else {
+				cfg.ActiveStep = record
+			}
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Run(rounds)
+			checked := 0
+			for r := range draws {
+				for i, got := range draws[r] {
+					if !p.stepped[r][i] || (i+r)%3 == 0 {
+						continue
+					}
+					ref := rng.New(PeerSeed(seed, r, i))
+					if want := [2]uint64{ref.Uint64(), ref.Uint64()}; got != want {
+						t.Fatalf("dense=%v shards=%d: peer %d's step in round %d drew %x, want %x",
+							dense, shards, i, r, got, want)
+					}
+					checked++
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("dense=%v shards=%d: no step drew", dense, shards)
+			}
+			if !dense && !p.sleptWokeSlept() {
+				t.Errorf("shards=%d: no peer slept, was woken by mail and slept again", shards)
+			}
+		}
 	}
 }
 

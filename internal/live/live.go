@@ -13,25 +13,31 @@
 // ActiveStepFunc instead of a StepFunc: the step reports whether its peer
 // stays awake. Every peer starts awake; a peer that last reported false and
 // has no mail this round is not stepped at all. A peer that is not stepped
-// draws nothing, emits nothing and keeps its state — so returning false is
-// a promise that a step with an empty inbox would have been exactly that,
-// until mail arrives (mail always wakes the peer for that round, whatever
-// it reported). Under that promise skipping is invisible: trajectories,
-// stream positions and Stats are those of stepping everyone. The promise is
-// checked rather than trusted — the goroutine engine ignores the bit and
-// steps everyone, and the suites run the same protocols on both. A plain
-// StepFunc is an ActiveStepFunc that always reports true.
+// emits nothing and keeps its state — so returning false is a promise that
+// a step with an empty inbox would have emitted nothing and changed no
+// state, until mail arrives (mail always wakes the peer for that round,
+// whatever it reported). Each step draws from a stream of its own, so a
+// skipped step leaves no stream behind for a later one. Under that promise
+// skipping is invisible: trajectories and Stats are those of stepping
+// everyone. The promise is checked rather than trusted — the goroutine
+// engine ignores the bit and steps everyone, and the suites run the same
+// protocols on both. A plain StepFunc is an ActiveStepFunc that always
+// reports true.
 //
 // # Determinism
 //
-// A run is a pure function of (n, seed, step, net model). Peer i draws from
-// a stream seeded rng.Derive(seed, peerDomain, i). A NetModel that consumes
-// randomness gets a stream seeded rng.Derive(seed, netDomain, round,
-// sender), re-derived at each sender's first emission of the round, so its
+// A run is a pure function of (n, seed, step, net model). Peer i's step in
+// round r draws from a stream seeded rng.Derive(seed, peerDomain, r, i)
+// (PeerSeed): the runtime derives the round's prefix once per shard and
+// tick and absorbs i on the step's first draw, the same chain bit for bit,
+// into one generator per shard. No generator state outlives a step, so the
+// runtime keeps no randomness per peer. A NetModel that consumes randomness
+// gets a stream seeded rng.Derive(seed, netDomain, round, sender),
+// re-derived at each sender's first emission of the round, so its
 // decisions depend on the message sequence, never the worker. With the
 // core's canonical inbox order the runtime is bit-identical to a sequential
-// run for any shard count, and — under the Sync model, with identical
-// per-peer streams — to simnet.Live itself. The test suite pins both.
+// run for any shard count, and — under the Sync model, with the same
+// per-step seeds — to simnet.Live itself. The test suite pins both.
 package live
 
 import (
@@ -46,35 +52,36 @@ import (
 
 // Seed-derivation domains, keeping the runtime's stream families disjoint.
 const (
-	peerDomain  uint64 = 0x91 // per-peer protocol streams
+	peerDomain  uint64 = 0x91 // per-(round, peer) protocol streams
 	netDomain   uint64 = 0x92 // per-(round, sender) network-model streams
 	churnDomain uint64 = 0x93 // EpochChurn's (epoch, peer) down-ness hash
 	ringDomain  uint64 = 0x94 // UniformRing's embedding positions
 )
 
-// PeerSeed returns the seed of peer i's private stream in a runtime rooted
-// at seed. Exposed so tests can replay a runtime's exact randomness on the
-// legacy engines.
-func PeerSeed(seed uint64, i int) uint64 {
-	return rng.Derive(seed, peerDomain, uint64(i))
+// PeerSeed returns the seed of peer i's stream in round r of a runtime
+// rooted at seed. Exposed so tests can replay a runtime's exact randomness
+// on the goroutine engine.
+func PeerSeed(seed uint64, r, i int) uint64 {
+	return rng.Derive(seed, peerDomain, uint64(r), uint64(i))
 }
 
 // StepFunc is one peer's behavior for one round: given its id, the round
 // number, and the messages delivered to it, it emits the messages it wants
 // to send (From is stamped by the runtime). The inbox is valid for the call
 // only: the runtime unpacks the next peer's into the same scratch. The
-// provided stream is the peer's private randomness. A StepFunc may keep
-// per-peer protocol state indexed by node, but must not touch any shared
-// state: peers of different shards run concurrently. The emit-callback
-// shape (instead of returning a slice, as simnet.StepFunc does) lets the
-// runtime route messages without a per-peer allocation.
+// provided stream is the step's private randomness, seeded
+// PeerSeed(seed, round, node). A StepFunc may keep per-peer protocol state
+// indexed by node, but must not touch any shared state: peers of different
+// shards run concurrently. The emit-callback shape (instead of returning a
+// slice, as simnet.StepFunc does) lets the runtime route messages without a
+// per-peer allocation.
 type StepFunc func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message))
 
 // ActiveStepFunc is a StepFunc that reports whether its peer stays awake.
 // A peer that reported false is not stepped again until it has mail, so
-// false promises that a step with an empty inbox would draw no randomness,
-// emit nothing and leave the peer's state alone (see "Sleeping peers" in
-// the package comment).
+// false promises that a step with an empty inbox would emit nothing and
+// leave the peer's state alone (see "Sleeping peers" in the package
+// comment); what it would have drawn does not matter.
 type ActiveStepFunc func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) (awake bool)
 
 // Config parameterizes a runtime.
@@ -99,18 +106,43 @@ type Config struct {
 	Obs *obs.Observer
 }
 
-// shardState is what a worker keeps beside its core lane: the network
-// model's stream, re-derived per (round, sender), and the emit callback.
+// peerSource is a shard's generator for the peer it is stepping. The step
+// loop sets node and unseeded per peer; the step's first draw seeds the
+// generator Absorb(roundKey, node), which is PeerSeed(seed, round, node),
+// so a step that draws nothing pays for no seeding.
+type peerSource struct {
+	gen      rng.Xoshiro256
+	roundKey uint64 // Derive(seed, peerDomain, round), set once per tick
+	node     int
+	unseeded bool
+}
+
+func (p *peerSource) Uint64() uint64 {
+	if p.unseeded {
+		p.gen.Seed(rng.Absorb(p.roundKey, uint64(p.node)))
+		p.unseeded = false
+	}
+	return p.gen.Uint64()
+}
+
+func (p *peerSource) Seed(seed uint64) { p.gen.Seed(seed); p.unseeded = false }
+
+// shardState is what a worker keeps beside its core lane: the stepped
+// peer's stream, the network model's stream, re-derived per (round,
+// sender), and the emit callback.
 type shardState struct {
 	lane      *shardrt.Lane
+	peer      peerSource
+	stream    *rng.Stream
 	netGen    rng.Xoshiro256
 	netStream *rng.Stream
 	netSeeded bool
 	emit      func(simnet.Message)
 }
 
-// shard pads shardState the way the core pads its lanes: netSeeded is
-// written on every peer-step, so neighbours must not share its line.
+// shard pads shardState the way the core pads its lanes: the peer source
+// and netSeeded are written on every peer-step, so neighbours must not
+// share their lines.
 type shard struct {
 	shardState
 	_ [2*cacheLine - unsafe.Sizeof(shardState{})%cacheLine]byte
@@ -128,6 +160,7 @@ type Runtime struct {
 	net     NetModel
 	netRand bool
 	seed    uint64
+	peerKey uint64 // Derive(seed, peerDomain), the prefix of every step's seed
 	round   int
 
 	// asleep[i] records that peer i last reported "not awake"; written only
@@ -136,8 +169,7 @@ type Runtime struct {
 	sh     []shard
 }
 
-// New builds a runtime. Peer streams are seeded in parallel across the
-// shard workers.
+// New builds a runtime.
 func New(cfg Config) (*Runtime, error) {
 	if (cfg.Step == nil) == (cfg.ActiveStep == nil) {
 		return nil, fmt.Errorf("live: runtime needs exactly one of Step and ActiveStep")
@@ -165,6 +197,7 @@ func New(cfg Config) (*Runtime, error) {
 		net:     net,
 		netRand: net.Random(),
 		seed:    cfg.Seed,
+		peerKey: rng.Derive(cfg.Seed, peerDomain),
 		sh:      make([]shard, core.Shards()),
 	}
 	if rt.active != nil {
@@ -173,16 +206,10 @@ func New(cfg Config) (*Runtime, error) {
 	for w := range rt.sh {
 		sh := &rt.sh[w]
 		sh.lane = core.Lane(w)
+		sh.stream = rng.NewWithSource(&sh.peer)
 		sh.netStream = rng.NewWithSource(&sh.netGen)
 		sh.emit = rt.makeEmit(sh)
 	}
-	states := core.States()
-	core.FanOut(func(w int) {
-		lo, hi := core.Part().Range(w)
-		for i := lo; i < hi; i++ {
-			states[i].Seed(PeerSeed(cfg.Seed, i))
-		}
-	})
 	return rt, nil
 }
 
@@ -253,11 +280,12 @@ func (rt *Runtime) InFlight() int { return rt.core.InFlight() }
 func (rt *Runtime) Inbox(i int) []simnet.Message { return rt.core.Inbox(i) }
 
 // stepRange is the runtime's one step loop, run after the deliver barrier:
-// shard w walks its peer range in ascending order, seating its lane at each
-// peer it steps, and skips the peers that are asleep and have no mail.
-// Everything the loop reads per peer is hoisted into locals, and the
-// skipped peers are counted rather than the stepped ones, so a dense
-// protocol pays for one test of a local per peer and nothing else.
+// shard w sets the round's seed prefix, then walks its peer range in
+// ascending order, seating its lane and its peer source at each peer it
+// steps, and skips the peers that are asleep and have no mail. Everything
+// the loop reads per peer is hoisted into locals, and the skipped peers are
+// counted rather than the stepped ones, so a dense protocol pays for one
+// test of a local per peer and nothing else.
 func (rt *Runtime) stepRange(w int) {
 	sh := &rt.sh[w]
 	ln := sh.lane
@@ -266,7 +294,8 @@ func (rt *Runtime) stepRange(w int) {
 	inOff := rt.core.View()
 	asleep := rt.asleep
 	step, active, round := rt.step, rt.active, rt.round
-	stream, emit := ln.Stream, sh.emit
+	src, stream, emit := &sh.peer, sh.stream, sh.emit
+	src.roundKey = rng.Absorb(rt.peerKey, uint64(round))
 	skipped := 0
 	start := inOff[lo]
 	for i := lo; i < hi; i++ {
@@ -275,6 +304,7 @@ func (rt *Runtime) stepRange(w int) {
 			skipped++
 		} else {
 			ln.Seat(i)
+			src.node, src.unseeded = i, true
 			sh.netSeeded = false
 			inbox := ln.Inbox(start, stop)
 			if active != nil {

@@ -148,8 +148,8 @@ func TestShardCountBitIdentity(t *testing.T) {
 
 func TestMatchesGoroutineEngine(t *testing.T) {
 	// Under the perfect-sync model, the sharded runtime is bit-identical to
-	// the goroutine-per-peer simnet.Live engine when both draw from the
-	// same per-peer streams: same digests, same traffic counters.
+	// the goroutine-per-peer simnet.Live engine when both seed every step
+	// from PeerSeed: same digests, same traffic counters.
 	const n, rounds, seed = 500, 10, 7
 
 	shardSt := newChatter(n, 2)
@@ -160,11 +160,8 @@ func TestMatchesGoroutineEngine(t *testing.T) {
 	shardStats := rt.Run(rounds)
 
 	legacySt := newChatter(n, 2)
-	streams := make([]*rng.Stream, n)
-	for i := range streams {
-		streams[i] = rng.New(PeerSeed(seed, i))
-	}
-	eng, err := simnet.NewLiveWithStreams(streams, func(node, round int, inbox []simnet.Message, s *rng.Stream) []simnet.Message {
+	peerSeed := func(round, node int) uint64 { return PeerSeed(seed, round, node) }
+	eng, err := simnet.NewLive(n, peerSeed, func(node, round int, inbox []simnet.Message, s *rng.Stream) []simnet.Message {
 		var out []simnet.Message
 		legacySt.step(node, round, inbox, s, func(m simnet.Message) { out = append(out, m) })
 		return out
@@ -497,5 +494,31 @@ func TestInboxAfterEmptyRounds(t *testing.T) {
 		if len(rt.Inbox(i)) != 0 {
 			t.Fatalf("peer %d: %d messages visible after an empty round", i, len(rt.Inbox(i)))
 		}
+	}
+}
+
+// TestRuntimeBytesPerPeer pins what the runtime itself costs per peer: New
+// and three ticks of a protocol whose peers all fall asleep at once, so
+// nothing is sent and only the per-peer arrays are left — the delivered
+// view's int32 offset and the asleep flag, 5 B. While the core kept a
+// 32-byte generator per peer this read 37.2 B.
+func TestRuntimeBytesPerPeer(t *testing.T) {
+	const n, bound = 100_000, 8.0
+	asleep := func(int, int, []simnet.Message, *rng.Stream, func(simnet.Message)) bool { return false }
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt, err := New(Config{N: n, Seed: 1, ActiveStep: asleep, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rt.Run(3); st.Sent != 0 {
+		t.Fatalf("an always-asleep protocol sent %d messages", st.Sent)
+	}
+	runtime.ReadMemStats(&after)
+	perPeer := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.2f B per peer", perPeer)
+	if perPeer > bound {
+		t.Errorf("the runtime allocated %.2f B per peer, bound %.0f", perPeer, bound)
 	}
 }

@@ -92,7 +92,7 @@ func TestUint64nLargeBoundsUnbiased(t *testing.T) {
 
 func TestStreamsPairwiseDistinct(t *testing.T) {
 	// Any two of many derived streams should diverge immediately.
-	streams := NewStreams(606, 32)
+	streams := derivedStreams(606, 32)
 	firsts := map[uint64]int{}
 	for i, s := range streams {
 		v := s.Uint64()

@@ -14,8 +14,15 @@ import "math/bits"
 // splitMix64 advances a SplitMix64 state and returns the next output.
 // SplitMix64 passes BigCrush and is the recommended seeder for xoshiro.
 func splitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+	*state += gamma
+	return mix64(*state)
+}
+
+// gamma is SplitMix64's state increment.
+const gamma uint64 = 0x9e3779b97f4a7c15
+
+// mix64 is SplitMix64's output finalizer.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -75,17 +82,21 @@ func NewXoshiro256(seed uint64) *Xoshiro256 {
 	return x
 }
 
-// Seed resets the generator state, expanding seed with SplitMix64.
+// Seed resets the generator state to the next four SplitMix64 outputs from
+// seed. The four finalizers are independent and written out so that they
+// overlap: the runtimes seed a generator per unit of work and wait on the
+// seed's latency, which a loop through splitMix64's state made longer.
 func (x *Xoshiro256) Seed(seed uint64) {
-	sm := seed
-	for i := range x.s {
-		x.s[i] = splitMix64(&sm)
-	}
+	z0 := seed + gamma
+	z1 := z0 + gamma
+	z2 := z1 + gamma
+	s0, s1, s2, s3 := mix64(z0), mix64(z1), mix64(z2), mix64(z2+gamma)
 	// An all-zero state is invalid; SplitMix64 cannot produce four zero
 	// outputs in a row, but guard anyway for arbitrary direct state edits.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
+	if s0|s1|s2|s3 == 0 {
+		s0 = gamma
 	}
+	x.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Uint64 returns the next value of the stream.

@@ -40,6 +40,22 @@ func TestXoshiroZeroSeedValid(t *testing.T) {
 	}
 }
 
+// TestSeedIsSplitMix64 pins Seed's written-out expansion against its
+// definition: the state is the next four outputs of a SplitMix64 sequence
+// started at the seed.
+func TestSeedIsSplitMix64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63, ^uint64(0), 0x9e3779b97f4a7c15} {
+		var x Xoshiro256
+		x.Seed(seed)
+		sm := seed
+		for i, got := range x.s {
+			if want := splitMix64(&sm); got != want {
+				t.Fatalf("seed %#x: state word %d is %#x, want %#x", seed, i, got, want)
+			}
+		}
+	}
+}
+
 func TestSeedResets(t *testing.T) {
 	src := NewXoshiro256(9)
 	first := make([]uint64, 16)
@@ -54,9 +70,19 @@ func TestSeedResets(t *testing.T) {
 	}
 }
 
-func TestNewStreamsIndependentAndDeterministic(t *testing.T) {
-	a := NewStreams(3, 8)
-	b := NewStreams(3, 8)
+// derivedStreams returns n streams, stream g seeded Derive(seed, g): the
+// way every unit of work in the repository gets its own randomness.
+func derivedStreams(seed uint64, n int) []*Stream {
+	out := make([]*Stream, n)
+	for g := range out {
+		out[g] = New(Derive(seed, uint64(g)))
+	}
+	return out
+}
+
+func TestDerivedStreamsIndependentAndDeterministic(t *testing.T) {
+	a := derivedStreams(3, 8)
+	b := derivedStreams(3, 8)
 	for i := range a {
 		for d := 0; d < 32; d++ {
 			if a[i].Uint64() != b[i].Uint64() {
@@ -65,7 +91,7 @@ func TestNewStreamsIndependentAndDeterministic(t *testing.T) {
 		}
 	}
 	// Distinct streams should not be identical.
-	c := NewStreams(3, 2)
+	c := derivedStreams(3, 2)
 	if c[0].Uint64() == c[1].Uint64() && c[0].Uint64() == c[1].Uint64() {
 		t.Fatal("derived streams appear identical")
 	}

@@ -3,8 +3,8 @@ package rng
 import "math/bits"
 
 // Stream wraps a Source with the sampling helpers used throughout the
-// simulator. A Stream is not safe for concurrent use; derive one per
-// goroutine or unit of work from its own seed (Derive, NewStreams).
+// simulator. A Stream is not safe for concurrent use; give each goroutine
+// or unit of work one of its own, seeded from its coordinates by Derive.
 type Stream struct {
 	src Source
 }
@@ -17,19 +17,6 @@ func New(seed uint64) *Stream {
 // NewWithSource returns a Stream drawing from the given source.
 func NewWithSource(src Source) *Stream {
 	return &Stream{src: src}
-}
-
-// NewStreams derives n statistically independent streams from a root seed.
-// Stream i is seeded with an output of a SplitMix64 sequence, so any two
-// streams behave as independent generators; this is the standard way to give
-// each simulated peer its own private randomness.
-func NewStreams(seed uint64, n int) []*Stream {
-	sm := seed
-	out := make([]*Stream, n)
-	for i := range out {
-		out[i] = New(splitMix64(&sm))
-	}
-	return out
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.

@@ -86,16 +86,17 @@
 //
 // # Determinism
 //
-// Nothing depends on the shard count. Peer i's generator state, on a core
-// that keeps them, is advanced only by the worker whose step range holds
-// i. Owner o's list in a slot is appended to tick by tick, within a tick in
-// worker order, within a worker in fill order, and workers walk ascending
-// ranges, so the list read front to back is global emission order
-// restricted to o's range. Owner o's counting sort is stable, so every inbox is in (tick sent, sender,
-// emission) order for any ring size and any step cuts. Which physical page
-// the pool handed a worker depends on scheduling; nothing but the
-// scratch_bytes gauge can tell. Lanes and their open-page rows are padded so
-// that no two workers' hot fields share a cache line.
+// Nothing depends on the shard count. The core keeps no randomness: a
+// runtime seeds whatever stream a unit of work needs from that unit's
+// coordinates. Owner o's list in a slot is appended to tick by
+// tick, within a tick in worker order, within a worker in fill order, and
+// workers walk ascending ranges, so the list read front to back is global
+// emission order restricted to o's range. Owner o's counting sort is
+// stable, so every inbox is in (tick sent, sender, emission) order for any
+// ring size and any step cuts. Which physical page the pool handed a worker
+// depends on scheduling; nothing but the scratch_bytes gauge can tell.
+// Lanes and their open-page rows are padded so that no two workers' hot
+// fields share a cache line.
 package shardrt
 
 import (
@@ -109,7 +110,6 @@ import (
 	"repro/internal/exch"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/rng"
 	"repro/internal/simnet"
 )
 
@@ -240,10 +240,6 @@ type Config struct {
 	// Weights, when non-nil, cuts the step ranges by cumulative weight
 	// (len >= N); nil keeps them equal to the delivery ranges.
 	Weights []float64
-	// Stateless drops the per-peer generator states: States is nil and
-	// Lane.Stream is nil. A runtime that seeds a stream of its own for
-	// every unit of work sets it, as async does for every firing.
-	Stateless bool
 	// Obs, when non-nil, receives per-(tick, worker, phase) spans and
 	// per-tick gauges on a track named Track. Track also prefixes New's
 	// errors; WorkGauge and DepthGauge name the per-tick work count and the
@@ -252,17 +248,6 @@ type Config struct {
 	Track, WorkGauge, DepthGauge string
 }
 
-// cursorSource adapts the flat per-peer xoshiro state array as an
-// rng.Source: the lane points node at the peer being stepped, so one Stream
-// per worker serves every peer of its range without allocation.
-type cursorSource struct {
-	states []rng.Xoshiro256
-	node   int
-}
-
-func (c *cursorSource) Uint64() uint64   { return c.states[c.node].Uint64() }
-func (c *cursorSource) Seed(seed uint64) { c.states[c.node].Seed(seed) }
-
 // parkedPage is a page a lane filled to the brim this tick, with its delay
 // and its delivery owner.
 type parkedPage struct {
@@ -270,14 +255,11 @@ type parkedPage struct {
 	p    page
 }
 
-// laneState is one worker's private state: its cursor stream, the peer it
-// is seated at (the sender of whatever it emits), the pages it is filling,
-// the scratch its peers' inboxes are unpacked into and the tick's counters.
+// laneState is one worker's private state: the peer it is seated at (the
+// sender of whatever it emits), the pages it is filling, the scratch its
+// peers' inboxes are unpacked into and the tick's counters.
 type laneState struct {
-	// Stream draws from the generator state of the seated peer; it is nil
-	// on a Stateless core.
-	Stream *rng.Stream
-	src    cursorSource
+	from int
 
 	// n, ring, part and pool are the core's, copied so that an emission
 	// reads nothing but its own lane; view points at the core's table of
@@ -314,14 +296,13 @@ type Lane struct {
 	_ [2*CacheLine - unsafe.Sizeof(laneState{})%CacheLine]byte
 }
 
-// Seat points the lane at peer i: Stream draws from i's state and emissions
-// are stamped From i.
-func (l *Lane) Seat(i int) { l.src.node = i }
+// Seat points the lane at peer i: emissions are stamped From i.
+func (l *Lane) Seat(i int) { l.from = i }
 
 // Address stamps m with the seated sender and reports whether its
 // destination exists; a message to nowhere is counted as Dropped.
 func (l *Lane) Address(m *simnet.Message) bool {
-	m.From = l.src.node
+	m.From = l.from
 	if m.To < 0 || m.To >= l.n {
 		l.dropped++
 		return false
@@ -430,10 +411,9 @@ type Core struct {
 	n, shards, ring int
 	track           string
 
-	states []rng.Xoshiro256
-	part   exch.Partition // delivery owners: uniform id ranges
-	cuts   []int          // step ranges: shards+1 ascending boundaries
-	lanes  []Lane
+	part  exch.Partition // delivery owners: uniform id ranges
+	cuts  []int          // step ranges: shards+1 ascending boundaries
+	lanes []Lane
 
 	// slots[t % ring] holds the messages due at tick t; pool holds every
 	// page that is on no slot, no lane and not in the view (package
@@ -474,8 +454,7 @@ func EffectiveShards(n, shards int) int {
 	return min(shards, n)
 }
 
-// New validates cfg, before allocating anything, and builds the core. The
-// generator states are left unseeded for the caller.
+// New validates cfg, before allocating anything, and builds the core.
 func New(cfg Config) (*Core, error) {
 	shards := EffectiveShards(cfg.N, cfg.Shards)
 	switch {
@@ -500,9 +479,6 @@ func New(cfg Config) (*Core, error) {
 		base:   make([]int32, shards),
 		counts: make([][]int32, shards),
 	}
-	if !cfg.Stateless {
-		c.states = make([]rng.Xoshiro256, cfg.N)
-	}
 	c.sortFn = c.sortOwner
 	for i := range c.slots {
 		c.slots[i].owners = make([]ownerPages, shards)
@@ -522,10 +498,6 @@ func New(cfg Config) (*Core, error) {
 		l := &c.lanes[w]
 		l.n, l.ring, l.part, l.pool, l.view = c.n, c.ring, c.part, &c.pool, &c.view
 		l.open = open[w*stride : w*stride+row : w*stride+row]
-		if c.states != nil {
-			l.src.states = c.states
-			l.Stream = rng.NewWithSource(&l.src)
-		}
 	}
 	if cfg.Obs != nil {
 		c.tr = cfg.Obs.Track(cfg.Track, shards)
@@ -554,10 +526,6 @@ func (c *Core) Stats() simnet.Stats { return c.stats }
 
 // Work returns the total of the lanes' AddWork over all ticks routed.
 func (c *Core) Work() int64 { return c.work }
-
-// States returns the per-peer generator states, nil on a Stateless core;
-// state i belongs to the worker whose range holds i.
-func (c *Core) States() []rng.Xoshiro256 { return c.states }
 
 // Part returns the delivery partition.
 func (c *Core) Part() exch.Partition { return c.part }

@@ -9,9 +9,9 @@ import (
 
 // StepFunc is one peer's behavior for one round: given its id, the round
 // number, and the messages delivered to it, it returns the messages it wants
-// to send. The provided stream is the peer's private randomness; StepFunc
-// must not touch any shared state (peers run concurrently in the Live
-// engine).
+// to send. The provided stream is the step's private randomness, seeded
+// afresh for every (round, peer); StepFunc must not touch any shared state
+// (peers run concurrently in the Live engine).
 type StepFunc func(node, round int, inbox []Message, s *rng.Stream) []Message
 
 // Live runs a protocol with one goroutine per peer. Per-round barriers are
@@ -25,47 +25,28 @@ type StepFunc func(node, round int, inbox []Message, s *rng.Stream) []Message
 // same step functions with a fixed worker pool and flat message buffers —
 // use it for large n or for non-synchronous network models.
 type Live struct {
-	n       int
-	step    StepFunc
-	streams []*rng.Stream
-	inbox   [][]Message
-	stats   Stats
+	n     int
+	step  StepFunc
+	seed  func(round, node int) uint64
+	inbox [][]Message
+	stats Stats
 }
 
-// NewLive creates a live engine for n peers with per-peer streams derived
-// from seed.
-func NewLive(n int, seed uint64, step StepFunc) (*Live, error) {
-	if n <= 0 {
+// NewLive creates a live engine for n peers. Peer i's stream in round r is
+// seeded seed(r, i), afresh every round, so no stream outlives a step: a
+// caller that passes another runtime's seeds (internal/live's PeerSeed)
+// replays that runtime's randomness exactly, making cross-engine runs
+// comparable bit for bit.
+func NewLive(n int, seed func(round, node int) uint64, step StepFunc) (*Live, error) {
+	switch {
+	case n <= 0:
 		return nil, fmt.Errorf("simnet: live engine needs n > 0, got %d", n)
-	}
-	if step == nil {
+	case seed == nil:
+		return nil, fmt.Errorf("simnet: live engine needs a seed function")
+	case step == nil:
 		return nil, fmt.Errorf("simnet: live engine needs a step function")
 	}
-	return NewLiveWithStreams(rng.NewStreams(seed, n), step)
-}
-
-// NewLiveWithStreams creates a live engine over caller-provided per-peer
-// streams (one per peer). It exists so other runtimes — in particular the
-// sharded engine in internal/live — can be replayed on this engine with
-// identical randomness, making cross-engine runs exactly comparable.
-func NewLiveWithStreams(streams []*rng.Stream, step StepFunc) (*Live, error) {
-	if len(streams) == 0 {
-		return nil, fmt.Errorf("simnet: live engine needs streams")
-	}
-	for i, s := range streams {
-		if s == nil {
-			return nil, fmt.Errorf("simnet: peer %d has a nil stream", i)
-		}
-	}
-	if step == nil {
-		return nil, fmt.Errorf("simnet: live engine needs a step function")
-	}
-	return &Live{
-		n:       len(streams),
-		step:    step,
-		streams: streams,
-		inbox:   make([][]Message, len(streams)),
-	}, nil
+	return &Live{n: n, step: step, seed: seed, inbox: make([][]Message, n)}, nil
 }
 
 // Run executes the given number of rounds concurrently and returns the
@@ -80,7 +61,7 @@ func (l *Live) Run(rounds int) Stats {
 		for i := 0; i < l.n; i++ {
 			go func(i int) {
 				defer wg.Done()
-				outs[i] = l.step(i, round, l.inbox[i], l.streams[i])
+				outs[i] = l.step(i, round, l.inbox[i], rng.New(l.seed(round, i)))
 			}(i)
 		}
 		wg.Wait()
@@ -113,7 +94,7 @@ func (l *Live) RunSequential(rounds int) Stats {
 		round := int(l.stats.Rounds)
 		next := make([][]Message, l.n)
 		for i := 0; i < l.n; i++ {
-			for _, m := range l.step(i, round, l.inbox[i], l.streams[i]) {
+			for _, m := range l.step(i, round, l.inbox[i], rng.New(l.seed(round, i))) {
 				m.From = i
 				if m.To < 0 || m.To >= l.n {
 					l.stats.Dropped++

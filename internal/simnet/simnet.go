@@ -2,7 +2,7 @@
 // speaks — Message and the Stats traffic counters — and Live, the
 // goroutine-per-peer engine the test suites use as a differential oracle:
 // one goroutine and one mailbox per peer, messages routed in peer order, so
-// a Live run is bit-identical to the sequential run of the same streams.
+// a Live run is bit-identical to the sequential run of the same seeds.
 //
 // Production runs use the sharded runtimes of internal/live and
 // internal/async instead: they execute the same step functions over the

@@ -15,18 +15,27 @@ func pingStep(n int) StepFunc {
 	}
 }
 
+// seeds returns a seed function rooted at root: step (round, node) draws
+// from Derive(root, round, node).
+func seeds(root uint64) func(round, node int) uint64 {
+	return func(round, node int) uint64 { return rng.Derive(root, uint64(round), uint64(node)) }
+}
+
 func TestLiveValidation(t *testing.T) {
-	if _, err := NewLive(0, 1, pingStep(1)); err == nil {
+	if _, err := NewLive(0, seeds(1), pingStep(1)); err == nil {
 		t.Error("accepted n = 0")
 	}
-	if _, err := NewLive(4, 1, nil); err == nil {
+	if _, err := NewLive(4, nil, pingStep(4)); err == nil {
+		t.Error("accepted nil seed function")
+	}
+	if _, err := NewLive(4, seeds(1), nil); err == nil {
 		t.Error("accepted nil step")
 	}
 }
 
 func TestLiveRunDeliversEachRound(t *testing.T) {
 	const n = 8
-	l, err := NewLive(n, 99, pingStep(n))
+	l, err := NewLive(n, seeds(99), pingStep(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +71,7 @@ func TestLiveConcurrentEqualsSequential(t *testing.T) {
 	run := func(concurrent bool) ([]int, Stats) {
 		informed := make([]bool, n)
 		informed[0] = true
-		l, err := NewLive(n, 7, func(node, round int, inbox []Message, s *rng.Stream) []Message {
+		l, err := NewLive(n, seeds(7), func(node, round int, inbox []Message, s *rng.Stream) []Message {
 			if len(inbox) > 0 {
 				informed[node] = true
 			}
@@ -114,8 +123,8 @@ func TestLiveMatchesSequential(t *testing.T) {
 		}
 		return out
 	}
-	a, _ := NewLive(32, 7, step)
-	b, _ := NewLive(32, 7, step)
+	a, _ := NewLive(32, seeds(7), step)
+	b, _ := NewLive(32, seeds(7), step)
 	sa := a.Run(6)
 	sb := b.RunSequential(6)
 	if sa.Sent != sb.Sent || sa.Dropped != sb.Dropped {
@@ -138,7 +147,7 @@ func TestLiveDropsInvalidDestination(t *testing.T) {
 	step := func(node, round int, inbox []Message, s *rng.Stream) []Message {
 		return []Message{{To: -1}, {To: 1000}}
 	}
-	l, _ := NewLive(4, 1, step)
+	l, _ := NewLive(4, seeds(1), step)
 	st := l.Run(2)
 	if st.Sent != 0 || st.Dropped != 16 {
 		t.Fatalf("stats = sent %d dropped %d", st.Sent, st.Dropped)
@@ -150,7 +159,7 @@ func TestLiveSetsFromField(t *testing.T) {
 		// Deliberately wrong From; the engine must overwrite it.
 		return []Message{{From: 99, To: 0}}
 	}
-	l, _ := NewLive(3, 1, step)
+	l, _ := NewLive(3, seeds(1), step)
 	l.Run(1)
 	for _, m := range l.Inbox(0) {
 		if m.From == 99 {
@@ -161,7 +170,7 @@ func TestLiveSetsFromField(t *testing.T) {
 
 func TestLiveMultipleRunCalls(t *testing.T) {
 	const n = 4
-	l, _ := NewLive(n, 5, pingStep(n))
+	l, _ := NewLive(n, seeds(5), pingStep(n))
 	l.Run(2)
 	st := l.Run(3)
 	if st.Rounds != 5 || st.Sent != 5*n {

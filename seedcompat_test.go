@@ -114,15 +114,17 @@ var compatCases = []compatCase{
 	{
 		name: "live",
 		spec: func(n int) Spec { return LiveConfig{Profile: UnitBandwidth(n)} },
-		want: map[int]uint64{17: 0xc56f61fda6de9cbd, 1000: 0x2bbea01938fc3740},
+		want: map[int]uint64{17: 0xd291b1c4c29d79ec, 1000: 0xf86e45920fbc0b64},
 	},
 	{
-		// Repinned when the handshake moved onto the sharded runtime: its
-		// per-peer streams are seeded by live.PeerSeed, no longer by
-		// rng.NewStreams, and it reports MaxInLoad.
+		// Repinned when the handshake moved onto the sharded runtime (its
+		// per-peer streams became the runtime's, and it reports MaxInLoad),
+		// and again, with live, topology and consensus, when the round
+		// runtime stopped keeping a generator per peer: every peer-step
+		// draws from a stream seeded live.PeerSeed(seed, round, peer).
 		name: "handshake",
 		spec: func(n int) Spec { return HandshakeConfig{Profile: UnitBandwidth(n), Rounds: 6} },
-		want: map[int]uint64{17: 0x0e30b3d2c5c87152, 1000: 0x54ef859ea5cba57f},
+		want: map[int]uint64{17: 0x580c02a884ca42cf, 1000: 0xb953304fb5cf3358},
 	},
 	// The three specs below were pinned at PR 24's parent commit, when the
 	// files that held their only digests were deleted.
@@ -134,14 +136,14 @@ var compatCases = []compatCase{
 	{
 		name: "topology",
 		spec: func(n int) Spec { return TopologyConfig{Graph: compatBA(n), Source: 0, Alpha: 0.25} },
-		want: map[int]uint64{17: 0x1f3affa894856a69, 1000: 0xee576a1b83b879d2},
+		want: map[int]uint64{17: 0xf2185ee74024ef7b, 1000: 0x759379d17b408af0},
 	},
 	{
 		name: "consensus",
 		spec: func(n int) Spec {
 			return ConsensusConfig{Variants: 3, Graph: compatBA(n), Seeding: ConsensusSeedDistinct, Rule: ConsensusRuleLatest}
 		},
-		want: map[int]uint64{17: 0xcc7af0f66b78d687, 1000: 0xe0be0bf878d0662f},
+		want: map[int]uint64{17: 0x848ee84982ef3167, 1000: 0x15fc710fc3959da3},
 	},
 }
 
