@@ -114,10 +114,10 @@
 // workers owning contiguous peer ranges on the shard-runtime core shared
 // with the asynchronous runtime (internal/shardrt: messages filed on pooled pages
 // under their destination's owner, which counting-sorts its own pages at
-// delivery — its package comment has the mechanism), per-peer streams seeded
-// SplitMix64(seed, peerDomain, peer). Runs are bit-identical for every
-// shard count, and to the goroutine-per-peer engine the tests keep as an
-// oracle. A 10^6-peer spread completes in tens of
+// delivery — its package comment has the mechanism), each peer-step's
+// stream seeded SplitMix64(seed, peerDomain, round, peer). Runs are
+// bit-identical for every shard count, and to the goroutine-per-peer engine
+// the tests keep as an oracle. A 10^6-peer spread completes in tens of
 // seconds (examples/livescale).
 //
 // WithNet plugs a network model into the sharded runtime: NetFixedLatency
