@@ -10,18 +10,21 @@
 //	       [-trace FILE] [-metrics] [-pprof ADDR]
 //
 // -experiment figure1 and -experiment figure2 are the paper's two figures.
-// -par fans every experiment's jobs — its repetitions and sweep cells —
-// across N goroutines (default GOMAXPROCS). Each job's seed is derived from
-// (seed, experiment domain, job coordinates), so tables are byte-identical
-// for every -par value; the flag is purely a wall-clock knob. The live and
-// protocols experiments print it and their timings.
+// Each experiment's table is followed by its claims table: every claim the
+// reproduction makes about that table (claim, source, statement), with the
+// verdict "holds" or the violation found. A failing claim is reported, not
+// an error: the exit status is still 0. -par fans every experiment's jobs —
+// its repetitions and sweep cells — across N goroutines (default
+// GOMAXPROCS). Each job's seed is derived from (seed, experiment domain,
+// job coordinates), so every table is a pure function of (scale, seed),
+// byte-identical for every -par value; the flag is purely a wall-clock knob.
 //
-// -protocol runs one row of the `protocols` experiment (rumor, multirumor,
-// live, monger, storage, handshake, async, topology, consensus) once at -n
-// peers with -par as the run's worker budget, and prints that row. Its
-// digest column is a pure function of (protocol, n, seed), so two runs that
-// differ in -par, -trace or -metrics must print the same one. This is the
-// way to trace or profile one big run:
+// -protocol runs one row of the spec table (rumor, multirumor, live,
+// monger, storage, handshake, async, topology, consensus) once at -n peers
+// with -par as the run's worker budget, and prints that row with its wall
+// time. Its digest column is a pure function of (protocol, n, seed), so two
+// runs that differ in -par, -trace or -metrics must print the same one.
+// This is the way to trace or profile one big run:
 //
 //	hetsim -protocol live -n 1000000 -par 2 -trace out.json -pprof localhost:6060
 //
@@ -150,12 +153,12 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *protocol != "" {
-		res, err := sim.RunProtocol(*protocol, *n, *seed, *par, observer)
+		t, err := sim.RunProtocol(*protocol, *n, *seed, *par, observer)
 		if err != nil {
 			fmt.Fprintln(stderr, "hetsim:", err)
 			return 1
 		}
-		emit(res.Table())
+		emit(t)
 		return 0
 	}
 
@@ -166,6 +169,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		emit(t)
+		emit(e.Verdicts(t))
 	}
 	return 0
 }

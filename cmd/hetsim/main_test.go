@@ -91,15 +91,28 @@ func TestProtocolTraceIdentity(t *testing.T) {
 
 func TestListAndExperiment(t *testing.T) {
 	code, stdout, _ := runCLI("-list")
-	if code != 0 || !strings.Contains(stdout, "figure2") || !strings.Contains(stdout, "protocols") {
+	if code != 0 || !strings.Contains(stdout, "figure2") || !strings.Contains(stdout, "consensus") {
 		t.Errorf("-list: exit %d, output:\n%s", code, stdout)
 	}
-	code, stdout, stderr := runCLI("-experiment", "protocols", "-par", "2", "-csv")
-	if code != 0 {
-		t.Fatalf("-experiment protocols: exit %d: %s", code, stderr)
+	// Every protocol of the spec table once through -protocol, each a
+	// completed one-row table.
+	for _, p := range []string{"rumor", "multirumor", "live", "monger", "storage", "handshake", "async", "topology", "consensus"} {
+		code, stdout, stderr := runCLI("-protocol", p, "-n", "256", "-par", "2", "-csv")
+		if code != 0 {
+			t.Fatalf("-protocol %s: exit %d: %s", p, code, stderr)
+		}
+		if rows := strings.Count(stdout, ",true,"); rows != 1 {
+			t.Errorf("-protocol %s table has %d completed rows, want 1:\n%s", p, rows, stdout)
+		}
 	}
-	if rows := strings.Count(stdout, ",true,"); rows != 9 {
-		t.Errorf("protocols table has %d completed rows, want 9:\n%s", rows, stdout)
+	// An experiment prints its table, then its claims with their verdicts.
+	code, stdout, stderr := runCLI("-experiment", "alpha", "-par", "2")
+	if code != 0 {
+		t.Fatalf("-experiment alpha: exit %d: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "E3 —") || !strings.Contains(stdout, "Claims — alpha") ||
+		!strings.Contains(stdout, "holds") || strings.Contains(stdout, "FAILS") {
+		t.Errorf("-experiment alpha output:\n%s", stdout)
 	}
 }
 

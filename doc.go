@@ -46,9 +46,9 @@
 //
 // All protocols emit the same Report (rounds, per-round trajectory and
 // message counts, totals, worst per-node loads, wall time), with the
-// protocol-native result preserved in Report.Detail. The experiment
-// registry's "protocols" entry, hetsim -protocol and the benchmark (bench/)
-// all consume reports generically.
+// protocol-native result preserved in Report.Detail. hetsim -protocol, the
+// experiment registry and the benchmark (bench/) all consume reports
+// generically.
 //
 // Configs carry only the protocol: the orthogonal axes travel exclusively
 // as options. Run is the one way to start a protocol — no protocol takes a
@@ -260,9 +260,12 @@
 // sweep is an independent job whose stream is seeded
 // SplitMix64(rootSeed, domainTag, coordinates...) from its position in the
 // sweep, never from "the next value of a shared generator". With
-// fixed-order aggregation after the fan-in barrier, published tables are
-// byte-identical for every worker count; hetsim's -par flag only changes
-// wall-clock time, and golden tests pin the quick-scale tables by hash.
+// fixed-order aggregation after the fan-in barrier, every table is a pure
+// function of (scale, seed): hetsim's -par flag only changes wall-clock
+// time, and golden tests pin the quick-scale figure tables by hash. Each
+// table is followed by its claims — statements from the paper (or a
+// related paper) checked on the numbers behind the table's cells, with a
+// verdict — and the harness test requires all of them to hold.
 //
 // See the runnable programs under examples/ and the one command,
 // cmd/hetsim. The docs/ directory carries the repository-level contracts:

@@ -244,40 +244,25 @@ func TestExperimentSuiteDeterminism(t *testing.T) {
 	}
 	// The whole harness is a pure function of its seed: identical tables
 	// on identical seeds, different tables on different seeds.
-	a1, err := sim.RunAlphaVsLoad(sim.ScaleQuick, 99, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	var alpha sim.Experiment
+	for _, e := range sim.Registry() {
+		if e.Name == "alpha" {
+			alpha = e
+		}
 	}
-	a2, err := sim.RunAlphaVsLoad(sim.ScaleQuick, 99, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	render := func(seed uint64) string {
+		tbl, err := alpha.Run(sim.ScaleQuick, seed, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl.Render()
 	}
-	if !reflect.DeepEqual(a1, a2) {
-		t.Fatal("same seed produced different results")
+	a1 := render(99)
+	if a2 := render(99); a2 != a1 {
+		t.Fatalf("same seed produced different tables:\n%s\nvs\n%s", a1, a2)
 	}
-	a3, err := sim.RunAlphaVsLoad(sim.ScaleQuick, 100, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a1, a3) {
-		t.Fatal("different seeds produced identical results")
-	}
-}
-
-func TestFigureRunnersDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs figure 2 twice")
-	}
-	f1, err := sim.RunFigure2(sim.ScaleQuick, 5, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := sim.RunFigure2(sim.ScaleQuick, 5, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f1, f2) {
-		t.Fatal("figure 2 is not deterministic")
+	if a3 := render(100); a3 == a1 {
+		t.Fatal("different seeds produced identical tables")
 	}
 }
 

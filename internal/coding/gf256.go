@@ -52,17 +52,6 @@ func Inv(a byte) byte {
 	return gfExp[255-int(gfLog[a])]
 }
 
-// Div returns a / b. It panics on b == 0.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("coding: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return gfExp[int(gfLog[a])+255-int(gfLog[b])]
-}
-
 // mulSlice computes dst[i] ^= c * src[i] for all i: the row operation of
 // Gaussian elimination and the inner loop of recoding.
 func mulSlice(dst, src []byte, c byte) {

@@ -93,29 +93,6 @@ func TestInvZeroPanics(t *testing.T) {
 	Inv(0)
 }
 
-func TestDiv(t *testing.T) {
-	if err := quick.Check(func(a, b byte) bool {
-		if b == 0 {
-			return true
-		}
-		return Mul(Div(a, b), b) == a
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if Div(0, 5) != 0 {
-		t.Fatal("0 / x != 0")
-	}
-}
-
-func TestDivZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Div by zero did not panic")
-		}
-	}()
-	Div(3, 0)
-}
-
 func TestMulSlice(t *testing.T) {
 	dst := []byte{1, 2, 3}
 	src := []byte{4, 5, 6}

@@ -2,52 +2,16 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/bandwidth"
 	"repro/internal/gossip"
 	"repro/internal/live"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/run"
 	"repro/internal/stats"
 )
-
-// LiveRow reports one configuration of the live-runtime experiment.
-type LiveRow struct {
-	N            int     `json:"n"`
-	Model        string  `json:"model"`
-	Shards       int     `json:"shards"`
-	DatingRounds int     `json:"dating_rounds"`
-	Completed    bool    `json:"completed"`
-	SecPerDating float64 `json:"seconds_per_dating_round"`
-	MsgsPerSec   float64 `json:"messages_per_second"`
-}
-
-// LiveSweepResult is the live experiment of the registry: a scale sweep of
-// full message-level spreading runs under the perfect-sync model, followed
-// by a latency/loss/churn sensitivity table at a fixed n.
-type LiveSweepResult struct {
-	Rows []LiveRow `json:"rows"`
-}
-
-// Table renders the sweep in the repository's table shape.
-func (r LiveSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		"Live message runtime — full-spread scale sweep + network-model sensitivity (unit bandwidth)",
-		"n", "model", "shards", "dating rounds", "completed", "s/dating round", "msg/s",
-	)
-	for _, row := range r.Rows {
-		t.AddRow(
-			fmt.Sprint(row.N),
-			row.Model,
-			fmt.Sprint(row.Shards),
-			fmt.Sprint(row.DatingRounds),
-			fmt.Sprint(row.Completed),
-			fmt.Sprintf("%.4f", row.SecPerDating),
-			fmt.Sprintf("%.3g", row.MsgsPerSec),
-		)
-	}
-	return t
-}
 
 // liveModel pairs a sensitivity-table row label with its network model.
 type liveModel struct {
@@ -75,55 +39,31 @@ func liveModels(seed uint64, n int) []liveModel {
 	}
 }
 
-// RunLiveScaled is the registry entry point for the live-runtime
-// experiment. Quick scale sweeps n up to 10^4 with a sensitivity table at
-// n=2000 (seconds); paper scale sweeps n up to 10^6 with the sensitivity
-// table at n=10^5 (minutes). The workers knob sets the runtime's shard
-// count — the live runtime is bit-identical for every shard count, so
-// workers only changes wall-clock time (the timing columns).
-func RunLiveScaled(scale Scale, seed uint64, workers int, o *obs.Observer) (LiveSweepResult, error) {
-	ns := []int{1_000, 10_000}
-	nSens := 2_000
+// runLiveSensitivity is the registry entry point for the live-runtime
+// experiment: one full message-level spread (unit bandwidth) per network
+// model of liveModels, at n = 2000 (quick) or 10^5 (paper). Each model is
+// one harness job, and every job runs from the root seed itself, so the rows
+// share their protocol randomness and differ only in the network.
+func runLiveSensitivity(scale Scale, seed uint64, workers int, o *obs.Observer) (*stats.Table, error) {
+	n := 2_000
 	if scale == ScalePaper {
-		ns = []int{10_000, 100_000, 1_000_000}
-		nSens = 100_000
+		n = 100_000
 	}
-	var res LiveSweepResult
-	for _, n := range ns {
-		row, err := runLiveRow(n, "sync", nil, workers, seed, o)
+	models := liveModels(seed, n)
+	rows := make([][]stats.Cell, len(models))
+	err := forEach(len(models), workers, func(j int, b *par.Budget) error {
+		m := models[j]
+		rep, err := runJob(gossip.LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}, seed, b, o, run.WithNet(m.net))
 		if err != nil {
-			return LiveSweepResult{}, err
+			return fmt.Errorf("sim: live n=%d model=%s: %w", n, m.name, err)
 		}
-		res.Rows = append(res.Rows, row)
-	}
-	for _, m := range liveModels(seed, nSens) {
-		row, err := runLiveRow(nSens, m.name, m.net, workers, seed, o)
-		if err != nil {
-			return LiveSweepResult{}, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// runLiveRow executes one full message-level spreading run through the
-// unified runner and derives the row from its Report.
-func runLiveRow(n int, model string, net live.NetModel, shards int, seed uint64, o *obs.Observer) (LiveRow, error) {
-	rep, err := run.Run(gossip.LiveConfig{Profile: bandwidth.Homogeneous(n, 1)},
-		run.WithSeed(seed), run.WithWorkers(shards), run.WithNet(net), run.WithObserver(o))
+		rows[j] = []stats.Cell{stats.Int(n), stats.Label(m.name), stats.Int(rep.Rounds),
+			stats.Label(strconv.FormatBool(rep.Completed)), stats.Int(rep.Messages)}
+		return nil
+	})
 	if err != nil {
-		return LiveRow{}, fmt.Errorf("sim: live n=%d model=%s: %w", n, model, err)
+		return nil, err
 	}
-	row := LiveRow{
-		N:            n,
-		Model:        model,
-		Shards:       shards,
-		DatingRounds: rep.Rounds,
-		Completed:    rep.Completed,
-	}
-	if sec := rep.Wall.Seconds(); sec > 0 && rep.Rounds > 0 {
-		row.SecPerDating = sec / float64(rep.Rounds)
-		row.MsgsPerSec = float64(rep.Messages) / sec
-	}
-	return row, nil
+	return table("Live message runtime — network-model sensitivity (unit bandwidth)",
+		[]string{"n", "model", "dating rounds", "completed", "messages"}, rows), nil
 }

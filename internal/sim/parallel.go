@@ -8,13 +8,15 @@ package sim
 //
 //	rng.Derive(rootSeed, domainTag, coordinates...)
 //
-// by its position in the sweep (n index, cell index, repetition index, ...).
-// A job that runs a protocol hands that seed to run.Run (runJob); a job of
-// bare dating rounds seeds round r with rng.Absorb(jobSeed, r), the same
-// chain one coordinate longer. Jobs write into caller-indexed result slots
-// and all aggregation happens after the barrier, in job-index order, so
-// published tables are byte-identical for every worker count and with or
-// without an observer (TestRegistryWorkersIdentical).
+// by its position in the sweep (n index, cell index, repetition index, ...);
+// the live and async experiments start every job from the root seed itself,
+// so their rows share protocol randomness. A job that runs a protocol hands
+// its seed to run.Run (runJob); a job of bare dating rounds seeds round r
+// with rng.Absorb(jobSeed, r), the same chain one coordinate longer. Jobs
+// write into caller-indexed result slots and all aggregation happens after
+// the barrier, in job-index order, so every table is a pure function of
+// (scale, seed): byte-identical for every worker count and with or without
+// an observer (TestRegistryWorkersIdentical).
 //
 // The harness and the engines inside jobs share one par.Budget: each
 // harness worker goroutine holds a token for its lifetime, and a job's
@@ -58,6 +60,12 @@ const (
 	domainPipelining     uint64 = 0x66
 	domainMongering      uint64 = 0x67
 	domainChurn          uint64 = 0x68
+	// The async experiment's heterogeneous Zipf profile.
+	domainAsyncZipf uint64 = 0x71
+	// Topology sweep: graph seeds (coordinates 1, 2) and job seeds (j, 3).
+	domainTopologyJobs uint64 = 0x81
+	// Consensus sweep: graph seed (1), Zipf profiles (2, 3), job seeds (j, 4).
+	domainConsensusJobs uint64 = 0x82
 )
 
 // forEach runs jobs 0..jobs-1 across a worker budget of the given size,
@@ -127,9 +135,10 @@ func sweep[T any](cells, reps, workers int, seed, domain uint64, job func(cell, 
 
 // runJob is the one way a harness job runs a protocol: run.Run from the
 // job's seed, drawing workers from the harness budget, with the
-// experiment's observer (nil for none) attached.
-func runJob(spec run.Spec, seed uint64, b *par.Budget, o *obs.Observer) (run.Report, error) {
-	return run.Run(spec, run.WithSeed(seed), run.WithBudget(b), run.WithObserver(o))
+// experiment's observer (nil for none) and any further options (a network
+// model) attached.
+func runJob(spec run.Spec, seed uint64, b *par.Budget, o *obs.Observer, opts ...run.Option) (run.Report, error) {
+	return run.Run(spec, append([]run.Option{run.WithSeed(seed), run.WithBudget(b), run.WithObserver(o)}, opts...)...)
 }
 
 // fractions runs rounds seeded dating rounds of svc — round r seeded
@@ -145,4 +154,19 @@ func fractions(svc *core.Service, rounds, m int, jobSeed uint64, b *par.Budget) 
 		acc.Add(float64(len(dates)) / float64(m))
 	}
 	return acc, nil
+}
+
+// meanStd is a "mean ± std" cell with the given decimals, the display
+// convention of the paper's figures; its number is the mean.
+func meanStd(a stats.Accumulator, decimals int) stats.Cell {
+	return stats.Cell{Text: fmt.Sprintf("%.*f ± %.*f", decimals, a.Mean(), decimals, a.Std()), Num: a.Mean()}
+}
+
+// table tables rows, in order, under a title and headers.
+func table(title string, headers []string, rows [][]stats.Cell) *stats.Table {
+	t := stats.NewTable(title, headers...)
+	for _, row := range rows {
+		t.Add(row...)
+	}
+	return t
 }

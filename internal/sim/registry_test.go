@@ -1,19 +1,21 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 18 {
-		t.Fatalf("registry has %d experiments, want the 13 of the evaluation plus the live sweep, the sync-vs-async comparison, the unified-runner sweep, the topology sweep and the consensus sweep", len(reg))
+	if len(reg) != 17 {
+		t.Fatalf("registry has %d experiments, want the two figures and E3–E13 of the evaluation plus the live, async, topology and consensus sweeps (17)", len(reg))
 	}
 	seen := map[string]bool{}
 	for _, e := range reg {
-		if e.Name == "" || e.About == "" || e.Run == nil {
+		if e.Name == "" || e.About == "" || e.Run == nil || len(e.Claims) == 0 {
 			t.Fatalf("incomplete registry entry %+v", e)
 		}
 		if seen[e.Name] {
@@ -26,36 +28,79 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("registry missing %q", want)
 		}
 	}
+	ids := map[string]bool{}
+	for _, c := range claims {
+		if !seen[c.Experiment] {
+			t.Errorf("claim %s reads experiment %q, which the registry lacks", c.ID, c.Experiment)
+		}
+		if ids[c.ID] || c.Source == "" || c.Statement == "" || c.Check == nil {
+			t.Errorf("duplicate or incomplete claim %+v", c)
+		}
+		ids[c.ID] = true
+	}
 }
 
-// TestRegistryWorkersIdentical runs every experiment through the registry
-// at quick scale: each must render a non-empty table, byte-identical at
-// workers 1 with no observer and at workers 4 with an observer attached.
-// live and protocols are left out because they print timing (and live its
-// shard count) columns.
+// TestRegistryWorkersIdentical is the harness test. Every experiment of the
+// registry runs once at quick scale, seed 42, workers 1 and no observer:
+// its table must satisfy every claim of the claims table, and the two
+// figures must render their golden bytes. A second run at workers 4 with
+// an observer attached must render the same bytes. No experiment is left
+// out: every table is a pure function of (scale, seed).
 func TestRegistryWorkersIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registry experiment twice")
 	}
+	goldens := map[string]uint64{"figure1": goldenFigure1Quick, "figure2": goldenFigure2Quick}
 	for _, e := range Registry() {
-		if e.Name == "live" || e.Name == "protocols" {
-			continue
-		}
 		t.Run(e.Name, func(t *testing.T) {
-			render := func(workers int, o *obs.Observer) string {
-				tbl, err := e.Run(ScaleQuick, 9, workers, o)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if tbl.NumRows() == 0 {
-					t.Fatalf("workers=%d: empty table", workers)
-				}
-				return tbl.Render()
+			tbl, err := e.Run(ScaleQuick, 42, 1, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			serial := render(1, nil)
-			if par := render(4, obs.NewObserver()); par != serial {
-				t.Fatalf("workers=4 with an observer differs from workers=1:\n%s\nvs\n%s", par, serial)
+			serial := tbl.Render()
+			for _, c := range e.Claims {
+				if err := c.Check(tbl); err != nil {
+					t.Errorf("claim %s (%s: %s) fails: %v\n%s", c.ID, c.Source, c.Statement, err, serial)
+				}
+			}
+			if want, ok := goldens[e.Name]; ok {
+				if h := tableHash(serial); h != want {
+					t.Errorf("golden drifted: got %#x, pinned %#x\n%s", h, want, serial)
+				}
+			}
+			par, err := e.Run(ScaleQuick, 42, 4, obs.NewObserver())
+			if err != nil {
+				t.Fatalf("workers=4 with an observer: %v", err)
+			}
+			if out := par.Render(); out != serial {
+				t.Fatalf("workers=4 with an observer differs from workers=1:\n%s\nvs\n%s", out, serial)
 			}
 		})
+	}
+}
+
+// TestVerdicts checks the claims table on a table its claims hold on and
+// on one they fail on: the violation is the verdict, a failing row is
+// named, and a claim reading a column the table lacks fails instead of
+// holding vacuously.
+func TestVerdicts(t *testing.T) {
+	e := Experiment{Name: "demo", Claims: []Claim{
+		{"D.rows", "Figure 1", "demo", "two rows", rows(2)},
+		{"D.small", "Figure 1", "demo", "n below 3", every(func(r row) bool { return r.num("n") < 3 })},
+		{"D.missing", "Figure 1", "demo", "m below 3", every(func(r row) bool { return r.num("m") < 3 })},
+	}}
+	tbl := stats.NewTable("", "n")
+	tbl.Add(stats.Int(1))
+	tbl.Add(stats.Int(2))
+	got := e.Verdicts(tbl).Col("verdict")
+	if len(got) != 3 || got[0].Text != "holds" || got[1].Text != "holds" || got[2].Text != `FAILS: no column "m"` {
+		t.Fatalf("verdicts on a two-row table: %v", got)
+	}
+	tbl.Add(stats.Int(3))
+	out := e.Verdicts(tbl).Render()
+	for _, want := range []string{"Claims — demo", "D.rows", "Figure 1", "two rows", "FAILS: does not hold", "FAILS: fails on row 3"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("verdicts table lacks %q:\n%s", want, out)
+		}
 	}
 }

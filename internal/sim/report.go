@@ -2,12 +2,12 @@ package sim
 
 // This file is the Report-consuming side of the unified runner: the spec
 // table holding every protocol of the repository as a function of (n, seed),
-// the digest that witnesses a run's bits, and the two ways to execute the
-// table through run.Run — the "protocols" registry experiment (every row)
-// and RunProtocol (one row, at any n).
+// the digest that witnesses a run's bits, and RunProtocol, which executes
+// one row of the table through run.Run at any n.
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/bandwidth"
@@ -39,7 +39,7 @@ func TrajectoryDigest(traj []int) string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// reportDigest is the digest column of the protocols table. A consensus
+// reportDigest is the digest column of the protocol table. A consensus
 // trajectory counts decided peers and does not say which variant each of
 // them holds, so that row digests the per-round variant shares, round-major.
 func reportDigest(rep run.Report) string {
@@ -108,116 +108,56 @@ func ProtocolNames() []string {
 	return names
 }
 
-// ProtocolsRow is one protocol's unified report in the protocols table.
-// Everything but Seconds is a pure function of (protocol, n, seed).
-type ProtocolsRow struct {
-	Protocol   string
-	N          int
-	Rounds     int
-	Completed  bool
-	Messages   int64
-	MaxInLoad  int
-	MaxOutLoad int
-	Digest     string
-	Seconds    float64
-}
-
-// ProtocolsResult is rows of the spec table executed through run.Run with
-// one root seed and worker budget, reported in the one Report shape.
-type ProtocolsResult struct {
-	Seed    uint64
-	Workers int
-	Rows    []ProtocolsRow
-}
-
-// Table renders the rows; only the timing column varies run to run.
-func (r ProtocolsResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Unified runner — run.Run(spec, WithSeed(%d), WithWorkers(%d))", r.Seed, r.Workers),
-		"protocol", "n", "rounds", "completed", "messages", "max in/out load", "digest", "seconds")
-	for _, row := range r.Rows {
-		loads := "—"
-		if row.MaxInLoad > 0 || row.MaxOutLoad > 0 {
-			loads = fmt.Sprintf("%d/%d", row.MaxInLoad, row.MaxOutLoad)
-		}
-		t.AddRow(
-			row.Protocol,
-			fmt.Sprint(row.N),
-			fmt.Sprint(row.Rounds),
-			fmt.Sprint(row.Completed),
-			fmt.Sprint(row.Messages),
-			loads,
-			row.Digest,
-			fmt.Sprintf("%.3f", row.Seconds),
-		)
+// protocolRow is rep's row of the protocol table at n peers. Everything
+// but the last column, the run's seconds, is a pure function of
+// (protocol, n, seed).
+func protocolRow(n int, rep run.Report) []stats.Cell {
+	loads := "—"
+	if rep.MaxInLoad > 0 || rep.MaxOutLoad > 0 {
+		loads = fmt.Sprintf("%d/%d", rep.MaxInLoad, rep.MaxOutLoad)
 	}
-	return t
+	return []stats.Cell{stats.Label(rep.Protocol), stats.Int(n), stats.Int(rep.Rounds),
+		stats.Label(strconv.FormatBool(rep.Completed)), stats.Int(rep.Messages), stats.Label(loads),
+		stats.Label(reportDigest(rep)), stats.Num("%.3f", rep.Wall.Seconds())}
 }
 
 // execute builds the row's spec at n peers and executes it once through
 // run.Run, with the observer (nil for none) attached. A spec the protocol
 // rejects and a run that does not complete are errors.
-func (ps protocolSpec) execute(n int, seed uint64, workers int, observer *obs.Observer) (ProtocolsRow, error) {
+func (ps protocolSpec) execute(n int, seed uint64, workers int, observer *obs.Observer) (run.Report, error) {
 	spec, err := ps.build(n, seed)
 	if err != nil {
-		return ProtocolsRow{}, fmt.Errorf("sim: protocol %s: %w", ps.name, err)
+		return run.Report{}, fmt.Errorf("sim: protocol %s: %w", ps.name, err)
 	}
 	rep, err := run.Run(spec, run.WithSeed(seed), run.WithWorkers(workers), run.WithObserver(observer))
 	if err != nil {
-		return ProtocolsRow{}, fmt.Errorf("sim: protocol %s: %w", ps.name, err)
+		return run.Report{}, fmt.Errorf("sim: protocol %s: %w", ps.name, err)
 	}
 	if !rep.Completed {
-		return ProtocolsRow{}, fmt.Errorf("sim: protocol %s incomplete after %d rounds", ps.name, rep.Rounds)
+		return run.Report{}, fmt.Errorf("sim: protocol %s incomplete after %d rounds", ps.name, rep.Rounds)
 	}
-	return ProtocolsRow{
-		Protocol:   rep.Protocol,
-		N:          n,
-		Rounds:     rep.Rounds,
-		Completed:  rep.Completed,
-		Messages:   rep.Messages,
-		MaxInLoad:  rep.MaxInLoad,
-		MaxOutLoad: rep.MaxOutLoad,
-		Digest:     reportDigest(rep),
-		Seconds:    rep.Wall.Seconds(),
-	}, nil
+	return rep, nil
 }
 
 // RunProtocol executes one row of the spec table at n peers, with the
-// observer (nil for none) attached to that run alone: the way to trace or
-// profile one big run.
-func RunProtocol(name string, n int, seed uint64, workers int, observer *obs.Observer) (ProtocolsResult, error) {
+// observer (nil for none) attached to that run alone, and tables it: the
+// way to trace or profile one big run. Only the seconds column varies from
+// run to run.
+func RunProtocol(name string, n int, seed uint64, workers int, observer *obs.Observer) (*stats.Table, error) {
 	if n < 1 {
-		return ProtocolsResult{}, fmt.Errorf("sim: protocol %s needs a positive n, got %d", name, n)
+		return nil, fmt.Errorf("sim: protocol %s needs a positive n, got %d", name, n)
 	}
 	for _, ps := range protocolSpecs {
 		if ps.name != name {
 			continue
 		}
-		row, err := ps.execute(n, seed, workers, observer)
+		rep, err := ps.execute(n, seed, workers, observer)
 		if err != nil {
-			return ProtocolsResult{}, err
+			return nil, err
 		}
-		return ProtocolsResult{Seed: seed, Workers: workers, Rows: []ProtocolsRow{row}}, nil
+		return table(fmt.Sprintf("Unified runner — run.Run(spec, WithSeed(%d), WithWorkers(%d))", seed, workers),
+			[]string{"protocol", "n", "rounds", "completed", "messages", "max in/out load", "digest", "seconds"},
+			[][]stats.Cell{protocolRow(n, rep)}), nil
 	}
-	return ProtocolsResult{}, fmt.Errorf("sim: unknown protocol %q (want one of %s)", name, strings.Join(ProtocolNames(), ", "))
-}
-
-// RunProtocols is the registry entry point for the unified-runner sweep:
-// every row of the spec table once, sharing a root seed and a worker
-// budget. Everything but the timing column is deterministic, and the budget
-// is a pure speed knob.
-func RunProtocols(scale Scale, seed uint64, workers int, o *obs.Observer) (ProtocolsResult, error) {
-	n := 256
-	if scale == ScalePaper {
-		n = 4096
-	}
-	res := ProtocolsResult{Seed: seed, Workers: workers}
-	for _, ps := range protocolSpecs {
-		row, err := ps.execute(n, seed, workers, o)
-		if err != nil {
-			return ProtocolsResult{}, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return nil, fmt.Errorf("sim: unknown protocol %q (want one of %s)", name, strings.Join(ProtocolNames(), ", "))
 }

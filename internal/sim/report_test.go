@@ -1,18 +1,20 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/gossip"
 	"repro/internal/obs"
 	"repro/internal/run"
+	"repro/internal/stats"
 )
 
 // TestSpecTableIdentity is the identity matrix over the spec table: every
 // protocol, at a small n, completes and reports the same row (digest,
 // rounds, messages, loads) whatever the worker budget and whether or not an
-// observer is attached. Only the timing column may differ. Three rows
+// observer is attached. Only the timing column, the row's last, may differ. Three rows
 // (multirumor, monger, storage) run on engines that register no track, so
 // for them the observer axis only shows that attaching is harmless.
 func TestSpecTableIdentity(t *testing.T) {
@@ -22,21 +24,22 @@ func TestSpecTableIdentity(t *testing.T) {
 	const n, seed = 300, 42
 	for _, ps := range protocolSpecs {
 		t.Run(ps.name, func(t *testing.T) {
-			var ref ProtocolsRow
+			var ref []stats.Cell
 			for _, workers := range []int{1, 2, 4} {
 				for _, observer := range []*obs.Observer{nil, obs.NewObserver()} {
-					row, err := ps.execute(n, seed, workers, observer)
+					rep, err := ps.execute(n, seed, workers, observer)
 					if err != nil {
 						t.Fatalf("workers=%d observed=%v: %v", workers, observer != nil, err)
 					}
-					row.Seconds = 0
-					if ref == (ProtocolsRow{}) {
-						if row.Protocol != ps.name || !row.Completed || row.Rounds == 0 || len(row.Digest) != 16 {
-							t.Fatalf("degenerate reference row %+v", row)
+					row := protocolRow(n, rep)
+					row = row[:len(row)-1]
+					if ref == nil {
+						if row[0].Text != ps.name || row[3].Text != "true" || row[2].Num == 0 || len(row[6].Text) != 16 {
+							t.Fatalf("degenerate reference row %v", row)
 						}
 						ref = row
-					} else if row != ref {
-						t.Errorf("workers=%d observed=%v:\n got %+v\nwant %+v", workers, observer != nil, row, ref)
+					} else if !slices.Equal(row, ref) {
+						t.Errorf("workers=%d observed=%v:\n got %v\nwant %v", workers, observer != nil, row, ref)
 					}
 				}
 			}
@@ -105,11 +108,11 @@ func TestSeedCompatDigests100k(t *testing.T) {
 		"topology":  "5dfae819fd079a53",
 		"consensus": "dcc05d4635c86d3e",
 	} {
-		res, err := RunProtocol(name, 100_000, 42, 1, nil)
+		tbl, err := RunProtocol(name, 100_000, 42, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Rows[0].Digest; got != want {
+		if got := tbl.Col("digest")[0].Text; got != want {
 			t.Errorf("%s: digest %s, pinned %s", name, got, want)
 		}
 	}

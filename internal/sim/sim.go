@@ -1,7 +1,9 @@
-// Package sim is the experiment harness: each Run* function regenerates one
-// figure or experiment of the registry (Registry, registry.go), returning
-// both structured results (for tests to assert on) and a rendered table in
-// the same shape as the paper's plots.
+// Package sim is the experiment harness: each experiment of the registry
+// (Registry, registry.go) regenerates one figure or extension of the paper
+// as one stats.Table, a pure function of (scale, seed) in the shape of the
+// paper's plots, and the claims table (claims.go) states what each table
+// must show: its claims are checked on the numbers the table's cells were
+// formatted from.
 //
 // Every experiment takes an explicit Scale. ScalePaper matches the paper's
 // parameters (10^4 repetitions, n up to 10^5) and is meant for hetsim;
@@ -44,46 +46,39 @@ func ParseScale(name string) (Scale, error) {
 	return 0, fmt.Errorf("sim: unknown scale %q (want quick or paper)", name)
 }
 
-// figure1Sizes returns the n values and per-n round counts for Figure 1.
-func figure1Sizes(s Scale) (ns []int, rounds func(n int) int, dhtCount int) {
-	switch s {
-	case ScalePaper:
-		return []int{10, 100, 1000, 10000, 100000}, func(n int) int {
-			if n >= 10000 {
-				return 1000
-			}
-			return 10000
-		}, 200
-	default:
-		return []int{10, 100, 1000, 10000}, func(n int) int {
-			if n >= 10000 {
-				return 40
-			}
-			return 300
-		}, 12
+// figure1Sizes returns the n values, the uniform rows' round count at each
+// n, and the number of overlays generated per n for Figure 1.
+func figure1Sizes(s Scale) ([]int, func(n int) int, int) {
+	ns, small, large, dhtCount := []int{10, 100, 1000, 10000}, 300, 40, 12
+	if s == ScalePaper {
+		ns, small, large, dhtCount = []int{10, 100, 1000, 10000, 100000}, 10000, 1000, 200
 	}
+	return ns, func(n int) int {
+		if n >= 10000 {
+			return large
+		}
+		return small
+	}, dhtCount
 }
 
 // figure2Sizes returns the n values and repetition counts for Figure 2.
-func figure2Sizes(s Scale) (ns []int, reps func(n int) int) {
-	switch s {
-	case ScalePaper:
+func figure2Sizes(s Scale) ([]int, func(n int) int) {
+	if s == ScalePaper {
 		return []int{10, 100, 1000, 10000, 100000}, func(n int) int {
 			if n >= 10000 {
 				return 1000
 			}
 			return 10000
 		}
-	default:
-		return []int{10, 100, 1000, 10000}, func(n int) int {
-			switch {
-			case n >= 10000:
-				return 8
-			case n >= 1000:
-				return 30
-			default:
-				return 100
-			}
+	}
+	return []int{10, 100, 1000, 10000}, func(n int) int {
+		switch {
+		case n >= 10000:
+			return 8
+		case n >= 1000:
+			return 30
+		default:
+			return 100
 		}
 	}
 }

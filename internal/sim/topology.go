@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
@@ -18,51 +19,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
-
-// domainTopologyJobs derives the per-job root seeds of the topology sweep
-// (see the allocation map in internal/rng/domains.go).
-const domainTopologyJobs uint64 = 0x81
-
-// TopologySpreadRow is one (graph, alpha, start) cell of the sweep.
-type TopologySpreadRow struct {
-	Graph       string  `json:"graph"`
-	N           int     `json:"n"`
-	Alpha       float64 `json:"alpha"`
-	Start       string  `json:"start"`
-	Rounds      int     `json:"rounds"`
-	FinalSpread float64 `json:"final_spread"`
-	Completed   bool    `json:"completed"`
-	Messages    int64   `json:"messages"`
-}
-
-// TopologySpreadResult is the topology experiment of the registry: final
-// spread fraction versus stifling rate alpha on Barabási–Albert, Erdős–Rényi
-// and complete graphs, with the BA rows run from both a random source and
-// the highest-degree hub.
-type TopologySpreadResult struct {
-	Rows []TopologySpreadRow `json:"rows"`
-}
-
-// Table renders the sweep in the repository's table shape.
-func (r TopologySpreadResult) Table() *stats.Table {
-	t := stats.NewTable(
-		"Graph-constrained spreading — final spread fraction vs stifling rate alpha",
-		"graph", "n", "alpha", "start", "rounds", "final spread", "completed", "messages",
-	)
-	for _, row := range r.Rows {
-		t.AddRow(
-			row.Graph,
-			fmt.Sprint(row.N),
-			fmt.Sprintf("%.2f", row.Alpha),
-			row.Start,
-			fmt.Sprint(row.Rounds),
-			fmt.Sprintf("%.4f", row.FinalSpread),
-			fmt.Sprint(row.Completed),
-			fmt.Sprint(row.Messages),
-		)
-	}
-	return t
-}
 
 // topologyJob is one cell of the sweep; jobs share the read-only graphs and
 // differ only in coordinates.
@@ -74,28 +30,28 @@ type topologyJob struct {
 	source int
 }
 
-// RunTopologySpread is the registry entry point for the topology experiment.
-// Quick scale runs n=2000 generated graphs and an n=1000 complete graph
-// (seconds); paper scale raises the generated graphs to n=20000 (the
-// complete graph stays small — its CSR is O(n²)). Jobs fan across workers
-// goroutines with per-job derived seeds, so the table is byte-identical for
-// every worker count.
-func RunTopologySpread(scale Scale, seed uint64, workers int, o *obs.Observer) (TopologySpreadResult, error) {
+// runTopologySpread tables the final spread fraction versus alpha on
+// Barabási–Albert (from a random source and from the hub), Erdős–Rényi and
+// complete graphs. Quick scale runs n=2000 generated graphs and an n=1000
+// complete graph; paper scale raises the generated graphs to n=20000 (the
+// complete graph's CSR is O(n²)). Each cell is one harness job with a
+// derived seed.
+func runTopologySpread(scale Scale, seed uint64, workers int, o *obs.Observer) (*stats.Table, error) {
 	nGen, nComplete := 2_000, 1_000
 	if scale == ScalePaper {
 		nGen, nComplete = 20_000, 2_000
 	}
 	ba, err := graph.BarabasiAlbert(nGen, 3, rng.Derive(seed, domainTopologyJobs, 1))
 	if err != nil {
-		return TopologySpreadResult{}, err
+		return nil, err
 	}
 	er, err := graph.ErdosRenyi(nGen, 6/float64(nGen-1), rng.Derive(seed, domainTopologyJobs, 2))
 	if err != nil {
-		return TopologySpreadResult{}, err
+		return nil, err
 	}
 	complete, err := graph.Complete(nComplete)
 	if err != nil {
-		return TopologySpreadResult{}, err
+		return nil, err
 	}
 
 	var jobs []topologyJob
@@ -108,7 +64,7 @@ func RunTopologySpread(scale Scale, seed uint64, workers int, o *obs.Observer) (
 		)
 	}
 
-	rows := make([]TopologySpreadRow, len(jobs))
+	rows := make([][]stats.Cell, len(jobs))
 	err = forEach(len(jobs), workers, func(j int, b *par.Budget) error {
 		job := jobs[j]
 		rep, err := runJob(gossip.TopologyConfig{Graph: job.g, Source: job.source, Alpha: job.alpha},
@@ -117,20 +73,14 @@ func RunTopologySpread(scale Scale, seed uint64, workers int, o *obs.Observer) (
 			return fmt.Errorf("sim: topology %s alpha=%.2f %s: %w", job.name, job.alpha, job.start, err)
 		}
 		det := rep.Detail.(gossip.TopologyResult)
-		rows[j] = TopologySpreadRow{
-			Graph:       job.name,
-			N:           job.g.N(),
-			Alpha:       job.alpha,
-			Start:       job.start,
-			Rounds:      rep.Rounds,
-			FinalSpread: det.FinalSpread,
-			Completed:   rep.Completed,
-			Messages:    rep.Messages,
-		}
+		rows[j] = []stats.Cell{stats.Label(job.name), stats.Int(job.g.N()), stats.Num("%.2f", job.alpha),
+			stats.Label(job.start), stats.Int(rep.Rounds), stats.Num("%.4f", det.FinalSpread),
+			stats.Label(strconv.FormatBool(rep.Completed)), stats.Int(rep.Messages)}
 		return nil
 	})
 	if err != nil {
-		return TopologySpreadResult{}, err
+		return nil, err
 	}
-	return TopologySpreadResult{Rows: rows}, nil
+	return table("Graph-constrained spreading — final spread fraction vs stifling rate alpha",
+		[]string{"graph", "n", "alpha", "start", "rounds", "final spread", "completed", "messages"}, rows), nil
 }

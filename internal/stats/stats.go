@@ -1,9 +1,9 @@
 // Package stats provides the statistical machinery used to reproduce the
 // paper's evaluation: numerically stable accumulators for means and standard
 // deviations (Figures 1 and 2 report avg ± stddev over 10^3–10^4 repetitions),
-// summaries with quantiles, histograms, least-squares fits for validating the
-// O(log n) scaling claims, bootstrap confidence intervals, and plain-text /
-// CSV table rendering for the benchmark harness output.
+// summaries with quantiles, least-squares fits for validating the O(log n)
+// scaling claims, and plain-text / CSV tables that keep each cell's number
+// for the experiment harness's claims.
 package stats
 
 import (
@@ -40,13 +40,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN folds an observation occurring weight times. weight must be positive.
-func (a *Accumulator) AddN(x float64, weight int) {
-	for i := 0; i < weight; i++ {
-		a.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (a *Accumulator) N() int { return a.n }
 
@@ -70,37 +63,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 
 // Max returns the largest observation (0 if empty).
 func (a *Accumulator) Max() float64 { return a.max }
-
-// StdErr returns the standard error of the mean.
-func (a *Accumulator) StdErr() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.Std() / math.Sqrt(float64(a.n))
-}
-
-// Merge combines another accumulator into this one (Chan et al. parallel
-// variance merge), so per-goroutine accumulators can be reduced.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	delta := b.mean - a.mean
-	total := a.n + b.n
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(total)
-	a.mean += delta * float64(b.n) / float64(total)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = total
-}
 
 // String renders "mean ± std" with three significant decimals.
 func (a *Accumulator) String() string {
