@@ -266,6 +266,28 @@ func TestExperimentSuiteDeterminism(t *testing.T) {
 	}
 }
 
+func TestFigureRunnersDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs figure 2 twice")
+	}
+	var figure2 sim.Experiment
+	for _, e := range sim.Registry() {
+		if e.Name == "figure2" {
+			figure2 = e
+		}
+	}
+	render := func() string {
+		tbl, err := figure2.Run(sim.ScaleQuick, 5, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl.Render()
+	}
+	if f1, f2 := render(), render(); f1 != f2 {
+		t.Fatalf("figure 2 is not deterministic:\n%s\nvs\n%s", f1, f2)
+	}
+}
+
 func TestPoissonPredictionAgainstDHTSimulation(t *testing.T) {
 	// PredictWeightedFraction fed with the measured DHT interval weights
 	// must predict the simulated DHT fraction — analysis and simulation
