@@ -130,7 +130,7 @@ func runMonger(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerResult, er
 		var mail []delivery
 		for _, d := range dates {
 			if pkt, ok := nodes[d.Sender].Emit(s); ok {
-				mail = append(mail, delivery{to: d.Receiver, pkt: pkt})
+				mail = append(mail, delivery{to: int(d.Receiver), pkt: pkt})
 			}
 		}
 		for _, m := range mail {

@@ -49,8 +49,8 @@ func allocFirstRound(t *testing.T, n, workers int) uint64 {
 func TestRoundAllocBytesIndependentOfWorkers(t *testing.T) {
 	// At n=50k, each extra worker used to cost 2·4·n = 400 KB of count
 	// arrays: 16 workers allocated ~6 MB more than 1 worker, about 3x the
-	// serial footprint. Under the radix scatter the owners' count arrays
-	// partition [0, n) and the chunks hold exactly the round's requests, so
+	// serial footprint. Under the radix scatter the owners count on their
+	// own ranges of the offsets and the chunks hold the round's requests, so
 	// the 16-worker round must stay within a modest constant of the serial
 	// one (goroutine stacks, chunk headers, fan-out bookkeeping).
 	const n = 50_000
@@ -68,7 +68,7 @@ func TestRoundAllocBytesIndependentOfWorkers(t *testing.T) {
 func TestSteadyStateRoundAllocsFlat(t *testing.T) {
 	// After the first round the scratch is warm: subsequent rounds must not
 	// re-allocate worker-count-scaled buffers either. (The one per-round
-	// allocation left on this entry point is the fresh Dates slice, 16 bytes
+	// allocation left on this entry point is the fresh Dates slice, 8 bytes
 	// a date and identical for every worker count; RunRoundShared has none,
 	// see TestSharedRoundAllocatesNothingPerNode.)
 	const n, rounds = 20_000, 4
@@ -181,5 +181,59 @@ func TestRoundBufferContract(t *testing.T) {
 	}
 	if !reflect.DeepEqual(owned.Dates, ownedCopy) {
 		t.Fatal("a later round wrote into the slice an earlier RunRoundSeeded returned")
+	}
+}
+
+// raceDetector is set under -race (race_test.go). The detector's
+// instrumentation makes slices.Grow allocate its growth twice over, so a
+// bound that covers Reserve's chunk rows has a second figure there.
+var raceDetector bool
+
+// TestServiceScratchAllocBound pins what a fresh Service allocates to run
+// its first RunRoundShared, per request sent: the engine's scratch (the two
+// offset arrays, the chunk rows and their quarter of headroom, the flat
+// request arrays) and the Service's date buffer. A spread pays this once;
+// what its later rounds grow is gossip's TestDatingSpreadAllocBound. With
+// two count arrays beside the offsets and 16-byte dates a first round
+// allocated 24.6 B per request at one worker and 25.8 at two (34.8 and 37.4
+// under -race); with the owners counting on the offsets and 8-byte dates,
+// 19.5 and 20.7 (29.7 and 32.2).
+func TestServiceScratchAllocBound(t *testing.T) {
+	const n, b = 20_000, 2
+	bound := 22.0
+	if raceDetector {
+		bound = 34.0
+	}
+	requests := float64(2 * b * n)
+	for _, workers := range []int{1, 2} {
+		sel, err := NewUniformSelector(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profile := bandwidth.Homogeneous(n, b)
+		budget, err := par.NewBudget(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sv, err := NewService(profile, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dates, err := sv.RunRoundShared(1, budget, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dates) < n {
+			t.Fatalf("workers=%d: a b=%d round arranged %d dates over %d nodes", workers, b, len(dates), n)
+		}
+		perRequest := float64(after.TotalAlloc-before.TotalAlloc) / requests
+		t.Logf("workers=%d: %d dates, %.1f B per request", workers, len(dates), perRequest)
+		if perRequest > bound {
+			t.Errorf("workers=%d: a fresh Service's first round allocated %.1f B per request, bound %.1f", workers, perRequest, bound)
+		}
 	}
 }

@@ -49,7 +49,7 @@ func referenceArrange(t *testing.T, out, in []int, sel Selector, seed uint64, al
 		}
 		gen.Seed(rng.Derive(seed, domainMatch, uint64(v)))
 		MatchRendezvous(offersAt[v], requestsAt[v], s, func(sender, receiver int32) {
-			dates = append(dates, Date{Sender: int(sender), Receiver: int(receiver)})
+			dates = append(dates, Date{Sender: sender, Receiver: receiver})
 		})
 	}
 	return dates, offers, requests
@@ -200,7 +200,7 @@ func TestArrangeMatchesReference(t *testing.T) {
 					t.Fatalf("%s, %s, workers=%d: %v", c.name, ch.name, workers, err)
 				}
 				for _, d := range res.Dates {
-					if ch.alive != nil && (!ch.alive(d.Sender) || !ch.alive(d.Receiver)) {
+					if ch.alive != nil && (!ch.alive(int(d.Sender)) || !ch.alive(int(d.Receiver))) {
 						t.Fatalf("%s, %s: date %v involves a dead node", c.name, ch.name, d)
 					}
 				}

@@ -109,10 +109,11 @@ func (rs RingSelector) Pick(s *rng.Stream) int { return rs.ring.PickOwner(s) }
 func (rs RingSelector) N() int { return rs.ring.N() }
 
 // Date is one arranged communication: Sender may transfer one unit-size
-// message to Receiver this round.
+// message to Receiver this round. The ids are int32, as everywhere in the
+// engine (a round holds fewer than 2^31 nodes), so a date takes 8 bytes.
 type Date struct {
-	Sender   int
-	Receiver int
+	Sender   int32
+	Receiver int32
 }
 
 // RoundResult reports one dating-service round.
@@ -303,7 +304,7 @@ func shuffleInt32(p []int32, s *rng.Stream) {
 func ValidateCapacities(res RoundResult, p bandwidth.Profile) error {
 	n := p.N()
 	for _, d := range res.Dates {
-		if d.Sender < 0 || d.Sender >= n || d.Receiver < 0 || d.Receiver >= n {
+		if d.Sender < 0 || int(d.Sender) >= n || d.Receiver < 0 || int(d.Receiver) >= n {
 			return fmt.Errorf("core: date %v references invalid node", d)
 		}
 	}

@@ -20,9 +20,9 @@ package core
 //	          chunk lengths (O(workers²), no length-n scan) prefixed into
 //	          per-owner base offsets in the flat output arrays;
 //	sort      exch.Fill per owner — each owner counting-sorts its own
-//	          destination range (count array covering only that range,
-//	          bucket v of each kind ends up as flat[off[v]:off[v+1]]),
-//	          replaying the chunks in worker order;
+//	          destination range on that range of the offsets (bucket v of
+//	          each kind ends up as flat[off[v]:off[v+1]]), replaying the
+//	          chunks in worker order;
 //	count     each worker sums min(offers, requests), its bucket's dates,
 //	          over a contiguous shard of rendezvous buckets; a serial prefix
 //	          gives it its offset in dst;
@@ -46,10 +46,11 @@ package core
 // times the whole round). No round draws from a caller's stream: the
 // paper's repeated rounds are repeated seeds.
 //
-// Memory is O(n + requests) regardless of the worker count: the owners'
-// count arrays partition [0, n) (one length-(n/workers) array each, not one
-// length-n array per worker), and the chunk buffers hold the round's
-// recorded requests plus the quarter of headroom Reserve gives them.
+// Memory is O(n + requests) regardless of the worker count: the two
+// length-(n+1) offset arrays, which are also the owners' counts and write
+// cursors (each owner sorts on its own range of them), the chunk buffers
+// with the round's recorded requests plus the quarter of headroom Reserve
+// gives them, and the flat request arrays. A date is two int32 ids, 8 bytes.
 //
 // Worker isolation: what a worker writes once per draw, its generator state,
 // lives by value in its own engineWorker, and the elements of that array are
@@ -229,12 +230,11 @@ func (e *engine) round(dst []Date, sel Selector, out, in []int, alive func(i int
 
 	// Exchange + sort: Prefix both exchanges serially, then each owner
 	// counting-sorts its destination range, leaving one contiguous buffer
-	// per kind with every bucket in global sender order. offerOff[n] and
-	// reqOff[n] are the numbers of requests that reached a rendezvous.
-	e.offerOff[n] = e.offers.Prefix()
-	e.reqOff[n] = e.reqs.Prefix()
-	e.offersFlat = grow(e.offersFlat, int(e.offerOff[n]))
-	e.reqFlat = grow(e.reqFlat, int(e.reqOff[n]))
+	// per kind with every bucket in global sender order. The totals, which
+	// the owners also write to offerOff[n] and reqOff[n], are the numbers of
+	// requests that reached a rendezvous.
+	e.offersFlat = grow(e.offersFlat, int(e.offers.Prefix()))
+	e.reqFlat = grow(e.reqFlat, int(e.reqs.Prefix()))
 	par.Do(workers, func(o int) {
 		e.offers.Fill(o, e.offerOff, e.offersFlat)
 		e.reqs.Fill(o, e.reqOff, e.reqFlat)
@@ -271,7 +271,7 @@ func (e *engine) round(dst []Date, sel Selector, out, in []int, alive func(i int
 		ws := &e.ws[w]
 		next := e.dateCut[w]
 		emit := func(sender, receiver int32) {
-			dst[next] = Date{Sender: int(sender), Receiver: int(receiver)}
+			dst[next] = Date{Sender: sender, Receiver: receiver}
 			next++
 		}
 		for v := e.rdvCut[w]; v < e.rdvCut[w+1]; v++ {

@@ -36,7 +36,7 @@ func TestLemma3PairwiseUniformity(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		for _, d := range seededRound(t, sv, s.Uint64()).Dates {
 			if d.Sender != d.Receiver {
-				counts[[2]int{d.Sender, d.Receiver}]++
+				counts[[2]int{int(d.Sender), int(d.Receiver)}]++
 				total++
 			}
 		}

@@ -124,7 +124,7 @@ func TestSeededRoundFilteredWorkerIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range res.Dates {
-			if !alive(d.Sender) || !alive(d.Receiver) {
+			if !alive(int(d.Sender)) || !alive(int(d.Receiver)) {
 				t.Fatalf("date %v involves a dead node", d)
 			}
 		}

@@ -10,23 +10,27 @@
 //     results — only which worker builds which buckets. BalancedCuts is its
 //     weighted counterpart: which units a worker scans, when their cost is
 //     known and skewed.
-//   - ClearCounts and PrefixCounts are an owner's counting sort: Fill's, and
-//     internal/shardrt's deliver of the pages its lanes filed under an owner.
+//   - An owner's counting sort keeps no count array: owner o of [lo, hi)
+//     counts, prefixes (PrefixCounts) and places its records on the offsets
+//     off[lo+1 .. hi] themselves, the entries it publishes anyway, so the
+//     owners write disjoint entries of one length-(n+1) array. Fill sorts
+//     this way, and so does internal/shardrt's deliver of the pages its
+//     lanes filed under an owner.
 //   - Exchange[T] is the chunked scatter of the core dating engine, its one
 //     user: during a fanout each worker w appends (key, value) records into
 //     its private chunk row — one small buffer per (worker, owner) pair,
 //     filled in scan order (Reserve sizes a row up front). A serial Prefix
 //     (O(workers·owners), no length-n scan) turns per-owner totals into base
 //     offsets; then each owner calls Fill to counting-sort its own range
-//     into a flat output slice with a count array covering only that range.
+//     into a flat output slice, cursoring on its own range of the offsets.
 //     Because workers scan ascending shards and Fill replays chunks in
 //     worker order, every bucket ends up holding its records in global scan
 //     order — the layout the engine's determinism proof rests on.
 //
-// Scratch is O(n + records) regardless of the worker count: the owners'
-// count arrays partition [0, n), and the chunks hold the round's records
-// plus a quarter of Reserve's share, allocated once; grown by append from
-// nothing, a chunk allocates about five times its final size on the way.
+// Scratch is O(records) regardless of the worker count, beside the caller's
+// offsets: the chunks hold the round's records plus a quarter of Reserve's
+// share, allocated once; grown by append from nothing, a chunk allocates
+// about five times its final size on the way.
 //
 // The concat form (RecordTo, SetBase, Flush and chunk.off) has no
 // caller left in the program: the runtimes' route phase links pages instead
@@ -156,7 +160,6 @@ type Exchange[T any] struct {
 	stride  int        // part.Parts + rowPad: chunks from one row to the next
 	ch      []chunk[T] // ch[w*stride+o], rows beyond workers never read
 	base    []int32    // per-owner base offsets, set by Prefix
-	counts  [][]int32  // per-owner count scratch over that owner's range
 }
 
 // Reset sizes the exchange for a round of workers record rows over the
@@ -182,9 +185,6 @@ func (ex *Exchange[T]) Reset(workers int, part Partition) {
 	ex.part, ex.stride = part, stride
 	if len(ex.base) < part.Parts {
 		ex.base = make([]int32, part.Parts)
-	}
-	if len(ex.counts) < part.Parts {
-		ex.counts = append(ex.counts, make([][]int32, part.Parts-len(ex.counts))...)
 	}
 }
 
@@ -250,48 +250,43 @@ func (ex *Exchange[T]) Prefix() int32 {
 // bucket offsets of o's destination range into off: after the owner fanout,
 // bucket v holds out[off[v]:off[v+1]] in global scan order (chunks are
 // replayed in worker order, and each worker recorded in scan order). off
-// must have length >= part.N+1; entries outside o's range are left for
-// their owners, and off[N] for the serial epilogue (use the Prefix total).
-// Fill returns this owner's end offset, the next owner's base. Call only
-// after Prefix, once per owner per round, concurrently for distinct owners.
+// must have length >= part.N+1 and off[0] must be 0; owner o writes exactly
+// off[lo+1 .. hi] of its range [lo, hi), so the owners together write every
+// other entry, each exactly once, off[N] = the Prefix total included. Those
+// entries are also the sort's cursors (see PrefixCounts). Fill returns this
+// owner's end offset, the next owner's base. Call only after Prefix, once
+// per owner per round, concurrently for distinct owners.
 func (ex *Exchange[T]) Fill(o int, off []int32, out []T) int32 {
 	lo, hi := ex.part.Range(o)
-	counts := ClearCounts(&ex.counts[o], hi-lo)
+	cur := off[lo+1 : hi+1]
+	clear(cur)
 	for w := 0; w < ex.workers; w++ {
 		for _, k := range ex.ch[w*ex.stride+o].keys {
-			counts[int(k)-lo]++
+			cur[int(k)-lo]++
 		}
 	}
-	acc := PrefixCounts(counts, off[lo:hi], ex.base[o])
+	end := PrefixCounts(cur, ex.base[o])
 	for w := 0; w < ex.workers; w++ {
 		c := &ex.ch[w*ex.stride+o]
 		for i, k := range c.keys {
-			out[counts[int(k)-lo]] = c.vals[i]
-			counts[int(k)-lo]++
+			j := &cur[int(k)-lo]
+			out[*j] = c.vals[i]
+			*j++
 		}
 	}
-	return acc
+	return end
 }
 
-// ClearCounts returns a zeroed count array of size buckets, reusing the
-// array in *buf when it is large enough and leaving a grown one there: the
-// first step of an owner's counting sort, Fill's and the shard runtime's.
-func ClearCounts(buf *[]int32, size int) []int32 {
-	if cap(*buf) < size {
-		*buf = make([]int32, size)
-	}
-	clear((*buf)[:size])
-	return (*buf)[:size]
-}
-
-// PrefixCounts is the second step: it sets off[i] and counts[i] to base plus
-// the counts before bucket i, so counts becomes the buckets' write cursors,
-// and returns base plus the total.
-func PrefixCounts(counts, off []int32, base int32) int32 {
-	off = off[:len(counts)]
-	for i, c := range counts {
-		off[i] = base
-		counts[i] = base
+// PrefixCounts is the middle step of an owner's counting sort of buckets
+// [lo, hi) on cur = off[lo+1 : hi+1]: with each record of bucket k counted
+// into cur[k-lo], it turns the counts in place into base plus the counts of
+// the buckets before (bucket k's write cursor) and returns base plus the
+// total. Placing each record at cur[k-lo]++ then leaves cur[k-lo] at the
+// end of bucket k, which is the start of bucket k+1: off[v] is the start of
+// bucket v for every v in (lo, hi].
+func PrefixCounts(cur []int32, base int32) int32 {
+	for i, c := range cur {
+		cur[i] = base
 		base += c
 	}
 	return base

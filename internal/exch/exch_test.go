@@ -242,17 +242,30 @@ func FuzzExchangeFill(f *testing.F) {
 		}
 
 		total := ex.Prefix()
+		// off[0] is the caller's zero; every other entry starts at a value
+		// no owner writes, so an entry no owner fills shows.
 		off, out := make([]int32, n+1), make([]int32, total)
-		for o := 0; o < parts; o++ {
+		for d := 1; d <= n; d++ {
+			off[d] = -1
+		}
+		// Owners run last to first: none may lean on a lower owner's
+		// entries, and none may write outside its own off[lo+1 .. hi].
+		for o := parts - 1; o >= 0; o-- {
 			next := total
 			if o+1 < parts {
 				next = ex.base[o+1]
 			}
+			before := slices.Clone(off)
 			if end := ex.Fill(o, off, out); end != next {
 				t.Fatalf("n=%d workers=%d owners=%d: owner %d's Fill ends at %d, not at the next base", n, workers, parts, o, end)
 			}
+			lo, hi := ex.part.Range(o)
+			for d := range off {
+				if (d <= lo || d > hi) && off[d] != before[d] {
+					t.Fatalf("n=%d workers=%d owners=%d: owner %d of [%d, %d) wrote off[%d]", n, workers, parts, o, lo, hi, d)
+				}
+			}
 		}
-		off[n] = total
 		if !slices.Equal(off, wantOff) || !slices.Equal(out, wantOut) {
 			t.Fatalf("n=%d workers=%d owners=%d reserve=%v/%d: Fill gave offsets %v and values %v, want %v and %v",
 				n, workers, parts, reserved, reserve, off, out, wantOff, wantOut)

@@ -8,6 +8,12 @@ import (
 	"repro/internal/rng"
 )
 
+// raceDetector is set under -race (race_test.go). The detector's
+// instrumentation makes slices.Grow allocate its growth twice over, so the
+// dating bound, which covers the engine's reserved chunk rows, has a second
+// figure there; the message runtimes' bounds read the same either way.
+var raceDetector bool
+
 // TestDatingSpreadAllocBound pins what a whole dating spread allocates, per
 // peer and round: the run's state, the Service's scratch on its first round
 // and whatever append still grows while request counts drift — and nothing
@@ -15,9 +21,14 @@ import (
 // per-node counters and a fresh date slice each, this spread allocated 51 B
 // per peer-round; with chunks grown by append and per-worker date buffers
 // merged into the Service's, 15.8; with reserved chunks and dates written in
-// place, 5.9.
+// place, 5.9 (8.0 under -race); with the owners counting on the offsets,
+// 8-byte dates and int32 loads, 4.4 (6.5).
 func TestDatingSpreadAllocBound(t *testing.T) {
-	const n, bound = 20_000, 8.0
+	const n = 20_000
+	bound := 5.0
+	if raceDetector {
+		bound = 7.0
+	}
 	cfg := Config{Algorithm: Dating, Profile: bandwidth.Homogeneous(n, 2)}
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -33,7 +44,7 @@ func TestDatingSpreadAllocBound(t *testing.T) {
 	perPeerRound := float64(after.TotalAlloc-before.TotalAlloc) / float64(n*res.Rounds)
 	t.Logf("%d rounds, %.1f B per peer-round", res.Rounds, perPeerRound)
 	if perPeerRound > bound {
-		t.Errorf("dating spread allocated %.1f B per peer-round, bound %.0f", perPeerRound, bound)
+		t.Errorf("dating spread allocated %.1f B per peer-round, bound %.1f", perPeerRound, bound)
 	}
 }
 
@@ -46,9 +57,10 @@ func TestDatingSpreadAllocBound(t *testing.T) {
 // included; with messages filed under their owner by Send, 1.6; with pages
 // and the view holding 20-byte records instead of 40-byte Messages, 1.0;
 // with the view made of pool pages, 0.98; with one generator per shard
-// instead of one per peer, 0.69.
+// instead of one per peer, 0.69; with deliver counting on the view's
+// offsets instead of count arrays of its own, 0.66.
 func TestLiveSpreadAllocBound(t *testing.T) {
-	const n, bound = 20_000, 0.85
+	const n, bound = 20_000, 0.78
 	cfg := LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}
 	var res LiveResult
 	var err error
@@ -72,9 +84,10 @@ func TestLiveSpreadAllocBound(t *testing.T) {
 // under their owner it allocated 19.3 B per message; after it, 15.1; with
 // pages and the view holding 20-byte records instead of 40-byte Messages,
 // 9.2; with the view made of pool pages instead of a buffer grown on its
-// own, 7.1; with one generator per shard instead of one per peer, 6.25.
+// own, 7.1; with one generator per shard instead of one per peer, 6.25;
+// with deliver counting on the view's offsets, 6.06.
 func TestAsyncSpreadAllocBound(t *testing.T) {
-	const n, bound = 20_000, 8.0
+	const n, bound = 20_000, 7.0
 	p, err := bandwidth.Bimodal(n, n/10, 8, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +116,10 @@ func TestAsyncSpreadAllocBound(t *testing.T) {
 // more rounds at the observed rate, 14.1–16.0; with pages and the view
 // holding 20-byte records instead of 40-byte Messages, 9.6–10.6; with the
 // view made of pool pages, 8.3–8.4; with one generator per shard instead of
-// one per peer, 4.95–5.01.
+// one per peer, 4.95–5.01; with deliver counting on the view's offsets
+// instead of count arrays of its own, 4.52–4.61.
 func TestTopologySpreadAllocBound(t *testing.T) {
-	const n, bound = 20_000, 6.0
+	const n, bound = 20_000, 5.2
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := TopologyConfig{Graph: mustBA(t, n, 3, seed), Alpha: 0.25}
 		var res TopologyResult
@@ -117,7 +131,7 @@ func TestTopologySpreadAllocBound(t *testing.T) {
 		perMessage := float64(bytes) / float64(res.Traffic.Sent)
 		t.Logf("seed %d: %d rounds, %d messages, %.2f B per message", seed, res.Rounds, res.Traffic.Sent, perMessage)
 		if perMessage > bound {
-			t.Errorf("seed %d: topology spread allocated %.2f B per message, bound %.0f", seed, perMessage, bound)
+			t.Errorf("seed %d: topology spread allocated %.2f B per message, bound %.1f", seed, perMessage, bound)
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // datingStep adapts the dating service as a rumor spreading round: run
-// Algorithm 1, then transfer the rumor along every date whose sender was
-// informed at the start of the round.
+// Algorithm 1; the round's epilogue (state.apply) then transfers the rumor
+// along every date whose sender was informed at the start of the round.
 //
 // Per the paper, the protocol is oblivious: informed nodes keep issuing
 // receiving requests and uninformed nodes keep issuing offers (a date from
@@ -23,37 +23,16 @@ import (
 // the round grabs the caller's worker plus whatever spare tokens the
 // shared budget has that round; a nil budget runs serially.
 func datingStep(svc *core.Service, b *par.Budget) stepFunc {
-	return func(st *state, s *rng.Stream) error {
+	return func(st *state, s *rng.Stream) ([]core.Date, error) {
 		var alive func(i int) bool
-		if st.crashed > 0 {
-			// st.alive is fixed for the duration of the round, so the
+		if st.dead != nil {
+			// st.dead is fixed for the duration of the round, so the
 			// closure is safe for the engine's concurrent workers.
-			alive = func(i int) bool { return st.alive[i] }
+			alive = func(i int) bool { return !st.dead[i] }
 		}
 		// One draw per round whatever the worker count, so the run stream
 		// evolves identically for every budget size.
-		seed := s.Uint64()
-		dates, err := svc.RunRoundShared(seed, b, alive)
-		if err != nil {
-			return err
-		}
-		applyDates(st, dates)
-		return nil
-	}
-}
-
-// applyDates folds one round's dates into the spreading state: every date
-// consumes bandwidth on both sides whether or not it carries the rumor
-// (loads therefore count all dates, which by construction remain within
-// the profile), and the rumor crosses a date iff the sender was informed
-// at the start of the round.
-func applyDates(st *state, dates []core.Date) {
-	for _, d := range dates {
-		st.out[d.Sender]++
-		st.in[d.Receiver]++
-		if st.informed[d.Sender] {
-			st.next[d.Receiver] = true
-		}
+		return svc.RunRoundShared(s.Uint64(), b, alive)
 	}
 }
 

@@ -123,27 +123,80 @@ type Result struct {
 }
 
 // state is the per-run mutable state shared by all algorithm steppers.
+// count and it follow informed as it changes, so no round scans n nodes.
 type state struct {
 	informed []bool
-	next     []bool
-	alive    []bool
-	crashed  int   // entries of alive that are false
-	out      []int // per-round rumor messages served, reset every round
-	in       []int // per-round rumor messages received, reset every round
+	next     []bool      // receivers the round informs, set and cleared by apply
+	dead     []bool      // nil until the first crash
+	crashed  int         // entries of dead that are true
+	count    int         // informed live nodes
+	it       int         // their outgoing bandwidth, I_t
+	out, in  []int32     // a round's loads, zero between rounds
+	dates    []core.Date // a baseline round's transfers, reused
 	profile  bandwidth.Profile
 }
 
-func (st *state) reset() {
-	for i := range st.out {
-		st.out[i] = 0
-		st.in[i] = 0
-	}
-	copy(st.next, st.informed)
+// up reports whether node i is alive.
+func (st *state) up(i int) bool { return st.dead == nil || !st.dead[i] }
+
+func (st *state) inform(i int) {
+	st.informed[i] = true
+	st.count++
+	st.it += st.profile.Out[i]
 }
 
-// stepFunc advances one synchronous round: reads st.informed, writes
-// st.next, and accounts loads in st.out / st.in.
-type stepFunc func(st *state, s *rng.Stream) error
+// crash takes live node i down; an informed node leaves count and I_t.
+func (st *state) crash(i int) {
+	if st.dead == nil {
+		st.dead = make([]bool, len(st.informed))
+	}
+	st.dead[i] = true
+	st.crashed++
+	if st.informed[i] {
+		st.count--
+		st.it -= st.profile.Out[i]
+	}
+}
+
+// done reports whether every live node is informed.
+func (st *state) done() bool { return st.count == len(st.informed)-st.crashed }
+
+// send records a baseline's rumor transfer from an informed node.
+func (st *state) send(from, to int) {
+	st.dates = append(st.dates, core.Date{Sender: int32(from), Receiver: int32(to)})
+}
+
+// apply is every algorithm's round epilogue, O(dates): each transfer loads
+// its sender's out and its receiver's in, and informs a live receiver iff
+// the sender was informed at the start of the round. A dating round's dates
+// all load the profile whether or not they carry the rumor; a baseline's
+// transfers all come from informed nodes. It returns the round's largest
+// loads and leaves out, in and next zero again.
+func (st *state) apply(dates []core.Date) (maxOut, maxIn int) {
+	for _, d := range dates {
+		s, r := d.Sender, d.Receiver
+		st.out[s]++
+		st.in[r]++
+		maxOut = max(maxOut, int(st.out[s]))
+		maxIn = max(maxIn, int(st.in[r]))
+		if st.informed[s] && !st.informed[r] && st.up(int(r)) {
+			st.next[r] = true
+		}
+	}
+	for _, d := range dates {
+		r := d.Receiver
+		st.out[d.Sender], st.in[r] = 0, 0
+		if st.next[r] {
+			st.next[r] = false
+			st.inform(int(r))
+		}
+	}
+	return maxOut, maxIn
+}
+
+// stepFunc advances one synchronous round: it reads st.informed, the
+// start-of-round state, and returns the round's transfers for apply.
+type stepFunc func(st *state, s *rng.Stream) ([]core.Date, error)
 
 // spread is the body of Config.Execute: one spreading run. Every dating
 // round runs on the seeded engine: randomness derives per node and per
@@ -204,16 +257,11 @@ func spread(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, er
 	st := &state{
 		informed: make([]bool, n),
 		next:     make([]bool, n),
-		alive:    make([]bool, n),
-		out:      make([]int, n),
-		in:       make([]int, n),
+		out:      make([]int32, n),
+		in:       make([]int32, n),
 		profile:  profile,
 	}
-	st.informed[cfg.Source] = true
-	for i := range st.alive {
-		st.alive[i] = true
-	}
-
+	st.inform(cfg.Source)
 	// The round span times the step alone; with no observer attached the
 	// arena is nil and the round path makes no time.Now call.
 	arena, gSent, gBudget := tr.Arena(0), tr.Gauge("sent"), tr.Gauge("budget_in_flight")
@@ -222,62 +270,39 @@ func spread(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, er
 	res.Stepped, err = run.Drive(maxRounds, tr, func(round int) (int, int, bool, error) {
 		if cfg.CrashProb > 0 {
 			for i := 0; i < n; i++ {
-				if i != cfg.Source && st.alive[i] && s.Bernoulli(cfg.CrashProb) {
-					st.alive[i] = false
-					st.crashed++
+				if i != cfg.Source && st.up(i) && s.Bernoulli(cfg.CrashProb) {
+					st.crash(i)
 				}
 			}
 		}
-		st.reset()
+		st.dates = st.dates[:0]
 		var t0 time.Time
 		if arena != nil {
 			t0 = time.Now()
 		}
-		if err := step(st, s); err != nil {
+		dates, err := step(st, s)
+		if err != nil {
 			return 0, 0, false, err
 		}
 		arena.Record(round, obs.PhaseRound, t0)
-		st.informed, st.next = st.next, st.informed
-		count, it, done := tally(st)
-		res.ItHistory = append(res.ItHistory, it)
-		sent := 0
-		for i := range st.out {
-			sent += st.out[i]
-			res.MaxOutLoad = max(res.MaxOutLoad, st.out[i])
-			res.MaxInLoad = max(res.MaxInLoad, st.in[i])
-		}
+		maxOut, maxIn := st.apply(dates)
+		res.MaxOutLoad = max(res.MaxOutLoad, maxOut)
+		res.MaxInLoad = max(res.MaxInLoad, maxIn)
+		res.ItHistory = append(res.ItHistory, st.it)
 		if cfg.OnRound != nil {
 			cfg.OnRound(round, st.informed)
 		}
 		if tr != nil {
-			gSent.Sample(round, int64(sent))
+			gSent.Sample(round, int64(len(dates)))
 			gBudget.Sample(round, int64(b.InFlight()))
 		}
-		return sent, count, done, nil
+		return len(dates), st.count, st.done(), nil
 	})
 	if err != nil {
 		return Result{}, err
 	}
 	res.Crashed = st.crashed
 	return res, nil
-}
-
-// tally counts informed nodes, the informed outgoing bandwidth I_t, and
-// whether every live node is informed.
-func tally(st *state) (count, it int, done bool) {
-	done = true
-	for i, inf := range st.informed {
-		if !st.alive[i] {
-			continue
-		}
-		if inf {
-			count++
-			it += st.profile.Out[i]
-		} else {
-			done = false
-		}
-	}
-	return count, it, done
 }
 
 // defaultRoundCap is the generous cap every protocol of this package runs

@@ -157,7 +157,7 @@ func runMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (MultiRum
 			} else {
 				rumor = int(ks[s.Intn(len(ks))])
 			}
-			mail = append(mail, transfer{to: d.Receiver, rumor: rumor})
+			mail = append(mail, transfer{to: int(d.Receiver), rumor: rumor})
 		}
 		for _, m := range mail {
 			if !known[m.to][m.rumor] {

@@ -1,9 +1,11 @@
 package gossip
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bandwidth"
+	"repro/internal/core"
 	"repro/internal/rng"
 )
 
@@ -14,19 +16,27 @@ func newState(n int, informed ...int) *state {
 	st := &state{
 		informed: make([]bool, n),
 		next:     make([]bool, n),
-		alive:    make([]bool, n),
-		out:      make([]int, n),
-		in:       make([]int, n),
+		out:      make([]int32, n),
+		in:       make([]int32, n),
 		profile:  bandwidth.Homogeneous(n, 1),
 	}
-	for i := range st.alive {
-		st.alive[i] = true
-	}
 	for _, i := range informed {
-		st.informed[i] = true
+		st.inform(i)
 	}
-	st.reset()
 	return st
+}
+
+// play runs one round of step and its epilogue and returns the round's
+// loads, counted from the transfers the step returned.
+func play(st *state, step stepFunc, s *rng.Stream) (out, in []int) {
+	st.dates = st.dates[:0]
+	dates, err := step(st, s)
+	if err != nil {
+		panic(err)
+	}
+	out, in = core.RoundResult{Dates: dates}.PerNode(len(st.informed))
+	st.apply(dates)
+	return out, in
 }
 
 func countTrue(bs []bool) int {
@@ -41,17 +51,17 @@ func countTrue(bs []bool) int {
 
 func TestStepPushInformsOneTargetPerInformed(t *testing.T) {
 	st := newState(10, 0, 1)
-	stepPush(st, rng.New(1))
+	out, _ := play(st, stepPush, rng.New(1))
 	// Exactly two pushes happened; at most 2 new nodes (collisions allowed).
-	newCount := countTrue(st.next) - countTrue(st.informed)
+	newCount := countTrue(st.informed) - 2
 	if newCount < 0 || newCount > 2 {
 		t.Fatalf("push informed %d new nodes from 2 senders", newCount)
 	}
-	if st.out[0] != 1 || st.out[1] != 1 {
-		t.Fatalf("push out-loads %v", st.out[:2])
+	if out[0] != 1 || out[1] != 1 {
+		t.Fatalf("push out-loads %v", out[:2])
 	}
 	// Informed senders stay informed.
-	if !st.next[0] || !st.next[1] {
+	if !st.informed[0] || !st.informed[1] {
 		t.Fatal("push made a sender forget")
 	}
 }
@@ -59,28 +69,28 @@ func TestStepPushInformsOneTargetPerInformed(t *testing.T) {
 func TestStepPushNoSelfTarget(t *testing.T) {
 	// With 2 nodes, an informed node must always push to the other one.
 	st := newState(2, 0)
-	stepPush(st, rng.New(2))
-	if !st.next[1] {
+	play(st, stepPush, rng.New(2))
+	if !st.informed[1] {
 		t.Fatal("push with n=2 did not inform the other node")
 	}
 }
 
 func TestStepPullOnlyFromInformed(t *testing.T) {
 	st := newState(2, 0)
-	stepPull(st, rng.New(3))
+	out, _ := play(st, stepPull, rng.New(3))
 	// Node 1 pulls from node 0 (the only other node), which is informed.
-	if !st.next[1] {
+	if !st.informed[1] {
 		t.Fatal("pull from the unique informed neighbor failed")
 	}
-	if st.out[0] != 1 {
-		t.Fatalf("server load %d, want 1", st.out[0])
+	if out[0] != 1 {
+		t.Fatalf("server load %d, want 1", out[0])
 	}
 }
 
 func TestStepPullNothingWhenNooneInformed(t *testing.T) {
 	st := newState(8) // nobody informed
-	stepPull(st, rng.New(4))
-	if countTrue(st.next) != 0 {
+	play(st, stepPull, rng.New(4))
+	if countTrue(st.informed) != 0 {
 		t.Fatal("pull informed someone out of thin air")
 	}
 }
@@ -88,9 +98,9 @@ func TestStepPullNothingWhenNooneInformed(t *testing.T) {
 func TestStepPushPullBothDirections(t *testing.T) {
 	// n=2: whichever direction the contacts go, both end up informed.
 	st := newState(2, 0)
-	stepPushPull(st, rng.New(5))
-	if !st.next[0] || !st.next[1] {
-		t.Fatalf("push-pull with n=2 did not converge in one round: %v", st.next)
+	play(st, stepPushPull, rng.New(5))
+	if !st.informed[0] || !st.informed[1] {
+		t.Fatalf("push-pull with n=2 did not converge in one round: %v", st.informed)
 	}
 }
 
@@ -99,13 +109,13 @@ func TestStepFairPullServesExactlyOne(t *testing.T) {
 	// only informed one it can profit from), but only one is served.
 	const n = 10
 	st := newState(n, 0)
-	stepFairPull(st, rng.New(6))
-	newCount := countTrue(st.next) - 1
+	out, _ := play(st, stepFairPull, rng.New(6))
+	newCount := countTrue(st.informed) - 1
 	if newCount > 1 {
 		t.Fatalf("fair pull served %d requesters from one informed node", newCount)
 	}
-	if st.out[0] > 1 {
-		t.Fatalf("fair pull out-load %d", st.out[0])
+	if out[0] > 1 {
+		t.Fatalf("fair pull out-load %d", out[0])
 	}
 }
 
@@ -118,9 +128,9 @@ func TestStepFairPullUniformAmongRequesters(t *testing.T) {
 	const trials = 60000
 	for i := 0; i < trials; i++ {
 		st := newState(3, 0)
-		stepFairPull(st, s)
+		play(st, stepFairPull, s)
 		for j := 1; j < 3; j++ {
-			if st.next[j] {
+			if st.informed[j] {
 				counts[j]++
 			}
 		}
@@ -142,13 +152,13 @@ func TestStepFairPushPullPushStillUnbounded(t *testing.T) {
 		informed[i] = i
 	}
 	st := newState(n, informed...)
-	stepFairPushPull(st, rng.New(8))
-	if !st.next[n-1] {
+	_, in := play(st, stepFairPushPull, rng.New(8))
+	if !st.informed[n-1] {
 		// The lone uninformed node contacted an informed node (pull) and
 		// possibly got pushed to; with n-1 informed of n the chance of
 		// neither is (tiny but) nonzero, so only assert when loads show
 		// contact happened.
-		contacted := st.in[n-1] > 0
+		contacted := in[n-1] > 0
 		if contacted {
 			t.Fatal("contacted node stayed uninformed")
 		}
@@ -162,50 +172,57 @@ func TestStepsRespectAliveMask(t *testing.T) {
 	} {
 		st := newState(12, 0)
 		for i := 6; i < 12; i++ {
-			st.alive[i] = false
+			st.crash(i)
 		}
-		step(st, rng.New(9))
+		play(st, step, rng.New(9))
 		for i := 6; i < 12; i++ {
-			if st.next[i] {
+			if st.informed[i] {
 				t.Errorf("%s informed dead node %d", name, i)
 			}
 		}
 	}
 }
 
+// TestStateResetClearsLoads checks the round epilogue: loads and the
+// next-informed flags are zero again after apply, only transfers from
+// nodes informed at the start of the round inform, and the round's largest
+// loads are returned.
 func TestStateResetClearsLoads(t *testing.T) {
-	st := newState(4, 0)
-	st.out[2] = 5
-	st.in[3] = 7
-	st.next[1] = true
-	st.reset()
-	if st.out[2] != 0 || st.in[3] != 0 {
-		t.Fatal("reset kept loads")
+	st := newState(5, 0)
+	// 1 -> 4 follows the date 0 -> 1 that informs node 1 this very round:
+	// it must carry nothing, as 1 was uninformed when the round began.
+	dates := []core.Date{{Sender: 0, Receiver: 1}, {Sender: 1, Receiver: 4}, {Sender: 0, Receiver: 2}, {Sender: 3, Receiver: 2}}
+	maxOut, maxIn := st.apply(dates)
+	if maxOut != 2 || maxIn != 2 {
+		t.Fatalf("largest loads %d out, %d in; want 2 and 2", maxOut, maxIn)
 	}
-	if st.next[1] {
-		t.Fatal("reset kept next-informed flags not present in informed")
+	for i := range st.out {
+		if st.out[i] != 0 || st.in[i] != 0 || st.next[i] {
+			t.Fatalf("node %d: apply kept out %d, in %d, next %v", i, st.out[i], st.in[i], st.next[i])
+		}
 	}
-	if !st.next[0] {
-		t.Fatal("reset dropped the informed source")
+	if want := []bool{true, true, true, false, false}; !slices.Equal(st.informed, want) {
+		t.Fatalf("informed %v after the round, want %v", st.informed, want)
+	}
+	if st.count != 3 || st.it != 3 {
+		t.Fatalf("count %d, I_t %d; want 3 and 3", st.count, st.it)
 	}
 }
 
 func TestTallyCountsOnlyAlive(t *testing.T) {
 	st := newState(5, 0, 1, 2)
-	st.alive[2] = false
-	count, it, done := tally(st)
-	if count != 2 {
-		t.Fatalf("count = %d, want 2 (dead informed excluded)", count)
+	st.crash(2)
+	if st.count != 2 {
+		t.Fatalf("count = %d, want 2 (dead informed excluded)", st.count)
 	}
-	if it != 2 {
-		t.Fatalf("I_t = %d with unit bandwidths", it)
+	if st.it != 2 {
+		t.Fatalf("I_t = %d with unit bandwidths", st.it)
 	}
-	if done {
+	if st.done() {
 		t.Fatal("not done: nodes 3 and 4 are alive and uninformed")
 	}
-	st.informed[3] = true
-	st.informed[4] = true
-	if _, _, done := tally(st); !done {
+	st.apply([]core.Date{{Sender: 0, Receiver: 3}, {Sender: 1, Receiver: 4}})
+	if !st.done() {
 		t.Fatal("done flag wrong with all alive informed")
 	}
 }

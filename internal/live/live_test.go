@@ -342,10 +342,10 @@ func TestRuntimeAccessors(t *testing.T) {
 
 func TestDeliveryScratchPartitionsPeerRange(t *testing.T) {
 	// The delivery sort's memory claim: the delivery owners' ranges must
-	// partition [0, n) — so the per-owner count scratch (exch.ClearCounts
-	// sizes it to exactly its owner's range) totals
-	// O(n), rather than every shard holding a length-n array (the
-	// pre-kernel O(shards·n) layout).
+	// partition [0, n) — so the owners' sorts, each counting on its own
+	// range of the one offsets array, write disjoint entries and need no
+	// scratch of their own, rather than every shard holding a length-n
+	// array (the pre-kernel O(shards·n) layout).
 	st := newChatter(1000, 1)
 	for _, shards := range []int{1, 2, 4, 8} {
 		rt, err := New(Config{N: 1000, Seed: 1, Step: st.step, Shards: shards})

@@ -114,8 +114,8 @@ func (d *DynamicRing) Replace(id int, s *rng.Stream) error {
 	return d.Rejoin(id, s)
 }
 
-// rebuild refreshes the sorted view. Finger tables are rebuilt too, so
-// routing queries against Snapshot stay valid.
+// rebuild refreshes the sorted view. The new ring builds its finger tables
+// only if a routing query against Snapshot asks for them.
 func (d *DynamicRing) rebuild() error {
 	if !d.dirty {
 		return nil

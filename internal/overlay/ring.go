@@ -21,6 +21,7 @@ package overlay
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -30,8 +31,9 @@ import (
 // The owner of a point x is the first node at or after x (Chord convention:
 // successor(x)); its arc is (predecessor position, own position].
 type Ring struct {
-	pos     []uint64 // sorted node positions
-	fingers [][]int  // fingers[r] = ranks of r's routing neighbors (dedup)
+	pos         []uint64  // sorted node positions
+	fingers     [][]int   // fingers[r] = ranks of r's routing neighbors (dedup)
+	fingersOnce sync.Once // builds fingers on the first Fingers or Lookup
 }
 
 // NewRing places n nodes uniformly at random on the ring. Position
@@ -68,9 +70,7 @@ func RingFromPositions(positions []uint64) (*Ring, error) {
 			return nil, fmt.Errorf("overlay: duplicate position %d", pos[i])
 		}
 	}
-	r := &Ring{pos: pos}
-	r.buildFingers()
-	return r, nil
+	return &Ring{pos: pos}, nil
 }
 
 // N returns the number of nodes.
@@ -164,7 +164,10 @@ func (r *Ring) buildFingers() {
 
 // Fingers returns the routing neighbors of the given rank. The slice must
 // not be modified.
-func (r *Ring) Fingers(rank int) []int { return r.fingers[rank] }
+func (r *Ring) Fingers(rank int) []int {
+	r.fingersOnce.Do(r.buildFingers)
+	return r.fingers[rank]
+}
 
 // dist returns the clockwise distance from a to b on the ring.
 func dist(a, b uint64) uint64 { return b - a } // uint64 wraparound does the mod
@@ -178,6 +181,7 @@ func (r *Ring) Lookup(from int, x uint64) (owner, hops int) {
 	if n == 1 {
 		return 0, 0
 	}
+	r.fingersOnce.Do(r.buildFingers)
 	for {
 		succ := r.Successor(cur)
 		// x in (pos[cur], pos[succ]] means succ owns x.

@@ -17,13 +17,15 @@
 //	         view is those pages in order, record j at
 //	         view[j>>pageShift][j&pageMask]. A serial O(shards) prefix over
 //	         the owners' message counts gives each owner its base index,
-//	         and one FanOutSpan lets owner o counting-sort its own list by
-//	         destination (exch.ClearCounts, exch.PrefixCounts), copying each
-//	         record from its page straight to its place in the view (two
-//	         owners may write the page at their boundary, never the same
-//	         record) — so peer i's inbox is the run of records between the
-//	         offsets inOff[i] and inOff[i+1] (View), on one page unless it
-//	         crosses a seam; the slot's pages then go back to the pool;
+//	         and one FanOutSpan lets owner o of [lo, hi) counting-sort its
+//	         own list by destination on its own offsets inOff[lo+1 .. hi],
+//	         which serve as counts and cursors (exch.PrefixCounts) and end
+//	         as the offsets, copying each record from its page straight to
+//	         its place in the view (two owners may write the page at their
+//	         boundary, never the same record) — so peer i's inbox is the run
+//	         of records between the offsets inOff[i] and inOff[i+1] (View),
+//	         on one page unless it crosses a seam; the slot's pages then go
+//	         back to the pool;
 //	step     the caller's own loop, one FanOutSpan over the step ranges:
 //	         worker w seats its Lane at each peer of [cuts[w], cuts[w+1]) in
 //	         ascending order, unpacks the peer's inbox into the lane's
@@ -49,14 +51,15 @@
 // # Two sets of ranges
 //
 // Delivery owners are always the uniform id cuts of exch.Partition (Owner is
-// a multiply, one count array per range). Step ranges are the cut array: the
-// same uniform cuts by default, exch.BalancedCuts over Config.Weights when a
-// peer's step cost is known and skewed; a step range may then be empty. The
-// two need not agree, because per-peer state is touched by the step phase
-// alone while Deliver and Route move message pages only, and no result can
-// tell where a step cut falls: ranges are contiguous and ascending, a lane
-// fills its pages in walk order, and Route links the lanes' pages in worker
-// order, which is peer order wherever the cuts are.
+// a multiply, and each owner sorts on its own range of the offsets). Step
+// ranges are the cut array: the same uniform cuts by default,
+// exch.BalancedCuts over Config.Weights when a peer's step cost is known and
+// skewed; a step range may then be empty. The two need not agree, because
+// per-peer state is touched by the step phase alone while Deliver and Route
+// move message pages only, and no result can tell where a step cut falls:
+// ranges are contiguous and ascending, a lane fills its pages in walk order,
+// and Route links the lanes' pages in worker order, which is peer order
+// wherever the cuts are.
 //
 // # Buffers
 //
@@ -422,14 +425,13 @@ type Core struct {
 	pool  pagePool
 	// view/inOff are the delivered view: record j of the tick is
 	// view[j>>pageShift][j&pageMask], pages the view alone holds until the
-	// next Deliver. In Deliver due is the slot being delivered, base[o] owner
-	// o's first index in the view and counts[o] its count array; sortFn is
-	// sortOwner, bound once so no tick allocates it.
+	// next Deliver. In Deliver due is the slot being delivered and base[o]
+	// owner o's first index in the view; sortFn is sortOwner, bound once so
+	// no tick allocates it.
 	view   []viewPage
 	inOff  []int32
 	due    *slot
 	base   []int32
-	counts [][]int32
 	sortFn func(o int)
 
 	stats simnet.Stats
@@ -472,12 +474,11 @@ func New(cfg Config) (*Core, error) {
 	}
 	c := &Core{
 		n: cfg.N, shards: shards, ring: cfg.Ring, track: cfg.Track,
-		part:   exch.NewPartition(cfg.N, shards),
-		lanes:  make([]Lane, shards),
-		slots:  make([]slot, cfg.Ring),
-		inOff:  make([]int32, cfg.N+1),
-		base:   make([]int32, shards),
-		counts: make([][]int32, shards),
+		part:  exch.NewPartition(cfg.N, shards),
+		lanes: make([]Lane, shards),
+		slots: make([]slot, cfg.Ring),
+		inOff: make([]int32, cfg.N+1),
+		base:  make([]int32, shards),
 	}
 	c.sortFn = c.sortOwner
 	for i := range c.slots {
@@ -599,7 +600,6 @@ func (c *Core) Deliver(tick int) {
 	}
 	c.due = sl
 	c.FanOutSpan(tick, obs.PhaseDeliver, c.sortFn)
-	c.inOff[c.n] = base
 	// Every message has been copied out: the pages are free for whichever
 	// lane asks next.
 	for o := range sl.owners {
@@ -615,25 +615,24 @@ func (c *Core) Deliver(tick int) {
 func (c *Core) sortOwner(o int) {
 	pages := c.due.owners[o].pages
 	lo, hi := c.part.Range(o)
-	off, base := c.inOff[lo:hi], c.base[o]
+	cur, base := c.inOff[lo+1:hi+1], c.base[o]
+	clear(cur)
 	if len(pages) == 0 && base == 0 { // every offset of o is 0, as on an empty tick
-		clear(off)
 		return
 	}
-	counts := exch.ClearCounts(&c.counts[o], hi-lo)
 	for _, p := range pages {
 		for k := range p {
-			counts[int(p[k].to)-lo]++
+			cur[int(p[k].to)-lo]++
 		}
 	}
-	exch.PrefixCounts(counts, off, base)
+	exch.PrefixCounts(cur, base)
 	// Two owners may write the page at their boundary, at distinct records.
 	// The index is read into x once: indexing the view through *j twice
 	// spilled it to the stack, and the sort ran a fifth slower.
 	view := c.view
 	for _, p := range pages {
 		for k := range p {
-			j := &counts[int(p[k].to)-lo]
+			j := &cur[int(p[k].to)-lo]
 			x := *j
 			*j = x + 1
 			view[x>>pageShift][x&pageMask] = p[k]

@@ -546,7 +546,7 @@ func spreadOverChurningRing(n int, replaceProb float64, rounds int, seed uint64,
 	if err != nil {
 		return out, err
 	}
-	informed := make([]bool, n)
+	informed, next := make([]bool, n), make([]bool, n)
 	informed[0] = true
 
 	supply := make([]int, n)
@@ -574,14 +574,13 @@ func spreadOverChurningRing(n int, replaceProb float64, rounds int, seed uint64,
 		if err != nil {
 			return out, err
 		}
-		next := make([]bool, n)
 		copy(next, informed)
 		for _, d := range dates {
 			if informed[d.Sender] {
 				next[d.Receiver] = true
 			}
 		}
-		informed = next
+		informed, next = next, informed
 
 		count := 0
 		for _, b := range informed {

@@ -139,7 +139,7 @@ func replicate(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
 			return 0, 0, false, err
 		}
 		for _, d := range dates {
-			owner, host := d.Sender, d.Receiver
+			owner, host := int(d.Sender), int(d.Receiver)
 			if owner == host || occupancy[host] >= cfg.SlotsPerNode || outstanding[owner] == 0 {
 				res.WastedDates++
 				continue

@@ -28,7 +28,9 @@ type (
 	// Selector is the common selection distribution for dating requests.
 	Selector = core.Selector
 
-	// Date is one arranged unit communication (Sender -> Receiver).
+	// Date is one arranged unit communication (Sender -> Receiver), two
+	// int32 node ids: index with them directly, convert with int(d.Sender)
+	// where an int is needed.
 	Date = core.Date
 
 	// RoundResult reports one dating-service round.
