@@ -234,7 +234,8 @@
 // # Observability: read-only by contract
 //
 // WithObserver threads a passive instrumentation sink (internal/obs)
-// through all three execution runtimes. Each runtime registers a track;
+// through all three execution runtimes and the flat-round loop of rumor,
+// multi-rumor, mongering and storage. Each registers a track;
 // its shards record per-(round, shard, phase) wall-clock spans into
 // lock-free per-shard arenas that the coordinator merges at the round
 // barrier, and the coordinator samples per-round gauges — messages routed

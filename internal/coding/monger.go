@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/run"
@@ -40,23 +41,22 @@ type MongerResult struct {
 func (c MongerConfig) Protocol() string { return "monger" }
 
 // Execute implements run.Spec: the run stream derives from the root seed
-// under DomainMonger and every dating round draws its workers from the
-// shared budget. Trajectory is the fully-decoded node history; Detail the
-// full MongerResult.
+// under DomainMonger, every dating round draws its workers from the shared
+// budget and an observer gets a "monger" track. Trajectory is the
+// fully-decoded node history; Detail the full MongerResult.
 func (c MongerConfig) Execute(o *run.Options) (run.Report, error) {
-	res, err := runMonger(c, run.StreamFor(o.Seed, run.DomainMonger), o.Budget)
+	res, err := runMonger(c, run.StreamFor(o.Seed, run.DomainMonger), o.Budget, o.Obs.Track("monger", 1))
 	if err != nil {
 		return run.Report{}, err
 	}
 	return res.Report(res, nil), nil
 }
 
-// runMonger is the body of MongerConfig.Execute: it executes the protocol
-// and verifies every node's decoded message against the source content
-// before declaring completion. Every dating round runs on the seeded engine
-// with one seed drawn off s; a non-nil b lets each round soak up the pool's
-// spare tokens, and the worker count is a pure speed knob either way.
-func runMonger(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerResult, error) {
+// runMonger is the body of MongerConfig.Execute: it runs the protocol on
+// run.Flat (s, b and tr are Flat's), each date's sender emitting a
+// coded packet drawn off s after the round's seed, in date order, and
+// verifies every node's decoded message before declaring completion.
+func runMonger(cfg MongerConfig, s *rng.Stream, b *par.Budget, tr *obs.Track) (MongerResult, error) {
 	if cfg.N <= 1 {
 		return MongerResult{}, fmt.Errorf("coding: mongering needs n > 1, got %d", cfg.N)
 	}
@@ -65,22 +65,6 @@ func runMonger(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerResult, er
 	}
 	if cfg.Blocks <= 0 || cfg.BlockSize <= 0 {
 		return MongerResult{}, fmt.Errorf("coding: need positive Blocks and BlockSize")
-	}
-
-	profile := cfg.Profile
-	if profile.N() == 0 {
-		profile = bandwidth.Homogeneous(cfg.N, 1)
-	}
-	if profile.N() != cfg.N {
-		return MongerResult{}, fmt.Errorf("coding: profile nodes %d != n %d", profile.N(), cfg.N)
-	}
-	sel, err := core.SelectorFor(cfg.Selector, cfg.N)
-	if err != nil {
-		return MongerResult{}, err
-	}
-	svc, err := core.NewService(profile, sel)
-	if err != nil {
-		return MongerResult{}, err
 	}
 
 	// Generate the message.
@@ -95,6 +79,7 @@ func runMonger(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerResult, er
 
 	// Per-node decoders; the source starts with full rank.
 	nodes := make([]*Decoder, cfg.N)
+	var err error
 	for i := range nodes {
 		if i == cfg.Source {
 			nodes[i], err = Source(blocks)
@@ -111,48 +96,45 @@ func runMonger(cfg MongerConfig, s *rng.Stream, b *par.Budget) (MongerResult, er
 		maxRounds = 8 * (cfg.Blocks + 64)
 	}
 
+	// A round's packets, reused: all are emitted from the start-of-round
+	// spans before any is delivered, so a packet relayed within the same
+	// round cannot leapfrog (synchronous model).
+	type delivery struct {
+		to  int32
+		pkt Packet
+	}
+	var mail []delivery
 	var res MongerResult
-	res.Stepped, err = run.Drive(maxRounds, nil, func(int) (int, int, bool, error) {
-		// One draw per round whatever the worker count, so the run stream
-		// evolves identically for every budget size.
-		seed := s.Uint64()
-		dates, err := svc.RunRoundShared(seed, b, nil)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		// Transmissions use the start-of-round spans: emit all packets
-		// first, then deliver, so a packet relayed within the same round
-		// cannot leapfrog (synchronous model).
-		type delivery struct {
-			to  int
-			pkt Packet
-		}
-		var mail []delivery
-		for _, d := range dates {
-			if pkt, ok := nodes[d.Sender].Emit(s); ok {
-				mail = append(mail, delivery{to: int(d.Receiver), pkt: pkt})
+	decoded := 1 // the source; a node decodes on its last innovative packet
+	f := &run.Flat{N: cfg.N, Limit: maxRounds, Profile: cfg.Profile, Selector: cfg.Selector,
+		Dates: func(_ int, dates []core.Date) error {
+			mail = mail[:0]
+			for _, d := range dates {
+				if pkt, ok := nodes[d.Sender].Emit(s); ok {
+					mail = append(mail, delivery{to: d.Receiver, pkt: pkt})
+				}
 			}
-		}
-		for _, m := range mail {
-			innovative, err := nodes[m.to].AddPacket(m.pkt)
-			if err != nil {
-				return 0, 0, false, err
+			for _, m := range mail {
+				innovative, err := nodes[m.to].AddPacket(m.pkt)
+				if err != nil {
+					return err
+				}
+				if innovative {
+					res.Innovative++
+					if nodes[m.to].Decoded() {
+						decoded++
+					}
+				}
 			}
-			if innovative {
-				res.Innovative++
-			}
-		}
-		decoded := 0
-		for _, nd := range nodes {
-			if nd.Decoded() {
-				decoded++
-			}
-		}
-		return len(mail), decoded, decoded == cfg.N, nil
-	})
+			return nil
+		},
+		End: func(int) (int, int, bool) { return decoded, len(mail), decoded == cfg.N },
+	}
+	fr, err := f.Drive(s, b, tr)
 	if err != nil {
 		return MongerResult{}, err
 	}
+	res.Stepped = fr.Stepped
 
 	if res.Completed {
 		// End-to-end integrity: every node must hold the exact message.

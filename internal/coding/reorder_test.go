@@ -168,7 +168,7 @@ func TestMongerWithHeterogeneousProfile(t *testing.T) {
 	prof := heterogeneousProfile(30)
 	res, err := runMonger(MongerConfig{
 		N: 30, Blocks: 6, BlockSize: 16, Profile: prof, PayloadSeed: 4,
-	}, s, nil)
+	}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestMongerWithHeterogeneousProfile(t *testing.T) {
 func TestMongerProfileMismatch(t *testing.T) {
 	s := rng.New(4)
 	prof := heterogeneousProfile(10)
-	if _, err := runMonger(MongerConfig{N: 20, Blocks: 2, BlockSize: 4, Profile: prof}, s, nil); err == nil {
+	if _, err := runMonger(MongerConfig{N: 20, Blocks: 2, BlockSize: 4, Profile: prof}, s, nil, nil); err == nil {
 		t.Fatal("accepted profile/N mismatch")
 	}
 }

@@ -211,20 +211,20 @@ func TestRankNeverExceedsBlocks(t *testing.T) {
 
 func TestRunMongerValidation(t *testing.T) {
 	s := rng.New(8)
-	if _, err := runMonger(MongerConfig{N: 1, Blocks: 2, BlockSize: 4}, s, nil); err == nil {
+	if _, err := runMonger(MongerConfig{N: 1, Blocks: 2, BlockSize: 4}, s, nil, nil); err == nil {
 		t.Error("accepted n = 1")
 	}
-	if _, err := runMonger(MongerConfig{N: 4, Blocks: 0, BlockSize: 4}, s, nil); err == nil {
+	if _, err := runMonger(MongerConfig{N: 4, Blocks: 0, BlockSize: 4}, s, nil, nil); err == nil {
 		t.Error("accepted zero blocks")
 	}
-	if _, err := runMonger(MongerConfig{N: 4, Blocks: 2, BlockSize: 4, Source: 9}, s, nil); err == nil {
+	if _, err := runMonger(MongerConfig{N: 4, Blocks: 2, BlockSize: 4, Source: 9}, s, nil, nil); err == nil {
 		t.Error("accepted bad source")
 	}
 }
 
 func TestRunMongerCompletes(t *testing.T) {
 	s := rng.New(9)
-	res, err := runMonger(MongerConfig{N: 40, Blocks: 8, BlockSize: 16, PayloadSeed: 1}, s, nil)
+	res, err := runMonger(MongerConfig{N: 40, Blocks: 8, BlockSize: 16, PayloadSeed: 1}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestRunMongerRoundsNearOptimal(t *testing.T) {
 	// a factor ~4 of the information-theoretic bound.
 	s := rng.New(10)
 	const n, blocks = 60, 12
-	res, err := runMonger(MongerConfig{N: n, Blocks: blocks, BlockSize: 8, PayloadSeed: 2}, s, nil)
+	res, err := runMonger(MongerConfig{N: n, Blocks: blocks, BlockSize: 8, PayloadSeed: 2}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestRunMongerRoundsNearOptimal(t *testing.T) {
 
 func TestRunMongerDecodedHistoryMonotone(t *testing.T) {
 	s := rng.New(11)
-	res, err := runMonger(MongerConfig{N: 30, Blocks: 4, BlockSize: 8}, s, nil)
+	res, err := runMonger(MongerConfig{N: 30, Blocks: 4, BlockSize: 8}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRunMongerDecodedHistoryMonotone(t *testing.T) {
 
 func TestRunMongerRespectsMaxRounds(t *testing.T) {
 	s := rng.New(12)
-	res, err := runMonger(MongerConfig{N: 100, Blocks: 32, BlockSize: 8, MaxRounds: 3}, s, nil)
+	res, err := runMonger(MongerConfig{N: 100, Blocks: 32, BlockSize: 8, MaxRounds: 3}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,9 @@
 // start of the round.
 //
 // Unlike the baselines, the dating spreader never exceeds any node's
-// bandwidth; the Result records the worst per-round loads so experiments
-// can quantify how badly each baseline overdrives nodes.
+// bandwidth; the Result records the worst per-round loads (MaxInLoad,
+// MaxOutLoad) so experiments can quantify how badly each baseline
+// overdrives nodes.
 //
 // # Stepped protocols
 //
@@ -36,7 +37,6 @@ package gossip
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bandwidth"
 	"repro/internal/core"
@@ -112,32 +112,33 @@ func (c *Config) n() int {
 // dating spreader (every date consumes bandwidth whether or not it carries
 // the rumor), rumor transmissions for the baselines.
 type Result struct {
-	run.Stepped
+	run.FlatResult
 	ItHistory []int // total outgoing bandwidth of informed nodes per round
-	// MaxInLoad / MaxOutLoad record the largest number of rumor messages a
-	// single node received / served in one round; the dating spreader keeps
-	// these within the profile bounds by construction, the baselines do not.
-	MaxInLoad  int
-	MaxOutLoad int
-	Crashed    int // nodes crashed during the run
 }
 
 // state is the per-run mutable state shared by all algorithm steppers.
 // count and it follow informed as it changes, so no round scans n nodes.
 type state struct {
+	f        *run.Flat // the run's round loop, which keeps the crash mask
 	informed []bool
-	next     []bool      // receivers the round informs, set and cleared by apply
-	dead     []bool      // nil until the first crash
-	crashed  int         // entries of dead that are true
+	live     int         // nodes not crashed
 	count    int         // informed live nodes
 	it       int         // their outgoing bandwidth, I_t
-	out, in  []int32     // a round's loads, zero between rounds
 	dates    []core.Date // a baseline round's transfers, reused
-	profile  bandwidth.Profile
+	// The fair baselines' reservoir, zero between rounds: winner[t] is one
+	// more than the caller node t answers (0 for none) of the seen[t] that
+	// asked. Allocated by the first fair round.
+	winner, seen []int32
+	profile      bandwidth.Profile
 }
 
-// up reports whether node i is alive.
-func (st *state) up(i int) bool { return st.dead == nil || !st.dead[i] }
+// newState returns the state of a spread over profile p in which no node
+// is informed yet, driven by f; it hooks f's crashes.
+func newState(f *run.Flat, p bandwidth.Profile) *state {
+	st := &state{f: f, informed: make([]bool, p.N()), live: p.N(), profile: p}
+	f.OnCrash = st.crashed
+	return st
+}
 
 func (st *state) inform(i int) {
 	st.informed[i] = true
@@ -145,13 +146,10 @@ func (st *state) inform(i int) {
 	st.it += st.profile.Out[i]
 }
 
-// crash takes live node i down; an informed node leaves count and I_t.
-func (st *state) crash(i int) {
-	if st.dead == nil {
-		st.dead = make([]bool, len(st.informed))
-	}
-	st.dead[i] = true
-	st.crashed++
+// crashed takes crashed node i out of the live nodes; an informed node
+// leaves count and I_t.
+func (st *state) crashed(i int) {
+	st.live--
 	if st.informed[i] {
 		st.count--
 		st.it -= st.profile.Out[i]
@@ -159,54 +157,42 @@ func (st *state) crash(i int) {
 }
 
 // done reports whether every live node is informed.
-func (st *state) done() bool { return st.count == len(st.informed)-st.crashed }
+func (st *state) done() bool { return st.count == st.live }
 
 // send records a baseline's rumor transfer from an informed node.
 func (st *state) send(from, to int) {
 	st.dates = append(st.dates, core.Date{Sender: int32(from), Receiver: int32(to)})
 }
 
-// apply is every algorithm's round epilogue, O(dates): each transfer loads
-// its sender's out and its receiver's in, and informs a live receiver iff
-// the sender was informed at the start of the round. A dating round's dates
-// all load the profile whether or not they carry the rumor; a baseline's
-// transfers all come from informed nodes. It returns the round's largest
-// loads and leaves out, in and next zero again.
-func (st *state) apply(dates []core.Date) (maxOut, maxIn int) {
+// apply is every algorithm's round epilogue, O(dates): a transfer informs
+// a live receiver iff its sender was informed at the start of the round. A
+// dating round's dates are all arranged whether or not they carry the
+// rumor; a baseline's transfers all come from informed nodes. The
+// transfers that inform are gathered at the front of dates first, so no
+// receiver forwards the rumor in the round it gets it.
+func (st *state) apply(dates []core.Date) {
+	k := 0
 	for _, d := range dates {
-		s, r := d.Sender, d.Receiver
-		st.out[s]++
-		st.in[r]++
-		maxOut = max(maxOut, int(st.out[s]))
-		maxIn = max(maxIn, int(st.in[r]))
-		if st.informed[s] && !st.informed[r] && st.up(int(r)) {
-			st.next[r] = true
+		if r := d.Receiver; st.informed[d.Sender] && !st.informed[r] && st.f.Up(int(r)) {
+			dates[k] = d
+			k++
 		}
 	}
-	for _, d := range dates {
-		r := d.Receiver
-		st.out[d.Sender], st.in[r] = 0, 0
-		if st.next[r] {
-			st.next[r] = false
+	for _, d := range dates[:k] {
+		if r := d.Receiver; !st.informed[r] {
 			st.inform(int(r))
 		}
 	}
-	return maxOut, maxIn
 }
 
-// stepFunc advances one synchronous round: it reads st.informed, the
-// start-of-round state, and returns the round's transfers for apply.
-type stepFunc func(st *state, s *rng.Stream) ([]core.Date, error)
+// stepFunc advances one synchronous baseline round: it reads st.informed,
+// the start-of-round state, and records the round's transfers with st.send.
+type stepFunc func(st *state, s *rng.Stream)
 
-// spread is the body of Config.Execute: one spreading run. Every dating
-// round runs on the seeded engine: randomness derives per node and per
-// rendezvous from a per-round seed drawn off s, so the run stream advances
-// by exactly one value per dating round regardless of how the round is
-// parallelized. With a non-nil b every dating round runs with the caller's
-// worker plus whatever spare tokens the pool has that round, a pure speed
-// knob. tr, when non-nil, receives a whole-round span per round and the
-// per-round gauges (messages moved, budget tokens in flight beyond the
-// implicit ones); observation is read-only and never touches the stream.
+// spread is the body of Config.Execute: one spreading run on run.Flat
+// (s, b and tr are Flat's). A dating round's dates come from the
+// service, a baseline's from its step over st.informed, and apply carries
+// the rumor along them.
 func spread(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, error) {
 	n := cfg.n()
 	if n <= 0 {
@@ -222,86 +208,45 @@ func spread(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, er
 	if profile.N() == 0 {
 		profile = bandwidth.Homogeneous(n, 1)
 	}
-
-	var step stepFunc
-	switch cfg.Algorithm {
-	case Push:
-		step = stepPush
-	case Pull:
-		step = stepPull
-	case PushPull:
-		step = stepPushPull
-	case FairPull:
-		step = stepFairPull
-	case FairPushPull:
-		step = stepFairPushPull
-	case Dating:
-		sel, err := core.SelectorFor(cfg.Selector, n)
-		if err != nil {
-			return Result{}, err
-		}
-		svc, err := core.NewService(profile, sel)
-		if err != nil {
-			return Result{}, err
-		}
-		step = datingStep(svc, b)
-	default:
+	if cfg.Algorithm < 0 || cfg.Algorithm > Dating {
 		return Result{}, fmt.Errorf("gossip: unknown algorithm %v", cfg.Algorithm)
 	}
-
+	step := baselines[cfg.Algorithm]
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = defaultRoundCap(n)
 	}
 
-	st := &state{
-		informed: make([]bool, n),
-		next:     make([]bool, n),
-		out:      make([]int32, n),
-		in:       make([]int32, n),
-		profile:  profile,
-	}
-	st.inform(cfg.Source)
-	// The round span times the step alone; with no observer attached the
-	// arena is nil and the round path makes no time.Now call.
-	arena, gSent, gBudget := tr.Arena(0), tr.Gauge("sent"), tr.Gauge("budget_in_flight")
 	var res Result
-	var err error
-	res.Stepped, err = run.Drive(maxRounds, tr, func(round int) (int, int, bool, error) {
-		if cfg.CrashProb > 0 {
-			for i := 0; i < n; i++ {
-				if i != cfg.Source && st.up(i) && s.Bernoulli(cfg.CrashProb) {
-					st.crash(i)
-				}
-			}
+	sent := 0
+	f := &run.Flat{N: n, Limit: maxRounds, Selector: cfg.Selector, CrashProb: cfg.CrashProb, Spare: cfg.Source}
+	st := newState(f, profile)
+	st.inform(cfg.Source)
+	if step == nil {
+		f.Profile = profile
+	} else {
+		f.Step = func(s *rng.Stream) []core.Date {
+			st.dates = st.dates[:0]
+			step(st, s)
+			return st.dates
 		}
-		st.dates = st.dates[:0]
-		var t0 time.Time
-		if arena != nil {
-			t0 = time.Now()
-		}
-		dates, err := step(st, s)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		arena.Record(round, obs.PhaseRound, t0)
-		maxOut, maxIn := st.apply(dates)
-		res.MaxOutLoad = max(res.MaxOutLoad, maxOut)
-		res.MaxInLoad = max(res.MaxInLoad, maxIn)
+	}
+	f.Dates = func(_ int, dates []core.Date) error {
+		st.apply(dates)
+		sent = len(dates)
+		return nil
+	}
+	f.End = func(round int) (int, int, bool) {
 		res.ItHistory = append(res.ItHistory, st.it)
 		if cfg.OnRound != nil {
 			cfg.OnRound(round, st.informed)
 		}
-		if tr != nil {
-			gSent.Sample(round, int64(len(dates)))
-			gBudget.Sample(round, int64(b.InFlight()))
-		}
-		return len(dates), st.count, st.done(), nil
-	})
-	if err != nil {
+		return st.count, sent, st.done()
+	}
+	var err error
+	if res.FlatResult, err = f.Drive(s, b, tr); err != nil {
 		return Result{}, err
 	}
-	res.Crashed = st.crashed
 	return res, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bandwidth"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/run"
@@ -59,18 +60,14 @@ type MultiRumorResult struct {
 }
 
 // runMultiRumor is the body of MultiRumorConfig.Execute: it spreads all
-// injected rumors until every node knows every rumor or MaxRounds elapses.
-// Every dating round runs on the seeded engine with one seed drawn off s; a
-// non-nil b lets each round soak up spare tokens, and as in spread the
-// worker count is a pure speed knob.
-func runMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (MultiRumorResult, error) {
+// injected rumors on run.Flat (s, b and tr are Flat's) until every
+// node knows every rumor or MaxRounds elapses. Under ForwardRandom each
+// date's rumor is drawn off s after the round's seed, in date order.
+func runMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget, tr *obs.Track) (MultiRumorResult, error) {
 	n := cfg.N
-	profile := cfg.Profile
-	if profile.N() > 0 {
-		n = profile.N()
-	} else if n > 0 {
-		profile = bandwidth.Homogeneous(n, 1)
-	} else {
+	if cfg.Profile.N() > 0 {
+		n = cfg.Profile.N()
+	} else if n <= 0 {
 		return MultiRumorResult{}, fmt.Errorf("gossip: multi-rumor config needs N or a Profile")
 	}
 	if len(cfg.Injections) == 0 {
@@ -88,14 +85,6 @@ func runMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (MultiRum
 			return MultiRumorResult{}, fmt.Errorf("gossip: injection %d round %d must be >= 1", i, inj.Round)
 		}
 	}
-	sel, err := core.SelectorFor(cfg.Selector, n)
-	if err != nil {
-		return MultiRumorResult{}, err
-	}
-	svc, err := core.NewService(profile, sel)
-	if err != nil {
-		return MultiRumorResult{}, err
-	}
 	nRumors := len(cfg.Injections)
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
@@ -111,71 +100,63 @@ func runMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget) (MultiRum
 	for i := range known {
 		known[i] = make([]bool, nRumors)
 	}
-	learn := func(node, rumor int) {
+	counts := make([]int, nRumors) // nodes knowing each rumor
+	countKnown := 0                // total (node, rumor) pairs
+	res := MultiRumorResult{PerRumorDone: make([]int, nRumors)}
+	learn := func(node, rumor, round int) {
 		if !known[node][rumor] {
 			known[node][rumor] = true
 			knows[node] = append(knows[node], int16(rumor))
+			countKnown++
+			counts[rumor]++
+			if counts[rumor] == n {
+				res.PerRumorDone[rumor] = round
+			}
 		}
 	}
 
-	counts := make([]int, nRumors) // nodes knowing each rumor
-	countKnown := 0                // total (node, rumor) pairs
-
-	res := MultiRumorResult{PerRumorDone: make([]int, nRumors)}
-	res.Stepped, err = run.Drive(maxRounds, nil, func(round int) (int, int, bool, error) {
-		for r, inj := range cfg.Injections {
-			if inj.Round == round && !known[inj.Source][r] {
-				learn(inj.Source, r)
-				counts[r]++
-				countKnown++
+	// A round's transfers, reused: forwarding decisions use start-of-round
+	// knowledge, so they are collected first and applied afterwards.
+	type transfer struct {
+		to    int32
+		rumor int16
+	}
+	var mail []transfer
+	sent := 0
+	f := &run.Flat{N: n, Limit: maxRounds, Profile: cfg.Profile, Selector: cfg.Selector,
+		Dates: func(round int, dates []core.Date) error {
+			for r, inj := range cfg.Injections {
+				if inj.Round == round {
+					learn(inj.Source, r, round)
+				}
 			}
-		}
-
-		// One draw per round whatever the worker count, so the run stream
-		// evolves identically for every budget size.
-		seed := s.Uint64()
-		dates, err := svc.RunRoundShared(seed, b, nil)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		// Synchronous semantics: forwarding decisions use start-of-round
-		// knowledge, so collect transfers first and apply afterwards.
-		type transfer struct {
-			to    int
-			rumor int
-		}
-		var mail []transfer
-		for _, d := range dates {
-			ks := knows[d.Sender]
-			if len(ks) == 0 {
-				continue
+			mail = mail[:0]
+			for _, d := range dates {
+				ks := knows[d.Sender]
+				if len(ks) == 0 {
+					continue
+				}
+				var rumor int16
+				if cfg.Forwarding == ForwardRoundRobin {
+					rumor = ks[cursor[d.Sender]%len(ks)]
+					cursor[d.Sender]++
+				} else {
+					rumor = ks[s.Intn(len(ks))]
+				}
+				mail = append(mail, transfer{to: d.Receiver, rumor: rumor})
 			}
-			var rumor int
-			if cfg.Forwarding == ForwardRoundRobin {
-				rumor = int(ks[cursor[d.Sender]%len(ks)])
-				cursor[d.Sender]++
-			} else {
-				rumor = int(ks[s.Intn(len(ks))])
+			for _, m := range mail {
+				learn(int(m.to), int(m.rumor), round)
 			}
-			mail = append(mail, transfer{to: int(d.Receiver), rumor: rumor})
-		}
-		for _, m := range mail {
-			if !known[m.to][m.rumor] {
-				learn(m.to, m.rumor)
-				counts[m.rumor]++
-				countKnown++
-			}
-		}
-
-		for r := range counts {
-			if counts[r] == n && res.PerRumorDone[r] == 0 {
-				res.PerRumorDone[r] = round
-			}
-		}
-		return len(dates), countKnown, countKnown == n*nRumors, nil
-	})
+			sent = len(dates)
+			return nil
+		},
+		End: func(int) (int, int, bool) { return countKnown, sent, countKnown == n*nRumors },
+	}
+	fr, err := f.Drive(s, b, tr)
 	if err != nil {
 		return MultiRumorResult{}, err
 	}
+	res.Stepped = fr.Stepped
 	return res, nil
 }

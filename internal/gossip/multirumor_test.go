@@ -14,20 +14,20 @@ import (
 
 func TestMultiRumorValidation(t *testing.T) {
 	s := rng.New(1)
-	if _, err := runMultiRumor(MultiRumorConfig{}, s, nil); err == nil {
+	if _, err := runMultiRumor(MultiRumorConfig{}, s, nil, nil); err == nil {
 		t.Error("accepted empty config")
 	}
-	if _, err := runMultiRumor(MultiRumorConfig{N: 10}, s, nil); err == nil {
+	if _, err := runMultiRumor(MultiRumorConfig{N: 10}, s, nil, nil); err == nil {
 		t.Error("accepted zero injections")
 	}
 	if _, err := runMultiRumor(MultiRumorConfig{
 		N: 10, Injections: []Injection{{Round: 1, Source: 10}},
-	}, s, nil); err == nil {
+	}, s, nil, nil); err == nil {
 		t.Error("accepted out-of-range source")
 	}
 	if _, err := runMultiRumor(MultiRumorConfig{
 		N: 10, Injections: []Injection{{Round: 0, Source: 0}},
-	}, s, nil); err == nil {
+	}, s, nil, nil); err == nil {
 		t.Error("accepted round 0 injection")
 	}
 	// Rumor ids are int16: one injection more than that must be rejected
@@ -36,7 +36,7 @@ func TestMultiRumorValidation(t *testing.T) {
 	for i := range many {
 		many[i] = Injection{Round: 1}
 	}
-	_, err := runMultiRumor(MultiRumorConfig{N: 10, Injections: many}, s, nil)
+	_, err := runMultiRumor(MultiRumorConfig{N: 10, Injections: many}, s, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(math.MaxInt16)) {
 		t.Errorf("%d injections: error %v, want one naming the limit %d", len(many), err, math.MaxInt16)
 	}
@@ -52,7 +52,7 @@ func TestSingleRumorMatchesRun(t *testing.T) {
 		mr, err := runMultiRumor(MultiRumorConfig{
 			N:          300,
 			Injections: []Injection{{Round: 1, Source: 0}},
-		}, s, nil)
+		}, s, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestMultiRumorAllDelivered(t *testing.T) {
 			{Round: 10, Source: 150},
 		},
 	}
-	res, err := runMultiRumor(cfg, s, nil)
+	res, err := runMultiRumor(cfg, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMultiRumorKnowledgeMonotone(t *testing.T) {
 	res, err := runMultiRumor(MultiRumorConfig{
 		N:          150,
 		Injections: []Injection{{Round: 1, Source: 0}, {Round: 3, Source: 1}},
-	}, s, nil)
+	}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestMultiRumorLateInjection(t *testing.T) {
 			{Round: 1, Source: 0},
 			{Round: 30, Source: 7},
 		},
-	}, s, nil)
+	}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestForwardingPolicies(t *testing.T) {
 				{Round: 1, Source: 0}, {Round: 2, Source: 1}, {Round: 3, Source: 2},
 			},
 			Forwarding: policy,
-		}, s, nil)
+		}, s, nil, nil)
 		if err != nil {
 			t.Fatalf("policy %v: %v", policy, err)
 		}
@@ -174,7 +174,7 @@ func TestMultiRumorHeterogeneous(t *testing.T) {
 	res, err := runMultiRumor(MultiRumorConfig{
 		Profile:    p,
 		Injections: []Injection{{Round: 1, Source: 0}, {Round: 1, Source: 100}},
-	}, s, nil)
+	}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestMultiRumorMaxRounds(t *testing.T) {
 		N:          5000,
 		Injections: []Injection{{Round: 1, Source: 0}},
 		MaxRounds:  2,
-	}, s, nil)
+	}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestMultiRumorReproducible(t *testing.T) {
 		Forwarding: ForwardRoundRobin,
 	}
 	run := func() MultiRumorResult {
-		res, err := runMultiRumor(cfg, rng.New(21), nil)
+		res, err := runMultiRumor(cfg, rng.New(21), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestMultiRumorBudgetPureSpeedKnob(t *testing.T) {
 				{Round: 1, Source: 0},
 				{Round: 4, Source: 17},
 			},
-		}, rng.New(13), b)
+		}, rng.New(13), b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

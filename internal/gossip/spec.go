@@ -32,11 +32,11 @@ func (c Config) Execute(o *run.Options) (run.Report, error) {
 func (c MultiRumorConfig) Protocol() string { return "multirumor" }
 
 // Execute implements run.Spec: the run stream derives from the root seed
-// under DomainMulti and dating rounds draw workers from the shared budget.
-// Trajectory is the cumulative (node, rumor) knowledge count; Detail the
-// full MultiRumorResult.
+// under DomainMulti, dating rounds draw workers from the shared budget and
+// an observer gets a "multirumor" track. Trajectory is the cumulative
+// (node, rumor) knowledge count; Detail the full MultiRumorResult.
 func (c MultiRumorConfig) Execute(o *run.Options) (run.Report, error) {
-	res, err := runMultiRumor(c, run.StreamFor(o.Seed, run.DomainMulti), o.Budget)
+	res, err := runMultiRumor(c, run.StreamFor(o.Seed, run.DomainMulti), o.Budget, o.Obs.Track("multirumor", 1))
 	if err != nil {
 		return run.Report{}, err
 	}

@@ -7,19 +7,14 @@ import (
 	"repro/internal/bandwidth"
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/run"
 )
 
 // Direct unit tests of the baseline step functions: each algorithm's
 // one-round semantics, independent of full runs.
 
-func newState(n int, informed ...int) *state {
-	st := &state{
-		informed: make([]bool, n),
-		next:     make([]bool, n),
-		out:      make([]int32, n),
-		in:       make([]int32, n),
-		profile:  bandwidth.Homogeneous(n, 1),
-	}
+func informedState(n int, informed ...int) *state {
+	st := newState(&run.Flat{N: n}, bandwidth.Homogeneous(n, 1))
 	for _, i := range informed {
 		st.inform(i)
 	}
@@ -27,15 +22,12 @@ func newState(n int, informed ...int) *state {
 }
 
 // play runs one round of step and its epilogue and returns the round's
-// loads, counted from the transfers the step returned.
+// loads, counted from the transfers the step recorded.
 func play(st *state, step stepFunc, s *rng.Stream) (out, in []int) {
 	st.dates = st.dates[:0]
-	dates, err := step(st, s)
-	if err != nil {
-		panic(err)
-	}
-	out, in = core.RoundResult{Dates: dates}.PerNode(len(st.informed))
-	st.apply(dates)
+	step(st, s)
+	out, in = core.RoundResult{Dates: st.dates}.PerNode(len(st.informed))
+	st.apply(st.dates)
 	return out, in
 }
 
@@ -50,7 +42,7 @@ func countTrue(bs []bool) int {
 }
 
 func TestStepPushInformsOneTargetPerInformed(t *testing.T) {
-	st := newState(10, 0, 1)
+	st := informedState(10, 0, 1)
 	out, _ := play(st, stepPush, rng.New(1))
 	// Exactly two pushes happened; at most 2 new nodes (collisions allowed).
 	newCount := countTrue(st.informed) - 2
@@ -68,7 +60,7 @@ func TestStepPushInformsOneTargetPerInformed(t *testing.T) {
 
 func TestStepPushNoSelfTarget(t *testing.T) {
 	// With 2 nodes, an informed node must always push to the other one.
-	st := newState(2, 0)
+	st := informedState(2, 0)
 	play(st, stepPush, rng.New(2))
 	if !st.informed[1] {
 		t.Fatal("push with n=2 did not inform the other node")
@@ -76,7 +68,7 @@ func TestStepPushNoSelfTarget(t *testing.T) {
 }
 
 func TestStepPullOnlyFromInformed(t *testing.T) {
-	st := newState(2, 0)
+	st := informedState(2, 0)
 	out, _ := play(st, stepPull, rng.New(3))
 	// Node 1 pulls from node 0 (the only other node), which is informed.
 	if !st.informed[1] {
@@ -88,7 +80,7 @@ func TestStepPullOnlyFromInformed(t *testing.T) {
 }
 
 func TestStepPullNothingWhenNooneInformed(t *testing.T) {
-	st := newState(8) // nobody informed
+	st := informedState(8) // nobody informed
 	play(st, stepPull, rng.New(4))
 	if countTrue(st.informed) != 0 {
 		t.Fatal("pull informed someone out of thin air")
@@ -97,7 +89,7 @@ func TestStepPullNothingWhenNooneInformed(t *testing.T) {
 
 func TestStepPushPullBothDirections(t *testing.T) {
 	// n=2: whichever direction the contacts go, both end up informed.
-	st := newState(2, 0)
+	st := informedState(2, 0)
 	play(st, stepPushPull, rng.New(5))
 	if !st.informed[0] || !st.informed[1] {
 		t.Fatalf("push-pull with n=2 did not converge in one round: %v", st.informed)
@@ -108,7 +100,7 @@ func TestStepFairPullServesExactlyOne(t *testing.T) {
 	// 1 informed node, 9 uninformed: every requester targets node 0 (the
 	// only informed one it can profit from), but only one is served.
 	const n = 10
-	st := newState(n, 0)
+	st := informedState(n, 0)
 	out, _ := play(st, stepFairPull, rng.New(6))
 	newCount := countTrue(st.informed) - 1
 	if newCount > 1 {
@@ -127,7 +119,7 @@ func TestStepFairPullUniformAmongRequesters(t *testing.T) {
 	s := rng.New(7)
 	const trials = 60000
 	for i := 0; i < trials; i++ {
-		st := newState(3, 0)
+		st := informedState(3, 0)
 		play(st, stepFairPull, s)
 		for j := 1; j < 3; j++ {
 			if st.informed[j] {
@@ -151,7 +143,7 @@ func TestStepFairPushPullPushStillUnbounded(t *testing.T) {
 	for i := range informed {
 		informed[i] = i
 	}
-	st := newState(n, informed...)
+	st := informedState(n, informed...)
 	_, in := play(st, stepFairPushPull, rng.New(8))
 	if !st.informed[n-1] {
 		// The lone uninformed node contacted an informed node (pull) and
@@ -170,9 +162,9 @@ func TestStepsRespectAliveMask(t *testing.T) {
 		"push": stepPush, "pull": stepPull, "push-pull": stepPushPull,
 		"fair-pull": stepFairPull, "fair-push-pull": stepFairPushPull,
 	} {
-		st := newState(12, 0)
+		st := informedState(12, 0)
 		for i := 6; i < 12; i++ {
-			st.crash(i)
+			st.f.Crash(i)
 		}
 		play(st, step, rng.New(9))
 		for i := 6; i < 12; i++ {
@@ -183,35 +175,47 @@ func TestStepsRespectAliveMask(t *testing.T) {
 	}
 }
 
-// TestStateResetClearsLoads checks the round epilogue: loads and the
-// next-informed flags are zero again after apply, only transfers from
-// nodes informed at the start of the round inform, and the round's largest
-// loads are returned.
+// TestStateResetClearsLoads checks the round epilogue on Flat: the
+// loads are zero again after a round, only transfers from nodes informed
+// at the start of the round inform, a receiver dated twice is informed
+// once, and the run reports the round's largest loads.
 func TestStateResetClearsLoads(t *testing.T) {
-	st := newState(5, 0)
 	// 1 -> 4 follows the date 0 -> 1 that informs node 1 this very round:
-	// it must carry nothing, as 1 was uninformed when the round began.
-	dates := []core.Date{{Sender: 0, Receiver: 1}, {Sender: 1, Receiver: 4}, {Sender: 0, Receiver: 2}, {Sender: 3, Receiver: 2}}
-	maxOut, maxIn := st.apply(dates)
-	if maxOut != 2 || maxIn != 2 {
-		t.Fatalf("largest loads %d out, %d in; want 2 and 2", maxOut, maxIn)
+	// it must carry nothing, as 1 was uninformed when the round began. In
+	// round 2 both 1 and 2 date node 4.
+	dates := []core.Date{{Sender: 0, Receiver: 1}, {Sender: 1, Receiver: 4}, {Sender: 0, Receiver: 2}, {Sender: 3, Receiver: 2}, {Sender: 2, Receiver: 4}}
+	f := &run.Flat{N: 5, Limit: 2, Step: func(*rng.Stream) []core.Date { return slices.Clone(dates) }}
+	st := newState(f, bandwidth.Homogeneous(5, 1))
+	st.inform(0)
+	var informed [][]bool
+	f.Dates = func(_ int, d []core.Date) error {
+		st.apply(d)
+		informed = append(informed, slices.Clone(st.informed))
+		return nil
 	}
-	for i := range st.out {
-		if st.out[i] != 0 || st.in[i] != 0 || st.next[i] {
-			t.Fatalf("node %d: apply kept out %d, in %d, next %v", i, st.out[i], st.in[i], st.next[i])
-		}
+	f.End = func(int) (int, int, bool) { return st.count, len(dates), false }
+	res, err := f.Drive(rng.New(1), nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := []bool{true, true, true, false, false}; !slices.Equal(st.informed, want) {
-		t.Fatalf("informed %v after the round, want %v", st.informed, want)
+	// Loads left behind by round 1 would show as 4 and 4 in round 2.
+	if res.Rounds != 2 || res.MaxOutLoad != 2 || res.MaxInLoad != 2 {
+		t.Fatalf("%d rounds, largest loads %d out, %d in; want 2 rounds, 2 and 2", res.Rounds, res.MaxOutLoad, res.MaxInLoad)
 	}
-	if st.count != 3 || st.it != 3 {
-		t.Fatalf("count %d, I_t %d; want 3 and 3", st.count, st.it)
+	if want := []bool{true, true, true, false, false}; !slices.Equal(informed[0], want) {
+		t.Fatalf("informed %v after round 1, want %v", informed[0], want)
+	}
+	if want := []bool{true, true, true, false, true}; !slices.Equal(informed[1], want) {
+		t.Fatalf("informed %v after round 2, want %v", informed[1], want)
+	}
+	if st.count != 4 || st.it != 4 {
+		t.Fatalf("count %d, I_t %d; want 4 and 4", st.count, st.it)
 	}
 }
 
 func TestTallyCountsOnlyAlive(t *testing.T) {
-	st := newState(5, 0, 1, 2)
-	st.crash(2)
+	st := informedState(5, 0, 1, 2)
+	st.f.Crash(2)
 	if st.count != 2 {
 		t.Fatalf("count = %d, want 2 (dead informed excluded)", st.count)
 	}

@@ -1,7 +1,16 @@
 package run
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"time"
+
+	"repro/internal/bandwidth"
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/par"
+	"repro/internal/rng"
 	"repro/internal/simnet"
 )
 
@@ -71,4 +80,179 @@ func SumSent(sent []int) int64 {
 		total += int64(v)
 	}
 	return total
+}
+
+// Flat is one run of a flat-round protocol, described in the package
+// comment: each round's dates carry one unit each.
+type Flat struct {
+	N, Limit int // node count and round cap
+	// Profile is every round's supply and demand, for a Service (zero is
+	// unit bandwidth), unless Supply returns the round's, for an Arranger.
+	// A round's loads must stay within them.
+	Profile  bandwidth.Profile
+	Supply   func() (out, in []int)
+	Selector core.Selector // nil is uniform over N
+	// Step, when set, is the date source instead: a Figure 2 baseline. It
+	// draws from the run stream itself, so its rounds draw no seed, and
+	// its loads are checked only against a Profile set beside it.
+	Step func(s *rng.Stream) []core.Date
+	// CrashProb crashes each live node but Spare with this probability at
+	// the start of every round, before its seed; OnCrash hears of each, and
+	// a crashed node takes no part in dating rounds.
+	CrashProb float64
+	Spare     int
+	OnCrash   func(i int)
+	// Dates receives each round's dates, valid until the next round, to
+	// read or overwrite; End closes the round: the protocol's progress,
+	// what it sent, whether it is done.
+	Dates func(round int, dates []core.Date) error
+	End   func(round int) (progress, sent int, done bool)
+
+	dead    []bool // nil until the first crash
+	crashed int
+	out, in []int32 // a round's loads, zero between rounds
+}
+
+// FlatResult is what Flat.Drive reports: the rounds, the most dates one
+// node sent and received in one round, and the nodes crashed.
+type FlatResult struct {
+	Stepped
+	MaxOutLoad, MaxInLoad, Crashed int
+}
+
+// Up reports whether node i is alive.
+func (f *Flat) Up(i int) bool { return f.dead == nil || !f.dead[i] }
+
+// Crash takes live node i down for the rest of the run.
+func (f *Flat) Crash(i int) {
+	if f.dead == nil {
+		f.dead = make([]bool, f.N)
+	}
+	f.dead[i] = true
+	f.crashed++
+	if f.OnCrash != nil {
+		f.OnCrash(i)
+	}
+}
+
+// Drive runs f. A round crashes nodes, draws one seed off s and arranges
+// its dates on the budget b (or takes Step's), counts every node's loads,
+// checks them against the round's supply and demand, and hands the dates
+// to Dates before End. tr (nil for none) gets a span of each round's date
+// source and the sent and budget_in_flight gauges. One seed per round
+// keeps every result the same for every budget size.
+func (f *Flat) Drive(s *rng.Stream, b *par.Budget, tr *obs.Track) (FlatResult, error) {
+	var svc *core.Service
+	var arr *core.Arranger
+	if f.Step == nil {
+		sel, err := core.SelectorFor(f.Selector, f.N)
+		switch {
+		case err != nil:
+		case f.Supply != nil:
+			arr, err = core.NewArranger(sel)
+		default:
+			if f.Profile.N() == 0 {
+				f.Profile = bandwidth.Homogeneous(f.N, 1)
+			}
+			svc, err = core.NewService(f.Profile, sel)
+		}
+		if err != nil {
+			return FlatResult{}, err
+		}
+	}
+	f.out, f.in = make([]int32, f.N), make([]int32, f.N)
+	profOut, profIn := capacityOf(f.Profile.Out), capacityOf(f.Profile.In)
+	// With no observer the arena is nil and a round makes no time.Now call.
+	arena, gSent, gBudget := tr.Arena(0), tr.Gauge("sent"), tr.Gauge("budget_in_flight")
+	var res FlatResult
+	var err error
+	res.Stepped, err = Drive(f.Limit, tr, func(round int) (int, int, bool, error) {
+		for i := 0; f.CrashProb > 0 && i < f.N; i++ {
+			if i != f.Spare && f.Up(i) && s.Bernoulli(f.CrashProb) {
+				f.Crash(i)
+			}
+		}
+		var alive func(i int) bool // read by the engine's workers; fixed in a round
+		if f.dead != nil {
+			alive = f.Up
+		}
+		var t0 time.Time
+		if arena != nil {
+			t0 = time.Now()
+		}
+		var dates []core.Date
+		var err error
+		capOut, capIn := profOut, profIn
+		switch {
+		case f.Step != nil:
+			dates = f.Step(s)
+		case arr != nil:
+			out, in := f.Supply()
+			capOut, capIn = capacityOf(out), capacityOf(in)
+			dates, err = arr.ArrangeShared(out, in, s.Uint64(), b)
+		default:
+			dates, err = svc.RunRoundShared(s.Uint64(), b, alive)
+		}
+		if err == nil {
+			arena.Record(round, obs.PhaseRound, t0)
+			err = f.load(round, dates, capOut, capIn, &res)
+		}
+		if err == nil {
+			err = f.Dates(round, dates)
+		}
+		if err != nil {
+			return 0, 0, false, err
+		}
+		progress, sent, done := f.End(round)
+		if tr != nil {
+			gSent.Sample(round, int64(sent))
+			gBudget.Sample(round, int64(b.InFlight()))
+		}
+		return sent, progress, done, nil
+	})
+	res.Crashed = f.crashed
+	return res, err
+}
+
+// capacity is one side of a round's supply or demand and its smallest
+// entry, low; without entries nothing is checked.
+type capacity struct {
+	of  []int
+	low int
+}
+
+func capacityOf(of []int) capacity {
+	if len(of) == 0 {
+		return capacity{low: math.MaxInt}
+	}
+	return capacity{of, slices.Min(of)}
+}
+
+// load counts each date against its sender's out and its receiver's in,
+// raises res's maxima, and then checks the loads above low against their
+// nodes' capacities, naming the round and the node of the first beyond
+// one, as it zeroes the counters again.
+func (f *Flat) load(round int, dates []core.Date, capOut, capIn capacity, res *FlatResult) (err error) {
+	out, in := f.out, f.in
+	var maxOut, maxIn int32
+	for _, d := range dates {
+		s, r := d.Sender, d.Receiver
+		out[s]++
+		in[r]++
+		maxOut, maxIn = max(maxOut, out[s]), max(maxIn, in[r])
+	}
+	res.MaxOutLoad, res.MaxInLoad = max(res.MaxOutLoad, int(maxOut)), max(res.MaxInLoad, int(maxIn))
+	check := int(maxOut) > capOut.low || int(maxIn) > capIn.low
+	for _, d := range dates {
+		s, r := d.Sender, d.Receiver
+		if check && err == nil {
+			if o := int(out[s]); o > capOut.low && o > capOut.of[s] {
+				err = fmt.Errorf("run: round %d: node %d sends %d dates, capacity %d", round, s, o, capOut.of[s])
+			} else if i := int(in[r]); i > capIn.low && i > capIn.of[r] {
+				err = fmt.Errorf("run: round %d: node %d receives %d dates, capacity %d", round, r, i, capIn.of[r])
+			}
+		}
+		out[s], in[r] = 0, 0
+	}
+	return err
 }

@@ -1,0 +1,190 @@
+package run
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/bandwidth"
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/rng"
+)
+
+// countRounds makes f a protocol that only counts its rounds' dates and
+// stops after Limit rounds.
+func countRounds(f *Flat) *int {
+	total := new(int)
+	sent := 0
+	f.Dates = func(_ int, dates []core.Date) error {
+		sent = len(dates)
+		*total += sent
+		return nil
+	}
+	f.End = func(int) (int, int, bool) { return *total, sent, false }
+	return total
+}
+
+// TestFlatCapacityCheck drives a fake date source, checked against a
+// profile, that is within capacity for two rounds and then overdrives one
+// node, each way: the run stops with an error naming that round and that
+// node.
+func TestFlatCapacityCheck(t *testing.T) {
+	caps := []int{1, 1, 2, 1, 1}
+	fine := []core.Date{{Sender: 4, Receiver: 3}, {Sender: 0, Receiver: 1}, {Sender: 2, Receiver: 2}, {Sender: 2, Receiver: 4}}
+	for _, tc := range []struct {
+		bad  core.Date
+		want string
+	}{
+		{core.Date{Sender: 4, Receiver: 0}, "round 3: node 4 sends 2 dates, capacity 1"},
+		{core.Date{Sender: 1, Receiver: 3}, "round 3: node 3 receives 2 dates, capacity 1"},
+	} {
+		round := 0
+		f := &Flat{N: 5, Limit: 10, Profile: bandwidth.Profile{Out: caps, In: caps}, Step: func(*rng.Stream) []core.Date {
+			round++
+			if round == 3 {
+				return append(slices.Clone(fine), tc.bad)
+			}
+			return fine
+		}}
+		countRounds(f)
+		_, err := f.Drive(rng.New(1), nil, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("overdriven round: error %v, want one saying %q", err, tc.want)
+		}
+	}
+	// Without a profile the same source is a baseline's: no check.
+	f := &Flat{N: 5, Limit: 3, Step: func(*rng.Stream) []core.Date { return append(slices.Clone(fine), fine...) }}
+	countRounds(f)
+	if res, err := f.Drive(rng.New(1), nil, nil); err != nil || res.MaxOutLoad != 4 || res.MaxInLoad != 2 {
+		t.Errorf("unchecked source: loads %d/%d, err %v; want 4/2 and no error", res.MaxOutLoad, res.MaxInLoad, err)
+	}
+}
+
+// TestFlatDatingRoundsPassCapacityCheck runs real dating rounds through
+// Flat's capacity check — a Service over unit, b = 3 and bimodal profiles,
+// and an Arranger over a supply that changes every round — and reads the
+// loads back: never beyond the bandwidth, and reached.
+func TestFlatDatingRoundsPassCapacityCheck(t *testing.T) {
+	const n = 2000
+	bimodal, err := bandwidth.Bimodal(n, n/10, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		p    bandwidth.Profile
+		max  int
+	}{
+		{"b=1", bandwidth.Homogeneous(n, 1), 1},
+		{"b=3", bandwidth.Homogeneous(n, 3), 3},
+		{"bimodal", bimodal, 16},
+	} {
+		f := &Flat{N: n, Limit: 8, Profile: tc.p}
+		total := countRounds(f)
+		res, err := f.Drive(rng.New(5), nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if *total == 0 || res.MaxOutLoad > tc.max || res.MaxInLoad > tc.max || res.MaxOutLoad < 1 {
+			t.Errorf("%s: %d dates, largest loads %d out, %d in; bound %d", tc.name, *total, res.MaxOutLoad, res.MaxInLoad, tc.max)
+		}
+	}
+	out, in := make([]int, n), make([]int, n)
+	f := &Flat{N: n, Limit: 8, Supply: func() ([]int, []int) {
+		for i := range out {
+			out[i], in[i] = i%3, (i+1)%4
+		}
+		return out, in
+	}}
+	countRounds(f)
+	if res, err := f.Drive(rng.New(6), nil, nil); err != nil || res.MaxOutLoad > 2 || res.MaxInLoad > 3 {
+		t.Fatalf("arranged rounds: loads %d/%d, err %v", res.MaxOutLoad, res.MaxInLoad, err)
+	}
+}
+
+// TestFlatDrawsOneSeedPerRound: a dating round takes exactly one value
+// off the run stream, a crash round one Bernoulli draw per live node but
+// the spared one before it, and a crashed node is dated no more.
+func TestFlatDrawsOneSeedPerRound(t *testing.T) {
+	const n, rounds = 300, 6
+	s := rng.New(9)
+	f := &Flat{N: n, Limit: rounds, Profile: bandwidth.Homogeneous(n, 2)}
+	countRounds(f)
+	if _, err := f.Drive(s, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	ref := rng.New(9)
+	for r := 0; r < rounds; r++ {
+		ref.Uint64()
+	}
+	if s.Uint64() != ref.Uint64() {
+		t.Fatal("the run stream is not where one draw per round leaves it")
+	}
+
+	s, ref = rng.New(10), rng.New(10)
+	f = &Flat{N: n, Limit: rounds, Profile: bandwidth.Homogeneous(n, 2), CrashProb: 0.1, Spare: 7}
+	countRounds(f)
+	f.Dates = func(_ int, dates []core.Date) error {
+		for _, d := range dates {
+			if !f.Up(int(d.Sender)) || !f.Up(int(d.Receiver)) {
+				t.Fatalf("date %v involves a crashed node", d)
+			}
+		}
+		return nil
+	}
+	res, err := f.Drive(s, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, crashed := make([]bool, n), 0
+	for i := range live {
+		live[i] = true
+	}
+	for r := 0; r < rounds; r++ {
+		for i := range live {
+			if i != 7 && live[i] && ref.Bernoulli(0.1) {
+				live[i] = false
+				crashed++
+			}
+		}
+		ref.Uint64()
+	}
+	if res.Crashed != crashed || !f.Up(7) || s.Uint64() != ref.Uint64() {
+		t.Fatalf("crashed %d (replayed %d), spared node up %v: the draws are out of order", res.Crashed, crashed, f.Up(7))
+	}
+}
+
+// TestFlatObserverIdentity: Flat's track gets a round span and the
+// sent and budget_in_flight gauges every round, and the run is the same
+// with it as without.
+func TestFlatObserverIdentity(t *testing.T) {
+	run := func(tr *obs.Track) FlatResult {
+		f := &Flat{N: 500, Limit: 5, Profile: bandwidth.Homogeneous(500, 2)}
+		countRounds(f)
+		res, err := f.Drive(rng.New(3), nil, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	o := obs.NewObserver()
+	plain, traced := run(nil), run(o.Track("flat", 1))
+	if plain.Rounds != traced.Rounds || plain.MaxInLoad != traced.MaxInLoad ||
+		!slices.Equal(plain.History, traced.History) || !slices.Equal(plain.SentHistory, traced.SentHistory) {
+		t.Fatalf("observed run differs:\nplain  %+v\ntraced %+v", plain, traced)
+	}
+	m := o.Metrics()
+	if len(m.Phases) != 1 || m.Phases[0].Phase != "round" || m.Phases[0].Spans != 5 {
+		t.Fatalf("phases %+v, want one round span per round", m.Phases)
+	}
+	for _, name := range []string{"sent", "budget_in_flight"} {
+		found := false
+		for _, g := range m.Gauges {
+			found = found || (g.Name == name && g.Samples == 5)
+		}
+		if !found {
+			t.Fatalf("gauge %s missing or not sampled every round: %+v", name, m.Gauges)
+		}
+	}
+}

@@ -4,20 +4,10 @@
 // replicated storage, the explicit dating handshake — from a Spec plus a set
 // of orthogonal axes carried by functional options.
 //
-// # Why a single runner
+// A protocol config implements Spec, and the axes orthogonal to the
+// protocol — seed, worker budget, network model, observer — are options:
 //
-// The facade used to grow one entrypoint per subsystem, each with its own
-// signature (some took a *rng.Stream, some buried the seed in the config)
-// and with Workers/Net duplicated across four config structs. The runner
-// collapses that N×M surface: a protocol config implements Spec, and the
-// axes that are orthogonal to the protocol — seed, worker budget, network
-// model, observer — are options:
-//
-//	rep, err := run.Run(cfg,
-//	    run.WithSeed(42),
-//	    run.WithWorkers(8),
-//	    run.WithNet(live.Loss{P: 0.01}),
-//	)
+//	rep, err := run.Run(cfg, run.WithSeed(42), run.WithWorkers(8), run.WithNet(live.Loss{P: 0.01}))
 //
 // # Seed derivation
 //
@@ -53,14 +43,24 @@
 // sum of the sent counts unless the protocol ran on a message engine, whose
 // counters it then reports.
 //
-// The round-abstract protocols (rumor, multi-rumor, mongering, storage) draw
-// one seed per round off their run stream. The five stepped protocols (live,
-// handshake, topology, consensus, async) reach Drive through a thin wrapper
-// in internal/gossip that ticks their runtime — the handshake's one-tick
-// prologue and three ticks per dating round, one tick per round or calendar
-// bucket otherwise — and takes each round's sent count from the runtime's
-// traffic; the bare handshake, which runs a fixed number of dating rounds,
-// counts its dates instead.
+// The four flat protocols (rumor, multi-rumor, mongering, storage) reach
+// Drive through one flat-round loop, Flat. Each supplies its round's
+// supply and demand (a Service's profile, or storage's outstanding replicas
+// and free slots through an Arranger), a hook that receives the round's
+// dates, and its end of round: progress, sent, done. Flat owns the rest:
+// the selector default and the Service or Arranger, one seed per round off
+// the run stream, rumor's crash mask (drawn before the seed), each node's
+// loads and their maxima, an error naming the round and the node that a
+// dating round loads beyond its supply or demand, and the observer track.
+// The Figure 2 baselines plug in their step as the date source: it draws
+// from the run stream itself, with no seed and no capacity check.
+//
+// The five stepped protocols (live, handshake, topology, consensus, async)
+// reach Drive through a thin wrapper in internal/gossip that ticks their
+// runtime — the handshake's one-tick prologue and three ticks per dating
+// round, one tick per round or calendar bucket otherwise — and takes each
+// round's sent count from the runtime's traffic; the bare handshake, which
+// runs a fixed number of dating rounds, counts its dates instead.
 package run
 
 import (

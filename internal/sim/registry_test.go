@@ -264,3 +264,41 @@ func TestVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// TestFigureRowsClaims feeds F1.rows and F2.rows the n column of each
+// figure at quick and paper scale — four and five rows — and tables that
+// miss a size, skip one or stop short.
+func TestFigureRowsClaims(t *testing.T) {
+	f1Quick, _, _ := figure1Sizes(ScaleQuick)
+	f1Paper, _, _ := figure1Sizes(ScalePaper)
+	f2Quick, _ := figure2Sizes(ScaleQuick)
+	f2Paper, _ := figure2Sizes(ScalePaper)
+	for _, id := range []string{"F1.rows", "F2.rows"} {
+		var check func(*stats.Table) error
+		for _, c := range claims {
+			if c.ID == id {
+				check = c.Check
+			}
+		}
+		for _, tc := range []struct {
+			ns   []int
+			want bool
+		}{
+			{f1Quick, true}, {f1Paper, true}, {f2Quick, true}, {f2Paper, true},
+			{[]int{10, 100, 1000}, false},
+			{[]int{10, 100, 10000, 100000}, false},
+			{[]int{100, 1000, 10000, 100000}, false},
+		} {
+			tbl := stats.NewTable("", "n")
+			for _, n := range tc.ns {
+				tbl.Add(stats.Int(n))
+			}
+			if err := check(tbl); (err == nil) != tc.want {
+				t.Errorf("%s on n = %v: %v, want holds = %v", id, tc.ns, err, tc.want)
+			}
+		}
+	}
+	if len(f1Paper) != 5 || len(f2Paper) != 5 {
+		t.Fatalf("paper scale has %d and %d sizes, want 5", len(f1Paper), len(f2Paper))
+	}
+}

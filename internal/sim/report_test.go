@@ -14,9 +14,9 @@ import (
 // TestSpecTableIdentity is the identity matrix over the spec table: every
 // protocol, at a small n, completes and reports the same row (digest,
 // rounds, messages, loads) whatever the worker budget and whether or not an
-// observer is attached. Only the timing column, the row's last, may differ. Three rows
-// (multirumor, monger, storage) run on engines that register no track, so
-// for them the observer axis only shows that attaching is harmless.
+// observer is attached. Only the timing column, the row's last, may differ.
+// Every row registers a track, so an observed run's Metrics holds at least
+// one span.
 func TestSpecTableIdentity(t *testing.T) {
 	if got := len(protocolSpecs); got != 9 {
 		t.Fatalf("spec table has %d rows, the repository has 9 protocols", got)
@@ -30,6 +30,9 @@ func TestSpecTableIdentity(t *testing.T) {
 					rep, err := ps.execute(n, seed, workers, observer)
 					if err != nil {
 						t.Fatalf("workers=%d observed=%v: %v", workers, observer != nil, err)
+					}
+					if observer != nil && !hasSpan(rep.Metrics) {
+						t.Errorf("workers=%d: the observed run's metrics hold no span: %+v", workers, rep.Metrics)
 					}
 					row := protocolRow(n, rep)
 					row = row[:len(row)-1]
@@ -45,6 +48,19 @@ func TestSpecTableIdentity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hasSpan reports whether m holds at least one recorded span.
+func hasSpan(m *obs.Metrics) bool {
+	if m == nil {
+		return false
+	}
+	for _, p := range m.Phases {
+		if p.Spans > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestTrajectoriesMonotone runs every row of the spec table once at n = 300

@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/run"
@@ -72,11 +73,11 @@ func (c *Config) validate() error {
 func (c Config) Protocol() string { return "storage" }
 
 // Execute implements run.Spec: the run stream derives from the root seed
-// under DomainStorage and every round's Arrange draws its workers from the
-// shared budget. Trajectory is the cumulative placed-replica history;
-// Detail the full Result.
+// under DomainStorage, every round's Arrange draws its workers from the
+// shared budget and an observer gets a "storage" track. Trajectory is the
+// cumulative placed-replica history; Detail the full Result.
 func (c Config) Execute(o *run.Options) (run.Report, error) {
-	res, err := replicate(c, run.StreamFor(o.Seed, run.DomainStorage), o.Budget)
+	res, err := replicate(c, run.StreamFor(o.Seed, run.DomainStorage), o.Budget, o.Obs.Track("storage", 1))
 	if err != nil {
 		return run.Report{}, err
 	}
@@ -84,25 +85,16 @@ func (c Config) Execute(o *run.Options) (run.Report, error) {
 }
 
 // replicate is the body of Config.Execute: it runs the replication protocol
-// until every object has R replicas or MaxRounds elapses. With a non-nil b
-// every round's Arrange runs with the caller's worker plus whatever spare
-// tokens b has at that moment; the Arranger is worker-count independent, so
-// budget sharing never changes the result — the experiment harness uses
-// this to let storage repetitions soak up cores its other jobs are done
-// with.
-func replicate(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
+// on run.Flat (s, b and tr are Flat's) until every object has R
+// replicas or MaxRounds elapses. A round's supply is every owner's
+// outstanding replicas, its demand every host's free slots, both capped at
+// RoundCap; the harness shares b so that storage repetitions soak up the
+// cores its other jobs are done with.
+func replicate(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	sel, err := core.SelectorFor(cfg.Selector, cfg.N)
-	if err != nil {
-		return Result{}, err
-	}
 	roundCap := max(cfg.RoundCap, 1)
-	arr, err := core.NewArranger(sel)
-	if err != nil {
-		return Result{}, err
-	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 40 * (cfg.ObjectsPerNode*cfg.Replicas + 16)
@@ -122,57 +114,50 @@ func replicate(cfg Config, s *rng.Stream, b *par.Budget) (Result, error) {
 	}
 
 	needTotal := total * cfg.Replicas
-	placed := 0
-
+	sent := 0
 	var res Result
 	out := make([]int, n)
 	in := make([]int, n)
-	res.Stepped, err = run.Drive(maxRounds, nil, func(int) (int, int, bool, error) {
-		for i := 0; i < n; i++ {
-			out[i] = min(outstanding[i], roundCap)
-			in[i] = min(cfg.SlotsPerNode-occupancy[i], roundCap)
-		}
-		// One draw from s seeds the whole round, so the run consumes the
-		// same stream positions at every worker count.
-		dates, err := arr.ArrangeShared(out, in, s.Uint64(), b)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		for _, d := range dates {
-			owner, host := int(d.Sender), int(d.Receiver)
-			if owner == host || occupancy[host] >= cfg.SlotsPerNode || outstanding[owner] == 0 {
-				res.WastedDates++
-				continue
+	f := &run.Flat{N: n, Limit: maxRounds, Selector: cfg.Selector,
+		Supply: func() ([]int, []int) {
+			for i := 0; i < n; i++ {
+				out[i] = min(outstanding[i], roundCap)
+				in[i] = min(cfg.SlotsPerNode-occupancy[i], roundCap)
 			}
-			// Place the first outstanding object of owner not yet on host.
-			placedOne := false
-			for o := 0; o < objs; o++ {
-				id := owner*objs + o
-				if len(hosts[id]) >= cfg.Replicas {
+			return out, in
+		},
+		// A date ships the first outstanding object of its owner not yet on
+		// its host; a date with none to place is wasted.
+		Dates: func(_ int, dates []core.Date) error {
+		next:
+			for _, d := range dates {
+				owner, host := int(d.Sender), int(d.Receiver)
+				if owner == host || occupancy[host] >= cfg.SlotsPerNode || outstanding[owner] == 0 {
 					continue
 				}
-				key := int64(id)*int64(n) + int64(host)
-				if onHost[key] {
-					continue
+				for id := owner * objs; id < (owner+1)*objs; id++ {
+					key := int64(id)*int64(n) + int64(host)
+					if len(hosts[id]) < cfg.Replicas && !onHost[key] {
+						onHost[key] = true
+						hosts[id] = append(hosts[id], host)
+						occupancy[host]++
+						outstanding[owner]--
+						res.Transfers++
+						continue next
+					}
 				}
-				onHost[key] = true
-				hosts[id] = append(hosts[id], host)
-				occupancy[host]++
-				outstanding[owner]--
-				placed++
-				res.Transfers++
-				placedOne = true
-				break
 			}
-			if !placedOne {
-				res.WastedDates++
-			}
-		}
-		return len(dates), placed, placed == needTotal, nil
-	})
+			sent = len(dates)
+			return nil
+		},
+		End: func(int) (int, int, bool) { return res.Transfers, sent, res.Transfers == needTotal },
+	}
+	fr, err := f.Drive(s, b, tr)
 	if err != nil {
 		return Result{}, err
 	}
+	res.Stepped = fr.Stepped
+	res.WastedDates = int(run.SumSent(res.SentHistory)) - res.Transfers
 
 	res.MaxOccupancy, res.MinOccupancy = slices.Max(occupancy), slices.Min(occupancy)
 	// Internal consistency: every hosts list within bounds and distinct.

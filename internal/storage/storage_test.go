@@ -21,7 +21,7 @@ func TestConfigValidation(t *testing.T) {
 		{N: 4, ObjectsPerNode: 1, Replicas: 1, SlotsPerNode: 2, RoundCap: -1}, // bad cap
 	}
 	for i, cfg := range bad {
-		if _, err := replicate(cfg, s, nil); err == nil {
+		if _, err := replicate(cfg, s, nil, nil); err == nil {
 			t.Errorf("case %d accepted: %+v", i, cfg)
 		}
 	}
@@ -29,7 +29,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestSelectorSizeMismatch(t *testing.T) {
 	sel, _ := core.NewUniformSelector(5)
-	_, err := replicate(Config{N: 6, ObjectsPerNode: 1, Replicas: 1, SlotsPerNode: 2, Selector: sel}, rng.New(2), nil)
+	_, err := replicate(Config{N: 6, ObjectsPerNode: 1, Replicas: 1, SlotsPerNode: 2, Selector: sel}, rng.New(2), nil, nil)
 	if err == nil {
 		t.Fatal("accepted selector/config size mismatch")
 	}
@@ -38,7 +38,7 @@ func TestSelectorSizeMismatch(t *testing.T) {
 func TestReplicationCompletes(t *testing.T) {
 	s := rng.New(3)
 	cfg := Config{N: 50, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 8}
-	res, err := replicate(cfg, s, nil)
+	res, err := replicate(cfg, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestReplicationCompletes(t *testing.T) {
 
 func TestPlacedHistoryMonotone(t *testing.T) {
 	s := rng.New(4)
-	res, err := replicate(Config{N: 30, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 4}, s, nil)
+	res, err := replicate(Config{N: 30, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 4}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPlacedHistoryMonotone(t *testing.T) {
 func TestOccupancyWithinSlots(t *testing.T) {
 	s := rng.New(5)
 	cfg := Config{N: 40, ObjectsPerNode: 2, Replicas: 2, SlotsPerNode: 5}
-	res, err := replicate(cfg, s, nil)
+	res, err := replicate(cfg, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestLoadBalance(t *testing.T) {
 	// no node may end up with more than ~4x the average occupancy.
 	s := rng.New(6)
 	cfg := Config{N: 100, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 12}
-	res, err := replicate(cfg, s, nil)
+	res, err := replicate(cfg, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTightCapacityStillCompletes(t *testing.T) {
 	// packing, which takes longer but must still terminate.
 	s := rng.New(7)
 	cfg := Config{N: 12, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 2, MaxRounds: 20000}
-	res, err := replicate(cfg, s, nil)
+	res, err := replicate(cfg, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTightCapacityStillCompletes(t *testing.T) {
 func TestRoundCapLimitsPerRoundProgress(t *testing.T) {
 	s := rng.New(8)
 	cfg := Config{N: 20, ObjectsPerNode: 4, Replicas: 2, SlotsPerNode: 10, RoundCap: 1}
-	res, err := replicate(cfg, s, nil)
+	res, err := replicate(cfg, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestRoundCapLimitsPerRoundProgress(t *testing.T) {
 
 func TestHigherCapFaster(t *testing.T) {
 	s1, s2 := rng.New(9), rng.New(10)
-	slow, err := replicate(Config{N: 40, ObjectsPerNode: 4, Replicas: 3, SlotsPerNode: 16, RoundCap: 1}, s1, nil)
+	slow, err := replicate(Config{N: 40, ObjectsPerNode: 4, Replicas: 3, SlotsPerNode: 16, RoundCap: 1}, s1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := replicate(Config{N: 40, ObjectsPerNode: 4, Replicas: 3, SlotsPerNode: 16, RoundCap: 4}, s2, nil)
+	fast, err := replicate(Config{N: 40, ObjectsPerNode: 4, Replicas: 3, SlotsPerNode: 16, RoundCap: 4}, s2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestHigherCapFaster(t *testing.T) {
 
 func TestMaxRoundsCap(t *testing.T) {
 	s := rng.New(11)
-	res, err := replicate(Config{N: 60, ObjectsPerNode: 8, Replicas: 3, SlotsPerNode: 30, MaxRounds: 2}, s, nil)
+	res, err := replicate(Config{N: 60, ObjectsPerNode: 8, Replicas: 3, SlotsPerNode: 30, MaxRounds: 2}, s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestWeightedSelectorWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := replicate(Config{N: 30, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 4, Selector: sel}, rng.New(12), nil)
+	res, err := replicate(Config{N: 30, ObjectsPerNode: 1, Replicas: 2, SlotsPerNode: 4, Selector: sel}, rng.New(12), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestWorkersBitIdenticalRuns(t *testing.T) {
 	// run — rounds, history, transfers, occupancy — must be bit-identical
 	// at every budget size.
 	cfg := Config{N: 60, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 10, RoundCap: 2}
-	base, err := replicate(cfg, rng.New(77), nil)
+	base, err := replicate(cfg, rng.New(77), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestWorkersBitIdenticalRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := replicate(cfg, rng.New(77), b)
+		got, err := replicate(cfg, rng.New(77), b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
