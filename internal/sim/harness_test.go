@@ -17,16 +17,20 @@ func tableHash(s string) uint64 {
 	return h.Sum64()
 }
 
-// Golden fingerprints of the quick-scale figure tables at seed 42, checked
-// by TestRegistryWorkersIdentical. They pin the published numbers down to
-// the byte: any change to the seed-derivation scheme, the round engine, or
-// the aggregation order fails loudly there instead of silently shifting
+// Golden fingerprints of the quick-scale figure tables and of E13's
+// churning-DHT table at seed 42, checked by TestRegistryWorkersIdentical.
+// They pin the published numbers down to the byte: any change to the
+// seed-derivation scheme, the round engine, the churn model or the
+// aggregation order fails loudly there instead of silently shifting
 // results. Regenerate by running the test and copying the hashes it prints
-// on failure. Last repinned when Figure 1's
-// rounds became seeded rounds and Figure 2's repetitions run.Run jobs.
+// on failure. The figures were last repinned when Figure 1's rounds became
+// seeded rounds and Figure 2's repetitions run.Run jobs; E13's pin is the
+// table of its churning ring before that ring became a static ring
+// re-sorted between rounds.
 const (
-	goldenFigure1Quick = 0x6da0c96d449109d3
-	goldenFigure2Quick = 0x2ffb0b8b36081f26
+	goldenFigure1Quick    = 0x6da0c96d449109d3
+	goldenFigure2Quick    = 0x2ffb0b8b36081f26
+	goldenDynamicDHTQuick = 0xef8179128a79b04f
 )
 
 func TestHarnessOverlappingRuns(t *testing.T) {

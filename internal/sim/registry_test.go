@@ -100,7 +100,8 @@ func checkClaims(t *testing.T, name string) {
 // without one.
 func checkWorkersIdentical(t *testing.T, name string) {
 	t.Helper()
-	goldens := map[string]uint64{"figure1": goldenFigure1Quick, "figure2": goldenFigure2Quick}
+	goldens := map[string]uint64{"figure1": goldenFigure1Quick, "figure2": goldenFigure2Quick,
+		"dynamicdht": goldenDynamicDHTQuick}
 	_, tbl := runQuick(t, name, 1)
 	serial := tbl.Render()
 	if want, ok := goldens[name]; ok {
@@ -117,7 +118,7 @@ func checkWorkersIdentical(t *testing.T, name string) {
 // TestRegistryWorkersIdentical is the harness test. Every experiment of the
 // registry runs once at quick scale, seed 42, workers 1 and no observer:
 // its table must satisfy every claim of the claims table, and the two
-// figures must render their golden bytes. A second run at workers 4 with
+// figures and E13 must render their golden bytes. A second run at workers 4 with
 // an observer attached must render the same bytes. No experiment is left
 // out: every table is a pure function of (scale, seed).
 func TestRegistryWorkersIdentical(t *testing.T) {
