@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bandwidth"
-	"repro/internal/overlay"
 	"repro/internal/rng"
 )
 
@@ -349,55 +348,5 @@ func TestArrangeDatesMatchesArranger(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("ArrangeDates diverged from Arranger.Arrange at the same seed")
-	}
-}
-
-func TestArrangeDynamicRingSelectorParallel(t *testing.T) {
-	// The churning-DHT path: DynamicRingSelector's lazy snapshot rebuild
-	// must be forced by Prepare before the fanout, after which parallel
-	// rounds are race-free and bit-identical to serial ones.
-	const n = 300
-	ring, err := overlay.NewDynamicRing(n, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewDynamicRingSelector(ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewArranger(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]int, n)
-	in := make([]int, n)
-	for i := range out {
-		out[i] = 1
-		in[i] = 1
-	}
-	churn := rng.New(6)
-	for round := 0; round < 10; round++ {
-		// Churn between rounds dirties the snapshot, so every round
-		// re-exercises the Prepare-before-fanout path.
-		for id := 0; id < n; id++ {
-			if churn.Bernoulli(0.05) {
-				if err := ring.Replace(id, churn); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		seed := churn.Uint64()
-		want, err := a.Arrange(out, in, seed, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.Arrange(out, in, seed, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: parallel dates diverge from serial over a churning ring", round)
-		}
-		validateArrangement(t, got, out, in)
 	}
 }

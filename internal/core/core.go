@@ -29,9 +29,12 @@ import (
 
 // Selector is the common selection distribution with which nodes address
 // their requests. The paper's only requirement is that every node uses the
-// same distribution for both request kinds.
+// same distribution for both request kinds within a round; it may change
+// between rounds.
 type Selector interface {
-	// Pick returns the index of the node a request is addressed to.
+	// Pick returns the index of the node a request is addressed to. A
+	// round's workers call it concurrently, each with its own stream, so it
+	// must only read the selector's state.
 	Pick(s *rng.Stream) int
 	// N returns the number of addressable nodes.
 	N() int
@@ -217,7 +220,7 @@ func (sv *Service) RunRoundSeededFiltered(seed uint64, workers int, alive func(i
 // seeded runs one seeded round, appending its dates to dst (the engine's
 // buffer contract: nil is a fresh slice).
 func (sv *Service) seeded(dst []Date, seed uint64, workers int, alive func(i int) bool) ([]Date, error) {
-	if err := prepare(sv.sel, workers); err != nil {
+	if err := checkWorkers(workers); err != nil {
 		return nil, err
 	}
 	return sv.eng.round(dst, sv.sel, sv.profile.Out, sv.profile.In, alive, sv.senderCuts(workers, alive), seed, workers), nil

@@ -60,10 +60,11 @@ package core
 //
 // Buffer contract: round appends its dates to the buffer the caller hands it.
 // nil gets a fresh slice of exactly the round's size that the engine never
-// touches again (RunRoundSeeded*, Arrange*); Service.RunRoundShared
-// hands in the buffer it keeps (non-nil from the start, and grown with a
-// quarter of headroom), so a spreading round allocates nothing proportional
-// to n and its dates are valid until that Service's next RunRoundShared.
+// touches again (RunRoundSeeded*, Arrange, ArrangeDates);
+// Service.RunRoundShared and Arranger.ArrangeShared hand in the buffer they
+// keep (non-nil from the start, and grown with a quarter of headroom), so a
+// spreading or storage round allocates nothing proportional to n and its
+// dates are valid until the same Service's or Arranger's next shared round.
 //
 // Offsets and ids are int32, so a round holds fewer than 2^31 nodes and
 // fewer than 2^31 requests of each kind; indexable rejects anything larger
@@ -80,17 +81,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/rng"
 )
-
-// Preparer is an optional Selector extension: selectors whose Pick would
-// lazily mutate shared state (e.g. DynamicRingSelector rebuilding its ring
-// snapshot) implement Prepare so the engine can force that work to happen
-// once, before workers fan out. Selectors without Prepare must be read-only
-// under Pick.
-type Preparer interface {
-	// Prepare brings the selector to a state where concurrent Pick calls
-	// with distinct streams are safe.
-	Prepare() error
-}
 
 // Derivation domains keep the scatter and match randomness of one seeded
 // round disjoint even when a node id equals a rendezvous id.
@@ -140,17 +130,10 @@ type engine struct {
 	reserved   int   // the worker count the chunk rows were last reserved for
 }
 
-// prepare is the entry check of a seeded round: a valid worker count, and
-// lazily-built selector state (e.g. a churned ring snapshot) forced into
-// place before any fanout, so Pick is a pure read on every worker.
-func prepare(sel Selector, workers int) error {
+// checkWorkers is the entry check of a seeded round's worker count.
+func checkWorkers(workers int) error {
 	if workers < 1 {
 		return fmt.Errorf("core: round needs workers >= 1, got %d", workers)
-	}
-	if p, ok := sel.(Preparer); ok {
-		if err := p.Prepare(); err != nil {
-			return fmt.Errorf("core: selector prepare failed: %w", err)
-		}
 	}
 	return nil
 }
@@ -161,7 +144,8 @@ func prepare(sel Selector, workers int) error {
 // requests to rendezvous drawn from sel. A node that alive (nil: everyone)
 // reports dead neither emits nor matches, and a request addressed to it is
 // drawn and lost — a dead rendezvous simply never answers. alive is called
-// concurrently from all workers.
+// concurrently from all workers, and so is sel.Pick: a selector is a pure
+// read during a round.
 //
 // cut, when non-nil, is the workers+1 sender shard boundaries to scatter by;
 // nil balances the shards by this round's request weight. The cuts only

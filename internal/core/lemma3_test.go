@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bandwidth"
-	"repro/internal/overlay"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -127,62 +126,5 @@ func TestLemma3HypergeometricVariance(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no K-bin accumulated enough rounds; widen the experiment")
-	}
-}
-
-func TestDynamicRingSelectorContract(t *testing.T) {
-	// The Selector implementation over a churning ring keeps satisfying
-	// the interface contract as membership changes.
-	s := rng.New(5)
-	d, err := overlay.NewDynamicRing(16, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewDynamicRingSelector(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.N() != 16 {
-		t.Fatalf("N = %d", sel.N())
-	}
-	for i := 0; i < 2000; i++ {
-		if v := sel.Pick(s); v < 0 || v >= 16 {
-			t.Fatalf("pick %d out of range", v)
-		}
-	}
-	if _, err := NewDynamicRingSelector(nil); err == nil {
-		t.Fatal("accepted nil ring")
-	}
-}
-
-func TestDatingOverDynamicSelectorCapacity(t *testing.T) {
-	// Full dating rounds over a churning distribution keep the capacity
-	// invariant.
-	s := rng.New(6)
-	d, err := overlay.NewDynamicRing(50, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, _ := NewDynamicRingSelector(d)
-	sv, err := NewService(bandwidth.Homogeneous(50, 2), sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 10; round++ {
-		if round%2 == 1 {
-			// Churn half-way through: replace three members.
-			for j := 0; j < 3; j++ {
-				id := 1 + s.Intn(49)
-				if d.Present(id) {
-					if err := d.Replace(id, s); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		res := seededRound(t, sv, s.Uint64())
-		if err := ValidateCapacities(res, sv.Profile()); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
 	}
 }

@@ -133,11 +133,9 @@ type state struct {
 }
 
 // newState returns the state of a spread over profile p in which no node
-// is informed yet, driven by f; it hooks f's crashes.
+// is informed yet, driven by f.
 func newState(f *run.Flat, p bandwidth.Profile) *state {
-	st := &state{f: f, informed: make([]bool, p.N()), live: p.N(), profile: p}
-	f.OnCrash = st.crashed
-	return st
+	return &state{f: f, informed: make([]bool, p.N()), live: p.N(), profile: p}
 }
 
 func (st *state) inform(i int) {
@@ -146,9 +144,10 @@ func (st *state) inform(i int) {
 	st.it += st.profile.Out[i]
 }
 
-// crashed takes crashed node i out of the live nodes; an informed node
-// leaves count and I_t.
-func (st *state) crashed(i int) {
+// crash takes live node i down in f's crash mask and out of the live
+// nodes; an informed node leaves count and I_t.
+func (st *state) crash(i int) {
+	st.f.Crash(i)
 	st.live--
 	if st.informed[i] {
 		st.count--
@@ -219,9 +218,21 @@ func spread(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result, er
 
 	var res Result
 	sent := 0
-	f := &run.Flat{N: n, Limit: maxRounds, Selector: cfg.Selector, CrashProb: cfg.CrashProb, Spare: cfg.Source}
+	f := &run.Flat{N: n, Limit: maxRounds, Selector: cfg.Selector}
 	st := newState(f, profile)
 	st.inform(cfg.Source)
+	if cfg.CrashProb > 0 {
+		// Every live node but the source crashes with CrashProb at the
+		// start of a round, one draw each, before the round's seed.
+		f.Churn = func(s *rng.Stream) error {
+			for i := range n {
+				if i != cfg.Source && f.Up(i) && s.Bernoulli(cfg.CrashProb) {
+					st.crash(i)
+				}
+			}
+			return nil
+		}
+	}
 	if step == nil {
 		f.Profile = profile
 	} else {

@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -41,24 +40,6 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := spread(Config{Algorithm: Algorithm(42), N: 5}, s, nil, nil); err == nil {
 		t.Error("accepted unknown algorithm")
-	}
-}
-
-// failingPreparer is a uniform selector whose Prepare always fails.
-type failingPreparer struct{ core.UniformSelector }
-
-func (failingPreparer) Prepare() error { return errors.New("ring snapshot unavailable") }
-
-func TestDatingRoundFailureIsAnError(t *testing.T) {
-	// A dating round that fails — here the selector cannot prepare — ends
-	// the run with that error instead of a panic.
-	u, err := core.NewUniformSelector(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = spread(Config{Algorithm: Dating, N: 64, Selector: failingPreparer{u}}, rng.New(1), nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "ring snapshot unavailable") {
-		t.Fatalf("error %v, want the selector's prepare failure", err)
 	}
 }
 

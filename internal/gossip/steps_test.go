@@ -164,7 +164,7 @@ func TestStepsRespectAliveMask(t *testing.T) {
 	} {
 		st := informedState(12, 0)
 		for i := 6; i < 12; i++ {
-			st.f.Crash(i)
+			st.crash(i)
 		}
 		play(st, step, rng.New(9))
 		for i := 6; i < 12; i++ {
@@ -215,7 +215,7 @@ func TestStateResetClearsLoads(t *testing.T) {
 
 func TestTallyCountsOnlyAlive(t *testing.T) {
 	st := informedState(5, 0, 1, 2)
-	st.f.Crash(2)
+	st.crash(2)
 	if st.count != 2 {
 		t.Fatalf("count = %d, want 2 (dead informed excluded)", st.count)
 	}

@@ -36,13 +36,17 @@ type Ring struct {
 	fingersOnce sync.Once // builds fingers on the first Fingers or Lookup
 }
 
-// NewRing places n nodes uniformly at random on the ring. Position
-// collisions (probability ~n^2/2^64) are resolved by resampling.
+// NewRing places n > 0 nodes uniformly at random on the ring, at
+// RandomPositions(n, s).
 func NewRing(n int, s *rng.Stream) (*Ring, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("overlay: ring needs n > 0, got %d", n)
-	}
-	pos := make([]uint64, n)
+	return RingFromPositions(RandomPositions(n, s))
+}
+
+// RandomPositions draws n pairwise distinct uniform ring positions (none
+// for n <= 0), in draw order. Position collisions (probability
+// ~n^2/2^64) are resolved by resampling.
+func RandomPositions(n int, s *rng.Stream) []uint64 {
+	pos := make([]uint64, max(n, 0))
 	seen := make(map[uint64]bool, n)
 	for i := range pos {
 		for {
@@ -54,7 +58,7 @@ func NewRing(n int, s *rng.Stream) (*Ring, error) {
 			}
 		}
 	}
-	return RingFromPositions(pos)
+	return pos
 }
 
 // RingFromPositions builds a ring from explicit positions, which must be

@@ -96,12 +96,11 @@ type Flat struct {
 	// draws from the run stream itself, so its rounds draw no seed, and
 	// its loads are checked only against a Profile set beside it.
 	Step func(s *rng.Stream) []core.Date
-	// CrashProb crashes each live node but Spare with this probability at
-	// the start of every round, before its seed; OnCrash hears of each, and
-	// a crashed node takes no part in dating rounds.
-	CrashProb float64
-	Spare     int
-	OnCrash   func(i int)
+	// Churn, when set, changes the network at the start of every round,
+	// before its seed: it may Crash nodes, which take no part in dating
+	// rounds from then on, or move what Selector addresses. It draws from
+	// the run stream, and its error ends the run.
+	Churn func(s *rng.Stream) error
 	// Dates receives each round's dates, valid until the next round, to
 	// read or overwrite; End closes the round: the protocol's progress,
 	// what it sent, whether it is done.
@@ -130,12 +129,9 @@ func (f *Flat) Crash(i int) {
 	}
 	f.dead[i] = true
 	f.crashed++
-	if f.OnCrash != nil {
-		f.OnCrash(i)
-	}
 }
 
-// Drive runs f. A round crashes nodes, draws one seed off s and arranges
+// Drive runs f. A round runs Churn, draws one seed off s and arranges
 // its dates on the budget b (or takes Step's), counts every node's loads,
 // checks them against the round's supply and demand, and hands the dates
 // to Dates before End. tr (nil for none) gets a span of each round's date
@@ -167,9 +163,9 @@ func (f *Flat) Drive(s *rng.Stream, b *par.Budget, tr *obs.Track) (FlatResult, e
 	var res FlatResult
 	var err error
 	res.Stepped, err = Drive(f.Limit, tr, func(round int) (int, int, bool, error) {
-		for i := 0; f.CrashProb > 0 && i < f.N; i++ {
-			if i != f.Spare && f.Up(i) && s.Bernoulli(f.CrashProb) {
-				f.Crash(i)
+		if f.Churn != nil {
+			if err := f.Churn(s); err != nil {
+				return 0, 0, false, fmt.Errorf("run: round %d: %w", round, err)
 			}
 		}
 		var alive func(i int) bool // read by the engine's workers; fixed in a round

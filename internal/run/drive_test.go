@@ -1,6 +1,7 @@
 package run
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -104,8 +105,9 @@ func TestFlatDatingRoundsPassCapacityCheck(t *testing.T) {
 }
 
 // TestFlatDrawsOneSeedPerRound: a dating round takes exactly one value
-// off the run stream, a crash round one Bernoulli draw per live node but
-// the spared one before it, and a crashed node is dated no more.
+// off the run stream, after whatever its Churn hook draws; a node the hook
+// crashes is dated no more; and an error from the hook ends the run in its
+// round, before that round's seed.
 func TestFlatDrawsOneSeedPerRound(t *testing.T) {
 	const n, rounds = 300, 6
 	s := rng.New(9)
@@ -122,9 +124,40 @@ func TestFlatDrawsOneSeedPerRound(t *testing.T) {
 		t.Fatal("the run stream is not where one draw per round leaves it")
 	}
 
+	// A hook that draws one value a round: it gets the round's first.
 	s, ref = rng.New(10), rng.New(10)
-	f = &Flat{N: n, Limit: rounds, Profile: bandwidth.Homogeneous(n, 2), CrashProb: 0.1, Spare: 7}
+	f = &Flat{N: n, Limit: rounds, Profile: bandwidth.Homogeneous(n, 2)}
 	countRounds(f)
+	var drawn []uint64
+	f.Churn = func(s *rng.Stream) error {
+		drawn = append(drawn, s.Uint64())
+		return nil
+	}
+	if _, err := f.Drive(s, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for r := range drawn {
+		if hook := ref.Uint64(); drawn[r] != hook {
+			t.Fatalf("round %d: the hook drew %#x, want %#x, the value before the seed", r+1, drawn[r], hook)
+		}
+		ref.Uint64()
+	}
+	if len(drawn) != rounds || s.Uint64() != ref.Uint64() {
+		t.Fatalf("%d hook calls in %d rounds, or the stream is off", len(drawn), rounds)
+	}
+
+	// A hook that crashes each live node but node 7 with probability 0.1.
+	s, ref = rng.New(11), rng.New(11)
+	f = &Flat{N: n, Limit: rounds, Profile: bandwidth.Homogeneous(n, 2)}
+	countRounds(f)
+	f.Churn = func(s *rng.Stream) error {
+		for i := range n {
+			if i != 7 && f.Up(i) && s.Bernoulli(0.1) {
+				f.Crash(i)
+			}
+		}
+		return nil
+	}
 	f.Dates = func(_ int, dates []core.Date) error {
 		for _, d := range dates {
 			if !f.Up(int(d.Sender)) || !f.Up(int(d.Receiver)) {
@@ -152,6 +185,31 @@ func TestFlatDrawsOneSeedPerRound(t *testing.T) {
 	}
 	if res.Crashed != crashed || !f.Up(7) || s.Uint64() != ref.Uint64() {
 		t.Fatalf("crashed %d (replayed %d), spared node up %v: the draws are out of order", res.Crashed, crashed, f.Up(7))
+	}
+
+	// A hook that fails in round 3 ends the run there: two rounds ran, and
+	// the stream holds five draws, the third hook's and no third seed.
+	s, ref = rng.New(12), rng.New(12)
+	f = &Flat{N: n, Limit: rounds, Profile: bandwidth.Homogeneous(n, 2)}
+	countRounds(f)
+	failure := errors.New("ring cannot be re-sorted")
+	calls := 0
+	f.Churn = func(s *rng.Stream) error {
+		s.Uint64()
+		if calls++; calls == 3 {
+			return failure
+		}
+		return nil
+	}
+	res, err = f.Drive(s, nil, nil)
+	if !errors.Is(err, failure) || !strings.Contains(err.Error(), "round 3") || res.Rounds != 2 {
+		t.Fatalf("error %v after %d rounds, want the hook's failure in round 3", err, res.Rounds)
+	}
+	for range 5 {
+		ref.Uint64()
+	}
+	if s.Uint64() != ref.Uint64() {
+		t.Fatal("the failing round drew past its hook")
 	}
 }
 

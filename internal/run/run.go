@@ -43,15 +43,18 @@
 // sum of the sent counts unless the protocol ran on a message engine, whose
 // counters it then reports.
 //
-// The four flat protocols (rumor, multi-rumor, mongering, storage) reach
-// Drive through one flat-round loop, Flat. Each supplies its round's
-// supply and demand (a Service's profile, or storage's outstanding replicas
-// and free slots through an Arranger), a hook that receives the round's
-// dates, and its end of round: progress, sent, done. Flat owns the rest:
-// the selector default and the Service or Arranger, one seed per round off
-// the run stream, rumor's crash mask (drawn before the seed), each node's
-// loads and their maxima, an error naming the round and the node that a
-// dating round loads beyond its supply or demand, and the observer track.
+// The four flat protocols (rumor, multi-rumor, mongering, storage) and
+// E13's spread over a churning DHT reach Drive through one flat-round
+// loop, Flat. Each supplies its round's supply and demand (a Service's
+// profile, or storage's outstanding replicas and free slots through an
+// Arranger), a hook that receives the round's dates, and its end of round:
+// progress, sent, done. A protocol whose network changes between rounds
+// adds a churn hook, run before the round's seed: rumor's crashes nodes
+// into Flat's crash mask, E13's replaces DHT nodes and re-sorts its ring.
+// Flat owns the rest: the selector default and the Service or Arranger,
+// one seed per round off the run stream, the crash mask, each node's loads
+// and their maxima, an error naming the round and the node that a dating
+// round loads beyond its supply or demand, and the observer track.
 // The Figure 2 baselines plug in their step as the date source: it draws
 // from the run stream itself, with no seed and no capacity check.
 //

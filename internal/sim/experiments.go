@@ -482,9 +482,9 @@ func runLoadViolation(scale Scale, seed uint64, workers int, o *obs.Observer) (*
 // distribution). A row reports the mean rounds to 95% coverage, the mean
 // coverage over the final quarter and the mean nodes replaced. Each
 // repetition is one harness job seeded from (seed, churn-rate index,
-// repetition); inside a job, every Arrange draws spare tokens from the
+// repetition); inside a job, every dating round draws spare tokens from the
 // harness's shared worker budget, so once the sweep's tail leaves cores idle
-// the remaining repetitions parallelize their rounds — the Arranger is
+// the remaining repetitions parallelize their rounds — a seeded round is
 // worker-count independent, so the numbers cannot move.
 func runDynamicDHT(scale Scale, seed uint64, workers int, _ *obs.Observer) (*stats.Table, error) {
 	n, reps, rounds := 512, 8, 120
@@ -527,75 +527,124 @@ type churnOutcome struct {
 }
 
 // spreadOverChurningRing runs one spreading instance for a fixed number of
-// rounds under sustained churn. The ring, the churn and each round's seed
-// are drawn from one stream seeded with seed; each dating round's Arrange
-// draws workers from the shared budget (nil = serial). Since the Arranger is
-// worker-count independent, the outcome depends only on seed.
+// rounds under sustained churn: unit-bandwidth dating rounds on run.Flat
+// over a churnRing, whose replacements are the rounds' Churn hook. The
+// ring, the churn and each round's seed draw from one stream seeded by the
+// job: the initial positions, then in every round one Bernoulli per id
+// 1..n-1 with each replaced id's redraws, then the round's seed.
 func spreadOverChurningRing(n int, replaceProb float64, rounds int, seed uint64, b *par.Budget) (churnOutcome, error) {
 	var out churnOutcome
 	s := rng.New(seed)
-	ring, err := overlay.NewDynamicRing(n, s)
+	ring, err := newChurnRing(overlay.RandomPositions(n, s))
 	if err != nil {
 		return out, err
 	}
-	sel, err := core.NewDynamicRingSelector(ring)
-	if err != nil {
-		return out, err
-	}
-	arr, err := core.NewArranger(sel)
-	if err != nil {
-		return out, err
-	}
-	informed, next := make([]bool, n), make([]bool, n)
-	informed[0] = true
-
-	supply := make([]int, n)
-	demand := make([]int, n)
-	for i := range supply {
-		supply[i] = 1
-		demand[i] = 1
-	}
-
-	tailStart := rounds - rounds/4
-	var tail stats.Accumulator
-	for round := 1; round <= rounds; round++ {
-		if replaceProb > 0 {
+	// learned[i] is 1 + the round node i learned the rumor in (0: not yet);
+	// a sender carries it in round r iff it learned it before r.
+	learned, count, sent := make([]int, n), 1, 0
+	learned[0] = 1
+	f := &run.Flat{N: n, Limit: rounds, Selector: ring,
+		// A replaced id is a new peer that has not heard the rumor; the
+		// source is never replaced.
+		Churn: func(s *rng.Stream) error {
+			before := out.replaced
 			for id := 1; id < n; id++ {
 				if s.Bernoulli(replaceProb) {
-					if err := ring.Replace(id, s); err != nil {
-						return out, err
+					ring.replace(id, s)
+					if learned[id] > 0 {
+						learned[id] = 0
+						count--
 					}
-					informed[id] = false
 					out.replaced++
 				}
 			}
-		}
-		dates, err := arr.ArrangeShared(supply, demand, s.Uint64(), b)
-		if err != nil {
-			return out, err
-		}
-		copy(next, informed)
-		for _, d := range dates {
-			if informed[d.Sender] {
-				next[d.Receiver] = true
+			if out.replaced == before {
+				return nil
 			}
-		}
-		informed, next = next, informed
-
-		count := 0
-		for _, b := range informed {
-			if b {
-				count++
+			return ring.sort()
+		},
+		Dates: func(round int, dates []core.Date) error {
+			for _, d := range dates {
+				if l := learned[d.Sender]; l > 0 && l <= round && learned[d.Receiver] == 0 {
+					learned[d.Receiver] = round + 1
+					count++
+				}
 			}
-		}
-		coverage := float64(count) / float64(n)
+			sent = len(dates)
+			return nil
+		},
+		End: func(int) (int, int, bool) { return count, sent, false },
+	}
+	res, err := f.Drive(s, b, nil)
+	if err != nil {
+		return out, err
+	}
+	tailStart := rounds - rounds/4
+	var tail stats.Accumulator
+	for i, c := range res.History {
+		coverage := float64(c) / float64(n)
 		if out.roundsTo95 == 0 && coverage >= 0.95 {
-			out.roundsTo95 = round
+			out.roundsTo95 = i + 1
 		}
-		if round > tailStart {
+		if i >= tailStart {
 			tail.Add(coverage)
 		}
 	}
 	out.steadyCoverage = tail.Mean()
 	return out, nil
 }
+
+// churnRing is E13's churning DHT as a selection distribution over stable
+// node ids: pos keeps each id's ring position, a replacement moves one id
+// to a fresh position, and sort rebuilds ring, the static ring of the
+// current positions, with ids naming its ranks. A request addresses the id
+// owning a uniform point. The distribution changes only between rounds,
+// which is all Algorithm 1 asks.
+type churnRing struct {
+	pos  []uint64 // by id
+	ids  []int    // by rank on ring
+	ring *overlay.Ring
+}
+
+// newChurnRing places id i at pos[i]; the positions must be distinct.
+func newChurnRing(pos []uint64) (*churnRing, error) {
+	c := &churnRing{pos: pos, ids: make([]int, len(pos))}
+	return c, c.sort()
+}
+
+// replace moves id to a fresh uniform position, as a new peer taking the
+// id over would join: a position another id holds is drawn again, id's own
+// old one may come back. Pick reads the old ring until the next sort.
+func (c *churnRing) replace(id int, s *rng.Stream) {
+redraw:
+	for {
+		p := s.Uint64()
+		for other, q := range c.pos {
+			if q == p && other != id {
+				continue redraw
+			}
+		}
+		c.pos[id] = p
+		return
+	}
+}
+
+// sort rebuilds the ring from the ids' current positions: each id's rank
+// is that of the node owning its own position.
+func (c *churnRing) sort() error {
+	ring, err := overlay.RingFromPositions(c.pos)
+	if err != nil {
+		return err
+	}
+	for id, p := range c.pos {
+		c.ids[ring.Owner(p)] = id
+	}
+	c.ring = ring
+	return nil
+}
+
+// Pick implements core.Selector: the id owning a uniform point.
+func (c *churnRing) Pick(s *rng.Stream) int { return c.ids[c.ring.PickOwner(s)] }
+
+// N implements core.Selector.
+func (c *churnRing) N() int { return len(c.pos) }

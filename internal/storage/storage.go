@@ -101,19 +101,19 @@ func replicate(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result,
 	}
 
 	n := cfg.N
-	objs := cfg.ObjectsPerNode
-	// Object o of node i has id i*objs+o. hosts[id] lists its replica
-	// holders; onHost marks (id, host) pairs for O(1) duplicate checks.
+	objs, reps := cfg.ObjectsPerNode, cfg.Replicas
+	// Object o of node i has id i*objs+o. Its replica holders are
+	// hosts[id*reps:][:placed[id]]: a duplicate check scans at most R.
 	total := n * objs
-	hosts := make([][]int, total)
-	onHost := make(map[int64]bool, total*cfg.Replicas)
+	hosts := make([]int32, total*reps)
+	placed := make([]int32, total)
 	occupancy := make([]int, n)
 	outstanding := make([]int, n) // replicas still needed, per owner
 	for i := range outstanding {
-		outstanding[i] = objs * cfg.Replicas
+		outstanding[i] = objs * reps
 	}
 
-	needTotal := total * cfg.Replicas
+	needTotal := total * reps
 	sent := 0
 	var res Result
 	out := make([]int, n)
@@ -136,10 +136,9 @@ func replicate(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result,
 					continue
 				}
 				for id := owner * objs; id < (owner+1)*objs; id++ {
-					key := int64(id)*int64(n) + int64(host)
-					if len(hosts[id]) < cfg.Replicas && !onHost[key] {
-						onHost[key] = true
-						hosts[id] = append(hosts[id], host)
+					if on := hosts[id*reps:][:placed[id]]; len(on) < reps && !slices.Contains(on, int32(host)) {
+						hosts[id*reps+len(on)] = int32(host)
+						placed[id]++
 						occupancy[host]++
 						outstanding[owner]--
 						res.Transfers++
@@ -160,17 +159,17 @@ func replicate(cfg Config, s *rng.Stream, b *par.Budget, tr *obs.Track) (Result,
 	res.WastedDates = int(run.SumSent(res.SentHistory)) - res.Transfers
 
 	res.MaxOccupancy, res.MinOccupancy = slices.Max(occupancy), slices.Min(occupancy)
-	// Internal consistency: every hosts list within bounds and distinct.
-	for id, hs := range hosts {
-		if len(hs) > cfg.Replicas {
-			return Result{}, fmt.Errorf("storage: object %d over-replicated (%d)", id, len(hs))
+	// Internal consistency: every host set within bounds, distinct and
+	// away from the object's owner.
+	for id, k := range placed {
+		if int(k) > reps {
+			return Result{}, fmt.Errorf("storage: object %d over-replicated (%d)", id, k)
 		}
-		seen := map[int]bool{}
-		for _, h := range hs {
-			if seen[h] || h == id/objs {
-				return Result{}, fmt.Errorf("storage: object %d has invalid host set %v", id, hs)
+		on := hosts[id*reps:][:k]
+		for j, h := range on {
+			if int(h) == id/objs || slices.Contains(on[:j], h) {
+				return Result{}, fmt.Errorf("storage: object %d has invalid host set %v", id, on)
 			}
-			seen[h] = true
 		}
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -209,5 +210,43 @@ func TestWorkersBitIdenticalRuns(t *testing.T) {
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d: run diverged from serial baseline:\n got %+v\nwant %+v", workers, got, base)
 		}
+	}
+}
+
+// raceDetector is set under -race (race_test.go), whose instrumentation
+// makes slices.Grow allocate its growth twice over: the engine's reserved
+// chunk rows read more there.
+var raceDetector bool
+
+// TestReplicateAllocBound pins what a whole replication run allocates per
+// node and round: the placement tables, the Arranger's scratch and date
+// buffer, and nothing per round that is proportional to n. While a map of
+// (object, host) pairs and a host slice per object kept the placements,
+// and every round arranged into a fresh date slice, this run allocated
+// 50.3 B per node-round; with one flat host table and a kept date buffer,
+// 13.8 (17.5 under -race).
+func TestReplicateAllocBound(t *testing.T) {
+	bound := 16.0
+	if raceDetector {
+		bound = 20.0
+	}
+	cfg := Config{N: 20_000, ObjectsPerNode: 2, Replicas: 3, SlotsPerNode: 12, RoundCap: 2}
+	var res Result
+	var err error
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err = replicate(cfg, rng.New(3), nil, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatalf("replication incomplete after %d rounds", res.Rounds)
+	}
+	perNodeRound := float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.N*res.Rounds)
+	t.Logf("%d rounds, %.1f B per node-round", res.Rounds, perNodeRound)
+	if perNodeRound > bound {
+		t.Errorf("replication allocated %.1f B per node-round, bound %.1f", perNodeRound, bound)
 	}
 }
