@@ -146,7 +146,7 @@
 //
 // The runtime underneath (internal/async) is a calendar queue on the same
 // internal/shardrt core as the live runtime. Continuous time is cut into
-// buckets of width AsyncConfig.BucketWidth; a bucket is one tick of the
+// buckets of one time unit; a bucket is one tick of the
 // core: deliver the bucket's arrivals, step (each shard replays its peers'
 // arrivals, then their firings in time order) and
 // route (hand emissions to future calendar slots) — and because peers
@@ -182,8 +182,7 @@
 //
 // On top runs the Maki–Thompson spreader/stifler protocol: peers are
 // ignorant, spreaders or stiflers. Each round every spreader contacts one
-// neighbor — uniformly, or weighted by the neighbor's bandwidth profile
-// (TopologyConfig.Weighted). An ignorant contact accepts the rumor with
+// neighbor, drawn uniformly. An ignorant contact accepts the rumor with
 // probability Lambda; a contact that already knew replies "known", which
 // stifles the initiating spreader with probability Alpha; and a spreader
 // ceases spontaneously with probability Delta. Unlike push&pull, the rumor
@@ -206,11 +205,12 @@
 // revises it under a pluggable merge rule whenever it hears variants from
 // its contacts, and the run completes when the leading variant is held by a
 // Threshold share of the population (90% by default — the convergence-time
-// observable). Seeding geometry is configurable: ConsensusSeedDistinct
-// places each variant at distinct uniform-random peers,
-// ConsensusSeedHubLeaf alternates variants between the degree extremes of
-// the graph (the seeding-advantage experiment on scale-free topologies),
-// and ConsensusSeedClustered gives each variant a contiguous ring range.
+// observable). Each variant starts at one seed peer, and the seeding
+// geometry is configurable: ConsensusSeedDistinct places the seeds at
+// distinct uniform-random peers, ConsensusSeedHubLeaf alternates variants
+// between the degree extremes of the graph (the seeding-advantage
+// experiment on scale-free topologies), and ConsensusSeedClustered puts
+// each variant at the start of its own ring range.
 //
 // Three merge rules, all deterministic in canonical inbox order:
 // ConsensusRuleMajority adopts the variant heard most often over the peer's

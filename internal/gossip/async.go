@@ -10,7 +10,6 @@ package gossip
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/async"
 	"repro/internal/bandwidth"
@@ -38,33 +37,26 @@ const (
 // selection distribution, pushing the rumor if it knows it and pulling a
 // reply if the partner does. With a unit profile the mean inter-firing gap
 // is one time unit — the expected synchronous round — so the spread curve
-// is directly comparable to the round-synchronous protocols'.
+// is directly comparable to the round-synchronous protocols'. The run
+// advances in calendar buckets of one time unit, the granularity at which
+// shards synchronize and the quantum message arrivals are rounded up to,
+// under a generous log-based cap far beyond any plausible completion time.
 type AsyncConfig struct {
 	Profile bandwidth.Profile
 	// Selector defaults to uniform over the profile's nodes.
 	Selector core.Selector
 	// Source is the initially informed peer.
 	Source int
-	// BucketWidth is the calendar bucket width in clock-time units (0 = 1):
-	// the granularity at which shards synchronize, and the quantum message
-	// arrivals are rounded up to.
-	BucketWidth float64
-	// Latency is each message's flight time in clock-time units (0 =
-	// BucketWidth).
+	// Latency is each message's flight time in clock-time units (0 = 1,
+	// one bucket).
 	Latency float64
-	// MaxTime caps the run in clock-time units (0 = a generous log-based
-	// default, far beyond any plausible completion time); it must be finite.
-	MaxTime float64
 }
 
 // AsyncResult reports an asynchronous spreading run: Rounds counts the
-// calendar buckets executed and History holds the informed-peer count at
-// each bucket boundary.
+// calendar buckets executed, which is also the simulated clock time they
+// span, and History holds the informed-peer count at each bucket boundary.
 type AsyncResult struct {
 	Stepped
-	// Time is the simulated clock time the buckets span (Rounds *
-	// BucketWidth).
-	Time float64
 	// Fired is the total number of clock firings executed.
 	Fired int64
 }
@@ -87,38 +79,22 @@ func RunAsync(cfg AsyncConfig, o LiveOptions) (AsyncResult, error) {
 	if cfg.Source < 0 || cfg.Source >= n {
 		return AsyncResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
-	if !(cfg.MaxTime >= 0) || math.IsInf(cfg.MaxTime, 1) {
-		return AsyncResult{}, fmt.Errorf("gossip: async max time %v must be finite and non-negative", cfg.MaxTime)
-	}
 	sel, err := core.SelectorFor(cfg.Selector, n)
 	if err != nil {
 		return AsyncResult{}, err
-	}
-	width := cfg.BucketWidth
-	if width == 0 {
-		width = 1
-	}
-	maxTime := cfg.MaxTime
-	if maxTime == 0 {
-		maxTime = float64(defaultRoundCap(n))
-	}
-	buckets := math.Ceil(maxTime / width)
-	if buckets > math.MaxInt32 {
-		return AsyncResult{}, fmt.Errorf("gossip: async max time %v is %v buckets of width %v", maxTime, buckets, width)
 	}
 
 	st := newPeerStates(n) // state 1 is "informed"
 	fire, recv := asyncHandlers(sel, &st)
 	rt, err := async.New(async.Config{
-		N:           n,
-		Seed:        o.Seed,
-		Rates:       meanBandwidth(cfg.Profile), // bandwidth heterogeneity becomes firing-frequency heterogeneity
-		BucketWidth: width,
-		Latency:     cfg.Latency,
-		Shards:      o.Shards,
-		Obs:         o.Obs,
-		Fire:        fire,
-		Recv:        recv,
+		N:       n,
+		Seed:    o.Seed,
+		Rates:   meanBandwidth(cfg.Profile), // bandwidth heterogeneity becomes firing-frequency heterogeneity
+		Latency: cfg.Latency,
+		Shards:  o.Shards,
+		Obs:     o.Obs,
+		Fire:    fire,
+		Recv:    recv,
 	})
 	if err != nil {
 		return AsyncResult{}, err
@@ -128,11 +104,10 @@ func RunAsync(cfg AsyncConfig, o LiveOptions) (AsyncResult, error) {
 
 	// Replies still in flight when every peer knows the rumor no longer
 	// matter, so the run stops at that boundary.
-	res := AsyncResult{Stepped: drive(rt.RunBuckets, 0, 1, int(buckets), nil, func(int) (int, bool) {
+	res := AsyncResult{Stepped: drive(rt.RunBuckets, 0, 1, defaultRoundCap(n), nil, func(int) (int, bool) {
 		informed := st.count(1)
 		return informed, informed == n
 	})}
-	res.Time = float64(res.Rounds) * width
 	res.Fired = rt.Fired()
 	return res, nil
 }

@@ -41,7 +41,7 @@ const consensusSeedDomain uint64 = 0xD1
 type ConsensusSeeding int
 
 const (
-	// SeedDistinct places each variant's seeds at distinct peers drawn
+	// SeedDistinct places the variants' seeds at distinct peers drawn
 	// uniformly at random from the placement stream.
 	SeedDistinct ConsensusSeeding = iota
 	// SeedHubLeaf alternates variants between the degree extremes of the
@@ -49,10 +49,9 @@ const (
 	// lowest-degree leaves, variant 3 the next hubs, and so on — the
 	// seeding-advantage experiment of scale-free consensus.
 	SeedHubLeaf
-	// SeedClustered gives variant v a contiguous block of peers at the
-	// start of the v-th of K equal ring ranges of [0, n) — spatially
-	// clustered opinions, the hardest geometry for global agreement on
-	// ring-like topologies.
+	// SeedClustered seeds variant v at the first peer of the v-th of K
+	// equal ring ranges of [0, n) — spatially clustered opinions, the
+	// hardest geometry for global agreement on ring-like topologies.
 	SeedClustered
 )
 
@@ -112,9 +111,6 @@ type ConsensusConfig struct {
 	Graph *graph.CSR
 	// Seeding picks the initial placement geometry of the variants.
 	Seeding ConsensusSeeding
-	// SeedsPerVariant is the number of peers initially holding each
-	// variant (0 = 1).
-	SeedsPerVariant int
 	// Rule is the merge rule peers revise their opinion under.
 	Rule MergeRule
 	// Profile supplies the per-peer influence weights of RuleWeighted
@@ -141,7 +137,7 @@ type ConsensusResult struct {
 	// when the run stopped.
 	Agreement float64
 	// Seeds lists the initially seeded peers in canonical order; seed j
-	// holds variant j/SeedsPerVariant + 1.
+	// holds variant j + 1.
 	Seeds []int
 	// ShareHist[r][v] is the count of peers holding variant v+1 after
 	// round r+1 — the consensus component.
@@ -201,7 +197,7 @@ func argmaxVariant(heard []float64) int {
 // empty inbox revises nothing, stays undecided and skips the contact draw,
 // which is what the runtime's sleep contract asks of a peer that reports
 // false.
-func consStep(sampler graph.Sampler, st *consState, weight []float64) live.ActiveStepFunc {
+func consStep(sampler graph.UniformNeighbors, st *consState, weight []float64) live.ActiveStepFunc {
 	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
 		v := st.of[node]
 		var stamp int32
@@ -249,24 +245,19 @@ func consStep(sampler graph.Sampler, st *consState, weight []float64) live.Activ
 	}
 }
 
-// consensusSeeds computes the canonical seeding order: SeedsPerVariant
-// peers per variant, variant-major, placed by the configured geometry.
+// consensusSeeds computes the canonical seeding order: one peer per
+// variant, in variant order, placed by the configured geometry.
 func consensusSeeds(cfg ConsensusConfig, seed uint64) ([]int, error) {
-	n := cfg.Graph.N()
-	spv := cfg.SeedsPerVariant
-	if spv <= 0 {
-		spv = 1
+	n, k := cfg.Graph.N(), cfg.Variants
+	if k > n {
+		return nil, fmt.Errorf("gossip: %d variants exceed %d peers", k, n)
 	}
-	total := cfg.Variants * spv
-	if total > n {
-		return nil, fmt.Errorf("gossip: %d variants x %d seeds exceed %d peers", cfg.Variants, spv, n)
-	}
-	seeds := make([]int, 0, total)
+	seeds := make([]int, 0, k)
 	switch cfg.Seeding {
 	case SeedDistinct:
 		s := rng.New(rng.Derive(seed, consensusSeedDomain))
-		taken := make(map[int]bool, total)
-		for len(seeds) < total {
+		taken := make(map[int]bool, k)
+		for len(seeds) < k {
 			p := s.Intn(n)
 			if taken[p] {
 				continue
@@ -288,27 +279,16 @@ func consensusSeeds(cfg ConsensusConfig, seed uint64) ([]int, error) {
 			}
 			return byDeg[a] < byDeg[b]
 		})
-		hub, leaf := 0, n-1
-		for v := 0; v < cfg.Variants; v++ {
-			for c := 0; c < spv; c++ {
-				if v%2 == 0 {
-					seeds = append(seeds, byDeg[hub])
-					hub++
-				} else {
-					seeds = append(seeds, byDeg[leaf])
-					leaf--
-				}
+		for v := 0; v < k; v++ {
+			if v%2 == 0 {
+				seeds = append(seeds, byDeg[v/2])
+			} else {
+				seeds = append(seeds, byDeg[n-1-v/2])
 			}
 		}
 	case SeedClustered:
-		if spv > n/cfg.Variants {
-			return nil, fmt.Errorf("gossip: clustered seeding needs %d seeds within a ring range of %d", spv, n/cfg.Variants)
-		}
-		for v := 0; v < cfg.Variants; v++ {
-			start := v * n / cfg.Variants
-			for c := 0; c < spv; c++ {
-				seeds = append(seeds, start+c)
-			}
+		for v := 0; v < k; v++ {
+			seeds = append(seeds, v*n/k)
 		}
 	default:
 		return nil, fmt.Errorf("gossip: unknown consensus seeding %d", cfg.Seeding)
@@ -359,7 +339,6 @@ func runConsensus(cfg ConsensusConfig, o LiveOptions, clk clock) (ConsensusResul
 	if err != nil {
 		return ConsensusResult{}, err
 	}
-	spv := len(seeds) / cfg.Variants
 
 	st := newConsState(n, cfg.Variants, cfg.Rule)
 	tick, _, cuts, err := clk(n, o, nil, consStep(sampler, st, weight))
@@ -368,7 +347,7 @@ func runConsensus(cfg ConsensusConfig, o LiveOptions, clk clock) (ConsensusResul
 	}
 	st.key(cuts, cfg.Variants)
 	for j, p := range seeds {
-		v := uint8(j/spv + 1)
+		v := uint8(j + 1)
 		st.set(p, v)
 		if st.stamp != nil {
 			st.stamp[p] = int32(j + 1)

@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -248,12 +249,13 @@ func TestConsensusLatestRuleFloods(t *testing.T) {
 	}
 }
 
-// TestConsensusSeedingGeometries pins the three placement geometries.
+// TestConsensusSeedingGeometries pins the three placement geometries, one
+// seed per variant.
 func TestConsensusSeedingGeometries(t *testing.T) {
 	g := mustBA(t, 400, 3, 31)
 
-	// Distinct: all seeds distinct, count = K * SeedsPerVariant.
-	dres := consRun(t, ConsensusConfig{Variants: 3, Graph: g, Seeding: SeedDistinct, SeedsPerVariant: 2, Rule: RuleMajority},
+	// Distinct: K seeds, all distinct.
+	dres := consRun(t, ConsensusConfig{Variants: 6, Graph: g, Seeding: SeedDistinct, Rule: RuleMajority},
 		LiveOptions{Seed: 7, Shards: 2})
 	if len(dres.Seeds) != 6 {
 		t.Fatalf("distinct seeding placed %d seeds, want 6", len(dres.Seeds))
@@ -266,27 +268,31 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 		seen[p] = true
 	}
 
-	// Hub/leaf: variant 1 takes the top hub, variant 2 the bottom leaf.
-	hres := consRun(t, ConsensusConfig{Variants: 2, Graph: g, Seeding: SeedHubLeaf, Rule: RuleMajority},
+	// Hub/leaf alternates: variants 1 and 3 take the two largest degrees,
+	// variants 2 and 4 the two smallest.
+	hres := consRun(t, ConsensusConfig{Variants: 4, Graph: g, Seeding: SeedHubLeaf, Rule: RuleMajority},
 		LiveOptions{Seed: 7, Shards: 2})
 	hub := g.Hub()
 	if hres.Seeds[0] != hub {
 		t.Errorf("hub seeding placed variant 1 at %d (degree %d), want hub %d (degree %d)",
 			hres.Seeds[0], g.Degree(hres.Seeds[0]), hub, g.Degree(hub))
 	}
-	minDeg := g.Degree(hres.Seeds[1])
-	for i := 0; i < g.N(); i++ {
-		if g.Degree(i) < minDeg {
-			t.Errorf("leaf seed %d has degree %d, but peer %d has degree %d",
-				hres.Seeds[1], minDeg, i, g.Degree(i))
-			break
+	degs := make([]int, g.N())
+	for i := range degs {
+		degs[i] = g.Degree(i)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(degs)))
+	wantDeg := []int{degs[0], degs[g.N()-1], degs[1], degs[g.N()-2]}
+	for v, p := range hres.Seeds {
+		if g.Degree(p) != wantDeg[v] {
+			t.Errorf("variant %d seed %d has degree %d, want %d", v+1, p, g.Degree(p), wantDeg[v])
 		}
 	}
 
-	// Clustered: variant v starts its ring range at (v-1)*n/K.
-	cres := consRun(t, ConsensusConfig{Variants: 4, Graph: g, Seeding: SeedClustered, SeedsPerVariant: 2, Rule: RuleMajority},
+	// Clustered: variant v sits at the start of its ring range, (v-1)*n/K.
+	cres := consRun(t, ConsensusConfig{Variants: 4, Graph: g, Seeding: SeedClustered, Rule: RuleMajority},
 		LiveOptions{Seed: 7, Shards: 2})
-	want := []int{0, 1, 100, 101, 200, 201, 300, 301}
+	want := []int{0, 100, 200, 300}
 	if fmt.Sprint(cres.Seeds) != fmt.Sprint(want) {
 		t.Errorf("clustered seeds %v, want %v", cres.Seeds, want)
 	}
@@ -306,7 +312,7 @@ func TestConsensusValidation(t *testing.T) {
 		{ConsensusConfig{Variants: 2, Graph: g, Threshold: 1.5}, "threshold"},
 		{ConsensusConfig{Variants: 2, Graph: g, Threshold: math.NaN()}, "threshold"},
 		{ConsensusConfig{Variants: 2, Graph: g, Rule: RuleWeighted}, "profile"},
-		{ConsensusConfig{Variants: 2, Graph: g, SeedsPerVariant: 30}, "exceed"},
+		{ConsensusConfig{Variants: 60, Graph: g}, "exceed"},
 		{ConsensusConfig{Variants: 2, Graph: g, Seeding: ConsensusSeeding(9)}, "seeding"},
 		{ConsensusConfig{Variants: 2, Graph: g, Rule: MergeRule(9)}, "merge rule"},
 	} {

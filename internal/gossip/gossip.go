@@ -18,8 +18,9 @@
 //
 // # Stepped protocols
 //
-// Four protocols run message by message on the shard runtimes: the dating
-// handshake (LiveConfig), graph spreading (TopologyConfig) and
+// Five specs run message by message on the shard runtimes: rumor spreading
+// over the dating handshake (LiveConfig), the bare handshake
+// (HandshakeConfig), graph spreading (TopologyConfig) and
 // conflicting-rumor consensus (ConsensusConfig) on the round runtime of
 // internal/live, and asynchronous push&pull (AsyncConfig) on the calendar
 // of internal/async. Each brings its per-peer state, its step (or fire and
@@ -273,8 +274,8 @@ func defaultRoundCap(n int) int {
 }
 
 // meanBandwidth returns each node's mean profile bandwidth (bin+bout)/2: the
-// clock rate of the async protocol, the neighbor weight of weighted topology
-// runs and the influence weight of RuleWeighted.
+// clock rate of the async protocol and the influence weight of
+// RuleWeighted.
 func meanBandwidth(p bandwidth.Profile) []float64 {
 	w := make([]float64, p.N())
 	for i := range w {

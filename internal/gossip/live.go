@@ -31,8 +31,6 @@ type LiveConfig struct {
 	// Selector defaults to uniform over the profile's nodes.
 	Selector core.Selector
 	Source   int
-	// MaxDatingRounds caps the run (0 = generous log-based default).
-	MaxDatingRounds int
 }
 
 // HandshakeConfig parameterizes the dating service on its own: Rounds
@@ -158,17 +156,16 @@ func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
 }
 
 func runLive(cfg LiveConfig, o LiveOptions, clk clock) (LiveResult, error) {
-	maxDating := cfg.MaxDatingRounds
-	if maxDating <= 0 {
-		maxDating = defaultRoundCap(cfg.Profile.N())
+	// The source is checked before startHandshake builds any peer state or
+	// runtime; an empty profile is left to startHandshake's own error.
+	n := cfg.Profile.N()
+	if n > 0 && (cfg.Source < 0 || cfg.Source >= n) {
+		return LiveResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
+	maxDating := defaultRoundCap(n)
 	st, tick, _, err := startHandshake(cfg.Profile, cfg.Selector, maxDating, o, clk)
 	if err != nil {
 		return LiveResult{}, err
-	}
-	n := cfg.Profile.N()
-	if cfg.Source < 0 || cfg.Source >= n {
-		return LiveResult{}, fmt.Errorf("gossip: source %d out of range [0,%d)", cfg.Source, n)
 	}
 	st.set(cfg.Source, 1)
 

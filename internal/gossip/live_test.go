@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,6 +28,24 @@ func TestRunLiveValidation(t *testing.T) {
 	badProfile := bandwidth.Profile{In: []int{0, 1}, Out: []int{1, 1}}
 	if _, err := RunLive(LiveConfig{Profile: badProfile}, LiveOptions{}); err == nil {
 		t.Error("accepted zero-bandwidth profile")
+	}
+}
+
+// TestRunLiveRejectsSourceBeforeBuilding pins that an out-of-range source
+// is rejected before the handshake builds its runtime: the clock seam
+// fails the test if it is called.
+func TestRunLiveRejectsSourceBeforeBuilding(t *testing.T) {
+	const n = 64
+	clk := func(int, LiveOptions, live.StepFunc, live.ActiveStepFunc) (ticker, func() int, []int, error) {
+		t.Fatal("runLive built a runtime for an out-of-range source")
+		return nil, nil, nil, nil
+	}
+	_, err := runLive(LiveConfig{Profile: bandwidth.Homogeneous(n, 1), Source: n}, LiveOptions{}, clk)
+	if err == nil || !strings.Contains(err.Error(), "source 64 out of range") {
+		t.Fatalf("error %v, want one naming the source", err)
+	}
+	if _, err := runLive(LiveConfig{}, LiveOptions{}, clk); err == nil || !strings.Contains(err.Error(), "needs a profile") {
+		t.Fatalf("empty profile: error %v, want one naming the profile", err)
 	}
 }
 

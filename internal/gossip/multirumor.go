@@ -16,24 +16,8 @@ import (
 // appearing in the network in course of time" (Section 1). MultiRumor
 // implements that extension over the dating service: several rumors are
 // injected at different rounds on different sources, every arranged date
-// carries exactly one rumor (unit-size messages!), and the sender picks
-// which of its known rumors to forward — uniformly at random, or the one it
-// learned most recently, per Forwarding.
-
-// Forwarding selects the sender-side forwarding policy. (A strict
-// newest-first policy is deliberately absent: once every node prefers the
-// freshest rumor, older rumors can starve forever — round-robin gives
-// recency a boost while remaining live.)
-type Forwarding int
-
-const (
-	// ForwardRandom sends a uniformly random known rumor.
-	ForwardRandom Forwarding = iota
-	// ForwardRoundRobin cycles through the sender's known rumors in
-	// learning order, guaranteeing every rumor it knows is forwarded
-	// regularly regardless of how many newer ones arrive.
-	ForwardRoundRobin
-)
+// carries exactly one rumor (unit-size messages!), and the sender forwards
+// one of its known rumors drawn uniformly at random.
 
 // Injection introduces one rumor into the network.
 type Injection struct {
@@ -47,7 +31,6 @@ type MultiRumorConfig struct {
 	Selector   core.Selector // nil = uniform
 	N          int           // required when Profile is unset
 	Injections []Injection
-	Forwarding Forwarding
 	MaxRounds  int
 }
 
@@ -61,8 +44,8 @@ type MultiRumorResult struct {
 
 // runMultiRumor is the body of MultiRumorConfig.Execute: it spreads all
 // injected rumors on run.Flat (s, b and tr are Flat's) until every
-// node knows every rumor or MaxRounds elapses. Under ForwardRandom each
-// date's rumor is drawn off s after the round's seed, in date order.
+// node knows every rumor or MaxRounds elapses. Each date's rumor is drawn
+// off s after the round's seed, in date order.
 func runMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget, tr *obs.Track) (MultiRumorResult, error) {
 	n := cfg.N
 	if cfg.Profile.N() > 0 {
@@ -92,10 +75,9 @@ func runMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget, tr *obs.T
 	}
 
 	// knows[i] is a slice of rumor ids node i knows, in learning order
-	// (most recent last); known[i][r] indexes it for O(1) lookups; cursor[i]
-	// drives the round-robin policy.
+	// (the order a forwarding draw indexes); known[i][r] indexes it for O(1)
+	// lookups.
 	knows := make([][]int16, n)
-	cursor := make([]int, n)
 	known := make([][]bool, n)
 	for i := range known {
 		known[i] = make([]bool, nRumors)
@@ -136,14 +118,7 @@ func runMultiRumor(cfg MultiRumorConfig, s *rng.Stream, b *par.Budget, tr *obs.T
 				if len(ks) == 0 {
 					continue
 				}
-				var rumor int16
-				if cfg.Forwarding == ForwardRoundRobin {
-					rumor = ks[cursor[d.Sender]%len(ks)]
-					cursor[d.Sender]++
-				} else {
-					rumor = ks[s.Intn(len(ks))]
-				}
-				mail = append(mail, transfer{to: d.Receiver, rumor: rumor})
+				mail = append(mail, transfer{to: d.Receiver, rumor: ks[s.Intn(len(ks))]})
 			}
 			for _, m := range mail {
 				learn(int(m.to), int(m.rumor), round)

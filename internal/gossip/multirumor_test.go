@@ -145,26 +145,6 @@ func TestMultiRumorLateInjection(t *testing.T) {
 	}
 }
 
-func TestForwardingPolicies(t *testing.T) {
-	// Both policies are live: every injected rumor reaches every node.
-	for _, policy := range []Forwarding{ForwardRandom, ForwardRoundRobin} {
-		s := rng.New(6)
-		res, err := runMultiRumor(MultiRumorConfig{
-			N: 150,
-			Injections: []Injection{
-				{Round: 1, Source: 0}, {Round: 2, Source: 1}, {Round: 3, Source: 2},
-			},
-			Forwarding: policy,
-		}, s, nil, nil)
-		if err != nil {
-			t.Fatalf("policy %v: %v", policy, err)
-		}
-		if !res.Completed {
-			t.Fatalf("policy %v incomplete after %d rounds", policy, res.Rounds)
-		}
-	}
-}
-
 func TestMultiRumorHeterogeneous(t *testing.T) {
 	s := rng.New(7)
 	p, err := bandwidth.Zipf(200, 1.0, 8, 2, s)
@@ -204,7 +184,6 @@ func TestMultiRumorReproducible(t *testing.T) {
 	cfg := MultiRumorConfig{
 		N:          600,
 		Injections: []Injection{{Round: 1, Source: 0}, {Round: 3, Source: 99}},
-		Forwarding: ForwardRoundRobin,
 	}
 	run := func() MultiRumorResult {
 		res, err := runMultiRumor(cfg, rng.New(21), nil, nil)

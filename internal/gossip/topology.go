@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bandwidth"
 	"repro/internal/graph"
 	"repro/internal/live"
 	"repro/internal/rng"
@@ -48,12 +47,6 @@ type TopologyConfig struct {
 	// Graph is the contact topology; every contact is drawn over the
 	// initiating peer's neighbor row.
 	Graph *graph.CSR
-	// Profile, with Weighted set, biases each neighbor draw proportional to
-	// the neighbor's mean bandwidth (bin+bout)/2 — the dating service's
-	// heterogeneity knob transplanted to the graph setting. Empty profile or
-	// Weighted false means uniform neighbor choice.
-	Profile  bandwidth.Profile
-	Weighted bool
 	// Source is the initially spreading peer.
 	Source int
 	// Alpha is the stifling probability: a spreader told "already knew" by
@@ -65,8 +58,6 @@ type TopologyConfig struct {
 	// Delta is the spontaneous per-round cessation probability of a
 	// spreader.
 	Delta float64
-	// MaxRounds caps the run (0 = generous log-based default).
-	MaxRounds int
 }
 
 // TopologyResult reports a graph-constrained spreading run; History is the
@@ -95,7 +86,7 @@ type TopologyResult struct {
 // with an empty inbox falls through both blocks below without an emission
 // or a state change, which is what the runtime's sleep contract asks of a
 // peer that reports false.
-func topoStep(sampler graph.Sampler, st *peerStates, alpha, lambda, delta float64) live.ActiveStepFunc {
+func topoStep(sampler graph.UniformNeighbors, st *peerStates, alpha, lambda, delta float64) live.ActiveStepFunc {
 	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
 		state := st.of[node]
 		for _, m := range inbox {
@@ -127,18 +118,6 @@ func topoStep(sampler graph.Sampler, st *peerStates, alpha, lambda, delta float6
 	}
 }
 
-// topoSampler builds the neighbor sampler the config asks for.
-func topoSampler(cfg TopologyConfig) (graph.Sampler, error) {
-	if !cfg.Weighted {
-		return graph.NewUniformNeighbors(cfg.Graph)
-	}
-	n := cfg.Graph.N()
-	if cfg.Profile.N() != n {
-		return nil, fmt.Errorf("gossip: weighted topology needs a profile over %d nodes, got %d", n, cfg.Profile.N())
-	}
-	return graph.NewWeightedNeighbors(cfg.Graph, meanBandwidth(cfg.Profile))
-}
-
 // RunTopology executes graph-constrained spreader/stifler spreading on the
 // round runtime.
 func RunTopology(cfg TopologyConfig, o LiveOptions) (TopologyResult, error) {
@@ -161,13 +140,9 @@ func runTopology(cfg TopologyConfig, o LiveOptions, clk clock) (TopologyResult, 
 	if lambda == 0 {
 		lambda = 1
 	}
-	sampler, err := topoSampler(cfg)
+	sampler, err := graph.NewUniformNeighbors(cfg.Graph)
 	if err != nil {
 		return TopologyResult{}, err
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultRoundCap(n)
 	}
 
 	st := newPeerStates(n) // states topoSpreader and topoStifler are counted
@@ -187,7 +162,7 @@ func runTopology(cfg TopologyConfig, o LiveOptions, clk clock) (TopologyResult, 
 	gStifle := tr.Gauge("stiflers")
 	var res TopologyResult
 	quiet := 0
-	res.Stepped = drive(tick, 0, 1, maxRounds, tr, func(round int) (int, bool) {
+	res.Stepped = drive(tick, 0, 1, defaultRoundCap(n), tr, func(round int) (int, bool) {
 		spreaders, stiflers := st.count(topoSpreader), st.count(topoStifler)
 		res.SpreaderHist = append(res.SpreaderHist, spreaders)
 		res.StiflerHist = append(res.StiflerHist, stiflers)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bandwidth"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/run"
@@ -134,21 +133,6 @@ func TestTopologyStiflingLimitsSpread(t *testing.T) {
 	}
 	if res.History[last] != res.StiflerHist[last] {
 		t.Errorf("informed %d != stiflers %d at termination", res.History[last], res.StiflerHist[last])
-	}
-}
-
-// TestTopologyWeightedSampler runs the profile-weighted neighbor choice and
-// pins its validation.
-func TestTopologyWeightedSampler(t *testing.T) {
-	g := mustBA(t, 500, 2, 5)
-	p := bandwidth.Homogeneous(500, 2)
-	res := topoTrajectory(t, TopologyConfig{Graph: g, Profile: p, Weighted: true, Source: 0, Alpha: 0.5},
-		LiveOptions{Seed: 2, Shards: 2})
-	if !res.Completed {
-		t.Error("weighted run did not complete")
-	}
-	if _, err := RunTopology(TopologyConfig{Graph: g, Weighted: true, Source: 0}, LiveOptions{}); err == nil {
-		t.Error("weighted run without a matching profile should be rejected")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package graph is the topology subsystem: compressed-sparse-row adjacency
-// storage plus the deterministic generators and neighbor samplers the
-// graph-constrained spreading protocols run on.
+// storage plus the deterministic generators and the uniform neighbor
+// sampler the graph-constrained spreading protocols run on.
 //
 // Every protocol of the repository used to assume any-to-any rendezvous —
 // the dating service addresses a partner drawn over all n peers. On a

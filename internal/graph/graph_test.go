@@ -437,51 +437,6 @@ func TestUniformNeighborsPick(t *testing.T) {
 	}
 }
 
-func TestWeightedNeighborsPick(t *testing.T) {
-	// Star: node 0 adjacent to 1..4; weight node 3 overwhelmingly.
-	g, err := FromEdges(5, []int32{0, 1, 0, 2, 0, 3, 0, 4}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := []float64{1, 1, 1, 1000, 1}
-	sp, err := NewWeightedNeighbors(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rng.New(11)
-	hits := 0
-	for i := 0; i < 1000; i++ {
-		nb := sp.Pick(0, s)
-		if nb < 1 || nb > 4 {
-			t.Fatalf("node 0 picked non-neighbor %d", nb)
-		}
-		if nb == 3 {
-			hits++
-		}
-	}
-	if hits < 900 {
-		t.Fatalf("weighted sampler picked heavy neighbor only %d/1000 times", hits)
-	}
-	// Leaf row: node 3's only neighbor is 0.
-	if nb := sp.Pick(3, s); nb != 0 {
-		t.Fatalf("leaf pick %d, want 0", nb)
-	}
-	// Zero-weight rows fall back to uniform.
-	z, err := NewWeightedNeighbors(g, make([]float64, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb := z.Pick(3, s); nb != 0 {
-		t.Fatalf("zero-weight pick %d, want 0", nb)
-	}
-	if _, err := NewWeightedNeighbors(g, []float64{1, -1, 1, 1, 1}); err == nil {
-		t.Error("negative weights should be rejected")
-	}
-	if _, err := NewWeightedNeighbors(g, []float64{1}); err == nil {
-		t.Error("length mismatch should be rejected")
-	}
-}
-
 // TestSamplerIsolatedNode pins the -1 contract for degree-zero rows.
 func TestSamplerIsolatedNode(t *testing.T) {
 	g, err := FromEdges(3, []int32{0, 1}, false)
@@ -495,12 +450,5 @@ func TestSamplerIsolatedNode(t *testing.T) {
 	s := rng.New(1)
 	if nb := u.Pick(2, s); nb != -1 {
 		t.Fatalf("isolated uniform pick %d, want -1", nb)
-	}
-	w, err := NewWeightedNeighbors(g, []float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb := w.Pick(2, s); nb != -1 {
-		t.Fatalf("isolated weighted pick %d, want -1", nb)
 	}
 }

@@ -1,10 +1,8 @@
 package graph
 
-// Neighbor samplers: the Pick counterpart of core.Selector, restricted to a
-// CSR row. Where the any-to-any protocols draw a partner over all n peers,
-// a graph-constrained peer draws over its neighbor slice — uniformly, or
-// proportional to a per-node weight vector (a bandwidth profile, making
-// high-capacity neighbors proportionally more likely contacts).
+// The neighbor sampler: the Pick counterpart of core.Selector, restricted
+// to a CSR row. Where the any-to-any protocols draw a partner over all n
+// peers, a graph-constrained peer draws uniformly over its neighbor slice.
 
 import (
 	"fmt"
@@ -12,19 +10,10 @@ import (
 	"repro/internal/rng"
 )
 
-// Sampler picks a contact among a node's neighbors. Implementations are
-// immutable after construction and safe for concurrent Pick calls with
-// per-caller streams, matching the core.Selector contract.
-type Sampler interface {
-	// Pick returns a neighbor of node i drawn from the sampler's
-	// distribution over i's row, or -1 when i has no neighbors.
-	Pick(i int, s *rng.Stream) int
-	// N returns the node count of the underlying graph.
-	N() int
-}
-
 // UniformNeighbors samples neighbors uniformly — the classic contact model
-// of the rumor-spreading-on-networks literature.
+// of the rumor-spreading-on-networks literature. It is immutable after
+// construction and safe for concurrent Pick calls with per-caller streams,
+// matching the core.Selector contract.
 type UniformNeighbors struct{ g *CSR }
 
 // NewUniformNeighbors returns the uniform sampler over g's rows.
@@ -35,7 +24,8 @@ func NewUniformNeighbors(g *CSR) (UniformNeighbors, error) {
 	return UniformNeighbors{g: g}, nil
 }
 
-// Pick implements Sampler.
+// Pick returns a uniformly drawn neighbor of node i, or -1 when i has no
+// neighbors.
 func (u UniformNeighbors) Pick(i int, s *rng.Stream) int {
 	row := u.g.Neighbors(i)
 	if len(row) == 0 {
@@ -43,71 +33,3 @@ func (u UniformNeighbors) Pick(i int, s *rng.Stream) int {
 	}
 	return int(row[s.Intn(len(row))])
 }
-
-// N implements Sampler.
-func (u UniformNeighbors) N() int { return u.g.N() }
-
-// WeightedNeighbors samples neighbor j of node i with probability
-// proportional to weight[j] — the graph-constrained analogue of the
-// profile-weighted selection distributions: one global per-node weight
-// vector, renormalized over each row. Row cumulative sums are precomputed,
-// so Pick is one uniform draw plus a binary search over the row.
-type WeightedNeighbors struct {
-	g *CSR
-	// cum[Off[i]:Off[i+1]] holds the running weight totals of row i;
-	// cum[Off[i+1]-1] is the row total.
-	cum []float64
-}
-
-// NewWeightedNeighbors builds the weighted sampler. weight must have one
-// non-negative entry per node; rows whose weights sum to zero fall back to
-// uniform over the row (every neighbor weightless, none preferable).
-func NewWeightedNeighbors(g *CSR, weight []float64) (*WeightedNeighbors, error) {
-	n := g.N()
-	if n == 0 {
-		return nil, fmt.Errorf("graph: sampler needs a non-empty graph")
-	}
-	if len(weight) != n {
-		return nil, fmt.Errorf("graph: weight vector has %d entries, graph has %d nodes", len(weight), n)
-	}
-	for i, w := range weight {
-		if w < 0 {
-			return nil, fmt.Errorf("graph: negative weight %v at node %d", w, i)
-		}
-	}
-	cum := make([]float64, len(g.Adj))
-	for i := 0; i < n; i++ {
-		acc := 0.0
-		for k := g.Off[i]; k < g.Off[i+1]; k++ {
-			acc += weight[g.Adj[k]]
-			cum[k] = acc
-		}
-	}
-	return &WeightedNeighbors{g: g, cum: cum}, nil
-}
-
-// Pick implements Sampler.
-func (w *WeightedNeighbors) Pick(i int, s *rng.Stream) int {
-	lo, hi := int(w.g.Off[i]), int(w.g.Off[i+1])
-	if lo == hi {
-		return -1
-	}
-	total := w.cum[hi-1]
-	if total <= 0 {
-		return int(w.g.Adj[lo+s.Intn(hi-lo)])
-	}
-	x := s.Float64() * total
-	// Binary search for the first cumulative weight exceeding x.
-	for lo < hi-1 {
-		mid := (lo + hi) / 2
-		if w.cum[mid-1] > x {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return int(w.g.Adj[lo])
-}
-
-// N implements Sampler.
-func (w *WeightedNeighbors) N() int { return w.g.N() }

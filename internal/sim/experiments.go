@@ -388,7 +388,7 @@ func runMultiRumorExperiment(scale Scale, seed uint64, workers int, o *obs.Obser
 		for r := range injections {
 			injections[r] = gossip.Injection{Round: 1 + 2*r, Source: (r * 37) % n}
 		}
-		rep, err := runJob(gossip.MultiRumorConfig{N: n, Injections: injections, Forwarding: gossip.ForwardRandom}, jobSeed, b, o)
+		rep, err := runJob(gossip.MultiRumorConfig{N: n, Injections: injections}, jobSeed, b, o)
 		if err != nil {
 			return outcome{}, err
 		}

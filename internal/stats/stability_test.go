@@ -52,7 +52,7 @@ func TestQuantileAgainstExhaustive(t *testing.T) {
 		hi := int(math.Ceil(pos))
 		frac := pos - float64(lo)
 		want := sorted[lo]*(1-frac) + sorted[hi]*frac
-		if got := Quantile(sorted, q); math.Abs(got-want) > 1e-12 {
+		if got := quantile(sorted, q); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("q=%.2f: got %v want %v", q, got, want)
 		}
 	}

@@ -82,7 +82,8 @@ type Summary struct {
 }
 
 // Summarize computes a Summary over the given observations. It copies and
-// sorts the data; the input is left unmodified.
+// sorts the data; the input is left unmodified. Empty data gives the zero
+// Summary, returned before any quantile is taken.
 func Summarize(xs []float64) Summary {
 	var s Summary
 	s.N = len(xs)
@@ -99,19 +100,16 @@ func Summarize(xs []float64) Summary {
 	s.Std = acc.Std()
 	s.Min = sorted[0]
 	s.Max = sorted[len(sorted)-1]
-	s.Median = Quantile(sorted, 0.5)
-	s.P10 = Quantile(sorted, 0.10)
-	s.P90 = Quantile(sorted, 0.90)
+	s.Median = quantile(sorted, 0.5)
+	s.P10 = quantile(sorted, 0.10)
+	s.P90 = quantile(sorted, 0.90)
 	return s
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of sorted data using linear
-// interpolation between closest ranks. The input must be sorted ascending
-// and non-empty.
-func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		panic("stats: Quantile of empty data")
-	}
+// quantile returns the q-quantile (0 <= q <= 1) of sorted data using linear
+// interpolation between closest ranks. The input is sorted ascending and
+// non-empty: Summarize, its one caller, returns early on empty data.
+func quantile(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
 	}

@@ -103,7 +103,8 @@ type (
 	AsyncConfig = gossip.AsyncConfig
 
 	// AsyncResult reports an asynchronous spreading run (buckets executed,
-	// simulated clock time, informed-count history, firings).
+	// each one unit of simulated clock time, informed-count history,
+	// firings).
 	AsyncResult = gossip.AsyncResult
 
 	// Graph is a compressed-sparse-row undirected topology: the contact
@@ -113,11 +114,12 @@ type (
 	// seed.
 	Graph = graph.CSR
 
-	// TopologyConfig parameterizes graph-constrained spreader/stifler
-	// spreading (ignorant → spreader → stifler, stifling rate Alpha): every
-	// contact is drawn over the initiating peer's neighbor row instead of
-	// the any-to-any rendezvous assumption. The shard count and network
-	// model come from the run options.
+	// TopologyConfig parameterizes graph-constrained Maki–Thompson
+	// spreader/stifler spreading (ignorant → spreader → stifler; stifling
+	// Alpha, acceptance Lambda, cessation Delta): every contact is drawn
+	// uniformly over the initiating peer's neighbor row instead of the
+	// any-to-any rendezvous assumption. The shard count and network model
+	// come from the run options.
 	TopologyConfig = gossip.TopologyConfig
 
 	// TopologyResult reports a graph-constrained spreading run, including
@@ -205,14 +207,14 @@ const (
 // Seeding geometries of ConsensusConfig: where the K conflicting variants
 // start.
 const (
-	// ConsensusSeedDistinct seeds each variant at distinct uniform-random
-	// peers.
+	// ConsensusSeedDistinct seeds the variants at distinct uniform-random
+	// peers, one each.
 	ConsensusSeedDistinct = gossip.SeedDistinct
 	// ConsensusSeedHubLeaf alternates variants between the highest-degree
 	// hubs and the lowest-degree leaves of the graph.
 	ConsensusSeedHubLeaf = gossip.SeedHubLeaf
-	// ConsensusSeedClustered gives each variant a contiguous ring range —
-	// spatially clustered initial opinions.
+	// ConsensusSeedClustered seeds each variant at the start of its own
+	// ring range — spatially clustered initial opinions.
 	ConsensusSeedClustered = gossip.SeedClustered
 )
 
