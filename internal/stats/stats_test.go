@@ -117,6 +117,17 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+// TestQuantilePanicsEmpty: quantile has no answer on empty data and must
+// fail loudly rather than return a made-up value.
+func TestQuantilePanicsEmpty(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	quantile(nil, 0.5)
+}
+
 func TestFitLineExact(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{5, 7, 9, 11} // y = 3 + 2x
