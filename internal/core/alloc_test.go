@@ -114,9 +114,11 @@ func TestSharedRoundAllocatesNothingPerNode(t *testing.T) {
 	// length-n []int alone is 8n. The rounds replay the warm-up's seed, so
 	// every chunk and date buffer is asked for exactly the room it already
 	// has: what append's amortised growth costs while request counts still
-	// drift is gossip's TestDatingSpreadAllocBound, not this test.
+	// drift is gossip's TestDatingSpreadAllocBound, not this test. Odd and
+	// wide worker counts are here so that a path limited to some worker
+	// counts shows up.
 	const n, rounds, seed = 40_000, 6, 1
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 3, 8, 16} {
 		sv := parallelService(t, n, 2)
 		b, err := par.NewBudget(workers)
 		if err != nil {

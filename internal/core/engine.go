@@ -54,9 +54,13 @@ package core
 //
 // Worker isolation: what a worker writes once per draw, its generator state,
 // lives by value in its own engineWorker, and the elements of that array are
-// tail-padded so that no two workers' state shares a cache line whatever the
-// array's alignment. Two generators on one line cost the two-worker round
-// more than the second core gave it. Dates go to disjoint ranges of dst.
+// tail-padded so that exch.Isolation (256) bytes separate two workers' state
+// whatever the array's alignment; the scatter's other per-record writes, the
+// chunk headers, keep the same distance inside exch. Two generators on one
+// line cost the two-worker round more than the second core gave it, and one
+// spare 64-byte line was still too little: with chunk-header rows 112 bytes
+// apart the two-worker scatter ran slower than one worker's (see exch's row
+// isolation). Dates go to disjoint ranges of dst.
 //
 // Buffer contract: round appends its dates to the buffer the caller hands it.
 // nil gets a fresh slice of exactly the round's size that the engine never
@@ -101,12 +105,12 @@ type workerState struct {
 
 const cacheLine = 64
 
-// engineWorker pads workerState per the file comment's isolation rule: a
-// full spare line (so the guarantee does not depend on the array's
-// alignment) rounded up to keep the size a multiple of the line.
+// engineWorker pads workerState per the file comment's isolation rule:
+// exch.Isolation spare bytes (so the guarantee does not depend on the
+// array's alignment) rounded up to keep the size a multiple of the line.
 type engineWorker struct {
 	workerState
-	_ [2*cacheLine - unsafe.Sizeof(workerState{})%cacheLine]byte
+	_ [exch.Isolation + cacheLine - unsafe.Sizeof(workerState{})%cacheLine]byte
 }
 
 // engine is the round scratch a Service or an Arranger reuses across

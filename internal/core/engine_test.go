@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/bandwidth"
+	"repro/internal/exch"
 	"repro/internal/rng"
 )
 
@@ -160,9 +161,9 @@ func TestServiceManyRoundsAccounting(t *testing.T) {
 
 // TestWorkerIsolation pins the engine's isolation rule, like
 // exch.TestRowIsolation and shardrt.TestLaneIsolation do theirs: elements
-// are whole cache lines, a spare line separates one worker's state from the
-// next worker's, and the generator a worker's stream draws from is the one
-// inside its own element — not a heap object that may share a line with a
+// are whole cache lines, exch.Isolation bytes separate one worker's state
+// from the next worker's, and the generator a worker's stream draws from is
+// the one inside its own element — not a heap object that may sit next to a
 // neighbour's.
 func TestWorkerIsolation(t *testing.T) {
 	if sz := unsafe.Sizeof(engineWorker{}); sz%cacheLine != 0 {
@@ -181,8 +182,8 @@ func TestWorkerIsolation(t *testing.T) {
 			lo := uintptr(unsafe.Pointer(&ws[w]))
 			stateEnd := lo + unsafe.Sizeof(workerState{})
 			if w+1 < len(ws) {
-				if next := uintptr(unsafe.Pointer(&ws[w+1])); next < stateEnd+cacheLine {
-					t.Errorf("worker %d's state ends at %#x, worker %d starts at %#x: less than a %d-byte line apart", w, stateEnd, w+1, next, cacheLine)
+				if next := uintptr(unsafe.Pointer(&ws[w+1])); next < stateEnd+exch.Isolation {
+					t.Errorf("worker %d's state ends at %#x, worker %d starts at %#x: fewer than %d bytes apart", w, stateEnd, w+1, next, exch.Isolation)
 				}
 			}
 			if g := uintptr(unsafe.Pointer(&ws[w].gen)); g < lo || g+unsafe.Sizeof(ws[w].gen) > stateEnd {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/bandwidth"
+	"repro/internal/par"
 )
 
 func TestSeededRoundWorkerIndependence(t *testing.T) {
@@ -213,7 +215,10 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 }
 
 // BenchmarkSeededRound times one unit-bandwidth uniform round at n=100k on
-// one worker (the cost quoted in engine.go).
+// one worker (the cost quoted in engine.go), and the benchmark's dating-het
+// round — RunRoundShared on Bimodal(150 000, 15 000, 8, 1) — on budgets of
+// one and two workers: het-2 against het-1 is what the round's second core
+// buys (engine.go's worker isolation).
 func BenchmarkSeededRound(b *testing.B) {
 	const n = 100_000
 	profile := bandwidth.Homogeneous(n, 1)
@@ -226,4 +231,24 @@ func BenchmarkSeededRound(b *testing.B) {
 			}
 		}
 	})
+	const hetN = 150_000
+	het, err := bandwidth.Bimodal(hetN, hetN/10, 8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hetSel, _ := NewUniformSelector(hetN)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("het-%d", workers), func(b *testing.B) {
+			svc, _ := NewService(het, hetSel)
+			budget, err := par.NewBudget(workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				if _, err := svc.RunRoundShared(uint64(i), budget, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

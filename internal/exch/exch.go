@@ -45,11 +45,14 @@
 // record phase.
 //
 // Row isolation: every Record writes the length words of a chunk header, so
-// two workers' headers on one cache line make the record phase ping-pong
-// that line between cores. The chunk matrix therefore keeps rowPad spare
-// chunks — at least a full cache line — between consecutive workers' rows:
-// no header of one worker shares a line with a header of another, whatever
-// alignment the allocator gives the matrix.
+// two workers' headers close together make the record phase ping-pong their
+// lines between cores. The chunk matrix therefore keeps rowPad spare chunks
+// — at least Isolation bytes — between consecutive workers' rows, whatever
+// alignment the allocator gives the matrix. One 64-byte line of spare was
+// not enough: with rows 112 bytes apart the two-worker scatter of a
+// 150 000-node bimodal round ran slower than one worker's, and 168 bytes
+// apart it was still slower than at 256, most likely because the hardware
+// prefetchers move a written line's neighbours along with it.
 package exch
 
 import (
@@ -144,13 +147,18 @@ type chunk[T any] struct {
 	off int
 }
 
-const cacheLine = 64
+// Isolation is the destructive-interference distance of the flat engines:
+// the fewest bytes between what one worker writes on every record or draw
+// and what another does (the package comment's row-isolation rule; the core
+// engine's generators keep it too). Of 128, 256 and 512 bytes, 256 was the
+// smallest at which the two-worker dating round stopped getting faster.
+const Isolation = 256
 
 // rowPad is the number of unused chunks after each worker's row: the fewest
 // whose bytes put the last header of one row and the first of the next at
-// least a cache line apart (the package comment's row-isolation rule). A
-// chunk header is two slice headers and an int for every T.
-const rowPad = int((cacheLine-1)/unsafe.Sizeof(chunk[struct{}]{}) + 1)
+// least Isolation bytes apart. A chunk header is two slice headers and an
+// int for every T.
+const rowPad = int((Isolation-1)/unsafe.Sizeof(chunk[struct{}]{}) + 1)
 
 // Exchange is a reusable per-(worker, owner) chunk exchange over a value
 // type T. The zero value is ready; Reset sizes it for a round.

@@ -224,11 +224,13 @@ func capacityOf(of []int) capacity {
 	return capacity{of, slices.Min(of)}
 }
 
-// load counts each date against its sender's out and its receiver's in,
-// raises res's maxima, and then checks the loads above low against their
-// nodes' capacities, naming the round and the node of the first beyond
-// one, as it zeroes the counters again.
-func (f *Flat) load(round int, dates []core.Date, capOut, capIn capacity, res *FlatResult) (err error) {
+// load counts each date against its sender's out and its receiver's in and
+// raises res's maxima. Only when a maximum exceeds its side's smallest
+// capacity can a node be over, and only then does it scan the node range,
+// naming the round and the lowest node beyond its capacity, while it zeroes
+// the counters; otherwise it zeroes them by walking the dates again, so a
+// round with nothing to check costs nothing proportional to n.
+func (f *Flat) load(round int, dates []core.Date, capOut, capIn capacity, res *FlatResult) error {
 	out, in := f.out, f.in
 	var maxOut, maxIn int32
 	for _, d := range dates {
@@ -238,17 +240,27 @@ func (f *Flat) load(round int, dates []core.Date, capOut, capIn capacity, res *F
 		maxOut, maxIn = max(maxOut, out[s]), max(maxIn, in[r])
 	}
 	res.MaxOutLoad, res.MaxInLoad = max(res.MaxOutLoad, int(maxOut)), max(res.MaxInLoad, int(maxIn))
-	check := int(maxOut) > capOut.low || int(maxIn) > capIn.low
-	for _, d := range dates {
-		s, r := d.Sender, d.Receiver
-		if check && err == nil {
-			if o := int(out[s]); o > capOut.low && o > capOut.of[s] {
-				err = fmt.Errorf("run: round %d: node %d sends %d dates, capacity %d", round, s, o, capOut.of[s])
-			} else if i := int(in[r]); i > capIn.low && i > capIn.of[r] {
-				err = fmt.Errorf("run: round %d: node %d receives %d dates, capacity %d", round, r, i, capIn.of[r])
-			}
+	if int(maxOut) <= capOut.low && int(maxIn) <= capIn.low {
+		for _, d := range dates {
+			out[d.Sender], in[d.Receiver] = 0, 0
 		}
-		out[s], in[r] = 0, 0
+		return nil
+	}
+	err := over(round, out, capOut, "sends")
+	if e := over(round, in, capIn, "receives"); err == nil {
+		err = e
+	}
+	return err
+}
+
+// over zeroes one side's load counters and reports the lowest node whose
+// load exceeded its capacity.
+func over(round int, load []int32, c capacity, verb string) (err error) {
+	for v, l := range load {
+		if err == nil && int(l) > c.low && int(l) > c.of[v] {
+			err = fmt.Errorf("run: round %d: node %d %s %d dates, capacity %d", round, v, verb, l, c.of[v])
+		}
+		load[v] = 0
 	}
 	return err
 }

@@ -2,6 +2,7 @@ package run
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -59,6 +60,92 @@ func TestFlatCapacityCheck(t *testing.T) {
 	countRounds(f)
 	if res, err := f.Drive(rng.New(1), nil, nil); err != nil || res.MaxOutLoad != 4 || res.MaxInLoad != 2 {
 		t.Errorf("unchecked source: loads %d/%d, err %v; want 4/2 and no error", res.MaxOutLoad, res.MaxInLoad, err)
+	}
+}
+
+// TestFlatLoadsMatchRecount drives random date lists — n up to 64, repeated
+// senders and receivers, empty rounds — through a fake date source against
+// random capacities (or none), and recounts every round by brute force: the
+// maxima are the recount's, a run fails exactly at the first round that
+// overloads a node, the node its error names is one of that round's over
+// nodes with its real load, and every round starts from zeroed counters.
+func TestFlatLoadsMatchRecount(t *testing.T) {
+	s := rng.New(45)
+	for c := 0; c < 200; c++ {
+		n := 1 + s.Intn(64)
+		var p bandwidth.Profile
+		if s.Intn(8) > 0 {
+			p.Out, p.In = make([]int, n), make([]int, n)
+			low := 1 + s.Intn(3)
+			for v := range n {
+				p.Out[v], p.In[v] = low+s.Intn(3), low+s.Intn(3)
+			}
+		}
+		rounds := make([][]core.Date, 1+s.Intn(4))
+		for r := range rounds {
+			if s.Intn(5) == 0 {
+				continue // an empty round
+			}
+			for range s.Intn(3 * n) {
+				rounds[r] = append(rounds[r], core.Date{Sender: int32(s.Intn(n)), Receiver: int32(s.Intn(n))})
+			}
+		}
+
+		// The brute-force recount, round by round up to the first overload.
+		var wantOut, wantIn int
+		failAt := 0
+		var over []string
+		for r, dates := range rounds {
+			out, in := make([]int, n), make([]int, n)
+			for _, d := range dates {
+				out[d.Sender]++
+				in[d.Receiver]++
+			}
+			wantOut, wantIn = max(wantOut, slices.Max(out)), max(wantIn, slices.Max(in))
+			if p.Out == nil {
+				continue
+			}
+			for v := range n {
+				if out[v] > p.Out[v] {
+					over = append(over, fmt.Sprintf("node %d sends %d dates, capacity %d", v, out[v], p.Out[v]))
+				}
+				if in[v] > p.In[v] {
+					over = append(over, fmt.Sprintf("node %d receives %d dates, capacity %d", v, in[v], p.In[v]))
+				}
+			}
+			if len(over) > 0 {
+				failAt = r + 1
+				break
+			}
+		}
+
+		round := 0
+		f := &Flat{N: n, Limit: len(rounds), Profile: p, Step: func(*rng.Stream) []core.Date {
+			round++
+			return rounds[round-1]
+		}}
+		countRounds(f)
+		res, err := f.Drive(rng.New(1), nil, nil)
+		if res.MaxOutLoad != wantOut || res.MaxInLoad != wantIn {
+			t.Errorf("case %d: loads %d out, %d in; the recount says %d, %d", c, res.MaxOutLoad, res.MaxInLoad, wantOut, wantIn)
+		}
+		switch {
+		case failAt == 0 && err != nil:
+			t.Errorf("case %d: no node is over capacity, yet %v", c, err)
+		case failAt > 0 && err == nil:
+			t.Errorf("case %d: round %d overloads %v, yet no error", c, failAt, over)
+		case failAt > 0:
+			named := false
+			for _, o := range over {
+				named = named || strings.HasSuffix(err.Error(), fmt.Sprintf("round %d: %s", failAt, o))
+			}
+			if !named {
+				t.Errorf("case %d: error %q names none of round %d's overloads %v", c, err, failAt, over)
+			}
+		}
+		if slices.ContainsFunc(f.out, func(l int32) bool { return l != 0 }) || slices.ContainsFunc(f.in, func(l int32) bool { return l != 0 }) {
+			t.Errorf("case %d: load counters not zeroed after the run: out %v, in %v", c, f.out, f.in)
+		}
 	}
 }
 
