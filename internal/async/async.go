@@ -61,6 +61,7 @@ package async
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/obs"
@@ -303,32 +304,59 @@ func (rt *Runtime) Inbox(i int) []simnet.Message { return rt.core.Inbox(i) }
 // private derived stream. Concatenating the shards' emissions in shard order
 // therefore yields global (peer, firing) scan order, the canonical order
 // the delivery sort preserves.
+//
+// Every peer is visited, since any may fire, but a step range is cut by
+// clock rate and may span several delivery owners, each dense or sparse
+// (the core's package comment): the walk takes the range owner by owner
+// and reads a dense owner's inboxes off the view's offsets and a sparse
+// one's off its mail list, with a cursor at that moves with the walk.
 func (rt *Runtime) stepAll() {
 	bStart := float64(rt.bucket) * rt.width
 	bEnd := bStart + rt.width
-	inOff, cuts := rt.core.View(), rt.core.Cuts()
+	inOff, cuts, part := rt.core.View(), rt.core.Cuts(), rt.core.Part()
 	rt.core.FanOutSpan(rt.bucket, obs.PhaseStep, func(w int) {
 		sh := &rt.sh[w]
 		ln := sh.lane
 		fired := 0
-		for i := cuts[w]; i < cuts[w+1]; i++ {
-			ln.Seat(i)
-			if rt.recv != nil {
-				sh.now = bStart
-				for _, m := range ln.Inbox(inOff[i], inOff[i+1]) {
-					rt.recv(i, m, sh.emit)
+		for lo, hi := cuts[w], cuts[w+1]; lo < hi; {
+			o := part.Owner(lo)
+			end := min(hi, part.End(o))
+			dests, ends, sparse := rt.core.Mail(o)
+			at, _ := slices.BinarySearch(dests, int32(lo))
+			start := inOff[lo]
+			if sparse {
+				if start = inOff[part.Start(o)]; at > 0 {
+					start = ends[at-1]
 				}
 			}
-			for rt.nextFire[i] < bEnd {
-				t := rt.nextFire[i]
-				k := rt.fireIdx[i]
-				sh.now = t
-				sh.state.Seed(rng.Absorb(rng.Absorb(rt.fireKey, uint64(i)), k+1))
-				rt.fire(i, int(k), t, sh.stream, sh.emit)
-				fired++
-				rt.fireIdx[i] = k + 1
-				rt.nextFire[i] = t + sh.stream.ExpFloat64()/rt.rates[i]
+			for i := lo; i < end; i++ {
+				ln.Seat(i)
+				if rt.recv != nil {
+					stop := start
+					if !sparse {
+						stop = inOff[i+1]
+					} else if at < len(dests) && int(dests[at]) == i {
+						stop = ends[at]
+						at++
+					}
+					sh.now = bStart
+					for _, m := range ln.Inbox(start, stop) {
+						rt.recv(i, m, sh.emit)
+					}
+					start = stop
+				}
+				for rt.nextFire[i] < bEnd {
+					t := rt.nextFire[i]
+					k := rt.fireIdx[i]
+					sh.now = t
+					sh.state.Seed(rng.Absorb(rng.Absorb(rt.fireKey, uint64(i)), k+1))
+					rt.fire(i, int(k), t, sh.stream, sh.emit)
+					fired++
+					rt.fireIdx[i] = k + 1
+					rt.nextFire[i] = t + sh.stream.ExpFloat64()/rt.rates[i]
+				}
 			}
+			lo = end
 		}
 		ln.AddWork(fired)
 	})

@@ -1,6 +1,7 @@
 package async
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -92,6 +93,63 @@ func TestAsyncSkewedRatesShardIdentity(t *testing.T) {
 			if rv.name == "one hot peer" && !emptyRange {
 				t.Fatalf("%s: no shard count produced an empty step range", rv.name)
 			}
+		}
+	}
+}
+
+// TestAsyncSwitchShardIdentity crosses the core's density switch: the
+// aping protocol fires on heterogeneous clocks, but outside the first three
+// of every ten time units only every fiftieth peer emits, so quiet buckets
+// carry a trickle of messages that the core delivers sparsely, and burst
+// buckets are dense; in the sixth time unit every other firing sends into
+// the first eighth of the ids, dense for its owner and sparse for the rest.
+// Step ranges are cut by rate and span several delivery owners, each on its
+// own side of the switch, and the owners differ with the shard count. Every
+// shard count must reproduce the one-shard run's per-bucket inboxes and
+// digest, every message delivered must have reached Recv, and the runs past
+// one shard must hold buckets whose owners took different paths.
+func TestAsyncSwitchShardIdentity(t *testing.T) {
+	const n, buckets = 4000, 30
+	var ref [][]simnet.Message
+	var refDigest uint64
+	for _, shards := range []int{1, 2, 4} {
+		st := newAping(n, 2)
+		fire := func(peer, k int, t float64, s *rng.Stream, emit func(simnet.Message)) {
+			switch {
+			case int(t)%10 < 3, peer%50 == 0: // a burst, or one of a few chatterers
+				st.fire(peer, k, t, s, emit)
+			case int(t)%10 == 5: // into the first eighth of the ids, unanswered
+				emit(simnet.Message{To: s.Intn(n / 8), Kind: 3, A: int32(k)})
+			}
+		}
+		rt, err := New(Config{N: n, Seed: 5, Fire: fire, Recv: st.recvFn, Rates: hetRates(n), Latency: 1.5, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]simnet.Message
+		dense, sparse, mixed := false, false, false
+		for b := 0; b < buckets; b++ {
+			rt.RunBuckets(1)
+			for i := 0; i < n; i += 7 {
+				got = append(got, rt.Inbox(i))
+			}
+			k := rt.core.SparseOwners()
+			dense, sparse, mixed = dense || k == 0, sparse || k == shards, mixed || (k > 0 && k < shards)
+		}
+		recv := 0
+		for _, k := range st.recv {
+			recv += k
+		}
+		if delivered := rt.Stats().Sent - int64(rt.core.InFlight()); int64(recv) != delivered {
+			t.Fatalf("shards=%d: Recv saw %d messages of the %d delivered", shards, recv, delivered)
+		}
+		if shards == 1 {
+			ref, refDigest = got, st.combined()
+		} else if fmt.Sprint(got) != fmt.Sprint(ref) || st.combined() != refDigest {
+			t.Fatalf("shards=%d: the sampled inboxes or the digest diverged from one shard's", shards)
+		}
+		if !dense || !sparse || (shards > 1 && !mixed) {
+			t.Errorf("shards=%d: dense %v, sparse %v, mixed %v: the run did not cross the switch", shards, dense, sparse, mixed)
 		}
 	}
 }

@@ -245,16 +245,16 @@ func (sv *Service) RunRoundShared(seed uint64, b *par.Budget, alive func(i int) 
 }
 
 // senderCuts returns the sender shards to scatter a round by. With everyone
-// alive they are cuts by profile weight, which is fixed, so they are kept
-// until the worker count changes; under churn it is nil, and the engine
-// balances by the round's live weight.
+// alive they are cuts by profile weight (scatterWeight), which is fixed, so
+// they are kept until the worker count changes; under churn it is nil, and
+// the engine balances by the round's live weight.
 func (sv *Service) senderCuts(workers int, alive func(i int) bool) []int {
 	if alive != nil {
 		return nil
 	}
 	if len(sv.cut) != workers+1 {
 		p := sv.profile
-		sv.cut = exch.BalancedCuts(sv.cut, p.N(), workers, func(i int) int { return p.Out[i] + p.In[i] })
+		sv.cut = exch.BalancedCuts(sv.cut, p.N(), workers, func(i int) int { return scatterWeight(p.Out[i], p.In[i]) })
 	}
 	return sv.cut
 }

@@ -142,6 +142,19 @@ func checkWorkers(workers int) error {
 	return nil
 }
 
+// scatterWeight is a sender's share of a scatter's work in the sender cuts:
+// a draw per offer and per request, plus one for the reseed every node that
+// draws pays. A node with nothing to send is skipped before its reseed and
+// weighs nothing. Weighed by out+in alone, the bimodal profile's 15 000
+// rich nodes outweighed its 135 000 poor ones, so worker 0 took 22 500
+// nodes and worker 1 127 500, each paying a reseed.
+func scatterWeight(out, in int) int {
+	if out+in == 0 {
+		return 0
+	}
+	return out + in + 1
+}
+
 // round runs Algorithm 1 once and returns the dates in rendezvous order,
 // appended to dst (nil: a fresh slice of exactly the round's size; see the
 // file comment's buffer contract): node i sends out[i] offers and in[i]
@@ -174,7 +187,7 @@ func (e *engine) round(dst []Date, sel Selector, out, in []int, alive func(i int
 			if alive != nil && !alive(i) {
 				return 0
 			}
-			return out[i] + in[i]
+			return scatterWeight(out[i], in[i])
 		})
 		cut = e.senderCut
 	}

@@ -77,11 +77,12 @@ func NewPartition(n, parts int) Partition {
 	return Partition{N: n, Parts: parts, recip: math.MaxUint64 / uint64(max(n, 1))}
 }
 
-// Start returns the first destination of owner o's range.
-func (p Partition) Start(o int) int { return p.N * o / p.Parts }
+// Start returns the first destination of owner o's range. The product is
+// taken in uint64, which on a 32-bit int would otherwise wrap past 2^31.
+func (p Partition) Start(o int) int { return int(uint64(p.N) * uint64(o) / uint64(p.Parts)) }
 
 // End returns one past the last destination of owner o's range.
-func (p Partition) End(o int) int { return p.N * (o + 1) / p.Parts }
+func (p Partition) End(o int) int { return p.Start(o + 1) }
 
 // Range returns owner o's destination range [lo, hi).
 func (p Partition) Range(o int) (lo, hi int) { return p.Start(o), p.End(o) }
@@ -98,9 +99,10 @@ func (p Partition) Owner(d int) int {
 
 // owner is Owner on a constructed partition, cheap enough to inline into
 // Record. For x = (d+1)·Parts - 1 < 2^64 the high word of x·recip is the
-// quotient or one less, so one compare corrects it.
+// quotient or one less, so one compare corrects it. x is computed in
+// uint64, so that a 32-bit int does not wrap once the product passes 2^31.
 func (p Partition) owner(d int) int {
-	x := uint64((d+1)*p.Parts - 1)
+	x := uint64(d+1)*uint64(p.Parts) - 1
 	q, _ := bits.Mul64(x, p.recip)
 	if x-q*uint64(p.N) >= uint64(p.N) {
 		q++

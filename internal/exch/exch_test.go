@@ -47,7 +47,7 @@ func checkOwner(t *testing.T, n, parts, d int) {
 	t.Helper()
 	lit, built := Partition{N: n, Parts: parts}, NewPartition(n, parts)
 	largest := sort.Search(parts, func(o int) bool { return lit.Start(o) > d }) - 1
-	divided := ((d+1)*parts - 1) / n
+	divided := int((uint64(d+1)*uint64(parts) - 1) / uint64(n))
 	if got, lgot := built.Owner(d), lit.Owner(d); got != largest || got != divided || lgot != got {
 		t.Fatalf("n=%d parts=%d: Owner(%d) = %d (literal %d), want the largest o with Start(o) <= d, %d, and the quotient %d",
 			n, parts, d, got, lgot, largest, divided)

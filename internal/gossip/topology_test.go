@@ -3,10 +3,12 @@ package gossip
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/run"
 )
@@ -61,6 +63,40 @@ func TestTopologyEngineIdentity(t *testing.T) {
 	}
 	if fmt.Sprint(oracle) != fmt.Sprint(sharded) {
 		t.Errorf("goroutine engine diverged:\n got %+v\nwant %+v", oracle, sharded)
+	}
+}
+
+// TestTopologySwitchEngineIdentity is TestTopologyEngineIdentity across the
+// round runtime's density switch: on a graph of 3000 peers the spread's
+// first rounds and its tail are light enough for the sparse path and its
+// peak of more than n/4 messages a round is dense in every owner, and the
+// goroutine oracle, which has no switch and steps everyone, must agree bit
+// for bit at shards 1, 2 and 4. The live track's sparse_owners gauge shows
+// that both paths ran: no owner sparse on some round (the first, when every
+// peer starts awake, and the peak), every owner on another, and on the last.
+func TestTopologySwitchEngineIdentity(t *testing.T) {
+	const n = 3000
+	cfg := TopologyConfig{Graph: mustBA(t, n, 2, 5), Source: 7, Alpha: 0.3, Delta: 0.01}
+	oracle, err := runTopology(cfg, LiveOptions{Seed: 11}, oracleClock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		o := obs.NewObserver()
+		res := topoTrajectory(t, cfg, LiveOptions{Seed: 11, Shards: shards, Obs: o})
+		if fmt.Sprint(res) != fmt.Sprint(oracle) {
+			t.Fatalf("shards=%d: goroutine engine diverged:\n got %+v\nwant %+v", shards, oracle, res)
+		}
+		var sparse obs.GaugeMetric
+		for _, g := range o.Metrics().Gauges {
+			if g.Track == "live" && g.Name == "sparse_owners" {
+				sparse = g
+			}
+		}
+		if peak := slices.Max(res.SentHistory); peak < n/4 || sparse.Min != 0 || sparse.Max != int64(shards) || sparse.Last != int64(shards) {
+			t.Errorf("shards=%d: peak of %d messages a round, sparse_owners gauge %+v: the run did not cross the switch both ways",
+				shards, peak, sparse)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -120,6 +121,109 @@ func TestActiveStepMatchesDense(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// tides is a sleeping-peer protocol whose traffic ebbs and floods, so that
+// a run crosses the core's density switch both ways: every hundredth peer
+// is a beacon, always awake, sending one message a round; mail folds into
+// an order-sensitive digest and recharges its peer, by three rounds at high
+// tide (rounds 6-8 of every 20), when an awake peer sends three messages a
+// round, and by one round otherwise, when it sends one with probability
+// one half. A peer at zero energy with an empty inbox draws nothing, emits
+// nothing and changes nothing, and it reports awake exactly while it has
+// energy left.
+type tides struct {
+	n      int
+	digest []uint64
+	energy []int
+}
+
+func newTides(n int) *tides {
+	return &tides{n: n, digest: make([]uint64, n), energy: make([]int, n)}
+}
+
+func (p *tides) step(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
+	high := round%20 >= 6 && round%20 < 9
+	for _, m := range inbox {
+		p.digest[node] = (p.digest[node]*1099511628211+uint64(m.From))*1099511628211 + uint64(m.A)
+	}
+	if len(inbox) > 0 {
+		p.energy[node] = max(p.energy[node], 1)
+		if high {
+			p.energy[node] = 3
+		}
+	}
+	beacon := node%100 == 0
+	if p.energy[node] > 0 || beacon {
+		if !beacon {
+			p.energy[node]--
+		}
+		switch {
+		case beacon:
+			emit(simnet.Message{To: s.Intn(p.n), A: int32(round)})
+		case high:
+			for k := 0; k < 3; k++ {
+				emit(simnet.Message{To: s.Intn(p.n), A: int32(round), B: int32(k)})
+			}
+		case s.Intn(2) == 0:
+			emit(simnet.Message{To: s.Intn(p.n), A: int32(round)})
+		}
+	}
+	return p.energy[node] > 0 || beacon
+}
+
+// TestActiveStepSwitchMatchesDense is TestActiveStepMatchesDense across the
+// density switch: the tides run through ActiveStep, whose quiet rounds the
+// core delivers sparsely and steps by the awake peers and the mail list,
+// against the same protocol through dense Step, stepped round by round in
+// lockstep. Every round's traffic, every inbox as Runtime.Inbox reads it
+// after the round, and the final per-peer state must agree, at shards 1, 2
+// and 4, under Sync and under a latency model, and each ActiveStep run must
+// go from dense rounds to sparse ones and back.
+func TestActiveStepSwitchMatchesDense(t *testing.T) {
+	const n, rounds = 4000, 40
+	for name, net := range map[string]NetModel{"sync": nil, "geom": GeomLatency{P: 0.6, Cap: 4}} {
+		for _, shards := range []int{1, 2, 4} {
+			ref, got := newTides(n), newTides(n)
+			dense, err := New(Config{N: n, Seed: 7, Shards: 1, Net: net,
+				Step: func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
+					ref.step(node, round, inbox, s, emit)
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := New(Config{N: n, Seed: 7, Shards: shards, Net: net, ActiveStep: got.step})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sparse []int
+			for r := 0; r < rounds; r++ {
+				want, have := dense.Run(1), rt.Run(1)
+				if have != want {
+					t.Fatalf("%s shards=%d round %d: %d sent, %d dropped; dense Step %d and %d", name, shards, r, have.Sent, have.Dropped, want.Sent, want.Dropped)
+				}
+				sparse = append(sparse, rt.core.SparseOwners())
+				for i := 0; i < n; i++ {
+					if a, b := rt.Inbox(i), dense.Inbox(i); !slices.Equal(a, b) {
+						t.Fatalf("%s shards=%d round %d (%d sparse owners): peer %d's inbox %v, dense Step %v",
+							name, shards, r, sparse[r], i, a, b)
+					}
+				}
+			}
+			if fmt.Sprint(got.digest, got.energy) != fmt.Sprint(ref.digest, ref.energy) {
+				t.Errorf("%s shards=%d: ActiveStep left other peer state than dense Step", name, shards)
+			}
+			crossed := 0 // 1 after a dense round, 2 after a sparse one, 3 dense again
+			for _, k := range sparse {
+				if (crossed%2 == 0) == (k == 0) && (k == 0 || k == shards) {
+					crossed++
+				}
+			}
+			if crossed < 3 {
+				t.Errorf("%s shards=%d: sparse owners per round %v never went dense -> sparse -> dense", name, shards, sparse)
+			}
+		}
 	}
 }
 

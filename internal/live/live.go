@@ -22,7 +22,11 @@
 // everyone. The promise is checked rather than trusted — the goroutine
 // engine ignores the bit and steps everyone, and the suites run the same
 // protocols on both. A plain StepFunc is an ActiveStepFunc that always
-// reports true.
+// reports true. On a round the core delivers sparsely (internal/shardrt,
+// "Dense and sparse ticks": few messages and few awake peers in a shard's
+// range) the walk visits the awake peers and the peers with mail and
+// nobody else, so a quiet round costs what its active peers cost rather
+// than a pass over the range.
 //
 // # Determinism
 //
@@ -41,6 +45,7 @@
 package live
 
 import (
+	"bytes"
 	"fmt"
 	"unsafe"
 
@@ -169,6 +174,19 @@ type Runtime struct {
 	sh     []shard
 }
 
+// nextAwake returns the first index of asleep[i:] whose peer is awake, or
+// len(asleep): bytes.IndexByte over the flags, which a bool stores as the
+// byte 0 or 1, so the sparse walk skips a run of sleeping peers with a
+// vectorised search rather than peer by peer.
+func nextAwake(asleep []bool, i int) int {
+	rest := asleep[i:]
+	k := bytes.IndexByte(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(rest))), len(rest)), 0)
+	if k < 0 {
+		return len(asleep)
+	}
+	return i + k
+}
+
 // New builds a runtime.
 func New(cfg Config) (*Runtime, error) {
 	if (cfg.Step == nil) == (cfg.ActiveStep == nil) {
@@ -203,9 +221,11 @@ func New(cfg Config) (*Runtime, error) {
 	if rt.active != nil {
 		rt.asleep = make([]bool, cfg.N) // every peer starts awake
 	}
+	cuts := core.Cuts()
 	for w := range rt.sh {
 		sh := &rt.sh[w]
 		sh.lane = core.Lane(w)
+		sh.lane.Awake(cuts[w+1] - cuts[w]) // every peer starts awake
 		sh.stream = rng.NewWithSource(&sh.peer)
 		sh.netStream = rng.NewWithSource(&sh.netGen)
 		sh.emit = rt.makeEmit(sh)
@@ -285,7 +305,10 @@ func (rt *Runtime) Inbox(i int) []simnet.Message { return rt.core.Inbox(i) }
 // steps, and skips the peers that are asleep and have no mail. Everything
 // the loop reads per peer is hoisted into locals, and the skipped peers are
 // counted rather than the stepped ones, so a dense protocol pays for one
-// test of a local per peer and nothing else.
+// test of a local per peer and nothing else. The awake peers it leaves are
+// reported to the lane, which weighs them in the next Deliver's density
+// switch; a plain Step reported its whole range in New, so its ticks are
+// always dense. On a sparse tick the walk is stepSparse.
 func (rt *Runtime) stepRange(w int) {
 	sh := &rt.sh[w]
 	ln := sh.lane
@@ -296,7 +319,13 @@ func (rt *Runtime) stepRange(w int) {
 	step, active, round := rt.step, rt.active, rt.round
 	src, stream, emit := &sh.peer, sh.stream, sh.emit
 	src.roundKey = rng.Absorb(rt.peerKey, uint64(round))
-	skipped := 0
+	// The step ranges are the delivery ranges (New passes the core no
+	// Weights), so shard w's mail is owner w's.
+	if dests, ends, ok := rt.core.Mail(w); ok {
+		rt.stepSparse(sh, lo, hi, inOff[lo], dests, ends)
+		return
+	}
+	skipped, awake := 0, 0
 	start := inOff[lo]
 	for i := lo; i < hi; i++ {
 		stop := inOff[i+1]
@@ -308,7 +337,11 @@ func (rt *Runtime) stepRange(w int) {
 			sh.netSeeded = false
 			inbox := ln.Inbox(start, stop)
 			if active != nil {
-				asleep[i] = !active(i, round, inbox, stream, emit)
+				up := active(i, round, inbox, stream, emit)
+				asleep[i] = !up
+				if up {
+					awake++
+				}
 			} else {
 				step(i, round, inbox, stream, emit)
 			}
@@ -316,4 +349,46 @@ func (rt *Runtime) stepRange(w int) {
 		start = stop
 	}
 	ln.AddWork(hi - lo - skipped)
+	if active != nil {
+		ln.Awake(awake)
+	}
+}
+
+// stepSparse is stepRange on a sparse tick, which only an ActiveStep run
+// has: it steps the awake peers and the peers on the mail list, merged in
+// ascending order, and nobody else, so it costs O(awake + mail) steps plus
+// a byte scan of the sleeping flags. start is where the range's first inbox
+// begins in the view; a peer off the list has the empty inbox at the
+// cursor.
+func (rt *Runtime) stepSparse(sh *shard, lo, hi int, start int32, dests, ends []int32) {
+	ln := sh.lane
+	asleep := rt.asleep[:hi]
+	active, round := rt.active, rt.round
+	src, stream, emit := &sh.peer, sh.stream, sh.emit
+	stepped, awake, k := 0, 0, 0
+	for next := nextAwake(asleep, lo); ; {
+		i, stop := next, start
+		if k < len(dests) && int(dests[k]) <= i {
+			i, stop = int(dests[k]), ends[k]
+			k++
+		}
+		if i >= hi {
+			break
+		}
+		ln.Seat(i)
+		src.node, src.unseeded = i, true
+		sh.netSeeded = false
+		up := active(i, round, ln.Inbox(start, stop), stream, emit)
+		asleep[i] = !up
+		if up {
+			awake++
+		}
+		stepped++
+		start = stop
+		if i == next {
+			next = nextAwake(asleep, i+1)
+		}
+	}
+	ln.AddWork(stepped)
+	ln.Awake(awake)
 }

@@ -15,17 +15,19 @@
 //	         ordered list of pages. The previous tick's view returns its
 //	         pages to the pool and takes ⌈msgs/PageLen⌉, under one lock; the
 //	         view is those pages in order, record j at
-//	         view[j>>pageShift][j&pageMask]. A serial O(shards) prefix over
-//	         the owners' message counts gives each owner its base index,
-//	         and one FanOutSpan lets owner o of [lo, hi) counting-sort its
-//	         own list by destination on its own offsets inOff[lo+1 .. hi],
-//	         which serve as counts and cursors (exch.PrefixCounts) and end
-//	         as the offsets, copying each record from its page straight to
-//	         its place in the view (two owners may write the page at their
-//	         boundary, never the same record) — so peer i's inbox is the run
-//	         of records between the offsets inOff[i] and inOff[i+1] (View),
-//	         on one page unless it crosses a seam; the slot's pages then go
-//	         back to the pool;
+//	         view[j>>pageShift][j&pageMask]. A serial O(shards) pass over
+//	         the owners' message counts gives each owner its base index and
+//	         its side of the density switch (below), and one FanOutSpan lets
+//	         owner o of [lo, hi) sort its own list by destination on its own
+//	         offsets inOff[lo+1 .. hi], copying each record from its page
+//	         straight to its place in the view (two owners may write the
+//	         page at their boundary, never the same record). A dense owner
+//	         counting-sorts: the offsets serve as counts and cursors
+//	         (exch.PrefixCounts) and end as the offsets, so peer i's inbox
+//	         is the run of records between inOff[i] and inOff[i+1] (View),
+//	         on one page unless it crosses a seam. A sparse owner leaves its
+//	         mail list there instead (Mail). Either way inOff[lo] is o's
+//	         base. The slot's pages then go back to the pool;
 //	step     the caller's own loop, one FanOutSpan over the step ranges:
 //	         worker w seats its Lane at each peer of [cuts[w], cuts[w+1]) in
 //	         ascending order, unpacks the peer's inbox into the lane's
@@ -47,6 +49,24 @@
 // its owner's sort, unpacked into the step's scratch by Lane.Inbox — where
 // two copies of a 40-byte Message moved 40 + 40, and the message is stored
 // nowhere but on pages.
+//
+// # Dense and sparse ticks
+//
+// A spread is quiet on most ticks: of the 80 ticks of one 350 000-peer
+// rumor spread on a Barabási–Albert graph the median carries 1 350 messages.
+// Clearing and prefixing an owner's whole offset range then costs more than
+// its mail, and so does a step walk over every peer of the range. So
+// Deliver decides per owner and tick: the tick is dense when the owner's
+// due messages plus its awake peers (the count its lane last reported to
+// Awake, 0 for a runtime without an active set and the whole range for one
+// that steps everyone) reach range/sparseK, and sparse below. A dense
+// owner sorts as above, in O(range + messages). A sparse owner sorts its m
+// messages' destinations (sortSparse), in O(m log m), and keeps in its
+// offset range its mail list: the peers with mail, ascending, and the end
+// of each one's inbox. A step walk over a sparse owner's range then visits
+// the listed peers and whatever it steps anyway, in ascending order, and
+// every other peer has an empty inbox. The inboxes are the same records in
+// the same order on either side, so no result can tell the two apart.
 //
 // # Two sets of ranges
 //
@@ -78,6 +98,9 @@
 // made of more or fewer pages — the memory follows the traffic of the
 // moment and is shared with the messages in flight. Each lane's inbox
 // scratch holds one peer's unpacked inbox at a time and grows to the largest.
+// The sparse path needs no buffer of its own: a sparse owner's sort
+// scratch and mail list, at most 2m < 2·range/sparseK entries, live in the
+// owner's range of the offsets, which a dense tick overwrites whole.
 //
 // # Limits
 //
@@ -95,8 +118,12 @@
 // tick, within a tick in worker order, within a worker in fill order, and
 // workers walk ascending ranges, so the list read front to back is global
 // emission order restricted to o's range. Owner o's counting sort is
-// stable, so every inbox is in (tick sent, sender, emission) order for any
-// ring size and any step cuts. Which physical page the pool handed a worker
+// stable, and so is a sparse owner's placement (records in page order, each
+// at its destination's cursor), so every inbox is in (tick sent, sender,
+// emission) order for any ring size, any step cuts and either side of the
+// density switch, whose choice depends on the shard count through the
+// owners' ranges and shows in no result. Which physical page the pool
+// handed a worker
 // depends on scheduling; nothing but the scratch_bytes gauge can tell.
 // Lanes and their open-page rows are padded so that no two workers' hot
 // fields share a cache line.
@@ -106,6 +133,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -140,6 +168,15 @@ const (
 	// shared a line on some runs and a two-shard spread then ran no faster
 	// than one shard.
 	openPad = int((CacheLine-1)/unsafe.Sizeof(page{}) + 1)
+	// sparseK is the density switch (package comment, "Dense and sparse
+	// ticks"): an owner's tick is sparse while its due messages plus its
+	// awake peers stay below range/sparseK. One constant, no knob: on a
+	// 350 000-peer rumor spread over a Barabási–Albert graph at two shards,
+	// K = 16 read a median time ratio of 0.88 against the switch turned off
+	// (19 of 20 pairs), 8 and 32 read 0.91 and 4 gained nothing, its sorts
+	// being too long (CHANGES.md). It must be at least 2, so that a sparse
+	// owner's mail list and its sort scratch fit in its offsets.
+	sparseK = 16
 )
 
 // record is a message as the core stores it, on a page and in the view:
@@ -235,6 +272,11 @@ func (pl *pagePool) swapView(view []viewPage, k int) []viewPage {
 	return view
 }
 
+// sparseLimit is the smallest message-plus-awake count at which an owner of
+// r peers takes the dense path: ⌈r/sparseK⌉, so a count c is sparse exactly
+// when c·sparseK < r, computed without the product overflowing.
+func sparseLimit(r int) int { return (r + sparseK - 1) / sparseK }
+
 // Config sizes a core.
 type Config struct {
 	N      int // peers, in [1, MaxInt32]
@@ -286,7 +328,10 @@ type laneState struct {
 	full                   []parkedPage
 	sent, dropped, clamped int64
 	work                   int64
-	byKind                 [256]int64
+	// awake is what the runtime last reported through Awake; Deliver reads
+	// it for the owner of the same index.
+	awake  int
+	byKind [256]int64
 }
 
 // Lane pads laneState so that no two workers share a cache line: the lanes
@@ -394,6 +439,15 @@ func unpackView(view []viewPage, start int32, in []simnet.Message) {
 // fired): the WorkGauge sample, and Work's running total.
 func (l *Lane) AddWork(k int) { l.work += int64(k) }
 
+// Awake reports that k peers of the lane's step range will be stepped next
+// tick whether or not they have mail: an active-set runtime's awake peers,
+// or the whole range for a runtime that steps everyone. Deliver weighs them
+// with the messages due to the owner of the same index (package comment,
+// "Dense and sparse ticks"), so only a runtime whose step ranges are the
+// delivery ranges (Config.Weights nil) reports them; the count stands
+// until the next report, and it is 0 before the first.
+func (l *Lane) Awake(k int) { l.awake = k }
+
 // slot is the mail due at one tick: per delivery owner, the pages filed
 // under it in canonical order (package comment, "Determinism") and the
 // messages they hold; msgs is the slot's total.
@@ -427,11 +481,15 @@ type Core struct {
 	// view[j>>pageShift][j&pageMask], pages the view alone holds until the
 	// next Deliver. In Deliver due is the slot being delivered and base[o]
 	// owner o's first index in the view; sortFn is sortOwner, bound once so
-	// no tick allocates it.
+	// no tick allocates it. listed[o] is the length of owner o's mail list
+	// when its tick was sparse, -1 when it was dense, and sparse counts the
+	// sparse owners of the tick.
 	view   []viewPage
 	inOff  []int32
 	due    *slot
 	base   []int32
+	listed []int32
+	sparse int
 	sortFn func(o int)
 
 	stats simnet.Stats
@@ -444,6 +502,7 @@ type Core struct {
 	arenas                    []*obs.Arena
 	gSent, gDropped, gClamped *obs.Gauge
 	gWork, gDepth, gScratch   *obs.Gauge
+	gSparse                   *obs.Gauge
 }
 
 // EffectiveShards returns the worker count New runs with for a configured
@@ -474,11 +533,12 @@ func New(cfg Config) (*Core, error) {
 	}
 	c := &Core{
 		n: cfg.N, shards: shards, ring: cfg.Ring, track: cfg.Track,
-		part:  exch.NewPartition(cfg.N, shards),
-		lanes: make([]Lane, shards),
-		slots: make([]slot, cfg.Ring),
-		inOff: make([]int32, cfg.N+1),
-		base:  make([]int32, shards),
+		part:   exch.NewPartition(cfg.N, shards),
+		lanes:  make([]Lane, shards),
+		slots:  make([]slot, cfg.Ring),
+		inOff:  make([]int32, cfg.N+1),
+		base:   make([]int32, shards),
+		listed: make([]int32, shards),
 	}
 	c.sortFn = c.sortOwner
 	for i := range c.slots {
@@ -512,6 +572,7 @@ func New(cfg Config) (*Core, error) {
 		c.gWork = c.tr.Gauge(cfg.WorkGauge)
 		c.gDepth = c.tr.Gauge(cfg.DepthGauge)
 		c.gScratch = c.tr.Gauge("scratch_bytes")
+		c.gSparse = c.tr.Gauge("sparse_owners")
 	}
 	return c, nil
 }
@@ -538,21 +599,63 @@ func (c *Core) Cuts() []int { return c.cuts }
 // Lane returns worker w's lane.
 func (c *Core) Lane(w int) *Lane { return &c.lanes[w] }
 
-// View returns the offsets of the last Deliver's view: peer i's inbox is
-// Lane.Inbox(inOff[i], inOff[i+1]). Valid until the next Deliver.
+// View returns the offsets of the last Deliver's view. For a peer i of an
+// owner whose tick was dense (Mail reports no list), its inbox is
+// Lane.Inbox(inOff[i], inOff[i+1]); for any owner o, inOff[Part().Start(o)]
+// is the view index of o's first message. Valid until the next Deliver.
 func (c *Core) View() (inOff []int32) { return c.inOff }
+
+// Mail returns owner o's mail list when the last Deliver found o's tick
+// sparse: the peers of o's range that have mail, ascending, and where each
+// one's inbox ends in the view. dests[k]'s inbox is
+// Lane.Inbox(ends[k-1], ends[k]), the first one's starts at
+// View()[Part().Start(o)], and every peer not listed has none. ok is false
+// when o's tick was dense: then View's offsets hold o's inboxes. Valid until
+// the next Deliver.
+func (c *Core) Mail(o int) (dests, ends []int32, ok bool) {
+	u := c.listed[o]
+	if u < 0 {
+		return nil, nil, false
+	}
+	lo := c.part.Start(o)
+	return c.inOff[lo+1 : lo+1+int(u)], c.inOff[lo+1+int(u) : lo+1+2*int(u)], true
+}
+
+// SparseOwners returns how many owners the last Deliver took the sparse
+// path for: the sparse_owners gauge.
+func (c *Core) SparseOwners() int { return c.sparse }
+
+// bounds returns where peer i's inbox lies in the last Deliver's view, on a
+// dense or a sparse owner: O(1) or O(log mail).
+func (c *Core) bounds(i int) (start, stop int32) {
+	o := c.part.Owner(i)
+	dests, ends, ok := c.Mail(o)
+	if !ok {
+		return c.inOff[i], c.inOff[i+1]
+	}
+	k, found := slices.BinarySearch(dests, int32(i))
+	if !found {
+		return 0, 0
+	}
+	if start = c.inOff[c.part.Start(o)]; k > 0 {
+		start = ends[k-1]
+	}
+	return start, ends[k]
+}
 
 // Inbox returns the messages delivered to peer i by the last Deliver,
 // unpacked into a fresh slice: for inspection after a run, not for a step.
 func (c *Core) Inbox(i int) []simnet.Message {
-	in := make([]simnet.Message, c.inOff[i+1]-c.inOff[i])
-	unpackView(c.view, c.inOff[i], in)
+	start, stop := c.bounds(i)
+	in := make([]simnet.Message, stop-start)
+	unpackView(c.view, start, in)
 	return in
 }
 
 // ViewBytes is what the delivered view holds beside its pages, which are
 // counted with every other page made: the offset table and the table of
-// page pointers.
+// page pointers. A sparse owner's mail list and its sort scratch live in
+// the owner's range of the offsets, so they cost nothing beyond it.
 func (c *Core) ViewBytes() int64 {
 	return int64(cap(c.inOff))*4 + int64(cap(c.view))*int64(unsafe.Sizeof(viewPage(nil)))
 }
@@ -586,7 +689,8 @@ func (c *Core) FanOutSpan(tick int, p obs.Phase, f func(w int)) {
 
 // Deliver sorts the slot due at tick into the delivered view: the previous
 // view's pages go back to the pool and the view takes ⌈msgs/PageLen⌉, then
-// a serial prefix over the owners' counts, then one fan-out of sortOwner.
+// a serial pass over the owners gives each its base and its side of the
+// density switch, then one fan-out of sortOwner.
 func (c *Core) Deliver(tick int) {
 	sl := &c.slots[tick%c.ring]
 	c.view = c.pool.swapView(c.view, (sl.msgs+pageMask)>>pageShift)
@@ -594,9 +698,16 @@ func (c *Core) Deliver(tick int) {
 		c.lanes[w].curAt = -1
 	}
 	var base int32
+	c.sparse = 0
 	for o := range sl.owners {
 		c.base[o] = base
-		base += int32(sl.owners[o].msgs)
+		msgs := sl.owners[o].msgs
+		base += int32(msgs)
+		c.listed[o] = -1
+		if msgs < sparseLimit(c.part.End(o)-c.part.Start(o))-c.lanes[o].awake { // no sum to overflow a 32-bit int
+			c.listed[o] = 0
+			c.sparse++
+		}
 	}
 	c.due = sl
 	c.FanOutSpan(tick, obs.PhaseDeliver, c.sortFn)
@@ -611,11 +722,16 @@ func (c *Core) Deliver(tick int) {
 
 // sortOwner is owner o's share of Deliver: a stable counting sort of o's
 // pages by destination into the view and the offsets of o's range, so an
-// inbox is in page-list order, the canonical one.
+// inbox is in page-list order, the canonical one. A sparse owner sorts by
+// sortSparse instead.
 func (c *Core) sortOwner(o int) {
 	pages := c.due.owners[o].pages
 	lo, hi := c.part.Range(o)
 	cur, base := c.inOff[lo+1:hi+1], c.base[o]
+	if c.listed[o] >= 0 {
+		c.sortSparse(o, pages, cur, base)
+		return
+	}
 	clear(cur)
 	if len(pages) == 0 && base == 0 { // every offset of o is 0, as on an empty tick
 		return
@@ -638,6 +754,53 @@ func (c *Core) sortOwner(o int) {
 			view[x>>pageShift][x&pageMask] = p[k]
 		}
 	}
+}
+
+// sortSparse is sortOwner on a sparse tick, in O(m log m) for o's m
+// messages rather than O(range). o's range of the offsets, off, is its
+// scratch: the m destinations in page order go to off[:m] and are sorted;
+// the u distinct ones are moved to off[:u] and their counts to
+// off[m:m+u], which become write cursors (exch.PrefixCounts). Each record,
+// in page order, is placed at the cursor of its destination, found by
+// binary search, so the sort is stable. The cursors, now the inboxes' ends,
+// move to off[u:2u] (Mail), and off's last entry gets o's end in the view,
+// so that View()[Start(o+1)] is the next owner's base whatever its side of
+// the switch. Everything fits: the switch admits m < range/sparseK, and
+// 2m ≤ range-1 for sparseK >= 2.
+func (c *Core) sortSparse(o int, pages []page, off []int32, base int32) {
+	m := c.due.owners[o].msgs
+	keys := off[:m]
+	k := 0
+	for _, p := range pages {
+		for i := range p {
+			keys[k] = p[i].to
+			k++
+		}
+	}
+	slices.Sort(keys)
+	u := 0
+	for i := 0; i < m; u++ {
+		j := i + 1
+		for j < m && keys[j] == keys[i] {
+			j++
+		}
+		off[u], off[m+u] = keys[i], int32(j-i)
+		i = j
+	}
+	dests, cur := off[:u], off[m:m+u]
+	exch.PrefixCounts(cur, base)
+	view := c.view
+	for _, p := range pages {
+		for i := range p {
+			d, _ := slices.BinarySearch(dests, p[i].to)
+			x := cur[d]
+			cur[d] = x + 1
+			view[x>>pageShift][x&pageMask] = p[i]
+		}
+	}
+	copy(off[u:], cur)
+	off[len(off)-1] = base + int32(m)
+	c.listed[o] = int32(u)
 }
 
 // Route links the tick's pages onto the future slots and closes the tick:
@@ -706,6 +869,7 @@ func (c *Core) Route(tick int) {
 	c.gWork.Sample(tick, work)
 	c.gDepth.Sample(tick, int64(c.InFlight()))
 	c.gScratch.Sample(tick, c.ScratchBytes())
+	c.gSparse.Sample(tick, int64(c.sparse))
 	c.tr.Barrier()
 }
 
@@ -721,7 +885,8 @@ func (c *Core) InFlight() int {
 }
 
 // ScratchBytes estimates the reusable buffer footprint: the records of every
-// page made, wherever it is now (the view's included), and ViewBytes. The
+// page made, wherever it is now (the view's included), and ViewBytes, whose
+// offsets also hold the sparse owners' sort scratch and mail lists. The
 // lanes' inbox scratch, one peer's inbox each, is left out.
 func (c *Core) ScratchBytes() int64 {
 	made, _ := c.Pages()

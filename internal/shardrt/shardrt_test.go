@@ -46,11 +46,20 @@ func TestNewValidation(t *testing.T) {
 // checkAgainstReference runs plan for ticks ticks on a core built from cfg
 // and checks every delivered inbox, as Core.Inbox and as the stepping lane's
 // Inbox unpack it, against the definition: the messages due this tick, in
-// (tick sent, sender, emission) order, stably sorted by destination. After
-// every tick it checks conservation, and at the end Stats
+// (tick sent, sender, emission) order, stably sorted by destination. The
+// inboxes must tile the view in peer order, on dense and sparse owners
+// alike. After every tick it checks conservation, and at the end Stats
 // and Work against the same replay; the core and the stats it should have
 // are returned.
 func checkAgainstReference(t testing.TB, name string, cfg Config, ticks int, plan func(tk, i int) []emission) (*Core, simnet.Stats) {
+	return checkSwitch(t, name, cfg, ticks, plan, nil, nil)
+}
+
+// checkSwitch is checkAgainstReference with lane w reporting awake(tk, w)
+// to Awake at the end of tick tk's step, and with sparse(k) told after each
+// Deliver that k owners took the sparse path; either may be nil.
+func checkSwitch(t testing.TB, name string, cfg Config, ticks int, plan func(tk, i int) []emission,
+	awake func(tk, w int) int, sparse func(k int)) (*Core, simnet.Stats) {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
@@ -67,13 +76,20 @@ func checkAgainstReference(t testing.TB, name string, cfg Config, ticks int, pla
 		if inOff[0] != 0 || int(inOff[n]) != len(due[tk]) {
 			t.Fatalf("%s tick %d: offsets run %d..%d over a slot of %d", name, tk, inOff[0], inOff[n], len(due[tk]))
 		}
+		if sparse != nil {
+			sparse(c.SparseOwners())
+		}
 		ref := make([][]simnet.Message, n)
 		for _, m := range due[tk] {
 			ref[m.To] = append(ref[m.To], m)
 		}
+		var end int32
 		for i := 0; i < n; i++ {
-			if inOff[i] > inOff[i+1] {
-				t.Fatalf("%s tick %d: inOff not monotone at peer %d", name, tk, i)
+			if start, stop := c.bounds(i); start != stop {
+				if start != end || stop < start {
+					t.Fatalf("%s tick %d: peer %d's inbox is [%d, %d), the inboxes before it end at %d", name, tk, i, start, stop, end)
+				}
+				end = stop
 			}
 			if got := c.Inbox(i); !slices.Equal(got, ref[i]) {
 				k := 0 // a burst fills pages: report the first difference, not both inboxes
@@ -83,6 +99,9 @@ func checkAgainstReference(t testing.TB, name string, cfg Config, ticks int, pla
 				t.Fatalf("%s tick %d peer %d: inbox of %d messages, want %d, first difference at %d: %v, want %v",
 					name, tk, i, len(got), len(ref[i]), k, got[k:min(k+1, len(got))], ref[i][k:min(k+1, len(ref[i]))])
 			}
+		}
+		if int(end) != len(due[tk]) {
+			t.Fatalf("%s tick %d: the inboxes end at %d in a view of %d", name, tk, end, len(due[tk]))
 		}
 		// The reference emits in peer order; the core in step-range
 		// order, which must be the same thing.
@@ -109,7 +128,7 @@ func checkAgainstReference(t testing.TB, name string, cfg Config, ticks int, pla
 			ln := c.Lane(w)
 			for i := cuts[w]; i < cuts[w+1]; i++ {
 				ln.Seat(i)
-				if got := ln.Inbox(inOff[i], inOff[i+1]); !slices.Equal(got, ref[i]) {
+				if got := ln.Inbox(c.bounds(i)); !slices.Equal(got, ref[i]) {
 					t.Errorf("%s tick %d peer %d: the lane unpacked %d messages that differ from the %d of the reference", name, tk, i, len(got), len(ref[i]))
 				}
 				for _, e := range plan(tk, i) {
@@ -118,6 +137,9 @@ func checkAgainstReference(t testing.TB, name string, cfg Config, ticks int, pla
 					}
 				}
 				ln.AddWork(1)
+			}
+			if awake != nil {
+				ln.Awake(awake(tk, w))
 			}
 		})
 		c.Route(tk)
@@ -190,6 +212,73 @@ func TestDeliverMatchesReference(t *testing.T) {
 					if want.Sent == 0 || want.Dropped == 0 || (ring < 9 && want.Clamped == 0) {
 						t.Fatalf("%s: sent %d dropped %d clamped %d: nothing tested", name, want.Sent, want.Dropped, want.Clamped)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestDeliverSwitch holds both sides of the density switch to the
+// reference: traffic that every owner must sort densely, traffic light
+// enough for each to sort sparsely, traffic that is heavy in the first
+// owner's range alone, silent ticks, and, without step weights, lanes that
+// report their whole range awake, which makes the next tick dense whatever
+// its mail. Every run must cross from dense to sparse and back, and past one
+// shard hold a tick on which the owners took different paths.
+func TestDeliverSwitch(t *testing.T) {
+	const n, ticks = 2000, 30
+	plan := func(tk, i int) []emission {
+		s := rng.New(rng.Derive(uint64(tk), uint64(i)))
+		var k, span int
+		switch tk % 6 {
+		case 0, 1: // everyone, everywhere: dense
+			k, span = 2, n
+		case 2: // a few senders: sparse
+			if i%97 == 0 {
+				k, span = 1+s.Intn(3), n
+			}
+		case 3: // the same into 40 peers, several messages each
+			if i%97 == 0 {
+				k, span = 1+s.Intn(3), 40
+			}
+		case 4: // a fifth of the peers into the first quarter of the ids
+			if i%5 == 0 {
+				k, span = 1, n/4
+			}
+		}
+		out := make([]emission, k)
+		for j := range out {
+			out[j] = emission{d: 1 + s.Intn(2), m: simnet.Message{To: s.Intn(span), A: int32(tk), B: int32(j)}}
+		}
+		return out
+	}
+	for _, shards := range []int{1, 2, 4} {
+		for _, ring := range []int{2, 5} {
+			for _, weighted := range []bool{false, true} {
+				name := fmt.Sprintf("shards=%d/ring=%d/weighted=%v", shards, ring, weighted)
+				cfg := Config{N: n, Shards: shards, Ring: ring}
+				var awake func(tk, w int) int
+				if weighted {
+					cfg.Weights = frontLoaded(n)
+				} else {
+					awake = func(tk, w int) int {
+						if tk%7 == 2 {
+							return n // reaches every owner's limit
+						}
+						return 0
+					}
+				}
+				var sparse []int
+				checkSwitch(t, name, cfg, ticks, plan, awake, func(k int) { sparse = append(sparse, k) })
+				crossed, mixed := 0, false // crossed: 1 after a dense tick, 2 after a sparse one, 3 dense again
+				for _, k := range sparse {
+					if (crossed%2 == 0) == (k == 0) && (k == 0 || k == shards) {
+						crossed++
+					}
+					mixed = mixed || (k > 0 && k < shards)
+				}
+				if crossed < 3 || (shards > 1 && !mixed) {
+					t.Errorf("%s: sparse owners per tick %v: the run did not cross dense -> sparse -> dense, or no tick mixed the paths", name, sparse)
 				}
 			}
 		}
