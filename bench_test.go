@@ -152,27 +152,9 @@ func BenchmarkSelectorPick(b *testing.B) {
 	}
 }
 
-func BenchmarkArrangeDates(b *testing.B) {
-	// The zero-allocation-profile-free path used by storage and the
-	// churning-DHT experiments.
-	const n = 1000
-	sel, _ := core.NewUniformSelector(n)
-	out := make([]int, n)
-	in := make([]int, n)
-	for i := range out {
-		out[i] = 1
-		in[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ArrangeDates(out, in, sel, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkArranger(b *testing.B) {
-	// The scratch-reusing engine path behind ArrangeDates; output is
+	// The scratch-reusing engine path of storage and the churning-DHT
+	// experiments; output is
 	// bit-identical for every worker count, so the sub-benchmarks measure
 	// pure coordination cost (speedup needs real cores).
 	const n = 100000
@@ -202,16 +184,6 @@ func BenchmarkArranger(b *testing.B) {
 			b.ReportMetric(float64(dates)/float64(b.N)/float64(n), "fraction")
 			b.ReportMetric(float64(2*n)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 		})
-	}
-}
-
-func BenchmarkGF256Mul(b *testing.B) {
-	var acc byte
-	for i := 0; i < b.N; i++ {
-		acc ^= coding.Mul(byte(i), byte(i>>8))
-	}
-	if acc == 1 {
-		b.Log(acc) // defeat dead-code elimination
 	}
 }
 

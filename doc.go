@@ -116,8 +116,8 @@
 // under their destination's owner, which counting-sorts its own pages at
 // delivery — its package comment has the mechanism), each peer-step's
 // stream seeded SplitMix64(seed, peerDomain, round, peer). Runs are
-// bit-identical for every shard count, and to the goroutine-per-peer engine
-// the tests keep as an oracle. A 10^6-peer spread completes in tens of
+// bit-identical for every shard count, and to the sequential engine the
+// tests keep as an oracle. A 10^6-peer spread completes in tens of
 // seconds (examples/livescale).
 //
 // WithNet plugs a network model into the sharded runtime: NetFixedLatency

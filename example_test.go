@@ -89,24 +89,6 @@ func ExampleRun_monger() {
 	// true
 }
 
-// ArrangeDates is the raw supply/demand matching interface: here node 0
-// offers two units and nodes 2 and 3 each demand one.
-func ExampleArrangeDates() {
-	sel, _ := repro.Uniform(4)
-	supply := []int{2, 0, 0, 0}
-	demand := []int{0, 0, 1, 1}
-	dates, _ := repro.ArrangeDates(supply, demand, sel, 9)
-
-	valid := true
-	for _, d := range dates {
-		if d.Sender != 0 || (d.Receiver != 2 && d.Receiver != 3) {
-			valid = false
-		}
-	}
-	fmt.Println(valid)
-	// Output: true
-}
-
 // An Arranger reuses scratch across rounds, and its worker count never
 // changes the arranged dates: randomness is derived per node and per
 // rendezvous from the round seed, not per worker.

@@ -17,15 +17,16 @@
 //
 // # The calendar queue
 //
-// Continuous time is partitioned into buckets of width BucketWidth. In
-// bucket b = [b·W, (b+1)·W), after the core has delivered the arrivals that
-// fall in it, each shard walks its own peer range: a peer first absorbs its
-// arrivals (in canonical order), then replays its firings with timestamps
-// inside the bucket, in time order; emitted messages are stamped with
-// arrival time = emission time + Latency, and the core's ring holds the
-// Latency/BucketWidth + 3 buckets that can be pending at once. Peers
-// interact only through messages that land in later buckets, so shards
-// never read each other's state between the boundary barriers.
+// Continuous time is partitioned into buckets of one time unit, the mean
+// gap of a unit-rate clock. In bucket b = [b, b+1), after the core has
+// delivered the arrivals that fall in it, each shard walks its own peer
+// range: a peer first absorbs its arrivals (in canonical order), then
+// replays its firings with timestamps inside the bucket, in time order;
+// emitted messages are stamped with arrival time = emission time +
+// Latency, and the core's ring holds the Latency + 3 buckets that can be
+// pending at once. Peers interact only through messages that land in later
+// buckets, so shards never read each other's state between the boundary
+// barriers.
 //
 // # Two sets of ranges
 //
@@ -40,7 +41,7 @@
 //
 // # Determinism
 //
-// A run is a pure function of (n, seed, rates, widths, handlers). Peer i's
+// A run is a pure function of (n, seed, rates, latency, handlers). Peer i's
 // stream k is seeded rng.Derive(seed, rng.DomainAsyncFire, i, k); the
 // runtime derives the (seed, DomainAsyncFire) prefix once and absorbs i and
 // k per firing, which is the same chain bit for bit. Stream 0 draws the
@@ -54,8 +55,8 @@
 // replays the identical event history bit for bit. Arrival times are
 // quantized to bucket boundaries (an arrival inside bucket b is absorbed
 // when bucket b opens, before any firing of bucket b), so the effective
-// latency of a message is max(Latency, time to the next boundary) — the
-// bucket width is the latency quantum of the model.
+// latency of a message is max(Latency, time to the next boundary) — one
+// time unit is the latency quantum of the model.
 package async
 
 import (
@@ -102,12 +103,10 @@ type Config struct {
 	// Rates holds each peer's clock rate (> 0, finite); nil means unit
 	// rates. Protocols derive these from their heterogeneity profile.
 	Rates []float64
-	// BucketWidth is the calendar bucket width W in clock-time units; 0
-	// selects 1.0 (one bucket per expected unit-rate firing).
-	BucketWidth float64
 	// Latency is each message's flight time in clock-time units; 0 selects
-	// BucketWidth. Arrivals are quantized to the boundary of the bucket the
-	// arrival time falls in, and never land in the bucket that sent them.
+	// 1, one bucket. Arrivals are quantized to the boundary of the bucket
+	// the arrival time falls in, and never land in the bucket that sent
+	// them.
 	Latency float64
 	// Shards is the worker count; any value produces bit-identical results.
 	// 0 selects GOMAXPROCS; negative is an error.
@@ -145,7 +144,6 @@ type Runtime struct {
 	fire    FireFunc
 	recv    RecvFunc
 	rates   []float64
-	width   float64
 	latency float64
 	bucket  int
 	// fireKey is Derive(Seed, DomainAsyncFire), the prefix every firing
@@ -166,24 +164,16 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Fire == nil {
 		return nil, fmt.Errorf("async: runtime needs a fire function")
 	}
-	width := cfg.BucketWidth
-	if width == 0 {
-		width = 1
-	}
-	if width < 0 || math.IsNaN(width) || math.IsInf(width, 0) {
-		return nil, fmt.Errorf("async: bucket width %v must be positive and finite", cfg.BucketWidth)
-	}
 	latency := cfg.Latency
 	if latency == 0 {
-		latency = width
+		latency = 1
 	}
 	if latency < 0 || math.IsNaN(latency) || math.IsInf(latency, 0) {
 		return nil, fmt.Errorf("async: latency %v must be positive and finite", cfg.Latency)
 	}
-	// Compared in float: the ratio of two finite floats can be beyond int.
-	if latency/width >= shardrt.MaxRing {
-		return nil, fmt.Errorf("async: latency %v is %v bucket widths, beyond the calendar's %d slots",
-			cfg.Latency, latency/width, shardrt.MaxRing)
+	// Compared in float: a finite float can be beyond int.
+	if latency >= shardrt.MaxRing {
+		return nil, fmt.Errorf("async: latency %v is beyond the calendar's %d slots", cfg.Latency, shardrt.MaxRing)
 	}
 	rates := cfg.Rates
 	if rates != nil {
@@ -196,11 +186,11 @@ func New(cfg Config) (*Runtime, error) {
 			}
 		}
 	}
-	// An emission spans at most Latency/BucketWidth + 2 buckets (the upper
-	// clamp in Send only guards float boundary noise), and the ring holds
-	// the bucket being delivered as well.
+	// An emission spans at most Latency + 2 buckets (the upper clamp in
+	// Send only guards float boundary noise), and the ring holds the bucket
+	// being delivered as well.
 	core, err := shardrt.New(shardrt.Config{
-		N: cfg.N, Shards: cfg.Shards, Ring: int(latency/width) + 3, Weights: rates,
+		N: cfg.N, Shards: cfg.Shards, Ring: int(latency) + 3, Weights: rates,
 		Obs: cfg.Obs, Track: "async", WorkGauge: "fired", DepthGauge: "calendar_depth",
 	})
 	if err != nil {
@@ -217,7 +207,6 @@ func New(cfg Config) (*Runtime, error) {
 		fire:     cfg.Fire,
 		recv:     cfg.Recv,
 		rates:    rates,
-		width:    width,
 		latency:  latency,
 		fireKey:  rng.Derive(cfg.Seed, rng.DomainAsyncFire),
 		nextFire: make([]float64, cfg.N),
@@ -252,13 +241,6 @@ func (rt *Runtime) Shards() int { return rt.core.Shards() }
 // protocol state.
 func (rt *Runtime) Cuts() []int { return rt.core.Cuts() }
 
-// Bucket returns the next bucket index RunBuckets will execute.
-func (rt *Runtime) Bucket() int { return rt.bucket }
-
-// Time returns the simulated time the calendar has advanced to: the start
-// of the next bucket.
-func (rt *Runtime) Time() float64 { return float64(rt.bucket) * rt.width }
-
 // Fired returns the total number of clock firings executed so far.
 func (rt *Runtime) Fired() int64 { return rt.core.Work() }
 
@@ -275,7 +257,7 @@ func (rt *Runtime) makeEmit(sh *shard) func(simnet.Message) {
 		if !ln.Address(&m) {
 			return
 		}
-		ln.Send(max(1, int((sh.now+rt.latency)/rt.width)-rt.bucket), m)
+		ln.Send(max(1, int(sh.now+rt.latency)-rt.bucket), m)
 	}
 }
 
@@ -311,8 +293,8 @@ func (rt *Runtime) Inbox(i int) []simnet.Message { return rt.core.Inbox(i) }
 // and reads a dense owner's inboxes off the view's offsets and a sparse
 // one's off its mail list, with a cursor at that moves with the walk.
 func (rt *Runtime) stepAll() {
-	bStart := float64(rt.bucket) * rt.width
-	bEnd := bStart + rt.width
+	bStart := float64(rt.bucket)
+	bEnd := bStart + 1
 	inOff, cuts, part := rt.core.View(), rt.core.Cuts(), rt.core.Part()
 	rt.core.FanOutSpan(rt.bucket, obs.PhaseStep, func(w int) {
 		sh := &rt.sh[w]

@@ -70,9 +70,6 @@ func TestAsyncNewValidation(t *testing.T) {
 		{N: 0, Fire: fire},
 		{N: 4},
 		{N: 4, Fire: fire, Shards: -1},
-		{N: 4, Fire: fire, BucketWidth: -1},
-		{N: 4, Fire: fire, BucketWidth: math.NaN()},
-		{N: 4, Fire: fire, BucketWidth: math.Inf(1)},
 		{N: 4, Fire: fire, Latency: -0.5},
 		{N: 4, Fire: fire, Latency: math.NaN()},
 		{N: 4, Fire: fire, Latency: math.Inf(1)},
@@ -82,10 +79,9 @@ func TestAsyncNewValidation(t *testing.T) {
 		{N: 4, Fire: fire, Rates: []float64{1, math.NaN(), 1, 1}},
 		{N: 4, Fire: fire, Rates: []float64{1, math.Inf(1), 1, 1}},
 		{N: -3, Fire: fire}, // with nil Rates: no make([]float64, -3)
-		// A calendar the runtime cannot hold: int(latency/width) wraps for the
-		// first, the other two convert but ask for more than shardrt.MaxRing.
+		// A calendar the runtime cannot hold: int(latency) wraps for the
+		// first, the second converts but asks for more than shardrt.MaxRing.
 		{N: 4, Fire: fire, Latency: 1e300},
-		{N: 4, Fire: fire, Latency: 1, BucketWidth: 1e-9},
 		{N: 4, Fire: fire, Latency: shardrt.MaxRing - 2},
 	}
 	for i, cfg := range bad {
@@ -102,7 +98,7 @@ func TestAsyncNewValidation(t *testing.T) {
 }
 
 func TestAsyncShardCountBitIdentity(t *testing.T) {
-	// The runtime's headline property: (n, seed, rates, widths, handlers)
+	// The runtime's headline property: (n, seed, rates, latency, handlers)
 	// fully determine the run; the shard count is invisible. Heterogeneous
 	// rates make the per-peer event schedules genuinely different, and the
 	// reply traffic in recvFn exercises the boundary-timed emission path.
@@ -140,37 +136,11 @@ func TestAsyncShardCountBitIdentity(t *testing.T) {
 	}
 }
 
-func TestAsyncBucketWidthChangesOnlyQuantization(t *testing.T) {
-	// Firing times do not depend on the bucket width: the k-th firing of
-	// peer i draws its gap from the (peer, firing)-derived stream, so the
-	// total number of firings over a fixed time horizon is identical for
-	// any width that divides the horizon.
-	const n = 500
-	var fireCounts []int64
-	for _, width := range []float64{1, 0.5, 0.25} {
-		st := newAping(n, 1)
-		rt, err := New(Config{N: n, Seed: 7, Fire: st.fire, Rates: hetRates(n), BucketWidth: width, Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.RunBuckets(int(8 / width))
-		if rt.Time() != 8 {
-			t.Fatalf("width=%v: advanced to time %v, want 8", width, rt.Time())
-		}
-		fireCounts = append(fireCounts, rt.Fired())
-	}
-	for i := 1; i < len(fireCounts); i++ {
-		if fireCounts[i] != fireCounts[0] {
-			t.Fatalf("firing counts over the same horizon differ across widths: %v", fireCounts)
-		}
-	}
-}
-
 func TestAsyncLatencyQuantization(t *testing.T) {
 	// An emission at time t with flight latency L arrives at the boundary of
-	// bucket floor((t+L)/W) — and never in the emitting bucket: with L ~ 0
+	// bucket floor(t+L) — and never in the emitting bucket: with L ~ 0
 	// every arrival is rounded up to the next boundary, the documented
-	// "bucket width is the latency quantum" rule, without touching the
+	// "one time unit is the latency quantum" rule, without touching the
 	// Stats.Clamped counter (that counts only the maxDelta float guard).
 	for _, tc := range []struct {
 		latency float64
@@ -189,7 +159,7 @@ func TestAsyncLatencyQuantization(t *testing.T) {
 			}
 		}
 		recv := func(peer int, m simnet.Message, emit func(simnet.Message)) {
-			arrivals = append(arrivals, rt.Bucket())
+			arrivals = append(arrivals, rt.bucket)
 		}
 		var err error
 		rt, err = New(Config{
@@ -257,17 +227,17 @@ func TestAsyncAccessorsAndShardClamp(t *testing.T) {
 	if rt.N() != 3 || rt.Shards() != 3 {
 		t.Fatalf("accessors: n=%d shards=%d (shards should clamp to n)", rt.N(), rt.Shards())
 	}
-	if rt.Bucket() != 0 || rt.Time() != 0 || rt.Fired() != 0 {
-		t.Fatalf("fresh runtime: bucket=%d time=%v fired=%d", rt.Bucket(), rt.Time(), rt.Fired())
+	if rt.bucket != 0 || rt.Fired() != 0 {
+		t.Fatalf("fresh runtime: bucket=%d fired=%d", rt.bucket, rt.Fired())
 	}
 	stats := rt.RunBuckets(4)
-	if rt.Bucket() != 4 || rt.Time() != 4 || stats.Rounds != 4 {
-		t.Fatalf("after 4 buckets: bucket=%d time=%v rounds=%d", rt.Bucket(), rt.Time(), stats.Rounds)
+	if rt.bucket != 4 || stats.Rounds != 4 {
+		t.Fatalf("after 4 buckets: bucket=%d rounds=%d", rt.bucket, stats.Rounds)
 	}
 	// RunBuckets accumulates: two more buckets extend the same run.
 	stats = rt.RunBuckets(2)
-	if rt.Bucket() != 6 || stats.Rounds != 6 {
-		t.Fatalf("after 4+2 buckets: bucket=%d rounds=%d", rt.Bucket(), stats.Rounds)
+	if rt.bucket != 6 || stats.Rounds != 6 {
+		t.Fatalf("after 4+2 buckets: bucket=%d rounds=%d", rt.bucket, stats.Rounds)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestAsyncSkewedRatesShardIdentity(t *testing.T) {
 	// Step ranges are cut by cumulative clock rate, delivery ranges by id:
 	// neither cut may show in any result, for any skew — including shards
 	// whose step range is empty because one peer carries most of the rate,
-	// and messages that span several Δbuckets (Latency 2.5 widths).
+	// and messages that span several Δbuckets (Latency 2.5 buckets).
 	const n, buckets = 240, 10
 	type outcome struct {
 		digest uint64
@@ -255,7 +255,7 @@ func TestAsyncAllocationConstantTraffic(t *testing.T) {
 	// proportional to the messages — only the fan-out's goroutines and
 	// closures, a few hundred bytes a phase — and the pool makes no page: the
 	// ones a bucket's delivery releases are the ones its step and the next
-	// view take. At 2.5 widths of latency the tokens split into two cohorts
+	// view take. At 2.5 buckets of latency the tokens split into two cohorts
 	// that arrive on alternate buckets, so two slots' worth of pages
 	// circulate. The pages made hold every token at most three times over:
 	// twice on the slots, and once in the view.
@@ -276,7 +276,7 @@ func TestAsyncAllocationConstantTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring := int(rt.latency/rt.width) + 3
+		ring := int(rt.latency) + 3
 		sent := make([]int64, 0, 4*ring+2)
 		warm := 0
 		for b := 0; b < cap(sent); b++ {
@@ -325,7 +325,7 @@ func TestAsyncInboxSurvivesRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := int(rt.latency/rt.width) + 3
+	ring := int(rt.latency) + 3
 	delivered, peakHeld := 0, 0
 	for b := 0; b < buckets; b++ {
 		for i := range seen {

@@ -11,7 +11,7 @@ import (
 
 // TestAsyncClockConformance checks the clocks against their Poisson model
 // with a protocol that does nothing: over Bimodal rates (a tenth of the
-// peers at rate 8, the rest at rate 1) and T buckets of width 1, Fired is a
+// peers at rate 8, the rest at rate 1) and T unit buckets, Fired is a
 // sum of independent Poisson(rate_i·T) counts, so it lies within 5σ of
 // Σ rate_i·T, and a rate-8 peer fires 8 times as often as a rate-1 peer.
 func TestAsyncClockConformance(t *testing.T) {

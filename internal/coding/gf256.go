@@ -31,18 +31,6 @@ func init() {
 	}
 }
 
-// Add returns a + b in GF(2^8) (also subtraction: the field has
-// characteristic 2).
-func Add(a, b byte) byte { return a ^ b }
-
-// Mul returns a * b in GF(2^8).
-func Mul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return gfExp[int(gfLog[a])+int(gfLog[b])]
-}
-
 // Inv returns the multiplicative inverse of a. It panics on a == 0, which
 // has no inverse; callers must guard.
 func Inv(a byte) byte {

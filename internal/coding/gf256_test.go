@@ -5,11 +5,24 @@ import (
 	"testing/quick"
 )
 
+// add returns a + b in GF(2^8) (also subtraction: the field has
+// characteristic 2).
+func add(a, b byte) byte { return a ^ b }
+
+// mul returns a * b in GF(2^8), read off the log and exp tables that
+// Inv and MulAddSlice use.
+func mul(a, b byte) byte {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	return gfExp[int(gfLog[a])+int(gfLog[b])]
+}
+
 func TestAddIsXor(t *testing.T) {
-	if Add(0x53, 0xCA) != 0x53^0xCA {
+	if add(0x53, 0xCA) != 0x53^0xCA {
 		t.Fatal("Add is not xor")
 	}
-	if Add(7, 7) != 0 {
+	if add(7, 7) != 0 {
 		t.Fatal("x + x must be 0 in characteristic 2")
 	}
 }
@@ -24,8 +37,8 @@ func TestMulBasics(t *testing.T) {
 		{0x80, 2, 0x1d}, // overflow reduces by the primitive polynomial
 	}
 	for _, c := range cases {
-		if got := Mul(c.a, c.b); got != c.want {
-			t.Errorf("Mul(%#x, %#x) = %#x, want %#x", c.a, c.b, got, c.want)
+		if got := mul(c.a, c.b); got != c.want {
+			t.Errorf("mul(%#x, %#x) = %#x, want %#x", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -49,8 +62,8 @@ func TestMulMatchesSchoolbook(t *testing.T) {
 	}
 	for a := 0; a < 256; a++ {
 		for b := 0; b < 256; b++ {
-			if Mul(byte(a), byte(b)) != ref(byte(a), byte(b)) {
-				t.Fatalf("Mul(%d, %d) disagrees with schoolbook", a, b)
+			if mul(byte(a), byte(b)) != ref(byte(a), byte(b)) {
+				t.Fatalf("mul(%d, %d) disagrees with schoolbook", a, b)
 			}
 		}
 	}
@@ -59,17 +72,17 @@ func TestMulMatchesSchoolbook(t *testing.T) {
 func TestFieldAxiomsProperty(t *testing.T) {
 	// Associativity, commutativity, distributivity via testing/quick.
 	if err := quick.Check(func(a, b, c byte) bool {
-		return Mul(a, Mul(b, c)) == Mul(Mul(a, b), c)
+		return mul(a, mul(b, c)) == mul(mul(a, b), c)
 	}, nil); err != nil {
 		t.Errorf("associativity: %v", err)
 	}
 	if err := quick.Check(func(a, b byte) bool {
-		return Mul(a, b) == Mul(b, a)
+		return mul(a, b) == mul(b, a)
 	}, nil); err != nil {
 		t.Errorf("commutativity: %v", err)
 	}
 	if err := quick.Check(func(a, b, c byte) bool {
-		return Mul(a, Add(b, c)) == Add(Mul(a, b), Mul(a, c))
+		return mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 	}, nil); err != nil {
 		t.Errorf("distributivity: %v", err)
 	}
@@ -78,8 +91,8 @@ func TestFieldAxiomsProperty(t *testing.T) {
 func TestInverses(t *testing.T) {
 	for a := 1; a < 256; a++ {
 		inv := Inv(byte(a))
-		if Mul(byte(a), inv) != 1 {
-			t.Fatalf("%d * Inv(%d) = %d", a, a, Mul(byte(a), inv))
+		if mul(byte(a), inv) != 1 {
+			t.Fatalf("%d * Inv(%d) = %d", a, a, mul(byte(a), inv))
 		}
 	}
 }
@@ -98,7 +111,7 @@ func TestMulSlice(t *testing.T) {
 	src := []byte{4, 5, 6}
 	want := make([]byte, 3)
 	for i := range want {
-		want[i] = Add(dst[i], Mul(7, src[i]))
+		want[i] = add(dst[i], mul(7, src[i]))
 	}
 	mulSlice(dst, src, 7)
 	for i := range dst {
@@ -120,7 +133,7 @@ func TestMulSlice(t *testing.T) {
 
 func TestScaleSlice(t *testing.T) {
 	dst := []byte{3, 0, 250}
-	want := []byte{Mul(3, 5), 0, Mul(250, 5)}
+	want := []byte{mul(3, 5), 0, mul(250, 5)}
 	scaleSlice(dst, 5)
 	for i := range dst {
 		if dst[i] != want[i] {
@@ -138,5 +151,15 @@ func TestScaleSlice(t *testing.T) {
 		if v != 0 {
 			t.Fatal("scaleSlice with c=0 did not zero")
 		}
+	}
+}
+
+func BenchmarkGF256Mul(b *testing.B) {
+	var acc byte
+	for i := 0; i < b.N; i++ {
+		acc ^= mul(byte(i), byte(i>>8))
+	}
+	if acc == 1 {
+		b.Log(acc) // defeat dead-code elimination
 	}
 }

@@ -29,7 +29,7 @@ func TestDecodeOrderInvariance(t *testing.T) {
 	decodeIn := func(order []int) *Decoder {
 		d, _ := NewDecoder(blocks, size)
 		for _, idx := range order {
-			if _, err := d.AddPacket(packets[idx].Clone()); err != nil {
+			if _, err := d.AddPacket(packets[idx].clone()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -67,7 +67,7 @@ func TestDecodeOrderInvariance(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	p := Packet{Coeffs: []byte{1, 2}, Payload: []byte{3, 4}}
-	c := p.Clone()
+	c := p.clone()
 	c.Coeffs[0] = 9
 	c.Payload[0] = 9
 	if p.Coeffs[0] != 1 || p.Payload[0] != 3 {
@@ -101,14 +101,14 @@ func TestDecoderRREFInvariantProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if innovative && d.Rank() != prev+1 {
+			if innovative && d.rank() != prev+1 {
 				return false
 			}
-			if !innovative && d.Rank() != prev {
+			if !innovative && d.rank() != prev {
 				return false
 			}
-			prev = d.Rank()
-			if d.Rank() > blocks {
+			prev = d.rank()
+			if d.rank() > blocks {
 				return false
 			}
 		}
@@ -133,12 +133,12 @@ func TestPartialRankEmitStillUseful(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if relay.Rank() == 0 {
+	if relay.rank() == 0 {
 		t.Fatal("relay rank 0 after 3 packets")
 	}
 	sink, _ := NewDecoder(blocks, size)
 	innovativeCount := 0
-	for i := 0; i < relay.Rank(); i++ {
+	for i := 0; i < relay.rank(); i++ {
 		pkt, ok := relay.Emit(s)
 		if !ok {
 			t.Fatal("relay cannot emit")
@@ -153,10 +153,10 @@ func TestPartialRankEmitStillUseful(t *testing.T) {
 	}
 	// Over GF(256), rank(relay) emissions are full-rank whp; tolerate one
 	// dependence.
-	if innovativeCount < relay.Rank()-1 {
-		t.Fatalf("only %d of %d relay emissions innovative", innovativeCount, relay.Rank())
+	if innovativeCount < relay.rank()-1 {
+		t.Fatalf("only %d of %d relay emissions innovative", innovativeCount, relay.rank())
 	}
-	if sink.Rank() > relay.Rank() {
+	if sink.rank() > relay.rank() {
 		t.Fatal("sink rank exceeds relay span")
 	}
 }

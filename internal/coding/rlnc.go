@@ -12,14 +12,6 @@ type Packet struct {
 	Payload []byte
 }
 
-// Clone deep-copies a packet.
-func (p Packet) Clone() Packet {
-	return Packet{
-		Coeffs:  append([]byte(nil), p.Coeffs...),
-		Payload: append([]byte(nil), p.Payload...),
-	}
-}
-
 // Decoder accumulates coded packets for a B-block message and maintains
 // them in reduced row echelon form, so decoding is incremental: each
 // innovative packet raises the rank by one, and at rank B the stored
@@ -42,9 +34,6 @@ func NewDecoder(blocks, blockSize int) (*Decoder, error) {
 	}
 	return &Decoder{blocks: blocks, blockSize: blockSize}, nil
 }
-
-// Rank returns the dimension of the received span.
-func (d *Decoder) Rank() int { return len(d.rows) }
 
 // Decoded reports whether the full message can be reconstructed.
 func (d *Decoder) Decoded() bool { return len(d.rows) == d.blocks }

@@ -8,6 +8,17 @@ import (
 	"repro/internal/run"
 )
 
+// clone deep-copies a packet.
+func (p Packet) clone() Packet {
+	return Packet{
+		Coeffs:  append([]byte(nil), p.Coeffs...),
+		Payload: append([]byte(nil), p.Payload...),
+	}
+}
+
+// rank returns the dimension of the received span.
+func (d *Decoder) rank() int { return len(d.rows) }
+
 func randomBlocks(s *rng.Stream, b, size int) [][]byte {
 	blocks := make([][]byte, b)
 	for i := range blocks {
@@ -45,8 +56,8 @@ func TestSourceHasFullRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !src.Decoded() || src.Rank() != 5 {
-		t.Fatalf("source rank %d", src.Rank())
+	if !src.Decoded() || src.rank() != 5 {
+		t.Fatalf("source rank %d", src.rank())
 	}
 	for i := range blocks {
 		got, err := src.Block(i)
@@ -122,7 +133,7 @@ func TestRelayedRecodingDecodes(t *testing.T) {
 		}
 		guard++
 		if guard > 100 {
-			t.Fatalf("sink stuck at rank %d of 6", sink.Rank())
+			t.Fatalf("sink stuck at rank %d of 6", sink.rank())
 		}
 	}
 	for i := range blocks {
@@ -139,15 +150,15 @@ func TestNonInnovativePacketsRejected(t *testing.T) {
 	src, _ := Source(blocks)
 	dst, _ := NewDecoder(4, 8)
 	pkt, _ := src.Emit(s)
-	saved := pkt.Clone()
+	saved := pkt.clone()
 	if innovative, _ := dst.AddPacket(pkt); !innovative {
 		t.Fatal("first packet must be innovative")
 	}
 	if innovative, _ := dst.AddPacket(saved); innovative {
 		t.Fatal("identical packet counted as innovative")
 	}
-	if dst.Rank() != 1 {
-		t.Fatalf("rank %d after duplicate", dst.Rank())
+	if dst.rank() != 1 {
+		t.Fatalf("rank %d after duplicate", dst.rank())
 	}
 }
 
@@ -203,8 +214,8 @@ func TestRankNeverExceedsBlocks(t *testing.T) {
 		if _, err := dst.AddPacket(pkt); err != nil {
 			t.Fatal(err)
 		}
-		if dst.Rank() > 5 {
-			t.Fatalf("rank %d exceeds block count", dst.Rank())
+		if dst.rank() > 5 {
+			t.Fatalf("rank %d exceeds block count", dst.rank())
 		}
 	}
 }

@@ -21,15 +21,6 @@ import (
 // paper's proven lower bound is much cruder: its sub-bucket argument yields
 // 0.064, and its Poisson estimate in the uniform case yields 0.44.
 
-// LowerBoundBeta is the universal constant beta the paper proves in
-// Lemma 1/2: with high probability at least beta*m dates are arranged, for
-// any selection distribution.
-const LowerBoundBeta = 0.064
-
-// PaperUniformEstimate is the uniform-case estimate quoted in the paper
-// ("we get an estimate of 0.44*n when m = n").
-const PaperUniformEstimate = 0.44
-
 // PoissonPMF returns P(Poisson(lambda) = k), computed in log space for
 // stability at large lambda.
 func PoissonPMF(lambda float64, k int) float64 {

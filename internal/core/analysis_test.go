@@ -9,6 +9,15 @@ import (
 	"repro/internal/stats"
 )
 
+// lowerBoundBeta is the universal constant beta the paper proves in
+// Lemma 1/2: with high probability at least beta*m dates are arranged, for
+// any selection distribution.
+const lowerBoundBeta = 0.064
+
+// paperUniformEstimate is the uniform-case estimate quoted in the paper
+// ("we get an estimate of 0.44*n when m = n").
+const paperUniformEstimate = 0.44
+
 func TestPoissonPMFBasics(t *testing.T) {
 	// Po(1): P(0) = P(1) = 1/e.
 	e := math.Exp(-1)
@@ -133,7 +142,7 @@ func TestPoissonPredictionMatchesSimulation(t *testing.T) {
 			t.Errorf("load %d: simulated %.4f vs predicted %.4f", b, acc.Mean(), pred)
 		}
 		// Sanity against the paper's constants.
-		if pred < PaperUniformEstimate || pred < LowerBoundBeta {
+		if pred < paperUniformEstimate || pred < lowerBoundBeta {
 			t.Errorf("prediction %.4f below the paper's own bounds", pred)
 		}
 	}

@@ -83,14 +83,3 @@ func (a *Arranger) arrange(dst []Date, out, in []int, seed uint64, workers int) 
 	}
 	return a.eng.round(dst, a.sel, out, in, nil, nil, seed, workers), nil
 }
-
-// ArrangeDates is the one-shot convenience form of Arranger.Arrange: one
-// seeded round on one worker without scratch reuse. Hot paths that arrange
-// every round, such as storage, should hold an Arranger instead.
-func ArrangeDates(out, in []int, sel Selector, seed uint64) ([]Date, error) {
-	a, err := NewArranger(sel)
-	if err != nil {
-		return nil, err
-	}
-	return a.Arrange(out, in, seed, 1)
-}

@@ -92,10 +92,10 @@ func arrangeCase(t *testing.T, n int, maxB int, s *rng.Stream) (out, in []int, s
 }
 
 // validateArrangement checks the paper's safety property directly on an
-// ArrangeDates result: no node exceeds its declared supply or demand.
+// Arrange result: no node exceeds its declared supply or demand.
 func validateArrangement(t *testing.T, dates []Date, out, in []int) {
 	t.Helper()
-	if err := ValidateCapacities(RoundResult{Dates: dates}, bandwidth.Profile{Out: out, In: in}); err != nil {
+	if err := validateCapacities(RoundResult{Dates: dates}, bandwidth.Profile{Out: out, In: in}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -183,7 +183,7 @@ func TestArrangeMatchesReference(t *testing.T) {
 					continue
 				}
 				p := bandwidth.Profile{Out: c.out, In: c.in}
-				res, err := mustService(t, p, c.sel).RunRoundSeededFiltered(seed, workers, ch.alive)
+				res, err := churnRound(mustService(t, p, c.sel), seed, workers, ch.alive)
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", c.name, workers, err)
 				}
@@ -195,7 +195,7 @@ func TestArrangeMatchesReference(t *testing.T) {
 					t.Fatalf("%s, %s, workers=%d: counters %d/%d, reference %d/%d",
 						c.name, ch.name, workers, res.OffersSent, res.RequestsSent, wantOffers, wantRequests)
 				}
-				if err := ValidateCapacities(res, p); err != nil {
+				if err := validateCapacities(res, p); err != nil {
 					t.Fatalf("%s, %s, workers=%d: %v", c.name, ch.name, workers, err)
 				}
 				for _, d := range res.Dates {
@@ -315,38 +315,5 @@ func TestArrangeValidation(t *testing.T) {
 	}
 	if _, err := a.Arrange([]int{1, -1, 1, 1}, []int{1, 1, 1, 1}, 1, 1); err == nil {
 		t.Error("accepted negative supply")
-	}
-	if _, err := ArrangeDates([]int{1}, []int{1}, nil, 1); err == nil {
-		t.Error("ArrangeDates accepted a nil selector")
-	}
-}
-
-func TestArrangeDatesMatchesArranger(t *testing.T) {
-	// The one-shot wrapper is Arranger.Arrange at the same seed, whatever
-	// the Arranger's worker count.
-	sel, err := NewUniformSelector(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]int, 50)
-	in := make([]int, 50)
-	for i := range out {
-		out[i] = 1
-		in[i] = 1
-	}
-	got, err := ArrangeDates(out, in, sel, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewArranger(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := a.Arrange(out, in, 31, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("ArrangeDates diverged from Arranger.Arrange at the same seed")
 	}
 }

@@ -197,20 +197,7 @@ func (sv *Service) M() int { return sv.profile.M() }
 // seed, ·). seed alone selects the round's randomness (use a fresh seed per
 // round, e.g. drawn off a run stream).
 func (sv *Service) RunRoundSeeded(seed uint64, workers int) (RoundResult, error) {
-	return sv.RunRoundSeededFiltered(seed, workers, nil)
-}
-
-// RunRoundSeededFiltered is RunRoundSeeded with an optional liveness
-// predicate. Crashed nodes neither emit requests nor act as rendezvous
-// points, and requests addressed to them are lost — matching the behavior
-// of a real overlay where a dead rendezvous simply never answers. alive is
-// called concurrently from all workers and must be safe for concurrent use
-// (in practice: a pure read of state that does not change during the
-// round). Because every node draws from its own derived stream, the
-// surviving nodes' randomness is unaffected by who crashed — and still
-// independent of the worker count.
-func (sv *Service) RunRoundSeededFiltered(seed uint64, workers int, alive func(i int) bool) (RoundResult, error) {
-	dates, err := sv.seeded(nil, seed, workers, alive)
+	dates, err := sv.seeded(nil, seed, workers, nil)
 	if err != nil {
 		return RoundResult{}, err
 	}
@@ -218,7 +205,13 @@ func (sv *Service) RunRoundSeededFiltered(seed uint64, workers int, alive func(i
 }
 
 // seeded runs one seeded round, appending its dates to dst (the engine's
-// buffer contract: nil is a fresh slice).
+// buffer contract: nil is a fresh slice). alive is an optional liveness
+// predicate: crashed nodes neither emit requests nor act as rendezvous
+// points, and requests addressed to them are lost, as a dead rendezvous of
+// a real overlay never answers. alive is called concurrently from all
+// workers, so it must be a pure read of state that does not change during
+// the round. Every node draws from its own derived stream, so the survivors'
+// randomness does not depend on who crashed, nor on the worker count.
 func (sv *Service) seeded(dst []Date, seed uint64, workers int, alive func(i int) bool) ([]Date, error) {
 	if err := checkWorkers(workers); err != nil {
 		return nil, err
@@ -226,8 +219,9 @@ func (sv *Service) seeded(dst []Date, seed uint64, workers int, alive func(i int
 	return sv.eng.round(dst, sv.sel, sv.profile.Out, sv.profile.In, alive, sv.senderCuts(workers, alive), seed, workers), nil
 }
 
-// RunRoundShared arranges the dates of RunRoundSeededFiltered drawing its
-// worker count from a shared budget: the round runs with the caller's
+// RunRoundShared runs one seeded round under the liveness predicate alive
+// (nil: everyone is alive; see seeded), drawing its worker count from a
+// shared budget: the round runs with the caller's
 // worker plus whatever spare tokens b has at this moment, released when the
 // round is done. Since a seeded round is worker-count independent, whatever
 // the pool hands out is a pure speed knob. A nil budget runs serially.
@@ -299,26 +293,4 @@ func shuffleInt32(p []int32, s *rng.Stream) {
 		j := s.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-}
-
-// ValidateCapacities checks the paper's core safety property on a round
-// result: no node exceeds its incoming or outgoing bandwidth, and every
-// date endpoint is a valid node.
-func ValidateCapacities(res RoundResult, p bandwidth.Profile) error {
-	n := p.N()
-	for _, d := range res.Dates {
-		if d.Sender < 0 || int(d.Sender) >= n || d.Receiver < 0 || int(d.Receiver) >= n {
-			return fmt.Errorf("core: date %v references invalid node", d)
-		}
-	}
-	out, in := res.PerNode(n)
-	for i := 0; i < n; i++ {
-		if out[i] > p.Out[i] {
-			return fmt.Errorf("core: node %d sends %d > bout %d", i, out[i], p.Out[i])
-		}
-		if in[i] > p.In[i] {
-			return fmt.Errorf("core: node %d receives %d > bin %d", i, in[i], p.In[i])
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,39 @@ func mustService(t *testing.T, p bandwidth.Profile, sel Selector) *Service {
 		t.Fatal(err)
 	}
 	return sv
+}
+
+// churnRound runs one seeded round of sv under the liveness predicate
+// alive on exactly workers workers: RunRoundShared's round, with the
+// control-message counters of RunRoundSeeded.
+func churnRound(sv *Service, seed uint64, workers int, alive func(i int) bool) (RoundResult, error) {
+	dates, err := sv.seeded(nil, seed, workers, alive)
+	if err != nil {
+		return RoundResult{}, err
+	}
+	return sv.result(dates), nil
+}
+
+// validateCapacities checks the paper's core safety property on a round
+// result: no node exceeds its incoming or outgoing bandwidth, and every
+// date endpoint is a valid node.
+func validateCapacities(res RoundResult, p bandwidth.Profile) error {
+	n := p.N()
+	for _, d := range res.Dates {
+		if d.Sender < 0 || int(d.Sender) >= n || d.Receiver < 0 || int(d.Receiver) >= n {
+			return fmt.Errorf("core: date %v references invalid node", d)
+		}
+	}
+	out, in := res.PerNode(n)
+	for i := 0; i < n; i++ {
+		if out[i] > p.Out[i] {
+			return fmt.Errorf("core: node %d sends %d > bout %d", i, out[i], p.Out[i])
+		}
+		if in[i] > p.In[i] {
+			return fmt.Errorf("core: node %d receives %d > bin %d", i, in[i], p.In[i])
+		}
+	}
+	return nil
 }
 
 func uniformService(t *testing.T, n, b int) *Service {
@@ -145,7 +179,7 @@ func TestRunRoundCapacityInvariant(t *testing.T) {
 		sv := mustService(t, p, sel)
 		for round := 0; round < 20; round++ {
 			res := seededRound(t, sv, s.Uint64())
-			if err := ValidateCapacities(res, p); err != nil {
+			if err := validateCapacities(res, p); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
@@ -167,7 +201,7 @@ func TestRunRoundCapacityProperty(t *testing.T) {
 			return false
 		}
 		res := seededRound(t, sv, s.Uint64())
-		return ValidateCapacities(res, sv.Profile()) == nil
+		return validateCapacities(res, sv.Profile()) == nil
 	}, &quick.Config{MaxCount: 150})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +274,7 @@ func TestPointMassDistribution(t *testing.T) {
 	if len(res.Dates) != n {
 		t.Fatalf("centralized rendezvous arranged %d dates, want %d", len(res.Dates), n)
 	}
-	if err := ValidateCapacities(res, sv.Profile()); err != nil {
+	if err := validateCapacities(res, sv.Profile()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -399,13 +433,13 @@ func TestValidateCapacitiesDetectsViolations(t *testing.T) {
 	res := RoundResult{
 		Dates: []Date{{Sender: 0, Receiver: 1}, {Sender: 0, Receiver: 2}},
 	}
-	if err := ValidateCapacities(res, p); err == nil {
+	if err := validateCapacities(res, p); err == nil {
 		t.Fatal("over-capacity sender accepted")
 	}
 	res2 := RoundResult{
 		Dates: []Date{{Sender: 5, Receiver: 0}},
 	}
-	if err := ValidateCapacities(res2, p); err == nil {
+	if err := validateCapacities(res2, p); err == nil {
 		t.Fatal("invalid node accepted")
 	}
 }

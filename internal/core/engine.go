@@ -64,7 +64,7 @@ package core
 //
 // Buffer contract: round appends its dates to the buffer the caller hands it.
 // nil gets a fresh slice of exactly the round's size that the engine never
-// touches again (RunRoundSeeded*, Arrange, ArrangeDates);
+// touches again (RunRoundSeeded, Arrange);
 // Service.RunRoundShared and Arranger.ArrangeShared hand in the buffer they
 // keep (non-nil from the start, and grown with a quarter of headroom), so a
 // spreading or storage round allocates nothing proportional to n and its

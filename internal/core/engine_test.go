@@ -41,7 +41,7 @@ func TestSeededRoundCapacities(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateCapacities(res, p); err != nil {
+		if err := validateCapacities(res, p); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -62,7 +62,7 @@ func TestSeededRoundFilteredChurn(t *testing.T) {
 				liveOut += sv.profile.Out[i]
 			}
 		}
-		res, err := sv.RunRoundSeededFiltered(churn.Uint64(), 3, func(i int) bool { return alive[i] })
+		res, err := churnRound(sv, churn.Uint64(), 3, func(i int) bool { return alive[i] })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestSeededRoundFilteredChurn(t *testing.T) {
 				t.Fatalf("round %d: date %v involves a dead node", round, d)
 			}
 		}
-		if err := ValidateCapacities(res, sv.Profile()); err != nil {
+		if err := validateCapacities(res, sv.Profile()); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if res.OffersSent > liveOut {
@@ -119,14 +119,14 @@ func TestServiceMixedSerialParallelReuse(t *testing.T) {
 		case 1:
 			res, err = sv.RunRoundSeeded(s.Uint64(), 4)
 		case 2:
-			res, err = sv.RunRoundSeededFiltered(s.Uint64(), 1, dead)
+			res, err = churnRound(sv, s.Uint64(), 1, dead)
 		case 3:
-			res, err = sv.RunRoundSeededFiltered(s.Uint64(), 2, dead)
+			res, err = churnRound(sv, s.Uint64(), 2, dead)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateCapacities(res, sv.Profile()); err != nil {
+		if err := validateCapacities(res, sv.Profile()); err != nil {
 			t.Fatalf("round %d (shape %d): %v", round, round%4, err)
 		}
 		if round%4 == 0 || round%4 == 1 {
@@ -153,7 +153,7 @@ func TestServiceManyRoundsAccounting(t *testing.T) {
 			t.Fatalf("round %d: sent %d/%d, want %d/%d",
 				round, res.OffersSent, res.RequestsSent, n*b, n*b)
 		}
-		if err := ValidateCapacities(res, sv.Profile()); err != nil {
+		if err := validateCapacities(res, sv.Profile()); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestUnindexableRoundsRejected(t *testing.T) {
 	}
 	half := 1 << 30
 	bad := map[string]bandwidth.Profile{
-		"both sums 2^32":    bandwidth.Homogeneous(2, 1<<31),
+		"both sums 2^32-2":  bandwidth.Homogeneous(2, math.MaxInt32),
 		"out sum 2^31":      {Out: []int{half, half}, In: []int{1, 1}},
 		"in sum 2^31":       {Out: []int{1, 1}, In: []int{half, half}},
 		"sum overflows int": {Out: []int{math.MaxInt, math.MaxInt}, In: []int{1, 1}},
@@ -238,8 +238,11 @@ func TestUnindexableRoundsRejected(t *testing.T) {
 	if _, err := NewService(edge, sel); err != nil {
 		t.Errorf("sums of exactly MaxInt32 rejected: %v", err)
 	}
-	if err := indexable(math.MaxInt32+1, nil, nil); err == nil {
-		t.Error("2^31 nodes accepted")
+	// 2^31 nodes, where an int can hold the count.
+	if nodes := int64(math.MaxInt32) + 1; int64(int(nodes)) == nodes {
+		if err := indexable(int(nodes), nil, nil); err == nil {
+			t.Error("2^31 nodes accepted")
+		}
 	}
 	if _, err := a.Arrange([]int{1, -1}, []int{1, 1}, 1, 1); err == nil {
 		t.Error("negative supply accepted")

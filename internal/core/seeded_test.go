@@ -31,7 +31,7 @@ func TestSeededRoundWorkerIndependence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ValidateCapacities(res, profile); err != nil {
+			if err := validateCapacities(res, profile); err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
 			if workers == 1 {
@@ -62,7 +62,7 @@ func TestSeededRoundScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.RunRoundSeededFiltered(99, 1, func(i int) bool { return i%3 != 0 }); err != nil {
+	if _, err := churnRound(svc, 99, 1, func(i int) bool { return i%3 != 0 }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.RunRoundSeeded(5, 3); err != nil {
@@ -121,7 +121,7 @@ func TestSeededRoundFilteredWorkerIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := svc.RunRoundSeededFiltered(99, workers, alive)
+		res, err := churnRound(svc, 99, workers, alive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers = 4
-	res, err := svc.RunRoundSeededFiltered(31, workers, alive)
+	res, err := churnRound(svc, 31, workers, alive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSeededFilteredChurnRebalance(t *testing.T) {
 	}
 
 	// Rebalancing moves work, never bits.
-	ref, err := svc.RunRoundSeededFiltered(31, 1, alive)
+	ref, err := churnRound(svc, 31, 1, alive)
 	if err != nil {
 		t.Fatal(err)
 	}

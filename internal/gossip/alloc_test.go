@@ -84,7 +84,7 @@ func TestLiveSpreadAllocBound(t *testing.T) {
 	cfg := LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}
 	var res LiveResult
 	var err error
-	bytes := allocated(func() { res, err = RunLive(cfg, LiveOptions{Seed: 3, Shards: 2}) })
+	bytes := allocated(func() { res, err = runLive(cfg, liveOptions{Seed: 3, Shards: 2}, roundClock) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAsyncSpreadAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res AsyncResult
-	bytes := allocated(func() { res, err = RunAsync(AsyncConfig{Profile: p}, LiveOptions{Seed: 3, Shards: 2}) })
+	bytes := allocated(func() { res, err = runAsync(AsyncConfig{Profile: p}, liveOptions{Seed: 3, Shards: 2}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTopologySpreadAllocBound(t *testing.T) {
 		cfg := TopologyConfig{Graph: mustBA(t, n, 3, seed), Alpha: 0.25}
 		var res TopologyResult
 		var err error
-		bytes := allocated(func() { res, err = RunTopology(cfg, LiveOptions{Seed: seed, Shards: 2}) })
+		bytes := allocated(func() { res, err = runTopology(cfg, liveOptions{Seed: seed, Shards: 2}, roundClock) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,11 +61,11 @@ type AsyncResult struct {
 	Fired int64
 }
 
-// RunAsync executes asynchronous push&pull rumor spreading on the clockless
+// runAsync executes asynchronous push&pull rumor spreading on the clockless
 // runtime. The runtime carries its own latency model in
 // AsyncConfig.Latency, so a network model in o is rejected rather than
 // silently ignored.
-func RunAsync(cfg AsyncConfig, o LiveOptions) (AsyncResult, error) {
+func runAsync(cfg AsyncConfig, o liveOptions) (AsyncResult, error) {
 	n := cfg.Profile.N()
 	if n == 0 {
 		return AsyncResult{}, fmt.Errorf("gossip: async run needs a profile")
@@ -141,5 +141,5 @@ func (c AsyncConfig) Protocol() string { return "async" }
 // is rejected. Trajectory is the informed-peer count per bucket; Detail the
 // full AsyncResult.
 func (c AsyncConfig) Execute(o *run.Options) (run.Report, error) {
-	return execute(RunAsync(c, liveOptionsFor(o, run.DomainAsync)))
+	return execute(runAsync(c, liveOptionsFor(o, run.DomainAsync)))
 }

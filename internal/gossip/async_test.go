@@ -20,16 +20,16 @@ func TestAsyncValidation(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		cfg  AsyncConfig
-		o    LiveOptions
+		o    liveOptions
 		want string
 	}{
-		{AsyncConfig{}, LiveOptions{}, "profile"},
-		{AsyncConfig{Profile: unit, Source: -1}, LiveOptions{}, "source"},
-		{AsyncConfig{Profile: unit, Source: 16}, LiveOptions{}, "source"},
-		{AsyncConfig{Profile: unit, Selector: sel}, LiveOptions{}, "selector"},
-		{AsyncConfig{Profile: unit}, LiveOptions{Net: live.Loss{P: 0.1}}, "network model"},
+		{AsyncConfig{}, liveOptions{}, "profile"},
+		{AsyncConfig{Profile: unit, Source: -1}, liveOptions{}, "source"},
+		{AsyncConfig{Profile: unit, Source: 16}, liveOptions{}, "source"},
+		{AsyncConfig{Profile: unit, Selector: sel}, liveOptions{}, "selector"},
+		{AsyncConfig{Profile: unit}, liveOptions{Net: live.Loss{P: 0.1}}, "network model"},
 	} {
-		if _, err := RunAsync(tc.cfg, tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := runAsync(tc.cfg, tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v %+v: error %v, want one naming %q", tc.cfg, tc.o, err, tc.want)
 		}
 	}
@@ -37,7 +37,7 @@ func TestAsyncValidation(t *testing.T) {
 
 func TestAsyncSpreadCompletes(t *testing.T) {
 	const n = 500
-	res, err := RunAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, LiveOptions{Seed: 11, Shards: 2})
+	res, err := runAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, liveOptions{Seed: 11, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAsyncShardBitIdentity(t *testing.T) {
 	}
 	var ref AsyncResult
 	for _, shards := range []int{1, 2, 8} {
-		res, err := RunAsync(AsyncConfig{Profile: prof}, LiveOptions{Seed: 42, Shards: shards})
+		res, err := runAsync(AsyncConfig{Profile: prof}, liveOptions{Seed: 42, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestAsyncBimodalShardIdentity(t *testing.T) {
 	}
 	var ref AsyncResult
 	for _, shards := range []int{1, 2, 4, 8} {
-		res, err := RunAsync(AsyncConfig{Profile: prof}, LiveOptions{Seed: 17, Shards: shards})
+		res, err := runAsync(AsyncConfig{Profile: prof}, liveOptions{Seed: 17, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +168,14 @@ func TestAsyncViaRun(t *testing.T) {
 }
 
 func TestAsyncLatencySlowsSpread(t *testing.T) {
-	// Physics check: tripling the message flight time (at the fixed unit
-	// bucket width) can only slow the spread down.
+	// Physics check: tripling the message flight time (in unit buckets) can
+	// only slow the spread down.
 	const n = 1000
-	fast, err := RunAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, LiveOptions{Seed: 5, Shards: 2})
+	fast, err := runAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1)}, liveOptions{Seed: 5, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := RunAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1), Latency: 3}, LiveOptions{Seed: 5, Shards: 2})
+	slow, err := runAsync(AsyncConfig{Profile: bandwidth.Homogeneous(n, 1), Latency: 3}, liveOptions{Seed: 5, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

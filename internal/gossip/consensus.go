@@ -296,12 +296,9 @@ func consensusSeeds(cfg ConsensusConfig, seed uint64) ([]int, error) {
 	return seeds, nil
 }
 
-// RunConsensus executes conflicting-rumor consensus on the round runtime.
-func RunConsensus(cfg ConsensusConfig, o LiveOptions) (ConsensusResult, error) {
-	return runConsensus(cfg, o, roundClock)
-}
-
-func runConsensus(cfg ConsensusConfig, o LiveOptions, clk clock) (ConsensusResult, error) {
+// runConsensus executes conflicting-rumor consensus on clk: the round
+// runtime (roundClock) in production, the oracle in tests.
+func runConsensus(cfg ConsensusConfig, o liveOptions, clk clock) (ConsensusResult, error) {
 	if cfg.Graph == nil || cfg.Graph.N() == 0 {
 		return ConsensusResult{}, fmt.Errorf("gossip: consensus run needs a graph")
 	}
@@ -395,5 +392,5 @@ func (c ConsensusConfig) Protocol() string { return "consensus" }
 // Trajectory is the decided-peer history; Detail the full ConsensusResult
 // (per-round variant shares, winner, agreement).
 func (c ConsensusConfig) Execute(o *run.Options) (run.Report, error) {
-	return execute(RunConsensus(c, liveOptionsFor(o, run.DomainConsensus)))
+	return execute(runConsensus(c, liveOptionsFor(o, run.DomainConsensus), roundClock))
 }

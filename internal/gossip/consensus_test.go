@@ -13,9 +13,9 @@ import (
 	"repro/internal/run"
 )
 
-func consRun(t *testing.T, cfg ConsensusConfig, o LiveOptions) ConsensusResult {
+func consRun(t *testing.T, cfg ConsensusConfig, o liveOptions) ConsensusResult {
 	t.Helper()
-	res, err := RunConsensus(cfg, o)
+	res, err := runConsensus(cfg, o, roundClock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +37,12 @@ func TestConsensusShardIdentity(t *testing.T) {
 			}
 			cfg.Profile = p
 		}
-		base := consRun(t, cfg, LiveOptions{Seed: 42, Shards: 1})
+		base := consRun(t, cfg, liveOptions{Seed: 42, Shards: 1})
 		if base.Rounds == 0 || len(base.ShareHist) != base.Rounds {
 			t.Fatalf("%v: degenerate base run: %+v", rule, base)
 		}
 		for _, shards := range []int{2, 4, 8} {
-			res := consRun(t, cfg, LiveOptions{Seed: 42, Shards: shards})
+			res := consRun(t, cfg, liveOptions{Seed: 42, Shards: shards})
 			if fmt.Sprint(res) != fmt.Sprint(base) {
 				t.Errorf("%v shards=%d diverged:\n got %+v\nwant %+v", rule, shards, res, base)
 			}
@@ -50,7 +50,7 @@ func TestConsensusShardIdentity(t *testing.T) {
 	}
 }
 
-// TestConsensusEngineIdentity pins that the goroutine engine, the test
+// TestConsensusEngineIdentity pins that the sequential engine, the test
 // oracle, reproduces the sharded runtime bit for bit under every merge rule
 // — both seed every peer-step's stream alike, and the rules themselves
 // consume no randomness.
@@ -65,13 +65,13 @@ func TestConsensusEngineIdentity(t *testing.T) {
 			}
 			cfg.Profile = p
 		}
-		sharded := consRun(t, cfg, LiveOptions{Seed: 9, Shards: 3})
-		oracle, err := runConsensus(cfg, LiveOptions{Seed: 9}, oracleClock)
+		sharded := consRun(t, cfg, liveOptions{Seed: 9, Shards: 3})
+		oracle, err := runConsensus(cfg, liveOptions{Seed: 9}, oracleClock)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(oracle) != fmt.Sprint(sharded) {
-			t.Errorf("%v: goroutine engine diverged:\n got %+v\nwant %+v", rule, oracle, sharded)
+			t.Errorf("%v: oracle diverged:\n got %+v\nwant %+v", rule, oracle, sharded)
 		}
 	}
 }
@@ -96,7 +96,7 @@ func TestConsensusSharesSumToDecided(t *testing.T) {
 			cfg.Profile = p
 		}
 		for _, shards := range []int{1, 2, 4} {
-			res := consRun(t, cfg, LiveOptions{Seed: seed, Shards: shards})
+			res := consRun(t, cfg, liveOptions{Seed: seed, Shards: shards})
 			if res.Rounds == 0 || len(res.History) != res.Rounds || len(res.ShareHist) != res.Rounds {
 				t.Fatalf("%v shards=%d: %d rounds, %d history entries, %d share rows",
 					rule, shards, res.Rounds, len(res.History), len(res.ShareHist))
@@ -126,7 +126,7 @@ func TestConsensusShardLocalState(t *testing.T) {
 	for _, rule := range []MergeRule{RuleMajority, RuleLatest} {
 		for _, shards := range []int{1, 4} {
 			res := consRun(t, ConsensusConfig{Variants: 3, Graph: g, Rule: rule, MaxRounds: 200},
-				LiveOptions{Seed: 4, Shards: shards})
+				liveOptions{Seed: 4, Shards: shards})
 			if rule == RuleLatest && !res.Completed {
 				t.Errorf("rule=%v shards=%d: run did not complete", rule, shards)
 			}
@@ -149,7 +149,7 @@ func TestConsensusSingleVariantMatchesPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := consRun(t, ConsensusConfig{Variants: 1, Graph: g, Rule: RuleMajority, Threshold: 1},
-		LiveOptions{Seed: 21, Shards: 2})
+		liveOptions{Seed: 21, Shards: 2})
 	if !res.Completed {
 		t.Fatal("K=1 complete-graph run did not complete")
 	}
@@ -197,8 +197,8 @@ func TestConsensusTieResolution(t *testing.T) {
 	// A run built entirely from tie-prone integer tallies replays exactly.
 	g := mustBA(t, 600, 2, 29)
 	cfg := ConsensusConfig{Variants: 5, Graph: g, Seeding: SeedClustered, Rule: RuleMajority, MaxRounds: 150}
-	a := consRun(t, cfg, LiveOptions{Seed: 3, Shards: 4})
-	b := consRun(t, cfg, LiveOptions{Seed: 3, Shards: 4})
+	a := consRun(t, cfg, liveOptions{Seed: 3, Shards: 4})
+	b := consRun(t, cfg, liveOptions{Seed: 3, Shards: 4})
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Errorf("identical majority runs diverged:\n got %+v\nwant %+v", b, a)
 	}
@@ -217,8 +217,8 @@ func TestConsensusWeightedUniformEqualsMajority(t *testing.T) {
 	wtd := base
 	wtd.Rule = RuleWeighted
 	wtd.Profile = bandwidth.Homogeneous(1000, 4)
-	mres := consRun(t, maj, LiveOptions{Seed: 13, Shards: 2})
-	wres := consRun(t, wtd, LiveOptions{Seed: 13, Shards: 2})
+	mres := consRun(t, maj, liveOptions{Seed: 13, Shards: 2})
+	wres := consRun(t, wtd, liveOptions{Seed: 13, Shards: 2})
 	if fmt.Sprint(mres.ShareHist) != fmt.Sprint(wres.ShareHist) ||
 		mres.Winner != wres.Winner || mres.Rounds != wres.Rounds {
 		t.Errorf("uniform weighted diverged from majority:\n got %+v\nwant %+v", wres, mres)
@@ -231,7 +231,7 @@ func TestConsensusWeightedUniformEqualsMajority(t *testing.T) {
 func TestConsensusLatestRuleFloods(t *testing.T) {
 	g := mustBA(t, 1500, 3, 23)
 	res := consRun(t, ConsensusConfig{Variants: 4, Graph: g, Seeding: SeedDistinct, Rule: RuleLatest},
-		LiveOptions{Seed: 11, Shards: 4})
+		liveOptions{Seed: 11, Shards: 4})
 	if !res.Completed {
 		t.Fatal("latest-rule run did not converge")
 	}
@@ -256,7 +256,7 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 
 	// Distinct: K seeds, all distinct.
 	dres := consRun(t, ConsensusConfig{Variants: 6, Graph: g, Seeding: SeedDistinct, Rule: RuleMajority},
-		LiveOptions{Seed: 7, Shards: 2})
+		liveOptions{Seed: 7, Shards: 2})
 	if len(dres.Seeds) != 6 {
 		t.Fatalf("distinct seeding placed %d seeds, want 6", len(dres.Seeds))
 	}
@@ -271,7 +271,7 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 	// Hub/leaf alternates: variants 1 and 3 take the two largest degrees,
 	// variants 2 and 4 the two smallest.
 	hres := consRun(t, ConsensusConfig{Variants: 4, Graph: g, Seeding: SeedHubLeaf, Rule: RuleMajority},
-		LiveOptions{Seed: 7, Shards: 2})
+		liveOptions{Seed: 7, Shards: 2})
 	hub := g.Hub()
 	if hres.Seeds[0] != hub {
 		t.Errorf("hub seeding placed variant 1 at %d (degree %d), want hub %d (degree %d)",
@@ -291,7 +291,7 @@ func TestConsensusSeedingGeometries(t *testing.T) {
 
 	// Clustered: variant v sits at the start of its ring range, (v-1)*n/K.
 	cres := consRun(t, ConsensusConfig{Variants: 4, Graph: g, Seeding: SeedClustered, Rule: RuleMajority},
-		LiveOptions{Seed: 7, Shards: 2})
+		liveOptions{Seed: 7, Shards: 2})
 	want := []int{0, 100, 200, 300}
 	if fmt.Sprint(cres.Seeds) != fmt.Sprint(want) {
 		t.Errorf("clustered seeds %v, want %v", cres.Seeds, want)
@@ -316,7 +316,7 @@ func TestConsensusValidation(t *testing.T) {
 		{ConsensusConfig{Variants: 2, Graph: g, Seeding: ConsensusSeeding(9)}, "seeding"},
 		{ConsensusConfig{Variants: 2, Graph: g, Rule: MergeRule(9)}, "merge rule"},
 	} {
-		if _, err := RunConsensus(tc.cfg, LiveOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := runConsensus(tc.cfg, liveOptions{}, roundClock); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: error %v, want one naming %q", tc.cfg, err, tc.want)
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // each peer from one shard, once per round, so tap may write state indexed
 // by node.
 func tapClock(tap func(node, round int, inbox, out []simnet.Message)) clock {
-	return func(n int, o LiveOptions, step live.StepFunc, _ live.ActiveStepFunc) (ticker, func() int, []int, error) {
+	return func(n int, o liveOptions, step live.StepFunc, _ live.ActiveStepFunc) (ticker, func() int, []int, error) {
 		return roundClock(n, o, func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
 			var out []simnet.Message
 			step(node, round, inbox, s, func(m simnet.Message) {
@@ -49,23 +49,23 @@ func TestHandshakeValidation(t *testing.T) {
 		"zero bandwidth":    {Profile: bandwidth.Profile{In: []int{0, 1}, Out: []int{1, 1}}},
 		"selector mismatch": {Profile: bandwidth.Homogeneous(5, 1), Selector: sel},
 	} {
-		if _, err := runHandshake(cfg, LiveOptions{}, roundClock); err == nil {
+		if _, err := runHandshake(cfg, liveOptions{}, roundClock); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	if _, err := runHandshake(HandshakeConfig{Profile: bandwidth.Homogeneous(4, 1)},
-		LiveOptions{Net: live.FixedLatency{Rounds: 0}}, roundClock); err == nil {
+		liveOptions{Net: live.FixedLatency{Rounds: 0}}, roundClock); err == nil {
 		t.Error("accepted a net model the runtime cannot schedule")
 	}
 }
 
-// TestHandshakeDeterministic runs one handshake on the goroutine engine and
+// TestHandshakeDeterministic runs one handshake on the sequential oracle and
 // on the sharded runtime at several shard counts: the same seed must give
 // the same dates, round for round.
 func TestHandshakeDeterministic(t *testing.T) {
 	for _, n := range []int{17, 1000} {
 		cfg := HandshakeConfig{Profile: bandwidth.Homogeneous(n, 3), Rounds: 5}
-		ref, err := runHandshake(cfg, LiveOptions{Seed: 99}, oracleClock)
+		ref, err := runHandshake(cfg, liveOptions{Seed: 99}, oracleClock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,12 +73,12 @@ func TestHandshakeDeterministic(t *testing.T) {
 			t.Fatalf("n=%d: degenerate reference %+v", n, ref.Stepped.Stepped)
 		}
 		for _, shards := range []int{1, 2, 4} {
-			res, err := runHandshake(cfg, LiveOptions{Seed: 99, Shards: shards}, roundClock)
+			res, err := runHandshake(cfg, liveOptions{Seed: 99, Shards: shards}, roundClock)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(res, ref) {
-				t.Fatalf("n=%d shards=%d: dates %v, goroutine engine %v", n, shards, res.SentHistory, ref.SentHistory)
+				t.Fatalf("n=%d shards=%d: dates %v, oracle %v", n, shards, res.SentHistory, ref.SentHistory)
 			}
 		}
 	}
@@ -102,7 +102,7 @@ func TestHandshakeCapacityAndValidity(t *testing.T) {
 		for _, shards := range []int{1, 2, 4} {
 			maxSent, maxRecv := make([]int32, n), make([]int32, n)
 			res, err := runHandshake(HandshakeConfig{Profile: p, Rounds: 8},
-				LiveOptions{Seed: 7, Shards: shards, Net: live.Sync{}},
+				liveOptions{Seed: 7, Shards: shards, Net: live.Sync{}},
 				tapClock(func(node, _ int, inbox, out []simnet.Message) {
 					maxRecv[node] = max(maxRecv[node], countPayloads(inbox))
 					maxSent[node] = max(maxSent[node], countPayloads(out))
@@ -130,7 +130,7 @@ func TestHandshakeCapacityAndValidity(t *testing.T) {
 func TestHandshakeMessageAccounting(t *testing.T) {
 	const n, b, rounds = 300, 2, 6
 	var ticks []simnet.Stats // cumulative traffic after each network round
-	clk := func(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, func() int, []int, error) {
+	clk := func(n int, o liveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, func() int, []int, error) {
 		tick, inFlight, cuts, err := roundClock(n, o, step, active)
 		return func(k int) simnet.Stats {
 			for ; k > 0; k-- {
@@ -139,7 +139,7 @@ func TestHandshakeMessageAccounting(t *testing.T) {
 			return ticks[len(ticks)-1]
 		}, inFlight, cuts, err
 	}
-	res, err := runHandshake(HandshakeConfig{Profile: bandwidth.Homogeneous(n, b), Rounds: rounds}, LiveOptions{Seed: 11, Shards: 2}, clk)
+	res, err := runHandshake(HandshakeConfig{Profile: bandwidth.Homogeneous(n, b), Rounds: rounds}, liveOptions{Seed: 11, Shards: 2}, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestHandshakePoissonPrediction(t *testing.T) {
 	const n, rounds = 2000, 100
 	for _, b := range []int{1, 2, 4} {
 		res, err := runHandshake(HandshakeConfig{Profile: bandwidth.Homogeneous(n, b), Rounds: rounds},
-			LiveOptions{Seed: uint64(17 + b), Shards: 2}, roundClock)
+			liveOptions{Seed: uint64(17 + b), Shards: 2}, roundClock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestHandshakeOverDHTWithChurn(t *testing.T) {
 	var ref LiveResult
 	for _, shards := range []int{1, 2, 4} {
 		bad := make([]int, n) // per receiving peer: payloads that crossed a down endpoint
-		res, err := runHandshake(cfg, LiveOptions{Seed: 3, Shards: shards, Net: churn},
+		res, err := runHandshake(cfg, liveOptions{Seed: 3, Shards: shards, Net: churn},
 			tapClock(func(node, round int, inbox, _ []simnet.Message) {
 				for _, m := range inbox {
 					// Under churn over Sync a message lands one round after
@@ -270,7 +270,7 @@ func TestHandshakeWithCrashedNodes(t *testing.T) {
 	var ref LiveResult
 	for _, shards := range []int{1, 2, 4} {
 		touched := make([]int, n) // per receiving peer: payloads to or from a crashed peer
-		res, err := runHandshake(cfg, LiveOptions{Seed: 13, Shards: shards, Net: crashNet{Dead: dead}},
+		res, err := runHandshake(cfg, liveOptions{Seed: 13, Shards: shards, Net: crashNet{Dead: dead}},
 			tapClock(func(node, _ int, inbox, _ []simnet.Message) {
 				for _, m := range inbox {
 					if m.Kind == KindPayload && (m.From < dead || node < dead) {
@@ -323,7 +323,7 @@ func TestHandshakePipelining(t *testing.T) {
 	hops := int(math.Ceil(ring.AvgLookupHops(s, 400, ring.Lookup)))
 	cfg := HandshakeConfig{Profile: bandwidth.Homogeneous(n, 1), Selector: sel, Rounds: 64}
 	for _, shards := range []int{1, 2} {
-		sync, err := runHandshake(cfg, LiveOptions{Seed: 5, Shards: shards}, roundClock)
+		sync, err := runHandshake(cfg, liveOptions{Seed: 5, Shards: shards}, roundClock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestHandshakePipelining(t *testing.T) {
 			for _, k := range []int{1, 2, 8, 64} {
 				cfg := cfg
 				cfg.Rounds = k
-				res, err := runHandshake(cfg, LiveOptions{Seed: 5, Shards: shards, Net: live.FixedLatency{Rounds: L}}, roundClock)
+				res, err := runHandshake(cfg, liveOptions{Seed: 5, Shards: shards, Net: live.FixedLatency{Rounds: L}}, roundClock)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -376,7 +376,7 @@ func TestHandshakeDrain(t *testing.T) {
 				payloads := make([]int64, n)  // per peer: payloads received
 				lastCtl := make([]int, n)     // per peer: last tick an offer or request arrived
 				res, err := runHandshake(HandshakeConfig{Profile: bandwidth.Homogeneous(n, 2), Rounds: k},
-					LiveOptions{Seed: 21, Shards: shards, Net: net},
+					liveOptions{Seed: 21, Shards: shards, Net: net},
 					tapClock(func(node, round int, inbox, _ []simnet.Message) {
 						delivered[node] += int64(len(inbox))
 						payloads[node] += int64(countPayloads(inbox))

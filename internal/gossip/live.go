@@ -126,7 +126,7 @@ func (st *liveState) maxInPayloads() int {
 // in-flight count. Nothing has ticked yet: the caller drives the prologue
 // scatter (network round 0), then three ticks per dating round — phases 1
 // and 2 of that round and phase 0 of the next, which absorbs its payloads.
-func startHandshake(profile bandwidth.Profile, sel core.Selector, rounds int, o LiveOptions, clk clock) (*liveState, ticker, func() int, error) {
+func startHandshake(profile bandwidth.Profile, sel core.Selector, rounds int, o liveOptions, clk clock) (*liveState, ticker, func() int, error) {
 	n := profile.N()
 	if n == 0 {
 		return nil, nil, nil, fmt.Errorf("gossip: dating handshake needs a profile")
@@ -149,13 +149,9 @@ func startHandshake(profile bandwidth.Profile, sel core.Selector, rounds int, o 
 	return st, tick, inFlight, nil
 }
 
-// RunLive executes rumor spreading with the dating-service handshake on the
-// round runtime.
-func RunLive(cfg LiveConfig, o LiveOptions) (LiveResult, error) {
-	return runLive(cfg, o, roundClock)
-}
-
-func runLive(cfg LiveConfig, o LiveOptions, clk clock) (LiveResult, error) {
+// runLive executes rumor spreading with the dating-service handshake on
+// clk: the round runtime (roundClock) in production, the oracle in tests.
+func runLive(cfg LiveConfig, o liveOptions, clk clock) (LiveResult, error) {
 	// The source is checked before startHandshake builds any peer state or
 	// runtime; an empty profile is left to startHandshake's own error.
 	n := cfg.Profile.N()
@@ -185,7 +181,7 @@ func runLive(cfg LiveConfig, o LiveOptions, clk clock) (LiveResult, error) {
 // rendezvous holds a pending offer or request, so every date the scatters
 // arranged is counted, in the last dating round. Under perfect sync both
 // already hold when that round ends, so the drain adds no tick.
-func runHandshake(cfg HandshakeConfig, o LiveOptions, clk clock) (LiveResult, error) {
+func runHandshake(cfg HandshakeConfig, o liveOptions, clk clock) (LiveResult, error) {
 	rounds := cfg.Rounds
 	if rounds <= 0 {
 		rounds = 10

@@ -15,18 +15,18 @@ import (
 )
 
 func TestRunLiveValidation(t *testing.T) {
-	if _, err := RunLive(LiveConfig{}, LiveOptions{}); err == nil {
+	if _, err := runLive(LiveConfig{}, liveOptions{}, roundClock); err == nil {
 		t.Error("accepted empty profile")
 	}
-	if _, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(4, 1), Source: 9}, LiveOptions{}); err == nil {
+	if _, err := runLive(LiveConfig{Profile: bandwidth.Homogeneous(4, 1), Source: 9}, liveOptions{}, roundClock); err == nil {
 		t.Error("accepted bad source")
 	}
 	sel, _ := core.NewUniformSelector(3)
-	if _, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(4, 1), Selector: sel}, LiveOptions{}); err == nil {
+	if _, err := runLive(LiveConfig{Profile: bandwidth.Homogeneous(4, 1), Selector: sel}, liveOptions{}, roundClock); err == nil {
 		t.Error("accepted selector size mismatch")
 	}
 	badProfile := bandwidth.Profile{In: []int{0, 1}, Out: []int{1, 1}}
-	if _, err := RunLive(LiveConfig{Profile: badProfile}, LiveOptions{}); err == nil {
+	if _, err := runLive(LiveConfig{Profile: badProfile}, liveOptions{}, roundClock); err == nil {
 		t.Error("accepted zero-bandwidth profile")
 	}
 }
@@ -36,23 +36,23 @@ func TestRunLiveValidation(t *testing.T) {
 // fails the test if it is called.
 func TestRunLiveRejectsSourceBeforeBuilding(t *testing.T) {
 	const n = 64
-	clk := func(int, LiveOptions, live.StepFunc, live.ActiveStepFunc) (ticker, func() int, []int, error) {
+	clk := func(int, liveOptions, live.StepFunc, live.ActiveStepFunc) (ticker, func() int, []int, error) {
 		t.Fatal("runLive built a runtime for an out-of-range source")
 		return nil, nil, nil, nil
 	}
-	_, err := runLive(LiveConfig{Profile: bandwidth.Homogeneous(n, 1), Source: n}, LiveOptions{}, clk)
+	_, err := runLive(LiveConfig{Profile: bandwidth.Homogeneous(n, 1), Source: n}, liveOptions{}, clk)
 	if err == nil || !strings.Contains(err.Error(), "source 64 out of range") {
 		t.Fatalf("error %v, want one naming the source", err)
 	}
-	if _, err := runLive(LiveConfig{}, LiveOptions{}, clk); err == nil || !strings.Contains(err.Error(), "needs a profile") {
+	if _, err := runLive(LiveConfig{}, liveOptions{}, clk); err == nil || !strings.Contains(err.Error(), "needs a profile") {
 		t.Fatalf("empty profile: error %v, want one naming the profile", err)
 	}
 }
 
 func TestRunLiveCompletes(t *testing.T) {
-	res, err := RunLive(
+	res, err := runLive(
 		LiveConfig{Profile: bandwidth.Homogeneous(256, 1)},
-		LiveOptions{Seed: 1},
+		liveOptions{Seed: 1}, roundClock,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -70,9 +70,9 @@ func TestRunLiveRespectsBandwidth(t *testing.T) {
 	// The handshake guarantees no node receives more payloads per round
 	// than its incoming bandwidth.
 	for _, b := range []int{1, 3} {
-		res, err := RunLive(
+		res, err := runLive(
 			LiveConfig{Profile: bandwidth.Homogeneous(128, b)},
-			LiveOptions{Seed: 3},
+			liveOptions{Seed: 3}, roundClock,
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestRunLiveRespectsBandwidth(t *testing.T) {
 }
 
 func TestRunLiveHistoryMonotone(t *testing.T) {
-	res, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(150, 1)}, LiveOptions{Seed: 5})
+	res, err := runLive(LiveConfig{Profile: bandwidth.Homogeneous(150, 1)}, liveOptions{Seed: 5}, roundClock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +106,9 @@ func TestRunLiveMatchesFlatSimulatorStatistically(t *testing.T) {
 	var liveSum, flatSum float64
 	const reps = 5
 	for rep := 0; rep < reps; rep++ {
-		lr, err := RunLive(
+		lr, err := runLive(
 			LiveConfig{Profile: bandwidth.Homogeneous(300, 1)},
-			LiveOptions{Seed: uint64(100 + rep)},
+			liveOptions{Seed: uint64(100 + rep)}, roundClock,
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +134,7 @@ func TestRunLiveOverheadShape(t *testing.T) {
 	// Per dating round, control traffic is 2 scatter messages per unit of
 	// bandwidth plus one answer per offer; payloads are at most min-side
 	// bandwidth. Verify the traffic mix.
-	res, err := RunLive(LiveConfig{Profile: bandwidth.Homogeneous(100, 1)}, LiveOptions{Seed: 9})
+	res, err := runLive(LiveConfig{Profile: bandwidth.Homogeneous(100, 1)}, liveOptions{Seed: 9}, roundClock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +197,9 @@ func TestRunLiveShardedBitIdentity(t *testing.T) {
 	// The sharded engine's headline property, at spread scale: 10k peers,
 	// full handshake protocol, identical results for every shard count.
 	run := func(shards int) LiveResult {
-		res, err := RunLive(
+		res, err := runLive(
 			LiveConfig{Profile: bandwidth.Homogeneous(10_000, 1)},
-			LiveOptions{Seed: 17, Shards: shards},
+			liveOptions{Seed: 17, Shards: shards}, roundClock,
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -219,7 +219,7 @@ func TestRunLiveShardedBitIdentity(t *testing.T) {
 }
 
 func TestRunLiveEnginesAgree(t *testing.T) {
-	// The goroutine engine, the test oracle, and the sharded runtime share
+	// The sequential engine, the test oracle, and the sharded runtime share
 	// per-step stream derivation and must give exactly the same result
 	// under the perfect-sync model. n = 17 and 1000 at the seed-compat
 	// golden's seed are the facade's golden cells.
@@ -232,7 +232,7 @@ func TestRunLiveEnginesAgree(t *testing.T) {
 		{1000, run.SeedFor(0xC0FFEE, run.DomainLive)},
 	} {
 		cfg := LiveConfig{Profile: bandwidth.Homogeneous(tc.n, 1)}
-		ref, err := runLive(cfg, LiveOptions{Seed: tc.seed}, oracleClock)
+		ref, err := runLive(cfg, liveOptions{Seed: tc.seed}, oracleClock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,13 +240,38 @@ func TestRunLiveEnginesAgree(t *testing.T) {
 			t.Fatalf("n=%d: spread incomplete after %d dating rounds", tc.n, ref.Rounds)
 		}
 		for _, shards := range []int{1, 4} {
-			res, err := RunLive(cfg, LiveOptions{Seed: tc.seed, Shards: shards})
+			res, err := runLive(cfg, liveOptions{Seed: tc.seed, Shards: shards}, roundClock)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(res, ref) {
-				t.Fatalf("n=%d shards=%d diverged from the goroutine engine: history %v vs %v",
+				t.Fatalf("n=%d shards=%d diverged from the oracle: history %v vs %v",
 					tc.n, shards, res.History, ref.History)
+			}
+		}
+	}
+}
+
+func TestSeedCompatLiveEngines(t *testing.T) {
+	// The engine must be invisible too. The unified runner's live report at
+	// the facade's golden seed (0xC0FFEE, seedcompat_test.go at the module
+	// root) is exactly the round runtime's at the derived seed, at every
+	// shard count; TestRunLiveEnginesAgree pins that runtime to the oracle
+	// at these very n and seed.
+	const seed = 0xC0FFEE
+	for _, n := range []int{17, 1000} {
+		cfg := LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}
+		rep, err := run.Run(cfg, run.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 4} {
+			want, err := runLive(cfg, liveOptions{Seed: run.SeedFor(seed, run.DomainLive), Shards: shards}, roundClock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rep.Detail, want) {
+				t.Fatalf("n=%d shards=%d: unified report differs from the runtime's", n, shards)
 			}
 		}
 	}
@@ -256,9 +281,9 @@ func TestRunLiveNetModelSensitivity(t *testing.T) {
 	// Latency and loss must slow spreading down, never speed it up, and the
 	// protocol must still complete under moderate degradation.
 	run := func(net live.NetModel) LiveResult {
-		res, err := RunLive(
+		res, err := runLive(
 			LiveConfig{Profile: bandwidth.Homogeneous(2000, 1)},
-			LiveOptions{Seed: 29, Shards: 2, Net: net},
+			liveOptions{Seed: 29, Shards: 2, Net: net}, roundClock,
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -295,9 +320,9 @@ func TestRunLiveShardedOverlap(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := RunLive(
+			res, err := runLive(
 				LiveConfig{Profile: bandwidth.Homogeneous(800, 1)},
-				LiveOptions{Seed: 37, Shards: 3},
+				liveOptions{Seed: 37, Shards: 3}, roundClock,
 			)
 			if err != nil {
 				t.Error(err)

@@ -19,12 +19,12 @@ import (
 func TestLiveObserverIdentity(t *testing.T) {
 	cfg := LiveConfig{Profile: bandwidth.Homogeneous(600, 1)}
 	for _, shards := range []int{1, 4} {
-		plain, err := RunLive(cfg, LiveOptions{Seed: 7, Shards: shards})
+		plain, err := runLive(cfg, liveOptions{Seed: 7, Shards: shards}, roundClock)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := obs.NewObserver()
-		traced, err := RunLive(cfg, LiveOptions{Seed: 7, Shards: shards, Obs: o})
+		traced, err := runLive(cfg, liveOptions{Seed: 7, Shards: shards, Obs: o}, roundClock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,12 +43,12 @@ func TestLiveObserverIdentity(t *testing.T) {
 func TestAsyncObserverIdentity(t *testing.T) {
 	cfg := AsyncConfig{Profile: bandwidth.Homogeneous(600, 1)}
 	for _, shards := range []int{1, 4} {
-		plain, err := RunAsync(cfg, LiveOptions{Seed: 7, Shards: shards})
+		plain, err := runAsync(cfg, liveOptions{Seed: 7, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := obs.NewObserver()
-		traced, err := RunAsync(cfg, LiveOptions{Seed: 7, Shards: shards, Obs: o})
+		traced, err := runAsync(cfg, liveOptions{Seed: 7, Shards: shards, Obs: o})
 		if err != nil {
 			t.Fatal(err)
 		}

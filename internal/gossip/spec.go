@@ -50,7 +50,7 @@ func (c LiveConfig) Protocol() string { return "live" }
 // worker count yields the identical report. Trajectory is the informed-peer
 // history; Detail the full LiveResult.
 func (c LiveConfig) Execute(o *run.Options) (run.Report, error) {
-	return execute(RunLive(c, liveOptionsFor(o, run.DomainLive)))
+	return execute(runLive(c, liveOptionsFor(o, run.DomainLive), roundClock))
 }
 
 // Protocol implements run.Spec.

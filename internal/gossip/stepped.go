@@ -9,12 +9,11 @@ import (
 	"repro/internal/simnet"
 )
 
-// LiveOptions carries the axes of a stepped run — live, topology,
-// consensus or async — that are orthogonal to the protocol. Under
-// repro.Run these come from the run options (liveOptionsFor); the Run*
-// functions take them explicitly so direct callers state the same
-// separation.
-type LiveOptions struct {
+// liveOptions carries the axes of a stepped run — live, topology,
+// consensus or async — that are orthogonal to the protocol. Execute
+// derives them from the run options (liveOptionsFor); tests set them
+// directly.
+type liveOptions struct {
 	Seed uint64
 	// Shards is the runtime's worker count (0 = GOMAXPROCS). The run's
 	// results are bit-identical for every value: shards are a pure speed
@@ -30,11 +29,11 @@ type LiveOptions struct {
 	Obs *obs.Observer
 }
 
-// liveOptionsFor maps the unified run options onto LiveOptions: the runtime
+// liveOptionsFor maps the unified run options onto liveOptions: the runtime
 // seed derives from the root seed under the protocol's domain, WithWorkers
 // sets the shard count and WithNet the network model.
-func liveOptionsFor(o *run.Options, domain uint64) LiveOptions {
-	return LiveOptions{Seed: run.SeedFor(o.Seed, domain), Shards: o.Workers, Net: o.Net, Obs: o.Obs}
+func liveOptionsFor(o *run.Options, domain uint64) liveOptions {
+	return liveOptions{Seed: run.SeedFor(o.Seed, domain), Shards: o.Workers, Net: o.Net, Obs: o.Obs}
 }
 
 // Stepped is what every stepped protocol reports, embedded in its result:
@@ -66,10 +65,10 @@ type ticker func(ticks int) simnet.Stats
 // step and active set, and returns its ticker, the count of messages it has
 // in flight between ticks, and its step cuts: step shard w steps the peers
 // of [cuts[w], cuts[w+1]).
-type clock func(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (tick ticker, inFlight func() int, cuts []int, err error)
+type clock func(n int, o liveOptions, step live.StepFunc, active live.ActiveStepFunc) (tick ticker, inFlight func() int, cuts []int, err error)
 
 // roundClock is the production clock: the sharded round runtime.
-func roundClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, func() int, []int, error) {
+func roundClock(n int, o liveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, func() int, []int, error) {
 	rt, err := live.New(live.Config{
 		N: n, Seed: o.Seed, Step: step, ActiveStep: active,
 		Shards: o.Shards, Net: o.Net, Obs: o.Obs,

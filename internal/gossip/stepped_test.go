@@ -14,15 +14,15 @@ import (
 	"repro/internal/simnet"
 )
 
-// oracleClock is the test seam that steps a protocol on the goroutine
-// engine, the differential oracle, instead of the sharded runtime: in
-// sequential mode, as one step shard. Every step's stream is seeded
+// oracleClock is the test seam that steps a protocol on the sequential
+// engine (simnet.Live), the differential oracle, instead of the sharded
+// runtime, as one step shard. Every step's stream is seeded
 // exactly as the runtime seeds it, and every peer is stepped whatever
 // an active step answers, so a run that matches the runtime's bit for bit
 // also shows that no peer wrongly reported "asleep".
-func oracleClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, func() int, []int, error) {
+func oracleClock(n int, o liveOptions, step live.StepFunc, active live.ActiveStepFunc) (ticker, func() int, []int, error) {
 	if o.Net != nil {
-		return nil, nil, nil, fmt.Errorf("gossip: the goroutine engine runs perfect sync only")
+		return nil, nil, nil, fmt.Errorf("gossip: the oracle runs perfect sync only")
 	}
 	if active != nil {
 		step = func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) {
@@ -42,10 +42,10 @@ func oracleClock(n int, o LiveOptions, step live.StepFunc, active live.ActiveSte
 		}
 		return c
 	}
-	return eng.RunSequential, inFlight, []int{0, n}, nil
+	return eng.Run, inFlight, []int{0, n}, nil
 }
 
-// adaptStep converts the emit-style step to the goroutine engine's
+// adaptStep converts the emit-style step to the oracle's
 // slice-returning shape, so both substrates run the same protocol code.
 func adaptStep(step live.StepFunc) simnet.StepFunc {
 	return func(node, round int, inbox []simnet.Message, s *rng.Stream) []simnet.Message {

@@ -118,13 +118,9 @@ func topoStep(sampler graph.UniformNeighbors, st *peerStates, alpha, lambda, del
 	}
 }
 
-// RunTopology executes graph-constrained spreader/stifler spreading on the
-// round runtime.
-func RunTopology(cfg TopologyConfig, o LiveOptions) (TopologyResult, error) {
-	return runTopology(cfg, o, roundClock)
-}
-
-func runTopology(cfg TopologyConfig, o LiveOptions, clk clock) (TopologyResult, error) {
+// runTopology executes graph-constrained spreader/stifler spreading on clk:
+// the round runtime (roundClock) in production, the oracle in tests.
+func runTopology(cfg TopologyConfig, o liveOptions, clk clock) (TopologyResult, error) {
 	if cfg.Graph == nil || cfg.Graph.N() == 0 {
 		return TopologyResult{}, fmt.Errorf("gossip: topology run needs a graph")
 	}
@@ -192,5 +188,5 @@ func (c TopologyConfig) Protocol() string { return "topology" }
 // Trajectory is the informed-peer history; Detail the full TopologyResult
 // (spreader/stifler split, final spread fraction).
 func (c TopologyConfig) Execute(o *run.Options) (run.Report, error) {
-	return execute(RunTopology(c, liveOptionsFor(o, run.DomainTopology)))
+	return execute(runTopology(c, liveOptionsFor(o, run.DomainTopology), roundClock))
 }

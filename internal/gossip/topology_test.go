@@ -22,9 +22,9 @@ func mustBA(t *testing.T, n, m int, seed uint64) *graph.CSR {
 	return g
 }
 
-func topoTrajectory(t *testing.T, cfg TopologyConfig, o LiveOptions) TopologyResult {
+func topoTrajectory(t *testing.T, cfg TopologyConfig, o liveOptions) TopologyResult {
 	t.Helper()
-	res, err := RunTopology(cfg, o)
+	res, err := runTopology(cfg, o, roundClock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,32 +37,32 @@ func topoTrajectory(t *testing.T, cfg TopologyConfig, o LiveOptions) TopologyRes
 func TestTopologyShardIdentity(t *testing.T) {
 	g := mustBA(t, 3000, 3, 7)
 	cfg := TopologyConfig{Graph: g, Source: 0, Alpha: 0.4, Delta: 0.02}
-	base := topoTrajectory(t, cfg, LiveOptions{Seed: 42, Shards: 1})
+	base := topoTrajectory(t, cfg, liveOptions{Seed: 42, Shards: 1})
 	if base.Rounds == 0 || base.History[0] == 0 {
 		t.Fatalf("degenerate base run: %+v", base)
 	}
 	for _, shards := range []int{2, 4, 8} {
-		res := topoTrajectory(t, cfg, LiveOptions{Seed: 42, Shards: shards})
+		res := topoTrajectory(t, cfg, liveOptions{Seed: 42, Shards: shards})
 		if fmt.Sprint(res) != fmt.Sprint(base) {
 			t.Errorf("shards=%d diverged:\n got %+v\nwant %+v", shards, res, base)
 		}
 	}
 }
 
-// TestTopologyEngineIdentity pins that the goroutine engine, the test
+// TestTopologyEngineIdentity pins that the sequential engine, the test
 // oracle, reproduces the sharded runtime bit for bit: both seed every
 // peer-step's stream from (round, peer), and the oracle steps every peer whatever its
 // step answers, so a peer that wrongly reports "asleep" diverges.
 func TestTopologyEngineIdentity(t *testing.T) {
 	g := mustBA(t, 800, 2, 3)
 	cfg := TopologyConfig{Graph: g, Source: 5, Alpha: 0.3, Delta: 0.01}
-	sharded := topoTrajectory(t, cfg, LiveOptions{Seed: 9, Shards: 3})
-	oracle, err := runTopology(cfg, LiveOptions{Seed: 9}, oracleClock)
+	sharded := topoTrajectory(t, cfg, liveOptions{Seed: 9, Shards: 3})
+	oracle, err := runTopology(cfg, liveOptions{Seed: 9}, oracleClock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(oracle) != fmt.Sprint(sharded) {
-		t.Errorf("goroutine engine diverged:\n got %+v\nwant %+v", oracle, sharded)
+		t.Errorf("oracle diverged:\n got %+v\nwant %+v", oracle, sharded)
 	}
 }
 
@@ -70,22 +70,22 @@ func TestTopologyEngineIdentity(t *testing.T) {
 // round runtime's density switch: on a graph of 3000 peers the spread's
 // first rounds and its tail are light enough for the sparse path and its
 // peak of more than n/4 messages a round is dense in every owner, and the
-// goroutine oracle, which has no switch and steps everyone, must agree bit
+// sequential oracle, which has no switch and steps everyone, must agree bit
 // for bit at shards 1, 2 and 4. The live track's sparse_owners gauge shows
 // that both paths ran: no owner sparse on some round (the first, when every
 // peer starts awake, and the peak), every owner on another, and on the last.
 func TestTopologySwitchEngineIdentity(t *testing.T) {
 	const n = 3000
 	cfg := TopologyConfig{Graph: mustBA(t, n, 2, 5), Source: 7, Alpha: 0.3, Delta: 0.01}
-	oracle, err := runTopology(cfg, LiveOptions{Seed: 11}, oracleClock)
+	oracle, err := runTopology(cfg, liveOptions{Seed: 11}, oracleClock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4} {
 		o := obs.NewObserver()
-		res := topoTrajectory(t, cfg, LiveOptions{Seed: 11, Shards: shards, Obs: o})
+		res := topoTrajectory(t, cfg, liveOptions{Seed: 11, Shards: shards, Obs: o})
 		if fmt.Sprint(res) != fmt.Sprint(oracle) {
-			t.Fatalf("shards=%d: goroutine engine diverged:\n got %+v\nwant %+v", shards, oracle, res)
+			t.Fatalf("shards=%d: oracle diverged:\n got %+v\nwant %+v", shards, oracle, res)
 		}
 		var sparse obs.GaugeMetric
 		for _, g := range o.Metrics().Gauges {
@@ -107,7 +107,7 @@ func TestTopologyShardLocalState(t *testing.T) {
 	g := mustBA(t, 1200, 3, 11)
 	for _, shards := range []int{1, 4} {
 		res := topoTrajectory(t, TopologyConfig{Graph: g, Source: 0, Alpha: 0.2},
-			LiveOptions{Seed: 4, Shards: shards})
+			liveOptions{Seed: 4, Shards: shards})
 		if !res.Completed {
 			t.Errorf("shards=%d: run did not complete", shards)
 		}
@@ -125,7 +125,7 @@ func TestTopologyCompleteGraphMatchesPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := topoTrajectory(t, TopologyConfig{Graph: g, Source: 0},
-		LiveOptions{Seed: 21, Shards: 2})
+		liveOptions{Seed: 21, Shards: 2})
 	if !res.Completed {
 		t.Fatal("complete-graph run did not complete")
 	}
@@ -148,7 +148,7 @@ func TestTopologyCompleteGraphMatchesPush(t *testing.T) {
 func TestTopologyStiflingLimitsSpread(t *testing.T) {
 	g := mustBA(t, 5000, 3, 13)
 	res := topoTrajectory(t, TopologyConfig{Graph: g, Source: 0, Alpha: 0.9, Delta: 0.1},
-		LiveOptions{Seed: 17, Shards: 4})
+		liveOptions{Seed: 17, Shards: 4})
 	if !res.Completed {
 		t.Fatal("stifled run did not terminate")
 	}
@@ -188,7 +188,7 @@ func TestTopologyValidation(t *testing.T) {
 		{TopologyConfig{Graph: g, Delta: -0.1}, "delta"},
 		{TopologyConfig{Graph: g, Delta: math.NaN()}, "delta"},
 	} {
-		if _, err := RunTopology(tc.cfg, LiveOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := runTopology(tc.cfg, liveOptions{}, roundClock); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: error %v, want one naming %q", tc.cfg, err, tc.want)
 		}
 	}

@@ -1,5 +1,5 @@
 // Package live is the round-synchronous message runtime: it executes the
-// same per-peer protocol step functions as the simnet engines, but scales to
+// same per-peer protocol step functions as the simnet engine, but scales to
 // millions of peers by running them on the shard-runtime core of
 // internal/shardrt — a fixed set of shard workers filing messages on pooled
 // pages under their destination's owner — instead of a goroutine per peer.
@@ -19,8 +19,8 @@
 // whatever it reported). Each step draws from a stream of its own, so a
 // skipped step leaves no stream behind for a later one. Under that promise
 // skipping is invisible: trajectories and Stats are those of stepping
-// everyone. The promise is checked rather than trusted — the goroutine
-// engine ignores the bit and steps everyone, and the suites run the same
+// everyone. The promise is checked rather than trusted — the sequential
+// oracle (simnet.Live) ignores the bit and steps everyone, and the suites run the same
 // protocols on both. A plain StepFunc is an ActiveStepFunc that always
 // reports true. On a round the core delivers sparsely (internal/shardrt,
 // "Dense and sparse ticks": few messages and few awake peers in a shard's
@@ -65,7 +65,7 @@ const (
 
 // PeerSeed returns the seed of peer i's stream in round r of a runtime
 // rooted at seed. Exposed so tests can replay a runtime's exact randomness
-// on the goroutine engine.
+// on the sequential oracle, simnet.Live.
 func PeerSeed(seed uint64, r, i int) uint64 {
 	return rng.Derive(seed, peerDomain, uint64(r), uint64(i))
 }

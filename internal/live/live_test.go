@@ -90,8 +90,8 @@ func TestNewValidation(t *testing.T) {
 		// message silently dropped.
 		RingLatency{Pos: UniformRing(4, 1), Scale: nan, Max: 3},
 		RingLatency{Pos: UniformRing(4, 1), Scale: math.Inf(1), Max: 3},
-		// A ring the runtime cannot hold is an error, not a 2^40-slot make.
-		FixedLatency{Rounds: 1 << 40},
+		// A ring the runtime cannot hold is an error, not a 2^31-slot make.
+		FixedLatency{Rounds: math.MaxInt32},
 		FixedLatency{Rounds: math.MaxInt},
 		GeomLatency{P: 0.5, Cap: shardrt.MaxRing},
 	} {
@@ -148,7 +148,8 @@ func TestShardCountBitIdentity(t *testing.T) {
 
 func TestMatchesGoroutineEngine(t *testing.T) {
 	// Under the perfect-sync model, the sharded runtime is bit-identical to
-	// the goroutine-per-peer simnet.Live engine when both seed every step
+	// the sequential simnet.Live oracle (once a goroutine-per-peer engine,
+	// whence the test's name) when both seed every step
 	// from PeerSeed: same digests, same traffic counters.
 	const n, rounds, seed = 500, 10, 7
 
@@ -176,7 +177,7 @@ func TestMatchesGoroutineEngine(t *testing.T) {
 		t.Fatalf("stats diverge:\nsharded %+v\nlegacy  %+v", shardStats, legacyStats)
 	}
 	if shardSt.combined() != legacySt.combined() {
-		t.Fatal("delivery digests diverge between sharded runtime and goroutine engine")
+		t.Fatal("delivery digests diverge between sharded runtime and simnet.Live")
 	}
 }
 

@@ -153,12 +153,12 @@ func TestJoinShiftsOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Insert halfway into rank 10's arc.
-	pred := r.Position(9)
-	target := r.Position(10)
+	pred := r.pos[9]
+	target := r.pos[10]
 	mid := pred + (target-pred)/2
 	pos := []uint64{mid}
 	for rank := 0; rank < r.N(); rank++ {
-		pos = append(pos, r.Position(rank))
+		pos = append(pos, r.pos[rank])
 	}
 	r2, err := RingFromPositions(pos)
 	if err != nil {

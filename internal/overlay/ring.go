@@ -33,7 +33,7 @@ import (
 type Ring struct {
 	pos         []uint64  // sorted node positions
 	fingers     [][]int   // fingers[r] = ranks of r's routing neighbors (dedup)
-	fingersOnce sync.Once // builds fingers on the first Fingers or Lookup
+	fingersOnce sync.Once // builds fingers on the first Lookup
 }
 
 // NewRing places n > 0 nodes uniformly at random on the ring, at
@@ -80,14 +80,8 @@ func RingFromPositions(positions []uint64) (*Ring, error) {
 // N returns the number of nodes.
 func (r *Ring) N() int { return len(r.pos) }
 
-// Position returns the ring position of the node with the given rank.
-func (r *Ring) Position(rank int) uint64 { return r.pos[rank] }
-
 // Successor returns the rank of the node clockwise-after rank.
 func (r *Ring) Successor(rank int) int { return (rank + 1) % len(r.pos) }
-
-// Predecessor returns the rank of the node clockwise-before rank.
-func (r *Ring) Predecessor(rank int) int { return (rank - 1 + len(r.pos)) % len(r.pos) }
 
 // Owner returns the rank of the node responsible for point x: the first
 // node at or after x, wrapping past the top of the ring.
@@ -120,32 +114,6 @@ func (r *Ring) IntervalWeights() []float64 {
 	return w
 }
 
-// MaxInterval returns the largest arc weight; MinInterval the smallest.
-// For uniform random positions these are Theta(log n / n) and Theta(1/n^2)
-// respectively, the spread quoted in the paper.
-func (r *Ring) MaxInterval() float64 {
-	w := r.IntervalWeights()
-	m := w[0]
-	for _, v := range w {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MinInterval returns the smallest arc weight.
-func (r *Ring) MinInterval() float64 {
-	w := r.IntervalWeights()
-	m := w[0]
-	for _, v := range w {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // buildFingers constructs Chord finger tables: node r links to
 // successor(pos_r + 2^k) for k = 0..63, with duplicates removed.
 func (r *Ring) buildFingers() {
@@ -164,13 +132,6 @@ func (r *Ring) buildFingers() {
 		}
 		r.fingers[rank] = f
 	}
-}
-
-// Fingers returns the routing neighbors of the given rank. The slice must
-// not be modified.
-func (r *Ring) Fingers(rank int) []int {
-	r.fingersOnce.Do(r.buildFingers)
-	return r.fingers[rank]
 }
 
 // dist returns the clockwise distance from a to b on the ring.

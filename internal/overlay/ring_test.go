@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -30,20 +31,8 @@ func TestRingSortedAndSized(t *testing.T) {
 		t.Fatalf("N = %d", r.N())
 	}
 	for i := 1; i < r.N(); i++ {
-		if r.Position(i) <= r.Position(i-1) {
+		if r.pos[i] <= r.pos[i-1] {
 			t.Fatal("positions not strictly sorted")
-		}
-	}
-}
-
-func TestSuccessorPredecessorInverse(t *testing.T) {
-	r, _ := NewRing(17, rng.New(7))
-	for rank := 0; rank < r.N(); rank++ {
-		if r.Predecessor(r.Successor(rank)) != rank {
-			t.Fatalf("pred(succ(%d)) != %d", rank, rank)
-		}
-		if r.Successor(r.Predecessor(rank)) != rank {
-			t.Fatalf("succ(pred(%d)) != %d", rank, rank)
 		}
 	}
 }
@@ -117,7 +106,8 @@ func TestIntervalSpread(t *testing.T) {
 	// Theta(1/n^2); check loose versions of both bounds.
 	const n = 10000
 	r, _ := NewRing(n, rng.New(99))
-	maxW, minW := r.MaxInterval(), r.MinInterval()
+	w := r.IntervalWeights()
+	maxW, minW := slices.Max(w), slices.Min(w)
 	logn := math.Log(float64(n))
 	if maxW < logn/float64(n)/4 || maxW > 4*logn/float64(n) {
 		t.Errorf("max interval %v, want about log n/n = %v", maxW, logn/float64(n))
@@ -167,7 +157,7 @@ func TestLookupSelfOwned(t *testing.T) {
 	// Looking up a point exactly at a node's own position terminates with
 	// that node as owner.
 	for rank := 0; rank < r.N(); rank++ {
-		owner, _ := r.Lookup(rank, r.Position(rank))
+		owner, _ := r.Lookup(rank, r.pos[rank])
 		if owner != rank {
 			t.Fatalf("Lookup(self position): owner %d, want %d", owner, rank)
 		}
@@ -223,10 +213,17 @@ func TestLookupCDHopsLogarithmic(t *testing.T) {
 	}
 }
 
+// fingersOf returns the routing neighbors of the given rank. The slice must
+// not be modified.
+func (r *Ring) fingersOf(rank int) []int {
+	r.fingersOnce.Do(r.buildFingers)
+	return r.fingers[rank]
+}
+
 func TestFingersExcludeSelfAndAreValid(t *testing.T) {
 	r, _ := NewRing(128, rng.New(13))
 	for rank := 0; rank < r.N(); rank++ {
-		f := r.Fingers(rank)
+		f := r.fingersOf(rank)
 		if len(f) == 0 {
 			t.Fatalf("rank %d has no fingers", rank)
 		}
@@ -248,7 +245,7 @@ func TestFingerCountLogarithmic(t *testing.T) {
 	r, _ := NewRing(1024, rng.New(14))
 	total := 0
 	for rank := 0; rank < r.N(); rank++ {
-		total += len(r.Fingers(rank))
+		total += len(r.fingersOf(rank))
 	}
 	avg := float64(total) / float64(r.N())
 	if avg < 5 || avg > 30 {

@@ -20,16 +20,21 @@ type emission struct {
 }
 
 func TestNewValidation(t *testing.T) {
-	for _, cfg := range []Config{
+	bad := []Config{
 		{N: 0, Ring: 2},
 		{N: -3, Ring: 2},
 		{N: 4, Ring: 2, Shards: -1},
 		{N: 4, Ring: 1},
 		{N: 4, Ring: MaxRing + 1},
 		{N: 4, Ring: math.MinInt},            // a MaxDelay()+1 that wrapped
-		{N: math.MaxInt32 + 1, Ring: 2},      // rejected before the n-sized makes
 		{N: 1000, Shards: 64, Ring: MaxRing}, // 2^28 open-page headers
-	} {
+	}
+	// 2^31 peers, where an int can hold the count: rejected before the
+	// n-sized makes.
+	if n := int64(math.MaxInt32) + 1; int64(int(n)) == n {
+		bad = append(bad, Config{N: int(n), Ring: 2})
+	}
+	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("accepted %+v", cfg)
 		}

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/rng"
 )
@@ -10,20 +9,16 @@ import (
 // StepFunc is one peer's behavior for one round: given its id, the round
 // number, and the messages delivered to it, it returns the messages it wants
 // to send. The provided stream is the step's private randomness, seeded
-// afresh for every (round, peer); StepFunc must not touch any shared state
-// (peers run concurrently in the Live engine).
+// afresh for every (round, peer), so a step's draws do not depend on which
+// peers stepped before it.
 type StepFunc func(node, round int, inbox []Message, s *rng.Stream) []Message
 
-// Live runs a protocol with one goroutine per peer. Per-round barriers are
-// realized with WaitGroups; the coordinator routes messages between rounds
-// in peer order so that a Live run and a sequential run with the same seed
-// produce identical traffic.
-//
-// Live demonstrates that the protocols run on genuinely concurrent peers,
-// but one goroutine (and one mailbox slice) per peer per round does not
-// scale past ~10^5 peers. The sharded runtime in internal/live executes the
-// same step functions with a fixed worker pool and flat message buffers —
-// use it for large n or for non-synchronous network models.
+// Live runs a protocol one peer at a time, with one mailbox slice per peer,
+// and routes each round's messages in peer order. It is the differential
+// oracle of the test suites: the simplest engine that can be right, against
+// which the sharded runtime of internal/live — the same step functions on a
+// fixed worker pool, flat message buffers and a pluggable network model —
+// is checked bit for bit.
 type Live struct {
 	n     int
 	step  StepFunc
@@ -49,47 +44,10 @@ func NewLive(n int, seed func(round, node int) uint64, step StepFunc) (*Live, er
 	return &Live{n: n, step: step, seed: seed, inbox: make([][]Message, n)}, nil
 }
 
-// Run executes the given number of rounds concurrently and returns the
-// traffic statistics. It may be called repeatedly; mailbox state carries
-// over between calls.
+// Run executes the given number of rounds, stepping the peers one after
+// another in id order, and returns the traffic statistics. It may be called
+// repeatedly; mailbox state carries over between calls.
 func (l *Live) Run(rounds int) Stats {
-	outs := make([][]Message, l.n)
-	for r := 0; r < rounds; r++ {
-		round := int(l.stats.Rounds)
-		var wg sync.WaitGroup
-		wg.Add(l.n)
-		for i := 0; i < l.n; i++ {
-			go func(i int) {
-				defer wg.Done()
-				outs[i] = l.step(i, round, l.inbox[i], rng.New(l.seed(round, i)))
-			}(i)
-		}
-		wg.Wait()
-		// Route in peer order for determinism.
-		next := make([][]Message, l.n)
-		for i := 0; i < l.n; i++ {
-			for _, m := range outs[i] {
-				m.From = i
-				if m.To < 0 || m.To >= l.n {
-					l.stats.Dropped++
-					continue
-				}
-				l.stats.Sent++
-				l.stats.ByKind[m.Kind]++
-				next[m.To] = append(next[m.To], m)
-			}
-			outs[i] = nil
-		}
-		l.inbox = next
-		l.stats.Rounds++
-	}
-	return l.stats
-}
-
-// RunSequential executes the same protocol single-threaded. It exists so
-// tests can assert that concurrent and sequential execution are
-// observationally identical.
-func (l *Live) RunSequential(rounds int) Stats {
 	for r := 0; r < rounds; r++ {
 		round := int(l.stats.Rounds)
 		next := make([][]Message, l.n)

@@ -1,8 +1,8 @@
 // Package simnet holds the message model every protocol of this repository
 // speaks — Message and the Stats traffic counters — and Live, the
-// goroutine-per-peer engine the test suites use as a differential oracle:
-// one goroutine and one mailbox per peer, messages routed in peer order, so
-// a Live run is bit-identical to the sequential run of the same seeds.
+// sequential engine the test suites use as a differential oracle: peers
+// stepped one after another, one mailbox per peer, messages routed in peer
+// order.
 //
 // Production runs use the sharded runtimes of internal/live and
 // internal/async instead: they execute the same step functions over the

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -58,87 +57,6 @@ func TestLiveRunDeliversEachRound(t *testing.T) {
 		}
 		if in[0].From != (i-1+n)%n {
 			t.Fatalf("node %d got ping from %d", i, in[0].From)
-		}
-	}
-}
-
-func TestLiveConcurrentEqualsSequential(t *testing.T) {
-	// A stateful protocol, as the gossip protocols are: each peer writes
-	// only its own entry of a shared per-peer slice and pushes the rumor to
-	// a random peer once it knows it. The concurrent engine and its
-	// sequential twin must give the same informed history and traffic.
-	const n, rounds = 200, 12
-	run := func(concurrent bool) ([]int, Stats) {
-		informed := make([]bool, n)
-		informed[0] = true
-		l, err := NewLive(n, seeds(7), func(node, round int, inbox []Message, s *rng.Stream) []Message {
-			if len(inbox) > 0 {
-				informed[node] = true
-			}
-			if !informed[node] {
-				return nil
-			}
-			return []Message{{To: s.Intn(n), Kind: 1}}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var history []int
-		var st Stats
-		for r := 0; r < rounds; r++ {
-			if concurrent {
-				st = l.Run(1)
-			} else {
-				st = l.RunSequential(1)
-			}
-			count := 0
-			for _, inf := range informed {
-				if inf {
-					count++
-				}
-			}
-			history = append(history, count)
-		}
-		return history, st
-	}
-	ha, sa := run(true)
-	hb, sb := run(false)
-	if fmt.Sprint(ha) != fmt.Sprint(hb) || sa != sb {
-		t.Fatalf("concurrent %v %+v, sequential %v %+v", ha, sa, hb, sb)
-	}
-	if ha[rounds-1] <= ha[0] {
-		t.Fatalf("the rumor never spread: %v", ha)
-	}
-}
-
-func TestLiveMatchesSequential(t *testing.T) {
-	// A randomized step: each node sends to a random destination carrying a
-	// random payload. With per-peer private streams, concurrent and
-	// sequential execution must be identical message-for-message.
-	step := func(node, round int, inbox []Message, s *rng.Stream) []Message {
-		var out []Message
-		k := 1 + s.Intn(3)
-		for j := 0; j < k; j++ {
-			out = append(out, Message{To: s.Intn(32), Kind: 2, A: int32(s.Uint64() % 1000)})
-		}
-		return out
-	}
-	a, _ := NewLive(32, seeds(7), step)
-	b, _ := NewLive(32, seeds(7), step)
-	sa := a.Run(6)
-	sb := b.RunSequential(6)
-	if sa.Sent != sb.Sent || sa.Dropped != sb.Dropped {
-		t.Fatalf("traffic differs: live %+v vs seq %+v", sa.Sent, sb.Sent)
-	}
-	for i := 0; i < 32; i++ {
-		ia, ib := a.Inbox(i), b.Inbox(i)
-		if len(ia) != len(ib) {
-			t.Fatalf("node %d inbox sizes differ: %d vs %d", i, len(ia), len(ib))
-		}
-		for j := range ia {
-			if ia[j] != ib[j] {
-				t.Fatalf("node %d message %d differs: %+v vs %+v", i, j, ia[j], ib[j])
-			}
 		}
 	}
 }

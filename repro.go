@@ -354,16 +354,10 @@ func NewDatingService(p Profile, sel Selector) (*DatingService, error) {
 	return core.NewService(p, sel)
 }
 
-// ArrangeDates runs a single dating round directly from per-node supply and
-// demand vectors (the abstract resource-matching interface of the paper's
-// introduction; zeros are allowed). It is the one-shot form of Arranger;
-// protocols that arrange every round should hold an Arranger instead.
-func ArrangeDates(out, in []int, sel Selector, seed uint64) ([]Date, error) {
-	return core.ArrangeDates(out, in, sel, seed)
-}
-
 // NewArranger builds a reusable supply/demand matcher over a selection
-// distribution. Arrange(out, in, seed, workers) draws its randomness from
+// distribution: the abstract resource-matching interface of the paper's
+// introduction, per-node supply and demand vectors with zeros allowed.
+// Arrange(out, in, seed, workers) draws its randomness from
 // per-node and per-rendezvous streams derived from seed with SplitMix64,
 // so the arranged dates are bit-for-bit identical for every workers count —
 // parallelism is purely a speed knob:

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -79,7 +80,11 @@ func TestBimodalAndZipfFacade(t *testing.T) {
 
 func TestArrangeDatesFacade(t *testing.T) {
 	sel, _ := repro.Uniform(4)
-	dates, err := repro.ArrangeDates([]int{1, 0, 2, 0}, []int{0, 1, 0, 2}, sel, 4)
+	arr, err := repro.NewArranger(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dates, err := arr.Arrange([]int{1, 0, 2, 0}, []int{0, 1, 0, 2}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,25 +257,26 @@ func TestReportSurfacesDrops(t *testing.T) {
 }
 
 // TestRunRejectsUnholdableRing pins that a latency the delivery ring cannot
-// hold comes back from Run as an error: 1e300 bucket widths used to wrap the
-// ring size negative and panic in make, 2^40 rounds to allocate the ring.
+// hold comes back from Run as an error: 1e300 buckets used to wrap the ring
+// size negative and panic in make, 2^31 rounds to allocate the ring.
 func TestRunRejectsUnholdableRing(t *testing.T) {
 	p := repro.UnitBandwidth(16)
 	if _, err := repro.Run(repro.AsyncConfig{Profile: p, Latency: 1e300}); err == nil {
 		t.Error("async run with Latency 1e300 returned no error")
 	}
-	if _, err := repro.Run(repro.LiveConfig{Profile: p}, repro.WithNet(repro.NetFixedLatency{Rounds: 1 << 40})); err == nil {
-		t.Error("live run with a 2^40-round latency returned no error")
+	if _, err := repro.Run(repro.LiveConfig{Profile: p}, repro.WithNet(repro.NetFixedLatency{Rounds: math.MaxInt32})); err == nil {
+		t.Error("live run with a 2^31-round latency returned no error")
 	}
 }
 
 // TestRunRejectsUnindexableProfile pins that a profile whose totals the round
 // engine's int32 offsets cannot hold comes back from Run as an error before a
-// round starts: 2 x 2^31 units used to be accepted and wrap the offsets.
+// round starts: 2 x 2^31 units used to be accepted and wrap the offsets, and
+// 2 x (2^31-1) is still beyond them.
 func TestRunRejectsUnindexableProfile(t *testing.T) {
-	p := repro.Homogeneous(2, 1<<31)
+	p := repro.Homogeneous(2, math.MaxInt32)
 	if _, err := repro.Run(repro.RumorConfig{Algorithm: repro.Dating, Profile: p}); err == nil {
-		t.Error("dating run over 2^32 units a round returned no error")
+		t.Error("dating run over 2^32-2 units a round returned no error")
 	}
 }
 

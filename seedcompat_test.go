@@ -15,9 +15,6 @@ import (
 	"hash/fnv"
 	"reflect"
 	"testing"
-
-	"repro/internal/gossip"
-	"repro/internal/run"
 )
 
 const compatSeed = 0xC0FFEE
@@ -182,30 +179,6 @@ func TestSeedCompatGoldens(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestSeedCompatLiveEngines(t *testing.T) {
-	// The engine must be invisible too. The facade's live report at the
-	// golden seed is exactly the sharded runtime's at the derived seed, at
-	// every shard count; gossip's TestRunLiveEnginesAgree pins that runtime
-	// to the goroutine engine, the test oracle, at these very n and seed.
-	for _, n := range []int{17, 1000} {
-		cfg := LiveConfig{Profile: UnitBandwidth(n)}
-		rep, err := Run(cfg, WithSeed(compatSeed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{1, 4} {
-			want, err := gossip.RunLive(cfg, gossip.LiveOptions{
-				Seed: run.SeedFor(compatSeed, run.DomainLive), Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(rep.Detail, want) {
-				t.Fatalf("n=%d shards=%d: facade report differs from the runtime's", n, shards)
-			}
-		}
 	}
 }
 
