@@ -78,9 +78,10 @@ func checkSpreadAlloc(t *testing.T, cfg Config, bound float64) {
 // and the view holding 20-byte records instead of 40-byte Messages, 1.0;
 // with the view made of pool pages, 0.98; with one generator per shard
 // instead of one per peer, 0.69; with deliver counting on the view's
-// offsets instead of count arrays of its own, 0.66.
+// offsets instead of count arrays of its own, 0.66; with 16-byte records,
+// 0.53–0.54.
 func TestLiveSpreadAllocBound(t *testing.T) {
-	const n, bound = 20_000, 0.78
+	const n, bound = 20_000, 0.62
 	cfg := LiveConfig{Profile: bandwidth.Homogeneous(n, 1)}
 	var res LiveResult
 	var err error
@@ -105,9 +106,10 @@ func TestLiveSpreadAllocBound(t *testing.T) {
 // pages and the view holding 20-byte records instead of 40-byte Messages,
 // 9.2; with the view made of pool pages instead of a buffer grown on its
 // own, 7.1; with one generator per shard instead of one per peer, 6.25;
-// with deliver counting on the view's offsets, 6.06.
+// with deliver counting on the view's offsets, 6.06; with 16-byte records,
+// 5.00.
 func TestAsyncSpreadAllocBound(t *testing.T) {
-	const n, bound = 20_000, 7.0
+	const n, bound = 20_000, 5.8
 	p, err := bandwidth.Bimodal(n, n/10, 8, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -137,9 +139,10 @@ func TestAsyncSpreadAllocBound(t *testing.T) {
 // holding 20-byte records instead of 40-byte Messages, 9.6–10.6; with the
 // view made of pool pages, 8.3–8.4; with one generator per shard instead of
 // one per peer, 4.95–5.01; with deliver counting on the view's offsets
-// instead of count arrays of its own, 4.52–4.61.
+// instead of count arrays of its own, 4.52–4.61; with 16-byte records,
+// 3.69–3.78.
 func TestTopologySpreadAllocBound(t *testing.T) {
-	const n, bound = 20_000, 5.2
+	const n, bound = 20_000, 4.3
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := TopologyConfig{Graph: mustBA(t, n, 3, seed), Alpha: 0.25}
 		var res TopologyResult

@@ -203,7 +203,8 @@ func consStep(sampler graph.UniformNeighbors, st *consState, weight []float64) l
 		var stamp int32
 		if st.stamp != nil {
 			stamp = st.stamp[node]
-			for _, m := range inbox {
+			for k := range inbox {
+				m := &inbox[k]
 				if m.Kind != kindConsVariant {
 					continue
 				}
@@ -219,7 +220,8 @@ func consStep(sampler graph.UniformNeighbors, st *consState, weight []float64) l
 		} else {
 			heard := st.heardRow(node)
 			revised := false
-			for _, m := range inbox {
+			for k := range inbox {
+				m := &inbox[k]
 				if m.Kind != kindConsVariant {
 					continue
 				}

@@ -238,7 +238,8 @@ func liveEmitStep(profile bandwidth.Profile, sel core.Selector, st *liveState, r
 		// lists start on the stack and reach the heap only past that.
 		var offerBuf, requestBuf [8]int32
 		offers, requests := offerBuf[:0], requestBuf[:0]
-		for _, m := range inbox {
+		for k := range inbox {
+			m := &inbox[k]
 			switch m.Kind {
 			case KindPayload:
 				st.inPayloads[node]++

@@ -89,7 +89,8 @@ type TopologyResult struct {
 func topoStep(sampler graph.UniformNeighbors, st *peerStates, alpha, lambda, delta float64) live.ActiveStepFunc {
 	return func(node, round int, inbox []simnet.Message, s *rng.Stream, emit func(simnet.Message)) bool {
 		state := st.of[node]
-		for _, m := range inbox {
+		for k := range inbox {
+			m := &inbox[k]
 			switch m.Kind {
 			case kindTopoContact:
 				switch state {

@@ -42,13 +42,14 @@
 //	         gauges are sampled.
 //
 // A message is a simnet.Message (32 bytes) only where a protocol holds it:
-// at emit and in the step's inbox. Inside the core it is a 20-byte record of
-// int32 ids and payloads, which loses nothing: New admits at most MaxInt32
-// peers and a Message's payloads are int32. A hop therefore moves 20 + 20 +
-// 32 bytes — packed onto its page by Send, copied onto a page of the view by
-// its owner's sort, unpacked into the step's scratch by Lane.Inbox — where
-// two copies of a 40-byte Message moved 40 + 40, and the message is stored
-// nowhere but on pages.
+// at emit and in the step's inbox. Inside the core it is a 16-byte record:
+// two 32-bit words each holding a 28-bit peer id and one nibble of the 8-bit
+// kind, and the two int32 payloads. That loses nothing: New admits at most
+// 2^28 peers and a Message's payloads are int32. A page of PageLen records
+// is then 4 KiB. A hop therefore moves 16 + 16 + 32 bytes — packed onto its
+// page by Send, copied onto a page of the view by its owner's sort, unpacked
+// into the step's scratch by Lane.Inbox — where two copies of a 40-byte
+// Message moved 40 + 40, and the message is stored nowhere but on pages.
 //
 // # Dense and sparse ticks
 //
@@ -104,11 +105,14 @@
 //
 // # Limits
 //
-// Peers, a record's ids and view offsets are int32: New rejects more than
-// MaxInt32 peers, more than MaxRing ring slots and more than maxOpenPages
-// open-page headers (shards² × ring, allocated up front), and Route panics,
-// naming the limit, before a slot's message total would pass MaxInt32 — over
-// 40 GB of pages due in one tick, so a bug and not an input.
+// New rejects more than 2^28 peers: a record keeps a peer id in 28 bits, so
+// that the kind fits beside the two ids in 16 bytes. 2^28 peers would need
+// 1 GiB of view offsets alone, and the largest runs in the repository have
+// 10^6 (the flat dating engine has limits of its own). New also rejects
+// more than MaxRing ring slots and more than maxOpenPages open-page headers
+// (shards² × ring, allocated up front). View offsets are int32: Route
+// panics, naming the limit, before a slot's message total would pass
+// MaxInt32 — 32 GiB of pages due in one tick, so a bug and not an input.
 //
 // # Determinism
 //
@@ -180,12 +184,23 @@ const (
 )
 
 // record is a message as the core stores it, on a page and in the view:
-// 20 bytes where a simnet.Message is 32. Every field fits: ids because New
-// admits at most MaxInt32 peers, payloads because a Message's are int32.
+// 16 bytes where a simnet.Message is 32, so a page of PageLen records is
+// 4 KiB. Every field fits: from and to keep the peer id in their low idBits
+// bits because New admits at most maxPeers peers, and one nibble of the kind
+// each in the bits above (the high nibble in from); payloads are int32 in a
+// Message too.
 type record struct {
-	from, to, a, b int32
-	kind           uint8
+	from, to uint32
+	a, b     int32
 }
+
+// idBits is the width of a record's peer ids; maxPeers = 2^idBits is the
+// most peers New admits, and idMask selects an id from its word.
+const (
+	idBits   = 28
+	maxPeers = 1 << idBits
+	idMask   = maxPeers - 1
+)
 
 // RecordBytes is the size of one message on a page or in the delivered view.
 const RecordBytes = int64(unsafe.Sizeof(record{}))
@@ -195,13 +210,21 @@ const RecordBytes = int64(unsafe.Sizeof(record{}))
 // the stack in narrow stores and came back in wide loads, which stall on
 // store forwarding (Lane.Inbox ran 3x slower in a micro-benchmark).
 func (r *record) pack(m *simnet.Message) {
-	r.from, r.to, r.a, r.b, r.kind = int32(m.From), int32(m.To), m.A, m.B, m.Kind
+	r.from = uint32(m.From) | uint32(m.Kind>>4)<<idBits
+	r.to = uint32(m.To) | uint32(m.Kind&0xf)<<idBits
+	r.a, r.b = m.A, m.B
 }
 
 // unpackTo stores the message r holds in m.
 func (r *record) unpackTo(m *simnet.Message) {
-	m.From, m.To, m.Kind, m.A, m.B = int(r.from), int(r.to), r.kind, r.a, r.b
+	m.From = int(r.from & idMask)
+	m.To = int(r.to & idMask)
+	m.Kind = uint8(r.from>>idBits)<<4 | uint8(r.to>>idBits)
+	m.A, m.B = r.a, r.b
 }
+
+// dest returns the destination's id: the key Deliver sorts by.
+func (r *record) dest() int32 { return int32(r.to & idMask) }
 
 // page is a run of records in emission order: length is the fill, capacity
 // always PageLen.
@@ -214,7 +237,7 @@ type viewPage = *[PageLen]record
 // checkTotal stops the run when a slot of that many messages could not be
 // delivered (package comment, "Limits"). Route calls it once per slot it
 // linked to, not per message.
-func checkTotal(track string, msgs int) {
+func checkTotal(track string, msgs int64) {
 	if msgs > math.MaxInt32 {
 		panic(fmt.Sprintf("%s: %d messages are due in one tick, beyond the runtime's limit of %d (view offsets are int32)",
 			track, msgs, math.MaxInt32))
@@ -279,7 +302,7 @@ func sparseLimit(r int) int { return (r + sparseK - 1) / sparseK }
 
 // Config sizes a core.
 type Config struct {
-	N      int // peers, in [1, MaxInt32]
+	N      int // peers, in [1, 2^28]
 	Shards int // workers; 0 selects GOMAXPROCS, capped at N
 	Ring   int // ring slots, in [2, MaxRing]; Send takes delays in [1, Ring)
 	// Weights, when non-nil, cuts the step ranges by cumulative weight
@@ -450,15 +473,17 @@ func (l *Lane) Awake(k int) { l.awake = k }
 
 // slot is the mail due at one tick: per delivery owner, the pages filed
 // under it in canonical order (package comment, "Determinism") and the
-// messages they hold; msgs is the slot's total.
+// messages they hold; msgs is the slot's total. The totals are int64 so
+// that Route's sums cannot wrap on a 32-bit target before checkTotal sees
+// them.
 type slot struct {
 	owners []ownerPages
-	msgs   int
+	msgs   int64
 }
 
 type ownerPages struct {
 	pages []page
-	msgs  int
+	msgs  int64
 }
 
 // Core is the shared machine. Construct with New; Deliver, the caller's
@@ -521,9 +546,9 @@ func New(cfg Config) (*Core, error) {
 	switch {
 	case cfg.N <= 0:
 		return nil, fmt.Errorf("%s: runtime needs n > 0, got %d", cfg.Track, cfg.N)
-	case cfg.N > math.MaxInt32:
-		// The view's offsets are int32.
-		return nil, fmt.Errorf("%s: %d peers exceed the runtime's limit of %d", cfg.Track, cfg.N, math.MaxInt32)
+	case cfg.N > maxPeers:
+		// A record keeps a peer id in idBits bits.
+		return nil, fmt.Errorf("%s: %d peers exceed the runtime's limit of %d (2^%d, a record's id width)", cfg.Track, cfg.N, maxPeers, idBits)
 	case cfg.Shards < 0:
 		return nil, fmt.Errorf("%s: shards %d must be non-negative (0 selects GOMAXPROCS)", cfg.Track, cfg.Shards)
 	case cfg.Ring < 2 || cfg.Ring > MaxRing:
@@ -693,7 +718,7 @@ func (c *Core) FanOutSpan(tick int, p obs.Phase, f func(w int)) {
 // density switch, then one fan-out of sortOwner.
 func (c *Core) Deliver(tick int) {
 	sl := &c.slots[tick%c.ring]
-	c.view = c.pool.swapView(c.view, (sl.msgs+pageMask)>>pageShift)
+	c.view = c.pool.swapView(c.view, int((sl.msgs+pageMask)>>pageShift))
 	for w := range c.lanes {
 		c.lanes[w].curAt = -1
 	}
@@ -701,7 +726,7 @@ func (c *Core) Deliver(tick int) {
 	c.sparse = 0
 	for o := range sl.owners {
 		c.base[o] = base
-		msgs := sl.owners[o].msgs
+		msgs := int(sl.owners[o].msgs)
 		base += int32(msgs)
 		c.listed[o] = -1
 		if msgs < sparseLimit(c.part.End(o)-c.part.Start(o))-c.lanes[o].awake { // no sum to overflow a 32-bit int
@@ -738,7 +763,7 @@ func (c *Core) sortOwner(o int) {
 	}
 	for _, p := range pages {
 		for k := range p {
-			cur[int(p[k].to)-lo]++
+			cur[int(p[k].dest())-lo]++
 		}
 	}
 	exch.PrefixCounts(cur, base)
@@ -748,7 +773,7 @@ func (c *Core) sortOwner(o int) {
 	view := c.view
 	for _, p := range pages {
 		for k := range p {
-			j := &cur[int(p[k].to)-lo]
+			j := &cur[int(p[k].dest())-lo]
 			x := *j
 			*j = x + 1
 			view[x>>pageShift][x&pageMask] = p[k]
@@ -768,12 +793,12 @@ func (c *Core) sortOwner(o int) {
 // the switch. Everything fits: the switch admits m < range/sparseK, and
 // 2m ≤ range-1 for sparseK >= 2.
 func (c *Core) sortSparse(o int, pages []page, off []int32, base int32) {
-	m := c.due.owners[o].msgs
+	m := int(c.due.owners[o].msgs)
 	keys := off[:m]
 	k := 0
 	for _, p := range pages {
 		for i := range p {
-			keys[k] = p[i].to
+			keys[k] = p[i].dest()
 			k++
 		}
 	}
@@ -792,7 +817,7 @@ func (c *Core) sortSparse(o int, pages []page, off []int32, base int32) {
 	view := c.view
 	for _, p := range pages {
 		for i := range p {
-			d, _ := slices.BinarySearch(dests, p[i].to)
+			d, _ := slices.BinarySearch(dests, p[i].dest())
 			x := cur[d]
 			cur[d] = x + 1
 			view[x>>pageShift][x&pageMask] = p[i]
@@ -818,8 +843,8 @@ func (c *Core) Route(tick int) {
 		sl := &c.slots[(tick+d)%c.ring]
 		own := &sl.owners[o]
 		own.pages = append(own.pages, p)
-		own.msgs += len(p)
-		sl.msgs += len(p)
+		own.msgs += int64(len(p))
+		sl.msgs += int64(len(p))
 		linked = true
 	}
 	var work int64
@@ -879,7 +904,7 @@ func (c *Core) Route(tick int) {
 func (c *Core) InFlight() int {
 	depth := 0
 	for i := range c.slots {
-		depth += c.slots[i].msgs
+		depth += int(c.slots[i].msgs)
 	}
 	return depth
 }

@@ -39,6 +39,18 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("accepted %+v", cfg)
 		}
 	}
+	// One peer past the record's id width: rejected, naming the limit,
+	// before the n-sized makes (the offsets alone would be 1 GiB).
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := New(Config{N: maxPeers + 1, Ring: 2})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxPeers)) {
+		t.Errorf("%d peers: error %v, want one naming the limit %d", maxPeers+1, err, maxPeers)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("%d peers: New allocated %d bytes before rejecting them", maxPeers+1, got)
+	}
 	c, err := New(Config{N: 3, Shards: 8, Ring: MaxRing})
 	if err != nil {
 		t.Fatalf("rejected the largest ring: %v", err)
@@ -406,14 +418,46 @@ func FuzzDeliver(f *testing.F) {
 	})
 }
 
-// TestRecordLayout pins the two message layouts: a Message is 32 bytes,
-// its record on a page and in the view 20.
+// TestRecordLayout pins the two message layouts: a record on a page and in
+// the view is 16 bytes on every platform, so a page is 4 KiB, and a Message
+// is 32 bytes where an int is 8 and 20 where it is 4.
 func TestRecordLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(simnet.Message{}); sz != 32 {
-		t.Errorf("simnet.Message is %d bytes, want 32", sz)
+	want := uintptr(32)
+	if unsafe.Sizeof(int(0)) == 4 {
+		want = 20
 	}
-	if sz := unsafe.Sizeof(record{}); sz != 20 || RecordBytes != 20 {
-		t.Errorf("a record is %d bytes (RecordBytes %d), want 20", sz, RecordBytes)
+	if sz := unsafe.Sizeof(simnet.Message{}); sz != want {
+		t.Errorf("simnet.Message is %d bytes, want %d", sz, want)
+	}
+	if sz := unsafe.Sizeof(record{}); sz != 16 || RecordBytes != 16 || PageLen*RecordBytes != 4096 {
+		t.Errorf("a record is %d bytes (RecordBytes %d), want 16", sz, RecordBytes)
+	}
+}
+
+// TestRecordRoundTrip packs and unpacks messages at the extremes of every
+// field: ids 0 and maxPeers-1 on both ends, each of the 256 kinds, and
+// payloads at MinInt32, 0 and MaxInt32. Nothing may be lost, and dest must
+// read the destination whatever kind shares its word.
+func TestRecordRoundTrip(t *testing.T) {
+	ids := []int{0, maxPeers - 1}
+	words := []int32{math.MinInt32, 0, math.MaxInt32}
+	for _, from := range ids {
+		for _, to := range ids {
+			for kind := range 256 {
+				for _, a := range words {
+					for _, b := range words {
+						m := simnet.Message{From: from, To: to, Kind: uint8(kind), A: a, B: b}
+						var r record
+						r.pack(&m)
+						var got simnet.Message
+						r.unpackTo(&got)
+						if got != m || int(r.dest()) != to {
+							t.Fatalf("%+v packed and unpacked to %+v, dest %d", m, got, r.dest())
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -630,15 +674,15 @@ func TestBufferLifetime(t *testing.T) {
 					place("held by the view", p[:])
 				}
 				for i := range c.slots {
-					total := 0
+					total := int64(0)
 					for o, own := range c.slots[i].owners {
-						msgs := 0
+						msgs := int64(0)
 						lo, hi := c.Part().Range(o)
 						for _, p := range own.pages {
 							place("on a slot", p)
-							msgs += len(p)
+							msgs += int64(len(p))
 							reused = reused || delivered[unsafe.SliceData(p)]
-							if slices.ContainsFunc(p, func(r record) bool { return int(r.to) < lo || int(r.to) >= hi }) {
+							if slices.ContainsFunc(p, func(r record) bool { return int(r.dest()) < lo || int(r.dest()) >= hi }) {
 								t.Fatalf("ring %d tick %d: slot %d files a message outside [%d, %d) under owner %d", ring, tk-1, i, lo, hi, o)
 							}
 						}
@@ -668,7 +712,7 @@ func TestBufferLifetime(t *testing.T) {
 				if limit := peak + shards*shards*(ring-1); made > limit {
 					t.Fatalf("ring %d tick %d: %d pages made, at most %d were in flight or in the view (limit %d)", ring, tk-1, made, peak, limit)
 				}
-				tables := int64(cap(inOff))*4 + int64(cap(c.view))*8
+				tables := int64(cap(inOff))*4 + int64(cap(c.view))*int64(unsafe.Sizeof(viewPage(nil)))
 				if got, want := c.ScratchBytes(), int64(made)*PageLen*recBytes+tables; got != want {
 					t.Fatalf("ring %d tick %d: ScratchBytes is %d, the %d pages made, the offsets and the page table are %d", ring, tk-1, got, made, want)
 				}
@@ -740,7 +784,7 @@ func TestLaneIsolation(t *testing.T) {
 					ln.Send(ring-1, m)
 				}
 				k := (ring-1)*shards + c.Part().Owner(to)
-				if p := ln.open[k]; len(p) == 0 || int(p[len(p)-1].to) != to {
+				if p := ln.open[k]; len(p) == 0 || int(p[len(p)-1].dest()) != to {
 					t.Fatalf("ring %d shards %d: message to %d is not last under header %d", ring, shards, to, k)
 				}
 			}

@@ -13,7 +13,7 @@
 // tag — the paper stresses that control messages are tiny, about one IP
 // address each). int32 is enough because every payload the protocols send is
 // a peer id, a state byte, a variant or a consensus stamp, and peer ids are
-// bounded by n <= MaxInt32: the sharded runtimes reject a larger n.
+// bounded by n <= 2^28: the sharded runtimes reject a larger n.
 package simnet
 
 // Message is a unit protocol message: 32 bytes.
