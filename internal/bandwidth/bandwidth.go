@@ -96,14 +96,6 @@ func (p Profile) Validate(c float64) error {
 	return nil
 }
 
-// Clone returns a deep copy of the profile.
-func (p Profile) Clone() Profile {
-	return Profile{
-		In:  append([]int(nil), p.In...),
-		Out: append([]int(nil), p.Out...),
-	}
-}
-
 // Homogeneous returns the unit-bandwidth profile used by both of the paper's
 // figures: every node has bin = bout = b.
 func Homogeneous(n, b int) Profile {

@@ -71,15 +71,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := Homogeneous(3, 1)
-	q := p.Clone()
-	q.In[0] = 99
-	if p.In[0] == 99 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestBimodal(t *testing.T) {
 	p, err := Bimodal(10, 3, 8, 1)
 	if err != nil {

@@ -13,12 +13,15 @@ package core
 // phase workers make off the calling goroutine.
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/bandwidth"
+	"repro/internal/overlay"
 	"repro/internal/par"
+	"repro/internal/rng"
 )
 
 // allocFirstRound returns the bytes allocated by constructing a Service at
@@ -193,18 +196,20 @@ var raceDetector bool
 
 // TestServiceScratchAllocBound pins what a fresh Service allocates to run
 // its first RunRoundShared, per request sent: the engine's scratch (the two
-// offset arrays, the chunk rows and their quarter of headroom, the flat
+// offset arrays, the chunk rows and their exch.Margin of headroom, the flat
 // request arrays) and the Service's date buffer. A spread pays this once;
 // what its later rounds grow is gossip's TestDatingSpreadAllocBound. With
 // two count arrays beside the offsets and 16-byte dates a first round
 // allocated 24.6 B per request at one worker and 25.8 at two (34.8 and 37.4
 // under -race); with the owners counting on the offsets and 8-byte dates,
-// 19.5 and 20.7 (29.7 and 32.2).
+// 19.5 and 20.7 (29.7 and 32.2); with chunk rows and the date buffer
+// reserved to exch.Margin instead of a quarter, 17.3 and 18.6 (25.9 and
+// 28.4).
 func TestServiceScratchAllocBound(t *testing.T) {
 	const n, b = 20_000, 2
-	bound := 22.0
+	bound := 21.4
 	if raceDetector {
-		bound = 34.0
+		bound = 32.5
 	}
 	requests := float64(2 * b * n)
 	for _, workers := range []int{1, 2} {
@@ -236,6 +241,73 @@ func TestServiceScratchAllocBound(t *testing.T) {
 		t.Logf("workers=%d: %d dates, %.1f B per request", workers, len(dates), perRequest)
 		if perRequest > bound {
 			t.Errorf("workers=%d: a fresh Service's first round allocated %.1f B per request, bound %.1f", workers, perRequest, bound)
+		}
+	}
+}
+
+// TestSkewedSelectorScratchAllocBound pins what a fresh Service allocates
+// over its first 20 RunRoundShared rounds, per node, under selectors whose
+// owners do not receive their width's share of the requests: a DHT ring,
+// and i.i.d. weights 1/(1+U) with U uniform on [0, n), Zipf(1) weights in
+// random order. Reserve sizes each chunk to its width share plus
+// exch.Margin, so under the Zipf weights chunks fill up and record on into
+// their overflow runs. Readings: ring 92.6 and 96.2 B per node at 2 and 8
+// workers, Zipf 98.1 and 103.6 (131.5, 137.8, 141.5 and 150.0 under
+// -race). With chunks that regrow instead of spilling, the Zipf selector
+// at 2 workers read 113.7, beyond its bound; the engine that gave chunks a
+// flat quarter of headroom read 101.6, 99.2, 103.4 and 115.9.
+func TestSkewedSelectorScratchAllocBound(t *testing.T) {
+	const n, rounds = 20_000, 20
+	ring, err := overlay.NewRing(n, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringSel, err := NewRingSelector(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rng.New(11)
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1 / (1 + n*s.Float64())
+	}
+	zipfSel, err := NewWeightedSelector(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		sel         Selector
+		bound, race [2]float64 // at 2 and 8 workers
+	}{
+		{"ring", ringSel, [2]float64{106.0, 110.5}, [2]float64{151.0, 158.0}},
+		{"zipf", zipfSel, [2]float64{112.0, 119.0}, [2]float64{162.5, 172.5}},
+	} {
+		bound := tc.bound
+		if raceDetector {
+			bound = tc.race
+		}
+		for i, workers := range []int{2, 8} {
+			budget, err := par.NewBudget(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sv := mustService(t, bandwidth.Homogeneous(n, 2), tc.sel)
+			for r := 1; r <= rounds; r++ {
+				if _, err := sv.RunRoundShared(uint64(r), budget, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perNode := float64(after.TotalAlloc-before.TotalAlloc) / n
+			name := fmt.Sprintf("%s, %d workers", tc.name, workers)
+			t.Logf("%s: %.1f B per node", name, perNode)
+			if perNode > bound[i] {
+				t.Errorf("%s: a fresh Service's first %d rounds allocated %.1f B per node, bound %.1f", name, rounds, perNode, bound[i])
+			}
 		}
 	}
 }

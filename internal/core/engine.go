@@ -49,8 +49,10 @@ package core
 // Memory is O(n + requests) regardless of the worker count: the two
 // length-(n+1) offset arrays, which are also the owners' counts and write
 // cursors (each owner sorts on its own range of them), the chunk buffers
-// with the round's recorded requests plus the quarter of headroom Reserve
-// gives them, and the flat request arrays. A date is two int32 ids, 8 bytes.
+// with the round's recorded requests plus the exch.Margin Reserve gives
+// them (about 2.4 % at the bimodal benchmark's shares, and an overflow run
+// only for a chunk that a skewed selector fills), and the flat request
+// arrays. A date is two int32 ids, 8 bytes.
 //
 // Worker isolation: what a worker writes once per draw, its generator state,
 // lives by value in its own engineWorker, and the elements of that array are
@@ -66,9 +68,11 @@ package core
 // nil gets a fresh slice of exactly the round's size that the engine never
 // touches again (RunRoundSeeded, Arrange);
 // Service.RunRoundShared and Arranger.ArrangeShared hand in the buffer they
-// keep (non-nil from the start, and grown with a quarter of headroom), so a
-// spreading or storage round allocates nothing proportional to n and its
-// dates are valid until the same Service's or Arranger's next shared round.
+// keep (empty but non-nil from the start, sized by the first round to its
+// dates plus exch.Margin of them, and grown by a quarter only when a later
+// round outgrows it), so a spreading or storage round allocates nothing
+// proportional to n and its dates are valid until the same Service's or
+// Arranger's next shared round.
 //
 // Offsets and ids are int32, so a round holds fewer than 2^31 nodes and
 // fewer than 2^31 requests of each kind; indexable rejects anything larger
@@ -260,9 +264,16 @@ func (e *engine) round(dst []Date, sel Selector, out, in []int, alive func(i int
 	}
 	if total := e.dateCut[workers]; cap(dst) < total {
 		size := total
-		if dst != nil {
-			// A kept buffer: date counts move by a percent or so from round
-			// to round, so the quarter of headroom makes this the last growth.
+		switch {
+		case dst == nil:
+		case cap(dst) == 0:
+			// A kept buffer's first round. On a fixed profile the date
+			// count barely moves: 200 rounds of the 150 000-node bimodal
+			// benchmark stayed within 0.9 %, inside the 1.6 % margin.
+			size += exch.Margin(total)
+		default:
+			// A later round outgrew the kept buffer, as when an Arranger's
+			// supply grows.
 			size += total / 4
 		}
 		dst = append(make([]Date, 0, size), dst...)

@@ -28,9 +28,14 @@
 //     order — the layout the engine's determinism proof rests on.
 //
 // Scratch is O(records) regardless of the worker count, beside the caller's
-// offsets: the chunks hold the round's records plus a quarter of Reserve's
-// share, allocated once; grown by append from nothing, a chunk allocates
-// about five times its final size on the way.
+// offsets. Reserve gives each chunk its share of a worker's records plus
+// Margin(share): six standard deviations of a uniform scatter's count, at
+// most a quarter of the share (63 750 records get 1 530 more). A reserved
+// chunk that fills up records on into an overflow run kept beside it,
+// which Fill replays right after the chunk, so a skewed round costs the
+// run's growth and never a reallocation of the chunk. Grown by append from
+// nothing, a chunk would allocate about five times its final size on the
+// way.
 //
 // The concat form (RecordTo, SetBase, Flush and chunk.off) has no
 // caller left in the program: the runtimes' route phase links pages instead
@@ -39,7 +44,8 @@
 // form and the metric go together in the next benchmark PR.
 //
 // Concurrency contract: Reset and Prefix are serial; ClearWorker, Reserve,
-// Record and RecordTo may run concurrently for distinct w; Fill and
+// Record and RecordTo may run concurrently for distinct w (a chunk's
+// overflow run is its worker's alone); Fill and
 // SetBase/Flush may run concurrently for distinct owners, strictly after
 // Prefix (or an external base assignment) and the barrier that ends the
 // record phase.
@@ -138,15 +144,34 @@ func BalancedCuts[W int | float64](cuts []int, n, parts int, weight func(i int) 
 	return append(cuts, n)
 }
 
-// chunk holds the records one worker addressed to one owner, in scan order.
-// keys drive Fill's counting sort; RecordTo-style concat exchanges leave
-// them empty and len(vals) is the authoritative length.
+// chunk holds the records one worker addressed to one owner, in scan order:
+// keys and vals up to their capacity, the room Reserve gave them, then its
+// overflow run. keys drive Fill's counting sort; RecordTo-style concat
+// exchanges leave them empty and len(vals) is the authoritative length.
 type chunk[T any] struct {
 	keys []int32
 	vals []T
+	over *overflow[T] // nil until the chunk first fills up
 	// off is this chunk's write offset in the destination slice, set by
 	// SetBase and consumed by Flush.
 	off int
+}
+
+// overflow is a chunk's overflow run: the records that arrived once the
+// chunk was full. It is allocated only when that first happens, by the
+// chunk's own worker and so from its own processor's allocation cache,
+// which keeps it apart from other workers' runs in the common case.
+type overflow[T any] struct {
+	keys []int32
+	vals []T
+}
+
+// overflowed returns c's overflow run, empty if it has none.
+func (c *chunk[T]) overflowed() ([]int32, []T) {
+	if c.over == nil {
+		return nil, nil
+	}
+	return c.over.keys, c.over.vals
 }
 
 // Isolation is the destructive-interference distance of the flat engines:
@@ -203,29 +228,71 @@ func (ex *Exchange[T]) Reset(workers int, part Partition) {
 func (ex *Exchange[T]) ClearWorker(w int) {
 	row := ex.ch[w*ex.stride : w*ex.stride+ex.part.Parts]
 	for o := range row {
-		row[o].keys = row[o].keys[:0]
-		row[o].vals = row[o].vals[:0]
+		c := &row[o]
+		c.keys, c.vals = c.keys[:0], c.vals[:0]
+		if r := c.over; r != nil {
+			r.keys, r.vals = r.keys[:0], r.vals[:0]
+		}
 	}
 }
 
 // Record appends one (key, value) record from worker w, addressed to the
-// owner of key's destination range. Safe to call concurrently for distinct w.
+// owner of key's destination range: to the chunk while it has room, to its
+// overflow run once it is full. Safe to call concurrently for distinct w.
 func (ex *Exchange[T]) Record(w int, key int32, v T) {
 	c := &ex.ch[w*ex.stride+ex.part.owner(int(key))]
+	if len(c.keys) == cap(c.keys) {
+		c.spill(key, v)
+		return
+	}
 	c.keys = append(c.keys, key)
 	c.vals = append(c.vals, v)
 }
 
+// spill appends a record to c's overflow run. A full run grows by what
+// append would add to the chunk and the run as one full slice of their
+// capacities: double below 256 records, a quarter plus 192 above (an
+// empty run of an unreserved chunk grows as append grows it). So the run
+// holds what a regrown chunk would, and costs the chunk's room less per
+// step: only the run is ever copied.
+func (c *chunk[T]) spill(key int32, v T) {
+	if c.over == nil {
+		c.over = new(overflow[T])
+	}
+	r := c.over
+	if len(r.keys) == cap(r.keys) {
+		more := cap(c.keys) + len(r.keys)
+		if more >= 256 {
+			more = (more + 768) / 4
+		}
+		r.keys = slices.Grow(r.keys, more)
+		r.vals = slices.Grow(r.vals, more)
+	}
+	r.keys = append(r.keys, key)
+	r.vals = append(r.vals, v)
+}
+
+// Margin is the room Reserve adds to a chunk's share of records, and the
+// core engine to its kept date buffer: min(share/4, 6·√share + 16). A
+// uniform scatter's count has a standard deviation below √share, so this
+// is six of them plus a floor for tiny shares, and never more than the
+// quarter a flat headroom would give.
+func Margin(share int) int {
+	return min(share/4, int(6*math.Sqrt(float64(share)))+16)
+}
+
 // Reserve gives every chunk of worker w's row room for its owner's share of
-// records, split by range width, plus a quarter, so a round of about that
-// many records from w grows no chunk; records beyond the room still append.
-// Call it after ClearWorker. Safe to call concurrently for distinct w.
+// records, split by range width, plus Margin(share), so a round of about
+// that many records from w fills no chunk; records beyond the room go to
+// the chunk's overflow run. The share's product is taken in uint64, as in
+// Partition.Start. Call it after ClearWorker. Safe to call concurrently
+// for distinct w.
 func (ex *Exchange[T]) Reserve(w, records int) {
 	for o := 0; o < ex.part.Parts && ex.part.N > 0; o++ {
 		lo, hi := ex.part.Range(o)
-		share := records * (hi - lo) / ex.part.N
+		share := int(uint64(records) * uint64(hi-lo) / uint64(ex.part.N))
 		c := &ex.ch[w*ex.stride+o]
-		if room := share + share/4 - len(c.keys); room > 0 {
+		if room := share + Margin(share) - len(c.keys); room > 0 {
 			c.keys = slices.Grow(c.keys, room)
 			c.vals = slices.Grow(c.vals, room)
 		}
@@ -249,7 +316,9 @@ func (ex *Exchange[T]) Prefix() int32 {
 	for o := 0; o < ex.part.Parts; o++ {
 		var t int32
 		for w := 0; w < ex.workers; w++ {
-			t += int32(len(ex.ch[w*ex.stride+o].vals))
+			c := &ex.ch[w*ex.stride+o]
+			spilled, _ := c.overflowed()
+			t += int32(len(c.vals) + len(spilled))
 		}
 		ex.base[o], total = total, total+t
 	}
@@ -259,7 +328,8 @@ func (ex *Exchange[T]) Prefix() int32 {
 // Fill counting-sorts owner o's incoming records into out, writing the
 // bucket offsets of o's destination range into off: after the owner fanout,
 // bucket v holds out[off[v]:off[v+1]] in global scan order (chunks are
-// replayed in worker order, and each worker recorded in scan order). off
+// replayed in worker order, each followed by its overflow run, and each
+// worker recorded in scan order). off
 // must have length >= part.N+1 and off[0] must be 0; owner o writes exactly
 // off[lo+1 .. hi] of its range [lo, hi), so the owners together write every
 // other entry, each exactly once, off[N] = the Prefix total included. Those
@@ -271,20 +341,33 @@ func (ex *Exchange[T]) Fill(o int, off []int32, out []T) int32 {
 	cur := off[lo+1 : hi+1]
 	clear(cur)
 	for w := 0; w < ex.workers; w++ {
-		for _, k := range ex.ch[w*ex.stride+o].keys {
+		c := &ex.ch[w*ex.stride+o]
+		for _, k := range c.keys {
+			cur[int(k)-lo]++
+		}
+		spilled, _ := c.overflowed()
+		for _, k := range spilled {
 			cur[int(k)-lo]++
 		}
 	}
 	end := PrefixCounts(cur, ex.base[o])
 	for w := 0; w < ex.workers; w++ {
 		c := &ex.ch[w*ex.stride+o]
-		for i, k := range c.keys {
-			j := &cur[int(k)-lo]
-			out[*j] = c.vals[i]
-			*j++
-		}
+		place(cur, lo, c.keys, c.vals, out)
+		spilled, vals := c.overflowed()
+		place(cur, lo, spilled, vals, out)
 	}
 	return end
+}
+
+// place writes each value to out at its key's cursor cur[key-lo] and
+// advances the cursor: the placing pass of Fill's counting sort.
+func place[T any](cur []int32, lo int, keys []int32, vals []T, out []T) {
+	for i, k := range keys {
+		j := &cur[int(k)-lo]
+		out[*j] = vals[i]
+		*j++
+	}
 }
 
 // PrefixCounts is the middle step of an owner's counting sort of buckets

@@ -209,7 +209,8 @@ func TestFillDisjointAndStable(t *testing.T) {
 // range may be empty; data is cut into (worker, key) pairs, and a record's
 // value is its position. The corpus holds n = 0 and n = 1, more owners than
 // n, every key on one owner, Reserve(w, 0) and a Reserve far above the
-// records.
+// records; in reserved-overflow, as under Reserve(w, 0), the records
+// outgrow each chunk's room and its overflow run's first block.
 func FuzzExchangeFill(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nb, wb, pb uint8, reserved bool, reserve uint16, data []byte) {
 		n, workers, parts := int(nb)%64, 1+int(wb)%6, 1+int(pb)%9

@@ -118,27 +118,3 @@ func NewZipf(n int, exponent float64) (*Zipf, error) {
 
 // Sample returns a rank in {1, ..., n}.
 func (z *Zipf) Sample(s *Stream) int { return z.table.Sample(s) + 1 }
-
-// Poisson samples from Poisson(lambda) using Knuth's product method for
-// small lambda and decomposition for large lambda (splitting lambda in
-// halves keeps the product method's underflow at bay while remaining exact).
-func (s *Stream) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		// Poisson(a+b) = Poisson(a) + Poisson(b) for independent draws.
-		half := lambda / 2
-		return s.Poisson(half) + s.Poisson(lambda-half)
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.Float64Open()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}

@@ -138,34 +138,3 @@ func TestZipfRanksDecreasing(t *testing.T) {
 		t.Fatalf("Zipf rank1/rank10 ratio %.1f, want ~15.8", ratio)
 	}
 }
-
-func TestPoissonMoments(t *testing.T) {
-	s := New(6)
-	for _, lambda := range []float64{0.25, 1, 4, 25, 100} {
-		const reps = 20000
-		var sum, sumSq float64
-		for i := 0; i < reps; i++ {
-			v := float64(s.Poisson(lambda))
-			sum += v
-			sumSq += v * v
-		}
-		mean := sum / reps
-		variance := sumSq/reps - mean*mean
-		if math.Abs(mean-lambda) > 0.05*lambda+0.05 {
-			t.Errorf("Poisson(%v) mean %.3f", lambda, mean)
-		}
-		if math.Abs(variance-lambda) > 0.1*lambda+0.1 {
-			t.Errorf("Poisson(%v) variance %.3f", lambda, variance)
-		}
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	s := New(7)
-	if got := s.Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d", got)
-	}
-	if got := s.Poisson(-1); got != 0 {
-		t.Fatalf("Poisson(-1) = %d", got)
-	}
-}

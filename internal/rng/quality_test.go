@@ -102,23 +102,3 @@ func TestStreamsPairwiseDistinct(t *testing.T) {
 		firsts[v] = i
 	}
 }
-
-func TestPoissonDecompositionPath(t *testing.T) {
-	// lambda > 30 triggers the halving decomposition; verify moments there.
-	s := New(808)
-	const lambda, reps = 250.0, 20000
-	var sum, sumSq float64
-	for i := 0; i < reps; i++ {
-		v := float64(s.Poisson(lambda))
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / reps
-	variance := sumSq/reps - mean*mean
-	if math.Abs(mean-lambda) > 0.02*lambda {
-		t.Fatalf("Poisson(250) mean %.2f", mean)
-	}
-	if math.Abs(variance-lambda) > 0.08*lambda {
-		t.Fatalf("Poisson(250) variance %.2f", variance)
-	}
-}

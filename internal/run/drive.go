@@ -109,7 +109,11 @@ type Flat struct {
 
 	dead    []bool // nil until the first crash
 	crashed int
-	out, in []int32 // a round's loads, zero between rounds
+	// out and in are a round's loads, zero between rounds. Section 4's
+	// capacity property keeps a dating round's loads within the profile (8
+	// at most on the bimodal benchmark), so 16 bits hold them; a round in
+	// which a counter reaches 65 535 is recounted exactly (see load).
+	out, in []uint16
 }
 
 // FlatResult is what Flat.Drive reports: the rounds, the most dates one
@@ -156,7 +160,7 @@ func (f *Flat) Drive(s *rng.Stream, b *par.Budget, tr *obs.Track) (FlatResult, e
 			return FlatResult{}, err
 		}
 	}
-	f.out, f.in = make([]int32, f.N), make([]int32, f.N)
+	f.out, f.in = make([]uint16, f.N), make([]uint16, f.N)
 	profOut, profIn := capacityOf(f.Profile.Out), capacityOf(f.Profile.In)
 	// With no observer the arena is nil and a round makes no time.Now call.
 	arena, gSent, gBudget := tr.Arena(0), tr.Gauge("sent"), tr.Gauge("budget_in_flight")
@@ -229,15 +233,26 @@ func capacityOf(of []int) capacity {
 // capacity can a node be over, and only then does it scan the node range,
 // naming the round and the lowest node beyond its capacity, while it zeroes
 // the counters; otherwise it zeroes them by walking the dates again, so a
-// round with nothing to check costs nothing proportional to n.
+// round with nothing to check costs nothing proportional to n. The counters
+// are 16 bits wide: a round in which one reaches 65 535 (and may have
+// wrapped) is recounted exactly with core.RoundResult.PerNode, so the
+// maxima and the check are exact for every input, and only such a round
+// allocates.
 func (f *Flat) load(round int, dates []core.Date, capOut, capIn capacity, res *FlatResult) error {
 	out, in := f.out, f.in
-	var maxOut, maxIn int32
+	var maxOut, maxIn uint16
 	for _, d := range dates {
 		s, r := d.Sender, d.Receiver
 		out[s]++
 		in[r]++
 		maxOut, maxIn = max(maxOut, out[s]), max(maxIn, in[r])
+	}
+	if maxOut == math.MaxUint16 || maxIn == math.MaxUint16 {
+		clear(out)
+		clear(in)
+		exactOut, exactIn := core.RoundResult{Dates: dates}.PerNode(len(out))
+		res.MaxOutLoad, res.MaxInLoad = max(res.MaxOutLoad, slices.Max(exactOut)), max(res.MaxInLoad, slices.Max(exactIn))
+		return check(round, exactOut, exactIn, capOut, capIn)
 	}
 	res.MaxOutLoad, res.MaxInLoad = max(res.MaxOutLoad, int(maxOut)), max(res.MaxInLoad, int(maxIn))
 	if int(maxOut) <= capOut.low && int(maxIn) <= capIn.low {
@@ -246,6 +261,12 @@ func (f *Flat) load(round int, dates []core.Date, capOut, capIn capacity, res *F
 		}
 		return nil
 	}
+	return check(round, out, in, capOut, capIn)
+}
+
+// check zeroes both sides' load counters and reports the lowest node over
+// its capacity, senders first.
+func check[L uint16 | int](round int, out, in []L, capOut, capIn capacity) error {
 	err := over(round, out, capOut, "sends")
 	if e := over(round, in, capIn, "receives"); err == nil {
 		err = e
@@ -255,7 +276,7 @@ func (f *Flat) load(round int, dates []core.Date, capOut, capIn capacity, res *F
 
 // over zeroes one side's load counters and reports the lowest node whose
 // load exceeded its capacity.
-func over(round int, load []int32, c capacity, verb string) (err error) {
+func over[L uint16 | int](round int, load []L, c capacity, verb string) (err error) {
 	for v, l := range load {
 		if err == nil && int(l) > c.low && int(l) > c.of[v] {
 			err = fmt.Errorf("run: round %d: node %d %s %d dates, capacity %d", round, v, verb, l, c.of[v])

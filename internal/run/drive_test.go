@@ -143,8 +143,55 @@ func TestFlatLoadsMatchRecount(t *testing.T) {
 				t.Errorf("case %d: error %q names none of round %d's overloads %v", c, err, failAt, over)
 			}
 		}
-		if slices.ContainsFunc(f.out, func(l int32) bool { return l != 0 }) || slices.ContainsFunc(f.in, func(l int32) bool { return l != 0 }) {
+		if slices.ContainsFunc(f.out, func(l uint16) bool { return l != 0 }) || slices.ContainsFunc(f.in, func(l uint16) bool { return l != 0 }) {
 			t.Errorf("case %d: load counters not zeroed after the run: out %v, in %v", c, f.out, f.in)
+		}
+	}
+}
+
+// TestFlatLoadsPastCounterWidth drives a fake source in which one node
+// takes part in 70 000 dates of a round, more than a 16-bit load counter
+// holds, once as the sender of all of them and once as their receiver:
+// the maxima read the exact load, a capacity just below it fails naming
+// that node and 70 000, one at it passes, and every counter is zero after
+// the run.
+func TestFlatLoadsPastCounterWidth(t *testing.T) {
+	const n, heavy, load = 4, 2, 70_000
+	for _, sender := range []bool{true, false} {
+		dates := make([]core.Date, load)
+		for i := range dates {
+			dates[i] = core.Date{Sender: heavy, Receiver: int32(i % n)}
+			if !sender {
+				dates[i] = core.Date{Sender: int32(i % n), Receiver: heavy}
+			}
+		}
+		wantOut, wantIn, verb := load, load/n, "sends"
+		if !sender {
+			wantOut, wantIn, verb = load/n, load, "receives"
+		}
+		for _, capacity := range []int{0, load - 1, load} {
+			f := &Flat{N: n, Limit: 2, Step: func(*rng.Stream) []core.Date { return dates }}
+			if capacity > 0 {
+				caps := []int{load, load, capacity, load}
+				f.Profile = bandwidth.Profile{Out: caps, In: caps}
+			}
+			countRounds(f)
+			res, err := f.Drive(rng.New(1), nil, nil)
+			name := fmt.Sprintf("sender=%v capacity=%d", sender, capacity)
+			if capacity == load-1 {
+				want := fmt.Sprintf("round 1: node %d %s %d dates, capacity %d", heavy, verb, load, capacity)
+				if err == nil || !strings.HasSuffix(err.Error(), want) {
+					t.Errorf("%s: error %v, want one ending %q", name, err, want)
+				}
+			} else if err != nil || res.Rounds != 2 {
+				t.Errorf("%s: %d rounds, error %v; want 2 and none", name, res.Rounds, err)
+			}
+			if res.MaxOutLoad != wantOut || res.MaxInLoad != wantIn {
+				t.Errorf("%s: loads %d out, %d in; want %d, %d", name, res.MaxOutLoad, res.MaxInLoad, wantOut, wantIn)
+			}
+			if slices.ContainsFunc(f.out, func(l uint16) bool { return l != 0 }) || slices.ContainsFunc(f.in, func(l uint16) bool { return l != 0 }) {
+				t.Errorf("%s: load counters not zeroed after the run: out %v, in %v", name, f.out, f.in)
+			}
 		}
 	}
 }
